@@ -12,13 +12,12 @@
 //!
 //! * **throughput**: fresh must reach at least 75 % of the committed
 //!   `throughput_ops_s` (a >25 % drop is a regression);
-//! * **p99 / p99.9 latency**: fresh `p99_ns` (and, when both sides carry
-//!   it, the schema-v3 `p999_ns`) must stay within 2x of committed.
+//! * **p99 / p99.9 latency**: fresh `p99_ns` and `p999_ns` must stay
+//!   within 2x of committed.
 //!
-//! Reports at `MIN_SCHEMA_VERSION..=SCHEMA_VERSION` are accepted, so
-//! committed v2 artifacts keep gating a v3 binary (their `p999_ns` parses
-//! as 0 and is skipped). `--report md` additionally writes a markdown
-//! delta table next to the JSON (same path, `.md` extension).
+//! Only reports at `SCHEMA_VERSION` load (`BenchReport::from_json` refuses
+//! any other). `--report md` additionally writes a markdown delta table
+//! next to the JSON (same path, `.md` extension).
 //!
 //! Zero metrics mean "not applicable" and are never gated. Wall-clock
 //! numbers are only comparable between identical hosts, so a pair is
@@ -34,7 +33,7 @@
 
 use std::fmt::Write as _;
 
-use bench::{BenchReport, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use bench::{BenchReport, SCHEMA_VERSION};
 
 /// Fresh throughput below this fraction of committed is a regression.
 const THROUGHPUT_FLOOR: f64 = 0.75;
@@ -71,14 +70,6 @@ fn compare_pair(
             "bench mismatch: fresh is {:?}, committed is {:?}",
             fresh.bench, committed.bench
         ));
-    }
-    for report in [fresh, committed] {
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&report.schema_version) {
-            return Err(format!(
-                "{}: schema_version {} (this comparator speaks {}..={})",
-                report.bench, report.schema_version, MIN_SCHEMA_VERSION, SCHEMA_VERSION
-            ));
-        }
     }
     let enforced = fresh.host_cpus == committed.host_cpus;
     for c in &committed.entries {

@@ -15,7 +15,7 @@
 
 pub mod report;
 
-pub use report::{host_cpus, BenchEntry, BenchReport, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+pub use report::{host_cpus, BenchEntry, BenchReport, SCHEMA_VERSION};
 
 use mssd::MssdConfig;
 use workloads::Scale;

@@ -19,13 +19,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Version tag of the unified schema. Bump when a field changes meaning.
-/// `bench_compare` accepts the current version and version 2 (which lacked
-/// the first-class `p999_ns` field — it parses as 0, meaning "not
-/// applicable"), and refuses anything else.
+/// [`BenchReport::from_json`] reads this version and refuses anything else.
 pub const SCHEMA_VERSION: u64 = 3;
-
-/// Oldest schema version `bench_compare` still reads.
-pub const MIN_SCHEMA_VERSION: u64 = 2;
 
 /// One measured configuration of a bench.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -40,7 +35,7 @@ pub struct BenchEntry {
     /// width), not sampled.
     pub p99_ns: u64,
     /// 99.9th-percentile per-operation latency in nanoseconds; 0 when not
-    /// applicable (schema v3; v2 reports parse as 0).
+    /// applicable.
     pub p999_ns: u64,
     /// Bench-specific scalars (thread counts, speedups, byte counts, ...).
     pub extra: BTreeMap<String, f64>,
@@ -135,8 +130,14 @@ impl BenchReport {
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = Json::parse(text)?;
         let obj = value.as_object().ok_or("top level is not an object")?;
+        let schema_version = obj.get("schema_version").and_then(Json::as_u64).unwrap_or(0);
+        if schema_version != SCHEMA_VERSION {
+            return Err(format!(
+                "schema_version {schema_version} (this parser speaks {SCHEMA_VERSION})"
+            ));
+        }
         let mut report = BenchReport {
-            schema_version: obj.get("schema_version").and_then(Json::as_u64).unwrap_or(0),
+            schema_version,
             bench: obj.get("bench").and_then(Json::as_str).ok_or("missing \"bench\"")?.to_string(),
             scale: obj.get("scale").and_then(Json::as_f64).unwrap_or(1.0),
             host_cpus: obj.get("host_cpus").and_then(Json::as_u64).unwrap_or(0) as usize,
@@ -485,24 +486,8 @@ mod tests {
         assert_eq!(back.schema_version, SCHEMA_VERSION);
         assert_eq!(back.entry("qd16/t4").unwrap().p99_ns, 9800);
         assert_eq!(back.entry("qd16/t4").unwrap().p999_ns, 12000);
-    }
-
-    #[test]
-    fn v2_reports_without_p999_still_parse() {
-        let v2 = r#"{
-  "schema_version": 2,
-  "bench": "gc_pause",
-  "scale": 1,
-  "host_cpus": 1,
-  "entries": [
-    {"key": "on", "throughput_ops_s": 100, "p99_ns": 5000, "extra": {}}
-  ],
-  "summary": {}
-}"#;
-        let r = BenchReport::from_json(v2).expect("v2 parses");
-        assert_eq!(r.schema_version, 2);
-        assert_eq!(r.entry("on").unwrap().p99_ns, 5000);
-        assert_eq!(r.entry("on").unwrap().p999_ns, 0, "missing p999 defaults to not-applicable");
+        let v2 = r.to_json().replace("\"schema_version\": 3", "\"schema_version\": 2");
+        assert!(BenchReport::from_json(&v2).is_err(), "only the current schema is read");
     }
 
     #[test]

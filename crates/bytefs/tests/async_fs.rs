@@ -1,12 +1,13 @@
-//! Async-runtime integration tests: many logical clients drive one shared
-//! [`ByteFs`] through the futures-based [`fskit::AsyncFileSystem`] API over
-//! a handful of executor worker threads, and the results must be exactly
-//! what a sync client would have produced.
+//! Interleaving integration test: many logical clients, each a future on a
+//! handful of [`mssd::Executor`] worker threads, drive one shared sync
+//! [`ByteFs`] and yield between calls; the results must be exactly what a
+//! sequential client would have produced.
 
 use std::sync::Arc;
 
 use bytefs::{ByteFs, ByteFsConfig};
-use fskit::{AsyncFileSystem, AsyncFileSystemExt, AsyncFs, BlockOnFs, FileSystem, FileSystemExt};
+use fskit::{FileSystem, FileSystemExt};
+use mssd::reactor::yield_now;
 use mssd::{DramMode, Executor, Mssd, MssdConfig};
 
 fn new_fs() -> (Arc<Mssd>, Arc<ByteFs>) {
@@ -26,31 +27,34 @@ fn concurrent_async_clients_share_one_bytefs() {
     const FILES: usize = 6;
 
     let (_dev, fs) = new_fs();
-    let afs: Arc<dyn AsyncFileSystem> =
-        Arc::new(AsyncFs::new(Arc::clone(&fs) as Arc<dyn FileSystem>));
     let exec = Executor::new(3);
 
-    // Each client owns one directory and round-trips its own files; every
-    // await yields, so the 24 clients interleave over 3 worker threads.
+    // Each client owns one directory and round-trips its own files; it
+    // yields after every file-system call, so the 24 clients interleave per
+    // operation over 3 worker threads.
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let afs = Arc::clone(&afs);
+            let fs = Arc::clone(&fs);
             exec.spawn(async move {
                 let dir = format!("/client{c}");
-                afs.mkdir(&dir).await.unwrap();
+                fs.mkdir(&dir).unwrap();
+                yield_now().await;
                 for i in 0..FILES {
-                    let path = format!("{dir}/f{i}");
-                    afs.write_file(&path, &payload(c, i)).await.unwrap();
+                    fs.write_file(&format!("{dir}/f{i}"), &payload(c, i)).unwrap();
+                    yield_now().await;
                 }
                 // Rename one file and delete another mid-stream to exercise
                 // the namespace under interleaving.
-                afs.rename(&format!("{dir}/f0"), &format!("{dir}/renamed")).await.unwrap();
-                afs.unlink(&format!("{dir}/f1")).await.unwrap();
+                fs.rename(&format!("{dir}/f0"), &format!("{dir}/renamed")).unwrap();
+                yield_now().await;
+                fs.unlink(&format!("{dir}/f1")).unwrap();
+                yield_now().await;
                 for i in 2..FILES {
-                    let back = afs.read_file(&format!("{dir}/f{i}")).await.unwrap();
+                    let back = fs.read_file(&format!("{dir}/f{i}")).unwrap();
                     assert_eq!(back, payload(c, i), "client {c} file {i}");
+                    yield_now().await;
                 }
-                afs.sync().await.unwrap();
+                fs.sync().unwrap();
             })
         })
         .collect();
@@ -58,8 +62,8 @@ fn concurrent_async_clients_share_one_bytefs() {
         exec.block_on(h);
     }
 
-    // Verify through the sync API that the async clients left exactly the
-    // expected namespace and contents behind.
+    // The interleaved clients left exactly the expected namespace and
+    // contents behind, and a consistent image.
     for c in 0..CLIENTS {
         let dir = format!("/client{c}");
         let names: Vec<String> = fs.readdir(&dir).unwrap().into_iter().map(|e| e.name).collect();
@@ -71,26 +75,6 @@ fn concurrent_async_clients_share_one_bytefs() {
             assert_eq!(fs.read_file(&format!("{dir}/f{i}")).unwrap(), payload(c, i));
         }
     }
-}
-
-#[test]
-fn block_on_shim_round_trips_through_the_async_layer() {
-    // Sync FileSystem -> AsyncFs -> BlockOnFs is observationally the sync
-    // file system again: the async layer may reorder nothing.
-    let (_dev, fs) = new_fs();
-    let afs: Arc<dyn AsyncFileSystem> =
-        Arc::new(AsyncFs::new(Arc::clone(&fs) as Arc<dyn FileSystem>));
-    let shim = BlockOnFs::new(afs, Executor::new(1));
-
-    shim.mkdir("/d").unwrap();
-    shim.write_file("/d/a", b"via the shim").unwrap();
-    let fd = shim.open("/d/a", fskit::OpenFlags::read_write()).unwrap();
-    shim.append(fd, b", appended").unwrap();
-    shim.fsync(fd).unwrap();
-    shim.close(fd).unwrap();
-    assert_eq!(shim.read_file("/d/a").unwrap(), b"via the shim, appended");
-    // And the underlying sync fs sees the identical state.
-    assert_eq!(fs.read_file("/d/a").unwrap(), b"via the shim, appended");
-    assert!(fs.exists("/d/a"));
-    shim.unmount().unwrap();
+    let violations = fs.fsck();
+    assert!(violations.is_empty(), "fsck after interleaved clients: {violations:?}");
 }

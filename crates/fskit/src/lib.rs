@@ -30,7 +30,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod afs;
 pub mod check;
 pub mod error;
 pub mod fs;
@@ -39,7 +38,6 @@ pub mod pagecache;
 pub mod path;
 pub mod types;
 
-pub use afs::{AsyncFileSystem, AsyncFileSystemExt, AsyncFs, BlockOnFs, BoxFuture, InlineSyncFs};
 pub use check::{CrashConsistent, Violation};
 pub use error::{FsError, FsResult};
 pub use fs::{FileSystem, FileSystemExt};

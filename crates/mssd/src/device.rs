@@ -1174,6 +1174,8 @@ impl Mssd {
         // Bad blocks first: the restored FTL must never place restored pages
         // (or its active blocks) on a block that failed a program or erase.
         dev.flash.restore_bad_blocks(&image.bad_blocks);
+        // Each restored bad block consumed a spare: publish the new level.
+        dev.stats.set_ras_spares_remaining(dev.flash.spares_remaining() as u64);
         dev.flash.restore_logical(&image.flash_pages, &image.buffered_pages);
         dev.log.restore_entries(&image.log_entries, image.log_seq);
         {
@@ -1207,11 +1209,10 @@ impl Mssd {
         self.stats.snapshot()
     }
 
-    /// Resets the traffic counters (the clock keeps running). The
-    /// spares-remaining gauge is re-seeded from the FTL rather than zeroed.
+    /// Resets the traffic counters (the clock keeps running). Gauges keep
+    /// their level, see [`AtomicTraffic::reset`].
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.stats.set_ras_spares_remaining(self.flash.spares_remaining() as u64);
     }
 
     /// `true` once the device has degraded to read-only because a channel

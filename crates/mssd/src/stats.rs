@@ -180,83 +180,180 @@ impl QueueLat {
     }
 }
 
-/// Bytes moved between host and device, keyed by category, interface and
-/// direction, plus internal flash traffic and latency accumulators.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TrafficCounter {
-    host_read: BTreeMap<(Category, Interface), u64>,
-    host_write: BTreeMap<(Category, Interface), u64>,
+/// Declares every scalar counter exactly once. Each row — doc comment, kind,
+/// name — becomes a `pub u64` field of [`TrafficCounter`], a cache-padded
+/// cell of [`AtomicTraffic`], and that counter's line in `snapshot`,
+/// `delta_since` and `reset`; adding a counter is one row here plus its
+/// `inc_*`/`add_*`/`set_*` wrapper. The kind fixes how the counter behaves
+/// across a measurement window:
+///
+/// * `tally` — a monotonic event count: [`AtomicTraffic::reset`] zeroes it
+///   and [`TrafficCounter::delta_since`] subtracts the earlier reading;
+/// * `gauge` — the current level of device state that outlives any stats
+///   window (spare inventory, quarantined lanes): `reset` leaves it alone —
+///   zeroing it would misreport state the device still holds — and
+///   `delta_since` keeps the later reading.
+macro_rules! scalar_counters {
+    (@since tally $later:expr, $earlier:expr) => {
+        $later - $earlier
+    };
+    (@since gauge $later:expr, $earlier:expr) => {
+        $later
+    };
+    (@reset tally $cell:expr) => {
+        $cell.clear()
+    };
+    (@reset gauge $cell:expr) => {};
+    (@is_gauge tally) => {
+        false
+    };
+    (@is_gauge gauge) => {
+        true
+    };
+    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+        /// Bytes moved between host and device, keyed by category, interface
+        /// and direction, plus internal flash traffic and latency
+        /// accumulators.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct TrafficCounter {
+            host_read: BTreeMap<(Category, Interface), u64>,
+            host_write: BTreeMap<(Category, Interface), u64>,
+            $($(#[$doc])* pub $name: u64,)*
+            /// Per-queue-slot submission/completion accounting (slot 0 = the
+            /// synchronous depth-1 shim). Empty slots are omitted.
+            pub queues: BTreeMap<u16, QueueLat>,
+        }
+
+        impl TrafficCounter {
+            /// The scalar half of [`TrafficCounter::delta_since`] (maps left
+            /// empty).
+            fn scalars_since(&self, earlier: &TrafficCounter) -> TrafficCounter {
+                TrafficCounter {
+                    $($name: scalar_counters!(@since $kind self.$name, earlier.$name),)*
+                    ..TrafficCounter::default()
+                }
+            }
+
+            /// Every declared scalar as `(name, is_gauge, value)`.
+            #[cfg(test)]
+            fn scalars(&self) -> Vec<(&'static str, bool, u64)> {
+                vec![$((stringify!($name), scalar_counters!(@is_gauge $kind), self.$name),)*]
+            }
+        }
+
+        /// Lock-free traffic accounting: one cache-line-padded `AtomicU64`
+        /// per `(direction, category, interface)` host-bytes cell plus one
+        /// per scalar counter.
+        ///
+        /// The device hot path records into this with plain `Relaxed` atomic
+        /// adds — no mutex is ever taken for stats. Reports are produced by
+        /// materializing a [`TrafficCounter`] snapshot. Because individual
+        /// counters are updated independently, a snapshot taken while other
+        /// threads are mid-operation is only approximately consistent across
+        /// counters (each counter is exact); the harness always snapshots at
+        /// quiescent points.
+        #[derive(Debug, Default)]
+        pub struct AtomicTraffic {
+            host_read: [[CachePadded<AtomicU64>; Interface::COUNT]; Category::COUNT],
+            host_write: [[CachePadded<AtomicU64>; Interface::COUNT]; Category::COUNT],
+            $($name: CachePadded<AtomicU64>,)*
+            queues: [AtomicQueueLat; QUEUE_SLOTS],
+            /// The device's trace sink. It lives here because the stats bank
+            /// is already threaded through every instrumented component;
+            /// events whose semantics coincide with a counter are emitted
+            /// from that counter's `inc_*` wrapper, so the two observability
+            /// planes can never disagree.
+            trace: TraceSink,
+        }
+
+        impl AtomicTraffic {
+            /// The scalar half of [`AtomicTraffic::snapshot`] (maps left
+            /// empty).
+            fn snapshot_scalars(&self) -> TrafficCounter {
+                TrafficCounter { $($name: self.$name.get(),)* ..TrafficCounter::default() }
+            }
+
+            /// Zeroes every `tally`; gauges keep their level.
+            fn reset_scalars(&self) {
+                $(scalar_counters!(@reset $kind self.$name);)*
+            }
+
+            /// The cell behind each entry of [`TrafficCounter::scalars`], in
+            /// the same order.
+            #[cfg(test)]
+            fn scalar_cells(&self) -> Vec<&CachePadded<AtomicU64>> {
+                vec![$(&self.$name,)*]
+            }
+        }
+    };
+}
+
+scalar_counters! {
     /// Pages read from NAND flash.
-    pub flash_read_pages: u64,
+    tally flash_read_pages,
     /// Pages programmed to NAND flash.
-    pub flash_write_pages: u64,
+    tally flash_write_pages,
     /// Blocks erased (garbage collection / log cleaning).
-    pub flash_erase_blocks: u64,
+    tally flash_erase_blocks,
     /// Flash page reads caused by internal work (GC, log cleaning RMW).
-    pub flash_internal_read_pages: u64,
+    tally flash_internal_read_pages,
     /// Flash page writes caused by internal work (GC relocation).
-    pub flash_internal_write_pages: u64,
+    tally flash_internal_write_pages,
     /// Number of host byte-interface requests.
-    pub byte_requests: u64,
+    tally byte_requests,
     /// Number of host block-interface requests.
-    pub block_requests: u64,
+    tally block_requests,
     /// Number of firmware transaction commits.
-    pub tx_commits: u64,
+    tally tx_commits,
     /// Number of log-cleaning passes executed.
-    pub log_cleanings: u64,
+    tally log_cleanings,
     /// Number of times a foreground writer stalled on log space admission and
     /// had to reclaim (drain sealed regions or full stop-the-world clean)
     /// itself instead of the background cleaner.
-    pub log_fg_stalls: u64,
+    tally log_fg_stalls,
     /// Flash pages merged out of sealed log regions by the background
     /// cleaner (not counting foreground-stall reclaims).
-    pub log_bg_cleaned_pages: u64,
+    tally log_bg_cleaned_pages,
     /// Total virtual nanoseconds spent in host-visible device operations.
-    pub device_busy_ns: u64,
+    tally device_busy_ns,
     /// RAS: flash reads whose raw bit errors the ECC corrected.
-    pub ras_corrected_reads: u64,
+    tally ras_corrected_reads,
     /// RAS: flash reads that resolved as uncorrectable ECC errors (UECC)
     /// after exhausting the read-retry ladder.
-    pub ras_uncorrectable_reads: u64,
+    tally ras_uncorrectable_reads,
     /// RAS: read-retry attempts performed (ladder rungs after the initial
     /// read, whether or not they eventually recovered the page).
-    pub ras_read_retries: u64,
+    tally ras_read_retries,
     /// RAS: pages remapped to a fresh block after a permanent program
     /// failure.
-    pub ras_remapped_pages: u64,
+    tally ras_remapped_pages,
     /// RAS: blocks retired to the bad-block table (program or erase failure).
-    pub ras_retired_blocks: u64,
-    /// RAS: spare blocks currently remaining across all channels. A gauge,
-    /// not a tally: [`TrafficCounter::delta_since`] keeps the later
-    /// snapshot's value.
-    pub ras_spares_remaining: u64,
+    tally ras_retired_blocks,
+    /// RAS: spare blocks currently remaining across all channels.
+    gauge ras_spares_remaining,
     /// RAS: commands that hit their host deadline (watchdog timeout) before
     /// completing — injected stalls past the deadline, lost completions,
     /// wedged lanes.
-    pub hang_timeouts: u64,
+    tally hang_timeouts,
     /// RAS: NVMe-style aborts issued by the host (deadline timeout or lane
     /// reset resolution).
-    pub aborts: u64,
+    tally aborts,
     /// RAS: lane-level queue resets (wedge recovery or explicit).
-    pub lane_resets: u64,
+    tally lane_resets,
     /// RAS: host-level command retries after a transient failure or abort
     /// (capped exponential backoff, see `mssd::RetryPolicy`).
-    pub retries: u64,
-    /// RAS: reactor lanes currently quarantined after a wedge. A gauge, not
-    /// a tally: [`TrafficCounter::delta_since`] keeps the later snapshot's
-    /// value.
-    pub quarantined_lanes: u64,
+    tally retries,
+    /// RAS: reactor lanes currently quarantined after a wedge (quarantine is
+    /// permanent for the reactor's lifetime).
+    gauge quarantined_lanes,
     /// Executor safety-net timer wakeups that found no runnable work
     /// (pure polls). High spurious counts with zero productive ones mean
     /// "idle"; see `exec_productive_wakeups`.
-    pub exec_spurious_wakeups: u64,
+    tally exec_spurious_wakeups,
     /// Executor safety-net timer wakeups that rescued real work (a lost
     /// wakeup, pump backlog): these are the ones a watchdog reads as "the
     /// notify path is missing wakeups", distinguishing hung from idle.
-    pub exec_productive_wakeups: u64,
-    /// Per-queue-slot submission/completion accounting (slot 0 = the
-    /// synchronous depth-1 shim). Empty slots are omitted.
-    pub queues: BTreeMap<u16, QueueLat>,
+    tally exec_productive_wakeups,
 }
 
 impl TrafficCounter {
@@ -331,7 +428,8 @@ impl TrafficCounter {
     }
 
     /// Returns `self - earlier`, i.e. the traffic that happened after the
-    /// `earlier` snapshot was taken.
+    /// `earlier` snapshot was taken. Gauges (see `scalar_counters!`) keep
+    /// the later snapshot's reading.
     ///
     /// # Panics
     ///
@@ -354,36 +452,6 @@ impl TrafficCounter {
         TrafficCounter {
             host_read: sub_map(&self.host_read, &earlier.host_read),
             host_write: sub_map(&self.host_write, &earlier.host_write),
-            flash_read_pages: self.flash_read_pages - earlier.flash_read_pages,
-            flash_write_pages: self.flash_write_pages - earlier.flash_write_pages,
-            flash_erase_blocks: self.flash_erase_blocks - earlier.flash_erase_blocks,
-            flash_internal_read_pages: self.flash_internal_read_pages
-                - earlier.flash_internal_read_pages,
-            flash_internal_write_pages: self.flash_internal_write_pages
-                - earlier.flash_internal_write_pages,
-            byte_requests: self.byte_requests - earlier.byte_requests,
-            block_requests: self.block_requests - earlier.block_requests,
-            tx_commits: self.tx_commits - earlier.tx_commits,
-            log_cleanings: self.log_cleanings - earlier.log_cleanings,
-            log_fg_stalls: self.log_fg_stalls - earlier.log_fg_stalls,
-            log_bg_cleaned_pages: self.log_bg_cleaned_pages - earlier.log_bg_cleaned_pages,
-            device_busy_ns: self.device_busy_ns - earlier.device_busy_ns,
-            ras_corrected_reads: self.ras_corrected_reads - earlier.ras_corrected_reads,
-            ras_uncorrectable_reads: self.ras_uncorrectable_reads - earlier.ras_uncorrectable_reads,
-            ras_read_retries: self.ras_read_retries - earlier.ras_read_retries,
-            ras_remapped_pages: self.ras_remapped_pages - earlier.ras_remapped_pages,
-            ras_retired_blocks: self.ras_retired_blocks - earlier.ras_retired_blocks,
-            // A gauge (current spare inventory), not a monotonic tally: the
-            // delta keeps the later snapshot's reading.
-            ras_spares_remaining: self.ras_spares_remaining,
-            hang_timeouts: self.hang_timeouts - earlier.hang_timeouts,
-            aborts: self.aborts - earlier.aborts,
-            lane_resets: self.lane_resets - earlier.lane_resets,
-            retries: self.retries - earlier.retries,
-            // A gauge (currently quarantined lanes), not a monotonic tally.
-            quarantined_lanes: self.quarantined_lanes,
-            exec_spurious_wakeups: self.exec_spurious_wakeups - earlier.exec_spurious_wakeups,
-            exec_productive_wakeups: self.exec_productive_wakeups - earlier.exec_productive_wakeups,
             queues: {
                 let mut out = BTreeMap::new();
                 for (id, q) in &self.queues {
@@ -404,6 +472,7 @@ impl TrafficCounter {
                 }
                 out
             },
+            ..self.scalars_since(earlier)
         }
     }
 
@@ -485,53 +554,6 @@ impl AtomicQueueLat {
         self.lat_total_ns.clear();
         self.lat_max_ns.clear();
     }
-}
-
-/// Lock-free traffic accounting: one cache-line-padded `AtomicU64` per
-/// `(direction, category, interface)` host-bytes cell plus one per scalar
-/// counter.
-///
-/// The device hot path records into this with plain `Relaxed` atomic adds —
-/// no mutex is ever taken for stats. Reports are produced by materializing a
-/// [`TrafficCounter`] snapshot. Because individual counters are updated
-/// independently, a snapshot taken while other threads are mid-operation is
-/// only approximately consistent across counters (each counter is exact);
-/// the harness always snapshots at quiescent points.
-#[derive(Debug, Default)]
-pub struct AtomicTraffic {
-    host_read: [[CachePadded<AtomicU64>; Interface::COUNT]; Category::COUNT],
-    host_write: [[CachePadded<AtomicU64>; Interface::COUNT]; Category::COUNT],
-    flash_read_pages: CachePadded<AtomicU64>,
-    flash_write_pages: CachePadded<AtomicU64>,
-    flash_erase_blocks: CachePadded<AtomicU64>,
-    flash_internal_read_pages: CachePadded<AtomicU64>,
-    flash_internal_write_pages: CachePadded<AtomicU64>,
-    byte_requests: CachePadded<AtomicU64>,
-    block_requests: CachePadded<AtomicU64>,
-    tx_commits: CachePadded<AtomicU64>,
-    log_cleanings: CachePadded<AtomicU64>,
-    log_fg_stalls: CachePadded<AtomicU64>,
-    log_bg_cleaned_pages: CachePadded<AtomicU64>,
-    device_busy_ns: CachePadded<AtomicU64>,
-    ras_corrected_reads: CachePadded<AtomicU64>,
-    ras_uncorrectable_reads: CachePadded<AtomicU64>,
-    ras_read_retries: CachePadded<AtomicU64>,
-    ras_remapped_pages: CachePadded<AtomicU64>,
-    ras_retired_blocks: CachePadded<AtomicU64>,
-    ras_spares_remaining: CachePadded<AtomicU64>,
-    hang_timeouts: CachePadded<AtomicU64>,
-    aborts: CachePadded<AtomicU64>,
-    lane_resets: CachePadded<AtomicU64>,
-    retries: CachePadded<AtomicU64>,
-    quarantined_lanes: CachePadded<AtomicU64>,
-    exec_spurious_wakeups: CachePadded<AtomicU64>,
-    exec_productive_wakeups: CachePadded<AtomicU64>,
-    queues: [AtomicQueueLat; QUEUE_SLOTS],
-    /// The device's trace sink. It lives here because the stats bank is
-    /// already threaded through every instrumented component; events whose
-    /// semantics coincide with a counter are emitted from that counter's
-    /// `inc_*` wrapper, so the two observability planes can never disagree.
-    trace: TraceSink,
 }
 
 impl AtomicTraffic {
@@ -724,48 +746,21 @@ impl AtomicTraffic {
             }
             map
         }
-        TrafficCounter {
-            host_read: bank_to_map(&self.host_read),
-            host_write: bank_to_map(&self.host_write),
-            flash_read_pages: self.flash_read_pages.get(),
-            flash_write_pages: self.flash_write_pages.get(),
-            flash_erase_blocks: self.flash_erase_blocks.get(),
-            flash_internal_read_pages: self.flash_internal_read_pages.get(),
-            flash_internal_write_pages: self.flash_internal_write_pages.get(),
-            byte_requests: self.byte_requests.get(),
-            block_requests: self.block_requests.get(),
-            tx_commits: self.tx_commits.get(),
-            log_cleanings: self.log_cleanings.get(),
-            log_fg_stalls: self.log_fg_stalls.get(),
-            log_bg_cleaned_pages: self.log_bg_cleaned_pages.get(),
-            device_busy_ns: self.device_busy_ns.get(),
-            ras_corrected_reads: self.ras_corrected_reads.get(),
-            ras_uncorrectable_reads: self.ras_uncorrectable_reads.get(),
-            ras_read_retries: self.ras_read_retries.get(),
-            ras_remapped_pages: self.ras_remapped_pages.get(),
-            ras_retired_blocks: self.ras_retired_blocks.get(),
-            ras_spares_remaining: self.ras_spares_remaining.get(),
-            hang_timeouts: self.hang_timeouts.get(),
-            aborts: self.aborts.get(),
-            lane_resets: self.lane_resets.get(),
-            retries: self.retries.get(),
-            quarantined_lanes: self.quarantined_lanes.get(),
-            exec_spurious_wakeups: self.exec_spurious_wakeups.get(),
-            exec_productive_wakeups: self.exec_productive_wakeups.get(),
-            queues: {
-                let mut map = BTreeMap::new();
-                for (id, cell) in self.queues.iter().enumerate() {
-                    let q = cell.snapshot();
-                    if !q.is_empty() {
-                        map.insert(id as u16, q);
-                    }
-                }
-                map
-            },
+        let mut t = self.snapshot_scalars();
+        t.host_read = bank_to_map(&self.host_read);
+        t.host_write = bank_to_map(&self.host_write);
+        for (id, cell) in self.queues.iter().enumerate() {
+            let q = cell.snapshot();
+            if !q.is_empty() {
+                t.queues.insert(id as u16, q);
+            }
         }
+        t
     }
 
-    /// Resets every counter to zero.
+    /// Resets every tally to zero. Gauges keep their level: they mirror
+    /// device state (spare inventory, quarantined lanes) that a stats reset
+    /// does not change.
     pub fn reset(&self) {
         for bank in [&self.host_read, &self.host_write] {
             for row in bank.iter() {
@@ -774,35 +769,7 @@ impl AtomicTraffic {
                 }
             }
         }
-        for cell in [
-            &self.flash_read_pages,
-            &self.flash_write_pages,
-            &self.flash_erase_blocks,
-            &self.flash_internal_read_pages,
-            &self.flash_internal_write_pages,
-            &self.byte_requests,
-            &self.block_requests,
-            &self.tx_commits,
-            &self.log_cleanings,
-            &self.log_fg_stalls,
-            &self.log_bg_cleaned_pages,
-            &self.device_busy_ns,
-            &self.ras_corrected_reads,
-            &self.ras_uncorrectable_reads,
-            &self.ras_read_retries,
-            &self.ras_remapped_pages,
-            &self.ras_retired_blocks,
-            &self.ras_spares_remaining,
-            &self.hang_timeouts,
-            &self.aborts,
-            &self.lane_resets,
-            &self.retries,
-            &self.quarantined_lanes,
-            &self.exec_spurious_wakeups,
-            &self.exec_productive_wakeups,
-        ] {
-            cell.clear();
-        }
+        self.reset_scalars();
         for q in &self.queues {
             q.clear();
         }
@@ -959,7 +926,41 @@ mod tests {
         assert_eq!(a.snapshot(), t);
         assert_eq!(a.flash_writes_total(), 2);
         a.reset();
-        assert_eq!(a.snapshot(), TrafficCounter::new());
+        // Everything is zeroed but the two gauges, which mirror device state.
+        let mut after_reset = TrafficCounter::new();
+        after_reset.ras_spares_remaining = 7;
+        after_reset.quarantined_lanes = 2;
+        assert_eq!(a.snapshot(), after_reset);
+    }
+
+    #[test]
+    fn every_declared_counter_round_trips_according_to_its_kind() {
+        let a = AtomicTraffic::new();
+        let names = a.snapshot().scalars();
+        assert_eq!(names.len(), a.scalar_cells().len());
+        for (i, &(name, is_gauge, zero)) in names.iter().enumerate() {
+            assert_eq!(zero, 0, "{name} starts at zero");
+            let cell = a.scalar_cells()[i];
+
+            // First bump, visible in a snapshot under this counter's name only.
+            cell.0.store(5, Ordering::Relaxed);
+            let earlier = a.snapshot();
+            let lit: Vec<_> = earlier.scalars().into_iter().filter(|s| s.2 != 0).collect();
+            assert_eq!(lit, vec![(name, is_gauge, 5)], "{name}: bump lands on its own field");
+
+            // Second bump: a tally's delta is the growth, a gauge's the later level.
+            cell.0.store(8, Ordering::Relaxed);
+            let delta = a.snapshot().delta_since(&earlier).scalars()[i].2;
+            assert_eq!(delta, if is_gauge { 8 } else { 3 }, "{name}: delta_since");
+
+            // Reset zeroes a tally and leaves a gauge at its level.
+            a.reset();
+            let after_reset = a.snapshot().scalars()[i].2;
+            assert_eq!(after_reset, if is_gauge { 8 } else { 0 }, "{name}: reset");
+            cell.clear();
+        }
+        let gauges: Vec<_> = names.iter().filter(|s| s.1).map(|s| s.0).collect();
+        assert_eq!(gauges, ["ras_spares_remaining", "quarantined_lanes"]);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use fskit::{AsyncFs, FileSystem, FsResult};
+use fskit::{FileSystem, FsResult};
 use mssd::queue::{Command, HostQueue};
 use mssd::stats::{Direction, TrafficCounter};
-use mssd::{Clock, Mssd, MssdConfig, RetryPolicy, Runtime};
+use mssd::{Clock, Mssd, MssdConfig, RetryPolicy};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -187,16 +187,10 @@ pub struct ConcurrentRunResult {
     /// Merged metrics over all threads; `traffic` is the device delta over
     /// the whole measured phase (snapshotted once, not per thread).
     pub aggregate: RunResult,
-    /// Per-client slices of the aggregate (one per shard; for the threaded
-    /// driver clients and threads coincide).
+    /// Per-thread slices of the aggregate (one per shard).
     pub per_thread: Vec<ThreadResult>,
-    /// Number of OS worker threads driving the run. For
-    /// [`run_concurrent_async`] this is the executor's worker count — many
-    /// logical clients multiplex over it.
+    /// Number of OS worker threads (shards) driving the run.
     pub threads: usize,
-    /// Number of logical clients (shards) the op stream was partitioned
-    /// into. Equals `threads` for [`run_concurrent`].
-    pub clients: usize,
     /// Wall-clock (host) time of the measured phase in nanoseconds — the
     /// number that shows whether the file system's locking scales. Virtual
     /// time lives in `aggregate.elapsed_ns` as usual.
@@ -355,8 +349,7 @@ pub fn run_concurrent(
                     workload.run_shard(fs.as_ref(), t, threads, &mut rng, &mut rec)?;
                     drop(ambient);
                     // One retry schedule for the whole run, seeded by the
-                    // run seed — the same policy the async driver hands to
-                    // the reactor.
+                    // run seed.
                     let policy = RetryPolicy::default().with_seed(seed);
                     flush_barrier(&mut queue, &mut rec, &device.clock(), &policy);
                     Ok(rec)
@@ -370,23 +363,6 @@ pub fn run_concurrent(
     // One traffic snapshot for the whole run (see the doc comment).
     let traffic = device.traffic().delta_since(&before_traffic);
 
-    merge_outcomes(device, fs, workload, outcomes, threads, threads, elapsed_ns, wall_ns, traffic)
-}
-
-/// Merges per-shard recorder outcomes into a [`ConcurrentRunResult`]
-/// (shared tail of [`run_concurrent`] and [`run_concurrent_async`]).
-#[allow(clippy::too_many_arguments)]
-fn merge_outcomes(
-    device: &Arc<Mssd>,
-    fs: &Arc<dyn FileSystem>,
-    workload: &dyn Workload,
-    outcomes: Vec<FsResult<Recorder>>,
-    threads: usize,
-    clients: usize,
-    elapsed_ns: u64,
-    wall_ns: u64,
-    traffic: TrafficCounter,
-) -> FsResult<ConcurrentRunResult> {
     let mut merged = Recorder::new();
     let mut per_thread = Vec::with_capacity(outcomes.len());
     for (t, outcome) in outcomes.into_iter().enumerate() {
@@ -424,112 +400,7 @@ fn merge_outcomes(
         flush_errors: merged.flush_errors,
         retries: merged.retries,
     };
-    Ok(ConcurrentRunResult { aggregate, per_thread, threads, clients, wall_ns })
-}
-
-/// SQ depth of each reactor lane the async driver opens. Deeper than the
-/// threaded driver's per-shard queues: many clients share one lane, and a
-/// deep SQ maximizes doorbell coalescing while the executor runs tasks.
-const ASYNC_LANE_DEPTH: usize = 64;
-
-/// Runs `workload` over one shared file system from `clients` *logical*
-/// clients multiplexed over `workers` OS threads — the async twin of
-/// [`run_concurrent`], where the shard count and the thread count decouple.
-///
-/// Each client is one spawned future: it drives its shard through
-/// [`Workload::run_shard_async`] over an [`AsyncFs`] view, then closes its
-/// measured phase with a FLUSH durability barrier awaited through its
-/// [`mssd::Reactor`] lane. A lost or failed barrier is counted in the
-/// result's `flush_errors` exactly like the threaded driver's. Clients
-/// share `min(clients, 8)` reactor lanes; file-system device calls run
-/// inline on worker threads (attributed to the sync-shim accounting slot),
-/// while the barriers travel the lanes' queues.
-///
-/// `workers == 0` runs everything deterministically on the calling thread.
-///
-/// # Errors
-///
-/// Propagates the first file-system error any client hit.
-///
-/// # Panics
-///
-/// Panics if `clients` is zero.
-pub fn run_concurrent_async(
-    device: &Arc<Mssd>,
-    fs: &Arc<dyn FileSystem>,
-    workload: &Arc<dyn Workload>,
-    clients: usize,
-    workers: usize,
-    seed: u64,
-) -> FsResult<ConcurrentRunResult> {
-    assert!(clients > 0, "need at least one client");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    workload.setup(fs.as_ref(), &mut rng)?;
-    fs.drop_caches();
-
-    let rt = Runtime::new(device, workers, clients.min(8), ASYNC_LANE_DEPTH);
-    let afs = Arc::new(AsyncFs::new(Arc::clone(fs)));
-
-    let clock = device.clock();
-    let before_traffic = device.traffic();
-    let start_ns = clock.now_ns();
-    let wall_start = std::time::Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let workload = Arc::clone(workload);
-            let afs = Arc::clone(&afs);
-            let reactor = Arc::clone(rt.reactor());
-            rt.spawn(async move {
-                let mut rng = SmallRng::seed_from_u64(shard_seed(seed, c));
-                let mut rec = Recorder::new();
-                workload.run_shard_async(afs.as_ref(), c, clients, &mut rng, &mut rec).await?;
-                // The client's end-of-phase FLUSH barrier, awaited through
-                // the reactor's retry wrapper: the same [`RetryPolicy`] as
-                // the threaded driver's [`flush_barrier`], with lane
-                // re-routing around quarantined lanes per attempt. Every
-                // unresolvable failure (power cut, persistent status, retry
-                // exhaustion) is counted — the reactor resolves lost and
-                // wedged barriers as typed outcomes instead of hanging.
-                let policy = RetryPolicy::default().with_seed(seed);
-                let (out, retries) = reactor.submit_with_retry(c, Command::Flush, policy).await;
-                rec.retries += u64::from(retries);
-                match out {
-                    Ok(comp) => {
-                        rec.record_queue_completion(comp.latency_ns);
-                        if comp.status.is_err() {
-                            rec.flush_errors += 1;
-                        }
-                    }
-                    Err(_) => {
-                        rec.flush_errors += 1;
-                    }
-                }
-                Ok(rec)
-            })
-        })
-        .collect();
-    let outcomes: Vec<FsResult<Recorder>> = rt.block_on(async move {
-        let mut v = Vec::with_capacity(handles.len());
-        for h in handles {
-            v.push(h.await);
-        }
-        v
-    });
-    let wall_ns = wall_start.elapsed().as_nanos() as u64;
-    let elapsed_ns = clock.now_ns().saturating_sub(start_ns).max(1);
-    let traffic = device.traffic().delta_since(&before_traffic);
-
-    merge_outcomes(
-        device,
-        fs,
-        workload.as_ref(),
-        outcomes,
-        workers,
-        clients,
-        elapsed_ns,
-        wall_ns,
-        traffic,
-    )
+    Ok(ConcurrentRunResult { aggregate, per_thread, threads, wall_ns })
 }
 
 #[cfg(test)]
@@ -727,103 +598,6 @@ mod tests {
         assert_eq!(c.aggregate.ops, 1, "unpartitioned workloads fall back to shard 0");
         assert_eq!(c.per_thread[0].ops, 1);
         assert!(c.per_thread[1..].iter().all(|t| t.ops == 0));
-    }
-
-    #[test]
-    fn async_run_multiplexes_clients_over_few_workers() {
-        let w = Micro::new(MicroOp::Create, Scale::tiny());
-        let objects = w.objects as u64;
-        let w: Arc<dyn Workload> = Arc::new(w);
-        let (dev, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
-        let c = run_concurrent_async(&dev, &fs, &w, 6, 2, 11).unwrap();
-        assert_eq!(c.clients, 6);
-        assert_eq!(c.threads, 2, "six clients ran over two worker threads");
-        assert_eq!(c.per_thread.len(), 6, "one result slice per logical client");
-        // Every object is created exactly once across the six shards, plus
-        // one final sync per shard — identical logical work to the threaded
-        // driver and the sequential run.
-        assert_eq!(c.aggregate.ops, objects + 6);
-        assert_eq!(c.aggregate.flush_errors, 0);
-        assert_eq!(c.aggregate.queue.count, 6, "one FLUSH barrier per client, via the reactor");
-        let shard_ops: u64 = c.per_thread.iter().map(|t| t.ops).sum();
-        assert_eq!(shard_ops, c.aggregate.ops);
-        assert!(c.aggregate.traffic.host_write_bytes() > 0);
-    }
-
-    #[test]
-    fn async_run_is_deterministic_with_zero_workers() {
-        // workers == 0 drives every client future from the calling thread:
-        // two runs must agree on the virtual clock exactly.
-        let w: Arc<dyn Workload> = Arc::new(Micro::new(MicroOp::Create, Scale::tiny()));
-        let run = || {
-            let (dev, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
-            run_concurrent_async(&dev, &fs, &w, 4, 0, 9).unwrap()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.aggregate.ops, b.aggregate.ops);
-        assert_eq!(a.aggregate.elapsed_ns, b.aggregate.elapsed_ns);
-        assert_eq!(a.aggregate.traffic.host_write_bytes(), b.aggregate.traffic.host_write_bytes());
-    }
-
-    #[test]
-    fn default_async_shard_falls_back_to_the_sync_body() {
-        struct Probe;
-        impl crate::Workload for Probe {
-            fn name(&self) -> String {
-                "probe".into()
-            }
-            fn setup(&self, _fs: &dyn FileSystem, _rng: &mut SmallRng) -> FsResult<()> {
-                Ok(())
-            }
-            fn run(
-                &self,
-                fs: &dyn FileSystem,
-                _rng: &mut SmallRng,
-                rec: &mut Recorder,
-            ) -> FsResult<()> {
-                let clock = fs.clock();
-                let sw = rec.start(&clock);
-                rec.finish(&clock, sw, crate::OpClass::Meta, 0);
-                Ok(())
-            }
-        }
-        let (dev, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
-        let w: Arc<dyn Workload> = Arc::new(Probe);
-        let c = run_concurrent_async(&dev, &fs, &w, 3, 0, 1).unwrap();
-        assert_eq!(c.aggregate.ops, 1, "unpartitioned workloads fall back to shard 0");
-        assert_eq!(c.per_thread[0].ops, 1);
-        assert_eq!(c.aggregate.queue.count, 3, "every client still issues its barrier");
-    }
-
-    #[test]
-    fn async_barrier_retries_through_the_shared_policy_after_a_hang() {
-        use mssd::{HangFaultConfig, HangFaultPlan};
-        // Only explicit doorbells draw hang ordinals (the sync shim the
-        // file-system ops ride bypasses them), so with one client the FLUSH
-        // barrier is lane-group ordinal 1: force its completion lost and
-        // the reactor must time out, abort and retry it — backed off on the
-        // virtual clock, counted in the result, with full durability.
-        let w: Arc<dyn Workload> = Arc::new(Micro::new(MicroOp::Create, Scale::tiny()));
-        let cfg =
-            MssdConfig::small_test().with_hang_fault_plan(HangFaultPlan::new(HangFaultConfig {
-                seed: 7,
-                hang_loss_at: 1,
-                ..Default::default()
-            }));
-        let (dev, fs) = FsKind::ByteFs.build(cfg);
-        let c = run_concurrent_async(&dev, &fs, &w, 1, 0, 3).unwrap();
-        assert_eq!(c.aggregate.flush_errors, 0, "the retried barrier succeeded");
-        assert_eq!(c.aggregate.retries, 1, "exactly one retry, surfaced in the result");
-        assert_eq!(c.per_thread[0].retries, 1);
-        let t = dev.traffic();
-        assert_eq!(t.hang_timeouts, 1);
-        assert_eq!(t.aborts, 1);
-        assert_eq!(t.retries, 1, "the reactor's RAS counter agrees with the recorder");
-        // Same logical work as a fault-free run.
-        let clean: Arc<dyn Workload> = Arc::new(Micro::new(MicroOp::Create, Scale::tiny()));
-        let (dev2, fs2) = FsKind::ByteFs.build(MssdConfig::small_test());
-        let c2 = run_concurrent_async(&dev2, &fs2, &clean, 1, 0, 3).unwrap();
-        assert_eq!(c.aggregate.ops, c2.aggregate.ops);
     }
 
     #[test]

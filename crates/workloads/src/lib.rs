@@ -18,10 +18,10 @@
 //! * a [`fsfactory`] that builds every file system under test, including the
 //!   ByteFS ablation variants of Figure 12;
 //! * a deterministic [`mod@replay`] subsystem — record any workload's
-//!   file-system op stream as a versioned trace (text or binary) and
-//!   re-drive it against any file system at configurable speed and
-//!   concurrency — plus the [`corpus`] of replay scenarios it ships with
-//!   (see `DESIGN-replay.md`).
+//!   file-system op stream as a versioned text trace and re-drive it
+//!   against any file system at configurable speed and concurrency — plus
+//!   the [`corpus`] of replay scenarios it ships with (see
+//!   `DESIGN-replay.md`).
 //!
 //! All workloads are scaled-down versions of the paper's (which run millions
 //! of files for hours on real hardware); the [`spec::Scale`] parameter controls
@@ -44,8 +44,8 @@ pub mod ycsb;
 
 pub use corpus::{record_corpus, CorpusKind};
 pub use driver::{
-    flush_barrier, run_concurrent, run_concurrent_async, run_workload, shard_seed,
-    ConcurrentRunResult, RunResult, ThreadResult,
+    flush_barrier, run_concurrent, run_workload, shard_seed, ConcurrentRunResult, RunResult,
+    ThreadResult,
 };
 pub use fsfactory::FsKind;
 pub use metrics::{Histogram, LatencyStats, OpClass, Recorder};
@@ -55,14 +55,13 @@ pub use replay::{
 };
 pub use spec::Scale;
 
-use fskit::{AsyncFileSystem, BoxFuture, FileSystem, FsResult, InlineSyncFs};
+use fskit::{FileSystem, FsResult};
 use rand::rngs::SmallRng;
 
 /// A file-system workload: a setup phase (not measured) and a measured run.
 ///
-/// `Send + Sync` because the concurrent drivers share one workload across
-/// worker threads ([`driver::run_concurrent`]) and spawned client futures
-/// ([`driver::run_concurrent_async`]); workloads are plain parameter
+/// `Send + Sync` because the concurrent driver shares one workload across
+/// worker threads ([`driver::run_concurrent`]); workloads are plain parameter
 /// structs, so the bound costs implementations nothing.
 pub trait Workload: Send + Sync {
     /// Short name used in reports (e.g. `"varmail"`).
@@ -112,32 +111,5 @@ pub trait Workload: Send + Sync {
         } else {
             Ok(())
         }
-    }
-
-    /// Runs shard `shard` of `shards` as a future — the unit the async
-    /// driver ([`driver::run_concurrent_async`]) spawns per logical client.
-    /// Same partitioning contract as [`Workload::run_shard`].
-    ///
-    /// The default implementation reuses the sync shard body over an
-    /// [`InlineSyncFs`] view: correct for any workload, but each client
-    /// then runs its whole shard in one poll. Workloads override it with a
-    /// genuinely awaiting body (e.g. [`micro::Micro`]) so thousands of
-    /// clients interleave per operation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    fn run_shard_async<'a>(
-        &'a self,
-        fs: &'a dyn AsyncFileSystem,
-        shard: usize,
-        shards: usize,
-        rng: &'a mut SmallRng,
-        rec: &'a mut Recorder,
-    ) -> BoxFuture<'a, FsResult<()>> {
-        Box::pin(async move {
-            let view = InlineSyncFs::new(fs);
-            self.run_shard(&view, shard, shards, rng, rec)
-        })
     }
 }

@@ -1,7 +1,7 @@
 //! Filebench-style micro-benchmarks: `create`, `delete`, `mkdir`, `rmdir`
 //! (Table 5: 1 M objects in the paper, scaled down here).
 
-use fskit::{AsyncFileSystem, BoxFuture, FileSystem, FileSystemExt, FsResult};
+use fskit::{FileSystem, FileSystemExt, FsResult};
 use rand::rngs::SmallRng;
 
 use crate::metrics::{OpClass, Recorder};
@@ -139,47 +139,6 @@ impl Workload for Micro {
         fs.sync()?;
         rec.finish(&clock, sw, OpClass::Write, 0);
         Ok(())
-    }
-
-    /// The genuinely awaiting twin of `run_shard`: every file-system call
-    /// yields to the executor, so thousands of client shards interleave per
-    /// operation instead of per shard.
-    fn run_shard_async<'a>(
-        &'a self,
-        fs: &'a dyn AsyncFileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &'a mut SmallRng,
-        rec: &'a mut Recorder,
-    ) -> BoxFuture<'a, FsResult<()>> {
-        Box::pin(async move {
-            let clock = fs.device().clock();
-            let payload = vec![0x5A; self.file_size];
-            for i in (shard..self.objects).step_by(shards.max(1)) {
-                let sw = rec.start(&clock);
-                match self.op {
-                    MicroOp::Create => {
-                        let fd = fs.create(&self.file_path(i)).await?;
-                        fs.write(fd, 0, &payload).await?;
-                        fs.fsync(fd).await?;
-                        fs.close(fd).await?;
-                        rec.finish(&clock, sw, OpClass::Write, self.file_size);
-                        continue;
-                    }
-                    MicroOp::Delete => fs.unlink(&self.file_path(i)).await?,
-                    MicroOp::Mkdir => fs.mkdir(&self.dir_path(i)).await?,
-                    MicroOp::Rmdir => fs.rmdir(&self.dir_path(i)).await?,
-                }
-                rec.finish(&clock, sw, OpClass::Meta, 0);
-                if i % 16 == 15 {
-                    fs.sync().await?;
-                }
-            }
-            let sw = rec.start(&clock);
-            fs.sync().await?;
-            rec.finish(&clock, sw, OpClass::Write, 0);
-            Ok(())
-        })
     }
 }
 

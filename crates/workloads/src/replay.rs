@@ -15,8 +15,7 @@
 //! * [`OpTrace`] is the captured trace: a versioned header
 //!   ([`TraceMeta`]: schema, workload name, seed, device geometry) plus the
 //!   ordered records, serializable as grep-able text
-//!   ([`OpTrace::to_text`]) and as a compact binary sibling for large
-//!   corpora ([`OpTrace::to_binary`]);
+//!   ([`OpTrace::to_text`] / [`OpTrace::from_text`]);
 //! * [`replay`] re-drives a parsed trace against any [`FileSystem`] impl
 //!   (bytefs, ext4like, novalike, f2fslike, pmfslike) preserving per-tenant
 //!   order, with configurable concurrency and timing ([`ReplaySpeed`]).
@@ -60,11 +59,14 @@ use crate::fsfactory::FsKind;
 use crate::metrics::{Histogram, LatencyStats, OpClass, Recorder};
 use crate::Workload;
 
-/// Schema version of the fs-level op-trace formats (text and binary).
+/// Schema version of the fs-level op-trace text format.
 pub const FS_TRACE_SCHEMA: u64 = 1;
 
-/// Magic number opening the binary trace format.
-pub const FS_TRACE_MAGIC: [u8; 4] = *b"FSRB";
+/// Longest `fill=` payload [`OpTrace::from_text`] accepts from a trace whose
+/// header leaves the device capacity unknown (a sized header bounds fills by
+/// its own `capacity_bytes`): larger than any write a workload issues, small
+/// enough that a hostile trace cannot make replay allocate gigabytes.
+const UNSIZED_TRACE_MAX_FILL: u64 = 64 << 20;
 
 /// Sentinel recorded as the handle of a `create`/`open` that failed.
 pub const NO_FD: u64 = u64::MAX;
@@ -267,23 +269,36 @@ fn payload_token(p: &Payload) -> String {
     }
 }
 
-fn parse_payload(tok: &str) -> Result<Payload, String> {
+/// Parses a payload token. `max_fill` bounds a `fill=` length: the fill is
+/// only materialized at replay, so an unchecked length would turn a
+/// one-line trace into a multi-gigabyte allocation there.
+fn parse_payload(tok: &str, max_fill: u64) -> Result<Payload, String> {
     if let Some(v) = tok.strip_prefix("fill=") {
         let (byte, len) = v.split_once(':').ok_or_else(|| format!("bad fill token {tok:?}"))?;
+        let len: u32 = len.parse().map_err(|e| format!("bad fill length: {e}"))?;
+        if u64::from(len) > max_fill {
+            return Err(format!("fill length {len} exceeds the {max_fill}-byte payload limit"));
+        }
         return Ok(Payload::Fill {
             byte: u8::from_str_radix(byte, 16).map_err(|e| format!("bad fill byte: {e}"))?,
-            len: len.parse().map_err(|e| format!("bad fill length: {e}"))?,
+            len,
         });
     }
     let v = tok.strip_prefix("hex=").ok_or_else(|| format!("expected a payload, got {tok:?}"))?;
+    // Decode over bytes: slicing the `str` by index would panic on a
+    // multi-byte character straddling a pair boundary.
+    let v = v.as_bytes();
     if v.len() % 2 != 0 {
         return Err(format!("odd hex payload length in {tok:?}"));
     }
-    let mut b = Vec::with_capacity(v.len() / 2);
-    for i in (0..v.len()).step_by(2) {
-        b.push(u8::from_str_radix(&v[i..i + 2], 16).map_err(|e| format!("bad hex payload: {e}"))?);
-    }
-    Ok(Payload::Bytes(b))
+    let nibble = |c: u8| (c as char).to_digit(16).map(|d| d as u8);
+    v.chunks_exact(2)
+        .map(|pair| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(hi), Some(lo)) => Ok(hi << 4 | lo),
+            _ => Err(format!("bad hex payload in {tok:?}")),
+        })
+        .collect::<Result<_, _>>()
+        .map(Payload::Bytes)
 }
 
 impl OpKind {
@@ -334,11 +349,18 @@ fn field_u64(tok: Option<&str>, key: &str) -> Result<u64, String> {
     .map_err(|e| format!("bad {key} value {v:?}: {e}"))
 }
 
+/// Parses `key=value` as an integer that must fit `T` — an out-of-range
+/// value is an error, never a silent truncation.
+fn field_int<T: TryFrom<u64>>(tok: Option<&str>, key: &str) -> Result<T, String> {
+    let v = field_u64(tok, key)?;
+    T::try_from(v).map_err(|_| format!("{key} value {v} is out of range"))
+}
+
 fn field_path(tok: Option<&str>, key: &str) -> Result<String, String> {
     unesc(field(tok, key)?)
 }
 
-fn parse_op(mut toks: std::str::SplitAsciiWhitespace<'_>) -> Result<OpKind, String> {
+fn parse_op(mut toks: std::str::SplitAsciiWhitespace<'_>, max_fill: u64) -> Result<OpKind, String> {
     let op = toks.next().ok_or("missing op name")?;
     Ok(match op {
         "create" => OpKind::Create {
@@ -347,23 +369,23 @@ fn parse_op(mut toks: std::str::SplitAsciiWhitespace<'_>) -> Result<OpKind, Stri
         },
         "open" => OpKind::Open {
             fd: field_u64(toks.next(), "fd")?,
-            flags: field_u64(toks.next(), "flags")? as u8,
+            flags: field_int(toks.next(), "flags")?,
             path: field_path(toks.next(), "path")?,
         },
         "close" => OpKind::Close { fd: field_u64(toks.next(), "fd")? },
         "read" => OpKind::Read {
             fd: field_u64(toks.next(), "fd")?,
             offset: field_u64(toks.next(), "off")?,
-            len: field_u64(toks.next(), "len")? as u32,
+            len: field_int(toks.next(), "len")?,
         },
         "write" => OpKind::Write {
             fd: field_u64(toks.next(), "fd")?,
             offset: field_u64(toks.next(), "off")?,
-            data: parse_payload(toks.next().ok_or("missing payload")?)?,
+            data: parse_payload(toks.next().ok_or("missing payload")?, max_fill)?,
         },
         "append" => OpKind::Append {
             fd: field_u64(toks.next(), "fd")?,
-            data: parse_payload(toks.next().ok_or("missing payload")?)?,
+            data: parse_payload(toks.next().ok_or("missing payload")?, max_fill)?,
         },
         "fsync" => OpKind::Fsync { fd: field_u64(toks.next(), "fd")? },
         "fdatasync" => OpKind::Fdatasync { fd: field_u64(toks.next(), "fd")? },
@@ -424,8 +446,10 @@ impl OpTrace {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending line on malformed input or an
-    /// unsupported schema version.
+    /// Returns a message naming the offending line on malformed input, an
+    /// out-of-range field, a record ahead of the header, a `fill=` payload
+    /// larger than the header's device capacity, or an unsupported schema
+    /// version. Never panics, whatever the input.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut meta: Option<TraceMeta> = None;
         let mut records = Vec::new();
@@ -459,6 +483,13 @@ impl OpTrace {
             if line.starts_with('#') {
                 continue;
             }
+            // The header comes first: it carries the capacity that bounds
+            // this record's payload.
+            let max_fill = match &meta {
+                Some(m) if m.capacity_bytes != 0 => m.capacity_bytes,
+                Some(_) => UNSIZED_TRACE_MAX_FILL,
+                None => return Err(at("record before the #fstrace header line".into())),
+            };
             let mut toks = line.split_ascii_whitespace();
             let seq: u64 = toks
                 .next()
@@ -468,7 +499,7 @@ impl OpTrace {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| at("bad issue timestamp".into()))?;
-            let tenant = field_u64(toks.next(), "t").map_err(&at)? as u16;
+            let tenant = field_int(toks.next(), "t").map_err(&at)?;
             let measured = match toks.next() {
                 Some("R") => true,
                 Some("S") => false,
@@ -479,77 +510,11 @@ impl OpTrace {
                 Some("err") => false,
                 other => return Err(at(format!("bad outcome {other:?}"))),
             };
-            let op = parse_op(toks).map_err(&at)?;
+            let op = parse_op(toks, max_fill).map_err(&at)?;
             records.push(OpRecord { seq, tenant, vts_ns, measured, ok, op });
         }
         let meta = meta.ok_or("missing #fstrace header line")?;
         Ok(Self { meta, records })
-    }
-
-    /// Serializes the trace in the compact binary format: the
-    /// [`FS_TRACE_MAGIC`] magic, a version word, the header, then
-    /// fixed-width little-endian records. Roughly 4–10× smaller than the
-    /// text form on payload-heavy corpora.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.records.len() * 32);
-        out.extend_from_slice(&FS_TRACE_MAGIC);
-        out.extend_from_slice(&(self.meta.schema as u32).to_le_bytes());
-        put_str(&mut out, &self.meta.name);
-        out.extend_from_slice(&self.meta.seed.to_le_bytes());
-        out.extend_from_slice(&self.meta.capacity_bytes.to_le_bytes());
-        out.extend_from_slice(&self.meta.page_size.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(&r.vts_ns.to_le_bytes());
-            out.extend_from_slice(&r.tenant.to_le_bytes());
-            out.push((r.measured as u8) | (r.ok as u8) << 1);
-            put_op(&mut out, &r.op);
-        }
-        out
-    }
-
-    /// Parses [`OpTrace::to_binary`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a bad magic, an unsupported version or a
-    /// truncated/corrupt body.
-    pub fn from_binary(data: &[u8]) -> Result<Self, String> {
-        let mut c = Cursor { data, pos: 0 };
-        if c.take(4)? != FS_TRACE_MAGIC {
-            return Err("not a binary fs trace (bad magic)".into());
-        }
-        let schema = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes")) as u64;
-        if schema > FS_TRACE_SCHEMA {
-            return Err(format!(
-                "binary fstrace schema v{schema} is newer than supported v{FS_TRACE_SCHEMA}"
-            ));
-        }
-        let name = c.get_str()?;
-        let seed = c.get_u64()?;
-        let capacity_bytes = c.get_u64()?;
-        let page_size = c.get_u64()?;
-        let count = c.get_u64()?;
-        // A corrupt count must not pre-allocate unbounded memory.
-        let mut records = Vec::with_capacity((count as usize).min(1 << 20));
-        for seq in 0..count {
-            let vts_ns = c.get_u64()?;
-            let tenant = c.get_u16()?;
-            let bits = c.get_u8()?;
-            let op = get_op(&mut c)?;
-            records.push(OpRecord {
-                seq,
-                tenant,
-                vts_ns,
-                measured: bits & 1 != 0,
-                ok: bits & 2 != 0,
-                op,
-            });
-        }
-        if c.pos != data.len() {
-            return Err(format!("{} trailing bytes after the last record", data.len() - c.pos));
-        }
-        Ok(Self { meta: TraceMeta { schema, name, seed, capacity_bytes, page_size }, records })
     }
 
     /// Tenants present in the trace, ascending.
@@ -559,182 +524,6 @@ impl OpTrace {
         t.dedup();
         t
     }
-}
-
-// Binary helpers -------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_payload(out: &mut Vec<u8>, p: &Payload) {
-    match p {
-        Payload::Fill { byte, len } => {
-            out.push(0);
-            out.push(*byte);
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        Payload::Bytes(b) => {
-            out.push(1);
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-    }
-}
-
-fn put_op(out: &mut Vec<u8>, op: &OpKind) {
-    match op {
-        OpKind::Create { path, fd } => {
-            out.push(1);
-            put_str(out, path);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Open { path, flags, fd } => {
-            out.push(2);
-            put_str(out, path);
-            out.push(*flags);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Close { fd } => {
-            out.push(3);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Read { fd, offset, len } => {
-            out.push(4);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        OpKind::Write { fd, offset, data } => {
-            out.push(5);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            put_payload(out, data);
-        }
-        OpKind::Append { fd, data } => {
-            out.push(6);
-            out.extend_from_slice(&fd.to_le_bytes());
-            put_payload(out, data);
-        }
-        OpKind::Fsync { fd } => {
-            out.push(7);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Fdatasync { fd } => {
-            out.push(8);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Truncate { fd, size } => {
-            out.push(9);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        OpKind::Fstat { fd } => {
-            out.push(10);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Stat { path } => {
-            out.push(11);
-            put_str(out, path);
-        }
-        OpKind::Mkdir { path } => {
-            out.push(12);
-            put_str(out, path);
-        }
-        OpKind::Rmdir { path } => {
-            out.push(13);
-            put_str(out, path);
-        }
-        OpKind::Unlink { path } => {
-            out.push(14);
-            put_str(out, path);
-        }
-        OpKind::Rename { from, to } => {
-            out.push(15);
-            put_str(out, from);
-            put_str(out, to);
-        }
-        OpKind::Readdir { path } => {
-            out.push(16);
-            put_str(out, path);
-        }
-        OpKind::Sync => out.push(17),
-        OpKind::DropCaches => out.push(18),
-        OpKind::Unmount => out.push(19),
-    }
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let end = end.ok_or_else(|| format!("truncated trace at byte {}", self.pos))?;
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn get_u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn get_u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn get_str(&mut self) -> Result<String, String> {
-        let len = self.get_u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-
-    fn get_payload(&mut self) -> Result<Payload, String> {
-        match self.get_u8()? {
-            0 => Ok(Payload::Fill { byte: self.get_u8()?, len: self.get_u32()? }),
-            1 => {
-                let len = self.get_u32()? as usize;
-                Ok(Payload::Bytes(self.take(len)?.to_vec()))
-            }
-            t => Err(format!("unknown payload tag {t}")),
-        }
-    }
-}
-
-fn get_op(c: &mut Cursor<'_>) -> Result<OpKind, String> {
-    Ok(match c.get_u8()? {
-        1 => OpKind::Create { path: c.get_str()?, fd: c.get_u64()? },
-        2 => OpKind::Open { path: c.get_str()?, flags: c.get_u8()?, fd: c.get_u64()? },
-        3 => OpKind::Close { fd: c.get_u64()? },
-        4 => OpKind::Read { fd: c.get_u64()?, offset: c.get_u64()?, len: c.get_u32()? },
-        5 => OpKind::Write { fd: c.get_u64()?, offset: c.get_u64()?, data: c.get_payload()? },
-        6 => OpKind::Append { fd: c.get_u64()?, data: c.get_payload()? },
-        7 => OpKind::Fsync { fd: c.get_u64()? },
-        8 => OpKind::Fdatasync { fd: c.get_u64()? },
-        9 => OpKind::Truncate { fd: c.get_u64()?, size: c.get_u64()? },
-        10 => OpKind::Fstat { fd: c.get_u64()? },
-        11 => OpKind::Stat { path: c.get_str()? },
-        12 => OpKind::Mkdir { path: c.get_str()? },
-        13 => OpKind::Rmdir { path: c.get_str()? },
-        14 => OpKind::Unlink { path: c.get_str()? },
-        15 => OpKind::Rename { from: c.get_str()?, to: c.get_str()? },
-        16 => OpKind::Readdir { path: c.get_str()? },
-        17 => OpKind::Sync,
-        18 => OpKind::DropCaches,
-        19 => OpKind::Unmount,
-        t => Err(format!("unknown op tag {t}"))?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -749,7 +538,7 @@ struct RecState {
 /// A [`FileSystem`] wrapper that records every call into an op trace while
 /// delegating to the wrapped implementation. Tenant attribution comes from
 /// the ambient [`mssd::trace::ctx`] (set per shard by the concurrent
-/// drivers and by multi-client corpus workloads), timestamps from the
+/// driver and by multi-client corpus workloads), timestamps from the
 /// device's virtual clock at call entry.
 pub struct RecordingFs {
     inner: Arc<dyn FileSystem>,
@@ -1476,20 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_format_round_trips_and_is_smaller() {
-        let recorded = tiny_trace();
-        let bin = recorded.trace.to_binary();
-        let parsed = OpTrace::from_binary(&bin).expect("parse own binary export");
-        assert_eq!(parsed, recorded.trace);
-        assert!(
-            bin.len() < recorded.trace.to_text().len(),
-            "binary {} vs text {}",
-            bin.len(),
-            recorded.trace.to_text().len()
-        );
-    }
-
-    #[test]
     fn parsers_reject_corrupt_and_future_inputs() {
         assert!(OpTrace::from_text("").is_err(), "missing header");
         assert!(OpTrace::from_text("#fstrace v9 name=x seed=0 capacity_bytes=0 page_size=0 ops=0")
@@ -1498,11 +1273,34 @@ mod tests {
         let mut text: Vec<String> = recorded.trace.to_text().lines().map(String::from).collect();
         text[1] = "garbage".into();
         assert!(OpTrace::from_text(&text.join("\n")).is_err());
-        let mut bin = recorded.trace.to_binary();
-        bin[0] = b'X';
-        assert!(OpTrace::from_binary(&bin).is_err(), "bad magic");
-        let bin = recorded.trace.to_binary();
-        assert!(OpTrace::from_binary(&bin[..bin.len() - 3]).is_err(), "truncated");
+    }
+
+    #[test]
+    fn text_parser_errors_on_non_ascii_and_out_of_range_fields() {
+        let parse = |record: &str| {
+            OpTrace::from_text(&format!(
+                "#fstrace v1 name=x seed=0 capacity_bytes=4096 page_size=0 ops=1\n{record}\n"
+            ))
+        };
+        assert!(parse("0 0 t=0 R ok append fd=1 hex=a1b2").is_ok());
+        // Even byte length, but a pair boundary splits the 2-byte char, where
+        // slicing the `str` would abort with "not a char boundary".
+        assert!(parse("0 0 t=0 R ok append fd=1 hex=a\u{e9}1").is_err());
+        assert!(parse("0 0 t=0 R ok append fd=1 hex=+f").is_err(), "sign is not a hex digit");
+        // Narrow fields reject instead of wrapping.
+        assert!(parse("0 0 t=65535 R ok sync").is_ok());
+        assert!(parse("0 0 t=65536 R ok sync").is_err());
+        assert!(parse("0 0 t=0 R ok open fd=1 flags=256 path=/f").is_err());
+        assert!(parse("0 0 t=0 R ok read fd=1 off=0 len=4294967296").is_err());
+        // A fill is bounded by the device the header declares...
+        assert!(parse("0 0 t=0 R ok append fd=1 fill=00:4096").is_ok());
+        assert!(parse("0 0 t=0 R ok append fd=1 fill=00:4097").is_err());
+        // ...or by the fixed limit when the header leaves it unknown.
+        let unsized_hdr = "#fstrace v1 name=x seed=0 capacity_bytes=0 page_size=0 ops=1\n";
+        let fill = |n: u64| format!("{unsized_hdr}0 0 t=0 R ok append fd=1 fill=00:{n}\n");
+        assert!(OpTrace::from_text(&fill(UNSIZED_TRACE_MAX_FILL)).is_ok());
+        assert!(OpTrace::from_text(&fill(UNSIZED_TRACE_MAX_FILL + 1)).is_err());
+        assert!(OpTrace::from_text("0 0 t=0 R ok sync\n").is_err(), "record before header");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the record→export→parse→replay pipeline: a random op
-//! stream recorded on ByteFS must survive both serialization formats
+//! stream recorded on ByteFS must survive the text serialization
 //! unchanged, and an exact-speed replay of the parsed trace must reproduce
 //! the recorded run — same op sequence (checked by re-recording the replay)
-//! and bit-identical remounted device image.
+//! and bit-identical remounted device image. The parser itself must answer
+//! arbitrary and corrupted input with `Ok` or `Err`, never a panic.
 
 use mssd::MssdConfig;
 use proptest::prelude::*;
@@ -203,11 +204,9 @@ proptest! {
         let recorded = record_workload(FsKind::ByteFs, MssdConfig::small_test(), &wl, seed)
             .expect("recording the sim workload");
 
-        // Both serializations are lossless.
+        // The text serialization is lossless.
         let text = recorded.trace.to_text();
         let parsed = OpTrace::from_text(&text).expect("text round-trip parses");
-        prop_assert_eq!(&parsed, &recorded.trace);
-        let parsed = OpTrace::from_binary(&recorded.trace.to_binary()).expect("binary round-trip");
         prop_assert_eq!(&parsed, &recorded.trace);
         prop_assert_eq!(parsed.meta.schema, FS_TRACE_SCHEMA);
 
@@ -229,5 +228,84 @@ proptest! {
             page_size: 0,
         });
         prop_assert_eq!(shape(&rerecorded), shape(&recorded.trace));
+    }
+}
+
+/// The text of one valid recorded trace carrying both payload encodings
+/// (`fill=` from the writes, `hex=` from the ramp appends), namespace ops
+/// and two tenants — the seed the mutation property corrupts. Recorded
+/// once; recording is deterministic.
+fn valid_trace_text() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let ops = vec![
+            SimOp::Create { slot: 0 },
+            SimOp::Write { slot: 0, offset: 5, tag: 0xAB, len: 300 },
+            SimOp::Append { slot: 0, tag: 0x10, len: 40 },
+            SimOp::Read { slot: 0, offset: 0, len: 64 },
+            SimOp::Tenant { t: 3 },
+            SimOp::Create { slot: 1 },
+            SimOp::Append { slot: 1, tag: 0xF0, len: 9 },
+            SimOp::Truncate { slot: 1, size: 17 },
+            SimOp::Fsync { slot: 1 },
+            SimOp::Rename { from: 1, to: 2 },
+            SimOp::Mkdir { slot: 4 },
+            SimOp::Unlink { slot: 0 },
+            SimOp::Sync,
+        ];
+        record_workload(FsKind::ByteFs, MssdConfig::small_test(), &SimWorkload { ops }, 7)
+            .expect("recording the seed trace")
+            .trace
+            .to_text()
+    })
+}
+
+/// Whatever `from_text` accepts it must also re-emit and re-read unchanged:
+/// an `Ok` on hostile input is a real trace, not a half-parsed one.
+fn parse_hostile(text: &str) {
+    if let Ok(trace) = OpTrace::from_text(text) {
+        assert_eq!(OpTrace::from_text(&trace.to_text()).as_ref(), Ok(&trace));
+    }
+}
+
+/// Fragments the arbitrary-string property splices: the format's own
+/// vocabulary (so inputs get past the first token), boundary integers, and
+/// multi-byte characters to land inside escapes and hex pairs.
+#[rustfmt::skip]
+const FRAGMENTS: &[&str] = &[
+    "#fstrace ", "v1 ", "v2 ", "name=", "seed=0x", "capacity_bytes=", "page_size=", "ops=", "\n",
+    " ", "t=", "R ", "S ", "ok ", "err ", "create ", "open ", "write ", "append ", "read ",
+    "rename ", "truncate ", "sync", "fd=", "off=", "len=", "size=", "flags=", "path=", "from=",
+    "to=", "fill=", "hex=", ":", "%", "%4", "é", "\u{1F600}", "0", "7", "a", "f", "+", "-1",
+    "65536", "4294967296", "18446744073709551615", "18446744073709551616", "/x", "#",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn from_text_never_panics_on_arbitrary_strings(
+        picks in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..48),
+    ) {
+        let mut text = String::new();
+        for (pick, raw) in picks {
+            match FRAGMENTS.get(pick as usize % (FRAGMENTS.len() + 8)) {
+                Some(fragment) => text.push_str(fragment),
+                // The slots past the table: any character at all.
+                None => text.push(char::from_u32(raw % 0x11_0000).unwrap_or('\u{FFFD}')),
+            }
+        }
+        parse_hostile(&text);
+    }
+
+    #[test]
+    fn from_text_never_panics_on_single_byte_mutations(pos in any::<usize>(), byte in any::<u8>()) {
+        let mut bytes = valid_trace_text().as_bytes().to_vec();
+        let pos = pos % bytes.len();
+        bytes[pos] = byte;
+        // A byte that breaks UTF-8 becomes U+FFFD — three bytes, so a
+        // corrupted hex payload keeps its even length and the decoder meets
+        // a multi-byte character mid-pair.
+        parse_hostile(&String::from_utf8_lossy(&bytes));
     }
 }
