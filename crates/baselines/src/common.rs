@@ -4,8 +4,10 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use fskit::blockrun::BlockWriteBatch;
 use fskit::journal::BlockJournal;
-use mssd::Mssd;
+use fskit::FsResult;
+use mssd::{Category, Mssd};
 
 /// The pseudo on-device layout the baselines use to pick *addresses* for
 /// metadata traffic. The regions mirror an Ext4-style layout; because baseline
@@ -130,6 +132,11 @@ impl BlockAlloc {
         self.free.insert(lba);
     }
 
+    /// Number of blocks [`BlockAlloc::allocate`] can still hand out.
+    pub fn available(&self) -> usize {
+        self.free.len() + (self.end - self.next) as usize
+    }
+
     /// Number of blocks currently allocated.
     pub fn allocated(&self) -> u64 {
         (self.next - self.start) - self.free.len() as u64
@@ -153,6 +160,39 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
+    /// Writes whole data pages over the block interface: `place` picks each
+    /// page's LBA from the allocator and the LBA backing it so far, then
+    /// every run of consecutive LBAs leaves as one command. Returns the LBAs
+    /// in page order. Every page is placed before the first is written, so
+    /// the caller must not ask for more fresh blocks than
+    /// [`BlockAlloc::available`]. When a command fails nothing is remapped:
+    /// the blocks taken here go back to the allocator and the file keeps the
+    /// blocks (and contents) it had.
+    pub fn write_data_pages(
+        &mut self,
+        pages: &[(u64, Option<u64>, &[u8])],
+        mut place: impl FnMut(&mut BlockAlloc, Option<u64>) -> u64,
+    ) -> FsResult<Vec<u64>> {
+        let mut batch = BlockWriteBatch::default();
+        let lbas: Vec<u64> = pages
+            .iter()
+            .map(|&(_, old_lba, page)| {
+                let lba = place(self.alloc, old_lba);
+                batch.push(lba, page);
+                lba
+            })
+            .collect();
+        if let Err(e) = batch.flush(self.device, Category::Data) {
+            for (&(_, old_lba, _), &lba) in pages.iter().zip(&lbas) {
+                if old_lba != Some(lba) {
+                    self.alloc.free(lba);
+                }
+            }
+            return Err(e);
+        }
+        Ok(lbas)
+    }
+
     /// Returns the next sequence number.
     pub fn next_seq(&mut self) -> u64 {
         *self.seq += 1;

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use fskit::blockrun::read_run_len;
 use fskit::check::{CrashConsistent, Violation};
 use fskit::journal::BlockJournal;
 use fskit::pagecache::{DirtyPage, PageCache, PageRef};
@@ -153,6 +154,35 @@ pub trait PersistencePolicy: Send + Sync + 'static {
         offset: usize,
         len: usize,
     ) -> FsResult<Vec<u8>>;
+
+    /// Read `count` whole pages stored at consecutive LBAs starting at `lba`,
+    /// one buffer per page. The default reads page by page through
+    /// [`PersistencePolicy::read_range`]; the whole-block file systems
+    /// override it with one multi-page command.
+    fn read_pages(&self, ctx: &mut Ctx<'_>, lba: u64, count: usize) -> FsResult<Vec<Vec<u8>>> {
+        let page_size = ctx.layout.page_size;
+        (lba..lba + count as u64).map(|lba| self.read_range(ctx, lba, 0, page_size)).collect()
+    }
+
+    /// Persist the dirty whole pages of one file at `fsync`: each entry is
+    /// `(file block, LBA currently backing it, new contents)`. Returns the
+    /// LBA now backing each page, in the same order. The default writes page
+    /// by page through [`PersistencePolicy::write_page`]; the whole-block
+    /// file systems override it to place every page first and then write
+    /// each run of consecutive LBAs with one command.
+    fn write_pages(
+        &self,
+        ctx: &mut Ctx<'_>,
+        ino: u64,
+        pages: &[(u64, Option<u64>, &[u8])],
+    ) -> FsResult<Vec<u64>> {
+        pages
+            .iter()
+            .map(|&(file_block, old_lba, page)| {
+                self.write_page(ctx, ino, file_block, old_lba, page, &[(0, page.len())])
+            })
+            .collect()
+    }
 
     /// Called at the end of `fsync`/`sync` for an inode, after its data pages
     /// were written (journal commits, ordering barriers).
@@ -354,6 +384,18 @@ impl<P: PersistencePolicy> BaselineFs<P> {
         let new_lba = self.with_ctx(st, |ctx, _, _| {
             self.policy.write_page(ctx, ino, file_block, old_lba, page, dirty)
         })?;
+        self.remap_block(st, ino, file_block, old_lba, new_lba)
+    }
+
+    /// Points `file_block` at `new_lba`, releasing the block it replaces.
+    fn remap_block(
+        &self,
+        st: &mut EngineState,
+        ino: u64,
+        file_block: u64,
+        old_lba: Option<u64>,
+        new_lba: u64,
+    ) -> FsResult<()> {
         if let Some(old) = old_lba {
             if old != new_lba {
                 st.alloc.free(old);
@@ -367,24 +409,47 @@ impl<P: PersistencePolicy> BaselineFs<P> {
     /// Reads one full page of a file, via the page cache when the policy is
     /// buffered. Returns a zero-copy handle (cache hits are a refcount bump).
     fn read_page(&self, st: &mut EngineState, ino: u64, index: u64) -> FsResult<PageRef> {
-        let page_size = st.layout.page_size;
+        Ok(self.read_pages(st, ino, index, index)?.swap_remove(0))
+    }
+
+    /// Reads file page `index` and, on a buffered miss, as many of the pages
+    /// after it (up to `last`) as one command can cover: non-resident and
+    /// stored at consecutive LBAs. The pages are installed in index order,
+    /// so the cache sees the sequence page-by-page loading produced. Returns
+    /// at least the page asked for.
+    fn read_pages(
+        &self,
+        st: &mut EngineState,
+        ino: u64,
+        index: u64,
+        last: u64,
+    ) -> FsResult<Vec<PageRef>> {
         let buffered = self.policy.buffered_data();
         if buffered {
             if let Some(p) = st.page_cache.get(ino, index) {
-                return Ok(p);
+                return Ok(vec![p]);
             }
         }
-        let lba = st.ns.node(ino)?.blocks.get(&index).copied();
-        let page = match lba {
-            Some(lba) => PageRef::from(
-                self.with_ctx(st, |ctx, _, _| self.policy.read_range(ctx, lba, 0, page_size))?,
-            ),
-            None => PageRef::zeroed(page_size),
+        let blocks = &st.ns.node(ino)?.blocks;
+        let Some(&lba) = blocks.get(&index) else {
+            return Ok(vec![PageRef::zeroed(st.layout.page_size)]);
         };
-        if buffered && lba.is_some() {
-            st.page_cache.insert_clean(ino, index, page.clone());
-        }
-        Ok(page)
+        // Only a cache can hold the pages a longer run brings in.
+        let last = if buffered { last } else { index };
+        let lba_of = |i| blocks.get(&i).copied();
+        let resident = |i| st.page_cache.contains(ino, i);
+        let count = read_run_len(&self.device, index, lba, last, lba_of, resident);
+        let pages = self.with_ctx(st, |ctx, _, _| self.policy.read_pages(ctx, lba, count))?;
+        Ok((index..)
+            .zip(pages)
+            .map(|(i, page)| {
+                let page = PageRef::from(page);
+                if buffered {
+                    st.page_cache.insert_clean(ino, i, page.clone());
+                }
+                page
+            })
+            .collect())
     }
 
     fn writeback_inode(
@@ -398,9 +463,21 @@ impl<P: PersistencePolicy> BaselineFs<P> {
         if npages == 0 && !meta_dirty {
             return Ok(());
         }
-        let page_size = st.layout.page_size;
-        for dp in pages {
-            self.writeback_page(st, ino, dp.index, &dp.data, &[(0, page_size)])?;
+        let blocks = &st.ns.node(ino)?.blocks;
+        let batch: Vec<(u64, Option<u64>, &[u8])> =
+            pages.iter().map(|dp| (dp.index, blocks.get(&dp.index).copied(), &*dp.data)).collect();
+        // A batch places all its pages before the blocks they replace are
+        // released, so it is cut to what the allocator can still hand out: a
+        // nearly full data area degrades to page-by-page writeback, which
+        // gets by on one spare block as it always did.
+        let mut rest = &batch[..];
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(rest.len().min(st.alloc.available().max(1)));
+            let new_lbas = self.with_ctx(st, |ctx, _, _| self.policy.write_pages(ctx, ino, now))?;
+            for (&(file_block, old_lba, _), new_lba) in now.iter().zip(new_lbas) {
+                self.remap_block(st, ino, file_block, old_lba, new_lba)?;
+            }
+            rest = later;
         }
         let op = MetaOp::InodeUpdate { ino, pages: npages };
         self.with_ctx(st, |ctx, _, _| self.policy.metadata_op(ctx, &op))?;
@@ -519,31 +596,42 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
             return Ok(Vec::new());
         }
         let len = len.min((size - offset) as usize);
+        if len == 0 {
+            // Nothing to read, and no last page for the runs below to end at.
+            return Ok(Vec::new());
+        }
         let page_size = st.layout.page_size as u64;
         let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         let end = offset + len as u64;
+        let last = (end - 1) / page_size;
+        // The part of the page under `pos` that the request covers.
+        let span_at = |pos: u64| {
+            let in_page = (pos % page_size) as usize;
+            in_page..in_page + ((page_size as usize) - in_page).min((end - pos) as usize)
+        };
         while pos < end {
             let index = pos / page_size;
-            let in_page = (pos % page_size) as usize;
-            let span = ((page_size as usize) - in_page).min((end - pos) as usize);
-            if !self.policy.buffered_data() {
-                // DAX-style read of exactly the requested range.
-                let lba = st.ns.node(of.ino)?.blocks.get(&index).copied();
-                match lba {
-                    Some(lba) => {
-                        let bytes = self.with_ctx(&mut st, |ctx, _, _| {
-                            self.policy.read_range(ctx, lba, in_page, span)
-                        })?;
-                        out.extend_from_slice(&bytes);
-                    }
-                    None => out.extend(std::iter::repeat_n(0u8, span)),
+            if self.policy.buffered_data() {
+                for page in self.read_pages(&mut st, of.ino, index, last)? {
+                    let span = span_at(pos);
+                    pos += span.len() as u64;
+                    out.extend_from_slice(&page[span]);
                 }
-            } else {
-                let page = self.read_page(&mut st, of.ino, index)?;
-                out.extend_from_slice(&page[in_page..in_page + span]);
+                continue;
             }
-            pos += span as u64;
+            // DAX-style read of exactly the requested range.
+            let span = span_at(pos);
+            pos += span.len() as u64;
+            match st.ns.node(of.ino)?.blocks.get(&index).copied() {
+                Some(lba) => {
+                    let bytes = self.with_ctx(&mut st, |ctx, _, _| {
+                        self.policy.read_range(ctx, lba, span.start, span.len())
+                    })?;
+                    out.extend_from_slice(&bytes);
+                }
+                None => out.extend(std::iter::repeat_n(0u8, span.len())),
+            }
         }
         Ok(out)
     }
@@ -800,9 +888,7 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
 
     fn drop_caches(&self) {
         let mut st = self.state.lock();
-        if st.page_cache.dirty_count() == 0 {
-            st.page_cache.clear();
-        }
+        st.page_cache.clear_clean();
         st.loaded_inodes.clear();
         st.loaded_dirs.clear();
     }
@@ -811,5 +897,77 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
         self.sync()?;
         self.device.try_flush()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use fskit::FileSystem;
+    use mssd::{DramMode, Mssd, MssdConfig};
+
+    use crate::{Ext4Like, F2fsLike};
+
+    #[test]
+    fn block_policies_move_data_pages_by_the_run() {
+        let dev_e = Mssd::new(MssdConfig::small_test(), DramMode::PageCache);
+        let dev_f = Mssd::new(MssdConfig::small_test(), DramMode::PageCache);
+        let stacks: [(&Arc<Mssd>, Arc<dyn FileSystem>); 2] = [
+            (&dev_e, Ext4Like::format(Arc::clone(&dev_e))),
+            (&dev_f, F2fsLike::format(Arc::clone(&dev_f))),
+        ];
+        for (dev, fs) in stacks {
+            let requests = |f: &dyn Fn()| {
+                let before = dev.traffic();
+                f();
+                dev.traffic().delta_since(&before).block_requests
+            };
+            // The metadata commands of an fsync do not depend on how many
+            // data pages it carries, and the data is one command either way:
+            // fresh blocks are consecutive.
+            let one = fs.create("/one").unwrap();
+            fs.write(one, 0, &vec![1u8; 4096]).unwrap();
+            let one_page = requests(&|| fs.fsync(one).unwrap());
+            let four = fs.create("/four").unwrap();
+            let data = vec![4u8; 4 * 4096];
+            fs.write(four, 0, &data).unwrap();
+            assert_eq!(requests(&|| fs.fsync(four).unwrap()), one_page, "{}", fs.name());
+            // Cold: one read command for the whole run, none when warm or
+            // when nothing is asked for.
+            fs.drop_caches();
+            assert_eq!(requests(&|| assert!(fs.read(four, 0, 0).unwrap().is_empty())), 0);
+            assert_eq!(requests(&|| assert_eq!(fs.read(four, 0, 4 * 4096).unwrap(), data)), 1);
+            assert_eq!(requests(&|| drop(fs.read(four, 0, 4 * 4096).unwrap())), 0);
+            // A resident page in the middle splits the run.
+            fs.drop_caches();
+            assert_eq!(requests(&|| drop(fs.read(four, 2 * 4096, 1).unwrap())), 1);
+            assert_eq!(requests(&|| drop(fs.read(four, 0, 4 * 4096).unwrap())), 2, "{}", fs.name());
+        }
+    }
+
+    #[test]
+    fn rewriting_a_file_on_a_nearly_full_log_needs_one_spare_block() {
+        // F2FS-like writes out of place, and a batch places every page
+        // before the blocks they replace are released. With one block left
+        // the batch must shrink to a page at a time, not run out of log.
+        let dev = Mssd::new(MssdConfig::small_test(), DramMode::PageCache);
+        let fs = F2fsLike::format(Arc::clone(&dev));
+        let fd = fs.create("/f").unwrap();
+        fs.write(fd, 0, &vec![1u8; 4 * 4096]).unwrap();
+        fs.fsync(fd).unwrap();
+        let hoard: Vec<u64> = {
+            let mut st = fs.state.lock();
+            let spare = st.alloc.available() - 1;
+            (0..spare).map(|_| st.alloc.allocate().unwrap()).collect()
+        };
+        let data = vec![2u8; 4 * 4096];
+        fs.write(fd, 0, &data).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.drop_caches();
+        assert_eq!(fs.read(fd, 0, 4 * 4096).unwrap(), data);
+        let mut st = fs.state.lock();
+        assert_eq!(st.alloc.available(), 1, "every replaced block was released");
+        hoard.into_iter().for_each(|lba| st.alloc.free(lba));
     }
 }

@@ -120,15 +120,25 @@ impl PersistencePolicy for Ext4Policy {
     fn write_page(
         &self,
         ctx: &mut Ctx<'_>,
-        _ino: u64,
-        _file_block: u64,
+        ino: u64,
+        file_block: u64,
         old_lba: Option<u64>,
         page: &[u8],
         _dirty: &[(usize, usize)],
     ) -> FsResult<u64> {
-        let lba = old_lba.unwrap_or_else(|| ctx.alloc.allocate().expect("data area not full"));
-        ctx.device.try_block_write(lba, page, Category::Data)?;
-        Ok(lba)
+        Ok(self.write_pages(ctx, ino, &[(file_block, old_lba, page)])?[0])
+    }
+
+    fn write_pages(
+        &self,
+        ctx: &mut Ctx<'_>,
+        _ino: u64,
+        pages: &[(u64, Option<u64>, &[u8])],
+    ) -> FsResult<Vec<u64>> {
+        // In place: a page keeps its block, a new page takes a fresh one.
+        ctx.write_data_pages(pages, |alloc, old_lba| {
+            old_lba.unwrap_or_else(|| alloc.allocate().expect("data area not full"))
+        })
     }
 
     fn read_range(
@@ -140,6 +150,10 @@ impl PersistencePolicy for Ext4Policy {
     ) -> FsResult<Vec<u8>> {
         let page = ctx.device.try_block_read(lba, 1, Category::Data)?;
         Ok(page[offset..offset + len].to_vec())
+    }
+
+    fn read_pages(&self, ctx: &mut Ctx<'_>, lba: u64, count: usize) -> FsResult<Vec<Vec<u8>>> {
+        Ok(ctx.device.try_block_read_pages(lba, count, Category::Data)?)
     }
 
     fn fsync_epilogue(&self, ctx: &mut Ctx<'_>, _ino: u64, _synced_pages: usize) -> FsResult<()> {

@@ -127,17 +127,31 @@ impl PersistencePolicy for F2fsPolicy {
         &self,
         ctx: &mut Ctx<'_>,
         ino: u64,
-        _file_block: u64,
-        _old_lba: Option<u64>,
+        file_block: u64,
+        old_lba: Option<u64>,
         page: &[u8],
         _dirty: &[(usize, usize)],
     ) -> FsResult<u64> {
-        // Out-of-place data write: always a fresh block; the old one is freed
-        // by the engine. The relocation dirties the file's data pointers.
-        let lba = ctx.alloc.allocate().expect("log area not full");
-        ctx.device.try_block_write(lba, page, Category::Data)?;
-        self.add_pending(ctx, ino, Category::DataPointer)?;
-        Ok(lba)
+        Ok(self.write_pages(ctx, ino, &[(file_block, old_lba, page)])?[0])
+    }
+
+    fn write_pages(
+        &self,
+        ctx: &mut Ctx<'_>,
+        ino: u64,
+        pages: &[(u64, Option<u64>, &[u8])],
+    ) -> FsResult<Vec<u64>> {
+        // Out-of-place data writes: always fresh blocks (the old ones are
+        // freed by the engine), which the log hands out consecutively, so an
+        // fsync's pages leave as few commands.
+        let lbas =
+            ctx.write_data_pages(pages, |alloc, _| alloc.allocate().expect("log area not full"))?;
+        // Every relocation dirties the file's data pointers: once per page,
+        // so a node batch that fills in between re-dirties them as before.
+        for _ in pages {
+            self.add_pending(ctx, ino, Category::DataPointer)?;
+        }
+        Ok(lbas)
     }
 
     fn read_range(
@@ -149,6 +163,10 @@ impl PersistencePolicy for F2fsPolicy {
     ) -> FsResult<Vec<u8>> {
         let page = ctx.device.try_block_read(lba, 1, Category::Data)?;
         Ok(page[offset..offset + len].to_vec())
+    }
+
+    fn read_pages(&self, ctx: &mut Ctx<'_>, lba: u64, count: usize) -> FsResult<Vec<Vec<u8>>> {
+        Ok(ctx.device.try_block_read_pages(lba, count, Category::Data)?)
     }
 
     fn fsync_epilogue(&self, ctx: &mut Ctx<'_>, _ino: u64, _synced_pages: usize) -> FsResult<()> {

@@ -6,7 +6,56 @@
 //! exclusive for writes. No function in this module touches the namespace
 //! lock, which is what lets data I/O on different files run fully in
 //! parallel (see the [concurrency model](crate::fs)).
+//!
+//! # Block path: one command per extent run
+//!
+//! The block interface is driven by the *extent run*, not the page: pages
+//! that are adjacent in the file **and** on the device travel in one
+//! scatter-gather NVMe command ([`Mssd::try_block_read_pages`] /
+//! [`Mssd::try_block_write_pages`]), so a run pays the NVMe overhead once and
+//! the device overlaps its NAND work across channels: the flash reads of a
+//! read run, and on a write run — two at a time — the write-buffer slice
+//! drains its pages force on distinct channels. One command a page — what
+//! this module did before — charged a cold 16 KB file four overheads and four
+//! serial NAND rounds, and made every forced drain wait for the one before
+//! it.
+//!
+//! **What merges.** On a buffered read miss, the following pages of the same
+//! request that are non-resident and LBA-contiguous in `inode.extents`
+//! (`load_run`); `O_DIRECT` reads the same way without the residency test.
+//! On writeback, block-choice dirty pages queued back to back whose LBAs are
+//! consecutive ([`BlockWriteBatch`]); `O_DIRECT` writes queue their whole
+//! pages the same way.
+//!
+//! **What splits a run.** A hole or an extent boundary; a resident page in
+//! the middle of a read (it is served from the cache, and may be dirty); a
+//! byte-choice page in the middle of a writeback; a partial head or tail
+//! page of a direct write (read-modify-write of its own); and
+//! [`max_run_pages`](fskit::blockrun::max_run_pages), the queue's
+//! `COALESCE_MAX_BYTES`. A read never reaches
+//! past the request, so no byte moves that did not move page by page:
+//! `host_read_amp` and `host_write_amp` are those of the per-page path.
+//!
+//! **Why order is preserved.** Read-ahead probing uses `contains`, which
+//! touches no LRU state, and the pages of a run are installed in index order,
+//! so the cache sees the hit/miss/insert sequence of page-by-page loading and
+//! evicts the same victims. Writeback flushes the pending runs before every
+//! byte-choice page, so the device receives an inode's pages in ascending
+//! file order as before. A multi-page command still counts one fault step per
+//! page: a power cut tears it between pages, and crashkit's step spaces are
+//! unchanged.
+//!
+//! **No scratch buffers.** A run is never copied together: reads take one
+//! `Vec` per page from the device and install each as it is, writes hand the
+//! device slices of the cached pages. The first prototype concatenated
+//! (`buf[k * 4096..].to_vec()` per page on read, `extend_from_slice` into one
+//! buffer on write) and raised `peak_rss_mb` by 12.2 % on `mail_fsync` and
+//! 13.9 % on `web_read_miss`; the scatter-gather form measures within 0.1 %.
+//!
+//! [`Mssd::try_block_read_pages`]: mssd::Mssd::try_block_read_pages
+//! [`Mssd::try_block_write_pages`]: mssd::Mssd::try_block_write_pages
 
+use fskit::blockrun::{read_run_len, BlockWriteBatch};
 use fskit::journal::JournaledBlock;
 use fskit::pagecache::{DirtyPage, PageRef};
 use fskit::{FsError, FsResult};
@@ -19,6 +68,15 @@ use crate::txn::Txn;
 
 /// XOR-diff chunk granularity (one cacheline).
 const CHUNK: usize = 64;
+
+/// Appends the part of `page` that `[*pos, end)` covers to `out` and moves
+/// `*pos` past it.
+fn copy_page_span(out: &mut Vec<u8>, page: &[u8], pos: &mut u64, end: u64) {
+    let in_page = (*pos % page.len() as u64) as usize;
+    let span = (page.len() - in_page).min((end - *pos) as usize);
+    out.extend_from_slice(&page[in_page..in_page + span]);
+    *pos += span as u64;
+}
 
 impl ByteFs {
     /// Ensures file block `file_block` of the locked inode has a device block
@@ -34,6 +92,29 @@ impl ByteFs {
         Ok(lba)
     }
 
+    /// Loads the run of non-resident pages starting at file block `index`
+    /// (mapped to `lba`) and reaching at most file block `last` into the host
+    /// page cache with one block command, and returns zero-copy handles to
+    /// them. The pages are installed in index order, each buffer as the
+    /// device handed it over.
+    fn load_run(&self, inode: &Inode, index: u64, lba: u64, last: u64) -> FsResult<Vec<PageRef>> {
+        let ino = inode.ino;
+        // `contains` touches no LRU state, so probing ahead leaves the
+        // hit/miss and eviction sequence what per-page loading produced.
+        let lba_of = |i| inode.extents.lookup(i);
+        let resident = |i| self.page_cache.contains(ino, i);
+        let len = read_run_len(&self.device, index, lba, last, lba_of, resident);
+        let pages = self.device.try_block_read_pages(lba, len, Category::Data)?;
+        Ok((index..)
+            .zip(pages)
+            .map(|(i, page)| {
+                let page = PageRef::from(page);
+                self.page_cache.insert_clean(ino, i, page.clone());
+                page
+            })
+            .collect())
+    }
+
     /// Reads one page of a file into the host page cache (block interface on a
     /// miss; holes materialize as zero pages) and returns a zero-copy handle
     /// to its contents.
@@ -41,14 +122,11 @@ impl ByteFs {
         if let Some(page) = self.page_cache.get(inode.ino, index) {
             return Ok(page);
         }
-        let page_size = self.layout.page_size;
         match inode.extents.lookup(index) {
             Some(lba) => {
-                let page = PageRef::from(self.device.try_block_read(lba, 1, Category::Data)?);
-                self.page_cache.insert_clean(inode.ino, index, page.clone());
-                Ok(page)
+                Ok(self.load_run(inode, index, lba, index)?.pop().expect("a run has a first page"))
             }
-            None => Ok(PageRef::zeroed(page_size)),
+            None => Ok(PageRef::zeroed(self.layout.page_size)),
         }
     }
 
@@ -65,6 +143,10 @@ impl ByteFs {
             return Ok(Vec::new());
         }
         let len = len.min((inode.size - offset) as usize);
+        if len == 0 {
+            // Nothing to read, and no last page for the runs below to end at.
+            return Ok(Vec::new());
+        }
         if of.flags.direct {
             return self.direct_read(inode, offset, len);
         }
@@ -72,13 +154,28 @@ impl ByteFs {
         let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         let end = offset + len as u64;
+        let last = (end - 1) / page_size;
         while pos < end {
             let index = pos / page_size;
-            let in_page = (pos % page_size) as usize;
-            let span = ((page_size as usize) - in_page).min((end - pos) as usize);
-            let page = self.page_for_read(inode, index)?;
-            out.extend_from_slice(&page[in_page..in_page + span]);
-            pos += span as u64;
+            if let Some(page) = self.page_cache.get(inode.ino, index) {
+                copy_page_span(&mut out, &page, &mut pos, end);
+                continue;
+            }
+            match inode.extents.lookup(index) {
+                // A miss pulls in every page of the request that one command
+                // can cover: the rest of this extent run, up to the next
+                // resident page.
+                Some(lba) => {
+                    for page in self.load_run(inode, index, lba, last)? {
+                        copy_page_span(&mut out, &page, &mut pos, end);
+                    }
+                }
+                None => {
+                    let span = (page_size - pos % page_size).min(end - pos);
+                    out.resize(out.len() + span as usize, 0);
+                    pos += span;
+                }
+            }
         }
         Ok(out)
     }
@@ -91,28 +188,32 @@ impl ByteFs {
         let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         let end = offset + len as u64;
+        let last = (end - 1) / page_size;
         while pos < end {
             let index = pos / page_size;
-            let in_page = (pos % page_size) as usize;
-            let span = ((page_size as usize) - in_page).min((end - pos) as usize);
-            match inode.extents.lookup(index) {
-                Some(lba) => match choice {
-                    InterfaceChoice::Byte => {
-                        let addr = lba * page_size + in_page as u64;
-                        out.extend_from_slice(&self.device.try_byte_read(
-                            addr,
-                            span,
-                            Category::Data,
-                        )?);
+            let span = (page_size - pos % page_size).min(end - pos);
+            match (inode.extents.lookup(index), choice) {
+                (Some(lba), InterfaceChoice::Byte) => {
+                    let addr = lba * page_size + pos % page_size;
+                    out.extend_from_slice(&self.device.try_byte_read(
+                        addr,
+                        span as usize,
+                        Category::Data,
+                    )?);
+                    pos += span;
+                }
+                (Some(lba), InterfaceChoice::Block) => {
+                    let lba_of = |i| inode.extents.lookup(i);
+                    let run = read_run_len(&self.device, index, lba, last, lba_of, |_| false);
+                    for page in self.device.try_block_read_pages(lba, run, Category::Data)? {
+                        copy_page_span(&mut out, &page, &mut pos, end);
                     }
-                    InterfaceChoice::Block => {
-                        let page = self.device.try_block_read(lba, 1, Category::Data)?;
-                        out.extend_from_slice(&page[in_page..in_page + span]);
-                    }
-                },
-                None => out.extend(std::iter::repeat_n(0u8, span)),
+                }
+                (None, _) => {
+                    out.resize(out.len() + span as usize, 0);
+                    pos += span;
+                }
             }
-            pos += span as u64;
         }
         Ok(out)
     }
@@ -170,6 +271,7 @@ impl ByteFs {
         let page_size = self.layout.page_size as u64;
         let choice = self.config.direct_io_choice(data.len());
         let mut txn = self.begin_txn();
+        let mut batch = BlockWriteBatch::default();
         let mut pos = offset;
         let end = offset + data.len() as u64;
         while pos < end {
@@ -182,14 +284,16 @@ impl ByteFs {
                 InterfaceChoice::Byte => {
                     txn.write(lba * page_size + in_page as u64, chunk, Category::Data)?;
                 }
+                // Whole pages join the run straight from the caller's buffer.
+                InterfaceChoice::Block if span == page_size as usize => {
+                    batch.push(lba, chunk);
+                }
+                // A partial head or tail page is a read-modify-write of its
+                // own, after the pages before it.
                 InterfaceChoice::Block => {
-                    let page = if in_page == 0 && span == page_size as usize {
-                        chunk.to_vec()
-                    } else {
-                        let mut page = self.device.try_block_read(lba, 1, Category::Data)?;
-                        page[in_page..in_page + span].copy_from_slice(chunk);
-                        page
-                    };
+                    batch.flush(&self.device, Category::Data)?;
+                    let mut page = self.device.try_block_read(lba, 1, Category::Data)?;
+                    page[in_page..in_page + span].copy_from_slice(chunk);
                     self.device.try_block_write(lba, &page, Category::Data)?;
                 }
             }
@@ -199,6 +303,7 @@ impl ByteFs {
             self.page_cache.write(ino, index, in_page, chunk);
             pos += span as u64;
         }
+        batch.flush(&self.device, Category::Data)?;
         let now = self.now_ns();
         inode.size = inode.size.max(end);
         inode.mtime_ns = now;
@@ -244,11 +349,19 @@ impl ByteFs {
         let page_size = self.layout.page_size as u64;
         let mut txn = self.begin_txn();
 
+        // Block-choice pages at consecutive LBAs leave as one command; with
+        // data journaling they are collected into the fsync's journal
+        // transaction instead.
+        let mut batch = BlockWriteBatch::default();
+        let mut journaled = Vec::new();
         for dp in &dirty_pages {
             let lba = self.ensure_block(inode, dp.index)?;
             let ratio = dp.modified_ratio(CHUNK);
             match self.config.writeback_choice(ratio) {
                 InterfaceChoice::Byte => {
+                    // The pending runs go first: the device sees the pages
+                    // in ascending file order, as it did one command a page.
+                    batch.flush(&self.device, Category::Data)?;
                     for (off, len) in dp.dirty_ranges(CHUNK) {
                         txn.write(
                             lba * page_size + off as u64,
@@ -257,20 +370,19 @@ impl ByteFs {
                         )?;
                     }
                 }
-                InterfaceChoice::Block => {
-                    if let Some(journal) = &self.journal {
-                        journal.lock().commit(
-                            &[JournaledBlock {
-                                lba,
-                                data: dp.data.to_vec(),
-                                category: Category::Data,
-                            }],
-                            true,
-                        )?;
-                        continue;
-                    }
-                    self.device.try_block_write(lba, &dp.data, Category::Data)?;
-                }
+                InterfaceChoice::Block if self.journal.is_some() => journaled
+                    .push(JournaledBlock { lba, data: dp.data.to_vec(), category: Category::Data }),
+                InterfaceChoice::Block => batch.push(lba, &dp.data),
+            }
+        }
+        batch.flush(&self.device, Category::Data)?;
+        if let Some(journal) = &self.journal {
+            // One transaction per fsync, split only where the journal area
+            // cannot hold it (descriptor + data + commit must fit).
+            let mut journal = journal.lock();
+            let per_txn = journal.capacity_blocks() as usize - 2;
+            for blocks in journaled.chunks(per_txn) {
+                journal.commit(blocks, true)?;
             }
         }
         // ensure_block may have re-marked the inode dirty after the early
@@ -393,8 +505,13 @@ mod tests {
         assert_eq!(fs.read(fd, 0, 11).unwrap(), b"hello world");
         assert_eq!(fs.read(fd, 6, 100).unwrap(), b"world");
         assert_eq!(fs.read(fd, 100, 10).unwrap(), b"");
+        // A zero-length read inside the file is empty too, buffered or direct.
+        assert_eq!(fs.read(fd, 0, 0).unwrap(), b"");
         fs.fsync(fd).unwrap();
         assert_eq!(fs.stat("/a.txt").unwrap().size, 11);
+        let direct = fs.open("/a.txt", OpenFlags::read_write().with_direct()).unwrap();
+        assert_eq!(fs.read(direct, 0, 0).unwrap(), b"");
+        fs.close(direct).unwrap();
         fs.close(fd).unwrap();
         assert!(matches!(fs.read(fd, 0, 1), Err(FsError::BadDescriptor(_))));
     }
@@ -660,6 +777,199 @@ mod tests {
             delta.host_bytes_by_category(Direction::Write, Category::Journal) >= 3 * 4_096,
             "data journaling writes descriptor + data + commit blocks"
         );
+    }
+
+    /// Test payload with no two equal pages and no all-zero cacheline, so
+    /// every page is written whole (R = 1) and a misplaced page shows.
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i % 251) as u8).wrapping_add(salt.wrapping_mul(17)) ^ (i / 4096) as u8 | 1)
+            .collect()
+    }
+
+    /// Block-interface commands the device saw while `f` ran.
+    fn block_requests(dev: &Mssd, f: impl FnOnce()) -> u64 {
+        let before = dev.traffic();
+        f();
+        dev.traffic().delta_since(&before).block_requests
+    }
+
+    #[test]
+    fn cold_sequential_read_is_one_command_with_channel_parallel_nand() {
+        let cfg = MssdConfig { channels: 8, ..MssdConfig::small_test() };
+        let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
+        let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
+        let data = pattern(64 << 10, 0);
+        fs.write_file("/seq", &data).unwrap();
+        dev.flush(); // program the pages, so the cold read really reaches NAND
+        fs.drop_caches();
+        let fd = fs.open("/seq", OpenFlags::read_only()).unwrap();
+        let before = (dev.traffic(), dev.clock().now_ns());
+        assert_eq!(fs.read(fd, 0, 64 << 10).unwrap(), data);
+        let delta = dev.traffic().delta_since(&before.0);
+        assert_eq!(delta.block_requests, 1, "one extent, one command");
+        assert_eq!(delta.flash_read_pages, 16);
+        assert_eq!(delta.host_bytes_by_interface(Direction::Read, Interface::Block), 64 << 10);
+        // 16 NAND reads over 8 channels are charged as 2 rounds, not 16.
+        assert_eq!(
+            dev.clock().now_ns() - before.1,
+            cfg.nvme_overhead_ns + cfg.transfer_ns(64 << 10, true) + 2 * cfg.flash_read_ns
+        );
+        // Warm: no command at all.
+        assert_eq!(block_requests(&dev, || assert_eq!(fs.read(fd, 0, 64 << 10).unwrap(), data)), 0);
+    }
+
+    #[test]
+    fn a_run_ends_at_the_coalescing_bound() {
+        let (dev, fs) = new_fs();
+        let data = pattern(20 * 4096, 1);
+        fs.write_file("/long", &data).unwrap();
+        fs.drop_caches();
+        let fd = fs.open("/long", OpenFlags::read_only()).unwrap();
+        let n = block_requests(&dev, || assert_eq!(fs.read(fd, 0, 20 * 4096).unwrap(), data));
+        assert_eq!(n, 2, "20 contiguous pages = a 16-page command and a 4-page one");
+    }
+
+    #[test]
+    fn small_create_and_fsync_is_one_block_write() {
+        let (dev, fs) = new_fs();
+        let fd = fs.create("/mail").unwrap();
+        let before = dev.traffic();
+        fs.write(fd, 0, &pattern(8192, 2)).unwrap();
+        fs.fsync(fd).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 1, "two new pages at consecutive LBAs: one command");
+        assert_eq!(delta.host_bytes_by_interface(Direction::Write, Interface::Block), 8192);
+    }
+
+    #[test]
+    fn interleaved_allocation_costs_one_command_per_extent_run() {
+        let (dev, fs) = new_fs();
+        let a = fs.create("/a").unwrap();
+        let b = fs.create("/b").unwrap();
+        let (da, db) = (pattern(8 * 4096, 3), pattern(8 * 4096, 4));
+        // Blocks are allocated at fsync: alternating two-page appends leave
+        // each file as four two-page extents.
+        for chunk in 0..4 {
+            let range = chunk * 8192..(chunk + 1) * 8192;
+            fs.write(a, range.start as u64, &da[range.clone()]).unwrap();
+            fs.fsync(a).unwrap();
+            fs.write(b, range.start as u64, &db[range]).unwrap();
+            fs.fsync(b).unwrap();
+        }
+        fs.drop_caches();
+        let n = block_requests(&dev, || assert_eq!(fs.read(a, 0, 8 * 4096).unwrap(), da));
+        assert_eq!(n, 4, "one command per extent run, not per page and not per file");
+        assert_eq!(fs.read(b, 0, 8 * 4096).unwrap(), db);
+    }
+
+    #[test]
+    fn a_resident_page_or_a_hole_splits_the_read_run() {
+        let (dev, fs) = new_fs();
+        let data = pattern(8 * 4096, 5);
+        fs.write_file("/f", &data).unwrap();
+        fs.drop_caches();
+        let fd = fs.open("/f", OpenFlags::read_write()).unwrap();
+        assert_eq!(block_requests(&dev, || drop(fs.read(fd, 3 * 4096, 100).unwrap())), 1);
+        let before = dev.traffic();
+        assert_eq!(fs.read(fd, 0, 8 * 4096).unwrap(), data);
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 2, "pages 0-2 and 4-7; page 3 is a cache hit");
+        assert_eq!(delta.host_bytes_by_interface(Direction::Read, Interface::Block), 7 * 4096);
+
+        // Pages 0-1 and 3-4 are written, page 2 never is: the four blocks are
+        // consecutive on the device but not in the file.
+        let sparse = fs.create("/sparse").unwrap();
+        fs.write(sparse, 0, &data[..8192]).unwrap();
+        fs.write(sparse, 3 * 4096, &data[8192..16384]).unwrap();
+        fs.fsync(sparse).unwrap();
+        fs.drop_caches();
+        let before = dev.traffic();
+        let back = fs.read(sparse, 0, 5 * 4096).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 2, "the hole ends the first run");
+        assert_eq!(delta.host_bytes_by_interface(Direction::Read, Interface::Block), 4 * 4096);
+        assert_eq!(&back[..8192], &data[..8192]);
+        assert!(back[8192..3 * 4096].iter().all(|b| *b == 0), "the hole reads as zeros");
+        assert_eq!(&back[3 * 4096..], &data[8192..16384]);
+    }
+
+    #[test]
+    fn a_byte_choice_page_splits_the_writeback_run_and_keeps_the_order() {
+        let (dev, fs) = new_fs();
+        fs.write_file("/f", &pattern(4 * 4096, 6)).unwrap();
+        let fd = fs.open("/f", OpenFlags::read_write()).unwrap();
+        // Pages 0, 2, 3 are rewritten whole (block interface); page 1 gets
+        // one cacheline (byte interface), between the two runs.
+        let fresh = pattern(4 * 4096, 7);
+        fs.write(fd, 0, &fresh[..4096]).unwrap();
+        fs.write(fd, 4096 + 640, &fresh[4096 + 640..4096 + 704]).unwrap();
+        fs.write(fd, 8192, &fresh[8192..]).unwrap();
+        let before = dev.traffic();
+        fs.fsync(fd).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 2, "page 0 alone, then pages 2-3 together");
+        assert_eq!(delta.host_bytes_by_interface(Direction::Write, Interface::Block), 3 * 4096);
+        fs.drop_caches();
+        let back = fs.read(fd, 0, 4 * 4096).unwrap();
+        assert_eq!(&back[..4096], &fresh[..4096]);
+        assert_eq!(&back[4096 + 640..4096 + 704], &fresh[4096 + 640..4096 + 704]);
+        assert_eq!(&back[8192..], &fresh[8192..]);
+    }
+
+    #[test]
+    fn direct_block_io_moves_whole_pages_by_the_run() {
+        let (dev, fs) = new_fs();
+        let fd = fs.open("/direct", OpenFlags::create_rw().with_direct()).unwrap();
+        let data = pattern(6 * 4096, 8);
+        // Aligned: six whole pages, one command, no read-modify-write.
+        let before = dev.traffic();
+        fs.write(fd, 0, &data).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 1);
+        assert_eq!(delta.host_bytes_by_interface(Direction::Read, Interface::Block), 0);
+        assert_eq!(block_requests(&dev, || assert_eq!(fs.read(fd, 0, 6 * 4096).unwrap(), data)), 1);
+        // Unaligned: partial head and tail are each read, patched and
+        // written on their own; the two whole pages between them share one
+        // command.
+        let patch = pattern(3 * 4096, 9);
+        let before = dev.traffic();
+        fs.write(fd, 4096 + 2048, &patch).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        assert_eq!(delta.block_requests, 2 + 1 + 2);
+        assert_eq!(delta.host_bytes_by_interface(Direction::Read, Interface::Block), 2 * 4096);
+        assert_eq!(delta.host_bytes_by_interface(Direction::Write, Interface::Block), 4 * 4096);
+        let mut want = data.clone();
+        want[4096 + 2048..4 * 4096 + 2048].copy_from_slice(&patch);
+        assert_eq!(fs.read(fd, 0, 6 * 4096).unwrap(), want);
+    }
+
+    #[test]
+    fn data_journaling_commits_an_fsync_as_one_transaction() {
+        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
+        let fs =
+            ByteFs::format(Arc::clone(&dev), ByteFsConfig::full().with_data_journaling()).unwrap();
+        let cap = fs.journal.as_ref().unwrap().lock().capacity_blocks() as usize - 2;
+        let data = pattern(16 * 4096, 10);
+        let fd = fs.create("/j16").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+        let before = dev.traffic();
+        fs.fsync(fd).unwrap();
+        let delta = dev.traffic().delta_since(&before);
+        let txns = 16usize.div_ceil(cap);
+        assert_eq!(
+            delta.host_bytes_by_category(Direction::Write, Category::Journal),
+            ((16 + 2 * txns) * 4096) as u64,
+            "descriptor + commit once per transaction, not once per page"
+        );
+        assert_eq!(fs.journal.as_ref().unwrap().lock().stats().transactions, txns as u64);
+        // The checkpoint put every page in place: a power cut right after the
+        // fsync returns loses none of them.
+        drop(fs);
+        dev.crash();
+        let fs =
+            ByteFs::mount(Arc::clone(&dev), ByteFsConfig::full().with_data_journaling()).unwrap();
+        assert_eq!(fs.read_file("/j16").unwrap(), data);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   duplicate pages and XOR-based dirty-chunk detection that ByteFS uses to
 //!   choose between the byte and block interface on writeback (§4.6);
 //! * [`journal`] — a JBD2-style block journal used by the Ext4-like baseline
-//!   and by ByteFS data journaling.
+//!   and by ByteFS data journaling;
+//! * [`blockrun`] — block writeback by the run: pages bound for consecutive
+//!   LBAs leave as one scatter-gather command.
 //!
 //! ```
 //! use fskit::{FileSystem, OpenFlags};
@@ -30,6 +32,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod blockrun;
 pub mod check;
 pub mod error;
 pub mod fs;

@@ -668,7 +668,8 @@ impl Mssd {
         }
     }
 
-    /// Fallible form of [`Mssd::block_read`].
+    /// Fallible form of [`Mssd::block_read`]: the pages of
+    /// [`Mssd::try_block_read_pages`] as one flat buffer.
     ///
     /// # Errors
     ///
@@ -680,23 +681,41 @@ impl Mssd {
         count: usize,
         cat: Category,
     ) -> Result<Vec<u8>, FlashError> {
-        let (data, cost) = self.exec_block_read(lba, count, cat);
-        self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
-        data
+        self.try_block_read_pages(lba, count, cat).map(flatten_pages)
     }
 
-    /// Executor behind [`Mssd::block_read`], shared with the batched queue
-    /// path; returns the payload (or media error) and the charged virtual
-    /// cost.
+    /// Scatter-gather block read: one NVMe command over `count` consecutive
+    /// blocks starting at `lba`, one buffer per page. A caller that keeps
+    /// pages apart (a host page cache) takes each buffer as it is — nothing
+    /// is concatenated, so a long run costs no scratch copy.
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::Uncorrectable`] when a flash page fails ECC even after
+    /// the read-retry ladder.
+    pub fn try_block_read_pages(
+        &self,
+        lba: u64,
+        count: usize,
+        cat: Category,
+    ) -> Result<Vec<Vec<u8>>, FlashError> {
+        let (pages, cost) = self.exec_block_read(lba, count, cat);
+        self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
+        pages
+    }
+
+    /// The one block-read executor, shared by the synchronous calls and the
+    /// batched queue path; returns one buffer per page (or the media error)
+    /// and the charged virtual cost.
     pub(crate) fn exec_block_read(
         &self,
         lba: u64,
         count: usize,
         cat: Category,
-    ) -> (Result<Vec<u8>, FlashError>, u64) {
+    ) -> (Result<Vec<Vec<u8>>, FlashError>, u64) {
         assert!(lba + count as u64 <= self.logical_pages(), "block_read beyond device capacity");
         let page_size = self.cfg.page_size;
-        let mut out = Vec::with_capacity(count * page_size);
+        let mut out = Vec::with_capacity(count);
         if count == 0 {
             return (Ok(out), 0);
         }
@@ -724,12 +743,12 @@ impl Mssd {
                     if ns > 0 {
                         flash_reads += 1;
                     }
-                    out.extend_from_slice(&page);
+                    out.push(page);
                 }
                 DramMode::PageCache => {
                     let mut shard = self.cache.lock_shard(lpa);
                     match shard.get(lpa) {
-                        Some(p) => out.extend_from_slice(&p),
+                        Some(p) => out.push(p.to_vec()),
                         None => {
                             let (page, _) = match self.flash.read_page(lpa, &self.stats, false) {
                                 Ok(fetched) => fetched,
@@ -739,7 +758,7 @@ impl Mssd {
                                 }
                             };
                             flash_reads += 1;
-                            out.extend_from_slice(&page);
+                            out.push(page.clone());
                             if !self.cfg.fault.is_cut() {
                                 match self.cache_fill(&mut shard, lpa, page, false) {
                                     Ok(ns) => cost += ns,
@@ -780,7 +799,8 @@ impl Mssd {
         }
     }
 
-    /// Fallible form of [`Mssd::block_write`].
+    /// Fallible form of [`Mssd::block_write`]: `data` cut at page boundaries
+    /// and handed to [`Mssd::try_block_write_pages`].
     ///
     /// # Errors
     ///
@@ -788,82 +808,106 @@ impl Mssd {
     /// exhausted). Pages before the failing one were accepted — the
     /// documented per-page atomicity of multi-page commands.
     pub fn try_block_write(&self, lba: u64, data: &[u8], cat: Category) -> Result<(), FlashError> {
-        let (status, cost) = self.exec_block_write(lba, data, cat);
+        let pages: Vec<&[u8]> = data.chunks(self.cfg.page_size).collect();
+        self.try_block_write_pages(lba, &pages, cat)
+    }
+
+    /// Scatter-gather block write: one NVMe command storing `pages` (each
+    /// exactly one page long, wherever it lives in host memory) at
+    /// consecutive blocks starting at `lba`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages` is empty, a page has the wrong length or the range
+    /// exceeds the device capacity.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mssd::try_block_write`].
+    pub fn try_block_write_pages(
+        &self,
+        lba: u64,
+        pages: &[&[u8]],
+        cat: Category,
+    ) -> Result<(), FlashError> {
+        let (status, cost) = self.exec_block_write(lba, pages, cat);
         self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
         status
     }
 
-    /// Executor behind [`Mssd::block_write`], shared with the batched queue
-    /// path; returns the command status and the charged virtual cost.
+    /// The one block-write executor, shared by the synchronous calls and the
+    /// batched queue path; returns the command status and the charged
+    /// virtual cost.
     pub(crate) fn exec_block_write(
         &self,
         lba: u64,
-        data: &[u8],
+        pages: &[&[u8]],
         cat: Category,
     ) -> (Result<(), FlashError>, u64) {
         let page_size = self.cfg.page_size;
         assert!(
-            data.len().is_multiple_of(page_size) && !data.is_empty(),
+            !pages.is_empty() && pages.iter().all(|p| p.len() == page_size),
             "block_write length must be a non-zero multiple of the page size"
         );
-        let count = data.len() / page_size;
-        assert!(lba + count as u64 <= self.logical_pages(), "block_write beyond device capacity");
+        let bytes = pages.len() * page_size;
+        assert!(
+            lba + pages.len() as u64 <= self.logical_pages(),
+            "block_write beyond device capacity"
+        );
         if self.flash.is_read_only() {
             return (Err(FlashError::ReadOnly), 0);
         }
-        self.stats.record_host(Direction::Write, cat, Interface::Block, data.len() as u64);
-        let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(data.len(), false);
+        self.stats.record_host(Direction::Write, cat, Interface::Block, bytes as u64);
+        let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(bytes, false);
         // Journal pages are counted as their own fault kind: torn journal
         // writes are the classic crash-consistency hazard the block file
         // systems defend against.
         let kind =
             if cat == Category::Journal { FaultKind::JournalWrite } else { FaultKind::BufferWrite };
-        for i in 0..count {
-            let lpa = lba + i as u64;
+        let mut drains = SliceDrains::default();
+        for (lpa, page) in (lba..).zip(pages) {
             // One counted fault step per page: a cut tears multi-page block
             // writes at page granularity (pages before the cut are
             // acknowledged into device DRAM, pages after never arrive).
             if !self.cfg.fault.step(kind) {
                 break;
             }
-            let page = data[i * page_size..(i + 1) * page_size].to_vec();
+            let page = page.to_vec();
             match self.mode {
                 DramMode::WriteLog => {
                     // The host page cache always holds the newest data, so log
                     // entries for this page are stale and dropped (§4.4) —
                     // atomically with the buffer write, under the shard lock,
                     // so a cleaner step cannot merge a drained stale chunk on
-                    // top of the fresh block data. `invalidate_page_and`
-                    // expects an infallible action, so a media error is
-                    // parked outside the closure and re-raised after it.
-                    let mut media_err = None;
-                    let (_, ns) = self.log.invalidate_page_and(lpa, || {
-                        match self.flash.buffer_write(lpa, page, &self.stats) {
-                            Ok(ns) => ns,
-                            Err(e) => {
-                                media_err = Some(e);
-                                0
-                            }
-                        }
+                    // top of the fresh block data.
+                    let (_, buffered) = self.log.invalidate_page_and(lpa, || {
+                        self.flash.buffer_write_on(lpa, page, &self.stats)
                     });
-                    cost += ns;
-                    if let Some(e) = media_err {
-                        self.charge(cost);
-                        return (Err(e), cost);
-                    }
-                }
-                DramMode::PageCache => {
-                    let mut shard = self.cache.lock_shard(lpa);
-                    match self.cache_fill(&mut shard, lpa, page, true) {
-                        Ok(ns) => cost += ns,
+                    match buffered {
+                        Ok((channel, ns)) => drains.add(channel, ns),
                         Err(e) => {
+                            cost += drains.wait_ns();
                             self.charge(cost);
                             return (Err(e), cost);
                         }
                     }
                 }
+                DramMode::PageCache => {
+                    let mut shard = self.cache.lock_shard(lpa);
+                    for (victim, data) in shard.insert(lpa, page, true) {
+                        match self.flash.buffer_write_on(victim, data, &self.stats) {
+                            Ok((channel, ns)) => drains.add(channel, ns),
+                            Err(e) => {
+                                cost += drains.wait_ns();
+                                self.charge(cost);
+                                return (Err(e), cost);
+                            }
+                        }
+                    }
+                }
             }
         }
+        cost += drains.wait_ns();
         self.charge(cost);
         (Ok(()), cost)
     }
@@ -1425,6 +1469,63 @@ impl Drop for Mssd {
     }
 }
 
+/// The write-buffer slice drains forced by one block-write command, and what
+/// the command is charged for them: the drains of distinct channels proceed
+/// [`SliceDrains::LANES`] at a time, so a command spanning two or more
+/// channels pays half the summed drain time and one that stays on a single
+/// channel — every one-page command — pays all of it, as it always did.
+///
+/// The charge is the *work* divided by the lanes, not the wait for the
+/// busiest channel. Waiting for the busiest channel makes a command cost one
+/// drain whether one of its channels drains or all of them do, so the total
+/// over a run depends on how the slices' fill levels happen to be aligned
+/// when each command arrives — one stray page shifts it (a stream of 16-page
+/// commands over 8 channels pays half a drain or a whole one per command),
+/// and the modelled throughput of one workload moved by 2–3 % from seed to
+/// seed. Work over lanes charges both alignments the same. Two lanes is
+/// exact for the two-page command of an 8 KB fsync and deliberately
+/// conservative for wider ones: full-width overlap is what per-channel
+/// timelines (ROADMAP item 1) would have to justify.
+#[derive(Default)]
+struct SliceDrains {
+    busy_ns: u64,
+    first_channel: Option<usize>,
+    spans_channels: bool,
+}
+
+impl SliceDrains {
+    /// Slice drains that proceed side by side.
+    const LANES: u64 = 2;
+
+    /// One page went to `channel`'s slice, which cost `ns` of forced drain
+    /// (0 when the slice had room).
+    fn add(&mut self, channel: usize, ns: u64) {
+        self.busy_ns += ns;
+        match self.first_channel {
+            None => self.first_channel = Some(channel),
+            Some(first) => self.spans_channels |= first != channel,
+        }
+    }
+
+    fn wait_ns(&self) -> u64 {
+        if self.spans_channels {
+            self.busy_ns / Self::LANES
+        } else {
+            self.busy_ns
+        }
+    }
+}
+
+/// The flat-buffer view of a scatter-gather read for callers that want one
+/// `Vec<u8>`: a single page is handed over as it is, longer runs are
+/// concatenated.
+pub(crate) fn flatten_pages(mut pages: Vec<Vec<u8>>) -> Vec<u8> {
+    if pages.len() == 1 {
+        return pages.pop().expect("length checked");
+    }
+    pages.concat()
+}
+
 /// One incremental cleaning step: drains up to `max_pages` pages of a
 /// shard's sealed region, merging committed chunks into flash while the
 /// shard lock is held (lock order: shard → txlog → channel → stripe).
@@ -1716,6 +1817,40 @@ mod tests {
         d.block_read(100, 1, Category::Data);
         let t3 = d.clock().now_ns();
         assert!(t3 - t2 >= d.config().nvme_overhead_ns);
+    }
+
+    #[test]
+    fn one_write_command_overlaps_the_slice_drains_of_distinct_channels() {
+        // `prefill` buffered pages leave the four 4-page slices full (16) or
+        // two of them one page short (14). Eight more pages then force the
+        // same four slice drains — 16 pages programmed — however they are cut
+        // into commands. A device handed one page at a time drains one slice
+        // after the other; handed four at once it drains two side by side.
+        // And the charge does not depend on how the slices were aligned: with
+        // 16 prefilled the first 4-page command forces all four drains, with
+        // 14 each of the two commands forces two.
+        let cfg = MssdConfig::small_test();
+        let slice_drain_ns = 4 * cfg.flash_write_ns;
+        let charged = |prefill: u64, per_command: usize| {
+            let d = dev(DramMode::WriteLog);
+            let page = vec![9u8; 4096];
+            for lba in 0..prefill {
+                d.block_write(lba, &page, Category::Data);
+            }
+            let before = (d.clock().now_ns(), d.traffic().flash_write_pages);
+            for lba in (prefill..prefill + 8).step_by(per_command) {
+                d.block_write(lba, &page.repeat(per_command), Category::Data);
+            }
+            assert_eq!(d.traffic().flash_write_pages - before.1, 16, "same pages programmed");
+            d.clock().now_ns() - before.0
+        };
+        let commands_ns = |n: u64, pages: usize| {
+            n * (cfg.nvme_overhead_ns + cfg.transfer_ns(pages * 4096, false))
+        };
+        for prefill in [16, 14] {
+            assert_eq!(charged(prefill, 1), commands_ns(8, 1) + 4 * slice_drain_ns);
+            assert_eq!(charged(prefill, 4), commands_ns(2, 4) + 2 * slice_drain_ns);
+        }
     }
 
     #[test]

@@ -649,6 +649,22 @@ impl ShardedFtl {
         data: Vec<u8>,
         stats: &AtomicTraffic,
     ) -> Result<u64, FlashError> {
+        self.buffer_write_on(lpa, data, stats).map(|(_, ns)| ns)
+    }
+
+    /// [`ShardedFtl::buffer_write`] that also names the channel whose slice
+    /// took the page — the channel a forced drain, if any, kept busy. A
+    /// multi-page command uses it to overlap the drains of distinct channels.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedFtl::buffer_write`].
+    pub fn buffer_write_on(
+        &self,
+        lpa: Lpa,
+        data: Vec<u8>,
+        stats: &AtomicTraffic,
+    ) -> Result<(usize, u64), FlashError> {
         debug_assert!(lpa < self.logical_pages(), "lpa {lpa} out of range");
         if self.read_only.load(Ordering::SeqCst) {
             return Err(FlashError::ReadOnly);
@@ -700,7 +716,7 @@ impl ShardedFtl {
                         ch.buffer.push((lpa, data));
                         self.buffered.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok(cost);
+                    return Ok((target, cost));
                 }
                 // The page got (re)buffered on another channel meanwhile —
                 // coalesce there instead.
@@ -719,7 +735,7 @@ impl ShardedFtl {
                         // invalidated lazily by GC validation.
                         self.valid[self.block_of(old) as usize].fetch_sub(1, Ordering::Relaxed);
                     }
-                    return Ok(cost);
+                    return Ok((target, cost));
                 }
             }
         }

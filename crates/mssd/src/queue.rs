@@ -54,7 +54,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crate::device::Mssd;
+use crate::device::{flatten_pages, Mssd};
 use crate::fault::{HangFault, HangFaultPlan};
 use crate::flash::FlashError;
 use crate::stats::Category;
@@ -848,13 +848,14 @@ pub(crate) fn execute(dev: &Mssd, cmd: &Command) -> (Result<(), FlashError>, Opt
             }
         }
         Command::BlockWrite { lba, data, cat } => {
-            let (status, cost) = dev.exec_block_write(*lba, data, *cat);
+            let pages: Vec<&[u8]> = data.chunks(dev.page_size()).collect();
+            let (status, cost) = dev.exec_block_write(*lba, &pages, *cat);
             (status, None, cost)
         }
         Command::BlockRead { lba, count, cat } => {
-            let (data, cost) = dev.exec_block_read(*lba, *count, *cat);
-            match data {
-                Ok(data) => (Ok(()), Some(data), cost),
+            let (pages, cost) = dev.exec_block_read(*lba, *count, *cat);
+            match pages {
+                Ok(pages) => (Ok(()), Some(flatten_pages(pages)), cost),
                 Err(e) => (Err(e), None, cost),
             }
         }
