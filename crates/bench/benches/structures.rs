@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the core data structures the paper's design
-//! leans on: the write-log skip-list index, log append/merge, the XOR
+//! leans on: write-log append/merge (and through it the log index), the XOR
 //! dirty-chunk scan, the extent tree and the bitmap allocators.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -8,22 +8,7 @@ use bytefs::alloc::BitmapAllocator;
 use bytefs::extent::ExtentTree;
 use fskit::pagecache::{dirty_chunks, modified_ratio};
 use mssd::log::WriteLog;
-use mssd::skiplist::SkipList;
 use mssd::MssdConfig;
-
-fn bench_skiplist(c: &mut Criterion) {
-    c.bench_function("skiplist_insert_1k", |b| {
-        b.iter(|| {
-            let mut list = SkipList::with_seed(7);
-            for k in 0..1000u64 {
-                list.insert(black_box(k * 37 % 1009), k);
-            }
-            list.len()
-        })
-    });
-    let list: SkipList<u64> = (0..10_000u64).map(|k| (k, k)).collect();
-    c.bench_function("skiplist_lookup", |b| b.iter(|| black_box(list.get(black_box(7_777)))));
-}
 
 fn bench_write_log(c: &mut Criterion) {
     c.bench_function("writelog_append_64B", |b| {
@@ -90,6 +75,6 @@ fn bench_extents_and_bitmap(c: &mut Criterion) {
 criterion_group!(
     name = structures;
     config = Criterion::default().sample_size(20);
-    targets = bench_skiplist, bench_write_log, bench_xor_diff, bench_extents_and_bitmap
+    targets = bench_write_log, bench_xor_diff, bench_extents_and_bitmap
 );
 criterion_main!(structures);

@@ -1,28 +1,24 @@
 //! Trace-pipeline smoke check for CI: drives a short traced workload,
-//! exports the Chrome trace-event JSON (Perfetto-loadable) and the text
-//! op-trace, then validates both ends of the pipeline in-process:
+//! exports the Chrome trace-event JSON (Perfetto-loadable), then validates
+//! both ends of the pipeline in-process:
 //!
 //! * the JSON parses with the same minimal parser `bench_compare` uses
 //!   (round-trip: our exporter must emit what our schema tooling reads),
-//!   has a non-empty `traceEvents` array and at least one `"X"` complete
-//!   span;
+//!   has a non-empty `traceEvents` array and one `"X"` complete span per
+//!   completed command;
 //! * one queued command's journey (SQ submit → doorbell → flash program →
 //!   CQ completion) shares a single command track — the property that makes
-//!   a write's life a single flame in the Perfetto UI;
-//! * the op-trace has one line per completed command.
+//!   a write's life a single flame in the Perfetto UI.
 //!
-//! Usage: `trace_smoke [trace_out.json] [optrace_out.txt]` — defaults
-//! `trace_smoke.json` / `trace_smoke.txt`. Exits non-zero on any validation
-//! failure, so CI can gate on it and upload the artifacts.
+//! Usage: `trace_smoke [trace_out.json]` — default `trace_smoke.json`. Exits
+//! non-zero on any validation failure, so CI can gate on it and upload the
+//! artifact.
 
 use std::collections::BTreeSet;
 
 use bench::report::Json;
 use mssd::queue::Command;
-use mssd::{
-    chrome_trace_json, op_trace_text, parse_op_trace, Category, DramMode, Mssd, MssdConfig,
-    OpTraceMeta, TraceKind, PAGE_SIZE,
-};
+use mssd::{chrome_trace_json, Category, DramMode, Mssd, MssdConfig, TraceKind, PAGE_SIZE};
 
 /// Drives a small mixed workload through a host queue with tracing on and
 /// returns the drained dump. Mirrors the `trace_e2e` integration test's
@@ -67,7 +63,6 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let json_path = std::env::args().nth(1).unwrap_or_else(|| "trace_smoke.json".to_string());
-    let text_path = std::env::args().nth(2).unwrap_or_else(|| "trace_smoke.txt".to_string());
 
     let dump = traced_run();
     if dump.events.len() <= 10 {
@@ -96,19 +91,14 @@ fn main() {
         fail(&format!("cmd {first_cmd} track spans queues {queues:?}, expected one"));
     }
 
-    // Export both formats and write the CI artifacts.
+    // Export and write the CI artifact.
     let json = chrome_trace_json(&dump);
-    let meta = OpTraceMeta::new(0, &MssdConfig::small_test());
-    let text = op_trace_text(&dump, &meta);
     if let Err(e) = std::fs::write(&json_path, &json) {
         fail(&format!("writing {json_path}: {e}"));
     }
-    if let Err(e) = std::fs::write(&text_path, &text) {
-        fail(&format!("writing {text_path}: {e}"));
-    }
 
     // Round-trip validation: the exported document must parse and contain a
-    // non-empty traceEvents array with at least one complete span.
+    // non-empty traceEvents array with one complete span per completion.
     let doc = match Json::parse(&json) {
         Ok(doc) => doc,
         Err(e) => fail(&format!("exported chrome trace does not parse: {e}")),
@@ -124,8 +114,13 @@ fn main() {
         e.as_object().and_then(|o| o.get("ph")).and_then(Json::as_str)
     }
     let spans = events.iter().filter(|e| phase(e) == Some("X")).count();
-    if spans == 0 {
-        fail("no complete (\"X\") spans in the export");
+    let completions = dump
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::CqComplete | TraceKind::Abort))
+        .count();
+    if spans == 0 || spans != completions {
+        fail(&format!("{spans} complete (\"X\") spans for {completions} completions"));
     }
     let span_name = format!("cmd {first_cmd}");
     if !events.iter().any(|e| {
@@ -134,31 +129,10 @@ fn main() {
         fail(&format!("no span named {span_name:?} in the export"));
     }
 
-    let completions = dump
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::CqComplete | TraceKind::Abort))
-        .count();
-    // The op trace must round-trip through the ingest parser: the header
-    // carries the device geometry, and every completion is one entry.
-    let parsed = match parse_op_trace(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => fail(&format!("exported op trace does not parse: {e}")),
-    };
-    if parsed.meta != Some(meta) {
-        fail("op-trace header metadata did not survive the round trip");
-    }
-    if parsed.entries.len() != completions {
-        fail(&format!(
-            "op-trace has {} entries for {completions} completions",
-            parsed.entries.len()
-        ));
-    }
-
     println!(
-        "trace_smoke: OK — {} events ({} dropped), {spans} spans, {completions} op-trace lines",
+        "trace_smoke: OK — {} events ({} dropped), {spans} spans for {completions} completions",
         dump.events.len(),
         dump.dropped
     );
-    println!("trace_smoke: chrome trace -> {json_path}, op trace -> {text_path}");
+    println!("trace_smoke: chrome trace -> {json_path}");
 }

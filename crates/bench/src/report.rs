@@ -228,7 +228,8 @@ fn json_f64(v: f64) -> String {
 }
 
 /// A minimal JSON value: exactly what the unified schema needs, nothing
-/// more (no surrogate-pair escapes, no exponents beyond `f64::from_str`).
+/// more (no surrogate escapes, no numbers beyond finite `f64`, containers at
+/// most 64 deep).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -245,6 +246,11 @@ pub enum Json {
     Object(BTreeMap<String, Json>),
 }
 
+/// Deepest container nesting [`Json::parse`] follows. The parser recurses per
+/// level, so without a bound a file of `[[[[…` overflows the stack; reports
+/// and Chrome traces nest 4 deep.
+const MAX_DEPTH: usize = 64;
+
 impl Json {
     /// Parses a JSON document.
     ///
@@ -252,7 +258,7 @@ impl Json {
     ///
     /// Returns a description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -298,6 +304,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -323,8 +331,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -332,6 +340,16 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -353,7 +371,11 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {text:?}: {e}"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number {text:?} overflows f64")),
+            Err(e) => Err(format!("bad number {text:?}: {e}")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -385,7 +407,7 @@ impl Parser<'_> {
                                 16,
                             )
                             .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
                             self.pos += 4;
                         }
                         other => return Err(format!("bad escape {other:?}")),
@@ -509,5 +531,85 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    /// A committed artifact: the seed the hostile-input tests corrupt.
+    const COMMITTED: &str = include_str!("../../../BENCH_gc_pause.json");
+
+    /// Hostile input must come back as a value, not a panic or a stack
+    /// overflow; and whatever `from_json` accepts is a real report — it
+    /// re-emits and re-reads unchanged, not a half-parsed one.
+    fn parse_hostile(text: &str) {
+        let _ = Json::parse(text);
+        if let Ok(report) = BenchReport::from_json(text) {
+            assert_eq!(BenchReport::from_json(&report.to_json()).as_ref(), Ok(&report), "{text:?}");
+        }
+    }
+
+    /// xorshift64: the bench crate has no RNG dependency.
+    fn next(state: &mut u64) -> usize {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state as usize
+    }
+
+    #[test]
+    fn parser_refuses_what_the_schema_cannot_hold() {
+        for open in ["[", "{\"k\":"] {
+            assert!(Json::parse(&open.repeat(100_000)).is_err(), "deep {open:?} nesting");
+            assert!(Json::parse(&format!("{}1", open.repeat(MAX_DEPTH + 1))).is_err());
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok(), "the bound itself still parses");
+        for bad in ["\"\\ud800\"", "\"\\udfff\\ud800\"", "\"\\u12\"", "1e999", "-1e999", "[1e999]"]
+        {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(Json::parse("\"\\u00e9\""), Ok(Json::Str("é".into())));
+        // Every proper prefix of a document is a truncated document.
+        let whole = COMMITTED.trim_end();
+        assert!(BenchReport::from_json(whole).is_ok());
+        for cut in 0..whole.len() {
+            assert!(BenchReport::from_json(&whole[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+    }
+
+    /// Fragments the arbitrary-string test splices: the format's own
+    /// vocabulary (so inputs get past the first token), boundary numbers,
+    /// escapes cut short and multi-byte characters to land inside them.
+    #[rustfmt::skip]
+    const FRAGMENTS: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud800", "\\u00", "\\n", " ", "\n",
+        "\"schema_version\"", "\"bench\"", "\"scale\"", "\"host_cpus\"", "\"entries\"", "\"key\"",
+        "\"throughput_ops_s\"", "\"p99_ns\"", "\"p999_ns\"", "\"extra\"", "\"summary\"", "\"x\"",
+        "{\"schema_version\": 3, \"bench\": \"b\", ", "\"entries\": [{\"key\": \"k\", ",
+        "true", "false", "null", "nul", "0", "3", "-", "+", ".", "e", "E", "1e999", "-0.0", "1e-999",
+        "18446744073709551615", "18446744073709551616", "é", "\u{1F600}", "[[[[[[[[", "{\"a\":{\"a\":",
+    ];
+
+    #[test]
+    fn parsers_never_panic_on_spliced_strings() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..512 {
+            let mut text = String::new();
+            for _ in 0..next(&mut state) % 48 {
+                text.push_str(FRAGMENTS[next(&mut state) % FRAGMENTS.len()]);
+            }
+            parse_hostile(&text);
+        }
+    }
+
+    #[test]
+    fn parsers_never_panic_on_single_byte_mutations() {
+        let mut state = 0x2545_F491_4F6C_DD1D;
+        for _ in 0..512 {
+            let mut bytes = COMMITTED.as_bytes().to_vec();
+            let pos = next(&mut state) % bytes.len();
+            bytes[pos] = next(&mut state) as u8;
+            // A byte that breaks UTF-8 becomes U+FFFD, a multi-byte character
+            // wherever it fell: inside a key, a number, an escape.
+            parse_hostile(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

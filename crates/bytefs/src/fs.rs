@@ -68,7 +68,7 @@ use crate::alloc::{BitmapAllocator, SharedBitmap};
 use crate::dentry::{DentrySlot, Directory};
 use crate::inode::Inode;
 use crate::layout::{Layout, DENTRY_SIZE, INODE_SIZE, ROOT_INO};
-use crate::policy::{ByteFsConfig, InterfaceChoice};
+use crate::policy::ByteFsConfig;
 use crate::superblock::Superblock;
 use crate::txn::{SharedTxTable, Txn};
 
@@ -431,52 +431,24 @@ impl ByteFs {
         }
     }
 
-    /// Persists a small metadata update either over the byte interface (inside
-    /// the transaction) or as a read-modify-write of the containing block when
-    /// the dual interface is disabled.
-    pub(crate) fn persist_meta(
-        &self,
-        txn: &mut Txn,
-        addr: u64,
-        bytes: &[u8],
-        cat: Category,
-    ) -> FsResult<()> {
-        match self.config.metadata_choice(bytes.len()) {
-            InterfaceChoice::Byte => txn.write(addr, bytes, cat)?,
-            InterfaceChoice::Block => {
-                let page_size = self.device.page_size() as u64;
-                let lba = addr / page_size;
-                let off = (addr % page_size) as usize;
-                let mut page = self.device.try_block_read(lba, 1, cat)?;
-                page[off..off + bytes.len()].copy_from_slice(bytes);
-                self.device.try_block_write(lba, &page, cat)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Persists an inode (both halves) into the inode table.
     pub(crate) fn persist_inode(&self, txn: &mut Txn, inode: &Inode) -> FsResult<()> {
         let addr = self.layout.inode_addr(inode.ino);
-        self.persist_meta(txn, addr, &inode.encode_lower(), Category::Inode)?;
-        self.persist_meta(
-            txn,
-            addr + (INODE_SIZE / 2) as u64,
-            &inode.encode_upper(),
-            Category::Inode,
-        )
+        txn.write(addr, &inode.encode_lower(), Category::Inode)?;
+        txn.write(addr + (INODE_SIZE / 2) as u64, &inode.encode_upper(), Category::Inode)?;
+        Ok(())
     }
 
     /// Persists only the hot lower half of an inode (size/mtime/nlink updates).
     pub(crate) fn persist_inode_lower(&self, txn: &mut Txn, inode: &Inode) -> FsResult<()> {
         let addr = self.layout.inode_addr(inode.ino);
-        self.persist_meta(txn, addr, &inode.encode_lower(), Category::Inode)
+        Ok(txn.write(addr, &inode.encode_lower(), Category::Inode)?)
     }
 
     /// Marks an inode slot free on the device (unlink/rmdir).
     pub(crate) fn persist_inode_free(&self, txn: &mut Txn, ino: u64) -> FsResult<()> {
         let addr = self.layout.inode_addr(ino);
-        self.persist_meta(txn, addr, &[0u8; INODE_SIZE / 2], Category::Inode)
+        Ok(txn.write(addr, &[0u8; INODE_SIZE / 2], Category::Inode)?)
     }
 
     /// Persists every bitmap group dirtied since the last transaction.
@@ -484,11 +456,11 @@ impl ByteFs {
         let page_size = self.layout.page_size as u64;
         for (group, bytes) in self.inode_bitmap.take_dirty_group_bytes() {
             let addr = self.layout.inode_bitmap_start * page_size + group * DENTRY_SIZE as u64;
-            self.persist_meta(txn, addr, &bytes, Category::Bitmap)?;
+            txn.write(addr, &bytes, Category::Bitmap)?;
         }
         for (group, bytes) in self.block_bitmap.take_dirty_group_bytes() {
             let addr = self.layout.block_bitmap_start * page_size + group * DENTRY_SIZE as u64;
-            self.persist_meta(txn, addr, &bytes, Category::Bitmap)?;
+            txn.write(addr, &bytes, Category::Bitmap)?;
         }
         Ok(())
     }
@@ -676,7 +648,7 @@ impl ByteFs {
             p.clone()
         };
         let addr = self.dentry_addr(&parent_inode, slot.block_pos, slot.slot);
-        self.persist_meta(&mut txn, addr, &slot_bytes, Category::Dentry)?;
+        txn.write(addr, &slot_bytes, Category::Dentry)?;
         self.persist_inode(&mut txn, &inode)?;
         self.persist_inode(&mut txn, &parent_inode)?;
         self.persist_bitmaps(&mut txn)?;
@@ -738,7 +710,7 @@ impl ByteFs {
         let removed =
             ns.dirs.get_mut(&parent).expect("parent cached").remove(name).expect("exists");
         let addr = self.dentry_addr(&parent_inode, removed.slot.block_pos, removed.slot.slot);
-        self.persist_meta(&mut txn, addr, &DentrySlot::free_slot(), Category::Dentry)?;
+        txn.write(addr, &DentrySlot::free_slot(), Category::Dentry)?;
         self.persist_inode_lower(&mut txn, &parent_inode)?;
 
         // Tombstone the target under its write lock, collecting its blocks.
@@ -948,7 +920,7 @@ impl FileSystem for ByteFs {
             .remove(from_name)
             .expect("looked up above");
         let addr = self.dentry_addr(&from_inode, removed.slot.block_pos, removed.slot.slot);
-        self.persist_meta(&mut txn, addr, &DentrySlot::free_slot(), Category::Dentry)?;
+        txn.write(addr, &DentrySlot::free_slot(), Category::Dentry)?;
         self.persist_inode_lower(&mut txn, &from_inode)?;
 
         // Insert into the destination directory.
@@ -973,7 +945,7 @@ impl FileSystem for ByteFs {
                 .encode()
                 .expect("validated");
         let addr = self.dentry_addr(&to_inode, slot.block_pos, slot.slot);
-        self.persist_meta(&mut txn, addr, &slot_bytes, Category::Dentry)?;
+        txn.write(addr, &slot_bytes, Category::Dentry)?;
         self.persist_inode(&mut txn, &to_inode)?;
         self.persist_bitmaps(&mut txn)?;
         self.commit_txn(txn);

@@ -333,7 +333,7 @@ impl ByteFs {
         };
         let bytes = inode.encode_overflow().expect("needs_overflow checked");
         let addr = lba * self.layout.page_size as u64;
-        self.persist_meta(txn, addr, &bytes, Category::DataPointer)?;
+        txn.write(addr, &bytes, Category::DataPointer)?;
         Ok(())
     }
 

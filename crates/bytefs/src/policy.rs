@@ -12,10 +12,19 @@ pub enum InterfaceChoice {
     Block,
 }
 
+/// Direct I/O requests of at most this many bytes use the byte interface
+/// (§4.6).
+const DIRECT_BYTE_THRESHOLD: usize = 512;
+
+/// Buffered writeback uses the byte interface when the modified ratio is
+/// strictly below this threshold (§4.6).
+const WRITEBACK_RATIO_THRESHOLD: f64 = 1.0 / 8.0;
+
 /// Configuration of a [`crate::ByteFs`] instance.
 ///
 /// The three constructors correspond to the paper's performance-breakdown
-/// variants (Figure 12):
+/// variants (Figure 12); metadata (inodes, bitmaps, dentries, extents) goes
+/// over the byte interface in all of them:
 ///
 /// | Variant | metadata byte | data byte | firmware txn | device mode |
 /// |---|---|---|---|---|
@@ -24,9 +33,6 @@ pub enum InterfaceChoice {
 /// | [`ByteFsConfig::full`] ("ByteFS") | yes | yes | yes | write log |
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ByteFsConfig {
-    /// Persist metadata updates (inodes, bitmaps, dentries, extents) over the
-    /// byte interface instead of rewriting whole blocks.
-    pub metadata_byte_interface: bool,
     /// Allow the byte interface for file data (direct I/O ≤ threshold and
     /// writeback of lightly-modified pages).
     pub data_byte_interface: bool,
@@ -36,12 +42,6 @@ pub struct ByteFsConfig {
     /// Journal file data through the JBD2-style journal in addition to
     /// metadata (the paper's data-journaling mode; off = ordered mode).
     pub data_journaling: bool,
-    /// Direct I/O requests of at most this many bytes use the byte interface
-    /// (§4.6; 512 bytes).
-    pub direct_byte_threshold: usize,
-    /// Buffered writeback uses the byte interface when the modified ratio is
-    /// strictly below this threshold (§4.6; 1/8).
-    pub writeback_ratio_threshold: f64,
     /// Host page cache capacity in pages.
     pub page_cache_pages: usize,
 }
@@ -56,12 +56,9 @@ impl ByteFsConfig {
     /// The complete ByteFS design.
     pub fn full() -> Self {
         Self {
-            metadata_byte_interface: true,
             data_byte_interface: true,
             firmware_transactions: true,
             data_journaling: false,
-            direct_byte_threshold: 512,
-            writeback_ratio_threshold: 1.0 / 8.0,
             page_cache_pages: 64 << 10, // 256 MB of 4 KB pages
         }
     }
@@ -102,7 +99,7 @@ impl ByteFsConfig {
     /// Interface choice for a direct-I/O request of `len` bytes (§4.6: ≤ 512 B
     /// uses cachelines, larger requests use blocks).
     pub fn direct_io_choice(&self, len: usize) -> InterfaceChoice {
-        if self.data_byte_interface && len <= self.direct_byte_threshold {
+        if self.data_byte_interface && len <= DIRECT_BYTE_THRESHOLD {
             InterfaceChoice::Byte
         } else {
             InterfaceChoice::Block
@@ -112,18 +109,7 @@ impl ByteFsConfig {
     /// Interface choice for writing back a dirty page whose modified ratio is
     /// `ratio` (§4.6: R < 1/8 → byte interface).
     pub fn writeback_choice(&self, ratio: f64) -> InterfaceChoice {
-        if self.data_byte_interface && ratio < self.writeback_ratio_threshold {
-            InterfaceChoice::Byte
-        } else {
-            InterfaceChoice::Block
-        }
-    }
-
-    /// Interface choice for persisting a metadata update of `len` bytes.
-    /// With the dual interface disabled everything falls back to whole-block
-    /// writes (the Figure 12 "Ext4-like" lower bound).
-    pub fn metadata_choice(&self, _len: usize) -> InterfaceChoice {
-        if self.metadata_byte_interface {
+        if self.data_byte_interface && ratio < WRITEBACK_RATIO_THRESHOLD {
             InterfaceChoice::Byte
         } else {
             InterfaceChoice::Block
@@ -145,7 +131,6 @@ mod tests {
         assert_eq!(c.writeback_choice(0.124), InterfaceChoice::Byte);
         assert_eq!(c.writeback_choice(0.125), InterfaceChoice::Block);
         assert_eq!(c.writeback_choice(1.0), InterfaceChoice::Block);
-        assert_eq!(c.metadata_choice(64), InterfaceChoice::Byte);
         assert_eq!(c.required_dram_mode(), mssd::DramMode::WriteLog);
     }
 
@@ -154,7 +139,6 @@ mod tests {
         let c = ByteFsConfig::dual_only();
         assert_eq!(c.direct_io_choice(64), InterfaceChoice::Block);
         assert_eq!(c.writeback_choice(0.01), InterfaceChoice::Block);
-        assert_eq!(c.metadata_choice(64), InterfaceChoice::Byte);
         assert!(!c.firmware_transactions);
         assert_eq!(c.required_dram_mode(), mssd::DramMode::PageCache);
     }

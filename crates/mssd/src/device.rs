@@ -358,7 +358,7 @@ impl Mssd {
     }
 
     /// The device's trace sink (see [`crate::trace`]). Drain it after a
-    /// traced run to export Perfetto JSON or a text op trace.
+    /// traced run to export Perfetto JSON.
     pub fn trace_sink(&self) -> &crate::trace::TraceSink {
         self.stats.trace()
     }
@@ -463,10 +463,7 @@ impl Mssd {
         txid: Option<TxId>,
         cat: Category,
     ) -> (Result<(), FlashError>, u64) {
-        assert!(
-            addr + data.len() as u64 <= self.cfg.capacity_bytes,
-            "byte_write beyond device capacity"
-        );
+        assert_in_capacity("byte_write", addr, data.len(), self.cfg.capacity_bytes);
         if data.is_empty() {
             return (Ok(()), 0);
         }
@@ -567,7 +564,7 @@ impl Mssd {
         len: usize,
         cat: Category,
     ) -> (Result<Vec<u8>, FlashError>, u64) {
-        assert!(addr + len as u64 <= self.cfg.capacity_bytes, "byte_read beyond device capacity");
+        assert_in_capacity("byte_read", addr, len, self.cfg.capacity_bytes);
         let mut out = Vec::with_capacity(len);
         if len == 0 {
             return (Ok(out), 0);
@@ -586,25 +583,17 @@ impl Mssd {
                     // The whole read-through happens under the page's shard
                     // lock, so a concurrent cleaner step on this page cannot
                     // drain entries between the flash fetch and the overlay.
-                    // `read_range` expects an infallible fetch, so a media
-                    // error is parked outside the closure and re-raised
-                    // after the shard lock drops.
-                    let mut media_err = None;
-                    let (bytes, ns) = self.log.read_range(lpa, in_page, span, || {
-                        match self.flash.read_page(lpa, &self.stats, false) {
-                            Ok(fetched) => fetched,
-                            Err(e) => {
-                                media_err = Some(e);
-                                (vec![0u8; self.cfg.page_size], 0)
-                            }
+                    let fetch = || self.flash.read_page(lpa, &self.stats, false);
+                    match self.log.read_range(lpa, in_page, span, fetch) {
+                        Ok((bytes, ns)) => {
+                            cost += ns;
+                            out.extend_from_slice(&bytes);
                         }
-                    });
-                    cost += ns;
-                    if let Some(e) = media_err {
-                        self.charge(cost);
-                        return (Err(e), cost);
+                        Err(e) => {
+                            self.charge(cost);
+                            return (Err(e), cost);
+                        }
                     }
-                    out.extend_from_slice(&bytes);
                 }
                 DramMode::PageCache => {
                     let mut shard = self.cache.lock_shard(lpa);
@@ -713,7 +702,7 @@ impl Mssd {
         count: usize,
         cat: Category,
     ) -> (Result<Vec<Vec<u8>>, FlashError>, u64) {
-        assert!(lba + count as u64 <= self.logical_pages(), "block_read beyond device capacity");
+        assert_in_capacity("block_read", lba, count, self.logical_pages());
         let page_size = self.cfg.page_size;
         let mut out = Vec::with_capacity(count);
         if count == 0 {
@@ -726,24 +715,19 @@ impl Mssd {
             let lpa = lba + i;
             match self.mode {
                 DramMode::WriteLog => {
-                    let mut media_err = None;
-                    let (page, ns) = self.log.read_range(lpa, 0, page_size, || {
-                        match self.flash.read_page(lpa, &self.stats, false) {
-                            Ok(fetched) => fetched,
-                            Err(e) => {
-                                media_err = Some(e);
-                                (vec![0u8; page_size], 0)
+                    let fetch = || self.flash.read_page(lpa, &self.stats, false);
+                    match self.log.read_range(lpa, 0, page_size, fetch) {
+                        Ok((page, ns)) => {
+                            if ns > 0 {
+                                flash_reads += 1;
                             }
+                            out.push(page);
                         }
-                    });
-                    if let Some(e) = media_err {
-                        self.charge(cost);
-                        return (Err(e), cost);
+                        Err(e) => {
+                            self.charge(cost);
+                            return (Err(e), cost);
+                        }
                     }
-                    if ns > 0 {
-                        flash_reads += 1;
-                    }
-                    out.push(page);
                 }
                 DramMode::PageCache => {
                     let mut shard = self.cache.lock_shard(lpa);
@@ -850,10 +834,7 @@ impl Mssd {
             "block_write length must be a non-zero multiple of the page size"
         );
         let bytes = pages.len() * page_size;
-        assert!(
-            lba + pages.len() as u64 <= self.logical_pages(),
-            "block_write beyond device capacity"
-        );
+        assert_in_capacity("block_write", lba, pages.len(), self.logical_pages());
         if self.flash.is_read_only() {
             return (Err(FlashError::ReadOnly), 0);
         }
@@ -914,6 +895,10 @@ impl Mssd {
 
     /// Marks blocks as unused (TRIM). The FS calls this when freeing data
     /// blocks so the FTL stops relocating dead data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the device capacity.
     pub fn trim(&self, lba: u64, count: usize) {
         let cost = self.exec_trim(lba, count);
         self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
@@ -922,6 +907,7 @@ impl Mssd {
     /// Executor behind [`Mssd::trim`], shared with the batched queue path.
     /// TRIM charges no host-visible latency; returns 0.
     pub(crate) fn exec_trim(&self, lba: u64, count: usize) -> u64 {
+        assert_in_capacity("trim", lba, count, self.logical_pages());
         if self.cfg.fault.is_cut() {
             return 0; // power off: the TRIM never reaches the device
         }
@@ -1516,6 +1502,16 @@ impl SliceDrains {
     }
 }
 
+/// The capacity guard of every addressed command: `[start, start + len)` must
+/// lie inside `limit` (bytes or pages, as `op` addresses), where the sum is
+/// checked — a wrapped end address must not pass as a small one.
+fn assert_in_capacity(op: &str, start: u64, len: usize, limit: u64) {
+    assert!(
+        start.checked_add(len as u64).is_some_and(|end| end <= limit),
+        "{op} beyond device capacity"
+    );
+}
+
 /// The flat-buffer view of a scatter-gather read for callers that want one
 /// `Vec<u8>`: a single page is handed over as it is, longer runs are
 /// concatenated.
@@ -1997,6 +1993,46 @@ mod tests {
         let d = dev(DramMode::WriteLog);
         let cap = d.capacity_bytes();
         d.byte_write(cap - 10, &[0u8; 64], None, Category::Data);
+    }
+
+    /// A range whose end wraps past `u64::MAX` is beyond capacity for every
+    /// addressed executor, through the sync calls and through a queue: an
+    /// unchecked sum wraps to a small end address in release builds and
+    /// passes the guard, so the command would run against LPA 0 and up.
+    #[test]
+    fn wrapping_ranges_are_beyond_device_capacity() {
+        use crate::{queue::Command, PAGE_SIZE};
+        type Case = (&'static str, fn(&Arc<Mssd>));
+        let cases: [Case; 7] = [
+            ("byte_write", |d| {
+                let _ = d.try_byte_write(u64::MAX - 63, &[7; 128], None, Category::Data);
+            }),
+            ("byte_read", |d| {
+                let _ = d.try_byte_read(u64::MAX - 63, 128, Category::Data);
+            }),
+            ("block_read", |d| {
+                let _ = d.try_block_read(u64::MAX, 2, Category::Data);
+            }),
+            ("block_write", |d| {
+                let _ = d.try_block_write(u64::MAX, &[7; 2 * PAGE_SIZE], Category::Data);
+            }),
+            ("trim", |d| d.trim(u64::MAX - 1, 4)),
+            ("trim past the last page", |d| d.trim(d.logical_pages() - 1, 2)),
+            ("queued trim", |d| {
+                let mut q = d.open_queue(4);
+                q.submit(Command::Trim { lba: u64::MAX - 1, count: 4 }).expect("queue has room");
+                q.ring_doorbell();
+            }),
+        ];
+        for (name, case) in cases {
+            let d = dev(DramMode::WriteLog);
+            d.block_write(0, &[5u8; 2 * PAGE_SIZE], Category::Data);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&d)))
+                .expect_err(name);
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("beyond device capacity"), "{name}: panicked with {msg:?}");
+            assert_eq!(d.block_read(0, 2, Category::Data), [5u8; 2 * PAGE_SIZE], "{name}");
+        }
     }
 
     #[test]

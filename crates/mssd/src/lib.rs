@@ -14,9 +14,10 @@
 //!
 //! The firmware side implements the paper's §4.3 design: the device DRAM can be
 //! managed either as a conventional page-granular cache (used by the baseline
-//! file systems) or as a **log-structured write log** indexed by a three-layer
-//! skip list, with background log cleaning, per-transaction commit records
-//! (TxLog), and a `RECOVER()` path that replays committed entries after a crash.
+//! file systems) or as a **log-structured write log** behind a three-layer
+//! index (partition table → ordered page map → chunk list; see [`log`]), with
+//! background log cleaning, per-transaction commit records (TxLog), and a
+//! `RECOVER()` path that replays committed entries after a crash.
 //!
 //! The device executes concurrently along the hardware's own seams, with the
 //! lock order **log shard → txlog → flash channel → L2P stripe** (and
@@ -94,7 +95,6 @@ pub mod ftl;
 pub mod log;
 pub mod queue;
 pub mod reactor;
-pub mod skiplist;
 pub mod stats;
 pub mod trace;
 pub mod txn;
@@ -122,9 +122,7 @@ pub use stats::{
     AtomicTraffic, Category, Interface, QueueLat, StatsSnapshot, TrafficCounter, QUEUE_SLOTS,
 };
 pub use trace::{
-    chrome_trace_json, op_trace_text, parse_op_trace, CtxScope, OpTraceEntry, OpTraceMeta,
-    OpTraceOutcome, ParsedOpTrace, TraceCtx, TraceDump, TraceEvent, TraceKind, TraceSink,
-    OP_TRACE_SCHEMA,
+    chrome_trace_json, CtxScope, TraceCtx, TraceDump, TraceEvent, TraceKind, TraceSink,
 };
 pub use txn::TxId;
 

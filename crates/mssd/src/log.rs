@@ -6,9 +6,16 @@
 //!
 //! 1. a **partition table** dividing the SSD address space into 16 MB
 //!    partitions,
-//! 2. a **skip list per partition** keyed by logical page address (LPA), and
+//! 2. an **ordered page map per partition** keyed by logical page address
+//!    (LPA), and
 //! 3. an **ordered chunk list per page** recording `(offset-in-page, length,
 //!    log offset)` for each data entry.
+//!
+//! Layers 1 and 2 are std `BTreeMap`s (the `Region` alias below). The firmware's
+//! layer 2 is a skip list; it is not modelled, because the model charges no
+//! virtual time for index hops — all layer 2 owes the rest of the device is
+//! ascending-LPA order, which drain order, crash images and their digests
+//! depend on.
 //!
 //! Entries carry the TxID of the transaction that wrote them; log cleaning
 //! merges the newest *committed* version of each chunk into its flash page and
@@ -45,8 +52,8 @@ use parking_lot::Mutex;
 
 use crate::config::MssdConfig;
 use crate::fault::{FaultKind, FaultPlan};
+use crate::flash::FlashError;
 use crate::ftl::Lpa;
-use crate::skiplist::SkipList;
 use crate::stats::CachePadded;
 use crate::txn::TxId;
 use crate::CACHELINE;
@@ -56,7 +63,7 @@ pub const PARTITION_BYTES: u64 = 16 << 20;
 
 /// Fixed per-entry index overhead in bytes (block offset, log offset, length
 /// and TxID, rounded up; the paper reports ~9 B per chunk entry plus
-/// skip-list node overhead).
+/// the firmware's skip-list node overhead).
 pub const ENTRY_OVERHEAD: usize = 16;
 
 /// One byte-granular write buffered in the log region.
@@ -100,6 +107,10 @@ pub struct CleanBatch {
     pub migrated: Vec<(Lpa, ChunkEntry)>,
 }
 
+/// The three-layer index of one log region: partition index → ordered page
+/// map keyed by LPA → chunk list.
+type Region = BTreeMap<u64, BTreeMap<Lpa, Vec<ChunkEntry>>>;
+
 /// The write log: circular data region accounting plus the three-layer index.
 #[derive(Debug)]
 pub struct WriteLog {
@@ -108,9 +119,7 @@ pub struct WriteLog {
     clean_threshold: f64,
     page_size: usize,
     pages_per_partition: u64,
-    /// Layer 1 → Layer 2: partition index → skip list keyed by LPA.
-    /// Layer 3 lives in the skip-list values (chunk lists).
-    partitions: BTreeMap<u64, SkipList<Vec<ChunkEntry>>>,
+    partitions: Region,
     entries: usize,
     seq: u64,
     write_cursor: usize,
@@ -224,7 +233,7 @@ impl WriteLog {
 
     /// Whether any log entries exist for the page.
     pub fn has_page(&self, lpa: Lpa) -> bool {
-        self.partitions.get(&self.partition_of(lpa)).is_some_and(|list| list.contains_key(lpa))
+        self.partitions.get(&self.partition_of(lpa)).is_some_and(|pages| pages.contains_key(&lpa))
     }
 
     /// Returns `true` if the byte range `[offset, offset + len)` of the page is
@@ -236,7 +245,7 @@ impl WriteLog {
     }
 
     fn chunks(&self, lpa: Lpa) -> Option<&Vec<ChunkEntry>> {
-        self.partitions.get(&self.partition_of(lpa))?.get(lpa)
+        self.partitions.get(&self.partition_of(lpa))?.get(&lpa)
     }
 
     /// Applies all log entries for `lpa` onto `page` in sequence order (oldest
@@ -252,12 +261,12 @@ impl WriteLog {
     /// dropped.
     pub fn invalidate_page(&mut self, lpa: Lpa) -> usize {
         let partition = self.partition_of(lpa);
-        let Some(list) = self.partitions.get_mut(&partition) else { return 0 };
-        let Some(chunks) = list.remove(lpa) else { return 0 };
+        let Some(pages) = self.partitions.get_mut(&partition) else { return 0 };
+        let Some(chunks) = pages.remove(&lpa) else { return 0 };
         let freed: usize = chunks.iter().map(ChunkEntry::footprint).sum();
         self.used_bytes -= freed;
         self.entries -= chunks.len();
-        if list.is_empty() {
+        if pages.is_empty() {
             self.partitions.remove(&partition);
         }
         chunks.len()
@@ -265,7 +274,7 @@ impl WriteLog {
 
     /// All page addresses that currently have log entries, in ascending order.
     pub fn dirty_pages(&self) -> Vec<Lpa> {
-        self.partitions.values().flat_map(|list| list.keys()).collect()
+        self.partitions.values().flat_map(|pages| pages.keys().copied()).collect()
     }
 
     /// Drains the entire log for cleaning.
@@ -324,19 +333,8 @@ impl WriteLog {
 /// Pushes one chunk entry onto its page's chunk list in a three-layer index
 /// (shared by [`WriteLog`] and [`ShardedWriteLog`] so the reference model and
 /// the concurrent implementation cannot drift).
-fn push_chunk(
-    partitions: &mut BTreeMap<u64, SkipList<Vec<ChunkEntry>>>,
-    partition: u64,
-    lpa: Lpa,
-    entry: ChunkEntry,
-) {
-    let list = partitions.entry(partition).or_default();
-    match list.get_mut(lpa) {
-        Some(chunks) => chunks.push(entry),
-        None => {
-            list.insert(lpa, vec![entry]);
-        }
-    }
+fn push_chunk(partitions: &mut Region, partition: u64, lpa: Lpa, entry: ChunkEntry) {
+    partitions.entry(partition).or_default().entry(lpa).or_default().push(entry);
 }
 
 /// Splits one page's drained chunks into the committed set to merge into
@@ -441,22 +439,20 @@ fn clip_chunk(u: ChunkEntry, mut shadows: Vec<(usize, usize)>) -> Vec<ChunkEntry
 /// every shard locked. See [`split_page_chunks`] for the
 /// cleaning-vs-recovery semantics of `clip_survivors`.
 fn drain_partitions_into<F>(
-    partitions: BTreeMap<u64, SkipList<Vec<ChunkEntry>>>,
+    partitions: Region,
     is_committed: &F,
     clip_survivors: bool,
     batch: &mut CleanBatch,
 ) where
     F: Fn(TxId) -> bool,
 {
-    for (_, mut list) in partitions {
-        while let Some((lpa, chunks)) = list.pop_first() {
-            let (committed, survivors) = split_page_chunks(chunks, is_committed, clip_survivors);
-            for c in survivors {
-                batch.migrated.push((lpa, c));
-            }
-            if !committed.is_empty() {
-                batch.pages.push((lpa, committed));
-            }
+    for (lpa, chunks) in partitions.into_values().flatten() {
+        let (committed, survivors) = split_page_chunks(chunks, is_committed, clip_survivors);
+        for c in survivors {
+            batch.migrated.push((lpa, c));
+        }
+        if !committed.is_empty() {
+            batch.pages.push((lpa, committed));
         }
     }
 }
@@ -521,13 +517,8 @@ fn merge_refs_into(chunks: &mut [&ChunkEntry], page: &mut [u8]) {
 /// writers per partition-sized region while costing only 16 mutexes.
 pub const LOG_SHARDS: usize = 16;
 
-/// One region of a log shard: partition index → skip list keyed by LPA
-/// (layers 1 and 2 of the paper's index; layer 3 is the chunk lists in the
-/// skip-list values).
-type Region = BTreeMap<u64, SkipList<Vec<ChunkEntry>>>;
-
 /// One shard of the concurrent write-log index: the partitions (and their
-/// skip lists) whose index hashes to this shard, double-buffered into an
+/// page maps) whose index hashes to this shard, double-buffered into an
 /// active and a sealed region.
 #[derive(Debug, Default)]
 struct LogShard {
@@ -550,8 +541,8 @@ impl LogShard {
         lpa: Lpa,
     ) -> (Option<&Vec<ChunkEntry>>, Option<&Vec<ChunkEntry>>) {
         (
-            self.sealed.get(&partition).and_then(|list| list.get(lpa)),
-            self.active.get(&partition).and_then(|list| list.get(lpa)),
+            self.sealed.get(&partition).and_then(|pages| pages.get(&lpa)),
+            self.active.get(&partition).and_then(|pages| pages.get(&lpa)),
         )
     }
 }
@@ -784,20 +775,30 @@ impl ShardedWriteLog {
     /// entries are overlaid. The whole read happens under the page's shard
     /// lock, so a concurrent cleaner (which takes the same shard lock per
     /// page) can never drain entries between the fetch and the overlay.
-    pub fn read_range<F>(&self, lpa: Lpa, offset: usize, len: usize, fetch: F) -> (Vec<u8>, u64)
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fetch` returns (an uncorrectable backing read).
+    pub fn read_range<F>(
+        &self,
+        lpa: Lpa,
+        offset: usize,
+        len: usize,
+        fetch: F,
+    ) -> Result<(Vec<u8>, u64), FlashError>
     where
-        F: FnOnce() -> (Vec<u8>, u64),
+        F: FnOnce() -> Result<(Vec<u8>, u64), FlashError>,
     {
         let shard = self.shards[self.shard_of(lpa)].lock();
         let (sealed, active) = shard.region_chunks(self.partition_of(lpa), lpa);
         if (sealed.is_some() || active.is_some()) && both_cover(sealed, active, offset, len) {
             let mut page = vec![0u8; self.page_size];
             merge_both_into(sealed, active, &mut page);
-            return (page[offset..offset + len].to_vec(), 0);
+            return Ok((page[offset..offset + len].to_vec(), 0));
         }
-        let (mut page, cost) = fetch();
+        let (mut page, cost) = fetch()?;
         merge_both_into(sealed, active, &mut page);
-        (page[offset..offset + len].to_vec(), cost)
+        Ok((page[offset..offset + len].to_vec(), cost))
     }
 
     /// Applies all log entries for `lpa` (both regions) onto `page`
@@ -826,12 +827,12 @@ impl ShardedWriteLog {
         let mut dropped = 0;
         let LogShard { sealed, active } = &mut *shard;
         for region in [sealed, active] {
-            let Some(list) = region.get_mut(&partition) else { continue };
-            let Some(chunks) = list.remove(lpa) else { continue };
+            let Some(pages) = region.get_mut(&partition) else { continue };
+            let Some(chunks) = pages.remove(&lpa) else { continue };
             let freed: usize = chunks.iter().map(ChunkEntry::footprint).sum();
             self.used_bytes.0.fetch_sub(freed, Ordering::Relaxed);
             self.entries.0.fetch_sub(chunks.len(), Ordering::Relaxed);
-            if list.is_empty() {
+            if pages.is_empty() {
                 region.remove(&partition);
             }
             dropped += chunks.len();
@@ -848,7 +849,7 @@ impl ShardedWriteLog {
         for shard in &self.shards {
             let shard = shard.lock();
             for region in [&shard.sealed, &shard.active] {
-                pages.extend(region.values().flat_map(|list| list.keys()));
+                pages.extend(region.values().flat_map(|index| index.keys().copied()));
             }
         }
         pages.sort_unstable();
@@ -924,7 +925,7 @@ impl ShardedWriteLog {
         let is_committed = verdicts();
         let mut step = SealedStep::default();
         while step.pages < max_pages {
-            let Some((&partition, _)) = guard.sealed.iter().next() else { break };
+            let Some(mut first) = guard.sealed.first_entry() else { break };
             // One counted fault step per sealed page about to be migrated: a
             // power cut here leaves the region partially drained (pages not
             // yet migrated stay sealed; pages already merged are in the FTL
@@ -932,13 +933,13 @@ impl ShardedWriteLog {
             if !self.fault.step(FaultKind::SealDrain) {
                 break;
             }
-            let list = guard.sealed.get_mut(&partition).expect("partition present");
-            let Some((lpa, chunks)) = list.pop_first() else {
-                guard.sealed.remove(&partition);
+            let partition = *first.key();
+            let Some((lpa, chunks)) = first.get_mut().pop_first() else {
+                first.remove();
                 continue;
             };
-            if list.is_empty() {
-                guard.sealed.remove(&partition);
+            if first.get().is_empty() {
+                first.remove();
             }
             let drained_count = chunks.len();
             let drained_bytes: usize = chunks.iter().map(ChunkEntry::footprint).sum();
@@ -1048,8 +1049,8 @@ impl ShardedWriteLog {
         for shard in &self.shards {
             let guard = shard.lock();
             for (region, sealed) in [(&guard.sealed, true), (&guard.active, false)] {
-                for list in region.values() {
-                    for (lpa, chunks) in list.iter() {
+                for pages in region.values() {
+                    for (&lpa, chunks) in pages {
                         for c in chunks {
                             out.push(LogEntryImage {
                                 lpa,
@@ -1169,8 +1170,8 @@ impl AllShards<'_> {
             // Fold sealed chunks into the active lists so each page surfaces
             // exactly once in the batch (order is irrelevant: committed
             // chunks are sorted by seq downstream).
-            for (partition, mut list) in sealed {
-                while let Some((lpa, chunks)) = list.pop_first() {
+            for (partition, pages) in sealed {
+                for (lpa, chunks) in pages {
                     for c in chunks {
                         push_chunk(&mut combined, partition, lpa, c);
                     }

@@ -13,7 +13,7 @@
 //!   the firmware, which **coalesces adjacent byte writes** (same
 //!   transaction, same category, contiguous addresses) into single log
 //!   appends before they hit the sharded write log — one shard-lock
-//!   acquisition and one skip-list insert instead of one per command;
+//!   acquisition and one page-map insert instead of one per command;
 //! * completions land in a completion queue (CQ) the host drains
 //!   asynchronously via [`poll`](HostQueue::poll) or blocks on via
 //!   [`wait`](HostQueue::wait), each carrying the command's virtual device

@@ -5,8 +5,8 @@
 //! reactor park/wake, retry backoff, deadline timeout, abort, lane reset, log
 //! seal/drain, GC victim selection, ECC retry rungs, bad-block retirement,
 //! flash programs/reads — into per-thread lock-free bounded ring buffers, and
-//! exports them as Chrome-trace-event JSON (loadable in Perfetto / `ui.perfetto.dev`)
-//! or a one-line-per-command text op trace.
+//! exports them as Chrome-trace-event JSON (loadable in Perfetto /
+//! `ui.perfetto.dev`).
 //!
 //! # Zero overhead when disabled
 //!
@@ -538,218 +538,6 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
     out
 }
 
-/// Schema version stamped into the [`op_trace_text`] header line.
-pub const OP_TRACE_SCHEMA: u64 = 1;
-
-/// Run configuration carried in the op-trace header so a replayer can
-/// validate it is re-driving the trace against a compatible device. The
-/// trace sink itself knows none of these (the seed belongs to the workload,
-/// the geometry to [`crate::MssdConfig`]), so the exporter takes them from
-/// the caller; zero means "unknown" and is accepted by any consumer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpTraceMeta {
-    /// Workload RNG seed the traced run used.
-    pub seed: u64,
-    /// Device capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Device page size in bytes.
-    pub page_size: u64,
-}
-
-impl OpTraceMeta {
-    /// Captures the device geometry from a config, with the workload seed.
-    pub fn new(seed: u64, cfg: &crate::MssdConfig) -> Self {
-        Self { seed, capacity_bytes: cfg.capacity_bytes, page_size: cfg.page_size as u64 }
-    }
-}
-
-/// Outcome of one traced command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpTraceOutcome {
-    /// Completed successfully.
-    Ok,
-    /// Completed with an error status.
-    Error,
-    /// Resolved by a host-side abort.
-    Abort,
-}
-
-impl OpTraceOutcome {
-    /// The outcome's serialized token (`ok`/`error`/`abort`).
-    pub fn label(self) -> &'static str {
-        match self {
-            OpTraceOutcome::Ok => "ok",
-            OpTraceOutcome::Error => "error",
-            OpTraceOutcome::Abort => "abort",
-        }
-    }
-}
-
-/// One parsed op-trace line: a command outcome with its attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpTraceEntry {
-    /// Virtual-clock timestamp of the outcome.
-    pub vclock_ns: u64,
-    /// Host queue id.
-    pub queue: u16,
-    /// Tenant / workload shard id.
-    pub tenant: u16,
-    /// Command id.
-    pub cmd: u64,
-    /// How the command resolved.
-    pub outcome: OpTraceOutcome,
-    /// Submit-to-outcome virtual latency.
-    pub lat_ns: u64,
-}
-
-/// A parsed op trace: the optional header metadata (absent for traces
-/// exported before the header existed) plus every command-outcome line.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParsedOpTrace {
-    /// Header metadata, when the trace carried the `#optrace` header line.
-    pub meta: Option<OpTraceMeta>,
-    /// Command outcomes in file order (virtual-clock order as exported).
-    pub entries: Vec<OpTraceEntry>,
-}
-
-/// Renders a dump as a text op trace: a `#optrace` header line carrying the
-/// schema version and the run configuration (seed, device geometry), then
-/// one line per command outcome (completion or abort) — virtual timestamp,
-/// queue, tenant, command id, outcome, latency. This is the capture half of
-/// the trace-replay pipeline: stable, grep-able, diff-able across runs, and
-/// readable back via [`parse_op_trace`].
-pub fn op_trace_text(dump: &TraceDump, meta: &OpTraceMeta) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "#optrace v{} seed={:#x} capacity_bytes={} page_size={}",
-        OP_TRACE_SCHEMA, meta.seed, meta.capacity_bytes, meta.page_size
-    );
-    let mut submit: std::collections::BTreeMap<(u16, u64), u64> = std::collections::BTreeMap::new();
-    for ev in &dump.events {
-        match ev.kind {
-            TraceKind::SqSubmit if ev.cmd != 0 => {
-                submit.insert((ev.queue, ev.cmd), ev.vclock_ns);
-            }
-            TraceKind::CqComplete | TraceKind::Abort if ev.cmd != 0 => {
-                let lat = submit
-                    .remove(&(ev.queue, ev.cmd))
-                    .map(|s| ev.vclock_ns.saturating_sub(s))
-                    .unwrap_or(ev.a);
-                let outcome = match ev.kind {
-                    TraceKind::Abort => OpTraceOutcome::Abort,
-                    _ if ev.b != 0 => OpTraceOutcome::Error,
-                    _ => OpTraceOutcome::Ok,
-                };
-                let _ = writeln!(
-                    out,
-                    "{} q={} tenant={} cmd={} {} lat_ns={}",
-                    ev.vclock_ns,
-                    ev.queue,
-                    ev.tenant,
-                    ev.cmd,
-                    outcome.label(),
-                    lat
-                );
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Parses the value of a `key=` field, accepting decimal or `0x` hex.
-fn parse_field_u64(field: &str, key: &str) -> Result<u64, String> {
-    let v = field.strip_prefix(key).ok_or_else(|| format!("expected `{key}...`, got {field:?}"))?;
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|e| format!("bad {key} value {v:?}: {e}"))
-}
-
-/// Parses an op trace exported by [`op_trace_text`] back into entries.
-///
-/// Accepts both the current headered form and the original headerless form
-/// (traces exported before the `#optrace` header existed parse with
-/// `meta: None`). Other `#`-prefixed lines and blank lines are skipped, so
-/// annotated or concatenated traces stay readable.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line on a malformed header or
-/// entry, or on an unsupported schema version.
-pub fn parse_op_trace(text: &str) -> Result<ParsedOpTrace, String> {
-    let mut trace = ParsedOpTrace::default();
-    for (n, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("#optrace ") {
-            let mut fields = rest.split_ascii_whitespace();
-            let version = fields.next().unwrap_or("");
-            let v: u64 = version
-                .strip_prefix('v')
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("line {}: bad op-trace version {version:?}", n + 1))?;
-            if v > OP_TRACE_SCHEMA {
-                return Err(format!(
-                    "line {}: op-trace schema v{v} is newer than supported v{OP_TRACE_SCHEMA}",
-                    n + 1
-                ));
-            }
-            let mut meta = OpTraceMeta::default();
-            for field in fields {
-                if field.starts_with("seed=") {
-                    meta.seed = parse_field_u64(field, "seed=")
-                        .map_err(|e| format!("line {}: {e}", n + 1))?;
-                } else if field.starts_with("capacity_bytes=") {
-                    meta.capacity_bytes = parse_field_u64(field, "capacity_bytes=")
-                        .map_err(|e| format!("line {}: {e}", n + 1))?;
-                } else if field.starts_with("page_size=") {
-                    meta.page_size = parse_field_u64(field, "page_size=")
-                        .map_err(|e| format!("line {}: {e}", n + 1))?;
-                }
-                // Unknown header fields are ignored: older parsers must keep
-                // reading traces from newer minor revisions.
-            }
-            trace.meta = Some(meta);
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what} in {line:?}", n + 1);
-        let mut fields = line.split_ascii_whitespace();
-        let vclock_ns: u64 = fields
-            .next()
-            .and_then(|f| f.parse().ok())
-            .ok_or_else(|| err("bad virtual timestamp"))?;
-        let queue = parse_field_u64(fields.next().unwrap_or(""), "q=").map_err(|e| err(&e))?;
-        let tenant =
-            parse_field_u64(fields.next().unwrap_or(""), "tenant=").map_err(|e| err(&e))?;
-        let cmd = parse_field_u64(fields.next().unwrap_or(""), "cmd=").map_err(|e| err(&e))?;
-        let outcome = match fields.next() {
-            Some("ok") => OpTraceOutcome::Ok,
-            Some("error") => OpTraceOutcome::Error,
-            Some("abort") => OpTraceOutcome::Abort,
-            _ => return Err(err("bad outcome")),
-        };
-        let lat_ns =
-            parse_field_u64(fields.next().unwrap_or(""), "lat_ns=").map_err(|e| err(&e))?;
-        trace.entries.push(OpTraceEntry {
-            vclock_ns,
-            queue: queue as u16,
-            tenant: tenant as u16,
-            cmd,
-            outcome,
-            lat_ns,
-        });
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,77 +655,5 @@ mod tests {
         assert!(json.contains(r#""pid":3"#));
         assert!(json.contains(r#""name":"flash_program""#));
         assert!(json.ends_with('}'));
-    }
-
-    #[test]
-    fn op_trace_lists_command_outcomes_under_a_header() {
-        let (sink, clock) = sink_with_clock();
-        sink.set_enabled(true);
-        let _scope = CtxScope::enter(ctx().with_queue(2).with_tenant(9).with_cmd(7));
-        sink.emit(TraceKind::SqSubmit, 0, 0);
-        clock.advance(1234);
-        sink.emit(TraceKind::CqComplete, 1234, 0);
-        let meta = OpTraceMeta { seed: 0x2a, capacity_bytes: 1 << 24, page_size: 4096 };
-        let text = op_trace_text(&sink.drain(), &meta);
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "#optrace v1 seed=0x2a capacity_bytes=16777216 page_size=4096"
-        );
-        assert_eq!(lines.next().unwrap(), "1234 q=2 tenant=9 cmd=7 ok lat_ns=1234");
-        assert_eq!(lines.next(), None);
-    }
-
-    #[test]
-    fn op_trace_round_trips_through_the_parser() {
-        let (sink, clock) = sink_with_clock();
-        sink.set_enabled(true);
-        let _scope = CtxScope::enter(ctx().with_queue(3).with_tenant(1).with_cmd(11));
-        sink.emit(TraceKind::SqSubmit, 0, 0);
-        clock.advance(500);
-        sink.emit(TraceKind::CqComplete, 500, 1); // error status
-        {
-            let _inner = CtxScope::enter(ctx().with_cmd(12));
-            sink.emit(TraceKind::SqSubmit, 0, 0);
-            clock.advance(80);
-            sink.emit(TraceKind::Abort, 80, 0);
-        }
-        let meta = OpTraceMeta { seed: 7, capacity_bytes: 1 << 30, page_size: 4096 };
-        let parsed = parse_op_trace(&op_trace_text(&sink.drain(), &meta)).unwrap();
-        assert_eq!(parsed.meta, Some(meta));
-        assert_eq!(parsed.entries.len(), 2);
-        assert_eq!(
-            parsed.entries[0],
-            OpTraceEntry {
-                vclock_ns: 500,
-                queue: 3,
-                tenant: 1,
-                cmd: 11,
-                outcome: OpTraceOutcome::Error,
-                lat_ns: 500,
-            }
-        );
-        assert_eq!(parsed.entries[1].outcome, OpTraceOutcome::Abort);
-        assert_eq!(parsed.entries[1].cmd, 12);
-    }
-
-    #[test]
-    fn parser_reads_legacy_headerless_traces() {
-        let text =
-            "1234 q=2 tenant=9 cmd=7 ok lat_ns=1234\n9999 q=0 tenant=0 cmd=8 error lat_ns=5\n";
-        let parsed = parse_op_trace(text).unwrap();
-        assert_eq!(parsed.meta, None, "pre-header traces carry no metadata");
-        assert_eq!(parsed.entries.len(), 2);
-        assert_eq!(parsed.entries[1].outcome, OpTraceOutcome::Error);
-    }
-
-    #[test]
-    fn parser_skips_comments_and_rejects_garbage_and_future_schemas() {
-        assert!(parse_op_trace("# a comment\n\n").unwrap().entries.is_empty());
-        let err = parse_op_trace("not a trace line").unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
-        let err = parse_op_trace("#optrace v99 seed=0x0").unwrap_err();
-        assert!(err.contains("newer than supported"), "{err}");
-        assert!(parse_op_trace("1 q=2 tenant=3 cmd=4 exploded lat_ns=5").is_err());
     }
 }

@@ -7,10 +7,7 @@
 use std::collections::BTreeSet;
 
 use mssd::queue::Command;
-use mssd::{
-    chrome_trace_json, op_trace_text, parse_op_trace, Category, DramMode, Mssd, MssdConfig,
-    OpTraceMeta, TraceKind, PAGE_SIZE,
-};
+use mssd::{chrome_trace_json, Category, DramMode, Mssd, MssdConfig, TraceKind, PAGE_SIZE};
 
 /// Drives a few block writes and byte writes through a host queue, ringing
 /// the doorbell once at the end; returns final virtual time.
@@ -83,21 +80,10 @@ fn traced_command_journey_shares_one_track() {
     assert!(t(TraceKind::SqSubmit) <= t(TraceKind::Doorbell));
     assert!(t(TraceKind::Doorbell) <= t(TraceKind::CqComplete));
 
-    // Both export formats produce non-trivial output keyed by the command.
+    // The export is keyed by the command: one complete span per submit.
     let json = chrome_trace_json(&dump);
     assert!(json.contains(&format!("\"name\":\"cmd {first_cmd}\"")), "span missing");
-    assert!(json.contains("\"ph\":\"X\""));
-    let meta = OpTraceMeta::new(0, &MssdConfig::small_test());
-    let text = op_trace_text(&dump, &meta);
-    assert!(text.starts_with("#optrace v1 "), "header line first: {text:?}");
-    assert!(text.lines().count() >= 8, "header plus one op-trace line per completed command");
-    assert!(text.contains(&format!("cmd={first_cmd} ok")));
-    // The exported trace must read back through the ingest half: same entry
-    // count, and the header's geometry survives the round trip.
-    let parsed = parse_op_trace(&text).expect("exported op trace parses");
-    assert_eq!(parsed.entries.len(), text.lines().count() - 1);
-    assert_eq!(parsed.meta, Some(meta));
-    assert!(parsed.entries.iter().any(|e| e.cmd == first_cmd));
+    assert_eq!(json.matches("\"ph\":\"X\"").count(), submits.len(), "one span per command");
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //!
 //! The `mssd::trace` pipeline (PR 9) captures what the *device* saw — every
 //! NVMe-style command with timestamps and outcomes, exported by
-//! [`mssd::op_trace_text`] and read back by [`mssd::parse_op_trace`]. That
-//! format is ideal for inspecting one run but cannot be re-driven against a
-//! *different* file system: a device command stream encodes one fs
-//! implementation's private layout decisions. This module records one level
-//! up, at the [`FileSystem`] boundary, where the op stream (`create`,
-//! `write`, `fsync`, `rename`, ...) is implementation-neutral:
+//! [`mssd::chrome_trace_json`]. That is ideal for inspecting one run but
+//! cannot be re-driven against a *different* file system: a device command
+//! stream encodes one fs implementation's private layout decisions. This
+//! module records one level up, at the [`FileSystem`] boundary, where the op
+//! stream (`create`, `write`, `fsync`, `rename`, ...) is
+//! implementation-neutral:
 //!
 //! * [`RecordingFs`] wraps any `FileSystem` and logs every call — op kind,
 //!   paths, handle identity, offsets, byte-exact payloads, the ambient
