@@ -1,8 +1,7 @@
-//! The unified bench-report JSON schema shared by every benchmark binary
-//! and consumed by the `bench_compare` CI gate.
+//! The unified bench-report JSON schema every registered bench returns and
+//! `bench gate` / `bench compare` consume.
 //!
-//! Every bench that commits a `BENCH_*.json` artifact writes a
-//! [`BenchReport`]: a `schema_version` tag, the bench name, the scale
+//! Every bench produces a [`BenchReport`]: a `schema_version` tag, the bench name, the scale
 //! factor and host parallelism the run was produced under, a flat list of
 //! [`BenchEntry`] rows keyed by a stable string (e.g. `"bytefs/t4"` or
 //! `"qd16/t4"`), and a `summary` map of report-level scalars (e.g.
@@ -41,13 +40,25 @@ pub struct BenchEntry {
     pub extra: BTreeMap<String, f64>,
 }
 
+impl BenchEntry {
+    /// An entry with the given key and `extra` scalars and no first-class
+    /// metric (set those with struct-update syntax).
+    pub fn new(key: impl Into<String>, extra: &[(&str, f64)]) -> Self {
+        Self {
+            key: key.into(),
+            extra: extra.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            ..Self::default()
+        }
+    }
+}
+
 /// A full bench report in the unified schema.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] for freshly written reports).
     pub schema_version: u64,
-    /// Bench name (`"mt_scale"`, `"fs_scale"`, `"gc_pause"`,
-    /// `"recovery_time"`, `"qd_sweep"`).
+    /// Bench name: a registry row's, or the artifact's (`"paper"`) when
+    /// several rows share one.
     pub bench: String,
     /// Scale factor the run used.
     pub scale: f64,
@@ -79,6 +90,42 @@ impl BenchReport {
         self.entries.iter().find(|e| e.key == key)
     }
 
+    /// Renders the entries as a markdown table: one row per entry, one
+    /// column per first-class metric any entry sets and per `extra` key any
+    /// entry carries (in order of first appearance, `-` where an entry has
+    /// none), then the summary scalars on one line.
+    pub fn table(&self) -> String {
+        let cells = |e: &BenchEntry| -> Vec<(String, f64)> {
+            let (tput, p99, p999) = (e.throughput_ops_s, e.p99_ns as f64, e.p999_ns as f64);
+            let first_class = [("throughput_ops_s", tput), ("p99_ns", p99), ("p999_ns", p999)];
+            let set = first_class.into_iter().filter(|(_, v)| *v > 0.0);
+            let extra = e.extra.iter().map(|(k, v)| (k.as_str(), *v));
+            set.chain(extra).map(|(k, v)| (k.to_string(), v)).collect()
+        };
+        let rows: Vec<_> = self.entries.iter().map(cells).collect();
+        let mut columns: Vec<&str> = Vec::new();
+        for (name, _) in rows.iter().flatten() {
+            if !columns.contains(&name.as_str()) {
+                columns.push(name);
+            }
+        }
+        let mut s =
+            format!("| entry | {} |\n|{}\n", columns.join(" | "), "---|".repeat(columns.len() + 1));
+        for (e, cells) in self.entries.iter().zip(&rows) {
+            let value = |c: &&str| {
+                cells.iter().find(|(k, _)| k == c).map_or("-".into(), |(_, v)| fmt_num(*v))
+            };
+            let row: Vec<String> = columns.iter().map(value).collect();
+            let _ = writeln!(s, "| {} | {} |", e.key, row.join(" | "));
+        }
+        if !self.summary.is_empty() {
+            let cells: Vec<String> =
+                self.summary.iter().map(|(k, v)| format!("{k} = {}", fmt_num(*v))).collect();
+            let _ = writeln!(s, "\nsummary: {}", cells.join(", "));
+        }
+        s
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -97,18 +144,13 @@ impl BenchReport {
                 e.p99_ns,
                 e.p999_ns
             );
-            for (j, (k, v)) in e.extra.iter().enumerate() {
-                let _ =
-                    write!(s, "{}{}: {}", if j > 0 { ", " } else { "" }, json_str(k), json_f64(*v));
-            }
+            s.push_str(&json_pairs(&e.extra));
             s.push_str("}}");
             s.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
         }
         s.push_str("  ],\n");
         s.push_str("  \"summary\": {");
-        for (j, (k, v)) in self.summary.iter().enumerate() {
-            let _ = write!(s, "{}{}: {}", if j > 0 { ", " } else { "" }, json_str(k), json_f64(*v));
-        }
+        s.push_str(&json_pairs(&self.summary));
         s.push_str("}\n}\n");
         s
     }
@@ -147,7 +189,7 @@ impl BenchReport {
         if let Some(Json::Array(entries)) = obj.get("entries") {
             for e in entries {
                 let eo = e.as_object().ok_or("entry is not an object")?;
-                let mut entry = BenchEntry {
+                let entry = BenchEntry {
                     key: eo
                         .get("key")
                         .and_then(Json::as_str)
@@ -159,25 +201,12 @@ impl BenchReport {
                         .unwrap_or(0.0),
                     p99_ns: eo.get("p99_ns").and_then(Json::as_u64).unwrap_or(0),
                     p999_ns: eo.get("p999_ns").and_then(Json::as_u64).unwrap_or(0),
-                    extra: BTreeMap::new(),
+                    extra: numbers(eo.get("extra")),
                 };
-                if let Some(Json::Object(extra)) = eo.get("extra") {
-                    for (k, v) in extra {
-                        if let Some(f) = v.as_f64() {
-                            entry.extra.insert(k.clone(), f);
-                        }
-                    }
-                }
                 report.entries.push(entry);
             }
         }
-        if let Some(Json::Object(summary)) = obj.get("summary") {
-            for (k, v) in summary {
-                if let Some(f) = v.as_f64() {
-                    report.summary.insert(k.clone(), f);
-                }
-            }
-        }
+        report.summary = numbers(obj.get("summary"));
         Ok(report)
     }
 
@@ -196,6 +225,29 @@ impl BenchReport {
 /// by it, so reports carry it for comparability.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Formats a table cell: integers plainly, everything else to the three
+/// decimals the wall-clock benches round to.
+pub fn fmt_num(v: f64) -> String {
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v:.3}")
+    }
+}
+
+/// The numeric members of a JSON object (`extra`, `summary`).
+fn numbers(object: Option<&Json>) -> BTreeMap<String, f64> {
+    let Some(Json::Object(members)) = object else { return BTreeMap::new() };
+    members.iter().filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f))).collect()
+}
+
+/// `"k": v, "k2": v2` for a scalar map.
+fn json_pairs(map: &BTreeMap<String, f64>) -> String {
+    let pairs: Vec<String> =
+        map.iter().map(|(k, v)| format!("{}: {}", json_str(k), json_f64(*v))).collect();
+    pairs.join(", ")
 }
 
 fn json_str(s: &str) -> String {

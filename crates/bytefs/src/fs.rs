@@ -309,12 +309,6 @@ impl ByteFs {
         self.device.recover()
     }
 
-    /// Number of in-flight plus committed host transactions (observability;
-    /// lock-free).
-    pub fn committed_transactions(&self) -> u64 {
-        self.txtable.committed()
-    }
-
     /// Number of allocated data/metadata blocks (observability; lock-free).
     pub fn allocated_blocks(&self) -> u64 {
         self.block_bitmap.allocated()

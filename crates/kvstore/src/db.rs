@@ -133,11 +133,6 @@ impl Db {
         Ok(Self { fs, dir: dir.to_string(), options, state: Mutex::new(state) })
     }
 
-    /// The file system this database runs on.
-    pub fn file_system(&self) -> &Arc<dyn FileSystem> {
-        &self.fs
-    }
-
     /// One consistent snapshot for the crash-consistency checker: the WAL
     /// validation result plus the memtable's current contents (see the
     /// [`fskit::check::CrashConsistent`] impl in [`crate::wal`]).

@@ -255,12 +255,6 @@ impl FlashArray {
     pub fn max_wear(&self) -> u64 {
         self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0)
     }
-
-    /// Number of bytes of page data currently resident (for memory accounting
-    /// in tests).
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * self.page_size
-    }
 }
 
 /// The slice of the NAND array owned by **one** flash channel.

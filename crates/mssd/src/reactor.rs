@@ -442,13 +442,6 @@ pub struct JoinHandle<T> {
     shared: Arc<JoinShared<T>>,
 }
 
-impl<T> JoinHandle<T> {
-    /// Whether the task has finished (its output may already be taken).
-    pub fn is_finished(&self) -> bool {
-        self.shared.slot.lock().expect("join slot").result.is_some()
-    }
-}
-
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
@@ -563,11 +556,6 @@ impl Reactor {
             quarantined: AtomicU64::new(0),
             command_timeout_ns: AtomicU64::new(DEFAULT_COMMAND_TIMEOUT_NS),
         })
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Sets the per-command deadline armed at SQ submission (relative,

@@ -482,11 +482,6 @@ impl TrafficCounter {
         self.queues.get(&id).cloned().unwrap_or_default()
     }
 
-    /// Commands completed across every queue slot, including the sync shim.
-    pub fn queue_ops_total(&self) -> u64 {
-        self.queues.values().map(|q| q.ops).sum()
-    }
-
     /// Per-category breakdown of host traffic for one direction, as
     /// `(category, bytes)` pairs in display order, omitting zero rows.
     pub fn breakdown(&self, dir: Direction) -> Vec<(Category, u64)> {

@@ -563,11 +563,6 @@ impl RecordingFs {
         self.state.lock().expect("recording state").measured = measured;
     }
 
-    /// Number of records captured so far.
-    pub fn recorded_ops(&self) -> usize {
-        self.state.lock().expect("recording state").records.len()
-    }
-
     /// Consumes the recorder, producing the trace under `meta`.
     pub fn into_trace(self, meta: TraceMeta) -> OpTrace {
         OpTrace { meta, records: self.state.into_inner().expect("recording state").records }
@@ -871,7 +866,7 @@ impl Default for ReplayConfig {
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// Metrics of the measured phase, same shape as a live run's — per-op
-    /// latencies live in the log-linear histograms, so `bench_compare` can
+    /// latencies live in the log-linear histograms, so `bench compare` can
     /// diff two replays entry-for-entry. One caveat: `ops` counts measured
     /// trace records (individual file-system calls), where the recording
     /// harness counts the workload's *logical* ops (a "create" op is four
