@@ -100,10 +100,11 @@ pub const GATES: &[Gate] = &[
          "channel-parallel flash path failed the 4-thread scaling gate"),
     gate("qd_sweep", Summary("qd16_vs_qd1_t4"), AtLeast, 1.3, 4,
          "batched qd=16 submission failed to beat qd=1 sync at 4 threads"),
-    gate("c10k", Summary("best_vs_qd64"), AtLeast, 0.95, 2,
-         "async client fan-in fell behind in-run thread-per-queue qd=64"),
-    gate("c10k", P99("c1000"), AtMost, 500_000_000.0, 2,
-         "c1000 batch p99 unbounded (over 500 ms)"),
+    // One driver thread on each side, so these hold on any host.
+    gate("c10k", Summary("best_vs_qd64"), AtLeast, 0.95, 0,
+         "async fan-in on one thread fell behind one sync thread at qd=64"),
+    gate("c10k", P99("c1000"), AtMost, 500_000_000.0, 0,
+         "c1000 batch p99 on one thread unbounded (over 500 ms)"),
     gate("gc_pause", Summary("p99_ratio_on_vs_off"), AtMost, 2.0, 2,
          "background cleaning leaks onto the foreground path"),
     gate("media_fault", Summary("cost_ratio_fault_vs_clean"), AtMost, 1.25, 2,
@@ -317,10 +318,10 @@ mod tests {
          "mt_scale: channel-parallel flash path failed the 4-thread scaling gate: 1.250 < 1.5"),
         ("qd_sweep", "qd16_vs_qd1_t4 >= 1.3 on >= 4 CPUs", 4, 1.1,
          "qd_sweep: batched qd=16 submission failed to beat qd=1 sync at 4 threads: 1.100 < 1.3"),
-        ("c10k", "best_vs_qd64 >= 0.95 on >= 2 CPUs", 2, 0.9,
-         "c10k: async client fan-in fell behind in-run thread-per-queue qd=64: 0.900 < 0.95"),
-        ("c10k", "c1000 p99_ns <= 500000000 on >= 2 CPUs", 2, 500_000_001.0,
-         "c10k: c1000 batch p99 unbounded (over 500 ms): 500000001 > 500000000"),
+        ("c10k", "best_vs_qd64 >= 0.95", 0, 0.9,
+         "c10k: async fan-in on one thread fell behind one sync thread at qd=64: 0.900 < 0.95"),
+        ("c10k", "c1000 p99_ns <= 500000000", 0, 500_000_001.0,
+         "c10k: c1000 batch p99 on one thread unbounded (over 500 ms): 500000001 > 500000000"),
         ("gc_pause", "p99_ratio_on_vs_off <= 2 on >= 2 CPUs", 2, 2.5,
          "gc_pause: background cleaning leaks onto the foreground path: 2.500 > 2"),
         ("media_fault", "cost_ratio_fault_vs_clean <= 1.25 on >= 2 CPUs", 2, 1.3,

@@ -83,7 +83,7 @@ pub const BENCHES: &[Bench] = &[
     // Full scale: the per-batch runtime overhead amortizes over real op
     // counts, and the whole sweep still finishes in well under a minute.
     bench("c10k", Wall, "BENCH_c10k.json", 1.0,
-          "1k/4k/10k async clients vs thread-per-queue qd=64", c10k::run),
+          "1k/4k/10k async clients on one thread vs one sync thread at qd=64", c10k::run),
     bench("gc_pause", Wall, "BENCH_gc_pause.json", 0.2,
           "foreground byte-write latency with log cleaning active vs idle", gc_pause::run),
     bench("media_fault", Wall, "BENCH_media_fault.json", 0.3,

@@ -1,9 +1,10 @@
-//! `c10k`: 1k/4k/10k logical clients as futures on [`mssd::Runtime`] over at
-//! most 8 executor threads, against thread-per-queue qd=64 submission
-//! re-measured *in this bench* with the same generator and op budget (wall
-//! numbers are not portable between hosts, so the `cN_vs_qd64` ratios compare
-//! like with like). The reported p99 is the wall latency of a sampled batch
-//! from submission to resolution, time parked on a full SQ *included*. Why it
+//! `c10k`: 1k/4k/10k logical clients as futures on [`mssd::Runtime`], driven
+//! by the one thread that calls `block_on`, against one thread submitting
+//! qd=64 batches synchronously, re-measured *in this bench* with the same
+//! generator and op budget (wall numbers are not portable between hosts, so
+//! the `cN_vs_qd64` ratios compare like with like: one driver thread on each
+//! side). The reported p99 is the wall latency of a sampled batch from
+//! submission to resolution, time parked on a full SQ *included*. Why it
 //! exists and what its artifacts do and do not show: `DESIGN.md`.
 
 use std::sync::Arc;
@@ -15,8 +16,8 @@ use mssd::{DramMode, Mssd, MssdConfig, Runtime, TxId};
 use workloads::{Histogram, Scale};
 
 use super::qd_sweep::thread_stream;
-use crate::drive::{best_of, drive_batched, round3, timed_threads, CmdGen, LAT_SAMPLE};
-use crate::{host_cpus, BenchEntry, BenchReport};
+use crate::drive::{best_of, drive_batched, round3, CmdGen, LAT_SAMPLE};
+use crate::{BenchEntry, BenchReport};
 
 /// Total commands per configuration at scale 1.0, split across clients.
 const OPS_TOTAL: usize = 1_920_000;
@@ -91,8 +92,8 @@ async fn drive_client(rt: Runtime, client: usize, ops: usize) -> (Histogram, u64
 }
 
 /// The in-bench reference: the committed-best synchronous shape, qd=64
-/// batched submission with one OS thread per queue (qd_sweep's drive loop
-/// and, at 240k ops per thread, its transaction-id spacing).
+/// batched submission on the calling thread (qd_sweep's drive loop and its
+/// transaction-id spacing).
 fn drive_sync_thread(dev: &Arc<Mssd>, thread: usize, ops: usize) -> Histogram {
     drive_batched(dev, &mut thread_stream(thread, 24, WINDOW_BYTES), REF_QD, ops)
 }
@@ -106,12 +107,12 @@ fn fresh_device(warm_ops: usize) -> Arc<Mssd> {
     dev
 }
 
-/// One timed async run: `clients` futures over `workers` executor threads.
-/// Returns (wall seconds, sampled batch latency histogram).
-fn timed_async(clients: usize, workers: usize, total_ops: usize) -> (f64, Histogram) {
+/// One timed async run: `clients` futures driven by this thread. Returns
+/// (wall seconds, sampled batch latency histogram).
+fn timed_async(clients: usize, total_ops: usize) -> (f64, Histogram) {
     let ops_per_client = (total_ops / clients).max(16);
     let dev = fresh_device(total_ops / 10);
-    let rt = Runtime::new(&dev, workers, LANES, DEPTH);
+    let rt = Runtime::new(&dev, LANES, DEPTH);
     let start = Instant::now();
     let handles: Vec<_> =
         (0..clients).map(|c| rt.spawn(drive_client(rt.clone(), c, ops_per_client))).collect();
@@ -128,39 +129,32 @@ fn timed_async(clients: usize, workers: usize, total_ops: usize) -> (f64, Histog
     (wall, lat)
 }
 
-/// One timed sync-reference run: qd=64, one thread per queue.
-fn timed_sync(threads: usize, total_ops: usize) -> (f64, Histogram) {
-    let ops = (total_ops / threads).max(16);
+/// One timed sync-reference run: qd=64 on this thread.
+fn timed_sync(total_ops: usize) -> (f64, Histogram) {
     let dev = fresh_device(total_ops / 10);
-    let (wall, lats) = timed_threads(threads, |t| drive_sync_thread(&dev, t, ops));
-    let mut lat = Histogram::new();
-    lats.iter().for_each(|l| lat.merge(l));
-    (wall, lat)
+    let start = Instant::now();
+    let lat = drive_sync_thread(&dev, 0, total_ops);
+    (start.elapsed().as_secs_f64(), lat)
 }
 
 pub(crate) fn run(scale: Scale) -> BenchReport {
     // The floor keeps smoke runs long enough to measure work, not timer
     // noise, while still giving every client at least one batch.
     let total_ops = ((OPS_TOTAL as f64 * scale.factor()) as usize).max(160_000);
-    // On a single-CPU host a background worker thread only adds scheduler
-    // thrash; caller-driven mode (the block_on thread doubles as the one
-    // worker) is both the honest and the fast configuration there.
-    let workers = if host_cpus() > 1 { host_cpus().min(8) } else { 0 };
-    let ref_threads = host_cpus().min(8);
     // Bring the CPU out of idle so the first configuration is not penalized.
-    let _ = timed_async(64, workers, total_ops / 8);
+    let _ = timed_async(64, total_ops / 8);
 
-    // The thread-per-queue reference, then the async sweep: (entry key,
-    // clients, threads, best run).
-    let sync = best_of(REPEATS, || timed_sync(ref_threads, total_ops), |run| run.0);
-    let mut runs = vec![(format!("qd64/t{ref_threads}"), ref_threads, ref_threads, sync)];
+    // The one-thread synchronous reference, then the async sweep: (entry
+    // key, clients, best run).
+    let sync = best_of(REPEATS, || timed_sync(total_ops), |run| run.0);
+    let mut runs = vec![("qd64/t1".to_string(), 1, sync)];
     for clients in CLIENTS {
-        let run = best_of(REPEATS, || timed_async(clients, workers, total_ops), |run| run.0);
-        runs.push((format!("c{clients}"), clients, workers, run));
+        let run = best_of(REPEATS, || timed_async(clients, total_ops), |run| run.0);
+        runs.push((format!("c{clients}"), clients, run));
     }
     let mut report = BenchReport::new("c10k", scale.factor());
     let mut reference = 0.0;
-    for (i, (key, clients, threads, (wall, lat))) in runs.into_iter().enumerate() {
+    for (i, (key, clients, (wall, lat))) in runs.into_iter().enumerate() {
         let ops = (total_ops / clients).max(16) * clients;
         let ops_per_sec = ops as f64 / wall;
         if i == 0 {
@@ -176,7 +170,7 @@ pub(crate) fn run(scale: Scale) -> BenchReport {
                 key,
                 &[
                     ("clients", clients as f64),
-                    ("threads", threads as f64),
+                    ("threads", 1.0),
                     ("total_ops", ops as f64),
                     ("wall_ms", round3(wall * 1e3)),
                     ("vs_qd64", round3(ops_per_sec / reference)),

@@ -37,7 +37,7 @@ fn capture(config: &str, log_bytes: usize, ops: usize) -> BenchEntry {
     // Warm up maps and the allocator outside the measured loop.
     for _ in 0..(ops / 20).max(500) {
         let addr = (rng.next() % slots) * 64;
-        dev.byte_write(addr, &payload[..64], None, Category::Data);
+        dev.try_byte_write(addr, &payload[..64], None, Category::Data).unwrap();
     }
     dev.reset_stats();
     // O(1) histogram recording inside the measured loop — no per-op
@@ -47,7 +47,7 @@ fn capture(config: &str, log_bytes: usize, ops: usize) -> BenchEntry {
         let addr = (rng.next() % slots) * 64;
         let len = 64 * (1 + (rng.next() % 4) as usize);
         let t0 = Instant::now();
-        dev.byte_write(addr, &payload[..len], None, Category::Data);
+        dev.try_byte_write(addr, &payload[..len], None, Category::Data).unwrap();
         lat.record(t0.elapsed().as_nanos() as u64);
     }
     // Quiesce before snapshotting so the cleaning counters include the pass

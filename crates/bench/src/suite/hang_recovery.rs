@@ -54,8 +54,8 @@ fn hang_plan() -> HangFaultPlan {
     })
 }
 
-/// Drives the seeded stream once through the zero-worker runtime (the
-/// driving thread pumps the executor, so the run — and with it every
+/// Drives the seeded stream once through the async runtime (the calling
+/// thread pumps the executor, so the run — and with it every
 /// virtual-clock number — is deterministic) and returns its report entry.
 fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     let mut cfg = MssdConfig::small_test();
@@ -70,7 +70,7 @@ fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     let block_base = (16u64 << 20) / page_size;
 
     let start = Instant::now();
-    let rt = Runtime::new(&dev, 0, LANES, DEPTH);
+    let rt = Runtime::new(&dev, LANES, DEPTH);
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let reactor = Arc::clone(rt.reactor());

@@ -79,15 +79,16 @@ fn timed_run(read_error_rate: f64, ops: usize) -> (f64, u64) {
     }
     let dev = Mssd::new(cfg, DramMode::WriteLog);
     for p in 0..PAGES {
-        dev.block_write(BLOCK_BASE + p, &vec![(p % 251) as u8 + 1; 4096], Category::Data);
+        dev.try_block_write(BLOCK_BASE + p, &vec![(p % 251) as u8 + 1; 4096], Category::Data)
+            .unwrap();
     }
     for slot in 0..SLOTS {
-        dev.byte_write(slot * 64, &[(slot % 251) as u8 + 1; 64], None, Category::Data);
+        dev.try_byte_write(slot * 64, &[(slot % 251) as u8 + 1; 64], None, Category::Data).unwrap();
     }
     // Drain the write log so byte reads exercise flash, and exclude the
     // pre-population from the measurement.
     dev.seal_log_regions();
-    dev.flush();
+    dev.try_flush().unwrap();
     dev.reset_stats();
     drive(&dev, ops)
 }

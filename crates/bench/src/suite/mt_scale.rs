@@ -62,17 +62,17 @@ fn drive_blocks(dev: &Mssd, t: usize, ops: usize) {
     let mut rng = XorShift(0x0051_CADE ^ (t as u64) << 32 | 1);
     let page_buf = vec![0xB5u8; 4096];
     for p in 0..pages {
-        dev.block_write(base + p, &page_buf, Category::Data);
+        dev.try_block_write(base + p, &page_buf, Category::Data).unwrap();
     }
     for i in 0..ops {
         match i % 8 {
             0 | 1 => {
-                dev.block_write(base + rng.below(pages), &page_buf, Category::Data);
+                dev.try_block_write(base + rng.below(pages), &page_buf, Category::Data).unwrap();
             }
-            2 if i % 512 == 2 => dev.flush(),
+            2 if i % 512 == 2 => dev.try_flush().unwrap(),
             _ => {
                 let lba = base + rng.below(pages);
-                std::hint::black_box(dev.block_read(lba, 1, Category::Data));
+                std::hint::black_box(dev.try_block_read(lba, 1, Category::Data).unwrap());
             }
         }
     }
@@ -92,18 +92,18 @@ fn drive_bytes(dev: &Mssd, t: usize, ops: usize, commits: bool) {
                 let addr = base + rng.below(slots) * 64;
                 let len = 64 * (1 + rng.below(4) as usize);
                 let txid = commits.then_some(tx);
-                dev.byte_write(addr, &payload[..len], txid, Category::Inode);
+                dev.try_byte_write(addr, &payload[..len], txid, Category::Inode).unwrap();
             }
             // A larger data write (half a KB).
             5 => {
                 let addr = base + rng.below(slots / 8) * 512;
-                dev.byte_write(addr, &payload[..512], None, Category::Data);
+                dev.try_byte_write(addr, &payload[..512], None, Category::Data).unwrap();
             }
             // Read back a recently writable range (usually log-resident).
             6 => {
                 let addr = base + rng.below(slots) * 64;
                 let len = 64 * (1 + rng.below(4) as usize);
-                std::hint::black_box(dev.byte_read(addr, len, Category::Inode));
+                std::hint::black_box(dev.try_byte_read(addr, len, Category::Inode).unwrap());
             }
             // Commit the running transaction (write-log firmware only).
             _ => {

@@ -291,15 +291,16 @@ pub(crate) fn table1(scale: Scale) -> BenchReport {
         work();
         (clock.now_ns() - t0) as f64
     };
-    let write_ns = timed(&|| dev.byte_write(0, &[0u8; 64], None, Category::Other));
-    let read_ns = timed(&|| drop(dev.byte_read(0, 64, Category::Other)));
+    let write_ns = timed(&|| dev.try_byte_write(0, &[0u8; 64], None, Category::Other).unwrap());
+    let read_ns = timed(&|| drop(dev.try_byte_read(0, 64, Category::Other).unwrap()));
 
     let pages = 8192u64;
     let buf = vec![0u8; 4096];
     let seq_write_ns =
-        timed(&|| (0..pages).for_each(|i| dev.block_write(i, &buf, Category::Other)));
-    let seq_read_ns =
-        timed(&|| (0..pages).for_each(|i| drop(dev.block_read(i, 1, Category::Other))));
+        timed(&|| (0..pages).for_each(|i| dev.try_block_write(i, &buf, Category::Other).unwrap()));
+    let seq_read_ns = timed(&|| {
+        (0..pages).for_each(|i| drop(dev.try_block_read(i, 1, Category::Other).unwrap()))
+    });
     // bytes per virtual ns = GB per virtual s.
     let gb_per_s = |ns: f64| (pages * 4096) as f64 / ns;
 

@@ -34,7 +34,7 @@ const WINDOW_BYTES: u64 = 4 << 20;
 const REPEATS: usize = 5;
 
 /// Thread `thread`'s command stream: its own partition, RNG seed and 2^20
-/// transaction ids. `c10k`'s thread-per-queue reference drives the same
+/// transaction ids. `c10k`'s one-thread reference drives the same
 /// shape over a smaller window.
 pub(crate) fn thread_stream(thread: usize, seed_shift: u32, window_bytes: u64) -> CmdGen {
     CmdGen::new(
@@ -49,9 +49,11 @@ pub(crate) fn thread_stream(thread: usize, seed_shift: u32, window_bytes: u64) -
 /// baseline: exactly what the file systems do today).
 fn apply_sync(dev: &Mssd, cmd: Command) {
     match cmd {
-        Command::ByteWrite { addr, data, txid, cat } => dev.byte_write(addr, &data, txid, cat),
+        Command::ByteWrite { addr, data, txid, cat } => {
+            dev.try_byte_write(addr, &data, txid, cat).unwrap()
+        }
         Command::ByteRead { addr, len, cat } => {
-            std::hint::black_box(dev.byte_read(addr, len, cat));
+            std::hint::black_box(dev.try_byte_read(addr, len, cat).unwrap());
         }
         Command::Commit { txid } => dev.commit(txid),
         _ => unreachable!("the sweep only generates byte ops and commits"),

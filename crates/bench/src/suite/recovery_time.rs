@@ -44,7 +44,7 @@ fn measure(cfg: &MssdConfig, depth: usize, entries: usize) -> BenchEntry {
         let addr = data_base + page * cfg.page_size as u64 + line * ENTRY_BYTES as u64;
         let uncommitted = i % 64 == 63;
         let txid = if uncommitted { TxId(u32::MAX) } else { tx };
-        dev.byte_write(addr, &[i as u8; ENTRY_BYTES], Some(txid), Category::Data);
+        dev.try_byte_write(addr, &[i as u8; ENTRY_BYTES], Some(txid), Category::Data).unwrap();
         batch += 1;
         if batch == 32 {
             dev.commit(tx);

@@ -47,7 +47,7 @@ fn traced_run() -> mssd::TraceDump {
     }
     q.ring_doorbell();
     for i in 0..32u64 {
-        dev.block_write(64 + i, &vec![(i % 251) as u8; PAGE_SIZE], Category::Data);
+        dev.try_block_write(64 + i, &vec![(i % 251) as u8; PAGE_SIZE], Category::Data).unwrap();
     }
     dev.quiesce_cleaning();
     dev.trace_sink().drain()

@@ -128,18 +128,6 @@ impl BitmapAllocator {
         }
     }
 
-    /// Allocates up to `count` objects, contiguous when possible.
-    pub fn allocate_many(&mut self, count: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            match self.allocate() {
-                Some(idx) => out.push(idx),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Marks a specific object allocated (used for reserved objects such as
     /// the root inode). Returns `false` if it was already allocated.
     pub fn allocate_at(&mut self, idx: u64) -> bool {
@@ -418,7 +406,7 @@ mod tests {
     #[test]
     fn next_fit_tends_to_be_contiguous() {
         let mut a = BitmapAllocator::new(1000);
-        let blocks = a.allocate_many(10);
+        let blocks: Vec<u64> = (0..10).map(|_| a.allocate().unwrap()).collect();
         for pair in blocks.windows(2) {
             assert_eq!(pair[1], pair[0] + 1);
         }

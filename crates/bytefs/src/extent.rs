@@ -31,7 +31,8 @@ impl Extent {
     pub fn encode(&self) -> [u8; EXTENT_SIZE] {
         let mut out = [0u8; EXTENT_SIZE];
         out[..6].copy_from_slice(&self.file_block.to_le_bytes()[..6]);
-        out[6..8].copy_from_slice(&(self.len.min(u16::MAX as u32) as u16).to_le_bytes());
+        let len = u16::try_from(self.len).expect("ExtentTree keeps len within the on-device u16");
+        out[6..8].copy_from_slice(&len.to_le_bytes());
         out[8..16].copy_from_slice(&self.start_lba.to_le_bytes());
         out
     }
@@ -135,7 +136,10 @@ impl ExtentTree {
         // Try to prepend to the following extent.
         if pos < self.extents.len() {
             let next = &mut self.extents[pos];
-            if file_block + 1 == next.file_block && lba + 1 == next.start_lba {
+            if file_block + 1 == next.file_block
+                && lba + 1 == next.start_lba
+                && next.len < u16::MAX as u32
+            {
                 next.file_block = file_block;
                 next.start_lba = lba;
                 next.len += 1;
@@ -242,6 +246,20 @@ mod tests {
         t.insert(4, 104);
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(4), Some(104));
+    }
+
+    #[test]
+    fn prepend_to_a_full_extent_starts_a_new_one() {
+        // The on-device length is 16 bits: growing a 65 535-block extent at
+        // its front must not produce a length that cannot be encoded.
+        let full = Extent { file_block: 1, start_lba: 101, len: u16::MAX as u32 };
+        let mut t = ExtentTree::from_extents(vec![full]);
+        t.insert(0, 100);
+        let decoded = t.extents().iter().map(|e| Extent::decode(&e.encode()).unwrap()).collect();
+        let remounted = ExtentTree::from_extents(decoded);
+        for block in 0..=u16::MAX as u64 {
+            assert_eq!(remounted.lookup(block), Some(100 + block), "file block {block}");
+        }
     }
 
     #[test]

@@ -801,7 +801,7 @@ mod tests {
         let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
         let data = pattern(64 << 10, 0);
         fs.write_file("/seq", &data).unwrap();
-        dev.flush(); // program the pages, so the cold read really reaches NAND
+        dev.try_flush().unwrap(); // program the pages, so the cold read really reaches NAND
         fs.drop_caches();
         let fd = fs.open("/seq", OpenFlags::read_only()).unwrap();
         let before = (dev.traffic(), dev.clock().now_ns());

@@ -125,19 +125,6 @@ impl Layout {
         self.inode_table_start + ino / self.inodes_per_page()
     }
 
-    /// Device byte address of the 64-byte inode-bitmap group containing `ino`.
-    pub fn inode_bitmap_group_addr(&self, ino: u64) -> u64 {
-        let group = ino / (DENTRY_SIZE as u64 * 8);
-        self.inode_bitmap_start * self.page_size as u64 + group * DENTRY_SIZE as u64
-    }
-
-    /// Device byte address of the 64-byte block-bitmap group containing the
-    /// data-area page `page` (an absolute LBA).
-    pub fn block_bitmap_group_addr(&self, page: u64) -> u64 {
-        let group = page / (DENTRY_SIZE as u64 * 8);
-        self.block_bitmap_start * self.page_size as u64 + group * DENTRY_SIZE as u64
-    }
-
     /// Converts a data-area-relative block index to an absolute device LBA.
     pub fn data_lba(&self, data_block: u64) -> u64 {
         self.data_start + data_block
@@ -188,18 +175,14 @@ mod tests {
 
     #[test]
     fn bitmap_group_addresses_are_cacheline_aligned() {
+        // Bitmaps are persisted in 64-byte groups of 512 bits, group `g` at
+        // `start * page_size + g * 64`: the group of the last inode and of
+        // the last device page must end inside its bitmap region.
         let l = layout();
-        for ino in [0u64, 1, 511, 512, 1000] {
-            let addr = l.inode_bitmap_group_addr(ino);
-            assert_eq!(addr % 64, 0);
-            assert!(addr >= l.inode_bitmap_start * 4096);
-        }
-        for page in [0u64, 513, 2047] {
-            let addr = l.block_bitmap_group_addr(page);
-            assert_eq!(addr % 64, 0);
-            assert!(addr >= l.block_bitmap_start * 4096);
-            assert!(addr < (l.block_bitmap_start + l.block_bitmap_pages) * 4096);
-        }
+        let group_end = |last_bit: u64| (last_bit / 512 + 1) * 64;
+        assert!(group_end(l.inode_count - 1) <= l.inode_bitmap_pages * 4096);
+        assert!(group_end(l.total_pages - 1) <= l.block_bitmap_pages * 4096);
+        assert_eq!(l.page_size % 64, 0);
     }
 
     #[test]

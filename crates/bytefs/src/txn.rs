@@ -247,7 +247,7 @@ mod tests {
         assert!(txn.commit().is_none());
         assert_eq!(dev.traffic().tx_commits, 0);
         // The data is still durable in device DRAM.
-        assert_eq!(dev.byte_read(0, 64, Category::Dentry), vec![5u8; 64]);
+        assert_eq!(dev.try_byte_read(0, 64, Category::Dentry).unwrap(), vec![5u8; 64]);
     }
 
     #[test]

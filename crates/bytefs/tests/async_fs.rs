@@ -1,7 +1,10 @@
-//! Interleaving integration test: many logical clients, each a future on a
-//! handful of [`mssd::Executor`] worker threads, drive one shared sync
-//! [`ByteFs`] and yield between calls; the results must be exactly what a
-//! sequential client would have produced.
+//! Interleaving integration test: many logical clients, each a future on the
+//! one-thread [`mssd::Executor`], drive one shared sync [`ByteFs`] and yield
+//! between calls; the results must be exactly what a sequential client would
+//! have produced. What it checks is per-call interleaving at the yield points
+//! — FIFO, so the same schedule every run. Thread parallelism is the subject
+//! of `tests/{concurrency,lock_interleave}.rs` here and
+//! `tests/concurrent_differential.rs` at the workspace root.
 
 use std::sync::Arc;
 
@@ -27,11 +30,11 @@ fn concurrent_async_clients_share_one_bytefs() {
     const FILES: usize = 6;
 
     let (_dev, fs) = new_fs();
-    let exec = Executor::new(3);
+    let exec = Executor::new();
 
     // Each client owns one directory and round-trips its own files; it
     // yields after every file-system call, so the 24 clients interleave per
-    // operation over 3 worker threads.
+    // operation, round-robin.
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let fs = Arc::clone(&fs);

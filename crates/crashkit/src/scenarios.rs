@@ -139,14 +139,16 @@ impl Scenario for DeviceStress {
                 0..=39 => {
                     let slot = rng.below(SLOTS);
                     let tag = 1 + (rng.below(250)) as u8;
-                    dev.byte_write(slot * 64, &[tag; 64], None, Category::Data);
+                    dev.try_byte_write(slot * 64, &[tag; 64], None, Category::Data)
+                        .expect("no media fault planned");
                     touched_lines.push((slot, tag));
                 }
                 // Transactional write; every 4th op of this kind commits.
                 40..=59 => {
                     let slot = rng.below(SLOTS);
                     let tag = 1 + (rng.below(250)) as u8;
-                    dev.byte_write(slot * 64, &[tag; 64], Some(tx), Category::Inode);
+                    dev.try_byte_write(slot * 64, &[tag; 64], Some(tx), Category::Inode)
+                        .expect("no media fault planned");
                     pending.push((slot, tag));
                     if pending.len() >= 4 {
                         committing = true;
@@ -162,7 +164,8 @@ impl Scenario for DeviceStress {
                     let page = 1 + rng.below(SLOTS / 64);
                     let tag = 1 + (rng.below(250)) as u8;
                     let addr = page * 4096 - 64;
-                    dev.byte_write(addr, &[tag; 128], None, Category::Data);
+                    dev.try_byte_write(addr, &[tag; 128], None, Category::Data)
+                        .expect("no media fault planned");
                     touched_lines.push((page * 64 - 1, tag));
                     touched_lines.push((page * 64, tag));
                 }
@@ -171,11 +174,12 @@ impl Scenario for DeviceStress {
                     let start = rng.below(BLOCK_PAGES - 2);
                     let count = 1 + rng.below(3);
                     let tag = 1 + (rng.below(250)) as u8;
-                    dev.block_write(
+                    dev.try_block_write(
                         BLOCK_BASE + start,
                         &vec![tag; (count * 4096) as usize],
                         Category::Data,
-                    );
+                    )
+                    .expect("no media fault planned");
                     for p in start..start + count {
                         touched_pages.push((p, tag));
                     }
@@ -189,7 +193,7 @@ impl Scenario for DeviceStress {
                 // Seal every shard's active log region.
                 90..=94 => dev.seal_log_regions(),
                 // NVMe FLUSH.
-                _ => dev.flush(),
+                _ => dev.try_flush().expect("no media fault planned"),
             }
             if dev.fault_tripped() {
                 // The cut landed inside this op: everything it touched is in
@@ -298,7 +302,8 @@ impl Oracle for DeviceOracle {
             ));
         }
         for (&slot, &expect) in &self.lines {
-            let got = dev.byte_read(slot * 64, 64, Category::Data);
+            let got =
+                dev.try_byte_read(slot * 64, 64, Category::Data).expect("no media fault planned");
             let tag = got[0];
             if !got.iter().all(|b| *b == tag) {
                 v.push(Violation::new(
@@ -313,7 +318,9 @@ impl Oracle for DeviceOracle {
             }
         }
         for (&page, &expect) in &self.pages {
-            let got = dev.block_read(BLOCK_BASE + page, 1, Category::Data);
+            let got = dev
+                .try_block_read(BLOCK_BASE + page, 1, Category::Data)
+                .expect("no media fault planned");
             let tag = got[0];
             if !got.iter().all(|b| *b == tag) {
                 v.push(Violation::new(
@@ -328,7 +335,7 @@ impl Oracle for DeviceOracle {
             }
         }
         for (&lba, &expect) in &self.pages_abs {
-            let got = dev.block_read(lba, 1, Category::Data);
+            let got = dev.try_block_read(lba, 1, Category::Data).expect("no media fault planned");
             let tag = got[0];
             if !got.iter().all(|b| *b == tag) {
                 v.push(Violation::new(
@@ -629,9 +636,9 @@ const ASYNC_SLOTS: u64 = 48;
 const ASYNC_PAGES: u64 = 6;
 
 /// Async-runtime crash scenario: `ASYNC_CLIENTS` logical clients submit
-/// seeded command batches as futures through one [`mssd::Runtime`] in
-/// deterministic zero-worker mode — the enumerating thread drives the
-/// executor, so the same seed replays the same interleaving exactly. The
+/// seeded command batches as futures through one [`mssd::Runtime`] — the
+/// enumerating thread drives the executor, so the same seed replays the
+/// same interleaving exactly. The
 /// clients share `ASYNC_LANES` reactor lanes of depth `ASYNC_DEPTH`,
 /// which keeps submitters parking for capacity; the power cut therefore
 /// lands with futures in every terminal state the runtime distinguishes,
@@ -678,7 +685,7 @@ impl Scenario for DeviceAsyncStress {
     }
 
     fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
-        let rt = mssd::Runtime::new(dev, 0, ASYNC_LANES, ASYNC_DEPTH);
+        let rt = mssd::Runtime::new(dev, ASYNC_LANES, ASYNC_DEPTH);
         let page_size = dev.page_size() as u64;
         let block_base = (16u64 << 20) / page_size; // partition 1
         let rounds = self.rounds;
@@ -1431,7 +1438,7 @@ impl Oracle for BaselineOracle {
         // PageCache mode: recovery is a no-op scan, but flushing the
         // battery-backed cache pages to flash must leave the FTL coherent.
         dev.recover();
-        dev.flush();
+        dev.try_flush().expect("no media fault planned");
         for problem in dev.check_consistency() {
             v.push(Violation::new("mssd-ftl", problem));
         }
@@ -1702,10 +1709,10 @@ const HANG_SLOTS: u64 = 48;
 const HANG_PAGES: u64 = 6;
 
 /// Fail-slow crash scenario: `HANG_CLIENTS` logical clients drive seeded
-/// command streams through one [`mssd::Runtime`] in deterministic
-/// zero-worker mode against a device whose [`mssd::HangFaultPlan`] injects
-/// bounded and unbounded stalls, lost completions and lane wedges at the
-/// host queue. Every command rides [`mssd::Reactor::submit_with_retry`]: a
+/// command streams through one [`mssd::Runtime`] (deterministic: the
+/// calling thread drives it) against a device whose [`mssd::HangFaultPlan`]
+/// injects bounded and unbounded stalls, lost completions and lane wedges at
+/// the host queue. Every command rides [`mssd::Reactor::submit_with_retry`]: a
 /// hang resolves through the deadline wheel (timeout → abort → typed
 /// `Aborted` completion) and the shared [`mssd::RetryPolicy`] resubmits it
 /// after a seeded backoff on the virtual clock, re-routing around
@@ -1829,7 +1836,7 @@ impl Scenario for HangStress {
     }
 
     fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
-        let rt = mssd::Runtime::new(dev, 0, HANG_LANES, HANG_DEPTH);
+        let rt = mssd::Runtime::new(dev, HANG_LANES, HANG_DEPTH);
         let page_size = dev.page_size() as u64;
         let block_base = (16u64 << 20) / page_size; // partition 1
         let rounds = self.rounds;

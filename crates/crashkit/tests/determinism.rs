@@ -33,8 +33,8 @@ fn same_cut_produces_the_same_image_and_recovery() {
 
 #[test]
 fn async_runtime_cuts_are_deterministic() {
-    // The zero-worker executor runs every client future on the enumerating
-    // thread in FIFO order, so the async scenario replays bit-exactly.
+    // The executor runs every client future on the enumerating thread in
+    // FIFO order, so the async scenario replays bit-exactly.
     let e = Enumerator::new(DeviceAsyncStress::quick());
     let seed = 0xA51C;
     let total = e.count_steps(seed);

@@ -125,7 +125,7 @@ fn hang_faults_are_deterministic_per_seed() {
     // Same hang seed + same op stream -> same injected hangs, same recovery
     // actions (timeouts / aborts / resets / retries) and the same
     // post-power-cycle digest. Cleaning must stay off: the runtime is
-    // zero-worker deterministic only without the racing cleaner thread.
+    // deterministic only without the racing cleaner thread.
     let scenario = HangStress::quick();
     for seed in [0x5EED_u64, 0xFEED_FACE] {
         let (ia, ra, da, va) = run_hang(&scenario, false, seed);

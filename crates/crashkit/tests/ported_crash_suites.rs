@@ -118,8 +118,15 @@ fn crash_recovery_with_sealed_undrained_regions() {
                 let base = t as u64 * PARTITION_BYTES;
                 let committed_tx = TxId(((t as u32) << 8) | 1);
                 let lost_tx = TxId(((t as u32) << 8) | 2);
-                dev.byte_write(base, &[0xA0 + t as u8; 64], Some(committed_tx), Category::Data);
-                dev.byte_write(base + 4096, &[0xB0 + t as u8; 64], Some(lost_tx), Category::Data);
+                dev.try_byte_write(base, &[0xA0 + t as u8; 64], Some(committed_tx), Category::Data)
+                    .unwrap();
+                dev.try_byte_write(
+                    base + 4096,
+                    &[0xB0 + t as u8; 64],
+                    Some(lost_tx),
+                    Category::Data,
+                )
+                .unwrap();
                 dev.commit(committed_tx);
             })
         })
@@ -147,12 +154,12 @@ fn crash_recovery_with_sealed_undrained_regions() {
     for t in 0..THREADS as u64 {
         let base = t * PARTITION_BYTES;
         assert_eq!(
-            dev.byte_read(base, 64, Category::Data),
+            dev.try_byte_read(base, 64, Category::Data).unwrap(),
             vec![0xA0 + t as u8; 64],
             "committed write of thread {t} survives"
         );
         assert_eq!(
-            dev.byte_read(base + 4096, 64, Category::Data),
+            dev.try_byte_read(base + 4096, 64, Category::Data).unwrap(),
             vec![0u8; 64],
             "uncommitted write of thread {t} is discarded"
         );

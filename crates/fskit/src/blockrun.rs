@@ -110,7 +110,7 @@ mod tests {
         batch.flush(&dev, Category::Data).unwrap();
         assert_eq!(dev.traffic().delta_since(&before).block_requests, 3);
         for (lba, page) in [100u64, 101, 102, 200, 103, 104].into_iter().zip(&pages) {
-            assert_eq!(&dev.block_read(lba, 1, Category::Data), page);
+            assert_eq!(&dev.try_block_read(lba, 1, Category::Data).unwrap(), page);
         }
         // Flushing emptied the batch.
         let before = dev.traffic();

@@ -187,8 +187,8 @@ mod tests {
             dev.page_size() as u64
         );
         // Destination blocks contain the data.
-        assert_eq!(dev.block_read(100, 1, Category::Inode), block(1, &dev));
-        assert_eq!(dev.block_read(101, 1, Category::Bitmap), block(2, &dev));
+        assert_eq!(dev.try_block_read(100, 1, Category::Inode).unwrap(), block(1, &dev));
+        assert_eq!(dev.try_block_read(101, 1, Category::Bitmap).unwrap(), block(2, &dev));
 
         let s = journal.stats();
         assert_eq!(s.transactions, 1);
@@ -204,9 +204,12 @@ mod tests {
         journal.commit(&updates, false).unwrap();
         assert_eq!(journal.stats().checkpointed_blocks, 0);
         // Destination untouched until checkpoint.
-        assert_eq!(dev.block_read(200, 1, Category::Inode), vec![0u8; dev.page_size()]);
+        assert_eq!(
+            dev.try_block_read(200, 1, Category::Inode).unwrap(),
+            vec![0u8; dev.page_size()]
+        );
         journal.checkpoint(&updates).unwrap();
-        assert_eq!(dev.block_read(200, 1, Category::Inode), block(7, &dev));
+        assert_eq!(dev.try_block_read(200, 1, Category::Inode).unwrap(), block(7, &dev));
     }
 
     #[test]

@@ -444,11 +444,6 @@ impl ShardedPageCache {
         &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Zero-copy handle to a resident page.
     pub fn get(&self, inode: u64, index: u64) -> Option<PageRef> {
         self.shard(inode, index).lock().get(inode, index)
@@ -793,7 +788,6 @@ mod tests {
     #[test]
     fn sharded_cache_behaves_like_one_cache() {
         let c = ShardedPageCache::new(4, 64, PS, true);
-        assert_eq!(c.shard_count(), 4);
         for ino in 0..8u64 {
             c.insert_clean(ino, 0, vec![ino as u8; PS]);
         }

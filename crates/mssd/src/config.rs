@@ -143,9 +143,6 @@ pub struct MssdConfig {
     /// pulled into rotation; once spares and free blocks are exhausted the
     /// device degrades to read-only.
     pub spare_blocks_per_channel: usize,
-    /// Maximum read retries (ladder rungs after the initial read) before a
-    /// corrupted page is declared an uncorrectable error (UECC).
-    pub read_retry_limit: u32,
 }
 
 impl Default for MssdConfig {
@@ -184,7 +181,6 @@ impl MssdConfig {
             media: MediaFaultPlan::disabled(),
             hang: HangFaultPlan::disabled(),
             spare_blocks_per_channel: 4,
-            read_retry_limit: 4,
         }
     }
 
@@ -214,7 +210,6 @@ impl MssdConfig {
             media: MediaFaultPlan::disabled(),
             hang: HangFaultPlan::disabled(),
             spare_blocks_per_channel: 2,
-            read_retry_limit: 4,
         }
     }
 
@@ -233,20 +228,6 @@ impl MssdConfig {
     /// Sets the DRAM region (write log / device cache) size.
     pub fn with_dram_region(mut self, bytes: usize) -> Self {
         self.dram_region_bytes = bytes;
-        self
-    }
-
-    /// Sets the flash read/write latency in nanoseconds.
-    pub fn with_flash_latency(mut self, read_ns: u64, write_ns: u64) -> Self {
-        self.flash_read_ns = read_ns;
-        self.flash_write_ns = write_ns;
-        self
-    }
-
-    /// Sets the byte-interface cacheline read/write latency in nanoseconds.
-    pub fn with_byte_latency(mut self, read_ns: u64, write_ns: u64) -> Self {
-        self.byte_read_ns = read_ns;
-        self.byte_write_ns = write_ns;
         self
     }
 
@@ -273,12 +254,6 @@ impl MssdConfig {
     /// [`crate::fault::HangFaultPlan`]).
     pub fn with_hang_fault_plan(mut self, plan: HangFaultPlan) -> Self {
         self.hang = plan;
-        self
-    }
-
-    /// Sets the spare-block reserve per channel.
-    pub fn with_spare_blocks(mut self, per_channel: usize) -> Self {
-        self.spare_blocks_per_channel = per_channel;
         self
     }
 
@@ -470,28 +445,19 @@ mod tests {
         let c = MssdConfig::small_test();
         assert!(!c.media.is_enabled());
         assert!(c.spare_blocks_per_channel > 0);
-        assert!(c.read_retry_limit > 0);
         assert!(!c.hang.is_enabled());
         let armed = c
             .with_media_fault_plan(crate::fault::MediaFaultPlan::rates(1, 0.1, 0.0, 0.0))
-            .with_hang_fault_plan(crate::fault::HangFaultPlan::rates(1, 0.01, 0.0, 0.0))
-            .with_spare_blocks(3);
+            .with_hang_fault_plan(crate::fault::HangFaultPlan::rates(1, 0.01, 0.0, 0.0));
         assert!(armed.media.is_enabled());
         assert!(armed.hang.is_enabled());
-        assert_eq!(armed.spare_blocks_per_channel, 3);
         assert!(armed.validate().is_ok());
     }
 
     #[test]
     fn builder_methods_update_fields() {
-        let c = MssdConfig::default()
-            .with_capacity(1 << 30)
-            .with_dram_region(64 << 20)
-            .with_flash_latency(3_000, 80_000)
-            .with_byte_latency(175, 175);
+        let c = MssdConfig::default().with_capacity(1 << 30).with_dram_region(64 << 20);
         assert_eq!(c.capacity_bytes, 1 << 30);
         assert_eq!(c.dram_region_bytes, 64 << 20);
-        assert_eq!(c.flash_read_ns, 3_000);
-        assert_eq!(c.byte_write_ns, 175);
     }
 }

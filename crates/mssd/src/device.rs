@@ -425,17 +425,7 @@ impl Mssd {
     ///
     /// # Panics
     ///
-    /// Panics if the address range exceeds the device capacity, or on a
-    /// media error (read-only degradation, uncorrectable backing read) — use
-    /// [`Mssd::try_byte_write`] to observe those as typed errors.
-    pub fn byte_write(&self, addr: u64, data: &[u8], txid: Option<TxId>, cat: Category) {
-        match self.try_byte_write(addr, data, txid, cat) {
-            Ok(()) => {}
-            Err(e) => panic!("byte_write at {addr:#x} failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Mssd::byte_write`].
+    /// Panics if the address range exceeds the device capacity.
     ///
     /// # Errors
     ///
@@ -454,7 +444,7 @@ impl Mssd {
         status
     }
 
-    /// Executor behind [`Mssd::byte_write`], shared with the batched queue
+    /// Executor behind [`Mssd::try_byte_write`], shared with the batched queue
     /// path; returns the command status and the charged virtual cost.
     pub(crate) fn exec_byte_write(
         &self,
@@ -528,17 +518,7 @@ impl Mssd {
     ///
     /// # Panics
     ///
-    /// Panics if the address range exceeds the device capacity, or on an
-    /// uncorrectable media error — use [`Mssd::try_byte_read`] to observe a
-    /// UECC as a typed error.
-    pub fn byte_read(&self, addr: u64, len: usize, cat: Category) -> Vec<u8> {
-        match self.try_byte_read(addr, len, cat) {
-            Ok(data) => data,
-            Err(e) => panic!("byte_read at {addr:#x} failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Mssd::byte_read`].
+    /// Panics if the address range exceeds the device capacity.
     ///
     /// # Errors
     ///
@@ -555,7 +535,7 @@ impl Mssd {
         data
     }
 
-    /// Executor behind [`Mssd::byte_read`], shared with the batched queue
+    /// Executor behind [`Mssd::try_byte_read`], shared with the batched queue
     /// path; returns the payload (or media error) and the charged virtual
     /// cost.
     pub(crate) fn exec_byte_read(
@@ -643,22 +623,12 @@ impl Mssd {
     // Block interface (NVMe)
     // ------------------------------------------------------------------
 
-    /// Reads `count` consecutive 4 KB blocks starting at logical block `lba`.
+    /// Reads `count` consecutive 4 KB blocks starting at logical block `lba`:
+    /// the pages of [`Mssd::try_block_read_pages`] as one flat buffer.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the device capacity, or on an
-    /// uncorrectable media error — use [`Mssd::try_block_read`] to observe
-    /// a UECC as a typed error.
-    pub fn block_read(&self, lba: u64, count: usize, cat: Category) -> Vec<u8> {
-        match self.try_block_read(lba, count, cat) {
-            Ok(data) => data,
-            Err(e) => panic!("block_read at lba {lba} failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Mssd::block_read`]: the pages of
-    /// [`Mssd::try_block_read_pages`] as one flat buffer.
+    /// Panics if the range exceeds the device capacity.
     ///
     /// # Errors
     ///
@@ -765,26 +735,16 @@ impl Mssd {
         (Ok(out), cost)
     }
 
-    /// Writes whole blocks starting at logical block `lba`. `data` length must
-    /// be a multiple of the page size.
+    /// Writes whole blocks starting at logical block `lba`: `data` cut at page
+    /// boundaries and handed to [`Mssd::try_block_write_pages`].
     ///
     /// The write is acknowledged once it reaches device DRAM (write buffer or
-    /// cache); durability to flash is forced by [`Mssd::flush`].
+    /// cache); durability to flash is forced by [`Mssd::try_flush`].
     ///
     /// # Panics
     ///
-    /// Panics if `data` is not page-aligned in length or the range exceeds
-    /// the device capacity, or on a media error (read-only degradation) —
-    /// use [`Mssd::try_block_write`] to observe those as typed errors.
-    pub fn block_write(&self, lba: u64, data: &[u8], cat: Category) {
-        match self.try_block_write(lba, data, cat) {
-            Ok(()) => {}
-            Err(e) => panic!("block_write at lba {lba} failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Mssd::block_write`]: `data` cut at page boundaries
-    /// and handed to [`Mssd::try_block_write_pages`].
+    /// Panics if `data` is not a non-zero multiple of the page size in length
+    /// or the range exceeds the device capacity.
     ///
     /// # Errors
     ///
@@ -929,19 +889,6 @@ impl Mssd {
     /// NVMe FLUSH: makes all acknowledged block writes durable on flash.
     /// Block-interface file systems call this on `fsync`.
     ///
-    /// # Panics
-    ///
-    /// Panics on a media error (read-only degradation while pages were
-    /// still buffered) — use [`Mssd::try_flush`] for the typed error.
-    pub fn flush(&self) {
-        match self.try_flush() {
-            Ok(()) => {}
-            Err(e) => panic!("flush failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Mssd::flush`].
-    ///
     /// # Errors
     ///
     /// [`FlashError::ReadOnly`] when buffered pages can no longer be
@@ -953,7 +900,7 @@ impl Mssd {
         status
     }
 
-    /// Executor behind [`Mssd::flush`], shared with the batched queue path;
+    /// Executor behind [`Mssd::try_flush`], shared with the batched queue path;
     /// returns the command status and the charged virtual cost.
     pub(crate) fn exec_flush(&self) -> (Result<(), FlashError>, u64) {
         if self.cfg.fault.is_cut() {
@@ -1722,8 +1669,8 @@ mod tests {
     #[test]
     fn byte_write_read_roundtrip_writelog() {
         let d = dev(DramMode::WriteLog);
-        d.byte_write(4096 + 128, &[0xAAu8; 64], None, Category::Inode);
-        let back = d.byte_read(4096 + 128, 64, Category::Inode);
+        d.try_byte_write(4096 + 128, &[0xAAu8; 64], None, Category::Inode).unwrap();
+        let back = d.try_byte_read(4096 + 128, 64, Category::Inode).unwrap();
         assert_eq!(back, vec![0xAA; 64]);
         let snap = d.snapshot();
         assert!(snap.log_entries >= 1);
@@ -1733,8 +1680,8 @@ mod tests {
     #[test]
     fn byte_write_read_roundtrip_pagecache() {
         let d = dev(DramMode::PageCache);
-        d.byte_write(8192 + 64, &[0x5Au8; 128], None, Category::Dentry);
-        let back = d.byte_read(8192 + 64, 128, Category::Dentry);
+        d.try_byte_write(8192 + 64, &[0x5Au8; 128], None, Category::Dentry).unwrap();
+        let back = d.try_byte_read(8192 + 64, 128, Category::Dentry).unwrap();
         assert_eq!(back, vec![0x5A; 128]);
         assert_eq!(d.snapshot().log_entries, 0, "page-cache mode must not use the log");
     }
@@ -1744,16 +1691,16 @@ mod tests {
         let d = dev(DramMode::WriteLog);
         let addr = 4096 - 32;
         let data: Vec<u8> = (0..64u8).collect();
-        d.byte_write(addr, &data, None, Category::Data);
-        assert_eq!(d.byte_read(addr, 64, Category::Data), data);
+        d.try_byte_write(addr, &data, None, Category::Data).unwrap();
+        assert_eq!(d.try_byte_read(addr, 64, Category::Data).unwrap(), data);
     }
 
     #[test]
     fn block_write_then_block_read() {
         let d = dev(DramMode::WriteLog);
         let page = vec![7u8; 4096];
-        d.block_write(3, &page, Category::Data);
-        let back = d.block_read(3, 1, Category::Data);
+        d.try_block_write(3, &page, Category::Data).unwrap();
+        let back = d.try_block_read(3, 1, Category::Data).unwrap();
         assert_eq!(back, page);
     }
 
@@ -1761,11 +1708,11 @@ mod tests {
     fn block_read_merges_log_entries() {
         let d = dev(DramMode::WriteLog);
         let page = vec![1u8; 4096];
-        d.block_write(5, &page, Category::Data);
-        d.flush();
+        d.try_block_write(5, &page, Category::Data).unwrap();
+        d.try_flush().unwrap();
         // Byte-granular update of 64 bytes at offset 256 of block 5.
-        d.byte_write(5 * 4096 + 256, &[9u8; 64], None, Category::Data);
-        let back = d.block_read(5, 1, Category::Data);
+        d.try_byte_write(5 * 4096 + 256, &[9u8; 64], None, Category::Data).unwrap();
+        let back = d.try_block_read(5, 1, Category::Data).unwrap();
         assert_eq!(&back[..256], &vec![1u8; 256][..]);
         assert_eq!(&back[256..320], &[9u8; 64][..]);
         assert_eq!(&back[320..], &vec![1u8; 4096 - 320][..]);
@@ -1774,11 +1721,11 @@ mod tests {
     #[test]
     fn block_write_invalidates_stale_log_entries() {
         let d = dev(DramMode::WriteLog);
-        d.byte_write(7 * 4096, &[3u8; 64], None, Category::Data);
+        d.try_byte_write(7 * 4096, &[3u8; 64], None, Category::Data).unwrap();
         assert!(d.snapshot().log_entries >= 1);
-        d.block_write(7, &vec![8u8; 4096], Category::Data);
+        d.try_block_write(7, &vec![8u8; 4096], Category::Data).unwrap();
         assert_eq!(d.snapshot().log_entries, 0);
-        assert_eq!(d.block_read(7, 1, Category::Data), vec![8u8; 4096]);
+        assert_eq!(d.try_block_read(7, 1, Category::Data).unwrap(), vec![8u8; 4096]);
     }
 
     #[test]
@@ -1786,8 +1733,8 @@ mod tests {
         let d = dev(DramMode::WriteLog);
         let tx_committed = TxId(1);
         let tx_lost = TxId(2);
-        d.byte_write(4096, &[0xC0u8; 64], Some(tx_committed), Category::Inode);
-        d.byte_write(8192, &[0xDDu8; 64], Some(tx_lost), Category::Inode);
+        d.try_byte_write(4096, &[0xC0u8; 64], Some(tx_committed), Category::Inode).unwrap();
+        d.try_byte_write(8192, &[0xDDu8; 64], Some(tx_lost), Category::Inode).unwrap();
         d.commit(tx_committed);
         d.crash();
         let report = d.recover();
@@ -1795,22 +1742,22 @@ mod tests {
         assert!(report.flushed_pages >= 1);
         assert!(report.duration_ns > 0);
         // The committed write survived, the uncommitted one reads as zero.
-        assert_eq!(d.byte_read(4096, 64, Category::Inode), vec![0xC0; 64]);
-        assert_eq!(d.byte_read(8192, 64, Category::Inode), vec![0u8; 64]);
+        assert_eq!(d.try_byte_read(4096, 64, Category::Inode).unwrap(), vec![0xC0; 64]);
+        assert_eq!(d.try_byte_read(8192, 64, Category::Inode).unwrap(), vec![0u8; 64]);
     }
 
     #[test]
     fn clock_advances_with_latency_model() {
         let d = dev(DramMode::WriteLog);
         let t0 = d.clock().now_ns();
-        d.byte_write(0, &[1u8; 64], None, Category::Bitmap);
+        d.try_byte_write(0, &[1u8; 64], None, Category::Bitmap).unwrap();
         let t1 = d.clock().now_ns();
         assert!(t1 - t0 >= d.config().byte_write_ns);
-        d.byte_read(0, 64, Category::Bitmap);
+        d.try_byte_read(0, 64, Category::Bitmap).unwrap();
         let t2 = d.clock().now_ns();
         assert!(t2 - t1 >= d.config().byte_read_ns);
         // Block read of an unmapped page: no flash access, just transfer+overhead.
-        d.block_read(100, 1, Category::Data);
+        d.try_block_read(100, 1, Category::Data).unwrap();
         let t3 = d.clock().now_ns();
         assert!(t3 - t2 >= d.config().nvme_overhead_ns);
     }
@@ -1831,11 +1778,11 @@ mod tests {
             let d = dev(DramMode::WriteLog);
             let page = vec![9u8; 4096];
             for lba in 0..prefill {
-                d.block_write(lba, &page, Category::Data);
+                d.try_block_write(lba, &page, Category::Data).unwrap();
             }
             let before = (d.clock().now_ns(), d.traffic().flash_write_pages);
             for lba in (prefill..prefill + 8).step_by(per_command) {
-                d.block_write(lba, &page.repeat(per_command), Category::Data);
+                d.try_block_write(lba, &page.repeat(per_command), Category::Data).unwrap();
             }
             assert_eq!(d.traffic().flash_write_pages - before.1, 16, "same pages programmed");
             d.clock().now_ns() - before.0
@@ -1852,9 +1799,9 @@ mod tests {
     #[test]
     fn flush_makes_buffered_block_writes_durable() {
         let d = dev(DramMode::WriteLog);
-        d.block_write(0, &vec![4u8; 4096], Category::Journal);
+        d.try_block_write(0, &vec![4u8; 4096], Category::Journal).unwrap();
         let before = d.traffic().flash_write_pages;
-        d.flush();
+        d.try_flush().unwrap();
         let after = d.traffic().flash_write_pages;
         assert!(after > before, "flush must program buffered pages");
     }
@@ -1862,9 +1809,9 @@ mod tests {
     #[test]
     fn pagecache_mode_flush_writes_dirty_pages() {
         let d = dev(DramMode::PageCache);
-        d.block_write(1, &vec![2u8; 4096], Category::Data);
+        d.try_block_write(1, &vec![2u8; 4096], Category::Data).unwrap();
         assert!(d.snapshot().cache_dirty_pages >= 1);
-        d.flush();
+        d.try_flush().unwrap();
         assert_eq!(d.snapshot().cache_dirty_pages, 0);
         assert!(d.traffic().flash_write_pages >= 1);
     }
@@ -1876,7 +1823,7 @@ mod tests {
         let d = Mssd::new(cfg, DramMode::WriteLog);
         // Write far more than the log holds.
         for i in 0..1000u64 {
-            d.byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data);
+            d.try_byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
         d.quiesce_cleaning();
         let t = d.traffic();
@@ -1894,7 +1841,7 @@ mod tests {
         cfg.log_clean_threshold = 0.3;
         let d = Mssd::new(cfg, DramMode::WriteLog);
         for i in 0..300u64 {
-            d.byte_write((i % 256) * 64, &[i as u8; 64], None, Category::Data);
+            d.try_byte_write((i % 256) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
         d.quiesce_cleaning();
         let t = d.traffic();
@@ -1903,7 +1850,7 @@ mod tests {
         // Every slot still reads back its last-written value.
         for slot in 0..256u64 {
             let last = slot + ((300 - 1 - slot) / 256) * 256; // last i with i%256==slot
-            let got = d.byte_read(slot * 64, 64, Category::Data);
+            let got = d.try_byte_read(slot * 64, 64, Category::Data).unwrap();
             assert_eq!(got, vec![last as u8; 64], "slot {slot}");
         }
     }
@@ -1915,7 +1862,7 @@ mod tests {
         cfg.background_cleaning = false;
         let d = Mssd::new(cfg, DramMode::WriteLog);
         for i in 0..1000u64 {
-            d.byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data);
+            d.try_byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
         let t = d.traffic();
         assert!(t.log_cleanings > 0, "inline stop-the-world cleaning should have run");
@@ -1928,19 +1875,19 @@ mod tests {
         let d = dev(DramMode::WriteLog);
         let committed = TxId(5);
         let lost = TxId(6);
-        d.byte_write(0, &[0x11u8; 64], Some(committed), Category::Data);
-        d.byte_write(4096, &[0x22u8; 64], Some(lost), Category::Data);
-        d.byte_write(8192, &[0x33u8; 64], None, Category::Data);
+        d.try_byte_write(0, &[0x11u8; 64], Some(committed), Category::Data).unwrap();
+        d.try_byte_write(4096, &[0x22u8; 64], Some(lost), Category::Data).unwrap();
+        d.try_byte_write(8192, &[0x33u8; 64], None, Category::Data).unwrap();
         d.commit(committed);
         // Seal every shard: entries now live in sealed-but-undrained regions.
         d.seal_log_regions();
         assert!(d.snapshot().log_entries >= 3);
         // Reads merge sealed regions.
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![0x11; 64]);
-        assert_eq!(d.byte_read(8192, 64, Category::Data), vec![0x33; 64]);
+        assert_eq!(d.try_byte_read(0, 64, Category::Data).unwrap(), vec![0x11; 64]);
+        assert_eq!(d.try_byte_read(8192, 64, Category::Data).unwrap(), vec![0x33; 64]);
         // New appends land in the fresh active region and overlay correctly.
-        d.byte_write(0, &[0x44u8; 32], None, Category::Data);
-        let back = d.byte_read(0, 64, Category::Data);
+        d.try_byte_write(0, &[0x44u8; 32], None, Category::Data).unwrap();
+        let back = d.try_byte_read(0, 64, Category::Data).unwrap();
         assert_eq!(&back[..32], &[0x44u8; 32][..]);
         assert_eq!(&back[32..], &[0x11u8; 32][..]);
         // Crash with the sealed regions undrained: recovery flushes committed
@@ -1949,30 +1896,30 @@ mod tests {
         let report = d.recover();
         assert_eq!(report.discarded_entries, 1);
         assert_eq!(d.snapshot().log_entries, 0);
-        let back = d.byte_read(0, 64, Category::Data);
+        let back = d.try_byte_read(0, 64, Category::Data).unwrap();
         assert_eq!(&back[..32], &[0x44u8; 32][..]);
         assert_eq!(&back[32..], &[0x11u8; 32][..]);
-        assert_eq!(d.byte_read(4096, 64, Category::Data), vec![0u8; 64]);
-        assert_eq!(d.byte_read(8192, 64, Category::Data), vec![0x33; 64]);
+        assert_eq!(d.try_byte_read(4096, 64, Category::Data).unwrap(), vec![0u8; 64]);
+        assert_eq!(d.try_byte_read(8192, 64, Category::Data).unwrap(), vec![0x33; 64]);
     }
 
     #[test]
     fn coordinated_caching_keeps_block_reads_out_of_device_dram() {
         let d = dev(DramMode::WriteLog);
-        d.block_write(9, &vec![1u8; 4096], Category::Data);
-        d.flush();
-        d.block_read(9, 1, Category::Data);
+        d.try_block_write(9, &vec![1u8; 4096], Category::Data).unwrap();
+        d.try_flush().unwrap();
+        d.try_block_read(9, 1, Category::Data).unwrap();
         let first = d.traffic().flash_read_pages;
-        d.block_read(9, 1, Category::Data);
+        d.try_block_read(9, 1, Category::Data).unwrap();
         let second = d.traffic().flash_read_pages;
         assert_eq!(second, first + 1, "write-log firmware must not cache read pages");
 
         let d2 = dev(DramMode::PageCache);
-        d2.block_write(9, &vec![1u8; 4096], Category::Data);
-        d2.flush();
-        d2.block_read(9, 1, Category::Data);
+        d2.try_block_write(9, &vec![1u8; 4096], Category::Data).unwrap();
+        d2.try_flush().unwrap();
+        d2.try_block_read(9, 1, Category::Data).unwrap();
         let first = d2.traffic().flash_read_pages;
-        d2.block_read(9, 1, Category::Data);
+        d2.try_block_read(9, 1, Category::Data).unwrap();
         let second = d2.traffic().flash_read_pages;
         assert_eq!(second, first, "page-cache firmware serves repeat reads from DRAM");
     }
@@ -1980,11 +1927,11 @@ mod tests {
     #[test]
     fn trim_drops_state_everywhere() {
         let d = dev(DramMode::WriteLog);
-        d.block_write(11, &vec![6u8; 4096], Category::Data);
-        d.flush();
-        d.byte_write(11 * 4096, &[7u8; 64], None, Category::Data);
+        d.try_block_write(11, &vec![6u8; 4096], Category::Data).unwrap();
+        d.try_flush().unwrap();
+        d.try_byte_write(11 * 4096, &[7u8; 64], None, Category::Data).unwrap();
         d.trim(11, 1);
-        assert_eq!(d.block_read(11, 1, Category::Data), vec![0u8; 4096]);
+        assert_eq!(d.try_block_read(11, 1, Category::Data).unwrap(), vec![0u8; 4096]);
     }
 
     #[test]
@@ -1992,7 +1939,7 @@ mod tests {
     fn byte_write_out_of_range_panics() {
         let d = dev(DramMode::WriteLog);
         let cap = d.capacity_bytes();
-        d.byte_write(cap - 10, &[0u8; 64], None, Category::Data);
+        d.try_byte_write(cap - 10, &[0u8; 64], None, Category::Data).unwrap();
     }
 
     /// A range whose end wraps past `u64::MAX` is beyond capacity for every
@@ -2026,12 +1973,16 @@ mod tests {
         ];
         for (name, case) in cases {
             let d = dev(DramMode::WriteLog);
-            d.block_write(0, &[5u8; 2 * PAGE_SIZE], Category::Data);
+            d.try_block_write(0, &[5u8; 2 * PAGE_SIZE], Category::Data).unwrap();
             let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&d)))
                 .expect_err(name);
             let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
             assert!(msg.contains("beyond device capacity"), "{name}: panicked with {msg:?}");
-            assert_eq!(d.block_read(0, 2, Category::Data), [5u8; 2 * PAGE_SIZE], "{name}");
+            assert_eq!(
+                d.try_block_read(0, 2, Category::Data).unwrap(),
+                [5u8; 2 * PAGE_SIZE],
+                "{name}"
+            );
         }
     }
 
@@ -2044,21 +1995,33 @@ mod tests {
         // committed chunks until the older chunk resolves.
         let d = dev(DramMode::WriteLog);
         let tx = TxId(9);
-        d.byte_write(0, &[49u8; 64], Some(tx), Category::Data); // older, uncommitted
-        d.byte_write(0, &[89u8; 64], None, Category::Data); // newer, immediately committed
+        d.try_byte_write(0, &[49u8; 64], Some(tx), Category::Data).unwrap(); // older, uncommitted
+        d.try_byte_write(0, &[89u8; 64], None, Category::Data).unwrap(); // newer, immediately committed
         d.force_clean();
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![89u8; 64], "after cleaning");
+        assert_eq!(
+            d.try_byte_read(0, 64, Category::Data).unwrap(),
+            vec![89u8; 64],
+            "after cleaning"
+        );
         d.commit(tx);
         assert_eq!(
-            d.byte_read(0, 64, Category::Data),
+            d.try_byte_read(0, 64, Category::Data).unwrap(),
             vec![89u8; 64],
             "a late commit must not resurrect overwritten bytes"
         );
         d.force_clean();
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![89u8; 64], "after second cleaning");
+        assert_eq!(
+            d.try_byte_read(0, 64, Category::Data).unwrap(),
+            vec![89u8; 64],
+            "after second cleaning"
+        );
         d.crash();
         d.recover();
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![89u8; 64], "after recovery");
+        assert_eq!(
+            d.try_byte_read(0, 64, Category::Data).unwrap(),
+            vec![89u8; 64],
+            "after recovery"
+        );
     }
 
     #[test]
@@ -2069,19 +2032,19 @@ mod tests {
         // the bytes nothing newer touched.
         let d = dev(DramMode::WriteLog);
         let tx = TxId(5);
-        d.byte_write(0, &[11u8; 128], Some(tx), Category::Data); // [0,128) uncommitted
-        d.byte_write(64, &[22u8; 64], None, Category::Data); // [64,128) newer, committed
+        d.try_byte_write(0, &[11u8; 128], Some(tx), Category::Data).unwrap(); // [0,128) uncommitted
+        d.try_byte_write(64, &[22u8; 64], None, Category::Data).unwrap(); // [64,128) newer, committed
         d.force_clean();
-        let back = d.byte_read(0, 128, Category::Data);
+        let back = d.try_byte_read(0, 128, Category::Data).unwrap();
         assert_eq!(&back[..64], &[11u8; 64][..], "unshadowed half still visible");
         assert_eq!(&back[64..], &[22u8; 64][..], "newer committed bytes merged");
         d.commit(tx);
-        let back = d.byte_read(0, 128, Category::Data);
+        let back = d.try_byte_read(0, 128, Category::Data).unwrap();
         assert_eq!(&back[..64], &[11u8; 64][..]);
         assert_eq!(&back[64..], &[22u8; 64][..], "commit must not resurrect clipped bytes");
         d.crash();
         d.recover();
-        let back = d.byte_read(0, 128, Category::Data);
+        let back = d.try_byte_read(0, 128, Category::Data).unwrap();
         assert_eq!(&back[..64], &[11u8; 64][..], "committed remainder survives recovery");
         assert_eq!(&back[64..], &[22u8; 64][..]);
     }
@@ -2096,15 +2059,15 @@ mod tests {
         cfg.dram_region_bytes = 8 << 10;
         cfg.background_cleaning = false;
         let d = Mssd::new(cfg, DramMode::WriteLog);
-        d.byte_write(0, &[1u8; 64], Some(TxId(999)), Category::Data); // never commits
+        d.try_byte_write(0, &[1u8; 64], Some(TxId(999)), Category::Data).unwrap(); // never commits
         for i in 0..5_000u64 {
-            d.byte_write((i % 60) * 64, &[i as u8; 64], None, Category::Data);
+            d.try_byte_write((i % 60) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
         assert!(d.traffic().log_cleanings > 0);
         // The stale chunk was fully shadowed by committed writes to slot 0
         // and clipped away; everything reads as the newest committed tag.
         let last = 4980; // last i with i % 60 == 0
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![last as u8; 64]);
+        assert_eq!(d.try_byte_read(0, 64, Category::Data).unwrap(), vec![last as u8; 64]);
     }
 
     #[test]
@@ -2112,12 +2075,12 @@ mod tests {
         let d = dev(DramMode::WriteLog);
         let committed = TxId(3);
         let lost = TxId(4);
-        d.block_write(2, &vec![5u8; 4096], Category::Data);
-        d.flush();
-        d.block_write(3, &vec![6u8; 4096], Category::Data); // stays buffered
-        d.byte_write(10 * 4096, &[0x11u8; 64], Some(committed), Category::Inode);
-        d.byte_write(11 * 4096, &[0x22u8; 64], Some(lost), Category::Inode);
-        d.byte_write(12 * 4096, &[0x33u8; 64], None, Category::Data);
+        d.try_block_write(2, &vec![5u8; 4096], Category::Data).unwrap();
+        d.try_flush().unwrap();
+        d.try_block_write(3, &vec![6u8; 4096], Category::Data).unwrap(); // stays buffered
+        d.try_byte_write(10 * 4096, &[0x11u8; 64], Some(committed), Category::Inode).unwrap();
+        d.try_byte_write(11 * 4096, &[0x22u8; 64], Some(lost), Category::Inode).unwrap();
+        d.try_byte_write(12 * 4096, &[0x33u8; 64], None, Category::Data).unwrap();
         d.commit(committed);
 
         let image = d.crash_image();
@@ -2130,11 +2093,11 @@ mod tests {
         let d2 = Mssd::from_crash_image(MssdConfig::small_test(), DramMode::WriteLog, &image);
         let report = d2.recover();
         assert_eq!(report.discarded_entries, 1, "uncommitted tx entry discarded");
-        assert_eq!(d2.byte_read(10 * 4096, 64, Category::Inode), vec![0x11; 64]);
-        assert_eq!(d2.byte_read(11 * 4096, 64, Category::Inode), vec![0u8; 64]);
-        assert_eq!(d2.byte_read(12 * 4096, 64, Category::Data), vec![0x33; 64]);
-        assert_eq!(d2.block_read(2, 1, Category::Data), vec![5u8; 4096]);
-        assert_eq!(d2.block_read(3, 1, Category::Data), vec![6u8; 4096]);
+        assert_eq!(d2.try_byte_read(10 * 4096, 64, Category::Inode).unwrap(), vec![0x11; 64]);
+        assert_eq!(d2.try_byte_read(11 * 4096, 64, Category::Inode).unwrap(), vec![0u8; 64]);
+        assert_eq!(d2.try_byte_read(12 * 4096, 64, Category::Data).unwrap(), vec![0x33; 64]);
+        assert_eq!(d2.try_block_read(2, 1, Category::Data).unwrap(), vec![5u8; 4096]);
+        assert_eq!(d2.try_block_read(3, 1, Category::Data).unwrap(), vec![6u8; 4096]);
         assert!(d2.flash.check_consistency().is_empty());
     }
 
@@ -2146,18 +2109,18 @@ mod tests {
         cfg.fault = crate::fault::FaultPlan::cut_at(3);
         let d = Mssd::new(cfg, DramMode::WriteLog);
         let addr = 4096 - 64;
-        d.byte_write(addr, &[7u8; 64 + 4096 + 64], None, Category::Data);
+        d.try_byte_write(addr, &[7u8; 64 + 4096 + 64], None, Category::Data).unwrap();
         assert!(d.fault_tripped());
         assert_eq!(d.fault_plan().cut_kind(), Some(FaultKind::LogAppend));
         let image = d.crash_image();
         assert_eq!(image.log_entries.len(), 2, "only the pre-cut chunks are durable");
         let d2 = Mssd::from_crash_image(MssdConfig::small_test(), DramMode::WriteLog, &image);
         d2.recover();
-        let back = d2.byte_read(addr, 64 + 4096 + 64, Category::Data);
+        let back = d2.try_byte_read(addr, 64 + 4096 + 64, Category::Data).unwrap();
         assert_eq!(&back[..64 + 4096], &[7u8; 64 + 4096][..], "chunks before the cut survive");
         assert_eq!(&back[64 + 4096..], &[0u8; 64][..], "the torn-off chunk never happened");
         // Post-cut writes are denied entirely.
-        d.byte_write(8 * 4096, &[9u8; 64], None, Category::Data);
+        d.try_byte_write(8 * 4096, &[9u8; 64], None, Category::Data).unwrap();
         assert_eq!(d.crash_image().log_entries.len(), 2);
     }
 
@@ -2167,17 +2130,17 @@ mod tests {
         cfg.fault = crate::fault::FaultPlan::count_only();
         let d = Mssd::new(cfg, DramMode::WriteLog);
         // Crosses one page boundary: two log chunks.
-        d.byte_write(4096 - 64, &[1u8; 128], None, Category::Data);
-        d.block_write(5, &vec![2u8; 8192], Category::Data);
+        d.try_byte_write(4096 - 64, &[1u8; 128], None, Category::Data).unwrap();
+        d.try_block_write(5, &vec![2u8; 8192], Category::Data).unwrap();
         d.commit(TxId(1));
-        d.flush();
+        d.try_flush().unwrap();
         let plan = d.fault_plan();
         assert_eq!(plan.steps_of(FaultKind::LogAppend), 2);
         assert_eq!(plan.steps_of(FaultKind::BufferWrite), 2);
         assert_eq!(plan.steps_of(FaultKind::TxCommit), 1);
         assert!(plan.steps_of(FaultKind::FlashProgram) >= 2);
         assert!(!d.fault_tripped());
-        assert_eq!(d.byte_read(4096 - 64, 128, Category::Data), vec![1u8; 128]);
+        assert_eq!(d.try_byte_read(4096 - 64, 128, Category::Data).unwrap(), vec![1u8; 128]);
     }
 
     #[test]

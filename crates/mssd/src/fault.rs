@@ -194,11 +194,6 @@ impl FaultPlan {
         self.state.as_ref().map(|st| st.by_kind[kind.index()].load(Ordering::Relaxed)).unwrap_or(0)
     }
 
-    /// The armed cut point (1-based), if any.
-    pub fn cut_point(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|st| (st.cut_at != 0).then_some(st.cut_at))
-    }
-
     /// The kind of the step that tripped the cut (once it has).
     pub fn cut_kind(&self) -> Option<FaultKind> {
         let st = self.state.as_ref()?;
@@ -874,7 +869,6 @@ mod tests {
         assert!(p.is_cut());
         assert!(!p.step(FaultKind::LogAppend), "power stays off");
         assert_eq!(p.cut_kind(), Some(FaultKind::TxCommit));
-        assert_eq!(p.cut_point(), Some(3));
     }
 
     #[test]

@@ -350,6 +350,10 @@ impl Ftl {
 /// streams and GC validation rarely contend on the same stripe lock.
 pub const L2P_STRIPES: usize = 64;
 
+/// Maximum read retries (ladder rungs after the initial read) before a
+/// corrupted page is declared an uncorrectable error (UECC).
+const READ_RETRY_LIMIT: u32 = 4;
+
 /// Where the newest version of a logical page currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
@@ -553,7 +557,7 @@ impl ShardedFtl {
     /// event corrupts the raw page, the per-page ECC corrects or detects it,
     /// and detection triggers a bounded read-retry ladder (each rung models
     /// an adjusted-read-voltage retry and charges a full flash read). A read
-    /// still uncorrectable after [`MssdConfig::read_retry_limit`] retries
+    /// still uncorrectable after `READ_RETRY_LIMIT` retries
     /// surfaces as [`FlashError::Uncorrectable`].
     ///
     /// Only the one stripe lock and the one channel lock covering the page
@@ -603,7 +607,7 @@ impl ShardedFtl {
                     // deterministically, then run the ECC + retry ladder.
                     let parity = ch.flash.stored_parity(ppa);
                     let page_bits = raw.len() * 8;
-                    for attempt in 0..=self.cfg.read_retry_limit {
+                    for attempt in 0..=READ_RETRY_LIMIT {
                         if attempt > 0 {
                             stats.inc_ras_read_retries();
                             stats.inc_flash_read(internal);
@@ -623,10 +627,7 @@ impl ShardedFtl {
                         }
                     }
                     stats.inc_ras_uncorrectable_reads();
-                    return Err(FlashError::Uncorrectable {
-                        ppa,
-                        retries: self.cfg.read_retry_limit,
-                    });
+                    return Err(FlashError::Uncorrectable { ppa, retries: READ_RETRY_LIMIT });
                 }
             }
         }
@@ -1743,13 +1744,13 @@ mod tests {
         let err = f.read_page(5, &st, false).unwrap_err();
         match err {
             FlashError::Uncorrectable { retries, .. } => {
-                assert_eq!(retries, f.cfg.read_retry_limit);
+                assert_eq!(retries, READ_RETRY_LIMIT);
             }
             other => panic!("expected Uncorrectable, got {other}"),
         }
         let snap = st.snapshot();
         assert_eq!(snap.ras_uncorrectable_reads, 1);
-        assert_eq!(snap.ras_read_retries as u32, f.cfg.read_retry_limit);
+        assert_eq!(snap.ras_read_retries as u32, READ_RETRY_LIMIT);
         // The event was transient (the NAND data itself is intact): the
         // device is not degraded and a later read of the page succeeds.
         assert!(!f.is_read_only());

@@ -68,16 +68,20 @@
 //! installed in [`MssdConfig::fault`], which can count the steps and cut
 //! power at any chosen one; see [`fault`] and `crates/crashkit/DESIGN.md`.
 //!
+//! Every data command is one fallible call (`try_*`) returning the device's
+//! typed media error, [`FlashError`]; there is no panicking form.
+//!
 //! ```
 //! use mssd::{Mssd, MssdConfig, DramMode, Category};
 //!
-//! # fn main() {
+//! # fn main() -> Result<(), mssd::FlashError> {
 //! let cfg = MssdConfig::small_test();
 //! let dev = Mssd::new(cfg, DramMode::WriteLog);
 //! // Byte-granular persistent write of one cacheline at device address 4096.
-//! dev.byte_write(4096, &[7u8; 64], None, Category::Inode);
-//! let back = dev.byte_read(4096, 64, Category::Inode);
+//! dev.try_byte_write(4096, &[7u8; 64], None, Category::Inode)?;
+//! let back = dev.try_byte_read(4096, 64, Category::Inode)?;
 //! assert_eq!(back, vec![7u8; 64]);
+//! # Ok(())
 //! # }
 //! ```
 

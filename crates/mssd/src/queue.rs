@@ -45,9 +45,9 @@
 //! it) are durable under the normal contract, and the one group the cut
 //! landed inside is in-doubt.
 //!
-//! The synchronous [`crate::Mssd`] API (`byte_write`, `block_read`, …) is a
-//! depth-1 shim over this machinery: each call executes the same command
-//! path immediately and records itself against queue slot 0 (or the
+//! The synchronous [`crate::Mssd`] API (`try_byte_write`, `try_block_read`,
+//! …) is a depth-1 shim over this machinery: each call executes the same
+//! command path immediately and records itself against queue slot 0 (or the
 //! thread's ambient queue, see [`HostQueue::make_ambient`]).
 
 use std::cell::Cell;
@@ -939,7 +939,10 @@ mod tests {
         assert_eq!(ql.batches, 1);
         assert_eq!(ql.coalesced_cmds, 7);
         for i in 0..8u64 {
-            assert_eq!(d.byte_read(8192 + i * 64, 64, Category::Data), vec![i as u8 + 1; 64]);
+            assert_eq!(
+                d.try_byte_read(8192 + i * 64, 64, Category::Data).unwrap(),
+                vec![i as u8 + 1; 64]
+            );
         }
     }
 
@@ -1103,7 +1106,7 @@ mod tests {
         q.ring_doorbell();
         assert!(d.is_committed(tx));
         d.recover();
-        assert_eq!(d.byte_read(4096, 64, Category::Inode), vec![0xEE; 64]);
+        assert_eq!(d.try_byte_read(4096, 64, Category::Inode).unwrap(), vec![0xEE; 64]);
     }
 
     #[test]
@@ -1163,7 +1166,11 @@ mod tests {
         assert_eq!(cb.status, Err(FlashError::Aborted));
         q.ring_doorbell();
         assert!(q.wait(a).expect("survivor completes").is_ok());
-        assert_eq!(d.byte_read(4096, 64, Category::Data), vec![0; 64], "abortee never executed");
+        assert_eq!(
+            d.try_byte_read(4096, 64, Category::Data).unwrap(),
+            vec![0; 64],
+            "abortee never executed"
+        );
         assert_eq!(q.abort(a), Ok(AbortOutcome::AlreadyCompleted));
         assert_eq!(q.wait(b), Err(WaitError::AlreadyDelivered));
         assert_eq!(d.traffic().aborts, 1);
@@ -1198,7 +1205,7 @@ mod tests {
         assert_eq!(c.status, Err(FlashError::Aborted));
         // Loss means the device *did* execute the command: in-doubt resolves
         // to "effects durable" here, and a retry would be idempotent.
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![9; 64]);
+        assert_eq!(d.try_byte_read(0, 64, Category::Data).unwrap(), vec![9; 64]);
     }
 
     #[test]
@@ -1283,7 +1290,7 @@ mod tests {
         assert_eq!(q.lost_completions(), 1);
         assert_eq!(q.abort(a), Ok(AbortOutcome::AbortedInDoubt));
         // In-doubt resolves to "never executed" for an unbounded stall.
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![0; 64]);
+        assert_eq!(d.try_byte_read(0, 64, Category::Data).unwrap(), vec![0; 64]);
     }
 
     #[test]
@@ -1315,9 +1322,9 @@ mod tests {
         let q = d.open_queue(4);
         {
             let _g = q.make_ambient();
-            d.byte_write(0, &[1u8; 64], None, Category::Data);
+            d.try_byte_write(0, &[1u8; 64], None, Category::Data).unwrap();
         }
-        d.byte_write(64, &[2u8; 64], None, Category::Data);
+        d.try_byte_write(64, &[2u8; 64], None, Category::Data).unwrap();
         let t = d.traffic();
         assert_eq!(t.queue_lat(q.id()).ops, 1, "ambient op lands on the queue slot");
         assert_eq!(t.queue_lat(0).ops, 1, "post-guard op lands on the sync slot");

@@ -346,14 +346,6 @@ scalar_counters! {
     /// RAS: reactor lanes currently quarantined after a wedge (quarantine is
     /// permanent for the reactor's lifetime).
     gauge quarantined_lanes,
-    /// Executor safety-net timer wakeups that found no runnable work
-    /// (pure polls). High spurious counts with zero productive ones mean
-    /// "idle"; see `exec_productive_wakeups`.
-    tally exec_spurious_wakeups,
-    /// Executor safety-net timer wakeups that rescued real work (a lost
-    /// wakeup, pump backlog): these are the ones a watchdog reads as "the
-    /// notify path is missing wakeups", distinguishing hung from idle.
-    tally exec_productive_wakeups,
 }
 
 impl TrafficCounter {
@@ -691,16 +683,6 @@ impl AtomicTraffic {
         self.quarantined_lanes.0.store(lanes, Ordering::Relaxed);
     }
 
-    /// Counts one executor safety-net wakeup that found no work (spurious).
-    pub fn inc_exec_spurious_wakeups(&self) {
-        self.exec_spurious_wakeups.add(1);
-    }
-
-    /// Counts one executor safety-net wakeup that rescued real work.
-    pub fn inc_exec_productive_wakeups(&self) {
-        self.exec_productive_wakeups.add(1);
-    }
-
     /// Records one completed command on queue slot `queue` (slot index is
     /// taken modulo [`QUEUE_SLOTS`]): bumps the op count and accumulates its
     /// virtual latency. Lock-free.
@@ -890,8 +872,6 @@ mod tests {
         a.inc_lane_resets();
         a.inc_retries();
         a.set_quarantined_lanes(2);
-        a.inc_exec_spurious_wakeups();
-        a.inc_exec_productive_wakeups();
 
         let mut t = TrafficCounter::new();
         t.record_host(Direction::Write, Category::Inode, Interface::Byte, 64);
@@ -915,8 +895,6 @@ mod tests {
         t.lane_resets = 1;
         t.retries = 1;
         t.quarantined_lanes = 2;
-        t.exec_spurious_wakeups = 1;
-        t.exec_productive_wakeups = 1;
 
         assert_eq!(a.snapshot(), t);
         assert_eq!(a.flash_writes_total(), 2);

@@ -179,14 +179,14 @@ proptest! {
                     let data = vec![tag; len];
                     let txid =
                         (tx % 4 != 0).then(|| TxId(open[tx as usize % open.len()]));
-                    background.byte_write(addr, &data, txid, Category::Data);
-                    reference.byte_write(addr, &data, txid, Category::Data);
+                    background.try_byte_write(addr, &data, txid, Category::Data).unwrap();
+                    reference.try_byte_write(addr, &data, txid, Category::Data).unwrap();
                 }
                 DevOp::BlockWrite { lpa_sel, tag } => {
                     let lpa = lpa_sel as u64 % 16;
                     let page = vec![tag; 4096];
-                    background.block_write(lpa, &page, Category::Data);
-                    reference.block_write(lpa, &page, Category::Data);
+                    background.try_block_write(lpa, &page, Category::Data).unwrap();
+                    reference.try_block_write(lpa, &page, Category::Data).unwrap();
                 }
                 DevOp::Commit { tx } => {
                     let txid = TxId(open.remove(tx as usize % open.len()));
@@ -199,8 +199,8 @@ proptest! {
                     let addr = addr_of(addr_sel);
                     let len = (len as usize % 256) + 1;
                     prop_assert_eq!(
-                        background.byte_read(addr, len, Category::Data),
-                        reference.byte_read(addr, len, Category::Data),
+                        background.try_byte_read(addr, len, Category::Data).unwrap(),
+                        reference.try_byte_read(addr, len, Category::Data).unwrap(),
                         "mid-stream read at {} diverged", addr
                     );
                 }
@@ -215,14 +215,14 @@ proptest! {
         // Same logical image: the whole byte window and the block range.
         for slot in 0..1024u64 {
             prop_assert_eq!(
-                background.byte_read(slot * 64, 64, Category::Data),
-                reference.byte_read(slot * 64, 64, Category::Data),
+                background.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
+                reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
                 "slot {} diverged after quiesce", slot
             );
         }
         prop_assert_eq!(
-            background.block_read(0, 16, Category::Data),
-            reference.block_read(0, 16, Category::Data),
+            background.try_block_read(0, 16, Category::Data).unwrap(),
+            reference.try_block_read(0, 16, Category::Data).unwrap(),
             "block images diverged after quiesce"
         );
 
@@ -244,8 +244,8 @@ proptest! {
         prop_assert_eq!(ra.discarded_entries, rb.discarded_entries, "recovery discards diverged");
         for slot in 0..1024u64 {
             prop_assert_eq!(
-                background.byte_read(slot * 64, 64, Category::Data),
-                reference.byte_read(slot * 64, 64, Category::Data),
+                background.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
+                reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
                 "slot {} diverged after recovery", slot
             );
         }

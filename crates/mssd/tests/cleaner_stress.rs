@@ -59,7 +59,7 @@ fn drive(dev: &Mssd, t: usize) -> Vec<Option<u8>> {
             0..=4 => {
                 let slot = ops.next() % slots;
                 let tag = (ops.next() % 251) as u8;
-                dev.byte_write(base + slot * 64, &[tag; 64], Some(tx), Category::Data);
+                dev.try_byte_write(base + slot * 64, &[tag; 64], Some(tx), Category::Data).unwrap();
                 last_tag[slot as usize] = Some(tag);
                 uncommitted += 1;
                 if uncommitted >= 12 {
@@ -74,7 +74,7 @@ fn drive(dev: &Mssd, t: usize) -> Vec<Option<u8>> {
                 // flash+overlay slow path must all return the last write.
                 let slot = ops.next() % slots;
                 if let Some(tag) = last_tag[slot as usize] {
-                    let got = dev.byte_read(base + slot * 64, 64, Category::Data);
+                    let got = dev.try_byte_read(base + slot * 64, 64, Category::Data).unwrap();
                     assert_eq!(got, vec![tag; 64], "thread {t} slot {slot} mid-run");
                 }
             }
@@ -83,7 +83,7 @@ fn drive(dev: &Mssd, t: usize) -> Vec<Option<u8>> {
                 // invalidate-under-shard-lock against cleaner merges.
                 let page = 2048 + ops.next() % 8;
                 let tag = (ops.next() % 251) as u8;
-                dev.block_write(base / 4096 + page, &vec![tag; 4096], Category::Data);
+                dev.try_block_write(base / 4096 + page, &vec![tag; 4096], Category::Data).unwrap();
             }
         }
     }
@@ -121,7 +121,7 @@ fn concurrent_writers_during_background_cleaning() {
         let base = t as u64 * PARTITION_BYTES;
         for (slot, tag) in tags.iter().enumerate() {
             if let Some(tag) = tag {
-                let got = dev.byte_read(base + slot as u64 * 64, 64, Category::Data);
+                let got = dev.try_byte_read(base + slot as u64 * 64, 64, Category::Data).unwrap();
                 assert_eq!(got, vec![*tag; 64], "thread {t} slot {slot} final");
             }
         }
@@ -132,7 +132,7 @@ fn concurrent_writers_during_background_cleaning() {
         let base = t as u64 * PARTITION_BYTES;
         for (slot, tag) in tags.iter().enumerate() {
             if let Some(tag) = tag {
-                let got = dev.byte_read(base + slot as u64 * 64, 64, Category::Data);
+                let got = dev.try_byte_read(base + slot as u64 * 64, 64, Category::Data).unwrap();
                 assert_eq!(got, vec![*tag; 64], "thread {t} slot {slot} after clean");
             }
         }
@@ -156,11 +156,12 @@ fn cleaner_keeps_block_interface_consistent() {
                     let page = base_page + ops.next() % 4;
                     let tag = (round % 251) as u8;
                     // Whole-block overwrite drops all log entries for the page.
-                    dev.block_write(page, &vec![tag; 4096], Category::Data);
+                    dev.try_block_write(page, &vec![tag; 4096], Category::Data).unwrap();
                     // Byte write on top of the block data.
                     let off = (ops.next() % 64) * 64;
-                    dev.byte_write(page * 4096 + off, &[tag ^ 0xFF; 64], None, Category::Data);
-                    let got = dev.block_read(page, 1, Category::Data);
+                    dev.try_byte_write(page * 4096 + off, &[tag ^ 0xFF; 64], None, Category::Data)
+                        .unwrap();
+                    let got = dev.try_block_read(page, 1, Category::Data).unwrap();
                     let off = off as usize;
                     assert_eq!(&got[off..off + 64], &[tag ^ 0xFF; 64][..], "overlay lost");
                     for (i, b) in got.iter().enumerate() {

@@ -69,7 +69,7 @@ fn drive(dev: &Mssd, t: usize, verify_reads: bool) -> (Vec<Option<u8>>, Vec<Opti
                 let slot = ops.next() % slots;
                 let tag = (ops.next() % 251) as u8;
                 let data = [tag; 64];
-                dev.byte_write(byte_base + slot * 64, &data, Some(tx), Category::Data);
+                dev.try_byte_write(byte_base + slot * 64, &data, Some(tx), Category::Data).unwrap();
                 last_slot_tag[slot as usize] = Some(tag);
                 uncommitted += 1;
                 if uncommitted >= 16 {
@@ -81,14 +81,15 @@ fn drive(dev: &Mssd, t: usize, verify_reads: bool) -> (Vec<Option<u8>>, Vec<Opti
             6 | 7 => {
                 let page = ops.next() % 16;
                 let tag = (ops.next() % 251) as u8;
-                dev.block_write(block_base + page, &vec![tag; 4096], Category::Data);
+                dev.try_block_write(block_base + page, &vec![tag; 4096], Category::Data).unwrap();
                 last_page_tag[page as usize] = Some(tag);
             }
             8 => {
                 if verify_reads {
                     let slot = ops.next() % slots;
                     if let Some(tag) = last_slot_tag[slot as usize] {
-                        let got = dev.byte_read(byte_base + slot * 64, 64, Category::Data);
+                        let got =
+                            dev.try_byte_read(byte_base + slot * 64, 64, Category::Data).unwrap();
                         assert_eq!(got, vec![tag; 64], "thread {t} slot {slot} mid-run");
                     }
                 }
@@ -97,7 +98,7 @@ fn drive(dev: &Mssd, t: usize, verify_reads: bool) -> (Vec<Option<u8>>, Vec<Opti
                 if verify_reads {
                     let page = ops.next() % 16;
                     if let Some(tag) = last_page_tag[page as usize] {
-                        let got = dev.block_read(block_base + page, 1, Category::Data);
+                        let got = dev.try_block_read(block_base + page, 1, Category::Data).unwrap();
                         assert_eq!(got, vec![tag; 4096], "thread {t} page {page} mid-run");
                     }
                 }
@@ -115,13 +116,13 @@ fn verify_final(dev: &Mssd, t: usize, slot_tags: &[Option<u8>], page_tags: &[Opt
     let block_base = byte_base / 4096 + 2048;
     for (slot, tag) in slot_tags.iter().enumerate() {
         if let Some(tag) = tag {
-            let got = dev.byte_read(byte_base + slot as u64 * 64, 64, Category::Data);
+            let got = dev.try_byte_read(byte_base + slot as u64 * 64, 64, Category::Data).unwrap();
             assert_eq!(got, vec![*tag; 64], "thread {t} slot {slot} final");
         }
     }
     for (page, tag) in page_tags.iter().enumerate() {
         if let Some(tag) = tag {
-            let got = dev.block_read(block_base + page as u64, 1, Category::Data);
+            let got = dev.try_block_read(block_base + page as u64, 1, Category::Data).unwrap();
             assert_eq!(got, vec![*tag; 4096], "thread {t} page {page} final");
         }
     }
@@ -218,8 +219,15 @@ fn concurrent_crash_recovery_preserves_committed_writes() {
                 let base = t as u64 * PARTITION_BYTES;
                 let committed_tx = TxId(((t as u32) << 8) | 1);
                 let lost_tx = TxId(((t as u32) << 8) | 2);
-                dev.byte_write(base, &[0xC0 + t as u8; 64], Some(committed_tx), Category::Data);
-                dev.byte_write(base + 4096, &[0xD0 + t as u8; 64], Some(lost_tx), Category::Data);
+                dev.try_byte_write(base, &[0xC0 + t as u8; 64], Some(committed_tx), Category::Data)
+                    .unwrap();
+                dev.try_byte_write(
+                    base + 4096,
+                    &[0xD0 + t as u8; 64],
+                    Some(lost_tx),
+                    Category::Data,
+                )
+                .unwrap();
                 dev.commit(committed_tx);
             })
         })
@@ -233,12 +241,12 @@ fn concurrent_crash_recovery_preserves_committed_writes() {
     for t in 0..THREADS as u64 {
         let base = t * PARTITION_BYTES;
         assert_eq!(
-            dev.byte_read(base, 64, Category::Data),
+            dev.try_byte_read(base, 64, Category::Data).unwrap(),
             vec![0xC0 + t as u8; 64],
             "committed write of thread {t} survives"
         );
         assert_eq!(
-            dev.byte_read(base + 4096, 64, Category::Data),
+            dev.try_byte_read(base + 4096, 64, Category::Data).unwrap(),
             vec![0u8; 64],
             "uncommitted write of thread {t} is discarded"
         );
@@ -257,10 +265,16 @@ fn pagecache_mode_is_thread_safe_too() {
                 let base = t as u64 * PARTITION_BYTES;
                 for i in 0..500u64 {
                     let tag = (i % 251) as u8;
-                    dev.byte_write(base + (i % 64) * 64, &[tag; 64], None, Category::Data);
-                    dev.block_write(base / 4096 + 1024 + (i % 8), &vec![tag; 4096], Category::Data);
+                    dev.try_byte_write(base + (i % 64) * 64, &[tag; 64], None, Category::Data)
+                        .unwrap();
+                    dev.try_block_write(
+                        base / 4096 + 1024 + (i % 8),
+                        &vec![tag; 4096],
+                        Category::Data,
+                    )
+                    .unwrap();
                 }
-                dev.flush();
+                dev.try_flush().unwrap();
             })
         })
         .collect();
@@ -270,7 +284,7 @@ fn pagecache_mode_is_thread_safe_too() {
     let last = 499u64 % 251;
     for t in 0..THREADS as u64 {
         let base = t * PARTITION_BYTES;
-        let got = dev.byte_read(base + (499 % 64) * 64, 64, Category::Data);
+        let got = dev.try_byte_read(base + (499 % 64) * 64, 64, Category::Data).unwrap();
         assert_eq!(got, vec![last as u8; 64], "thread {t} last byte write");
     }
     assert_eq!(dev.snapshot().cache_dirty_pages, 0, "flush drained every thread's pages");

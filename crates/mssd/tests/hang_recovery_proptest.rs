@@ -62,8 +62,7 @@ fn device(hang: HangFaultPlan) -> Arc<Mssd> {
     cfg.capacity_bytes = 32 << 20;
     cfg.dram_region_bytes = 16 << 10;
     cfg.log_clean_threshold = 0.999;
-    // The zero-worker runtime is deterministic only without the racing
-    // cleaner thread.
+    // The runtime is deterministic only without the racing cleaner thread.
     cfg.background_cleaning = false;
     cfg.hang = hang;
     Mssd::new(cfg, DramMode::WriteLog)
@@ -75,7 +74,7 @@ fn device(hang: HangFaultPlan) -> Arc<Mssd> {
 /// `false` if any command failed to resolve `Ok` (retry budget exhausted),
 /// which the equivalence property treats as a test-setup failure.
 fn run_workload(dev: &Arc<Mssd>, seed: u64, rounds: usize) -> bool {
-    let rt = Runtime::new(dev, 0, LANES, DEPTH);
+    let rt = Runtime::new(dev, LANES, DEPTH);
     let page_size = dev.page_size() as u64;
     let block_base = (16u64 << 20) / page_size; // partition 1
     let handles: Vec<_> = (0..CLIENTS)
@@ -160,10 +159,10 @@ fn observe(dev: &Arc<Mssd>) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for c in 0..CLIENTS as u64 {
         for s in 0..SLOTS {
-            out.push(dev.byte_read((c * SLOTS + s) * 64, 64, Category::Data));
+            out.push(dev.try_byte_read((c * SLOTS + s) * 64, 64, Category::Data).unwrap());
         }
         for p in 0..PAGES {
-            out.push(dev.block_read(block_base + c * PAGES + p, 1, Category::Data));
+            out.push(dev.try_block_read(block_base + c * PAGES + p, 1, Category::Data).unwrap());
         }
     }
     out

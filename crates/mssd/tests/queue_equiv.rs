@@ -123,15 +123,17 @@ fn commands(cfg: &MssdConfig, q: usize, op: &QOp, tx: &mut u32) -> Vec<Command> 
 /// Applies one command synchronously (the depth-1 shim path).
 fn apply_sync(dev: &Mssd, cmd: &Command) {
     match cmd {
-        Command::ByteWrite { addr, data, txid, cat } => dev.byte_write(*addr, data, *txid, *cat),
+        Command::ByteWrite { addr, data, txid, cat } => {
+            dev.try_byte_write(*addr, data, *txid, *cat).unwrap()
+        }
         Command::ByteRead { addr, len, cat } => {
-            dev.byte_read(*addr, *len, *cat);
+            dev.try_byte_read(*addr, *len, *cat).unwrap();
         }
-        Command::BlockWrite { lba, data, cat } => dev.block_write(*lba, data, *cat),
+        Command::BlockWrite { lba, data, cat } => dev.try_block_write(*lba, data, *cat).unwrap(),
         Command::BlockRead { lba, count, cat } => {
-            dev.block_read(*lba, *count, *cat);
+            dev.try_block_read(*lba, *count, *cat).unwrap();
         }
-        Command::Flush => dev.flush(),
+        Command::Flush => dev.try_flush().unwrap(),
         Command::Trim { lba, count } => dev.trim(*lba, *count),
         Command::Commit { txid } => dev.commit(*txid),
     }
@@ -141,9 +143,12 @@ fn apply_sync(dev: &Mssd, cmd: &Command) {
 fn observe(cfg: &MssdConfig, dev: &Mssd) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for q in 0..QUEUES {
-        out.push(dev.byte_read(q as u64 * PARTITION_BYTES, (SLOTS * 64) as usize, Category::Data));
+        out.push(
+            dev.try_byte_read(q as u64 * PARTITION_BYTES, (SLOTS * 64) as usize, Category::Data)
+                .unwrap(),
+        );
         for page in 0..16u8 {
-            out.push(dev.block_read(block_lba(cfg, q, page), 1, Category::Data));
+            out.push(dev.try_block_read(block_lba(cfg, q, page), 1, Category::Data).unwrap());
         }
     }
     out

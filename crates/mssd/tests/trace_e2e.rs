@@ -38,7 +38,7 @@ fn drive(dev: &std::sync::Arc<Mssd>) -> u64 {
     q.ring_doorbell();
     // Push enough data through the sync path to trigger log/flash activity.
     for i in 0..32u64 {
-        dev.block_write(64 + i, &vec![(i % 251) as u8; PAGE_SIZE], Category::Data);
+        dev.try_block_write(64 + i, &vec![(i % 251) as u8; PAGE_SIZE], Category::Data).unwrap();
     }
     dev.clock().now_ns()
 }

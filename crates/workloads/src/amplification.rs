@@ -59,16 +59,6 @@ impl TrafficBreakdown {
     pub fn share(&self, cat: Category) -> f64 {
         self.rows.iter().find(|(c, _, _)| *c == cat).map(|(_, _, s)| *s).unwrap_or(0.0)
     }
-
-    /// Formats the breakdown as a compact one-line report.
-    pub fn format_line(&self) -> String {
-        let cells: Vec<String> = self
-            .rows
-            .iter()
-            .map(|(c, bytes, share)| format!("{c}={bytes}B({:.1}%)", share * 100.0))
-            .collect();
-        format!("total={}B {}", self.total, cells.join(" "))
-    }
 }
 
 /// Flash traffic in bytes for a run (one bar of Figure 10/11).
@@ -108,7 +98,6 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
         assert!((b.share(Category::Data) - 0.7).abs() < 1e-9);
         assert_eq!(b.share(Category::Journal), 0.0);
-        assert!(b.format_line().contains("total=1000B"));
     }
 
     #[test]

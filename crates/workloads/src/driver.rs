@@ -197,15 +197,6 @@ pub struct ConcurrentRunResult {
     pub wall_ns: u64,
 }
 
-impl ConcurrentRunResult {
-    /// Wall-clock throughput in operations per second (the scaling metric of
-    /// the `fs_scale` bench; virtual-time throughput is
-    /// `aggregate.kops_per_sec`).
-    pub fn wall_ops_per_sec(&self) -> f64 {
-        self.aggregate.ops as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
-}
-
 /// The RNG seed thread `t` of a concurrent run derives from the run seed.
 /// Public so differential tests can replay one shard's exact op stream
 /// sequentially.
@@ -505,7 +496,6 @@ mod tests {
         let shard_ops: u64 = c.per_thread.iter().map(|t| t.ops).sum();
         assert_eq!(shard_ops, c.aggregate.ops, "per-thread slices partition the aggregate");
         assert!(c.wall_ns > 0);
-        assert!(c.wall_ops_per_sec() > 0.0);
         // The single-shard run is byte-for-byte the old sequential driver.
         let seq = run_workload(FsKind::ByteFs, MssdConfig::small_test(), &w, 11).unwrap();
         assert_eq!(seq.ops, objects + 1);

@@ -97,7 +97,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -125,7 +124,6 @@ impl Zipfian {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan),
-            zeta2theta,
         }
     }
 
@@ -151,11 +149,6 @@ impl Zipfian {
     /// The configured skew.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Internal normalization constant over two elements (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
@@ -455,7 +448,7 @@ mod tests {
             top10 as f64 / 20_000.0 > 0.2,
             "top-10 keys should absorb a large fraction of a zipfian draw ({top10})"
         );
-        assert!(z.domain() == 1000 && z.theta() > 0.9 && z.zeta2() > 1.0);
+        assert!(z.domain() == 1000 && z.theta() > 0.9);
     }
 
     fn tiny_spec(workload: YcsbWorkload) -> YcsbSpec {
