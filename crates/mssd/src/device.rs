@@ -57,7 +57,10 @@
 //! transactions (`txid` + `COMMIT`).
 //!
 //! Every operation advances the shared virtual [`Clock`] by the modelled
-//! latency and records traffic in the device's [`AtomicTraffic`].
+//! latency and records traffic in the device's [`AtomicTraffic`]. One part of
+//! the device works beside the host on that clock: the NAND array programs
+//! the FTL write buffer in the background, and a command waits for it only
+//! through a full buffer or a FLUSH (`DESIGN-time.md`).
 //!
 //! The firmware behaviour depends on [`DramMode`]:
 //!
@@ -463,6 +466,7 @@ impl Mssd {
             return (Err(FlashError::ReadOnly), 0);
         }
         self.stats.record_host(Direction::Write, cat, Interface::Byte, data.len() as u64);
+        let start = self.clock.now_ns();
         let mut cost = self.cfg.byte_access_ns(data.len(), false);
         let page_size = self.cfg.page_size as u64;
         let mut off = 0usize;
@@ -477,12 +481,12 @@ impl Mssd {
             match self.mode {
                 DramMode::WriteLog => {
                     if self.cfg.fault.step(FaultKind::LogAppend) {
-                        cost += self.log_append(lpa, in_page, chunk, txid);
+                        cost += self.log_append(lpa, in_page, chunk, txid, start + cost);
                     }
                 }
                 DramMode::PageCache => {
                     if self.cfg.fault.step(FaultKind::CacheWrite) {
-                        match self.cache_write_chunk(lpa, in_page, chunk) {
+                        match self.cache_write_chunk(lpa, in_page, chunk, start + cost) {
                             Ok(ns) => cost += ns,
                             Err(e) => {
                                 // Chunks before the failure were accepted —
@@ -504,7 +508,7 @@ impl Mssd {
             && !self.cfg.fault.is_cut()
             && !self.kick_cleaner()
         {
-            self.clean_all(false);
+            self.clean_all(None);
         }
         self.charge(cost);
         (Ok(()), cost)
@@ -550,6 +554,7 @@ impl Mssd {
             return (Ok(out), 0);
         }
         self.stats.record_host(Direction::Read, cat, Interface::Byte, len as u64);
+        let start = self.clock.now_ns();
         let mut cost = self.cfg.byte_access_ns(len, true);
         let page_size = self.cfg.page_size as u64;
         let mut off = 0usize;
@@ -558,12 +563,13 @@ impl Mssd {
             let lpa: Lpa = cur_addr / page_size;
             let in_page = (cur_addr % page_size) as usize;
             let span = (self.cfg.page_size - in_page).min(len - off);
+            let now = start + cost;
             match self.mode {
                 DramMode::WriteLog => {
                     // The whole read-through happens under the page's shard
                     // lock, so a concurrent cleaner step on this page cannot
                     // drain entries between the flash fetch and the overlay.
-                    let fetch = || self.flash.read_page(lpa, &self.stats, false);
+                    let fetch = || self.read_flash(lpa, now);
                     match self.log.read_range(lpa, in_page, span, fetch) {
                         Ok((bytes, ns)) => {
                             cost += ns;
@@ -580,7 +586,7 @@ impl Mssd {
                     match shard.get(lpa) {
                         Some(p) => out.extend_from_slice(&p[in_page..in_page + span]),
                         None => {
-                            let (page, ns) = match self.flash.read_page(lpa, &self.stats, false) {
+                            let (page, ns) = match self.read_flash(lpa, now) {
                                 Ok(fetched) => fetched,
                                 Err(e) => {
                                     self.charge(cost);
@@ -593,7 +599,7 @@ impl Mssd {
                             // the FTL — a durable mutation, skipped once
                             // power is off.
                             if !self.cfg.fault.is_cut() {
-                                match self.cache_fill(&mut shard, lpa, page, false) {
+                                match self.cache_fill(&mut shard, lpa, page, false, start + cost) {
                                     Ok(ns) => cost += ns,
                                     Err(e) => {
                                         self.charge(cost);
@@ -679,13 +685,15 @@ impl Mssd {
             return (Ok(out), 0);
         }
         self.stats.record_host(Direction::Read, cat, Interface::Block, (count * page_size) as u64);
+        let start = self.clock.now_ns();
         let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(count * page_size, true);
         let mut flash_reads = 0usize;
         for i in 0..count as u64 {
             let lpa = lba + i;
+            let now = start + cost;
             match self.mode {
                 DramMode::WriteLog => {
-                    let fetch = || self.flash.read_page(lpa, &self.stats, false);
+                    let fetch = || self.read_flash(lpa, now);
                     match self.log.read_range(lpa, 0, page_size, fetch) {
                         Ok((page, ns)) => {
                             if ns > 0 {
@@ -704,7 +712,7 @@ impl Mssd {
                     match shard.get(lpa) {
                         Some(p) => out.push(p.to_vec()),
                         None => {
-                            let (page, _) = match self.flash.read_page(lpa, &self.stats, false) {
+                            let (page, _) = match self.read_flash(lpa, now) {
                                 Ok(fetched) => fetched,
                                 Err(e) => {
                                     self.charge(cost);
@@ -714,7 +722,7 @@ impl Mssd {
                             flash_reads += 1;
                             out.push(page.clone());
                             if !self.cfg.fault.is_cut() {
-                                match self.cache_fill(&mut shard, lpa, page, false) {
+                                match self.cache_fill(&mut shard, lpa, page, false, now) {
                                     Ok(ns) => cost += ns,
                                     Err(e) => {
                                         self.charge(cost);
@@ -799,13 +807,13 @@ impl Mssd {
             return (Err(FlashError::ReadOnly), 0);
         }
         self.stats.record_host(Direction::Write, cat, Interface::Block, bytes as u64);
+        let start = self.clock.now_ns();
         let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(bytes, false);
         // Journal pages are counted as their own fault kind: torn journal
         // writes are the classic crash-consistency hazard the block file
         // systems defend against.
         let kind =
             if cat == Category::Journal { FaultKind::JournalWrite } else { FaultKind::BufferWrite };
-        let mut drains = SliceDrains::default();
         for (lpa, page) in (lba..).zip(pages) {
             // One counted fault step per page: a cut tears multi-page block
             // writes at page granularity (pages before the cut are
@@ -822,12 +830,11 @@ impl Mssd {
                     // so a cleaner step cannot merge a drained stale chunk on
                     // top of the fresh block data.
                     let (_, buffered) = self.log.invalidate_page_and(lpa, || {
-                        self.flash.buffer_write_on(lpa, page, &self.stats)
+                        self.flash.buffer_write_on(lpa, page, &self.stats, Some(start + cost))
                     });
                     match buffered {
-                        Ok((channel, ns)) => drains.add(channel, ns),
+                        Ok(wait) => cost += wait,
                         Err(e) => {
-                            cost += drains.wait_ns();
                             self.charge(cost);
                             return (Err(e), cost);
                         }
@@ -835,20 +842,16 @@ impl Mssd {
                 }
                 DramMode::PageCache => {
                     let mut shard = self.cache.lock_shard(lpa);
-                    for (victim, data) in shard.insert(lpa, page, true) {
-                        match self.flash.buffer_write_on(victim, data, &self.stats) {
-                            Ok((channel, ns)) => drains.add(channel, ns),
-                            Err(e) => {
-                                cost += drains.wait_ns();
-                                self.charge(cost);
-                                return (Err(e), cost);
-                            }
+                    match self.cache_fill(&mut shard, lpa, page, true, start + cost) {
+                        Ok(wait) => cost += wait,
+                        Err(e) => {
+                            self.charge(cost);
+                            return (Err(e), cost);
                         }
                     }
                 }
             }
         }
-        cost += drains.wait_ns();
         self.charge(cost);
         (Ok(()), cost)
     }
@@ -906,11 +909,12 @@ impl Mssd {
         if self.cfg.fault.is_cut() {
             return (Ok(()), 0); // power off: the FLUSH command never executes
         }
+        let start = self.clock.now_ns();
         let mut cost = 0;
         let mut status = Ok(());
         if self.mode == DramMode::PageCache {
             for (lpa, page) in self.cache.drain_dirty() {
-                match self.flash.buffer_write(lpa, page, &self.stats) {
+                match self.flash.buffer_write_on(lpa, page, &self.stats, Some(start + cost)) {
                     Ok(ns) => cost += ns,
                     // Keep draining so every page that still fits is
                     // accepted; report the first failure.
@@ -919,7 +923,7 @@ impl Mssd {
                 }
             }
         }
-        match self.flash.flush_all(&self.stats) {
+        match self.flash.flush_all(&self.stats, Some(start + cost)) {
             Ok(ns) => cost += ns,
             Err(e) if status.is_ok() => status = Err(e),
             Err(_) => {}
@@ -955,6 +959,7 @@ impl Mssd {
         if !self.cfg.fault.step(FaultKind::TxCommit) {
             return 0;
         }
+        let start = self.clock.now_ns();
         let mut cost = self.cfg.nvme_overhead_ns;
         // Concurrent committers can refill the TxLog between our cleaning
         // pass (which clears it) and the retry, so loop rather than assume
@@ -964,7 +969,7 @@ impl Mssd {
         while !self.txlog.lock().commit(txid) {
             // TxLog full: a stop-the-world clean propagates every committed
             // entry to flash, after which the TxLog can be cleared.
-            cost += self.clean_all(true);
+            cost += self.clean_all(Some(start + cost));
             attempts += 1;
             assert!(attempts < 64, "TxLog still full after repeated cleaning");
         }
@@ -981,7 +986,7 @@ impl Mssd {
     /// Forces a full log-cleaning pass in the foreground (used by unmount and
     /// by tests). Charges the cleaning latency.
     pub fn force_clean(&self) {
-        let cost = self.clean_all(true);
+        let cost = self.clean_all(Some(self.clock.now_ns()));
         self.charge(cost);
     }
 
@@ -1015,8 +1020,10 @@ impl Mssd {
                 let _ = self.flash.buffer_write(lpa, page, &self.stats);
             }
         }
-        let _ = self.flash.flush_all(&self.stats);
-        // No time is charged: the host is down during the power loss.
+        let _ = self.flash.flush_all(&self.stats, None);
+        // No time is charged: the host is down during the power loss, and
+        // whatever the array was still programming is done when it is back.
+        self.flash.reset_nand_timeline();
     }
 
     /// Custom NVMe command `RECOVER()`: scans the write log (sealed and
@@ -1062,12 +1069,13 @@ impl Mssd {
                 &self.stats,
                 *lpa,
                 chunks,
+                Some(start + cost + flush_cost),
                 &mut scratch,
             );
         }
         // A device that degraded to read-only mid-recovery keeps the merged
         // pages in the battery-backed buffer; nothing is lost.
-        if let Ok(ns) = self.flash.flush_all(&self.stats) {
+        if let Ok(ns) = self.flash.flush_all(&self.stats, Some(start + cost + flush_cost)) {
             flush_cost += ns;
         }
         txlog.clear();
@@ -1231,10 +1239,17 @@ impl Mssd {
         true
     }
 
-    /// Appends one chunk to the sharded write log. When space admission
-    /// fails the writer reclaims in the foreground. Returns the foreground
-    /// cost.
-    fn log_append(&self, lpa: Lpa, offset: usize, data: &[u8], txid: Option<TxId>) -> u64 {
+    /// Appends one chunk to the sharded write log for a command at virtual
+    /// time `now`. When space admission fails the writer reclaims in the
+    /// foreground. Returns the foreground cost.
+    fn log_append(
+        &self,
+        lpa: Lpa,
+        offset: usize,
+        data: &[u8],
+        txid: Option<TxId>,
+        now: u64,
+    ) -> u64 {
         let mut cost = 0;
         // Under concurrency other writers may re-fill the freed space between
         // our reclaim and the retry, so loop; a bounded number of attempts
@@ -1245,7 +1260,7 @@ impl Mssd {
             }
             match self.log.append(lpa, offset, data, txid) {
                 Ok(()) => return cost,
-                Err(_) => cost += self.reclaim_space(),
+                Err(_) => cost += self.reclaim_space(now + cost),
             }
         }
         panic!("write-log entry of {} bytes cannot fit even after cleaning", data.len());
@@ -1256,7 +1271,7 @@ impl Mssd {
     /// cleaner uses, so both can work different shards concurrently),
     /// charging the merge cost to the stalled writer. Falls back to a full
     /// stop-the-world pass only when nothing sealed is drainable.
-    fn reclaim_space(&self) -> u64 {
+    fn reclaim_space(&self, now: u64) -> u64 {
         self.stats.inc_log_fg_stalls();
         self.kick_cleaner();
         self.log.seal_all();
@@ -1278,6 +1293,7 @@ impl Mssd {
                     &self.stats,
                     shard,
                     CLEANER_PAGES_PER_STEP,
+                    Some(now + cost),
                     &mut scratch,
                 );
                 cost += step.cost;
@@ -1294,7 +1310,7 @@ impl Mssd {
             // A cleaning pass ends by programming the merged pages
             // (Algorithm 1): flush the FTL write buffer. On a degraded
             // device the pages stay safely buffered.
-            if let Ok(ns) = self.flash.flush_all(&self.stats) {
+            if let Ok(ns) = self.flash.flush_all(&self.stats, Some(now + cost)) {
                 cost += ns;
             }
             self.stats.inc_log_cleanings();
@@ -1302,7 +1318,7 @@ impl Mssd {
             // Nothing drained freed any space (everything sealed was
             // uncommitted and merely migrated, or other reclaimers got there
             // first): stop-the-world.
-            cost += self.clean_all(true);
+            cost += self.clean_all(Some(now + cost));
         }
         cost
     }
@@ -1313,10 +1329,11 @@ impl Mssd {
     /// no reader can observe entries that are in neither the log nor flash,
     /// and no commit record for post-drain appends can be lost.
     ///
-    /// When `foreground` is false the flash work is recorded in the traffic
-    /// counters but no latency is charged (used as the inline fallback when
-    /// the background cleaner is disabled).
-    fn clean_all(&self, foreground: bool) -> u64 {
+    /// Returns what a caller at virtual time `now` is charged. Without a time
+    /// the flash work is recorded in the traffic counters but stays off the
+    /// clock (the inline fallback when the background cleaner is disabled,
+    /// which discards the result).
+    fn clean_all(&self, now: Option<u64>) -> u64 {
         if self.cfg.fault.is_cut() {
             return 0; // power off: no cleaning pass starts
         }
@@ -1339,54 +1356,68 @@ impl Mssd {
                 &self.stats,
                 *lpa,
                 chunks,
+                now.map(|now| now + cost),
                 &mut scratch,
             );
         }
-        if let Ok(ns) = self.flash.flush_all(&self.stats) {
+        if let Ok(ns) = self.flash.flush_all(&self.stats, now.map(|now| now + cost)) {
             cost += ns;
         }
         all.reinstate(batch.migrated);
         txlog.clear();
         self.stats.inc_log_cleanings();
-        drop(txlog);
-        drop(all);
-        if foreground {
-            cost
-        } else {
-            0
-        }
+        cost
     }
 
     /// Serves a byte-interface write chunk from the sharded device cache
-    /// (baseline mode), filling from flash on a miss. The whole sequence
-    /// runs under the page's cache-shard lock.
-    fn cache_write_chunk(&self, lpa: Lpa, offset: usize, chunk: &[u8]) -> Result<u64, FlashError> {
+    /// (baseline mode) for a command at virtual time `now`, filling from
+    /// flash on a miss. The whole sequence runs under the page's cache-shard
+    /// lock.
+    fn cache_write_chunk(
+        &self,
+        lpa: Lpa,
+        offset: usize,
+        chunk: &[u8],
+        now: u64,
+    ) -> Result<u64, FlashError> {
         let mut cost = 0;
         let mut shard = self.cache.lock_shard(lpa);
         if !shard.modify(lpa, offset, chunk) {
             // Miss: fetch the backing page, apply the modification, cache it.
-            let (mut page, ns) = self.flash.read_page(lpa, &self.stats, false)?;
+            let (mut page, ns) = self.read_flash(lpa, now)?;
             cost += ns;
             page[offset..offset + chunk.len()].copy_from_slice(chunk);
-            cost += self.cache_fill(&mut shard, lpa, page, true)?;
+            cost += self.cache_fill(&mut shard, lpa, page, true, now + cost)?;
         }
         Ok(cost)
     }
 
-    /// Inserts a page into a locked cache shard, writing evicted dirty
-    /// victims through to the FTL (cache shard → flash channel lock order).
+    /// Inserts a page into a locked cache shard for a command at virtual time
+    /// `now`, writing evicted dirty victims through to the FTL (cache shard →
+    /// flash channel lock order). Returns the command's wait for
+    /// write-buffer slots.
     fn cache_fill(
         &self,
         shard: &mut DramPageCache,
         lpa: Lpa,
         page: Vec<u8>,
         dirty: bool,
+        now: u64,
     ) -> Result<u64, FlashError> {
         let mut cost = 0;
         for (victim, data) in shard.insert(lpa, page, dirty) {
-            cost += self.flash.buffer_write(victim, data, &self.stats)?;
+            cost += self.flash.buffer_write_on(victim, data, &self.stats, Some(now + cost))?;
         }
         Ok(cost)
+    }
+
+    /// A host command's flash read at virtual time `now`: the page and its
+    /// latency. The read does not wait for the NAND array's backlog; it
+    /// delays it.
+    fn read_flash(&self, lpa: Lpa, now: u64) -> Result<(Vec<u8>, u64), FlashError> {
+        let (page, ns) = self.flash.read_page(lpa, &self.stats, false)?;
+        self.flash.delay_nand_backlog(Some(now), ns);
+        Ok((page, ns))
     }
 }
 
@@ -1398,53 +1429,6 @@ impl Drop for Mssd {
             if let Some(thread) = cl.thread.take() {
                 let _ = thread.join();
             }
-        }
-    }
-}
-
-/// The write-buffer slice drains forced by one block-write command, and what
-/// the command is charged for them: the drains of distinct channels proceed
-/// [`SliceDrains::LANES`] at a time, so a command spanning two or more
-/// channels pays half the summed drain time and one that stays on a single
-/// channel — every one-page command — pays all of it, as it always did.
-///
-/// The charge is the *work* divided by the lanes, not the wait for the
-/// busiest channel. Waiting for the busiest channel makes a command cost one
-/// drain whether one of its channels drains or all of them do, so the total
-/// over a run depends on how the slices' fill levels happen to be aligned
-/// when each command arrives — one stray page shifts it (a stream of 16-page
-/// commands over 8 channels pays half a drain or a whole one per command),
-/// and the modelled throughput of one workload moved by 2–3 % from seed to
-/// seed. Work over lanes charges both alignments the same. Two lanes is
-/// exact for the two-page command of an 8 KB fsync and deliberately
-/// conservative for wider ones: full-width overlap is what per-channel
-/// timelines (ROADMAP item 1) would have to justify.
-#[derive(Default)]
-struct SliceDrains {
-    busy_ns: u64,
-    first_channel: Option<usize>,
-    spans_channels: bool,
-}
-
-impl SliceDrains {
-    /// Slice drains that proceed side by side.
-    const LANES: u64 = 2;
-
-    /// One page went to `channel`'s slice, which cost `ns` of forced drain
-    /// (0 when the slice had room).
-    fn add(&mut self, channel: usize, ns: u64) {
-        self.busy_ns += ns;
-        match self.first_channel {
-            None => self.first_channel = Some(channel),
-            Some(first) => self.spans_channels |= first != channel,
-        }
-    }
-
-    fn wait_ns(&self) -> u64 {
-        if self.spans_channels {
-            self.busy_ns / Self::LANES
-        } else {
-            self.busy_ns
         }
     }
 }
@@ -1472,7 +1456,8 @@ pub(crate) fn flatten_pages(mut pages: Vec<Vec<u8>>) -> Vec<u8> {
 /// One incremental cleaning step: drains up to `max_pages` pages of a
 /// shard's sealed region, merging committed chunks into flash while the
 /// shard lock is held (lock order: shard → txlog → channel → stripe).
-/// Shared by the background cleaner thread and the foreground stall path.
+/// Shared by the background cleaner thread (`now` is `None`: off the clock)
+/// and the foreground stall path (its virtual time).
 #[allow(clippy::too_many_arguments)]
 fn drain_sealed_shard(
     cfg: &MssdConfig,
@@ -1482,8 +1467,10 @@ fn drain_sealed_shard(
     stats: &AtomicTraffic,
     shard: usize,
     max_pages: usize,
+    now: Option<u64>,
     scratch: &mut Vec<(usize, usize)>,
 ) -> SealedStep {
+    let mut at = now;
     log.drain_sealed_step(
         shard,
         max_pages,
@@ -1494,19 +1481,25 @@ fn drain_sealed_shard(
             let guard = txlog.lock();
             move |tx: TxId| guard.is_committed(tx)
         },
-        |lpa, chunks| apply_chunks_to_flash(cfg, flash, stats, lpa, chunks, scratch),
+        |lpa, chunks| {
+            let ns = apply_chunks_to_flash(cfg, flash, stats, lpa, chunks, at, scratch);
+            at = at.map(|at| at + ns);
+            ns
+        },
     )
 }
 
 /// Read-modify-write of one flash page from a set of committed log chunks
-/// (Algorithm 1, lines 3-11). Returns the foreground cost. `scratch` is a
-/// range buffer reused across the pages of a cleaning batch.
+/// (Algorithm 1, lines 3-11). Returns the foreground cost for a caller at
+/// virtual time `now` (`None`: off the clock). `scratch` is a range buffer
+/// reused across the pages of a cleaning batch.
 fn apply_chunks_to_flash(
     cfg: &MssdConfig,
     flash: &ShardedFtl,
     stats: &AtomicTraffic,
     lpa: Lpa,
     chunks: &[ChunkEntry],
+    now: Option<u64>,
     scratch: &mut Vec<(usize, usize)>,
 ) -> u64 {
     let mut cost = 0;
@@ -1521,6 +1514,7 @@ fn apply_chunks_to_flash(
         cfg.media.resume();
         match fetched {
             Ok((page, ns)) => {
+                flash.delay_nand_backlog(now, ns);
                 cost += ns;
                 page
             }
@@ -1535,7 +1529,7 @@ fn apply_chunks_to_flash(
     // A device that degraded to read-only mid-pass drops the merged page;
     // its chunks were drained already, matching the device's degraded
     // write-refusal semantics.
-    if let Ok(ns) = flash.buffer_write(lpa, page, stats) {
+    if let Ok(ns) = flash.buffer_write_on(lpa, page, stats, now.map(|now| now + cost)) {
         cost += ns;
     }
     cost
@@ -1634,6 +1628,7 @@ fn cleaner_main(ctx: CleanerCtx) {
                     &ctx.stats,
                     shard,
                     CLEANER_PAGES_PER_STEP,
+                    None,
                     &mut scratch,
                 );
                 if step.chunks > 0 {
@@ -1648,7 +1643,7 @@ fn cleaner_main(ctx: CleanerCtx) {
         if merged_pages > 0 {
             // End of pass: program the merged pages (Algorithm 1). The cost
             // is discarded — background cleaning is off the critical path.
-            let _ = ctx.flash.flush_all(&ctx.stats);
+            let _ = ctx.flash.flush_all(&ctx.stats, None);
             ctx.stats.add_log_bg_cleaned_pages(merged_pages);
             ctx.stats.inc_log_cleanings();
         }
@@ -1760,40 +1755,6 @@ mod tests {
         d.try_block_read(100, 1, Category::Data).unwrap();
         let t3 = d.clock().now_ns();
         assert!(t3 - t2 >= d.config().nvme_overhead_ns);
-    }
-
-    #[test]
-    fn one_write_command_overlaps_the_slice_drains_of_distinct_channels() {
-        // `prefill` buffered pages leave the four 4-page slices full (16) or
-        // two of them one page short (14). Eight more pages then force the
-        // same four slice drains — 16 pages programmed — however they are cut
-        // into commands. A device handed one page at a time drains one slice
-        // after the other; handed four at once it drains two side by side.
-        // And the charge does not depend on how the slices were aligned: with
-        // 16 prefilled the first 4-page command forces all four drains, with
-        // 14 each of the two commands forces two.
-        let cfg = MssdConfig::small_test();
-        let slice_drain_ns = 4 * cfg.flash_write_ns;
-        let charged = |prefill: u64, per_command: usize| {
-            let d = dev(DramMode::WriteLog);
-            let page = vec![9u8; 4096];
-            for lba in 0..prefill {
-                d.try_block_write(lba, &page, Category::Data).unwrap();
-            }
-            let before = (d.clock().now_ns(), d.traffic().flash_write_pages);
-            for lba in (prefill..prefill + 8).step_by(per_command) {
-                d.try_block_write(lba, &page.repeat(per_command), Category::Data).unwrap();
-            }
-            assert_eq!(d.traffic().flash_write_pages - before.1, 16, "same pages programmed");
-            d.clock().now_ns() - before.0
-        };
-        let commands_ns = |n: u64, pages: usize| {
-            n * (cfg.nvme_overhead_ns + cfg.transfer_ns(pages * 4096, false))
-        };
-        for prefill in [16, 14] {
-            assert_eq!(charged(prefill, 1), commands_ns(8, 1) + 4 * slice_drain_ns);
-            assert_eq!(charged(prefill, 4), commands_ns(2, 4) + 2 * slice_drain_ns);
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   in real time, not just in the virtual-latency formula.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -441,6 +441,8 @@ pub struct ShardedFtl {
     rr: AtomicUsize,
     /// Total pages currently in write-buffer slices (all channels).
     buffered: AtomicUsize,
+    /// Pages the write buffer holds: every slice full.
+    buffer_slots: usize,
     /// Spare blocks remaining across all channels. A cached gauge so the
     /// stats path never has to lock every channel (which would violate the
     /// one-channel-at-a-time discipline).
@@ -448,12 +450,18 @@ pub struct ShardedFtl {
     /// Latched when any channel retires a block with an empty spare pool:
     /// the device degrades to read-only instead of panicking.
     read_only: AtomicBool,
+    /// The NAND array's one timeline (`DESIGN-time.md`): the virtual ns at
+    /// which every page already handed to NAND is programmed; in the past
+    /// when the array is idle. `Relaxed` throughout — it is a number of the
+    /// latency model and publishes no data.
+    nand_busy_until: AtomicU64,
 }
 
 impl ShardedFtl {
     /// Creates a channel-parallel FTL over fresh per-channel flash units.
     pub fn new(cfg: MssdConfig) -> Self {
         let mut spare_total = 0usize;
+        let slice_pages = (cfg.write_buffer_bytes / cfg.page_size / cfg.channels).max(1);
         let channels: Vec<Mutex<Channel>> = (0..cfg.channels)
             .map(|c| {
                 let flash = ChannelFlash::new(&cfg, c);
@@ -476,7 +484,7 @@ impl ShardedFtl {
                     active: None,
                     p2l: HashMap::new(),
                     buffer: Vec::new(),
-                    buffer_capacity: (cfg.write_buffer_bytes / cfg.page_size / cfg.channels).max(1),
+                    buffer_capacity: slice_pages,
                     spare,
                     bad: Vec::new(),
                 })
@@ -489,8 +497,10 @@ impl ShardedFtl {
             valid: (0..total_blocks).map(|_| AtomicUsize::new(0)).collect(),
             rr: AtomicUsize::new(0),
             buffered: AtomicUsize::new(0),
+            buffer_slots: slice_pages * cfg.channels,
             spare_count: AtomicUsize::new(spare_total),
             read_only: AtomicBool::new(false),
+            nand_busy_until: AtomicU64::new(0),
             cfg,
         }
     }
@@ -635,8 +645,10 @@ impl ShardedFtl {
 
     /// Queues a full-page write into the owning channel's write-buffer slice
     /// (the channel round-robins for fresh pages, sticks for re-writes of a
-    /// still-buffered page). Returns the latency charged now — only a slice
-    /// drain if the slice was full. The page becomes durable after
+    /// still-buffered page) off the clock: a full slice drains, but nobody
+    /// waits and the NAND timeline does not move. This is the background
+    /// cleaner's call (and crash-image restore's); a host command uses
+    /// [`ShardedFtl::buffer_write_on`]. The page becomes durable after
     /// [`ShardedFtl::flush_all`].
     ///
     /// # Errors
@@ -649,13 +661,17 @@ impl ShardedFtl {
         lpa: Lpa,
         data: Vec<u8>,
         stats: &AtomicTraffic,
-    ) -> Result<u64, FlashError> {
-        self.buffer_write_on(lpa, data, stats).map(|(_, ns)| ns)
+    ) -> Result<(), FlashError> {
+        self.buffer_write_on(lpa, data, stats, None).map(|_| ())
     }
 
-    /// [`ShardedFtl::buffer_write`] that also names the channel whose slice
-    /// took the page — the channel a forced drain, if any, kept busy. A
-    /// multi-page command uses it to overlap the drains of distinct channels.
+    /// [`ShardedFtl::buffer_write`] on the clock: the caller is at virtual
+    /// time `now` and gets back how long it waits. A full slice is handed to
+    /// the NAND array, which programs it in the background of modelled time;
+    /// the caller waits only while the buffer has no slot for its page — a
+    /// page holds its slot from acceptance until its program completes
+    /// (`DESIGN-time.md`). `None` is a caller without a time: no wait, no
+    /// array work.
     ///
     /// # Errors
     ///
@@ -665,12 +681,12 @@ impl ShardedFtl {
         lpa: Lpa,
         data: Vec<u8>,
         stats: &AtomicTraffic,
-    ) -> Result<(usize, u64), FlashError> {
+        now: Option<u64>,
+    ) -> Result<u64, FlashError> {
         debug_assert!(lpa < self.logical_pages(), "lpa {lpa} out of range");
         if self.read_only.load(Ordering::SeqCst) {
             return Err(FlashError::ReadOnly);
         }
-        let mut cost = 0;
         let mut target = match self.peek(lpa) {
             Some(Loc::Buffered(c)) => c,
             _ => self.rr.fetch_add(1, Ordering::Relaxed) % self.channels.len(),
@@ -680,7 +696,8 @@ impl ShardedFtl {
             let mut ch = self.channels[target].lock();
             if ch.buffer.len() >= ch.buffer_capacity {
                 let r = self.drain_buffer_locked(&mut ch, stats);
-                cost += r.gc_cost + r.programmed as u64 * self.cfg.flash_write_ns;
+                let work_ns = r.gc_cost + r.programmed as u64 * self.cfg.flash_write_ns;
+                self.hand_to_nand(now, self.array_ns(work_ns));
                 if let Some(e) = r.error {
                     // The forced drain hit an unrecoverable media condition
                     // (spares exhausted); refuse the new write.
@@ -707,7 +724,8 @@ impl ShardedFtl {
             }
             let mut stripe = self.stripes[Self::stripe_of(lpa)].lock();
             match stripe.get(&lpa).copied() {
-                // Coalesce a pending write to the same page.
+                // Coalesce a pending write to the same page: it keeps the
+                // slot it has.
                 Some(Loc::Buffered(c)) if c == target => {
                     if let Some(slot) = ch.buffer.iter_mut().rev().find(|(l, _)| *l == lpa) {
                         slot.1 = data;
@@ -717,7 +735,7 @@ impl ShardedFtl {
                         ch.buffer.push((lpa, data));
                         self.buffered.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok((target, cost));
+                    return Ok(0);
                 }
                 // The page got (re)buffered on another channel meanwhile —
                 // coalesce there instead.
@@ -730,31 +748,92 @@ impl ShardedFtl {
                 prev => {
                     ch.buffer.push((lpa, data));
                     stripe.insert(lpa, Loc::Buffered(target));
-                    self.buffered.fetch_add(1, Ordering::Relaxed);
+                    let held = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(Loc::Flash(old)) = prev {
                         // The flash copy is stale now; its p2l entry is
                         // invalidated lazily by GC validation.
                         self.valid[self.block_of(old) as usize].fetch_sub(1, Ordering::Relaxed);
                     }
-                    return Ok((target, cost));
+                    return Ok(self.slot_wait(now, held, stats));
                 }
             }
         }
     }
 
+    /// `work_ns` of GC and page programs, counted as if one channel did it
+    /// all, as time of the whole array: striping is balanced, so every
+    /// channel takes its share.
+    fn array_ns(&self, work_ns: u64) -> u64 {
+        work_ns.div_ceil(self.channels.len() as u64)
+    }
+
+    /// Hands `array_ns` of work to the NAND array at the caller's time: it
+    /// starts when everything handed over earlier is done. A caller without
+    /// a time (the background cleaner) keeps its drains off the clock.
+    fn hand_to_nand(&self, now: Option<u64>, array_ns: u64) {
+        let Some(now) = now else { return };
+        if array_ns > 0 {
+            let _ =
+                self.nand_busy_until.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                    Some(busy.max(now) + array_ns)
+                });
+        }
+    }
+
+    /// How long a command at `now` waits for the write-buffer slot of the
+    /// page it just put into a slice, `held` pages being in slices now. The
+    /// slots the slices do not hold are free for pages still being
+    /// programmed, so the command waits until the array's backlog is no
+    /// longer than those slots' worth of programs.
+    fn slot_wait(&self, now: Option<u64>, held: usize, stats: &AtomicTraffic) -> u64 {
+        let Some(now) = now else { return 0 };
+        let free = self.buffer_slots.saturating_sub(held) as u64;
+        let fits_ns = self.array_ns(free * self.cfg.flash_write_ns);
+        let wait = self.nand_backlog_ns(now).saturating_sub(fits_ns);
+        if wait > 0 {
+            stats.add_nand_stall_ns(wait);
+        }
+        wait
+    }
+
+    /// How long after `now` the array is done with everything handed to it.
+    fn nand_backlog_ns(&self, now: u64) -> u64 {
+        self.nand_busy_until.load(Ordering::Relaxed).saturating_sub(now)
+    }
+
+    /// A flash read at `now` that took `read_ns` on its channel: the read
+    /// itself never waits for queued programs (reads have priority), but the
+    /// programs behind it finish that much later. An idle array has nothing
+    /// to delay, and a caller without a time stays off the clock.
+    pub(crate) fn delay_nand_backlog(&self, now: Option<u64>, read_ns: u64) {
+        let Some(now) = now else { return };
+        let _ = self.nand_busy_until.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            (busy > now && read_ns > 0).then(|| busy + self.array_ns(read_ns))
+        });
+    }
+
+    /// Power came back: whatever the array was still programming finished on
+    /// capacitor power while the host was down, so the timeline starts idle.
+    pub(crate) fn reset_nand_timeline(&self) {
+        self.nand_busy_until.store(0, Ordering::Relaxed);
+    }
+
     /// Programs every buffered page to flash, running per-channel GC as
-    /// needed. Returns the latency in nanoseconds: channels drain in
-    /// parallel, so the program cost is the largest per-channel batch, plus
-    /// all GC work.
+    /// needed, and returns how long a caller at `now` waits for the NAND
+    /// array to finish — these pages and everything handed to it before
+    /// (`None`: a caller without a time, which waits for nothing and keeps
+    /// the drain off the clock). The channels drain side by side: GC is
+    /// array work like any other, and the programs take whole rounds of
+    /// `flash_write_ns`, the last one however few channels it keeps busy.
     ///
     /// # Errors
     ///
     /// Propagates the first unrecoverable media error hit while draining
     /// (spares exhausted mid-remap). Pages not yet programmed stay in the
     /// battery-backed buffer — durable, but no longer flushable.
-    pub fn flush_all(&self, stats: &AtomicTraffic) -> Result<u64, FlashError> {
+    pub fn flush_all(&self, stats: &AtomicTraffic, now: Option<u64>) -> Result<u64, FlashError> {
         let mut gc_cost = 0;
-        let mut max_pages = 0usize;
+        let mut programmed = 0usize;
         let mut first_err: Option<FlashError> = None;
         // Two passes: a page stranded on a full channel is migrated to the
         // next channel's slice and picked up there; a page that lands on an
@@ -767,7 +846,7 @@ impl ShardedFtl {
                 let r = self.drain_buffer_locked(&mut ch, stats);
                 drop(ch);
                 gc_cost += r.gc_cost;
-                max_pages = max_pages.max(r.programmed);
+                programmed += r.programmed;
                 if first_err.is_none() {
                     first_err = r.error;
                 }
@@ -780,9 +859,11 @@ impl ShardedFtl {
                 break;
             }
         }
+        let rounds = programmed.div_ceil(self.channels.len()) as u64;
+        self.hand_to_nand(now, self.array_ns(gc_cost) + rounds * self.cfg.flash_write_ns);
         match first_err {
             Some(e) => Err(e),
-            None => Ok(gc_cost + max_pages as u64 * self.cfg.flash_write_ns),
+            None => Ok(now.map_or(0, |now| self.nand_backlog_ns(now))),
         }
     }
 
@@ -1316,13 +1397,13 @@ impl ShardedFtl {
         let scratch = AtomicTraffic::new();
         let replay = |lpa: Lpa, data: &Vec<u8>| match self.buffer_write(lpa, data.clone(), &scratch)
         {
-            Ok(_) => {}
+            Ok(()) => {}
             Err(e) => panic!("crash-image restore rejected page {lpa}: {e}"),
         };
         for (lpa, data) in flash_pages {
             replay(*lpa, data);
         }
-        if let Err(e) = self.flush_all(&scratch) {
+        if let Err(e) = self.flush_all(&scratch, None) {
             panic!("crash-image restore flush failed: {e}");
         }
         for (lpa, data) in buffered {
@@ -1574,7 +1655,7 @@ mod tests {
         assert_eq!(data, page(0xAB, ps));
         assert_eq!(ns, 0);
         assert_eq!(st.snapshot().flash_write_pages, 0);
-        let cost = f.flush_all(&st).unwrap();
+        let cost = f.flush_all(&st, Some(0)).unwrap();
         assert!(cost > 0);
         assert_eq!(f.buffered_pages(), 0);
         assert_eq!(f.mapped_pages(), 1);
@@ -1593,13 +1674,13 @@ mod tests {
         f.buffer_write(9, page(1, ps), &st).unwrap();
         f.buffer_write(9, page(2, ps), &st).unwrap();
         assert_eq!(f.buffered_pages(), 1);
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         assert_eq!(st.snapshot().flash_write_pages, 1);
         // Overwrite of a flash-mapped page: newest wins after re-flush.
         f.buffer_write(9, page(3, ps), &st).unwrap();
         let (d, ns) = f.read_page(9, &st, false).unwrap();
         assert_eq!((d, ns), (page(3, ps), 0));
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         assert_eq!(f.mapped_pages(), 1);
         assert_eq!(f.read_page(9, &st, false).unwrap().0, page(3, ps));
     }
@@ -1614,7 +1695,7 @@ mod tests {
         for i in 0..channels as u64 {
             f.buffer_write(i, page(i as u8, ps), &st).unwrap();
         }
-        let cost = f.flush_all(&st).unwrap();
+        let cost = f.flush_all(&st, Some(0)).unwrap();
         // Round-robin placement puts one page per channel: one parallel round.
         assert_eq!(cost, per_write);
     }
@@ -1633,7 +1714,7 @@ mod tests {
             for lpa in 0..working_set {
                 f.buffer_write(lpa, page(version ^ lpa as u8, ps), &st).unwrap();
             }
-            f.flush_all(&st).unwrap();
+            f.flush_all(&st, None).unwrap();
             let probe = round % working_set;
             assert_eq!(f.read_page(probe, &st, false).unwrap().0, page(version ^ probe as u8, ps));
         }
@@ -1666,7 +1747,7 @@ mod tests {
                     for i in 0..per_thread {
                         f.buffer_write(base + i, page((t * 64 + i) as u8, ps), &st).unwrap();
                         if i % 16 == 15 {
-                            f.flush_all(&st).unwrap();
+                            f.flush_all(&st, None).unwrap();
                         }
                     }
                     for i in 0..per_thread {
@@ -1679,7 +1760,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         assert_eq!(f.mapped_pages(), (threads * per_thread) as usize);
         assert_eq!(f.buffered_pages(), 0);
     }
@@ -1721,7 +1802,7 @@ mod tests {
         for lpa in 0..8u64 {
             f.buffer_write(lpa, page(lpa as u8 ^ 0x5a, ps), &st).unwrap();
         }
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         for lpa in 0..8u64 {
             let (d, ns) = f.read_page(lpa, &st, false).unwrap();
             assert_eq!(d, page(lpa as u8 ^ 0x5a, ps), "lpa {lpa}");
@@ -1740,7 +1821,7 @@ mod tests {
             sharded_with_media(MediaFaultConfig { seed: 2, fail_read_at: 1, ..Default::default() });
         let ps = f.page_size();
         f.buffer_write(5, page(0xc3, ps), &st).unwrap();
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         let err = f.read_page(5, &st, false).unwrap_err();
         match err {
             FlashError::Uncorrectable { retries, .. } => {
@@ -1769,7 +1850,7 @@ mod tests {
         for lpa in 0..8u64 {
             f.buffer_write(lpa, page(lpa as u8 | 0x80, ps), &st).unwrap();
         }
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         let snap = st.snapshot();
         assert_eq!(snap.ras_remapped_pages, 1);
         assert_eq!(snap.ras_retired_blocks, 1);
@@ -1794,7 +1875,7 @@ mod tests {
         });
         let ps = f.page_size();
         f.buffer_write(0, page(0x11, ps), &st).unwrap();
-        let err = f.flush_all(&st).unwrap_err();
+        let err = f.flush_all(&st, None).unwrap_err();
         assert_eq!(err, FlashError::ReadOnly);
         assert!(f.is_read_only());
         // One channel's pool (2 spares) was consumed before it gave up.
@@ -1815,7 +1896,7 @@ mod tests {
         for lpa in 0..6u64 {
             f.buffer_write(lpa, page(lpa as u8 + 1, ps), &st).unwrap();
         }
-        f.flush_all(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         let bad = f.bad_blocks();
         assert_eq!(bad.len(), 1);
         let spares = f.spares_remaining();
@@ -1854,7 +1935,7 @@ mod tests {
             for lpa in 0..working_set {
                 f.buffer_write(lpa, page(version ^ lpa as u8, ps), &st).unwrap();
             }
-            f.flush_all(&st).unwrap();
+            f.flush_all(&st, None).unwrap();
         }
         let snap = st.snapshot();
         assert!(snap.flash_erase_blocks > 0, "GC should have run");

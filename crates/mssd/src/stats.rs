@@ -316,6 +316,10 @@ scalar_counters! {
     tally log_bg_cleaned_pages,
     /// Total virtual nanoseconds spent in host-visible device operations.
     tally device_busy_ns,
+    /// Virtual nanoseconds host commands waited for a slot of the FTL write
+    /// buffer: every slot held by a page not yet programmed
+    /// (`DESIGN-time.md`).
+    tally nand_stall_ns,
     /// RAS: flash reads whose raw bit errors the ECC corrected.
     tally ras_corrected_reads,
     /// RAS: flash reads that resolved as uncorrectable ECC errors (UECC)
@@ -618,6 +622,11 @@ impl AtomicTraffic {
     /// Accumulates host-visible device busy time.
     pub fn add_device_busy_ns(&self, ns: u64) {
         self.device_busy_ns.add(ns);
+    }
+
+    /// Accumulates the time a host command waited for a write-buffer slot.
+    pub fn add_nand_stall_ns(&self, ns: u64) {
+        self.nand_stall_ns.add(ns);
     }
 
     /// Counts one ECC-corrected flash read.

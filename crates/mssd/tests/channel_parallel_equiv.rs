@@ -81,7 +81,7 @@ proptest! {
                 }
                 FtlOp::Flush => {
                     reference.flush_buffer(&ref_stats).unwrap();
-                    sharded.flush_all(&sh_stats).unwrap();
+                    sharded.flush_all(&sh_stats, None).unwrap();
                     prop_assert_eq!(reference.buffered_pages(), 0);
                     prop_assert_eq!(sharded.buffered_pages(), 0);
                     // At a flush point every surviving page is on flash on
