@@ -452,17 +452,36 @@ impl<P: PersistencePolicy> BaselineFs<P> {
             .collect())
     }
 
+    /// Writes back the dirty pages the caller took out of the page cache,
+    /// and the inode. On failure (the data area is full: blocks are placed
+    /// here, not at `write`) the pages and the inode are dirty again, so the
+    /// next `fsync` fails too or persists every byte — a page left clean in
+    /// the cache would never be written.
     fn writeback_inode(
         &self,
         st: &mut EngineState,
         ino: u64,
         pages: Vec<DirtyPage>,
     ) -> FsResult<()> {
-        let npages = pages.len();
         let meta_dirty = st.dirty_inodes.remove(&ino);
-        if npages == 0 && !meta_dirty {
+        if pages.is_empty() && !meta_dirty {
             return Ok(());
         }
+        let written = self.write_pages_and_inode(st, ino, &pages);
+        if written.is_err() {
+            st.page_cache.restore_dirty(pages);
+            st.dirty_inodes.insert(ino);
+        }
+        written
+    }
+
+    fn write_pages_and_inode(
+        &self,
+        st: &mut EngineState,
+        ino: u64,
+        pages: &[DirtyPage],
+    ) -> FsResult<()> {
+        let npages = pages.len();
         let blocks = &st.ns.node(ino)?.blocks;
         let batch: Vec<(u64, Option<u64>, &[u8])> =
             pages.iter().map(|dp| (dp.index, blocks.get(&dp.index).copied(), &*dp.data)).collect();
@@ -870,15 +889,12 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
     fn sync(&self) -> FsResult<()> {
         let mut st = self.state.lock();
         if self.policy.buffered_data() {
-            let all = st.page_cache.take_all_dirty();
-            let mut by_inode: BTreeMap<u64, Vec<DirtyPage>> = BTreeMap::new();
-            for dp in all {
-                by_inode.entry(dp.inode).or_default().push(dp);
-            }
-            for ino in st.dirty_inodes.clone() {
-                by_inode.entry(ino).or_default();
-            }
-            for (ino, pages) in by_inode {
+            // Inode by inode, in ascending order: a failure leaves the
+            // pages of the inodes after it dirty in the cache.
+            let mut inos = st.page_cache.dirty_inodes();
+            inos.extend(st.dirty_inodes.iter().copied());
+            for ino in inos {
+                let pages = st.page_cache.take_dirty(ino);
                 self.writeback_inode(&mut st, ino, pages)?;
             }
         }
@@ -905,9 +921,40 @@ mod tests {
     use std::sync::Arc;
 
     use fskit::FileSystem;
-    use mssd::{DramMode, Mssd, MssdConfig};
+    use mssd::{DramMode, MediaFaultPlan, Mssd, MssdConfig};
 
+    use super::{BaselineFs, PersistencePolicy};
     use crate::{Ext4Like, F2fsLike};
+
+    /// A device on which no program succeeds once its media plan is resumed.
+    fn failing_device() -> Arc<Mssd> {
+        let mut cfg = MssdConfig::small_test();
+        cfg.media = MediaFaultPlan::rates(7, 0.0, 1.0, 0.0);
+        cfg.media.suspend();
+        Mssd::new(cfg, DramMode::PageCache)
+    }
+
+    fn fsync_fails_twice<P: PersistencePolicy>(fs: Arc<BaselineFs<P>>) {
+        let victim = fs.create("/victim").unwrap();
+        fs.write(victim, 0, &vec![7u8; 8 * 4096]).unwrap();
+        fs.device.config().media.resume();
+        assert!(fs.fsync(victim).is_err(), "{}: the FLUSH cannot program", fs.name());
+        assert!(fs.device.is_read_only());
+        assert_eq!(fs.state.lock().page_cache.dirty_count(), 8, "{}", fs.name());
+        assert!(fs.fsync(victim).is_err(), "{}: nothing was persisted", fs.name());
+    }
+
+    #[test]
+    fn a_failed_fsync_leaves_every_page_dirty_for_the_next_one() {
+        // `bytefs/tests/failed_fsync.rs` for the baselines. A full data area
+        // panics here, so the one writeback failure is a device that
+        // degraded to read-only — for good, so only half of the contract can
+        // be shown: the pages a failed fsync took are dirty again and the
+        // next fsync fails too, where it used to find nothing to write and
+        // return `Ok`.
+        fsync_fails_twice(Ext4Like::format(failing_device()));
+        fsync_fails_twice(F2fsLike::format(failing_device()));
+    }
 
     #[test]
     fn block_policies_move_data_pages_by_the_run() {

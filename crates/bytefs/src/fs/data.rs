@@ -39,9 +39,11 @@
 //! **Why order is preserved.** Read-ahead probing uses `contains`, which
 //! touches no LRU state, and the pages of a run are installed in index order,
 //! so the cache sees the hit/miss/insert sequence of page-by-page loading and
-//! evicts the same victims. Writeback flushes the pending runs before every
+//! evicts the same victims. Writeback submits the pending runs before every
 //! byte-choice page, so the device receives an inode's pages in ascending
-//! file order as before. A multi-page command still counts one fault step per
+//! file order as before — *receives*, not *waits for*: the runs are in
+//! flight ([`Txn::after`]) until the commit, which is the only point that
+//! waits for them (crate docs, "Durability contract"). A multi-page command still counts one fault step per
 //! page: a power cut tears it between pages, and crashkit's step spaces are
 //! unchanged.
 //!
@@ -291,10 +293,14 @@ impl ByteFs {
                 // A partial head or tail page is a read-modify-write of its
                 // own, after the pages before it.
                 InterfaceChoice::Block => {
-                    batch.flush(&self.device, Category::Data)?;
+                    txn.after(batch.submit(&self.device, Category::Data)?);
                     let mut page = self.device.try_block_read(lba, 1, Category::Data)?;
                     page[in_page..in_page + span].copy_from_slice(chunk);
-                    self.device.try_block_write(lba, &page, Category::Data)?;
+                    txn.after(self.device.submit_block_write_pages(
+                        lba,
+                        &[&page],
+                        Category::Data,
+                    )?);
                 }
             }
             // Keep any cached copy coherent (single call: residency is
@@ -303,7 +309,7 @@ impl ByteFs {
             self.page_cache.write(ino, index, in_page, chunk);
             pos += span as u64;
         }
-        batch.flush(&self.device, Category::Data)?;
+        txn.after(batch.submit(&self.device, Category::Data)?);
         let now = self.now_ns();
         inode.size = inode.size.max(end);
         inode.mtime_ns = now;
@@ -339,13 +345,38 @@ impl ByteFs {
 
     /// Writes back one inode's dirty pages and metadata in a transaction
     /// (shared by `fsync` and `sync`). The caller holds the inode lock
-    /// (exclusive).
+    /// (exclusive) and has taken `dirty_pages` out of the page cache.
+    ///
+    /// On failure — block allocation is delayed to here, so a full device
+    /// shows up as `NoSpace` now, not at `write` — the pages are dirty again,
+    /// each with its CoW original, and so is the inode: the next `fsync`
+    /// fails too or persists every byte. Pages the device had already
+    /// accepted are among them; writing them twice is harmless, while a page
+    /// left clean in the cache would never be written at all.
     fn writeback_inode(&self, inode: &mut Inode, dirty_pages: Vec<DirtyPage>) -> FsResult<()> {
         let ino = inode.ino;
         let meta_dirty = self.dirty_inodes.lock().remove(&ino);
         if dirty_pages.is_empty() && !meta_dirty {
             return Ok(());
         }
+        let written = self.write_pages_and_metadata(inode, &dirty_pages);
+        if written.is_err() {
+            self.page_cache.restore_dirty(dirty_pages);
+            self.mark_dirty(ino);
+        }
+        written
+    }
+
+    /// The transaction of [`ByteFs::writeback_inode`]. The data runs are
+    /// *submitted*: they cross the link while the byte-choice pages and the
+    /// metadata stores are issued, and the commit waits for them — the fsync
+    /// ordering contract is data complete → `COMMIT`, nothing more.
+    fn write_pages_and_metadata(
+        &self,
+        inode: &mut Inode,
+        dirty_pages: &[DirtyPage],
+    ) -> FsResult<()> {
+        let ino = inode.ino;
         let page_size = self.layout.page_size as u64;
         let mut txn = self.begin_txn();
 
@@ -354,14 +385,14 @@ impl ByteFs {
         // transaction instead.
         let mut batch = BlockWriteBatch::default();
         let mut journaled = Vec::new();
-        for dp in &dirty_pages {
+        for dp in dirty_pages {
             let lba = self.ensure_block(inode, dp.index)?;
             let ratio = dp.modified_ratio(CHUNK);
             match self.config.writeback_choice(ratio) {
                 InterfaceChoice::Byte => {
                     // The pending runs go first: the device sees the pages
                     // in ascending file order, as it did one command a page.
-                    batch.flush(&self.device, Category::Data)?;
+                    txn.after(batch.submit(&self.device, Category::Data)?);
                     for (off, len) in dp.dirty_ranges(CHUNK) {
                         txn.write(
                             lba * page_size + off as u64,
@@ -375,7 +406,7 @@ impl ByteFs {
                 InterfaceChoice::Block => batch.push(lba, &dp.data),
             }
         }
-        batch.flush(&self.device, Category::Data)?;
+        txn.after(batch.submit(&self.device, Category::Data)?);
         if let Some(journal) = &self.journal {
             // One transaction per fsync, split only where the journal area
             // cannot hold it (descriptor + data + commit must fit).

@@ -54,6 +54,20 @@
 //! * **`fsync`/`fdatasync` returning means the data is durable.** Dirty
 //!   pages are written (byte or block interface per the §4.6 policy) and the
 //!   inode update committed before the call returns.
+//! * **Data complete → `COMMIT`: the one ordering point of an fsync.** The
+//!   block-interface data runs are *submitted*
+//!   ([`mssd::Mssd::submit_block_write_pages`]) and cross the link while the
+//!   TxID-tagged metadata stores go out over the byte interface — both
+//!   interfaces of the device serve the one operation at once.
+//!   [`txn::Txn::commit`] then does persistence barrier → wait for the data
+//!   → `COMMIT(TxID)`: the commit record is never issued before the data it
+//!   makes reachable is complete, and nothing else is ordered
+//!   (`tests/fsync_ordering.rs` reads this off the device trace). The same
+//!   holds for `sync` and for `O_DIRECT` writes.
+//! * **A failed `fsync` launders nothing.** Blocks are allocated at
+//!   writeback, so `fsync` can fail with `NoSpace`; every page it took is
+//!   then dirty again, with its CoW original, and so is the inode — the next
+//!   `fsync` fails too or persists every byte (`tests/failed_fsync.rs`).
 //! * **Unsynced writes may vanish but never corrupt.** Buffered data that
 //!   was never fsynced lives only in the host page cache; a crash loses it
 //!   without affecting any committed state — after recovery the volume

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mssd::txn::TxIdAllocator;
-use mssd::{Category, FlashError, Mssd, TxId};
+use mssd::{Category, FlashError, InFlight, Mssd, TxId};
 
 /// The host transaction table: allocates TxIDs and tracks in-flight
 /// transactions.
@@ -116,13 +116,17 @@ impl SharedTxTable {
 }
 
 /// A single in-flight transaction: a thin wrapper that tags byte writes with
-/// the TxID and issues the commit sequence.
+/// the TxID, remembers the block writes submitted on its behalf and issues
+/// the commit sequence — persistence barrier, wait for the data, `COMMIT`.
 #[derive(Debug)]
 pub struct Txn {
     device: Arc<Mssd>,
     txid: Option<TxId>,
     writes: usize,
     bytes: usize,
+    /// The last completion among the data block writes submitted under this
+    /// transaction and not waited for yet.
+    data: InFlight,
 }
 
 impl Txn {
@@ -130,7 +134,7 @@ impl Txn {
     /// disabled) writes are plain byte writes and commit is only a persistence
     /// barrier.
     pub fn new(device: Arc<Mssd>, txid: Option<TxId>) -> Self {
-        Self { device, txid, writes: 0, bytes: 0 }
+        Self { device, txid, writes: 0, bytes: 0, data: InFlight::default() }
     }
 
     /// The transaction ID, if firmware transactions are enabled.
@@ -161,17 +165,36 @@ impl Txn {
         Ok(())
     }
 
+    /// Orders the commit after data block writes the caller submitted
+    /// ([`Mssd::submit_block_write_pages`]): the transaction's metadata
+    /// stores go out while they are in flight, and [`Txn::commit`] waits for
+    /// them before the commit record.
+    pub fn after(&mut self, data: InFlight) {
+        self.data = self.data.max(data);
+    }
+
     /// Commits the transaction: flush the CPU write-combining buffers
-    /// (persistence barrier) and, when firmware transactions are enabled,
-    /// issue `COMMIT(TxID)`.
-    pub fn commit(self) -> Option<TxId> {
+    /// (persistence barrier), wait until every data write handed to
+    /// [`Txn::after`] is complete and only then, when firmware transactions
+    /// are enabled, issue `COMMIT(TxID)` — the commit record never precedes
+    /// the data it describes.
+    pub fn commit(mut self) -> Option<TxId> {
         if self.writes > 0 {
             self.device.persist_barrier();
         }
+        self.device.wait(std::mem::take(&mut self.data));
         if let Some(txid) = self.txid {
             self.device.commit(txid);
         }
         self.txid
+    }
+}
+
+impl Drop for Txn {
+    /// A transaction abandoned on an error path still pays for the data it
+    /// put in flight.
+    fn drop(&mut self) {
+        self.device.wait(self.data);
     }
 }
 

@@ -1,0 +1,101 @@
+//! The fsync ordering contract (crate docs, "Durability ordering"): the data
+//! pages of an `fsync`, `sync` or `O_DIRECT` write are *submitted* and cross
+//! the link while the transaction's metadata stores are issued, and the
+//! commit record is issued only once they are complete. Read off the device
+//! trace: no `tx_commit` is stamped before the completion time a
+//! `block_submit` ahead of it announced.
+
+use std::sync::Arc;
+
+use bytefs::{ByteFs, ByteFsConfig};
+use fskit::{FileSystem, OpenFlags};
+use mssd::{DramMode, Mssd, MssdConfig, TraceKind};
+
+const PAGE: usize = 4096;
+
+/// Asserts the contract on everything traced since the last drain and
+/// returns `(block submissions, commits)`.
+fn assert_commits_follow_their_data(dev: &Mssd) -> (usize, usize) {
+    let dump = dev.trace_sink().drain();
+    assert_eq!(dump.dropped, 0);
+    let (mut data_done, mut submits, mut commits) = (0, 0, 0);
+    for e in &dump.events {
+        match e.kind {
+            TraceKind::BlockSubmit => {
+                data_done = data_done.max(e.b);
+                submits += 1;
+            }
+            TraceKind::TxCommit => {
+                assert!(
+                    e.vclock_ns >= data_done,
+                    "COMMIT at {} ns, but a data write submitted before it completes at {} ns",
+                    e.vclock_ns,
+                    data_done
+                );
+                commits += 1;
+            }
+            _ => {}
+        }
+    }
+    (submits, commits)
+}
+
+#[test]
+fn no_commit_record_is_issued_before_its_data_is_complete() {
+    let cfg = MssdConfig::small_test();
+    let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
+    let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
+    dev.set_tracing(true);
+
+    // fsync: small appends, a many-command file, a byte-choice page between
+    // two block runs.
+    let fd = fs.open("/f", OpenFlags::create_rw()).unwrap();
+    for round in 0..6u64 {
+        fs.write(fd, round * 2 * PAGE as u64, &vec![round as u8 | 1; 2 * PAGE]).unwrap();
+        fs.fsync(fd).unwrap();
+    }
+    let big = fs.open("/big", OpenFlags::create_rw()).unwrap();
+    fs.write(big, 0, &vec![5u8; 40 * PAGE]).unwrap();
+    fs.fsync(big).unwrap();
+    fs.write(fd, 0, &vec![8u8; PAGE]).unwrap();
+    fs.write(fd, PAGE as u64 + 640, &[9u8; 64]).unwrap();
+    fs.write(fd, 2 * PAGE as u64, &vec![8u8; 2 * PAGE]).unwrap();
+    fs.fsync(fd).unwrap();
+    let (submits, commits) = assert_commits_follow_their_data(&dev);
+    assert!(submits >= 6 + 3 + 2 && commits >= 8, "{submits} submissions, {commits} commits");
+
+    // sync over several dirty files, and O_DIRECT with a partial tail page.
+    for i in 0..4 {
+        let fd = fs.open(&format!("/s{i}"), OpenFlags::create_rw()).unwrap();
+        fs.write(fd, 0, &vec![i as u8 | 1; 3 * PAGE]).unwrap();
+    }
+    fs.sync().unwrap();
+    let direct = fs.open("/direct", OpenFlags::create_rw().with_direct()).unwrap();
+    fs.write(direct, 0, &vec![4u8; 3 * PAGE + 100]).unwrap();
+    let (submits, commits) = assert_commits_follow_their_data(&dev);
+    assert!(submits >= 4 + 2 && commits >= 5, "{submits} submissions, {commits} commits");
+}
+
+#[test]
+fn an_fsync_pays_for_its_metadata_stores_under_the_data_command() {
+    let cfg = MssdConfig::small_test();
+    let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
+    let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
+    let fd = fs.open("/f", OpenFlags::create_rw()).unwrap();
+    fs.write(fd, 0, &vec![1u8; 2 * PAGE]).unwrap();
+    fs.fsync(fd).unwrap();
+    dev.try_flush().unwrap(); // a known NAND backlog: none
+
+    fs.write(fd, 2 * PAGE as u64, &vec![2u8; 2 * PAGE]).unwrap();
+    let before = dev.snapshot();
+    fs.fsync(fd).unwrap();
+    let after = dev.snapshot();
+    let did = after.traffic.delta_since(&before.traffic);
+    assert_eq!((did.block_requests, did.tx_commits, did.nand_stall_ns), (1, 1, 0));
+    let link = cfg.nvme_overhead_ns + cfg.transfer_ns(2 * PAGE, false);
+    let stores = did.device_busy_ns - did.inflight_wait_ns - cfg.nvme_overhead_ns;
+    assert!(stores > 0 && stores < link, "{stores} ns of stores against a {link} ns command");
+    // Data command and stores side by side, then COMMIT: the stores are free.
+    assert_eq!(after.now_ns - before.now_ns, link + cfg.nvme_overhead_ns);
+    assert_eq!(did.inflight_wait_ns, link - stores);
+}

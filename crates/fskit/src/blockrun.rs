@@ -11,7 +11,7 @@
 //! copied together into a scratch buffer.
 
 use mssd::queue::COALESCE_MAX_BYTES;
-use mssd::{Category, Mssd};
+use mssd::{Category, InFlight, Mssd};
 
 use crate::error::FsResult;
 
@@ -63,16 +63,20 @@ impl<'a> BlockWriteBatch<'a> {
         self.pages.push(page);
     }
 
-    /// Writes the queued pages in queue order, one command per run of
-    /// consecutive LBAs, and empties the batch.
+    /// Submits the queued pages in queue order, one command per run of
+    /// consecutive LBAs, and empties the batch. The commands are in flight
+    /// together — they queue on the link, their fixed overheads overlap — and
+    /// the returned [`InFlight`] completes with the last of them: the caller
+    /// hands it to [`Mssd::wait`] before anything that must follow the data.
     ///
     /// # Errors
     ///
     /// [`crate::FsError::Io`] when the device refuses a write; pages of
     /// earlier commands (and, within the failing command, earlier pages)
-    /// were accepted.
-    pub fn flush(&mut self, device: &Mssd, cat: Category) -> FsResult<()> {
+    /// were accepted, and every submitted command has been waited for.
+    pub fn submit(&mut self, device: &Mssd, cat: Category) -> FsResult<InFlight> {
         let max = max_run_pages(device);
+        let mut last = InFlight::default();
         let mut start = 0;
         while start < self.lbas.len() {
             let mut end = start + 1;
@@ -82,11 +86,28 @@ impl<'a> BlockWriteBatch<'a> {
             {
                 end += 1;
             }
-            device.try_block_write_pages(self.lbas[start], &self.pages[start..end], cat)?;
+            let cmd = device
+                .submit_block_write_pages(self.lbas[start], &self.pages[start..end], cat)
+                .inspect_err(|_| {
+                    device.wait(last);
+                })?;
+            last = last.max(cmd);
             start = end;
         }
         self.lbas.clear();
         self.pages.clear();
+        Ok(last)
+    }
+
+    /// [`BlockWriteBatch::submit`], then [`Mssd::wait`]: the pages are in the
+    /// device and their time is paid when this returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockWriteBatch::submit`].
+    pub fn flush(&mut self, device: &Mssd, cat: Category) -> FsResult<()> {
+        let cmds = self.submit(device, cat)?;
+        device.wait(cmds);
         Ok(())
     }
 }

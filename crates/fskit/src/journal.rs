@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use mssd::{Category, Mssd};
 
+use crate::blockrun::BlockWriteBatch;
 use crate::error::{FsError, FsResult};
 
 /// One block update participating in a journaled transaction.
@@ -78,8 +79,9 @@ impl BlockJournal {
         lba
     }
 
-    /// Commits a transaction: journal write (descriptor + data + commit),
-    /// device flush, then in-place checkpoint writes.
+    /// Commits a transaction: journal write (descriptor + data in flight
+    /// together, then the commit block), device flush, then in-place
+    /// checkpoint writes.
     ///
     /// `checkpoint_now` controls whether the in-place writes are issued
     /// immediately (data journaling) or left to the caller (ordered mode
@@ -112,22 +114,25 @@ impl BlockJournal {
             }
         }
 
-        // Descriptor block: the list of destination LBAs (content modelled as
-        // a zero-filled page; only the traffic matters).
-        let descriptor_lba = self.next_journal_lba();
-        self.device.try_block_write(descriptor_lba, &vec![0u8; page_size], Category::Journal)?;
-
-        // Journal copies of the data blocks.
+        // Descriptor block (the list of destination LBAs; content modelled as
+        // a zero-filled page, only the traffic matters) and the journal
+        // copies of the data blocks, submitted together as jbd2 does: the
+        // area is consecutive, so they share commands up to the run bound
+        // and split where the circular log wraps.
+        let zeros = vec![0u8; page_size];
+        let mut batch = BlockWriteBatch::default();
+        batch.push(self.next_journal_lba(), &zeros);
         for u in updates {
-            let jlba = self.next_journal_lba();
-            self.device.try_block_write(jlba, &u.data, Category::Journal)?;
-            self.stats.journaled_blocks += 1;
+            batch.push(self.next_journal_lba(), &u.data);
         }
+        batch.flush(&self.device, Category::Journal)?;
+        self.stats.journaled_blocks += updates.len() as u64;
 
-        // Commit block, then force everything to flash so the transaction is
-        // durable before any in-place write happens.
+        // Commit block — only once descriptor and copies are complete — then
+        // force everything to flash so the transaction is durable before any
+        // in-place write happens.
         let commit_lba = self.next_journal_lba();
-        self.device.try_block_write(commit_lba, &vec![0u8; page_size], Category::Journal)?;
+        self.device.try_block_write(commit_lba, &zeros, Category::Journal)?;
         self.device.try_flush()?;
         self.stats.transactions += 1;
 

@@ -320,45 +320,50 @@ impl PageCache {
     /// Removes the dirty state of one inode's pages and returns them for
     /// writeback, in ascending page order. The pages stay resident (clean).
     pub fn take_dirty(&mut self, inode: u64) -> Vec<DirtyPage> {
-        let mut keys: Vec<PageKey> = self
+        let mut out: Vec<DirtyPage> = self
             .pages
-            .iter()
+            .iter_mut()
             .filter(|((ino, _), p)| *ino == inode && p.dirty)
-            .map(|(k, _)| *k)
+            .map(|(&(inode, index), p)| {
+                p.dirty = false;
+                DirtyPage {
+                    inode,
+                    index,
+                    data: PageRef(Arc::clone(&p.data)),
+                    original: p.original.take().map(PageRef),
+                }
+            })
             .collect();
-        keys.sort_unstable();
-        self.take_keys(&keys)
+        out.sort_unstable_by_key(|dp| dp.index);
+        out
+    }
+
+    /// Undoes [`PageCache::take_dirty`] for pages whose writeback failed:
+    /// each is dirty again with the contents and the CoW original it was
+    /// taken with, and re-installed if it was evicted meanwhile (a taken page
+    /// is clean, so evictable). A page that is dirty already was written
+    /// after it was taken and keeps its newer state.
+    pub fn restore_dirty(&mut self, pages: impl IntoIterator<Item = DirtyPage>) {
+        for dp in pages {
+            let key = (dp.inode, dp.index);
+            if self.pages.get(&key).is_some_and(|p| p.dirty) {
+                continue;
+            }
+            self.tick += 1;
+            let entry = CachedPage {
+                data: dp.data.into_arc(),
+                dirty: true,
+                original: dp.original.map(PageRef::into_arc),
+                last_use: self.tick,
+            };
+            self.pages.insert(key, entry);
+        }
     }
 
     /// Inodes that currently own at least one dirty page (used by `sync` to
     /// decide which inodes need writeback).
     pub fn dirty_inodes(&self) -> BTreeSet<u64> {
         self.pages.iter().filter(|(_, p)| p.dirty).map(|((ino, _), _)| *ino).collect()
-    }
-
-    /// Like [`PageCache::take_dirty`] but for every inode (used by `sync`).
-    pub fn take_all_dirty(&mut self) -> Vec<DirtyPage> {
-        let mut keys: Vec<PageKey> =
-            self.pages.iter().filter(|(_, p)| p.dirty).map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        self.take_keys(&keys)
-    }
-
-    fn take_keys(&mut self, keys: &[PageKey]) -> Vec<DirtyPage> {
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(p) = self.pages.get_mut(key) {
-                p.dirty = false;
-                let original = p.original.take();
-                out.push(DirtyPage {
-                    inode: key.0,
-                    index: key.1,
-                    data: PageRef(Arc::clone(&p.data)),
-                    original: original.map(PageRef),
-                });
-            }
-        }
-        out
     }
 
     /// Drops every page (dirty or clean) belonging to an inode (unlink,
@@ -502,6 +507,13 @@ impl ShardedPageCache {
             self.shards.iter().flat_map(|s| s.lock().take_dirty(inode)).collect();
         out.sort_unstable_by_key(|dp| dp.index);
         out
+    }
+
+    /// See [`PageCache::restore_dirty`].
+    pub fn restore_dirty(&self, pages: impl IntoIterator<Item = DirtyPage>) {
+        for dp in pages {
+            self.shard(dp.inode, dp.index).lock().restore_dirty([dp]);
+        }
     }
 
     /// Every inode that owns at least one dirty page, across all shards.
@@ -701,7 +713,25 @@ mod tests {
         assert_eq!(c.dirty_count(), 1, "inode 2 remains dirty");
         assert_eq!(c.len(), 3);
         assert!(c.take_dirty(1).is_empty());
-        assert_eq!(c.take_all_dirty().len(), 1);
+        assert_eq!(c.take_dirty(2).len(), 1);
+    }
+
+    #[test]
+    fn restore_dirty_undoes_take_dirty_even_after_an_eviction() {
+        let mut c = cache(true);
+        c.insert_clean(1, 0, vec![1u8; PS]);
+        c.write(1, 0, 0, &[5u8; 4]);
+        c.insert_new_dirty(1, 1, vec![2u8; PS]);
+        let taken = c.take_dirty(1);
+        assert_eq!(c.dirty_count(), 0);
+        c.invalidate_from(1, 1); // the clean page 1 is evicted meanwhile
+        c.write(1, 0, 8, &[6u8; 4]); // and page 0 is written again
+        let newer = c.get(1, 0).unwrap();
+        c.restore_dirty(taken.clone());
+        let again = c.take_dirty(1);
+        assert_eq!(again.len(), 2);
+        assert_eq!(again[0].data, newer, "a page dirtied since keeps its newer contents");
+        assert_eq!(again[1], taken[1], "contents and CoW original as taken");
     }
 
     #[test]
@@ -858,7 +888,7 @@ mod tests {
         assert_eq!((c.len(), c.dirty_count()), (1, 1));
         c.clear();
         assert_eq!(c.dirty_count(), 0);
-        assert!(c.take_all_dirty().is_empty());
+        assert!(c.dirty_inodes().is_empty());
     }
 
     #[test]

@@ -46,6 +46,18 @@ impl Clock {
         self.now_ns.fetch_add(delta_ns, Ordering::Relaxed) + delta_ns
     }
 
+    /// Moves the clock forward to `target_ns` unless it is already there or
+    /// past it, and returns by how much it moved: the wait for something that
+    /// completes at `target_ns` on this clock.
+    pub fn advance_to(&self, target_ns: u64) -> u64 {
+        // The clock never runs backwards: a target it has passed — most
+        // waits find one — needs no read-modify-write of the shared atomic.
+        if target_ns <= self.now_ns() {
+            return 0;
+        }
+        target_ns.saturating_sub(self.now_ns.fetch_max(target_ns, Ordering::Relaxed))
+    }
+
     /// Returns the elapsed nanoseconds since `start_ns`.
     ///
     /// Saturates at zero if `start_ns` is in the future (which can only happen
@@ -99,6 +111,15 @@ mod tests {
         assert_eq!(c.advance(10), 10);
         assert_eq!(c.advance(5), 15);
         assert_eq!(c.now_ns(), 15);
+    }
+
+    #[test]
+    fn advance_to_moves_forward_only() {
+        let c = Clock::new();
+        c.advance(100);
+        assert_eq!(c.advance_to(130), 30);
+        assert_eq!(c.advance_to(120), 0, "already past it");
+        assert_eq!(c.now_ns(), 130);
     }
 
     #[test]

@@ -57,10 +57,12 @@
 //! transactions (`txid` + `COMMIT`).
 //!
 //! Every operation advances the shared virtual [`Clock`] by the modelled
-//! latency and records traffic in the device's [`AtomicTraffic`]. One part of
-//! the device works beside the host on that clock: the NAND array programs
-//! the FTL write buffer in the background, and a command waits for it only
-//! through a full buffer or a FLUSH (`DESIGN-time.md`).
+//! latency and records traffic in the device's [`AtomicTraffic`]. Two parts of
+//! the device work beside the host on that clock (`DESIGN-time.md`): the NAND
+//! array programs the FTL write buffer in the background, and a command waits
+//! for it only through a full buffer or a FLUSH; and a block write can be in
+//! flight on the link ([`Mssd::submit_block_write_pages`]) while the host
+//! issues byte-interface stores, until it calls [`Mssd::wait`].
 //!
 //! The firmware behaviour depends on [`DramMode`]:
 //!
@@ -72,7 +74,7 @@
 //!   file systems: the same DRAM budget acts as a page-granular write-back
 //!   cache serving both interfaces.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use parking_lot::Mutex;
@@ -207,6 +209,25 @@ impl CrashImage {
     }
 }
 
+/// A block write the device has accepted and the host has not waited for yet
+/// ([`Mssd::submit_block_write_pages`]): the virtual ns at which its last page
+/// is in the FTL write buffer. Hand it to [`Mssd::wait`] before anything that
+/// must be ordered after the data — a COMMIT record, a FLUSH. The later of two
+/// completions is `a.max(b)`; the default value completed at time zero and
+/// waits for nothing.
+#[must_use = "a submitted block write costs the host nothing until it is handed to Mssd::wait"]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct InFlight {
+    done_ns: u64,
+}
+
+impl InFlight {
+    /// The virtual ns at which the command completes.
+    pub fn done_ns(self) -> u64 {
+        self.done_ns
+    }
+}
+
 /// Pages the background cleaner merges per shard-lock acquisition. Small, so
 /// a writer that collides with the cleaner on one shard waits for at most a
 /// few page merges, not a whole region drain.
@@ -265,6 +286,11 @@ pub struct Mssd {
     flash: Arc<ShardedFtl>,
     cache: ShardedDramCache,
     cleaner: Option<CleanerHandle>,
+    /// The link's one timeline (`DESIGN-time.md`): the virtual ns at which
+    /// the last block-write transfer handed to it has crossed; in the past
+    /// when the link is idle. `Relaxed` throughout, as for
+    /// `ShardedFtl::nand_busy_until` — a number of the latency model.
+    link_busy_until: AtomicU64,
     /// Monotonic counter handing out per-queue accounting slots
     /// (see [`Mssd::open_queue`]).
     next_queue: AtomicUsize,
@@ -337,6 +363,7 @@ impl Mssd {
             flash,
             cache,
             cleaner,
+            link_busy_until: AtomicU64::new(0),
             next_queue: AtomicUsize::new(0),
         })
     }
@@ -766,7 +793,8 @@ impl Mssd {
 
     /// Scatter-gather block write: one NVMe command storing `pages` (each
     /// exactly one page long, wherever it lives in host memory) at
-    /// consecutive blocks starting at `lba`.
+    /// consecutive blocks starting at `lba`. The synchronous form:
+    /// [`Mssd::submit_block_write_pages`], then [`Mssd::wait`].
     ///
     /// # Panics
     ///
@@ -782,20 +810,75 @@ impl Mssd {
         pages: &[&[u8]],
         cat: Category,
     ) -> Result<(), FlashError> {
-        let (status, cost) = self.exec_block_write(lba, pages, cat);
-        self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
-        status
+        let cmd = self.submit_block_write_pages(lba, pages, cat)?;
+        self.wait(cmd);
+        Ok(())
     }
 
-    /// The one block-write executor, shared by the synchronous calls and the
-    /// batched queue path; returns the command status and the charged
-    /// virtual cost.
+    /// Submits the command of [`Mssd::try_block_write_pages`] without waiting
+    /// for it: the pages are in the device when this returns (data model,
+    /// fault steps and counters are those of the synchronous call), the clock
+    /// has not moved, and the returned [`InFlight`] says when the command
+    /// completes. Until the host calls [`Mssd::wait`] it can issue
+    /// byte-interface stores beside the transfer; commands submitted
+    /// meanwhile queue on the link behind it (`DESIGN-time.md`, "The link's
+    /// timeline").
+    ///
+    /// # Panics
+    ///
+    /// As [`Mssd::try_block_write_pages`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Mssd::try_block_write`]; a refused command has been waited for.
+    pub fn submit_block_write_pages(
+        &self,
+        lba: u64,
+        pages: &[&[u8]],
+        cat: Category,
+    ) -> Result<InFlight, FlashError> {
+        let submitted = self.clock.now_ns();
+        let (status, cmd) = self.exec_block_write(lba, pages, cat);
+        self.stats
+            .record_queue_op(crate::queue::ambient_queue(), cmd.done_ns.saturating_sub(submitted));
+        match status {
+            Ok(()) => Ok(cmd),
+            Err(e) => {
+                self.wait(cmd);
+                Err(e)
+            }
+        }
+    }
+
+    /// Waits for a submitted command: advances the clock to its completion
+    /// if that is still ahead, and returns the virtual ns the host waited —
+    /// nothing when its own charges since the submission already cover the
+    /// command.
+    pub fn wait(&self, cmd: InFlight) -> u64 {
+        let waited = self.clock.advance_to(cmd.done_ns);
+        if waited > 0 {
+            self.stats.add_device_busy_ns(waited);
+            self.stats.add_inflight_wait_ns(waited);
+        }
+        waited
+    }
+
+    /// The one block-write executor, shared by the submitting calls and the
+    /// batched queue path; returns the command status and its completion.
+    /// Nothing is charged here: the caller waits, now or later.
+    ///
+    /// The command's fixed overhead occupies nothing and pipelines; its
+    /// transfer queues on the link's timeline; and everything it does inside
+    /// the device — the `now` of every buffer write, hence every slot wait —
+    /// is evaluated from the end of that transfer, not at the submitter's
+    /// clock, which a command queued behind others on the link is far ahead
+    /// of.
     pub(crate) fn exec_block_write(
         &self,
         lba: u64,
         pages: &[&[u8]],
         cat: Category,
-    ) -> (Result<(), FlashError>, u64) {
+    ) -> (Result<(), FlashError>, InFlight) {
         let page_size = self.cfg.page_size;
         assert!(
             !pages.is_empty() && pages.iter().all(|p| p.len() == page_size),
@@ -804,11 +887,19 @@ impl Mssd {
         let bytes = pages.len() * page_size;
         assert_in_capacity("block_write", lba, pages.len(), self.logical_pages());
         if self.flash.is_read_only() {
-            return (Err(FlashError::ReadOnly), 0);
+            return (Err(FlashError::ReadOnly), InFlight::default());
         }
         self.stats.record_host(Direction::Write, cat, Interface::Block, bytes as u64);
-        let start = self.clock.now_ns();
-        let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(bytes, false);
+        let arrives = self.clock.now_ns() + self.cfg.nvme_overhead_ns;
+        let transfer = self.cfg.transfer_ns(bytes, false);
+        let link_free = self
+            .link_busy_until
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                Some(busy.max(arrives) + transfer)
+            })
+            .expect("the update always applies");
+        let mut cmd = InFlight { done_ns: link_free.max(arrives) + transfer };
+        let mut status = Ok(());
         // Journal pages are counted as their own fault kind: torn journal
         // writes are the classic crash-consistency hazard the block file
         // systems defend against.
@@ -822,7 +913,7 @@ impl Mssd {
                 break;
             }
             let page = page.to_vec();
-            match self.mode {
+            let waited = match self.mode {
                 DramMode::WriteLog => {
                     // The host page cache always holds the newest data, so log
                     // entries for this page are stale and dropped (§4.4) —
@@ -830,30 +921,29 @@ impl Mssd {
                     // so a cleaner step cannot merge a drained stale chunk on
                     // top of the fresh block data.
                     let (_, buffered) = self.log.invalidate_page_and(lpa, || {
-                        self.flash.buffer_write_on(lpa, page, &self.stats, Some(start + cost))
+                        self.flash.buffer_write_on(lpa, page, &self.stats, Some(cmd.done_ns))
                     });
-                    match buffered {
-                        Ok(wait) => cost += wait,
-                        Err(e) => {
-                            self.charge(cost);
-                            return (Err(e), cost);
-                        }
-                    }
+                    buffered
                 }
                 DramMode::PageCache => {
                     let mut shard = self.cache.lock_shard(lpa);
-                    match self.cache_fill(&mut shard, lpa, page, true, start + cost) {
-                        Ok(wait) => cost += wait,
-                        Err(e) => {
-                            self.charge(cost);
-                            return (Err(e), cost);
-                        }
-                    }
+                    self.cache_fill(&mut shard, lpa, page, true, cmd.done_ns)
+                }
+            };
+            match waited {
+                Ok(wait) => cmd.done_ns += wait,
+                Err(e) => {
+                    status = Err(e);
+                    break;
                 }
             }
         }
-        self.charge(cost);
-        (Ok(()), cost)
+        self.stats.trace().emit(
+            crate::trace::TraceKind::BlockSubmit,
+            pages.len() as u64,
+            cmd.done_ns,
+        );
+        (status, cmd)
     }
 
     /// Marks blocks as unused (TRIM). The FS calls this when freeing data
@@ -1022,8 +1112,10 @@ impl Mssd {
         }
         let _ = self.flash.flush_all(&self.stats, None);
         // No time is charged: the host is down during the power loss, and
-        // whatever the array was still programming is done when it is back.
+        // whatever the array was still programming, and whatever was still
+        // crossing the link, is done or gone when it is back.
         self.flash.reset_nand_timeline();
+        self.link_busy_until.store(0, Ordering::Relaxed);
     }
 
     /// Custom NVMe command `RECOVER()`: scans the write log (sealed and

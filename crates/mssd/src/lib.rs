@@ -105,7 +105,7 @@ pub mod txn;
 
 pub use clock::Clock;
 pub use config::{MssdConfig, TimingProfile};
-pub use device::{CrashImage, DramMode, Mssd};
+pub use device::{CrashImage, DramMode, InFlight, Mssd};
 pub use dram_cache::{CachePageRef, DramPageCache, ShardedDramCache, CACHE_SHARDS};
 pub use ecc::{EccOutcome, PageParity, ECC_DETECT, ECC_T};
 pub use fault::{

@@ -849,8 +849,11 @@ pub(crate) fn execute(dev: &Mssd, cmd: &Command) -> (Result<(), FlashError>, Opt
         }
         Command::BlockWrite { lba, data, cat } => {
             let pages: Vec<&[u8]> = data.chunks(dev.page_size()).collect();
-            let (status, cost) = dev.exec_block_write(*lba, &pages, *cat);
-            (status, None, cost)
+            // Doorbell batches are synchronous sums: submit, then wait.
+            let submitted = dev.clock().now_ns();
+            let (status, cmd) = dev.exec_block_write(*lba, &pages, *cat);
+            dev.wait(cmd);
+            (status, None, cmd.done_ns().saturating_sub(submitted))
         }
         Command::BlockRead { lba, count, cat } => {
             let (pages, cost) = dev.exec_block_read(*lba, *count, *cat);

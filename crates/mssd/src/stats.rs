@@ -320,6 +320,10 @@ scalar_counters! {
     /// buffer: every slot held by a page not yet programmed
     /// (`DESIGN-time.md`).
     tally nand_stall_ns,
+    /// Virtual nanoseconds the host spent in `Mssd::wait`: what was left of
+    /// its block writes once it had nothing else to issue. The synchronous
+    /// block write waits at once, so its whole cost counts here.
+    tally inflight_wait_ns,
     /// RAS: flash reads whose raw bit errors the ECC corrected.
     tally ras_corrected_reads,
     /// RAS: flash reads that resolved as uncorrectable ECC errors (UECC)
@@ -599,6 +603,7 @@ impl AtomicTraffic {
     /// Counts one firmware transaction commit.
     pub fn inc_tx_commits(&self) {
         self.tx_commits.add(1);
+        self.trace.emit(TraceKind::TxCommit, 0, 0);
     }
 
     /// Counts one log-cleaning pass.
@@ -627,6 +632,11 @@ impl AtomicTraffic {
     /// Accumulates the time a host command waited for a write-buffer slot.
     pub fn add_nand_stall_ns(&self, ns: u64) {
         self.nand_stall_ns.add(ns);
+    }
+
+    /// Accumulates the time the host waited for a submitted block write.
+    pub fn add_inflight_wait_ns(&self, ns: u64) {
+        self.inflight_wait_ns.add(ns);
     }
 
     /// Counts one ECC-corrected flash read.

@@ -104,6 +104,13 @@ pub enum TraceKind {
     FlashProgram = 16,
     /// One flash page read. `a` = 1 if firmware-internal.
     FlashRead = 17,
+    /// A block write was accepted and is in flight on the link
+    /// (`Mssd::submit_block_write_pages`; the synchronous call is submit +
+    /// wait). Stamped at submission. `a` = pages, `b` = the virtual ns at
+    /// which the command completes.
+    BlockSubmit = 18,
+    /// A COMMIT record was appended to the firmware TxLog.
+    TxCommit = 19,
 }
 
 impl TraceKind {
@@ -127,6 +134,8 @@ impl TraceKind {
             TraceKind::BadBlockRetire => "bad_block_retire",
             TraceKind::FlashProgram => "flash_program",
             TraceKind::FlashRead => "flash_read",
+            TraceKind::BlockSubmit => "block_submit",
+            TraceKind::TxCommit => "tx_commit",
         }
     }
 
@@ -149,6 +158,8 @@ impl TraceKind {
             15 => TraceKind::BadBlockRetire,
             16 => TraceKind::FlashProgram,
             17 => TraceKind::FlashRead,
+            18 => TraceKind::BlockSubmit,
+            19 => TraceKind::TxCommit,
             _ => return None,
         })
     }
