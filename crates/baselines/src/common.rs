@@ -163,26 +163,29 @@ impl<'a> Ctx<'a> {
     /// Writes whole data pages over the block interface: `place` picks each
     /// page's LBA from the allocator and the LBA backing it so far, then
     /// every run of consecutive LBAs leaves as one command. Returns the LBAs
-    /// in page order. Every page is placed before the first is written, so
-    /// the caller must not ask for more fresh blocks than
-    /// [`BlockAlloc::available`]. When a command fails nothing is remapped:
-    /// the blocks taken here go back to the allocator and the file keeps the
+    /// in page order. Every page is placed before the first is written, so a
+    /// batch asking for more fresh blocks than [`BlockAlloc::available`] fails
+    /// with the error `place` returns ([`fskit::FsError::NoSpace`]) before anything
+    /// is written. When placement or a command fails nothing is remapped: the
+    /// blocks taken here go back to the allocator and the file keeps the
     /// blocks (and contents) it had.
     pub fn write_data_pages(
         &mut self,
         pages: &[(u64, Option<u64>, &[u8])],
-        mut place: impl FnMut(&mut BlockAlloc, Option<u64>) -> u64,
+        mut place: impl FnMut(&mut BlockAlloc, Option<u64>) -> FsResult<u64>,
     ) -> FsResult<Vec<u64>> {
         let mut batch = BlockWriteBatch::default();
-        let lbas: Vec<u64> = pages
+        let mut lbas = Vec::with_capacity(pages.len());
+        let written = pages
             .iter()
-            .map(|&(_, old_lba, page)| {
-                let lba = place(self.alloc, old_lba);
+            .try_for_each(|&(_, old_lba, page)| {
+                let lba = place(self.alloc, old_lba)?;
                 batch.push(lba, page);
-                lba
+                lbas.push(lba);
+                Ok(())
             })
-            .collect();
-        if let Err(e) = batch.flush(self.device, Category::Data) {
+            .and_then(|()| batch.flush(self.device, Category::Data));
+        if let Err(e) = written {
             for (&(_, old_lba, _), &lba) in pages.iter().zip(&lbas) {
                 if old_lba != Some(lba) {
                     self.alloc.free(lba);

@@ -920,11 +920,12 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
 mod tests {
     use std::sync::Arc;
 
-    use fskit::FileSystem;
+    use fskit::check::CrashConsistent;
+    use fskit::{FileSystem, FsError};
     use mssd::{DramMode, MediaFaultPlan, Mssd, MssdConfig};
 
     use super::{BaselineFs, PersistencePolicy};
-    use crate::{Ext4Like, F2fsLike};
+    use crate::{Ext4Like, F2fsLike, NovaLike, PmfsLike};
 
     /// A device on which no program succeeds once its media plan is resumed.
     fn failing_device() -> Arc<Mssd> {
@@ -946,14 +947,92 @@ mod tests {
 
     #[test]
     fn a_failed_fsync_leaves_every_page_dirty_for_the_next_one() {
-        // `bytefs/tests/failed_fsync.rs` for the baselines. A full data area
-        // panics here, so the one writeback failure is a device that
+        // `bytefs/tests/failed_fsync.rs` for the baselines, on a device that
         // degraded to read-only — for good, so only half of the contract can
         // be shown: the pages a failed fsync took are dirty again and the
         // next fsync fails too, where it used to find nothing to write and
-        // return `Ok`.
+        // return `Ok`. The other half is `a_full_data_area_is_no_space`.
         fsync_fails_twice(Ext4Like::format(failing_device()));
         fsync_fails_twice(F2fsLike::format(failing_device()));
+    }
+
+    /// Fills the data area with 64-page files until one no longer fits: that
+    /// is `NoSpace` — from `fsync`, or from `write` on the write-through
+    /// policies — not a panic; the failure launders nothing; everything
+    /// persisted before it reads back; and an unlink makes room for it.
+    fn a_full_data_area_is_no_space<P: PersistencePolicy>(fs: Arc<BaselineFs<P>>) {
+        const FILE: usize = 64 * 4096;
+        let contents = |n: usize| vec![n as u8 | 1; FILE];
+        let persist = |fd, n| fs.write(fd, 0, &contents(n)).and_then(|_| fs.fsync(fd));
+        let mut persisted = Vec::new();
+        let failed = loop {
+            let n = persisted.len();
+            assert!(n < 64, "{}: 16 MB went into an 8 MB device", fs.name());
+            let fd = fs.create(&format!("/f{n}")).unwrap();
+            match persist(fd, n) {
+                Ok(()) => persisted.push(fd),
+                Err(e) => {
+                    assert_eq!(e, FsError::NoSpace, "{}", fs.name());
+                    break fd;
+                }
+            }
+        };
+        if fs.policy.buffered_data() {
+            assert_eq!(fs.state.lock().page_cache.dirty_count(), 64, "{}", fs.name());
+        }
+        let n = persisted.len();
+        assert_eq!(persist(failed, n), Err(FsError::NoSpace), "{}: still full", fs.name());
+        fs.drop_caches();
+        for (n, fd) in persisted.iter().enumerate() {
+            assert_eq!(fs.read(*fd, 0, FILE).unwrap(), contents(n), "{} /f{n}", fs.name());
+        }
+        fs.unlink("/f0").unwrap();
+        persist(failed, n).unwrap();
+        fs.drop_caches();
+        assert_eq!(fs.read(failed, 0, FILE).unwrap(), contents(n), "{}", fs.name());
+        assert_eq!(fs.check_invariants(), Vec::new(), "{}", fs.name());
+    }
+
+    fn fresh_device() -> Arc<Mssd> {
+        Mssd::new(MssdConfig::small_test(), DramMode::PageCache)
+    }
+
+    #[test]
+    fn a_full_ext4_returns_no_space_and_recovers_after_an_unlink() {
+        a_full_data_area_is_no_space(Ext4Like::format(fresh_device()));
+    }
+
+    #[test]
+    fn a_full_f2fs_returns_no_space_and_recovers_after_an_unlink() {
+        a_full_data_area_is_no_space(F2fsLike::format(fresh_device()));
+    }
+
+    #[test]
+    fn a_full_nova_returns_no_space_and_recovers_after_an_unlink() {
+        a_full_data_area_is_no_space(NovaLike::format(fresh_device()));
+    }
+
+    #[test]
+    fn a_full_pmfs_returns_no_space_and_recovers_after_an_unlink() {
+        a_full_data_area_is_no_space(PmfsLike::format(fresh_device()));
+    }
+
+    #[test]
+    fn f2fs_node_writeback_on_a_full_log_is_no_space_and_the_batch_stays_pending() {
+        let fs = F2fsLike::format(fresh_device());
+        fs.create("/a").unwrap(); // an inode, a dentry and a SIT block are pending
+        let hoard: Vec<u64> = {
+            let mut st = fs.state.lock();
+            (0..st.alloc.available()).map(|_| st.alloc.allocate().unwrap()).collect()
+        };
+        assert_eq!(fs.sync(), Err(FsError::NoSpace));
+        fs.state.lock().alloc.free(hoard[0]);
+        let before = fs.device.traffic();
+        fs.sync().unwrap();
+        // Three node blocks out of place and their NAT block.
+        assert_eq!(fs.device.traffic().delta_since(&before).block_requests, 4);
+        let mut st = fs.state.lock();
+        hoard[1..].iter().for_each(|lba| st.alloc.free(*lba));
     }
 
     #[test]

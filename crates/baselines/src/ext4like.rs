@@ -15,7 +15,7 @@
 use parking_lot::Mutex;
 
 use fskit::journal::JournaledBlock;
-use fskit::FsResult;
+use fskit::{FsError, FsResult};
 use mssd::{Category, Mssd};
 
 use crate::common::Ctx;
@@ -137,7 +137,7 @@ impl PersistencePolicy for Ext4Policy {
     ) -> FsResult<Vec<u64>> {
         // In place: a page keeps its block, a new page takes a fresh one.
         ctx.write_data_pages(pages, |alloc, old_lba| {
-            old_lba.unwrap_or_else(|| alloc.allocate().expect("data area not full"))
+            old_lba.or_else(|| alloc.allocate()).ok_or(FsError::NoSpace)
         })
     }
 

@@ -11,7 +11,7 @@
 //!   traffic and 16 % of the read traffic";
 //! * node (inode) and dentry updates still dirty whole 4 KB blocks.
 
-use fskit::FsResult;
+use fskit::{FsError, FsResult};
 use parking_lot::Mutex;
 
 use mssd::{Category, Mssd};
@@ -61,9 +61,16 @@ impl F2fsPolicy {
         if batch.is_empty() {
             return Ok(());
         }
+        if ctx.alloc.available() == 0 {
+            // Each block below is released before the next is taken, so one
+            // free block carries any batch; with none, nothing is written
+            // and the batch stays pending.
+            self.pending.lock().extend(batch);
+            return Err(FsError::NoSpace);
+        }
         let page = vec![0u8; ctx.layout.page_size];
         for (_, category) in &batch {
-            let lba = ctx.alloc.allocate().expect("log area not full");
+            let lba = ctx.alloc.allocate().expect("one is free, each is released");
             ctx.device.try_block_write(lba, &page, *category)?;
             // The block only exists to model traffic; release it immediately
             // so sustained metadata churn does not exhaust the data area.
@@ -145,7 +152,7 @@ impl PersistencePolicy for F2fsPolicy {
         // freed by the engine), which the log hands out consecutively, so an
         // fsync's pages leave as few commands.
         let lbas =
-            ctx.write_data_pages(pages, |alloc, _| alloc.allocate().expect("log area not full"))?;
+            ctx.write_data_pages(pages, |alloc, _| alloc.allocate().ok_or(FsError::NoSpace))?;
         // Every relocation dirties the file's data pointers: once per page,
         // so a node batch that fills in between re-dirties them as before.
         for _ in pages {

@@ -13,7 +13,7 @@
 //!   copy-on-write mechanism";
 //! * there is no host page cache (DAX-style direct access).
 
-use fskit::FsResult;
+use fskit::{FsError, FsResult};
 use mssd::{Category, Mssd};
 
 use crate::common::{Ctx, BASELINE_DENTRY_SIZE, BASELINE_INODE_SIZE};
@@ -152,7 +152,7 @@ impl PersistencePolicy for NovaPolicy {
     ) -> FsResult<u64> {
         // Page-granular copy-on-write: the whole page is written to a fresh
         // block over the byte interface, regardless of how little changed.
-        let lba = ctx.alloc.allocate().expect("data area not full");
+        let lba = ctx.alloc.allocate().ok_or(FsError::NoSpace)?;
         ctx.device.try_byte_write(lba * ctx.layout.page_size as u64, page, None, Category::Data)?;
         ctx.device.persist_barrier();
         Ok(lba)

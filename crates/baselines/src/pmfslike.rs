@@ -11,7 +11,7 @@
 //!   (no CoW), so small overwrites are cheap but every write pays the MMIO
 //!   persistence barrier.
 
-use fskit::FsResult;
+use fskit::{FsError, FsResult};
 use mssd::{Category, Mssd};
 
 use crate::common::{Ctx, BASELINE_DENTRY_SIZE, BASELINE_INODE_SIZE};
@@ -159,7 +159,7 @@ impl PersistencePolicy for PmfsPolicy {
         dirty: &[(usize, usize)],
     ) -> FsResult<u64> {
         // In-place write of exactly the modified ranges.
-        let lba = old_lba.unwrap_or_else(|| ctx.alloc.allocate().expect("data area not full"));
+        let lba = old_lba.or_else(|| ctx.alloc.allocate()).ok_or(FsError::NoSpace)?;
         let base = lba * ctx.layout.page_size as u64;
         for (off, len) in dirty {
             ctx.device.try_byte_write(

@@ -369,8 +369,9 @@ impl ByteFs {
 
     /// The transaction of [`ByteFs::writeback_inode`]. The data runs are
     /// *submitted*: they cross the link while the byte-choice pages and the
-    /// metadata stores are issued, and the commit waits for them — the fsync
-    /// ordering contract is data complete → `COMMIT`, nothing more.
+    /// metadata stores are issued, and the commit record is queued behind
+    /// them in the device — the fsync ordering contract is data complete →
+    /// `COMMIT`, nothing more.
     fn write_pages_and_metadata(
         &self,
         inode: &mut Inode,

@@ -54,16 +54,17 @@
 //! * **`fsync`/`fdatasync` returning means the data is durable.** Dirty
 //!   pages are written (byte or block interface per the §4.6 policy) and the
 //!   inode update committed before the call returns.
-//! * **Data complete → `COMMIT`: the one ordering point of an fsync.** The
-//!   block-interface data runs are *submitted*
+//! * **Data complete → `COMMIT`: the one ordering point of an fsync, kept
+//!   by the device.** The block-interface data runs are *submitted*
 //!   ([`mssd::Mssd::submit_block_write_pages`]) and cross the link while the
 //!   TxID-tagged metadata stores go out over the byte interface — both
 //!   interfaces of the device serve the one operation at once.
-//!   [`txn::Txn::commit`] then does persistence barrier → wait for the data
-//!   → `COMMIT(TxID)`: the commit record is never issued before the data it
-//!   makes reachable is complete, and nothing else is ordered
-//!   (`tests/fsync_ordering.rs` reads this off the device trace). The same
-//!   holds for `sync` and for `O_DIRECT` writes.
+//!   [`txn::Txn::commit`] then does persistence barrier → `COMMIT(TxID)`
+//!   submitted behind the data ([`mssd::Mssd::submit_commit`]) → one wait:
+//!   the firmware never applies the commit record before the data it makes
+//!   reachable is complete, the call returns only once the record is, and
+//!   nothing else is ordered (`tests/fsync_ordering.rs` reads this off the
+//!   device trace). The same holds for `sync` and for `O_DIRECT` writes.
 //! * **A failed `fsync` launders nothing.** Blocks are allocated at
 //!   writeback, so `fsync` can fail with `NoSpace`; every page it took is
 //!   then dirty again, with its CoW original, and so is the inode — the next

@@ -117,7 +117,8 @@ impl SharedTxTable {
 
 /// A single in-flight transaction: a thin wrapper that tags byte writes with
 /// the TxID, remembers the block writes submitted on its behalf and issues
-/// the commit sequence — persistence barrier, wait for the data, `COMMIT`.
+/// the commit sequence — persistence barrier, `COMMIT` submitted behind the
+/// data, one wait.
 #[derive(Debug)]
 pub struct Txn {
     device: Arc<Mssd>,
@@ -167,25 +168,28 @@ impl Txn {
 
     /// Orders the commit after data block writes the caller submitted
     /// ([`Mssd::submit_block_write_pages`]): the transaction's metadata
-    /// stores go out while they are in flight, and [`Txn::commit`] waits for
-    /// them before the commit record.
+    /// stores go out while they are in flight, and [`Txn::commit`] queues the
+    /// commit record behind them.
     pub fn after(&mut self, data: InFlight) {
         self.data = self.data.max(data);
     }
 
     /// Commits the transaction: flush the CPU write-combining buffers
-    /// (persistence barrier), wait until every data write handed to
-    /// [`Txn::after`] is complete and only then, when firmware transactions
-    /// are enabled, issue `COMMIT(TxID)` — the commit record never precedes
-    /// the data it describes.
+    /// (persistence barrier), then, when firmware transactions are enabled,
+    /// submit `COMMIT(TxID)` behind every data write handed to
+    /// [`Txn::after`] ([`Mssd::submit_commit`]: the device never applies the
+    /// record before the data it describes is complete), and wait once — for
+    /// the record, or for the data alone when there is none.
     pub fn commit(mut self) -> Option<TxId> {
         if self.writes > 0 {
             self.device.persist_barrier();
         }
-        self.device.wait(std::mem::take(&mut self.data));
-        if let Some(txid) = self.txid {
-            self.device.commit(txid);
-        }
+        let data = std::mem::take(&mut self.data);
+        let last = match self.txid {
+            Some(txid) => self.device.submit_commit(txid, data),
+            None => data,
+        };
+        self.device.wait(last);
         self.txid
     }
 }

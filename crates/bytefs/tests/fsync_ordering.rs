@@ -1,9 +1,10 @@
 //! The fsync ordering contract (crate docs, "Durability ordering"): the data
 //! pages of an `fsync`, `sync` or `O_DIRECT` write are *submitted* and cross
-//! the link while the transaction's metadata stores are issued, and the
-//! commit record is issued only once they are complete. Read off the device
-//! trace: no `tx_commit` is stamped before the completion time a
-//! `block_submit` ahead of it announced.
+//! the link while the transaction's metadata stores are issued, the commit
+//! record is submitted behind them and the host waits once. The device never
+//! completes the record before the data. Read off the device trace: no
+//! `tx_commit` announces a completion earlier than that of a `block_submit`
+//! ahead of it, nor earlier than its own submission plus the command overhead.
 
 use std::sync::Arc;
 
@@ -14,11 +15,13 @@ use mssd::{DramMode, Mssd, MssdConfig, TraceKind};
 const PAGE: usize = 4096;
 
 /// Asserts the contract on everything traced since the last drain and
-/// returns `(block submissions, commits)`.
-fn assert_commits_follow_their_data(dev: &Mssd) -> (usize, usize) {
+/// returns `(block submissions, commits, commits submitted behind data still
+/// in flight)`.
+fn assert_commits_follow_their_data(dev: &Mssd) -> (usize, usize, usize) {
+    let overhead = dev.config().nvme_overhead_ns;
     let dump = dev.trace_sink().drain();
     assert_eq!(dump.dropped, 0);
-    let (mut data_done, mut submits, mut commits) = (0, 0, 0);
+    let (mut data_done, mut submits, mut commits, mut behind) = (0, 0, 0, 0);
     for e in &dump.events {
         match e.kind {
             TraceKind::BlockSubmit => {
@@ -27,21 +30,31 @@ fn assert_commits_follow_their_data(dev: &Mssd) -> (usize, usize) {
             }
             TraceKind::TxCommit => {
                 assert!(
-                    e.vclock_ns >= data_done,
-                    "COMMIT at {} ns, but a data write submitted before it completes at {} ns",
-                    e.vclock_ns,
+                    e.b >= data_done,
+                    "COMMIT of tx {} completes at {} ns, but a data write submitted before it \
+                     completes at {} ns",
+                    e.a,
+                    e.b,
                     data_done
                 );
+                assert!(
+                    e.b >= e.vclock_ns + overhead,
+                    "COMMIT of tx {} submitted at {} ns completes at {} ns: under its own overhead",
+                    e.a,
+                    e.vclock_ns,
+                    e.b
+                );
                 commits += 1;
+                behind += usize::from(e.vclock_ns < data_done);
             }
             _ => {}
         }
     }
-    (submits, commits)
+    (submits, commits, behind)
 }
 
 #[test]
-fn no_commit_record_is_issued_before_its_data_is_complete() {
+fn no_commit_record_completes_before_its_data_is_complete() {
     let cfg = MssdConfig::small_test();
     let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
     let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
@@ -61,8 +74,11 @@ fn no_commit_record_is_issued_before_its_data_is_complete() {
     fs.write(fd, PAGE as u64 + 640, &[9u8; 64]).unwrap();
     fs.write(fd, 2 * PAGE as u64, &vec![8u8; 2 * PAGE]).unwrap();
     fs.fsync(fd).unwrap();
-    let (submits, commits) = assert_commits_follow_their_data(&dev);
+    let (submits, commits, behind) = assert_commits_follow_their_data(&dev);
     assert!(submits >= 6 + 3 + 2 && commits >= 8, "{submits} submissions, {commits} commits");
+    // Not vacuous: the 40-page fsync's record, for one, was queued behind data
+    // that had not crossed the link yet.
+    assert!(behind >= 1, "no COMMIT was submitted with data in flight");
 
     // sync over several dirty files, and O_DIRECT with a partial tail page.
     for i in 0..4 {
@@ -72,30 +88,38 @@ fn no_commit_record_is_issued_before_its_data_is_complete() {
     fs.sync().unwrap();
     let direct = fs.open("/direct", OpenFlags::create_rw().with_direct()).unwrap();
     fs.write(direct, 0, &vec![4u8; 3 * PAGE + 100]).unwrap();
-    let (submits, commits) = assert_commits_follow_their_data(&dev);
+    let (submits, commits, _) = assert_commits_follow_their_data(&dev);
     assert!(submits >= 4 + 2 && commits >= 5, "{submits} submissions, {commits} commits");
 }
 
 #[test]
-fn an_fsync_pays_for_its_metadata_stores_under_the_data_command() {
+fn an_fsync_waits_once_for_the_later_of_its_data_and_its_commit_record() {
     let cfg = MssdConfig::small_test();
     let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
     let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
     let fd = fs.open("/f", OpenFlags::create_rw()).unwrap();
     fs.write(fd, 0, &vec![1u8; 2 * PAGE]).unwrap();
     fs.fsync(fd).unwrap();
-    dev.try_flush().unwrap(); // a known NAND backlog: none
 
-    fs.write(fd, 2 * PAGE as u64, &vec![2u8; 2 * PAGE]).unwrap();
-    let before = dev.snapshot();
-    fs.fsync(fd).unwrap();
-    let after = dev.snapshot();
-    let did = after.traffic.delta_since(&before.traffic);
-    assert_eq!((did.block_requests, did.tx_commits, did.nand_stall_ns), (1, 1, 0));
-    let link = cfg.nvme_overhead_ns + cfg.transfer_ns(2 * PAGE, false);
-    let stores = did.device_busy_ns - did.inflight_wait_ns - cfg.nvme_overhead_ns;
-    assert!(stores > 0 && stores < link, "{stores} ns of stores against a {link} ns command");
-    // Data command and stores side by side, then COMMIT: the stores are free.
-    assert_eq!(after.now_ns - before.now_ns, link + cfg.nvme_overhead_ns);
-    assert_eq!(did.inflight_wait_ns, link - stores);
+    // Two pages: the command is over before stores + barrier + COMMIT are.
+    // Twelve: the record waits in the device for the rest of the transfer.
+    let mut offset = 2 * PAGE as u64;
+    for (pages, link_bound) in [(2, false), (12, true)] {
+        dev.try_flush().unwrap(); // a known NAND backlog: none
+        fs.write(fd, offset, &vec![2u8; pages * PAGE]).unwrap();
+        offset += (pages * PAGE) as u64;
+        let before = dev.snapshot();
+        fs.fsync(fd).unwrap();
+        let after = dev.snapshot();
+        let did = after.traffic.delta_since(&before.traffic);
+        assert_eq!((did.block_requests, did.tx_commits, did.nand_stall_ns), (1, 1, 0));
+        let link = cfg.nvme_overhead_ns + cfg.transfer_ns(pages * PAGE, false);
+        // What the host is charged as it goes: the stores and the barrier.
+        let stores = did.device_busy_ns - did.inflight_wait_ns;
+        assert!(stores > 0 && stores < link, "{stores} ns of stores against a {link} ns command");
+        assert_eq!(stores + cfg.nvme_overhead_ns < link, link_bound, "{pages} pages");
+        // Data command beside stores + barrier + COMMIT overhead, one wait.
+        assert_eq!(after.now_ns - before.now_ns, link.max(stores + cfg.nvme_overhead_ns));
+        assert_eq!(did.inflight_wait_ns, (link - stores).max(cfg.nvme_overhead_ns));
+    }
 }

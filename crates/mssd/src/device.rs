@@ -209,13 +209,15 @@ impl CrashImage {
     }
 }
 
-/// A block write the device has accepted and the host has not waited for yet
-/// ([`Mssd::submit_block_write_pages`]): the virtual ns at which its last page
-/// is in the FTL write buffer. Hand it to [`Mssd::wait`] before anything that
-/// must be ordered after the data — a COMMIT record, a FLUSH. The later of two
-/// completions is `a.max(b)`; the default value completed at time zero and
-/// waits for nothing.
-#[must_use = "a submitted block write costs the host nothing until it is handed to Mssd::wait"]
+/// A command the device has accepted and the host has not waited for yet: a
+/// block write ([`Mssd::submit_block_write_pages`]; the virtual ns at which its
+/// last page is in the FTL write buffer) or a COMMIT
+/// ([`Mssd::submit_commit`]; the virtual ns at which the record counts). Hand
+/// a block write to [`Mssd::submit_commit`] to order the record behind it, or
+/// to [`Mssd::wait`] before anything else that must follow the data — a
+/// FLUSH, a journal's commit block. The later of two completions is
+/// `a.max(b)`; the default value completed at time zero and waits for nothing.
+#[must_use = "a submitted command costs the host nothing until it is handed to Mssd::wait"]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct InFlight {
     done_ns: u64,
@@ -1029,28 +1031,55 @@ impl Mssd {
 
     /// Custom NVMe command `COMMIT(TxID)`: appends a commit record to the
     /// firmware TxLog. Transactional byte writes become durable (redo-able)
-    /// once their TxID is committed.
+    /// once their TxID is committed. The synchronous form:
+    /// [`Mssd::submit_commit`] behind nothing, then [`Mssd::wait`].
     ///
     /// # Panics
     ///
     /// Panics if the device is not in [`DramMode::WriteLog`].
     pub fn commit(&self, txid: TxId) {
-        let cost = self.exec_commit(txid);
-        self.stats.record_queue_op(crate::queue::ambient_queue(), cost);
+        let cmd = self.submit_commit(txid, InFlight::default());
+        self.wait(cmd);
     }
 
-    /// Executor behind [`Mssd::commit`], shared with the batched queue
-    /// path; returns the charged virtual cost.
-    pub(crate) fn exec_commit(&self, txid: TxId) -> u64 {
+    /// Submits `COMMIT(TxID)` without waiting for it, ordered inside the
+    /// device behind `after` — the block writes of the transaction that are
+    /// still in flight: the firmware holds the record until they are in
+    /// device DRAM, so the host need not wait for them first. The record is
+    /// in the TxLog when this returns (fault step and counters are those of
+    /// [`Mssd::commit`]), the clock has not moved, and the transaction counts
+    /// as durable for the host once it has handed the returned [`InFlight`]
+    /// to [`Mssd::wait`] (`DESIGN-time.md`, rule 4 of "The link's timeline").
+    ///
+    /// # Panics
+    ///
+    /// As [`Mssd::commit`].
+    pub fn submit_commit(&self, txid: TxId, after: InFlight) -> InFlight {
+        let submitted = self.clock.now_ns();
+        let cmd = self.exec_commit(txid, after);
+        self.stats
+            .record_queue_op(crate::queue::ambient_queue(), cmd.done_ns.saturating_sub(submitted));
+        cmd
+    }
+
+    /// The one COMMIT executor, shared by the submitting calls and the
+    /// batched queue path; returns the record's completion. Nothing is
+    /// charged here: the caller waits, now or later.
+    ///
+    /// The fixed overhead pipelines like a block write's; the record
+    /// completes no earlier than `after`; and a TxLog-full clean is evaluated
+    /// from that point, not at the submitter's clock.
+    pub(crate) fn exec_commit(&self, txid: TxId, after: InFlight) -> InFlight {
         assert_eq!(self.mode, DramMode::WriteLog, "COMMIT requires the write-log firmware");
         // One counted fault step: a cut exactly here loses the commit record
         // — the transaction's log entries survive in battery-backed DRAM but
         // recovery discards them (the §4.7 contract).
         if !self.cfg.fault.step(FaultKind::TxCommit) {
-            return 0;
+            return InFlight::default();
         }
-        let start = self.clock.now_ns();
-        let mut cost = self.cfg.nvme_overhead_ns;
+        let submitted = self.clock.now_ns();
+        let mut cmd =
+            InFlight { done_ns: after.done_ns.max(submitted + self.cfg.nvme_overhead_ns) };
         // Concurrent committers can refill the TxLog between our cleaning
         // pass (which clears it) and the retry, so loop rather than assume
         // one retry suffices; dropping a commit record would silently lose
@@ -1059,13 +1088,12 @@ impl Mssd {
         while !self.txlog.lock().commit(txid) {
             // TxLog full: a stop-the-world clean propagates every committed
             // entry to flash, after which the TxLog can be cleared.
-            cost += self.clean_all(Some(start + cost));
+            cmd.done_ns += self.clean_all(Some(cmd.done_ns));
             attempts += 1;
             assert!(attempts < 64, "TxLog still full after repeated cleaning");
         }
-        self.stats.inc_tx_commits();
-        self.charge(cost);
-        cost
+        self.stats.inc_tx_commits(txid, cmd.done_ns);
+        cmd
     }
 
     /// Whether a transaction has a commit record in the firmware TxLog.

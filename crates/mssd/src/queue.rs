@@ -54,7 +54,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crate::device::{flatten_pages, Mssd};
+use crate::device::{flatten_pages, InFlight, Mssd};
 use crate::fault::{HangFault, HangFaultPlan};
 use crate::flash::FlashError;
 use crate::stats::Category;
@@ -835,6 +835,15 @@ impl HostQueue {
 /// the single execution path shared by doorbell batches and the synchronous
 /// depth-1 shim.
 pub(crate) fn execute(dev: &Mssd, cmd: &Command) -> (Result<(), FlashError>, Option<Vec<u8>>, u64) {
+    // Doorbell batches are synchronous sums: a block write or a COMMIT is
+    // submitted, then waited for at once, and costs what it took from
+    // submission to completion.
+    let submit_then_wait = |submit: &dyn Fn() -> (Result<(), FlashError>, InFlight)| {
+        let submitted = dev.clock().now_ns();
+        let (status, cmd) = submit();
+        dev.wait(cmd);
+        (status, None, cmd.done_ns().saturating_sub(submitted))
+    };
     match cmd {
         Command::ByteWrite { addr, data, txid, cat } => {
             let (status, cost) = dev.exec_byte_write(*addr, data, *txid, *cat);
@@ -849,11 +858,7 @@ pub(crate) fn execute(dev: &Mssd, cmd: &Command) -> (Result<(), FlashError>, Opt
         }
         Command::BlockWrite { lba, data, cat } => {
             let pages: Vec<&[u8]> = data.chunks(dev.page_size()).collect();
-            // Doorbell batches are synchronous sums: submit, then wait.
-            let submitted = dev.clock().now_ns();
-            let (status, cmd) = dev.exec_block_write(*lba, &pages, *cat);
-            dev.wait(cmd);
-            (status, None, cmd.done_ns().saturating_sub(submitted))
+            submit_then_wait(&|| dev.exec_block_write(*lba, &pages, *cat))
         }
         Command::BlockRead { lba, count, cat } => {
             let (pages, cost) = dev.exec_block_read(*lba, *count, *cat);
@@ -867,7 +872,9 @@ pub(crate) fn execute(dev: &Mssd, cmd: &Command) -> (Result<(), FlashError>, Opt
             (status, None, cost)
         }
         Command::Trim { lba, count } => (Ok(()), None, dev.exec_trim(*lba, *count)),
-        Command::Commit { txid } => (Ok(()), None, dev.exec_commit(*txid)),
+        Command::Commit { txid } => {
+            submit_then_wait(&|| (Ok(()), dev.exec_commit(*txid, InFlight::default())))
+        }
     }
 }
 

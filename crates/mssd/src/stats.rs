@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 use crate::trace::{TraceKind, TraceSink};
+use crate::txn::TxId;
 
 /// The file-system data structure a device access is attributed to.
 ///
@@ -321,8 +322,9 @@ scalar_counters! {
     /// (`DESIGN-time.md`).
     tally nand_stall_ns,
     /// Virtual nanoseconds the host spent in `Mssd::wait`: what was left of
-    /// its block writes once it had nothing else to issue. The synchronous
-    /// block write waits at once, so its whole cost counts here.
+    /// its block writes and COMMIT records once it had nothing else to issue.
+    /// The synchronous block write or COMMIT waits at once, so its whole cost
+    /// counts here.
     tally inflight_wait_ns,
     /// RAS: flash reads whose raw bit errors the ECC corrected.
     tally ras_corrected_reads,
@@ -600,10 +602,11 @@ impl AtomicTraffic {
         self.flash_erase_blocks.add(1);
     }
 
-    /// Counts one firmware transaction commit.
-    pub fn inc_tx_commits(&self) {
+    /// Counts one firmware transaction commit: the record of `txid`,
+    /// complete at virtual time `done_ns`.
+    pub fn inc_tx_commits(&self, txid: TxId, done_ns: u64) {
         self.tx_commits.add(1);
-        self.trace.emit(TraceKind::TxCommit, 0, 0);
+        self.trace.emit(TraceKind::TxCommit, txid.0 as u64, done_ns);
     }
 
     /// Counts one log-cleaning pass.
@@ -875,7 +878,7 @@ mod tests {
         a.inc_flash_write(true);
         a.inc_flash_read(false);
         a.inc_flash_erase();
-        a.inc_tx_commits();
+        a.inc_tx_commits(TxId(1), 0);
         a.inc_log_cleanings();
         a.add_device_busy_ns(500);
         a.inc_ras_corrected_reads();

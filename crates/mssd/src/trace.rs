@@ -109,7 +109,10 @@ pub enum TraceKind {
     /// wait). Stamped at submission. `a` = pages, `b` = the virtual ns at
     /// which the command completes.
     BlockSubmit = 18,
-    /// A COMMIT record was appended to the firmware TxLog.
+    /// A COMMIT record was appended to the firmware TxLog
+    /// (`Mssd::submit_commit`; the synchronous call is submit + wait).
+    /// Stamped at submission. `a` = TxID, `b` = the virtual ns at which the
+    /// record completes — never before a block write it was queued behind.
     TxCommit = 19,
 }
 

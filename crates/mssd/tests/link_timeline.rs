@@ -1,9 +1,11 @@
-//! The link's timeline (`DESIGN-time.md`): a block write can be submitted
-//! and waited for later. Checked two ways — the synchronous call is exactly
-//! submit + wait, and no mix of in-flight commands, byte-interface stores and
-//! waits finishes before the link has moved its bytes, before any command's
-//! own overhead and transfer, before the host has paid for its own stores,
-//! or before the array has programmed its pages.
+//! The link's timeline (`DESIGN-time.md`): a block write or a COMMIT can be
+//! submitted and waited for later, the COMMIT ordered inside the device behind
+//! block writes still in flight. Checked two ways — the synchronous call is
+//! exactly submit + wait, and no mix of in-flight commands, byte-interface
+//! stores and waits finishes before the link has moved its bytes, before any
+//! command's own overhead and transfer, before the host has paid for its own
+//! stores, or before the array has programmed its pages; no commit record
+//! completes before the data it was queued behind.
 //!
 //! `small_test()` in write-log mode unless said otherwise: 4 channels ×
 //! 4-page slices (a 16-page write buffer), a page program of 60 µs. The
@@ -14,7 +16,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mssd::{Category, DramMode, InFlight, Mssd, MssdConfig, TraceKind, TxId, PAGE_SIZE};
+use mssd::{
+    Category, DramMode, FaultKind, FaultPlan, InFlight, Mssd, MssdConfig, TraceKind, TxId,
+    PAGE_SIZE,
+};
 
 fn config() -> MssdConfig {
     MssdConfig { background_cleaning: false, ..MssdConfig::small_test() }
@@ -154,7 +159,122 @@ fn a_submission_is_traced_with_its_completion() {
     let submits: Vec<_> = ev.iter().filter(|e| e.kind == TraceKind::BlockSubmit).collect();
     assert_eq!(submits.len(), 1);
     assert_eq!((submits[0].vclock_ns, submits[0].a, submits[0].b), (0, 3, cmd.done_ns()));
-    dev.wait(cmd);
+    let record = dev.submit_commit(TxId(7), cmd);
+    let ev = dev.trace_sink().drain().events;
+    let commits: Vec<_> = ev.iter().filter(|e| e.kind == TraceKind::TxCommit).collect();
+    assert_eq!(commits.len(), 1);
+    assert_eq!((commits[0].vclock_ns, commits[0].a, commits[0].b), (0, 7, record.done_ns()));
+    dev.wait(record);
+}
+
+/// One tagged 64-byte store into page `lpa`.
+fn store(dev: &Mssd, lpa: u64, tx: u32) {
+    dev.try_byte_write(lpa * 4096, &[tx as u8; 64], Some(TxId(tx)), Category::Inode).unwrap();
+}
+
+#[test]
+fn a_commit_in_flight_pipelines_its_overhead_and_cannot_pass_its_data() {
+    let cfg = config();
+    let dev = device(&cfg);
+    // Behind nothing: the fixed overhead; the record is in the TxLog at once,
+    // the host has paid nothing until it waits.
+    let record = dev.submit_commit(TxId(1), InFlight::default());
+    assert!(dev.is_committed(TxId(1)));
+    assert_eq!((dev.clock().now_ns(), record.done_ns()), (0, cfg.nvme_overhead_ns));
+    assert_eq!(dev.wait(record), cfg.nvme_overhead_ns);
+    // Behind a command still crossing the link: the record completes with
+    // it, and the two overheads overlap.
+    let data = submit(&dev, 0, 8);
+    let record = dev.submit_commit(TxId(2), data);
+    assert_eq!(record, data);
+    assert_eq!(dev.wait(record), cfg.nvme_overhead_ns + cfg.transfer_ns(8 * PAGE_SIZE, false));
+    // Behind a command that is over before the record's own overhead is: the
+    // overhead decides, counted from the record's submission.
+    let data = submit(&dev, 16, 1);
+    while dev.clock().now_ns() + cfg.nvme_overhead_ns <= data.done_ns() {
+        store(&dev, 100, 3);
+    }
+    let submitted = dev.clock().now_ns();
+    let record = dev.submit_commit(TxId(3), data);
+    assert_eq!(record.done_ns(), submitted + cfg.nvme_overhead_ns);
+    assert_eq!(dev.wait(record), cfg.nvme_overhead_ns);
+    let t = dev.traffic();
+    assert_eq!((t.tx_commits, t.block_requests), (3, 2));
+    assert_eq!(t.device_busy_ns, dev.clock().now_ns());
+}
+
+#[test]
+fn a_power_cut_at_the_commit_step_keeps_the_data_and_drops_the_transaction() {
+    // Three data pages and two tagged stores are five durability steps; the
+    // sixth is the COMMIT submitted while the data is still on the link. A
+    // cut is a step index, so being in flight adds no crash state: the pages
+    // the device accepted are in the image, the record is not, and RECOVER
+    // discards the transaction's log entries.
+    let mut cfg = config();
+    cfg.fault = FaultPlan::cut_at(6);
+    let dev = device(&cfg);
+    let data = submit(&dev, 8, 3);
+    store(&dev, 100, 1);
+    store(&dev, 101, 1);
+    assert!(data.done_ns() > dev.clock().now_ns(), "the data is still in flight");
+    let record = dev.submit_commit(TxId(1), data);
+    assert_eq!(dev.fault_plan().cut_kind(), Some(FaultKind::TxCommit));
+    assert_eq!(record, InFlight::default(), "a command that never executed is not waited for");
+    let image = dev.crash_image();
+    assert!(image.txlog.is_empty());
+    assert_eq!(image.log_entries.len(), 2);
+
+    let back = Mssd::from_crash_image(config(), DramMode::WriteLog, &image);
+    let report = back.recover();
+    assert_eq!((report.scanned_entries, report.discarded_entries), (2, 2));
+    assert!(!back.is_committed(TxId(1)));
+    for lba in 8..11 {
+        assert_eq!(back.try_block_read(lba, 1, Category::Data).unwrap(), vec![9u8; PAGE_SIZE]);
+    }
+    assert_eq!(back.try_byte_read(100 * 4096, 64, Category::Inode).unwrap(), vec![0u8; 64]);
+}
+
+#[test]
+fn a_txlog_full_commit_behind_a_long_run_cleans_once_from_the_end_of_that_run() {
+    // 16 commit records fill this TxLog, so the 17th COMMIT runs a
+    // stop-the-world clean (16 log pages to merge and program). It is
+    // submitted behind 64 pages that overrun the 16-slot write buffer, so the
+    // array has a backlog when the run ends. The clean belongs after that
+    // run: evaluated at the submitter's clock it would wait for the backlog
+    // on top of the run that produces it (rule 3's lesson).
+    let mut cfg = config();
+    cfg.txlog_bytes = 16 * mssd::txn::COMMIT_RECORD_BYTES;
+    let run = |in_flight: bool| {
+        let dev = device(&cfg);
+        for tx in 1..=16 {
+            store(&dev, 1000 + tx as u64, tx);
+            dev.commit(TxId(tx));
+        }
+        dev.try_flush().unwrap();
+        let (start, before) = (dev.clock().now_ns(), dev.traffic());
+        let data = (0..4).map(|i| submit(&dev, 256 + i * 16, 16)).max().unwrap();
+        let record = if in_flight {
+            let record = dev.submit_commit(TxId(17), data);
+            assert!(record > data, "the clean starts where the run ends");
+            record
+        } else {
+            dev.wait(data);
+            dev.submit_commit(TxId(17), InFlight::default())
+        };
+        dev.wait(record);
+        let did = dev.traffic().delta_since(&before);
+        assert!(did.nand_stall_ns > 0, "the buffer never filled: the test is vacuous");
+        assert_eq!((did.tx_commits, did.log_cleanings), (1, 1));
+        assert!(dev.is_committed(TxId(17)) && !dev.is_committed(TxId(16)));
+        (dev.clock().now_ns() - start, did.flash_write_pages)
+    };
+    let (sync_ns, sync_programs) = run(false);
+    let (in_flight_ns, in_flight_programs) = run(true);
+    assert_eq!(in_flight_programs, sync_programs);
+    // All that being in flight saves is the record's overhead, hidden under
+    // the run; the clean is paid in full, once.
+    assert!(in_flight_ns <= sync_ns, "{in_flight_ns} ns in flight against {sync_ns} ns in turn");
+    assert!(in_flight_ns + cfg.nvme_overhead_ns >= sync_ns, "{in_flight_ns} vs {sync_ns}");
 }
 
 #[derive(Debug, Clone)]
@@ -201,8 +321,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Replacing every synchronous block write by submit-then-wait changes
-    /// nothing: not the clock, not a counter, not the durable state.
+    /// Replacing every synchronous block write and COMMIT by submit-then-wait
+    /// changes nothing: not the clock, not a counter, not the durable state.
     #[test]
     fn submit_then_wait_is_the_synchronous_write(
         ops in proptest::collection::vec(op_strategy(), 1..80)
@@ -226,6 +346,9 @@ proptest! {
                     }
                     Op::BlockRead { lba } => drop(dev.try_block_read(lba, 1, Category::Data).unwrap()),
                     Op::Flush => dev.try_flush().unwrap(),
+                    Op::Commit if split => {
+                        dev.wait(dev.submit_commit(TxId(1 + n as u32 / 8), InFlight::default()));
+                    }
                     Op::Commit => dev.commit(TxId(1 + n as u32 / 8)),
                     Op::Wait => {}
                 }
@@ -235,11 +358,15 @@ proptest! {
         prop_assert_eq!(run(false), run(true));
     }
 
-    /// Whatever is in flight, stored and waited for, in whatever order: once
-    /// everything has been waited for and flushed, the run took at least the
-    /// link's time for its bytes, every command's own overhead and transfer,
-    /// the host's own byte-interface and command costs, and the array's time
-    /// for the pages it programmed.
+    /// Whatever is in flight, stored and waited for, in whatever order — a
+    /// COMMIT submitted behind every block write still in flight, a FLUSH
+    /// after waiting for them: once everything has been waited for and
+    /// flushed, the run took at least the link's time for its bytes, every
+    /// command's own overhead and transfer, the host's own byte-interface and
+    /// command costs plus the overhead of a record submitted after them, and
+    /// the array's time for the pages it programmed. No record completes
+    /// before the data it was queued behind, and a transaction is committed
+    /// exactly when its COMMIT was submitted.
     #[test]
     fn no_mix_of_submits_stores_and_waits_beats_a_physical_bound(
         ops in proptest::collection::vec(op_strategy(), 1..80)
@@ -247,11 +374,14 @@ proptest! {
         let cfg = config();
         let dev = device(&cfg);
         let mut in_flight = std::collections::VecDeque::new();
+        let mut committed = std::collections::BTreeSet::new();
         // `host_ns`: what the host itself is charged — its stores by the
         // byte interface's own formula, its synchronous commands as they come.
-        let (mut bytes, mut host_ns) = (0usize, 0u64);
+        // `floor_ns`: the latest completion any command announced.
+        let (mut bytes, mut host_ns, mut floor_ns) = (0usize, 0u64, 0u64);
         for (n, op) in ops.iter().enumerate() {
             let before = dev.clock().now_ns();
+            let tx = TxId(1 + n as u32 / 8);
             match *op {
                 Op::Write { lba, pages } => {
                     let cmd = submit(&dev, lba, pages);
@@ -262,8 +392,7 @@ proptest! {
                     bytes += pages * PAGE_SIZE;
                 }
                 Op::Store { lpa, len } => {
-                    let tx = Some(TxId(1 + n as u32 / 8));
-                    dev.try_byte_write(lpa * 4096, &vec![n as u8; len], tx, Category::Inode)
+                    dev.try_byte_write(lpa * 4096, &vec![n as u8; len], Some(tx), Category::Inode)
                         .unwrap();
                     host_ns += cfg.byte_access_ns(len, false);
                     prop_assert!(dev.clock().now_ns() - before >= cfg.byte_access_ns(len, false));
@@ -272,18 +401,25 @@ proptest! {
                     drop(dev.try_block_read(lba, 1, Category::Data).unwrap());
                     host_ns += dev.clock().now_ns() - before;
                 }
-                // A FLUSH or a COMMIT is ordered after the data: wait first.
-                Op::Flush | Op::Commit => {
+                // A COMMIT is ordered after the data inside the device.
+                Op::Commit => {
+                    let data = in_flight.iter().copied().max().unwrap_or_default();
+                    let record = dev.submit_commit(tx, data);
+                    prop_assert_eq!(dev.clock().now_ns(), before);
+                    prop_assert!(record >= data, "the record passed its data");
+                    prop_assert!(record.done_ns() >= before + cfg.nvme_overhead_ns);
+                    prop_assert!(record.done_ns() >= host_ns + cfg.nvme_overhead_ns);
+                    committed.insert(tx);
+                    in_flight.push_back(record);
+                }
+                // A FLUSH is ordered after the data by the host: wait first.
+                Op::Flush => {
                     for cmd in in_flight.drain(..) {
                         let at = dev.clock().now_ns();
                         prop_assert_eq!(dev.wait(cmd), cmd.done_ns().saturating_sub(at));
                     }
                     let issued = dev.clock().now_ns();
-                    if matches!(op, Op::Flush) {
-                        dev.try_flush().unwrap();
-                    } else {
-                        dev.commit(TxId(1 + n as u32 / 8));
-                    }
+                    dev.try_flush().unwrap();
                     host_ns += dev.clock().now_ns() - issued;
                 }
                 Op::Wait => {
@@ -293,6 +429,7 @@ proptest! {
                     }
                 }
             }
+            floor_ns = floor_ns.max(in_flight.back().map_or(0, |cmd| cmd.done_ns()));
         }
         for cmd in in_flight {
             dev.wait(cmd);
@@ -301,10 +438,14 @@ proptest! {
         let elapsed = dev.clock().now_ns();
         let t = dev.traffic();
         prop_assert!(elapsed as f64 >= bytes as f64 / cfg.block_write_bw * 1e9);
-        prop_assert!(elapsed >= host_ns);
+        prop_assert!(elapsed >= host_ns && elapsed >= floor_ns);
         let programs = t.flash_write_pages + t.flash_internal_write_pages;
         prop_assert!(elapsed >= programs * cfg.flash_write_ns / cfg.channels as u64);
         prop_assert!(t.device_busy_ns <= elapsed, "the host cannot wait longer than the run");
         prop_assert!(t.inflight_wait_ns <= t.device_busy_ns);
+        prop_assert_eq!(t.log_cleanings, 0, "a clean would have emptied the TxLog");
+        for tx in (1..=1 + ops.len() as u32 / 8).map(TxId) {
+            prop_assert_eq!(dev.is_committed(tx), committed.contains(&tx), "{:?}", tx);
+        }
     }
 }

@@ -1,8 +1,11 @@
 //! Where the modelled time of one `write(8 KB) + fsync()` on ByteFS goes:
-//! the NVMe link, the COMMIT command, the byte interface (log appends and
+//! the NVMe link, the COMMIT overhead, the byte interface (log appends and
 //! the persistence barrier) and the wait for a slot of the FTL write buffer —
-//! less the byte-interface stores the host issues while the data command is
-//! in flight (`crates/mssd/DESIGN-time.md`).
+//! less what runs side by side: the data command on one interface, stores +
+//! barrier + COMMIT on the other, one wait at the end
+//! (`crates/mssd/DESIGN-time.md`). The rows are asserted to add up to the
+//! clock, and the last line says whether the loop is bound by the host's
+//! path or by the NAND array.
 //!
 //! The device is `benchmark/`'s: the paper's timing at 1/128 of its size
 //! (256 MB, 2 MB write log, 128 KB FTL write buffer), so the buffer's slices
@@ -45,28 +48,48 @@ fn main() -> fskit::FsResult<()> {
     let did = after.traffic.delta_since(&before.traffic);
     let block_bytes = did.host_bytes_by_interface(Direction::Write, Interface::Block);
     assert_eq!(did.block_requests, OPS, "one scatter-gather write per fsync");
+    assert_eq!(did.tx_commits, OPS, "one COMMIT per fsync");
     let link = OPS * cfg.nvme_overhead_ns + cfg.transfer_ns(block_bytes as usize, false);
     let commit = did.tx_commits * cfg.nvme_overhead_ns;
-    // The host is busy with the device while it waits for its data command,
-    // issues byte-interface stores and commits; what the command took beyond
-    // the host's wait for it was spent on those stores.
-    let byte_interface = did.device_busy_ns - did.inflight_wait_ns - commit;
-    let hidden = link + did.nand_stall_ns - did.inflight_wait_ns;
+    // The host is charged its stores and barriers as it issues them; the
+    // rest of its device time is the one wait at the end of each fsync.
+    let stores = did.device_busy_ns - did.inflight_wait_ns;
+    // Each wait covers what is left of the longer side — data command and
+    // slot waits, or COMMIT overhead — so what the two sides add up to beyond
+    // the waits ran beside the other interface. (A row derived from a counter
+    // that stopped meaning what it says underflows here.)
+    let hidden = (link + did.nand_stall_ns + commit)
+        .checked_sub(did.inflight_wait_ns)
+        .expect("the host waited longer than both interfaces were busy");
+    assert!(
+        hidden <= (link + did.nand_stall_ns).min(stores + commit),
+        "more is hidden ({hidden} ns) than either interface had to hide"
+    );
     let total = after.now_ns - before.now_ns;
+    let host_code = total.checked_sub(did.device_busy_ns).expect("busy longer than the run");
+    // The rows are differences of counters and of the clock; they stop adding
+    // up the day one of those counters is charged for something else.
+    let rows = link + commit + stores + did.nand_stall_ns + host_code - hidden;
+    assert!(rows.abs_diff(total) <= OPS, "rows add up to {rows} ns, the clock says {total} ns");
     let per_op = |ns: u64| ns as f64 / OPS as f64 / 1e3;
     let row = |what: &str, us: f64| println!("  {what:<48}{us:6.2}");
     println!("one write(8 KB) + fsync() on ByteFS, modelled µs (mean of {OPS}):");
     row("NVMe link, one data command", per_op(link));
-    row("COMMIT", per_op(commit));
-    row("byte interface: log append, barrier", per_op(byte_interface));
+    row("COMMIT overhead", per_op(commit));
+    row("byte interface: log appends, barrier", per_op(stores));
     row("wait for a write-buffer slot", per_op(did.nand_stall_ns));
-    row("byte interface, hidden under the block command", -per_op(hidden));
-    row("host file-system code", per_op(total - did.device_busy_ns));
+    row("hidden under the other interface", -per_op(hidden));
+    row("host file-system code", per_op(host_code));
     row("total", per_op(total));
+    let nand = did.flash_write_pages * cfg.flash_write_ns / cfg.channels as u64;
     println!(
         "NAND programmed {:.2} pages per op in the background ({:.2} µs of the array's time)",
         did.flash_write_pages as f64 / OPS as f64,
-        per_op(did.flash_write_pages * cfg.flash_write_ns / cfg.channels as u64),
+        per_op(nand),
     );
+    // Without its slot waits an operation would take `total - nand_stall_ns`;
+    // an array that needs longer than that per operation sets the pace.
+    let verdict = if nand >= total - did.nand_stall_ns { "NAND-bound" } else { "host-bound" };
+    println!("verdict: {verdict}");
     Ok(())
 }
