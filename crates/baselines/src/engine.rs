@@ -289,8 +289,10 @@ impl<P: PersistencePolicy> BaselineFs<P> {
     }
 
     fn touch_dir(&self, st: &mut EngineState, ino: u64) -> FsResult<()> {
+        // A path that walks through a file fails in the caller; only a
+        // directory has a block to load.
+        let Some(&meta_block) = st.meta_blocks.get(&ino) else { return Ok(()) };
         if st.loaded_dirs.insert(ino) {
-            let meta_block = st.meta_blocks.get(&ino).copied().unwrap_or(st.layout.data_start);
             let entries = st.ns.node(ino).map(|n| n.children.len()).unwrap_or(0);
             self.with_ctx(st, |ctx, _, _| self.policy.load_dir(ctx, ino, meta_block, entries))?;
         }
@@ -335,13 +337,16 @@ impl<P: PersistencePolicy> BaselineFs<P> {
         st.open.get(&fd.0).copied().ok_or(FsError::BadDescriptor(fd.0))
     }
 
-    fn meta_block_of(&self, st: &mut EngineState, ino: u64) -> u64 {
+    /// The block holding directory `ino`'s entries. Every directory has had
+    /// one since it was made (the root since format), so on a full volume
+    /// this only ever fails for a directory that does not exist yet.
+    fn meta_block_of(&self, st: &mut EngineState, ino: u64) -> FsResult<u64> {
         if let Some(b) = st.meta_blocks.get(&ino) {
-            return *b;
+            return Ok(*b);
         }
-        let lba = st.alloc.allocate().unwrap_or(st.layout.data_start);
+        let lba = st.alloc.allocate().ok_or(FsError::NoSpace)?;
         st.meta_blocks.insert(ino, lba);
-        lba
+        Ok(lba)
     }
 
     fn do_create(&self, st: &mut EngineState, path: &str, is_dir: bool) -> FsResult<u64> {
@@ -349,11 +354,16 @@ impl<P: PersistencePolicy> BaselineFs<P> {
         self.touch_dir(st, parent)?;
         let now = self.device.clock().now_ns();
         let file_type = if is_dir { FileType::Directory } else { FileType::File };
-        let ino = st.ns.create(parent, name, file_type, now)?;
-        if is_dir {
-            self.meta_block_of(st, ino);
+        let parent_meta_block = self.meta_block_of(st, parent)?;
+        // A new directory's block comes first: a full volume refuses the
+        // `mkdir` with the namespace untouched.
+        let dir_block = is_dir.then(|| st.alloc.allocate().ok_or(FsError::NoSpace)).transpose()?;
+        let ino = st.ns.create(parent, name, file_type, now).inspect_err(|_| {
+            dir_block.into_iter().for_each(|lba| st.alloc.free(lba));
+        })?;
+        if let Some(lba) = dir_block {
+            st.meta_blocks.insert(ino, lba);
         }
-        let parent_meta_block = self.meta_block_of(st, parent);
         st.loaded_inodes.insert(ino);
         if is_dir {
             st.loaded_dirs.insert(ino);
@@ -817,13 +827,13 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
         let mut st = self.state.lock();
         let (parent, name) = self.resolve_parent_touch(&mut st, path)?;
         self.touch_dir(&mut st, parent)?;
+        let parent_meta_block = self.meta_block_of(&mut st, parent)?;
         let now = self.device.clock().now_ns();
         let removed = st.ns.remove(parent, name, true, now)?;
         if let Some(meta) = st.meta_blocks.remove(&removed.ino) {
             st.alloc.free(meta);
             self.device.trim(meta, 1);
         }
-        let parent_meta_block = self.meta_block_of(&mut st, parent);
         let op = MetaOp::Remove {
             parent,
             parent_meta_block,
@@ -839,13 +849,13 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
         let mut st = self.state.lock();
         let (parent, name) = self.resolve_parent_touch(&mut st, path)?;
         self.touch_dir(&mut st, parent)?;
+        let parent_meta_block = self.meta_block_of(&mut st, parent)?;
         let now = self.device.clock().now_ns();
         let removed = st.ns.remove(parent, name, false, now)?;
         let freed_blocks = removed.blocks.len();
         self.free_node_blocks(&mut st, &removed.blocks);
         st.page_cache.invalidate_inode(removed.ino);
         st.dirty_inodes.remove(&removed.ino);
-        let parent_meta_block = self.meta_block_of(&mut st, parent);
         let op = MetaOp::Remove {
             parent,
             parent_meta_block,
@@ -863,10 +873,10 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
         let (to_parent, to_name) = self.resolve_parent_touch(&mut st, to)?;
         self.touch_dir(&mut st, from_parent)?;
         self.touch_dir(&mut st, to_parent)?;
+        let from_meta_block = self.meta_block_of(&mut st, from_parent)?;
+        let to_meta_block = self.meta_block_of(&mut st, to_parent)?;
         let now = self.device.clock().now_ns();
         let ino = st.ns.rename(from_parent, from_name, to_parent, to_name, now)?;
-        let from_meta_block = self.meta_block_of(&mut st, from_parent);
-        let to_meta_block = self.meta_block_of(&mut st, to_parent);
         let op = MetaOp::Rename {
             from_parent,
             from_meta_block,
@@ -1015,6 +1025,57 @@ mod tests {
     #[test]
     fn a_full_pmfs_returns_no_space_and_recovers_after_an_unlink() {
         a_full_data_area_is_no_space(PmfsLike::format(fresh_device()));
+    }
+
+    /// Fills the data area, then asks for a directory: its block cannot be
+    /// had, so the `mkdir` is `NoSpace` and leaves no trace — it used to
+    /// succeed on the root directory's block (`data_start`), which the
+    /// `rmdir` then freed under the root for the next file to take. With one
+    /// block back the same `mkdir` goes through.
+    fn a_full_volume_refuses_mkdir<P: PersistencePolicy>(fs: Arc<BaselineFs<P>>) {
+        const FILE: usize = 64 * 4096;
+        let contents = |n: usize| vec![n as u8 | 1; FILE];
+        let mut persisted = Vec::new();
+        loop {
+            let n = persisted.len();
+            let fd = fs.create(&format!("/f{n}")).unwrap();
+            match fs.write(fd, 0, &contents(n)).and_then(|_| fs.fsync(fd)) {
+                Ok(()) => persisted.push(fd),
+                Err(e) => break assert_eq!(e, FsError::NoSpace, "{}", fs.name()),
+            }
+        }
+        // The last file wanted 64 blocks at once; take the few that are left.
+        let hoard: Vec<u64> = {
+            let mut st = fs.state.lock();
+            (0..st.alloc.available()).map(|_| st.alloc.allocate().unwrap()).collect()
+        };
+        let root = fs.readdir("/").unwrap();
+        assert_eq!(fs.mkdir("/d"), Err(FsError::NoSpace), "{}", fs.name());
+        assert_eq!(fs.readdir("/").unwrap(), root, "{}", fs.name());
+        {
+            let st = fs.state.lock();
+            let owners = st.meta_blocks.values().filter(|lba| **lba == st.layout.data_start);
+            assert_eq!(owners.count(), 1, "{}: the root directory's block is its own", fs.name());
+        }
+        fs.drop_caches();
+        for (n, fd) in persisted.iter().enumerate() {
+            assert_eq!(fs.read(*fd, 0, FILE).unwrap(), contents(n), "{} /f{n}", fs.name());
+        }
+        if let Some((back, rest)) = hoard.split_first() {
+            fs.state.lock().alloc.free(*back);
+            fs.mkdir("/d").unwrap();
+            assert_eq!(fs.readdir("/").unwrap().len(), root.len() + 1, "{}", fs.name());
+            let mut st = fs.state.lock();
+            rest.iter().for_each(|lba| st.alloc.free(*lba));
+        }
+    }
+
+    #[test]
+    fn a_full_volume_refuses_mkdir_and_leaves_the_namespace_alone() {
+        a_full_volume_refuses_mkdir(Ext4Like::format(fresh_device()));
+        a_full_volume_refuses_mkdir(F2fsLike::format(fresh_device()));
+        a_full_volume_refuses_mkdir(NovaLike::format(fresh_device()));
+        a_full_volume_refuses_mkdir(PmfsLike::format(fresh_device()));
     }
 
     #[test]

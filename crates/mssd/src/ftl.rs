@@ -382,6 +382,10 @@ struct Channel {
     /// page's stripe lock.
     buffer: Vec<(Lpa, Vec<u8>)>,
     buffer_capacity: usize,
+    /// The leading pages of `buffer` whose programs are already on the NAND
+    /// timeline: the slice was handed over when it filled, the pages stay
+    /// here until the drain (`DESIGN-time.md`). Time model only.
+    on_nand: usize,
     /// Spare (erased, reserved) blocks kept out of the allocator. When a
     /// block is retired a spare is promoted into `free` one-for-one, so
     /// usable capacity is constant until the pool runs dry.
@@ -396,8 +400,10 @@ struct Channel {
 struct DrainResult {
     /// Latency spent on garbage collection during the drain.
     gc_cost: u64,
-    /// Pages programmed (all on this one channel, so they serialize).
-    programmed: usize,
+    /// Pages programmed (all on this one channel, so they serialize) whose
+    /// programs the NAND timeline does not have yet: the hand-over when the
+    /// slice filled covered the others.
+    off_timeline: usize,
     /// Pages that could not be placed because the channel ran out of erased
     /// blocks even after GC; they remain buffered and the caller migrates
     /// them to another channel.
@@ -443,6 +449,9 @@ pub struct ShardedFtl {
     buffered: AtomicUsize,
     /// Pages the write buffer holds: every slice full.
     buffer_slots: usize,
+    /// Buffered pages whose programs are on the NAND timeline (the sum of
+    /// the channels' `on_nand`): the backlog accounts for their slots.
+    on_nand: AtomicUsize,
     /// Spare blocks remaining across all channels. A cached gauge so the
     /// stats path never has to lock every channel (which would violate the
     /// one-channel-at-a-time discipline).
@@ -485,6 +494,7 @@ impl ShardedFtl {
                     p2l: HashMap::new(),
                     buffer: Vec::new(),
                     buffer_capacity: slice_pages,
+                    on_nand: 0,
                     spare,
                     bad: Vec::new(),
                 })
@@ -498,6 +508,7 @@ impl ShardedFtl {
             rr: AtomicUsize::new(0),
             buffered: AtomicUsize::new(0),
             buffer_slots: slice_pages * cfg.channels,
+            on_nand: AtomicUsize::new(0),
             spare_count: AtomicUsize::new(spare_total),
             read_only: AtomicBool::new(false),
             nand_busy_until: AtomicU64::new(0),
@@ -666,12 +677,13 @@ impl ShardedFtl {
     }
 
     /// [`ShardedFtl::buffer_write`] on the clock: the caller is at virtual
-    /// time `now` and gets back how long it waits. A full slice is handed to
-    /// the NAND array, which programs it in the background of modelled time;
-    /// the caller waits only while the buffer has no slot for its page — a
-    /// page holds its slot from acceptance until its program completes
-    /// (`DESIGN-time.md`). `None` is a caller without a time: no wait, no
-    /// array work.
+    /// time `now` and gets back how long it waits. The page that fills a
+    /// slice hands it to the NAND array, which programs it in the background
+    /// of modelled time (the data model drains the slice later, where it
+    /// always did: when the next page finds it full); the caller waits only
+    /// while the buffer has no slot for its page — a page holds its slot from
+    /// acceptance until its program completes (`DESIGN-time.md`). `None` is
+    /// a caller without a time: no wait, no array work.
     ///
     /// # Errors
     ///
@@ -694,9 +706,16 @@ impl ShardedFtl {
         let mut stranded_rounds = 0usize;
         loop {
             let mut ch = self.channels[target].lock();
+            // Before the coalesce arm: a re-write of a page sitting in a full
+            // slice drains the slice first and is programmed a second time, so
+            // nothing coalesces into a slice whose programs are under way
+            // (short of a TRIM reopening one: that re-write rides the program
+            // already charged).
             if ch.buffer.len() >= ch.buffer_capacity {
                 let r = self.drain_buffer_locked(&mut ch, stats);
-                let work_ns = r.gc_cost + r.programmed as u64 * self.cfg.flash_write_ns;
+                // The array has had the slice's programs since it filled;
+                // the drain adds its GC and whatever that did not cover.
+                let work_ns = r.gc_cost + r.off_timeline as u64 * self.cfg.flash_write_ns;
                 self.hand_to_nand(now, self.array_ns(work_ns));
                 if let Some(e) = r.error {
                     // The forced drain hit an unrecoverable media condition
@@ -748,12 +767,23 @@ impl ShardedFtl {
                 prev => {
                     ch.buffer.push((lpa, data));
                     stripe.insert(lpa, Loc::Buffered(target));
-                    let held = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
+                    let buffered = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(Loc::Flash(old)) = prev {
                         // The flash copy is stale now; its p2l entry is
                         // invalidated lazily by GC validation.
                         self.valid[self.block_of(old) as usize].fetch_sub(1, Ordering::Relaxed);
                     }
+                    if now.is_some() && ch.buffer.len() == ch.buffer_capacity {
+                        // The slice is full: the array starts on it now. The
+                        // pages stay here, readable, until the drain.
+                        let fresh = ch.buffer.len() - ch.on_nand;
+                        let work_ns = fresh as u64 * self.cfg.flash_write_ns;
+                        self.hand_to_nand(now, self.array_ns(work_ns));
+                        ch.on_nand = ch.buffer.len();
+                        self.on_nand.fetch_add(fresh, Ordering::Relaxed);
+                    }
+                    // A handed-over page's slot is the backlog's to account.
+                    let held = buffered.saturating_sub(self.on_nand.load(Ordering::Relaxed));
                     return Ok(self.slot_wait(now, held, stats));
                 }
             }
@@ -781,10 +811,10 @@ impl ShardedFtl {
     }
 
     /// How long a command at `now` waits for the write-buffer slot of the
-    /// page it just put into a slice, `held` pages being in slices now. The
-    /// slots the slices do not hold are free for pages still being
-    /// programmed, so the command waits until the array's backlog is no
-    /// longer than those slots' worth of programs.
+    /// page it just put into a slice, `held` pages being in slices not yet
+    /// handed to the array. The slots those do not hold are free for pages
+    /// still being programmed, so the command waits until the array's
+    /// backlog is no longer than those slots' worth of programs.
     fn slot_wait(&self, now: Option<u64>, held: usize, stats: &AtomicTraffic) -> u64 {
         let Some(now) = now else { return 0 };
         let free = self.buffer_slots.saturating_sub(held) as u64;
@@ -823,7 +853,8 @@ impl ShardedFtl {
     /// array to finish — these pages and everything handed to it before
     /// (`None`: a caller without a time, which waits for nothing and keeps
     /// the drain off the clock). The channels drain side by side: GC is
-    /// array work like any other, and the programs take whole rounds of
+    /// array work like any other, and the programs the array does not have
+    /// yet (a slice that filled went over then) take whole rounds of
     /// `flash_write_ns`, the last one however few channels it keeps busy.
     ///
     /// # Errors
@@ -833,7 +864,7 @@ impl ShardedFtl {
     /// battery-backed buffer — durable, but no longer flushable.
     pub fn flush_all(&self, stats: &AtomicTraffic, now: Option<u64>) -> Result<u64, FlashError> {
         let mut gc_cost = 0;
-        let mut programmed = 0usize;
+        let mut off_timeline = 0usize;
         let mut first_err: Option<FlashError> = None;
         // Two passes: a page stranded on a full channel is migrated to the
         // next channel's slice and picked up there; a page that lands on an
@@ -846,7 +877,7 @@ impl ShardedFtl {
                 let r = self.drain_buffer_locked(&mut ch, stats);
                 drop(ch);
                 gc_cost += r.gc_cost;
-                programmed += r.programmed;
+                off_timeline += r.off_timeline;
                 if first_err.is_none() {
                     first_err = r.error;
                 }
@@ -859,7 +890,7 @@ impl ShardedFtl {
                 break;
             }
         }
-        let rounds = programmed.div_ceil(self.channels.len()) as u64;
+        let rounds = off_timeline.div_ceil(self.channels.len()) as u64;
         self.hand_to_nand(now, self.array_ns(gc_cost) + rounds * self.cfg.flash_write_ns);
         match first_err {
             Some(e) => Err(e),
@@ -884,7 +915,7 @@ impl ShardedFtl {
             match loc {
                 Loc::Buffered(_) => {
                     if let Some(pos) = ch.buffer.iter().position(|(l, _)| *l == lpa) {
-                        ch.buffer.remove(pos);
+                        self.take_buffered(&mut ch, pos);
                         self.buffered.fetch_sub(1, Ordering::Relaxed);
                     }
                 }
@@ -896,6 +927,17 @@ impl ShardedFtl {
             stripe.remove(&lpa);
             return;
         }
+    }
+
+    /// Takes the page at `pos` out of the channel's slice. If the slice was
+    /// handed to the array its program stays charged — the array was already
+    /// at it — and the hand-over covers one page less.
+    fn take_buffered(&self, ch: &mut Channel, pos: usize) -> (Lpa, Vec<u8>) {
+        if pos < ch.on_nand {
+            ch.on_nand -= 1;
+            self.on_nand.fetch_sub(1, Ordering::Relaxed);
+        }
+        ch.buffer.remove(pos)
     }
 
     /// Allocates the next page of the channel's active block, refilling the
@@ -1185,6 +1227,9 @@ impl ShardedFtl {
             return r;
         }
         let pending = std::mem::take(&mut ch.buffer);
+        let covered = std::mem::take(&mut ch.on_nand);
+        self.on_nand.fetch_sub(covered, Ordering::Relaxed);
+        let mut programmed = 0usize;
         let channel_index = ch.flash.channel();
         let mut iter = pending.into_iter();
         while let Some((lpa, data)) = iter.next() {
@@ -1230,7 +1275,7 @@ impl ShardedFtl {
             };
             stats.inc_flash_write(false);
             ch.p2l.insert(ppa, lpa);
-            r.programmed += 1;
+            programmed += 1;
             let mut stripe = self.stripes[Self::stripe_of(lpa)].lock();
             debug_assert_eq!(
                 stripe.get(&lpa).copied(),
@@ -1242,6 +1287,7 @@ impl ShardedFtl {
             self.valid[self.block_of(ppa) as usize].fetch_add(1, Ordering::Relaxed);
             self.buffered.fetch_sub(1, Ordering::Relaxed);
         }
+        r.off_timeline = programmed.saturating_sub(covered);
         r
     }
 
@@ -1265,7 +1311,7 @@ impl ShardedFtl {
         let Some(pos) = src.buffer.iter().position(|(l, _)| *l == lpa) else {
             return; // slice out of sync with the mapping: nothing to move
         };
-        let entry = src.buffer.remove(pos);
+        let entry = self.take_buffered(src, pos);
         dst.buffer.push(entry);
         stripe.insert(lpa, Loc::Buffered(to));
     }
