@@ -417,8 +417,8 @@ impl ByteFs {
         Txn::new(Arc::clone(&self.device), txid)
     }
 
-    /// Finishes a transaction: persistence barrier, firmware commit, TxTable
-    /// bookkeeping.
+    /// Finishes a transaction: firmware commit (or, without one, the
+    /// persistence barrier), TxTable bookkeeping.
     pub(crate) fn commit_txn(&self, txn: Txn) {
         if let Some(txid) = txn.commit() {
             self.txtable.finish(txid);

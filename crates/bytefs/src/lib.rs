@@ -59,12 +59,19 @@
 //!   ([`mssd::Mssd::submit_block_write_pages`]) and cross the link while the
 //!   TxID-tagged metadata stores go out over the byte interface — both
 //!   interfaces of the device serve the one operation at once.
-//!   [`txn::Txn::commit`] then does persistence barrier → `COMMIT(TxID)`
-//!   submitted behind the data ([`mssd::Mssd::submit_commit`]) → one wait:
-//!   the firmware never applies the commit record before the data it makes
-//!   reachable is complete, the call returns only once the record is, and
-//!   nothing else is ordered (`tests/fsync_ordering.rs` reads this off the
-//!   device trace). The same holds for `sync` and for `O_DIRECT` writes.
+//!   [`txn::Txn::commit`] then submits `COMMIT(TxID)` behind the data
+//!   ([`mssd::Mssd::submit_commit`]) and waits once: the firmware never
+//!   applies the commit record before the data it makes reachable is
+//!   complete, the call returns only once the record is, and nothing else is
+//!   ordered (`tests/fsync_ordering.rs` reads this off the device trace). The
+//!   same holds for `sync` and for `O_DIRECT` writes.
+//! * **Stores → `COMMIT`, whose completion is the persistence barrier.** The
+//!   record's doorbell cannot pass the metadata stores posted before it, so
+//!   its completion also says they are in device DRAM, and no write-verify
+//!   read precedes it — except where the interconnect does not order stores
+//!   with commands ([`mssd::MssdConfig::stores_ordered_with_commands`]: the
+//!   CXL profile). Without firmware transactions (ByteFS-Dual) no record
+//!   follows the stores and the read stays.
 //! * **A failed `fsync` launders nothing.** Blocks are allocated at
 //!   writeback, so `fsync` can fail with `NoSpace`; every page it took is
 //!   then dirty again, with its CoW original, and so is the inode — the next

@@ -121,7 +121,10 @@ pub struct MssdConfig {
     /// `false`, threshold-triggered cleaning runs inline and stop-the-world —
     /// the sequential reference behaviour the equivalence tests pin against.
     pub background_cleaning: bool,
-    /// Timing profile this configuration was derived from (informational).
+    /// Timing profile this configuration was derived from. Besides naming the
+    /// latencies above it says which interconnect carries the byte
+    /// interface, and with it whether a store is ordered with the commands
+    /// after it ([`MssdConfig::stores_ordered_with_commands`]).
     pub profile: TimingProfile,
     /// Power-failure injection plan (see [`crate::fault`]). Disabled by
     /// default; the crashkit enumeration driver installs counting or cutting
@@ -289,7 +292,9 @@ impl MssdConfig {
     ///
     /// The byte interface moves whole cachelines. Posted writes pay the full
     /// per-cacheline store latency (they are made persistent by a separate
-    /// write-verify read, see [`crate::Mssd::persist_barrier`]). Reads are
+    /// write-verify read, [`crate::Mssd::persist_barrier`], or by the
+    /// completion of a command ordered behind them,
+    /// [`MssdConfig::stores_ordered_with_commands`]). Reads are
     /// non-posted, but sequential loads overlap on the link, so cachelines
     /// after the first cost one eighth of the full round-trip.
     pub fn byte_access_ns(&self, len: usize, read: bool) -> u64 {
@@ -299,6 +304,16 @@ impl MssdConfig {
         } else {
             self.byte_write_ns * lines
         }
+    }
+
+    /// Whether a byte-interface store is ordered before an NVMe command the
+    /// host submits after it. On PCIe both are posted writes to the same
+    /// device, which PCIe ordering does not let pass one another, so a
+    /// command's completion also says that every earlier store is in device
+    /// DRAM. Under CXL the stores are CXL.mem and the doorbell is CXL.io, and
+    /// nothing orders the two: only the write-verify read does.
+    pub fn stores_ordered_with_commands(&self) -> bool {
+        self.profile != TimingProfile::HighEndCxl
     }
 
     /// Validates internal consistency; returns a human-readable description of
@@ -375,6 +390,9 @@ mod tests {
         assert_eq!(TimingProfile::HighEndCxl.byte_latency_ns(), (175, 175));
         assert_eq!(TimingProfile::Default.byte_latency_ns(), (4_800, 600));
         assert_eq!(TimingProfile::all().len(), 4);
+        let ordered = TimingProfile::all()
+            .map(|p| MssdConfig::with_profile(p).stores_ordered_with_commands());
+        assert_eq!(ordered, [true, true, true, false], "only CXL.mem stores pass CXL.io");
     }
 
     #[test]

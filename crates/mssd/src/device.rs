@@ -650,6 +650,12 @@ impl Mssd {
     /// flush followed by a zero-length "write-verify read" that forces posted
     /// PCIe writes to complete (§4.2). Charges one byte-interface read
     /// round-trip.
+    ///
+    /// A ByteFS transaction that ends in a `COMMIT` does not call it: the
+    /// record's completion is the barrier wherever stores are ordered with
+    /// commands ([`MssdConfig::stores_ordered_with_commands`]). Its callers
+    /// are the stores that no command follows — ByteFS-Dual's transactions
+    /// and the NOVA- and PMFS-like baselines — and ByteFS under CXL.
     pub fn persist_barrier(&self) {
         self.charge(self.cfg.byte_read_ns);
     }

@@ -1,11 +1,18 @@
-//! Where the modelled time of one `write(8 KB) + fsync()` on ByteFS goes:
-//! the NVMe link, the COMMIT overhead, the byte interface (log appends and
-//! the persistence barrier) and the wait for a slot of the FTL write buffer —
+//! Where the modelled time of an `fsync()` on ByteFS goes, for two shapes of
+//! operation: the NVMe link, the COMMIT overhead, the byte interface's stores,
+//! the persistence barrier and the wait for a slot of the FTL write buffer —
 //! less what runs side by side: the data command on one interface, stores +
-//! barrier + COMMIT on the other, one wait at the end
-//! (`crates/mssd/DESIGN-time.md`). The rows are asserted to add up to the
-//! clock, and the last line says whether the loop is bound by the host's
-//! path or by the NAND array, and how far it is from the array's own time.
+//! COMMIT on the other, one wait at the end (`crates/mssd/DESIGN-time.md`).
+//!
+//! * `write(8 KB) + fsync()`, appended to one of 1 000 mail files: one block
+//!   command per fsync. It is NAND-bound on this device, and the last line
+//!   says how far it is from the array's own time.
+//! * `pwrite(256 B) + fdatasync()` into a 4 MB table, as `benchmark/`'s
+//!   `oltp_sync`: a byte-choice page, no block command at all. (ByteFS's
+//!   `fdatasync` is its `fsync`.)
+//!
+//! Each fsync is checked against the device trace: it returns exactly when
+//! the later of its data command and its commit record completes.
 //!
 //! The device is `benchmark/`'s: the paper's timing at 1/128 of its size
 //! (256 MB, 2 MB write log, 128 KB FTL write buffer), so the buffer's slices
@@ -13,72 +20,138 @@
 //!
 //! Run with `cargo run --release --example fsync_breakdown`.
 
+use std::sync::Arc;
+
 use bytefs::{ByteFs, ByteFsConfig};
-use fskit::{FileSystem, FileSystemExt, OpenFlags};
+use fskit::{Fd, FileSystem, FileSystemExt, FsResult, OpenFlags};
 use mssd::stats::Direction;
-use mssd::{DramMode, Interface, Mssd, MssdConfig};
+use mssd::{DramMode, Interface, Mssd, MssdConfig, TraceKind, CACHELINE};
 
-const FILES: u64 = 1_000;
 const OPS: u64 = 2_000;
+const MAIL_FILES: u64 = 1_000;
+const TABLE: usize = 4 << 20;
 
-fn main() -> fskit::FsResult<()> {
+fn main() -> FsResult<()> {
+    breakdown(
+        "write(8 KB) + fsync() of a mail file",
+        |fs| {
+            fs.mkdir("/mail")?;
+            for i in 0..MAIL_FILES {
+                fs.write_file(&format!("/mail/m{i}"), &[1u8; 16 << 10])?;
+            }
+            Ok(())
+        },
+        |fs, n| {
+            let fd =
+                fs.open(&format!("/mail/m{}", (n * 7) % MAIL_FILES), OpenFlags::read_write())?;
+            fs.append(fd, &[7u8; 8 << 10])?;
+            Ok(fd)
+        },
+    )?;
+    breakdown(
+        "pwrite(256 B) + fdatasync() of a 4 MB table",
+        |fs| fs.write_file("/table", &vec![1u8; TABLE]),
+        |fs, n| {
+            let fd = fs.open("/table", OpenFlags::read_write())?;
+            // A different page each time, at an offset that is rarely
+            // cacheline-aligned; 1 024 pages, so the second visit writes a
+            // different value.
+            let offset = (n * 13 % 1_024) * 4_096 + n * 97 % (4_096 - 256);
+            fs.write(fd, offset, &[(n % 200) as u8 + 2; 256])?;
+            Ok(fd)
+        },
+    )
+}
+
+/// Runs `OPS` operations — `op` dirties a file and returns its descriptor,
+/// then it is fsynced and closed — after `setup` on a fresh device, and
+/// prints where their modelled time went.
+fn breakdown(
+    what: &str,
+    setup: impl FnOnce(&ByteFs) -> FsResult<()>,
+    mut op: impl FnMut(&ByteFs, u64) -> FsResult<Fd>,
+) -> FsResult<()> {
     let mut cfg = MssdConfig::default().with_capacity(256 << 20).with_dram_region(2 << 20);
     cfg.write_buffer_bytes = 128 << 10;
     let device = Mssd::new(cfg.clone(), DramMode::WriteLog);
-    let fs = ByteFs::format(device.clone(), ByteFsConfig::full())?;
-    fs.mkdir("/mail")?;
-    for i in 0..FILES {
-        fs.write_file(&format!("/mail/m{i}"), &[1u8; 16 << 10])?;
-    }
+    let fs = ByteFs::format(Arc::clone(&device), ByteFsConfig::full())?;
+    setup(&fs)?;
     fs.sync()?;
     device.try_flush().expect("no media fault planned");
     device.quiesce_cleaning();
 
+    device.set_tracing(true);
     let before = device.snapshot();
+    let (mut link, mut submits) = (0, 0);
     for n in 0..OPS {
-        let fd = fs.open(&format!("/mail/m{}", (n * 7) % FILES), OpenFlags::read_write())?;
-        fs.append(fd, &[7u8; 8 << 10])?;
+        let start = device.clock().now_ns();
+        let fd = op(&fs, n)?;
         fs.fsync(fd)?;
+        let returned = device.clock().now_ns();
         fs.close(fd)?;
         // The cleaner is off the clock; wait for it as `benchmark/` does.
         device.quiesce_cleaning();
+        // The one check that does not follow from how the rows below are
+        // derived: the fsync waited once, for the later of its data command
+        // and its commit record, and for nothing after either. (A drain
+        // reads the rings' last events and leaves them there; both kinds are
+        // stamped at submission, which is after the operation started.)
+        let (mut commits, mut done) = (0, 0);
+        for e in device.trace_sink().drain().events.iter().filter(|e| e.vclock_ns >= start) {
+            match e.kind {
+                TraceKind::BlockSubmit => {
+                    // The link, command by command: each transfer is
+                    // truncated to whole ns on its own.
+                    link +=
+                        cfg.nvme_overhead_ns + cfg.transfer_ns(e.a as usize * cfg.page_size, false);
+                    submits += 1;
+                    done = done.max(e.b);
+                }
+                TraceKind::TxCommit => {
+                    commits += 1;
+                    done = done.max(e.b);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(commits, 1, "op {n}: one COMMIT per fsync");
+        assert_eq!(returned, done, "op {n}: the fsync returned at {returned} ns, not at {done} ns");
     }
     let after = device.snapshot();
 
     let did = after.traffic.delta_since(&before.traffic);
-    let block_bytes = did.host_bytes_by_interface(Direction::Write, Interface::Block);
-    assert_eq!(did.block_requests, OPS, "one scatter-gather write per fsync");
-    assert_eq!(did.tx_commits, OPS, "one COMMIT per fsync");
-    let link = OPS * cfg.nvme_overhead_ns + cfg.transfer_ns(block_bytes as usize, false);
+    assert_eq!((did.block_requests, did.tx_commits), (submits, OPS), "the trace lost a command");
     let commit = did.tx_commits * cfg.nvme_overhead_ns;
+    // ByteFS's stores are whole cachelines — inode halves, bitmap groups,
+    // the 64-byte chunks of a byte-choice page — so they cost their lines.
+    let store_bytes = did.host_bytes_by_interface(Direction::Write, Interface::Byte);
+    let stores = store_bytes / CACHELINE as u64 * cfg.byte_write_ns;
     // The host is charged its stores and barriers as it issues them; the
     // rest of its device time is the one wait at the end of each fsync.
-    let stores = did.device_busy_ns - did.inflight_wait_ns;
+    let barrier = (did.device_busy_ns - did.inflight_wait_ns)
+        .checked_sub(stores)
+        .expect("the host was charged less than its stores cost");
     // Each wait covers what is left of the longer side — data command and
     // slot waits, or COMMIT overhead — so what the two sides add up to beyond
-    // the waits ran beside the other interface. (A row derived from a counter
-    // that stopped meaning what it says underflows here.)
+    // the waits ran beside the other interface.
     let hidden = (link + did.nand_stall_ns + commit)
         .checked_sub(did.inflight_wait_ns)
         .expect("the host waited longer than both interfaces were busy");
     assert!(
-        hidden <= (link + did.nand_stall_ns).min(stores + commit),
+        hidden <= (link + did.nand_stall_ns).min(stores + barrier + commit),
         "more is hidden ({hidden} ns) than either interface had to hide"
     );
     let total = after.now_ns - before.now_ns;
     let host_code = total.checked_sub(did.device_busy_ns).expect("busy longer than the run");
-    // The rows are differences of counters and of the clock; they stop adding
-    // up the day one of those counters is charged for something else.
-    let rows = link + commit + stores + did.nand_stall_ns + host_code - hidden;
-    assert!(rows.abs_diff(total) <= OPS, "rows add up to {rows} ns, the clock says {total} ns");
     let per_op = |ns: u64| ns as f64 / OPS as f64 / 1e3;
     let row = |what: &str, us: f64| println!("  {what:<48}{us:6.2}");
-    println!("one write(8 KB) + fsync() on ByteFS, modelled µs (mean of {OPS}):");
-    row("NVMe link, one data command", per_op(link));
+    println!("{what} on ByteFS, modelled µs (mean of {OPS}):");
+    row("NVMe link, data commands", per_op(link));
     row("COMMIT overhead", per_op(commit));
-    row("byte interface: log appends, barrier", per_op(stores));
+    row("byte interface: stores", per_op(stores));
+    row("persistence barrier (write-verify read)", per_op(barrier));
     row("wait for a write-buffer slot", per_op(did.nand_stall_ns));
-    row("hidden under the other interface", -per_op(hidden));
+    row("hidden under the other interface", 0.0 - per_op(hidden));
     row("host file-system code", per_op(host_code));
     row("total", per_op(total));
     let nand = did.flash_write_pages * cfg.flash_write_ns / cfg.channels as u64;
@@ -94,6 +167,6 @@ fn main() -> fskit::FsResult<()> {
     // and empty slices (the FLUSH above), and what the array still has queued
     // when it ends is less than the first buffer's fill, which it idled through.
     let over = total.checked_sub(nand).expect("the loop beat the array to its own programs");
-    println!("verdict: {verdict}, {:.2} µs per op over the array's time", per_op(over));
+    println!("verdict: {verdict}, {:.2} µs per op over the array's time\n", per_op(over));
     Ok(())
 }
