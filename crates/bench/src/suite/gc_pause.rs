@@ -50,9 +50,6 @@ fn capture(config: &str, log_bytes: usize, ops: usize) -> BenchEntry {
         dev.try_byte_write(addr, &payload[..len], None, Category::Data).unwrap();
         lat.record(t0.elapsed().as_nanos() as u64);
     }
-    // Quiesce before snapshotting so the cleaning counters include the pass
-    // still in flight when the measured loop ended.
-    dev.quiesce_cleaning();
     let t = dev.traffic();
     BenchEntry {
         p99_ns: lat.value_at(0.99),

@@ -61,7 +61,6 @@ fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     let mut cfg = MssdConfig::small_test();
     // Partition 0 holds the clients' byte slots, partition 1 their pages.
     cfg.capacity_bytes = 32 << 20;
-    cfg.background_cleaning = false;
     if faulted {
         cfg.hang = hang_plan();
     }

@@ -27,7 +27,6 @@ fn measure(cfg: &MssdConfig, depth: usize, entries: usize) -> BenchEntry {
     let fs = ByteFs::format(dev.clone(), ByteFsConfig::full()).expect("format");
     fs.write_file("/anchor", b"survives every depth").expect("anchor file");
     drop(fs);
-    dev.quiesce_cleaning();
 
     // Fill the log to the target depth with committed byte writes into the
     // data region (addresses far above the metadata tables), one cacheline
@@ -55,7 +54,6 @@ fn measure(cfg: &MssdConfig, depth: usize, entries: usize) -> BenchEntry {
     if batch > 0 {
         dev.commit(tx);
     }
-    dev.quiesce_cleaning();
     let snap = dev.snapshot();
 
     // Power failure, then measure the remount: superblock read, RECOVER()

@@ -49,7 +49,6 @@ fn traced_run() -> mssd::TraceDump {
     for i in 0..32u64 {
         dev.try_block_write(64 + i, &vec![(i % 251) as u8; PAGE_SIZE], Category::Data).unwrap();
     }
-    dev.quiesce_cleaning();
     dev.trace_sink().drain()
 }
 

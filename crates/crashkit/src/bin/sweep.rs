@@ -1,12 +1,12 @@
 //! CI entry point: bounded crash-point sweep of one scenario, emitting a
 //! JSON report whose `failures` array carries everything needed to replay a
 //! bad crash point (`Enumerator::reproduce(seed, cut)` with the same
-//! scenario and flags). Exits non-zero when any violation was found, so the
+//! scenario). Exits non-zero when any violation was found, so the
 //! workflow can upload the report as the failure-seed artifact.
 //!
 //! ```text
 //! sweep <device|device-mq|device-async|bytefs|kv|ext4like|novalike|device-media|media+power|device-hang|hang+power|device-replay> \
-//!       <cleaning:on|off> [seeds=4] [cuts-per-seed=24] [out.json]
+//!       [seeds=4] [cuts-per-seed=24] [out.json]
 //! ```
 //!
 //! `device-media` runs the media-fault stress to completion per seed (no
@@ -31,19 +31,14 @@ fn seed_stream(seeds: u64) -> Vec<u64> {
     (1..=seeds).map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
 }
 
-fn run<S: Scenario>(scenario: S, cleaning: bool, seeds: u64, cuts: usize) -> SweepReport {
-    let mut e = Enumerator::new(scenario);
-    e.inject_cleaning = cleaning;
-    e.recover_cleaning = cleaning;
-    e.sweep(&seed_stream(seeds), cuts)
+fn run<S: Scenario>(scenario: S, seeds: u64, cuts: usize) -> SweepReport {
+    Enumerator::new(scenario).sweep(&seed_stream(seeds), cuts)
 }
 
 /// Pure media-fault mode: every seed's stream runs to completion (no power
 /// cut) and ends with a clean power cycle; one outcome per seed.
-fn run_to_end<S: Scenario>(scenario: S, cleaning: bool, seeds: u64) -> SweepReport {
-    let mut e = Enumerator::new(scenario);
-    e.inject_cleaning = cleaning;
-    e.recover_cleaning = cleaning;
+fn run_to_end<S: Scenario>(scenario: S, seeds: u64) -> SweepReport {
+    let e = Enumerator::new(scenario);
     let mut report = SweepReport::default();
     for seed in seed_stream(seeds) {
         let outcome = e.run_to_end(seed);
@@ -56,24 +51,23 @@ fn run_to_end<S: Scenario>(scenario: S, cleaning: bool, seeds: u64) -> SweepRepo
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scenario = args.get(1).map(String::as_str).unwrap_or("device");
-    let cleaning = matches!(args.get(2).map(String::as_str), Some("on"));
-    let seeds: u64 = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(4);
-    let cuts: usize = args.get(4).and_then(|a| a.parse().ok()).unwrap_or(24);
-    let out = args.get(5).cloned().unwrap_or_else(|| "crashkit_sweep.json".into());
+    let seeds: u64 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(4);
+    let cuts: usize = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(24);
+    let out = args.get(4).cloned().unwrap_or_else(|| "crashkit_sweep.json".into());
 
     let report = match scenario {
-        "device" => run(DeviceStress::quick(), cleaning, seeds, cuts),
-        "device-mq" => run(DeviceMqStress::quick(), cleaning, seeds, cuts),
-        "device-async" => run(DeviceAsyncStress::quick(), cleaning, seeds, cuts),
-        "bytefs" => run(FsStress::quick(), cleaning, seeds, cuts),
-        "kv" => run(KvStress::quick(), cleaning, seeds, cuts),
-        "ext4like" => run(BaselineStress::quick(BaselineKind::Ext4), cleaning, seeds, cuts),
-        "novalike" => run(BaselineStress::quick(BaselineKind::Nova), cleaning, seeds, cuts),
-        "device-media" => run_to_end(MediaStress::quick(), cleaning, seeds),
-        "media+power" => run(MediaStress::quick(), cleaning, seeds, cuts),
-        "device-hang" => run_to_end(HangStress::quick(), cleaning, seeds),
-        "hang+power" => run(HangStress::quick(), cleaning, seeds, cuts),
-        "device-replay" => run(ReplayStress::quick(), cleaning, seeds, cuts),
+        "device" => run(DeviceStress::quick(), seeds, cuts),
+        "device-mq" => run(DeviceMqStress::quick(), seeds, cuts),
+        "device-async" => run(DeviceAsyncStress::quick(), seeds, cuts),
+        "bytefs" => run(FsStress::quick(), seeds, cuts),
+        "kv" => run(KvStress::quick(), seeds, cuts),
+        "ext4like" => run(BaselineStress::quick(BaselineKind::Ext4), seeds, cuts),
+        "novalike" => run(BaselineStress::quick(BaselineKind::Nova), seeds, cuts),
+        "device-media" => run_to_end(MediaStress::quick(), seeds),
+        "media+power" => run(MediaStress::quick(), seeds, cuts),
+        "device-hang" => run_to_end(HangStress::quick(), seeds),
+        "hang+power" => run(HangStress::quick(), seeds, cuts),
+        "device-replay" => run(ReplayStress::quick(), seeds, cuts),
         other => {
             eprintln!(
                 "unknown scenario {other:?} \
@@ -103,10 +97,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"scenario\": {:?},\n  \"background_cleaning\": {},\n  \"total_steps\": {},\n  \
-         \"points_explored\": {},\n  \"failures\": [{}]\n}}\n",
+        "{{\n  \"scenario\": {:?},\n  \"total_steps\": {},\n  \"points_explored\": {},\n  \
+         \"failures\": [{}]\n}}\n",
         scenario,
-        cleaning,
         report.total_steps,
         report.distinct_points(),
         failures.join(",")
@@ -115,8 +108,7 @@ fn main() {
     f.write_all(json.as_bytes()).expect("write report");
 
     println!(
-        "crashkit sweep: scenario={scenario} cleaning={} -> {} points over a {}-step space, {} failures ({out})",
-        if cleaning { "on" } else { "off" },
+        "crashkit sweep: scenario={scenario} -> {} points over a {}-step space, {} failures ({out})",
         report.distinct_points(),
         report.total_steps,
         failures.len()

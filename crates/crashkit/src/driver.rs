@@ -6,8 +6,7 @@
 //!   [`FaultPlan`] to size the space;
 //! * [`Enumerator::run_cut`] replays the workload with power cut at one
 //!   chosen step, captures the durable [`CrashImage`], restores it into a
-//!   fresh device (optionally with a different `background_cleaning`
-//!   setting) and verifies the scenario's oracle plus the stack's
+//!   fresh device and verifies the scenario's oracle plus the stack's
 //!   [`fskit::CrashConsistent`] checkers;
 //! * [`Enumerator::exhaustive`] sweeps every cut point (or an evenly spaced
 //!   subset when capped); [`Enumerator::sweep`] samples seed-derived random
@@ -15,13 +14,11 @@
 //! * [`Enumerator::reproduce`] replays one `(seed, cut)` pair — the two
 //!   numbers printed in every failure's [`CutOutcome::repro_line`].
 //!
-//! Determinism: with `inject_cleaning == false` (the default) the injection
-//! run is single-threaded and cleaner-free, so the same `(seed, cut)` always
-//! yields the same crash image (`image_digest`) and the same post-recovery
-//! state (`recovered_digest`); the determinism tests pin this. Setting
-//! `inject_cleaning` lets the sweep also exercise the racing background
-//! cleaner — cuts then land nondeterministically, which is fine for
-//! *finding* problems but reproduction is only digest-exact cleaner-off.
+//! Determinism: the injection run is single-threaded, and a log-cleaning
+//! pass runs inside the byte write that crosses the threshold, so the same
+//! `(seed, cut)` always yields the same crash image (`image_digest`) and the
+//! same post-recovery state (`recovered_digest`) — cuts inside a cleaning
+//! pass included; the determinism tests pin this.
 
 use mssd::{CrashImage, FaultKind, FaultPlan, Mssd};
 
@@ -42,13 +39,6 @@ pub type ImageMutator = fn(&mut CrashImage, u64);
 pub struct Enumerator<S> {
     /// The scenario under test.
     pub scenario: S,
-    /// Run the injection-side device with the background cleaner thread
-    /// (nondeterministic step placement; default `false`).
-    pub inject_cleaning: bool,
-    /// Run the recovery-side device with background cleaning enabled.
-    /// Recovery must not depend on this; the sweep tests verify identical
-    /// recovered digests for both settings.
-    pub recover_cleaning: bool,
     /// Optional violation injection applied to every captured image.
     pub mutator: Option<ImageMutator>,
     /// Enable `mssd::trace` event capture on the injection-side device.
@@ -140,29 +130,17 @@ impl SweepReport {
 }
 
 impl<S: Scenario> Enumerator<S> {
-    /// Wraps a scenario with deterministic (cleaner-off) defaults.
+    /// Wraps a scenario with no image mutator and tracing off.
     pub fn new(scenario: S) -> Self {
-        Self {
-            scenario,
-            inject_cleaning: false,
-            recover_cleaning: false,
-            mutator: None,
-            trace_injection: false,
-        }
+        Self { scenario, mutator: None, trace_injection: false }
     }
 
     fn inject_config(&self, plan: FaultPlan) -> mssd::MssdConfig {
-        let mut cfg = self.scenario.device_config();
-        cfg.background_cleaning = self.inject_cleaning;
-        cfg.fault = plan;
-        cfg
+        mssd::MssdConfig { fault: plan, ..self.scenario.device_config() }
     }
 
     fn recover_config(&self) -> mssd::MssdConfig {
-        let mut cfg = self.scenario.device_config();
-        cfg.background_cleaning = self.recover_cleaning;
-        cfg.fault = FaultPlan::disabled();
-        cfg
+        self.inject_config(FaultPlan::disabled())
     }
 
     /// Sizes the crash-point space: runs the workload for `seed` under a
@@ -171,7 +149,6 @@ impl<S: Scenario> Enumerator<S> {
         let plan = FaultPlan::count_only();
         let dev = Mssd::new(self.inject_config(plan.clone()), self.scenario.dram_mode());
         let _oracle = self.scenario.run(&dev, seed);
-        dev.quiesce_cleaning();
         plan.total_steps()
     }
 
@@ -186,14 +163,13 @@ impl<S: Scenario> Enumerator<S> {
         let traced_events =
             if self.trace_injection { dev.trace_sink().drain().events.len() as u64 } else { 0 };
         let mut image = dev.crash_image();
-        drop(dev); // the host is gone; joins the cleaner thread if any
+        drop(dev); // the host is gone
         if let Some(mutate) = self.mutator {
             mutate(&mut image, seed);
         }
         let image_digest = image.digest();
         let restored = Mssd::from_crash_image(self.recover_config(), mode, &image);
         let violations = oracle.verify(&restored);
-        restored.quiesce_cleaning();
         let recovered_digest = restored.crash_image().digest();
         CutOutcome {
             seed,
@@ -221,7 +197,6 @@ impl<S: Scenario> Enumerator<S> {
         let dev = Mssd::new(self.inject_config(plan.clone()), mode);
         dev.set_tracing(self.trace_injection);
         let oracle = self.scenario.run(&dev, seed);
-        dev.quiesce_cleaning();
         let traced_events =
             if self.trace_injection { dev.trace_sink().drain().events.len() as u64 } else { 0 };
         let mut image = dev.crash_image();
@@ -232,7 +207,6 @@ impl<S: Scenario> Enumerator<S> {
         let image_digest = image.digest();
         let restored = Mssd::from_crash_image(self.recover_config(), mode, &image);
         let violations = oracle.verify(&restored);
-        restored.quiesce_cleaning();
         let recovered_digest = restored.crash_image().digest();
         CutOutcome {
             seed,

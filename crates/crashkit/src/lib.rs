@@ -17,14 +17,11 @@
 //!    regions partially drained.
 //! 3. At the cut, [`mssd::Mssd::crash_image`] captures the durable state
 //!    (NAND + battery-backed DRAM); the image is restored into a fresh
-//!    device (optionally under a different firmware configuration, e.g.
-//!    background cleaning toggled), recovery runs, and the scenario's
-//!    [`Oracle`] plus every layer's [`fskit::CrashConsistent`] checker
-//!    verify the outcome.
+//!    device, recovery runs, and the scenario's [`Oracle`] plus every
+//!    layer's [`fskit::CrashConsistent`] checker verify the outcome.
 //!
 //! Failures are reproducible from one line: the seed re-derives the
-//! workload, the cut index re-places the power failure, and (with
-//! `background_cleaning` off during injection, the default) the resulting
+//! workload, the cut index re-places the power failure, and the resulting
 //! crash image is bit-identical — `Enumerator::reproduce(seed, cut)` replays
 //! any reported violation.
 //!

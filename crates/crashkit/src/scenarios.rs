@@ -32,7 +32,7 @@ use crate::Rng;
 /// A deterministic crash workload plus the knowledge to verify it.
 pub trait Scenario {
     /// Base device configuration for this scenario. The driver installs the
-    /// fault plan and may override `background_cleaning` on top.
+    /// fault plan on top.
     fn device_config(&self) -> MssdConfig;
 
     /// Firmware mode the scenario's stack needs.

@@ -1,8 +1,8 @@
-//! Property sweep: for randomized seeds and cut fractions, an enumerated
-//! crash point must recover to the **same invariant-clean state** whether
-//! the recovery-side firmware runs its background cleaner or not, and the
-//! crash-point counting itself must be deterministic (same seed → same
-//! space → same cut → same image).
+//! Property sweep: for randomized seeds and cut fractions, the crash-point
+//! counting must be deterministic (same seed → same space), the same cut must
+//! give the same crash image and recover to the same state, and that state
+//! must be invariant-clean — with log cleaning running inside the writes
+//! that cross its threshold on both the injection and the recovery side.
 
 use proptest::prelude::*;
 
@@ -16,22 +16,16 @@ proptest! {
         seed in any::<u64>(),
         frac in 0u64..1000,
     ) {
-        let off = Enumerator::new(DeviceStress { ops: 120 });
-        let mut on = Enumerator::new(DeviceStress { ops: 120 });
-        on.recover_cleaning = true;
-        let total = off.count_steps(seed);
+        let e = Enumerator::new(DeviceStress { ops: 120 });
+        let total = e.count_steps(seed);
         prop_assert!(total > 0);
-        prop_assert_eq!(total, on.count_steps(seed), "counting must be deterministic");
+        prop_assert_eq!(total, e.count_steps(seed), "counting must be deterministic");
         let cut = 1 + frac % total;
-        let a = off.run_cut(seed, cut);
-        let b = on.run_cut(seed, cut);
+        let a = e.run_cut(seed, cut);
+        let b = e.run_cut(seed, cut);
         prop_assert_eq!(a.image_digest, b.image_digest, "same seed+cut, same crash image");
-        prop_assert!(a.violations.is_empty(), "cleaning-off: {}", a.repro_line());
-        prop_assert!(b.violations.is_empty(), "cleaning-on: {}", b.repro_line());
-        prop_assert_eq!(
-            a.recovered_digest, b.recovered_digest,
-            "recovery must converge to one state regardless of the cleaning mode"
-        );
+        prop_assert!(a.violations.is_empty(), "{}", a.repro_line());
+        prop_assert_eq!(a.recovered_digest, b.recovered_digest, "same image, same recovery");
     }
 }
 
@@ -43,17 +37,15 @@ proptest! {
         seed in any::<u64>(),
         frac in 0u64..1000,
     ) {
-        let off = Enumerator::new(FsStress { ops: 24 });
-        let mut on = Enumerator::new(FsStress { ops: 24 });
-        on.recover_cleaning = true;
-        let total = off.count_steps(seed);
+        let e = Enumerator::new(FsStress { ops: 24 });
+        let total = e.count_steps(seed);
         prop_assert!(total > 0);
+        prop_assert_eq!(total, e.count_steps(seed), "counting must be deterministic");
         let cut = 1 + frac % total;
-        let a = off.run_cut(seed, cut);
-        let b = on.run_cut(seed, cut);
+        let a = e.run_cut(seed, cut);
+        let b = e.run_cut(seed, cut);
         prop_assert_eq!(a.image_digest, b.image_digest);
-        prop_assert!(a.violations.is_empty(), "cleaning-off: {}", a.repro_line());
-        prop_assert!(b.violations.is_empty(), "cleaning-on: {}", b.repro_line());
+        prop_assert!(a.violations.is_empty(), "{}", a.repro_line());
         prop_assert_eq!(a.recovered_digest, b.recovered_digest);
     }
 }

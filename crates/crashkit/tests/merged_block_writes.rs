@@ -13,7 +13,7 @@ use mssd::{DramMode, FaultKind, FaultPlan, Mssd, MssdConfig};
 const PAGE: usize = 4096;
 
 fn cfg(fault: FaultPlan) -> MssdConfig {
-    MssdConfig { background_cleaning: false, fault, ..MssdConfig::small_test() }
+    MssdConfig { fault, ..MssdConfig::small_test() }
 }
 
 fn pages(tag: u8) -> Vec<u8> {

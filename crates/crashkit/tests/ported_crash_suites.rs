@@ -134,7 +134,6 @@ fn crash_recovery_with_sealed_undrained_regions() {
     for h in handles {
         h.join().unwrap();
     }
-    dev.quiesce_cleaning();
     // Flip every shard's active region into the sealed slot, then crash
     // before anything drains: recovery must handle sealed regions.
     dev.seal_log_regions();

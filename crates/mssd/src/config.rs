@@ -109,18 +109,14 @@ pub struct MssdConfig {
     /// Size of the device DRAM region handed to either the page cache
     /// (baselines) or the log-structured write log (ByteFS). 256 MB by default.
     pub dram_region_bytes: usize,
-    /// Log utilization threshold that triggers background cleaning (0.85).
+    /// Log utilization threshold at which the byte write that crosses it
+    /// runs a cleaning pass (0.85).
     pub log_clean_threshold: f64,
     /// Size of the firmware transaction log (TxLog), 2 MB by default; each
     /// commit record is 4 bytes.
     pub txlog_bytes: usize,
     /// FTL write buffer used to batch page programs, 16 MB by default.
     pub write_buffer_bytes: usize,
-    /// Whether the write-log firmware runs its cleaner on a background
-    /// thread with double-buffered log regions (the paper's design). When
-    /// `false`, threshold-triggered cleaning runs inline and stop-the-world —
-    /// the sequential reference behaviour the equivalence tests pin against.
-    pub background_cleaning: bool,
     /// Timing profile this configuration was derived from. Besides naming the
     /// latencies above it says which interconnect carries the byte
     /// interface, and with it whether a store is ordered with the commands
@@ -178,7 +174,6 @@ impl MssdConfig {
             log_clean_threshold: 0.85,
             txlog_bytes: 2 << 20,
             write_buffer_bytes: 16 << 20,
-            background_cleaning: true,
             profile,
             fault: FaultPlan::disabled(),
             media: MediaFaultPlan::disabled(),
@@ -207,7 +202,6 @@ impl MssdConfig {
             log_clean_threshold: 0.85,
             txlog_bytes: 64 << 10,
             write_buffer_bytes: 64 << 10,
-            background_cleaning: true,
             profile: TimingProfile::Default,
             fault: FaultPlan::disabled(),
             media: MediaFaultPlan::disabled(),
@@ -231,12 +225,6 @@ impl MssdConfig {
     /// Sets the DRAM region (write log / device cache) size.
     pub fn with_dram_region(mut self, bytes: usize) -> Self {
         self.dram_region_bytes = bytes;
-        self
-    }
-
-    /// Enables or disables the background log-cleaner thread.
-    pub fn with_background_cleaning(mut self, enabled: bool) -> Self {
-        self.background_cleaning = enabled;
         self
     }
 

@@ -27,26 +27,28 @@
 //!   command executor, attributed to queue accounting slot 0 (or the
 //!   thread's ambient queue).
 //!
-//! **Log cleaning is a background activity** (the paper's double-buffered
-//! design): when the log crosses its utilization threshold, a dedicated
-//! cleaner thread seals each shard's active region (a brief per-shard flip)
-//! and drains the sealed regions to flash page by page, holding only one
-//! shard lock at a time. Foreground writers keep appending to the fresh
-//! active regions and are charged no cleaning latency. Only when space
-//! admission fails outright (the log is completely full) does the writer
-//! fall back to reclaiming in the foreground — first by draining sealed
-//! pages itself, then, if nothing is drainable, via a stop-the-world pass.
-//! Recovery and `force_clean` remain stop-the-world.
+//! **Log cleaning runs in the byte write that crosses the threshold** (the
+//! paper's double-buffered design): before it returns, the write that leaves
+//! the log above its utilization threshold runs one pass — it seals each
+//! shard's active region (a brief per-shard flip) and drains the sealed
+//! regions to flash page by page, holding only one shard lock at a time. The
+//! pass is off the virtual clock, as the paper's firmware does it behind
+//! writers appending to the fresh active regions, so no writer is charged
+//! cleaning latency; and it runs at a determined point of the op stream, so
+//! a single-client run repeats exactly. Only when space admission fails
+//! outright (the log is completely full) does a writer reclaim on the clock
+//! — first by draining sealed pages itself, then, if nothing is drainable,
+//! via a stop-the-world pass. Recovery and `force_clean` remain
+//! stop-the-world.
 //!
 //! Lock order (to avoid deadlock):
 //! **log shard → txlog → flash channel → L2P stripe**, and in baseline mode
 //! **cache shard → flash channel → L2P stripe**. Any operation that takes
 //! more than one of these acquires them in that order. Log shards are locked
-//! one at a time (appends, reads, cleaner steps) or all of them in ascending
+//! one at a time (appends, reads, drain steps) or all of them in ascending
 //! index order (stop-the-world drain); flash channel locks are only ever
 //! held two at once inside `ShardedFtl::migrate_buffered`, in ascending
-//! index order; L2P stripes are leaf locks. The cleaner-thread signalling
-//! mutex is independent and never held across any of the above.
+//! index order; L2P stripes are leaf locks.
 //!
 //! Concurrency contract: individual operations are thread-safe, but a
 //! multi-page request is atomic only **per page-sized chunk**, not as a
@@ -75,7 +77,7 @@
 //!   cache serving both interfaces.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -230,64 +232,27 @@ impl InFlight {
     }
 }
 
-/// Pages the background cleaner merges per shard-lock acquisition. Small, so
-/// a writer that collides with the cleaner on one shard waits for at most a
-/// few page merges, not a whole region drain.
+/// Pages a cleaning step merges per shard-lock acquisition. Small, so a
+/// writer that collides with a pass on one shard waits for at most a few
+/// page merges, not a whole region drain.
 const CLEANER_PAGES_PER_STEP: usize = 8;
-
-/// Signalling state shared between the device and its cleaner thread. Uses
-/// `std::sync` because the vendored `parking_lot` has no `Condvar`; this
-/// mutex is independent of the data-path lock order and is never held across
-/// any data-path lock.
-#[derive(Debug, Default)]
-struct CleanerShared {
-    state: StdMutex<CleanerState>,
-    /// Signalled when there is cleaning work (or shutdown).
-    kick: Condvar,
-    /// Signalled when the cleaner finishes a pass (for quiesce).
-    idle: Condvar,
-    /// Contention filter for [`Mssd::kick_cleaner`]: writers above the log
-    /// threshold kick on every byte write, and without this flag they would
-    /// all re-serialize on the signalling mutex. `true` means a kick is
-    /// already in flight; the cleaner clears it when it starts a pass.
-    kick_pending: AtomicBool,
-}
-
-#[derive(Debug, Default)]
-struct CleanerState {
-    pending: bool,
-    shutdown: bool,
-    busy: bool,
-}
-
-/// Everything the cleaner thread needs, by `Arc` — it deliberately does not
-/// hold the `Mssd` itself, so dropping the last device handle (which joins
-/// the thread) cannot cycle.
-struct CleanerCtx {
-    cfg: MssdConfig,
-    log: Arc<ShardedWriteLog>,
-    flash: Arc<ShardedFtl>,
-    txlog: Arc<Mutex<TxLog>>,
-    stats: Arc<AtomicTraffic>,
-    shared: Arc<CleanerShared>,
-}
-
-struct CleanerHandle {
-    shared: Arc<CleanerShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
 
 /// The memory-semantic SSD device model.
 pub struct Mssd {
     cfg: MssdConfig,
     mode: DramMode,
     clock: Arc<Clock>,
-    stats: Arc<AtomicTraffic>,
-    log: Arc<ShardedWriteLog>,
-    txlog: Arc<Mutex<TxLog>>,
-    flash: Arc<ShardedFtl>,
+    stats: AtomicTraffic,
+    log: ShardedWriteLog,
+    txlog: Mutex<TxLog>,
+    flash: ShardedFtl,
     cache: ShardedDramCache,
-    cleaner: Option<CleanerHandle>,
+    /// `true` while a threshold pass runs ([`Mssd::clean_pass`]); a writer
+    /// that crosses the threshold meanwhile leaves the work to that pass.
+    /// The `Acquire` swap that starts a pass pairs with the `Release` store
+    /// that ended the previous one; the log and flash state a pass works on
+    /// is guarded by their own locks.
+    cleaning: AtomicBool,
     /// The link's one timeline (`DESIGN-time.md`): the virtual ns at which
     /// the last block-write transfer handed to it has crossed; in the past
     /// when the link is idle. `Relaxed` throughout, as for
@@ -311,10 +276,6 @@ impl std::fmt::Debug for Mssd {
 impl Mssd {
     /// Creates a device with the given configuration and firmware mode.
     ///
-    /// In [`DramMode::WriteLog`] with `cfg.background_cleaning` set (the
-    /// default), this spawns the background log-cleaner thread; it is joined
-    /// when the last `Arc<Mssd>` is dropped.
-    ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`MssdConfig::validate`]).
@@ -332,29 +293,13 @@ impl Mssd {
         if let Err(msg) = cfg.validate() {
             panic!("invalid MssdConfig: {msg}");
         }
-        let log = Arc::new(ShardedWriteLog::new(&cfg));
-        let flash = Arc::new(ShardedFtl::new(cfg.clone()));
-        let txlog = Arc::new(Mutex::new(TxLog::new(cfg.txlog_bytes)));
-        let stats = Arc::new(AtomicTraffic::new());
+        let log = ShardedWriteLog::new(&cfg);
+        let flash = ShardedFtl::new(cfg.clone());
+        let txlog = Mutex::new(TxLog::new(cfg.txlog_bytes));
+        let stats = AtomicTraffic::new();
         stats.trace().attach_clock(Arc::clone(&clock));
         stats.set_ras_spares_remaining(flash.spares_remaining() as u64);
         let cache = ShardedDramCache::new(cfg.dram_region_bytes, cfg.page_size);
-        let cleaner = (mode == DramMode::WriteLog && cfg.background_cleaning).then(|| {
-            let shared = Arc::new(CleanerShared::default());
-            let ctx = CleanerCtx {
-                cfg: cfg.clone(),
-                log: Arc::clone(&log),
-                flash: Arc::clone(&flash),
-                txlog: Arc::clone(&txlog),
-                stats: Arc::clone(&stats),
-                shared: Arc::clone(&shared),
-            };
-            let thread = std::thread::Builder::new()
-                .name("mssd-log-cleaner".into())
-                .spawn(move || cleaner_main(ctx))
-                .expect("spawn log-cleaner thread");
-            CleanerHandle { shared, thread: Some(thread) }
-        });
         Arc::new(Self {
             cfg,
             mode,
@@ -364,7 +309,7 @@ impl Mssd {
             txlog,
             flash,
             cache,
-            cleaner,
+            cleaning: AtomicBool::new(false),
             link_busy_until: AtomicU64::new(0),
             next_queue: AtomicUsize::new(0),
         })
@@ -452,8 +397,9 @@ impl Mssd {
     ///
     /// In [`DramMode::WriteLog`] this is the sharded hot path: the only lock
     /// taken is the one write-log shard covering each touched partition.
-    /// Crossing the cleaning threshold merely kicks the background cleaner;
-    /// flash is involved in the foreground only when space admission fails.
+    /// Crossing the cleaning threshold runs a pass off the clock before the
+    /// write returns; flash is charged to the writer only when space
+    /// admission fails.
     ///
     /// # Panics
     ///
@@ -529,15 +475,9 @@ impl Mssd {
             }
             off += span;
         }
-        // Crossing the threshold starts background cleaning; with the
-        // cleaner disabled, fall back to an inline stop-the-world pass
-        // (uncharged, like the background path — the reference behaviour).
-        if self.mode == DramMode::WriteLog
-            && self.log.needs_cleaning()
-            && !self.cfg.fault.is_cut()
-            && !self.kick_cleaner()
+        if self.mode == DramMode::WriteLog && self.log.needs_cleaning() && !self.cfg.fault.is_cut()
         {
-            self.clean_all(None);
+            self.clean_pass();
         }
         self.charge(cost);
         (Ok(()), cost)
@@ -1094,7 +1034,7 @@ impl Mssd {
         while !self.txlog.lock().commit(txid) {
             // TxLog full: a stop-the-world clean propagates every committed
             // entry to flash, after which the TxLog can be cleared.
-            cmd.done_ns += self.clean_all(Some(cmd.done_ns));
+            cmd.done_ns += self.clean_all(cmd.done_ns);
             attempts += 1;
             assert!(attempts < 64, "TxLog still full after repeated cleaning");
         }
@@ -1110,27 +1050,22 @@ impl Mssd {
     /// Forces a full log-cleaning pass in the foreground (used by unmount and
     /// by tests). Charges the cleaning latency.
     pub fn force_clean(&self) {
-        let cost = self.clean_all(Some(self.clock.now_ns()));
+        let cost = self.clean_all(self.clock.now_ns());
         self.charge(cost);
     }
 
-    /// Seals every log shard's active region without draining it, as the
-    /// background cleaner does before a pass. Exposed so crash tests can
+    /// Seals every log shard's active region without draining it, as a
+    /// threshold pass does before it drains. Exposed so crash tests can
     /// exercise recovery with sealed-but-undrained regions.
     pub fn seal_log_regions(&self) {
         self.log.seal_all();
         self.stats.trace().emit(crate::trace::TraceKind::LogSeal, 0, 0);
     }
 
-    /// Blocks until the background cleaner is idle with no pending work.
-    /// No-op when background cleaning is disabled.
-    pub fn quiesce_cleaning(&self) {
-        let Some(cl) = &self.cleaner else { return };
-        let mut st = cl.shared.state.lock().expect("cleaner state lock");
-        while st.busy || st.pending {
-            st = cl.shared.idle.wait(st).expect("cleaner idle wait");
-        }
-    }
+    /// Does nothing: a cleaning pass runs inside the byte write that starts
+    /// it, so none is ever left running between two operations. Kept for
+    /// callers that settle the device after every operation.
+    pub fn quiesce_cleaning(&self) {}
 
     /// Simulates a power failure. Device DRAM (write log, TxLog, device cache)
     /// is battery-backed, so nothing device-side is lost; only the host loses
@@ -1247,9 +1182,8 @@ impl Mssd {
     ///
     /// The image is deterministic (all collections sorted), so
     /// `crash_image().digest()` pins a crash state for reproduction tests.
-    /// Call at a quiescent point; the background cleaner is quiesced first.
+    /// Call at a quiescent point.
     pub fn crash_image(&self) -> CrashImage {
-        self.quiesce_cleaning();
         let (log_entries, log_seq) = self.log.export_entries();
         let txlog = self.txlog.lock().commit_order().to_vec();
         let (flash_pages, buffered_pages) = self.flash.export_logical();
@@ -1272,8 +1206,7 @@ impl Mssd {
     /// power; keeping them buffered is equivalent and lets checkers observe
     /// the pre-flush state), log entries and TxLog records are restored
     /// verbatim. The new configuration may differ in firmware policy (e.g.
-    /// `background_cleaning`), which is how crashkit verifies that recovery
-    /// does not depend on the cleaning mode.
+    /// the cleaning threshold).
     ///
     /// # Panics
     ///
@@ -1350,19 +1283,93 @@ impl Mssd {
     // Internal helpers
     // ------------------------------------------------------------------
 
-    /// Wakes the background cleaner. Returns `false` when there is none
-    /// (background cleaning disabled or baseline mode).
-    fn kick_cleaner(&self) -> bool {
-        let Some(cl) = &self.cleaner else { return false };
-        // Fast path: a kick is already in flight — whoever set the flag will
-        // (or did) take the mutex and notify; piling on would re-serialize
-        // every writer on the signalling lock.
-        if cl.shared.kick_pending.swap(true, Ordering::Relaxed) {
-            return true;
+    /// The threshold pass, run by the byte write that leaves the log above
+    /// its cleaning threshold: seal every shard's active region, drain the
+    /// sealed regions [`CLEANER_PAGES_PER_STEP`] pages per shard-lock
+    /// acquisition — resealing while the log stays above the threshold —
+    /// then program the merged pages (Algorithm 1). It is the paper's
+    /// background cleaning and stays off the clock (`now = None`): its flash
+    /// work is recorded in the traffic counters but charged to nobody.
+    ///
+    /// One pass runs at a time. A writer that finds the log above the
+    /// threshold while another writer's pass runs goes on: that pass reseals
+    /// while the log stays above it, and otherwise the next byte write that
+    /// finds it above starts another.
+    fn clean_pass(&self) {
+        if self.cleaning.swap(true, Ordering::Acquire) {
+            return;
         }
-        cl.shared.state.lock().expect("cleaner state lock").pending = true;
-        cl.shared.kick.notify_all();
-        true
+        let mut scratch = Vec::new();
+        let mut merged_pages = 0u64;
+        // A degraded (read-only) device cannot program merged pages; its log
+        // entries stay where they are — readable and battery-backed.
+        while !self.flash.is_read_only() {
+            if self.log.needs_cleaning() {
+                self.seal_log_regions();
+            }
+            // Progress means committed chunks were merged (log space freed).
+            // Sweeps that only migrate uncommitted chunks back to the active
+            // region free nothing, and repeating them would spin until the
+            // host commits — stop, and let the next write above the
+            // threshold retry.
+            let mut progressed = false;
+            for shard in 0..LOG_SHARDS {
+                let step = self.drain_sealed_shard(shard, None, &mut scratch);
+                if step.chunks > 0 {
+                    progressed = true;
+                    merged_pages += step.merged_pages as u64;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        if merged_pages > 0 {
+            let _ = self.flash.flush_all(&self.stats, None);
+            self.stats.add_log_bg_cleaned_pages(merged_pages);
+            self.stats.inc_log_cleanings();
+        }
+        self.cleaning.store(false, Ordering::Release);
+    }
+
+    /// One incremental cleaning step: drains up to
+    /// [`CLEANER_PAGES_PER_STEP`] pages of a shard's sealed region, merging
+    /// committed chunks into flash while the shard lock is held (lock order:
+    /// shard → txlog → channel → stripe). Shared by the threshold pass
+    /// (`now` is `None`: off the clock) and the foreground stall path (its
+    /// virtual time).
+    fn drain_sealed_shard(
+        &self,
+        shard: usize,
+        now: Option<u64>,
+        scratch: &mut Vec<(usize, usize)>,
+    ) -> SealedStep {
+        let mut at = now;
+        self.log.drain_sealed_step(
+            shard,
+            CLEANER_PAGES_PER_STEP,
+            // One TxLog snapshot per step, taken after the shard lock (shard
+            // → txlog order) and held for the whole step: every chunk of a
+            // page must see the same commit verdicts (see drain_sealed_step
+            // docs).
+            || {
+                let guard = self.txlog.lock();
+                move |tx: TxId| guard.is_committed(tx)
+            },
+            |lpa, chunks| {
+                let ns = apply_chunks_to_flash(
+                    &self.cfg,
+                    &self.flash,
+                    &self.stats,
+                    lpa,
+                    chunks,
+                    at,
+                    scratch,
+                );
+                at = at.map(|at| at + ns);
+                ns
+            },
+        )
     }
 
     /// Appends one chunk to the sharded write log for a command at virtual
@@ -1393,15 +1400,14 @@ impl Mssd {
     }
 
     /// Foreground fallback when log space admission fails: seal everything
-    /// and drain sealed pages (the same incremental path the background
-    /// cleaner uses, so both can work different shards concurrently),
-    /// charging the merge cost to the stalled writer. Falls back to a full
-    /// stop-the-world pass only when nothing sealed is drainable.
+    /// and drain sealed pages (the same incremental step a threshold pass
+    /// takes, so a stalled writer and another writer's pass can work
+    /// different shards concurrently), charging the merge cost to the
+    /// stalled writer. Falls back to a full stop-the-world pass only when
+    /// nothing sealed is drainable.
     fn reclaim_space(&self, now: u64) -> u64 {
         self.stats.inc_log_fg_stalls();
-        self.kick_cleaner();
-        self.log.seal_all();
-        self.stats.trace().emit(crate::trace::TraceKind::LogSeal, 0, 0);
+        self.seal_log_regions();
         let before = self.log.used_bytes();
         // Free a meaningful fraction of the region per stall so admission
         // retries do not immediately stall again.
@@ -1411,17 +1417,7 @@ impl Mssd {
         let mut scratch = Vec::new();
         'shards: for shard in 0..LOG_SHARDS {
             loop {
-                let step = drain_sealed_shard(
-                    &self.cfg,
-                    &self.log,
-                    &self.flash,
-                    &self.txlog,
-                    &self.stats,
-                    shard,
-                    CLEANER_PAGES_PER_STEP,
-                    Some(now + cost),
-                    &mut scratch,
-                );
+                let step = self.drain_sealed_shard(shard, Some(now + cost), &mut scratch);
                 cost += step.cost;
                 merged_chunks += step.chunks;
                 if step.pages == 0 {
@@ -1444,7 +1440,7 @@ impl Mssd {
             // Nothing drained freed any space (everything sealed was
             // uncommitted and merely migrated, or other reclaimers got there
             // first): stop-the-world.
-            cost += self.clean_all(Some(now + cost));
+            cost += self.clean_all(now + cost);
         }
         cost
     }
@@ -1455,11 +1451,8 @@ impl Mssd {
     /// no reader can observe entries that are in neither the log nor flash,
     /// and no commit record for post-drain appends can be lost.
     ///
-    /// Returns what a caller at virtual time `now` is charged. Without a time
-    /// the flash work is recorded in the traffic counters but stays off the
-    /// clock (the inline fallback when the background cleaner is disabled,
-    /// which discards the result).
-    fn clean_all(&self, now: Option<u64>) -> u64 {
+    /// Returns what a caller at virtual time `now` is charged.
+    fn clean_all(&self, now: u64) -> u64 {
         if self.cfg.fault.is_cut() {
             return 0; // power off: no cleaning pass starts
         }
@@ -1468,8 +1461,8 @@ impl Mssd {
         let batch = all.drain(|tx| txlog.is_committed(tx));
         if batch.pages.is_empty() && batch.migrated.is_empty() {
             // The log is empty, so no commit record is still needed: clearing
-            // here lets a full TxLog make progress even when the background
-            // cleaner (which never clears it) already drained the log.
+            // here lets a full TxLog make progress even when a threshold
+            // pass (which never clears it) already drained the log.
             txlog.clear();
             return 0;
         }
@@ -1482,11 +1475,11 @@ impl Mssd {
                 &self.stats,
                 *lpa,
                 chunks,
-                now.map(|now| now + cost),
+                Some(now + cost),
                 &mut scratch,
             );
         }
-        if let Ok(ns) = self.flash.flush_all(&self.stats, now.map(|now| now + cost)) {
+        if let Ok(ns) = self.flash.flush_all(&self.stats, Some(now + cost)) {
             cost += ns;
         }
         all.reinstate(batch.migrated);
@@ -1547,18 +1540,6 @@ impl Mssd {
     }
 }
 
-impl Drop for Mssd {
-    fn drop(&mut self) {
-        if let Some(mut cl) = self.cleaner.take() {
-            cl.shared.state.lock().expect("cleaner state lock").shutdown = true;
-            cl.shared.kick.notify_all();
-            if let Some(thread) = cl.thread.take() {
-                let _ = thread.join();
-            }
-        }
-    }
-}
-
 /// The capacity guard of every addressed command: `[start, start + len)` must
 /// lie inside `limit` (bytes or pages, as `op` addresses), where the sum is
 /// checked — a wrapped end address must not pass as a small one.
@@ -1577,42 +1558,6 @@ pub(crate) fn flatten_pages(mut pages: Vec<Vec<u8>>) -> Vec<u8> {
         return pages.pop().expect("length checked");
     }
     pages.concat()
-}
-
-/// One incremental cleaning step: drains up to `max_pages` pages of a
-/// shard's sealed region, merging committed chunks into flash while the
-/// shard lock is held (lock order: shard → txlog → channel → stripe).
-/// Shared by the background cleaner thread (`now` is `None`: off the clock)
-/// and the foreground stall path (its virtual time).
-#[allow(clippy::too_many_arguments)]
-fn drain_sealed_shard(
-    cfg: &MssdConfig,
-    log: &ShardedWriteLog,
-    flash: &ShardedFtl,
-    txlog: &Mutex<TxLog>,
-    stats: &AtomicTraffic,
-    shard: usize,
-    max_pages: usize,
-    now: Option<u64>,
-    scratch: &mut Vec<(usize, usize)>,
-) -> SealedStep {
-    let mut at = now;
-    log.drain_sealed_step(
-        shard,
-        max_pages,
-        // One TxLog snapshot per step, taken after the shard lock (shard →
-        // txlog order) and held for the whole step: every chunk of a page
-        // must see the same commit verdicts (see drain_sealed_step docs).
-        || {
-            let guard = txlog.lock();
-            move |tx: TxId| guard.is_committed(tx)
-        },
-        |lpa, chunks| {
-            let ns = apply_chunks_to_flash(cfg, flash, stats, lpa, chunks, at, scratch);
-            at = at.map(|at| at + ns);
-            ns
-        },
-    )
 }
 
 /// Read-modify-write of one flash page from a set of committed log chunks
@@ -1700,83 +1645,6 @@ fn chunks_cover_full_page(
         covered_to = covered_to.max(end);
     }
     covered_to >= page_size
-}
-
-/// Body of the background cleaner thread: wait for a kick, then seal and
-/// drain until the log is back under control, holding only one shard lock at
-/// a time. The flash work it performs is recorded in the traffic counters
-/// but charged to nobody — the paper's double-buffered cleaning keeps it off
-/// the host's critical path.
-fn cleaner_main(ctx: CleanerCtx) {
-    let mut scratch: Vec<(usize, usize)> = Vec::new();
-    loop {
-        {
-            let mut st = ctx.shared.state.lock().expect("cleaner state lock");
-            while !st.pending && !st.shutdown {
-                st = ctx.shared.kick.wait(st).expect("cleaner kick wait");
-            }
-            if st.shutdown {
-                return;
-            }
-            st.pending = false;
-            st.busy = true;
-            // Under the state mutex, so a writer's swap(true)+lock+set
-            // sequence can never be consumed-and-cleared half way.
-            ctx.shared.kick_pending.store(false, Ordering::Relaxed);
-        }
-        let mut merged_pages = 0u64;
-        loop {
-            if ctx.shared.state.lock().expect("cleaner state lock").shutdown {
-                break;
-            }
-            // A degraded (read-only) device cannot program merged pages;
-            // leave the log entries where they are — they stay readable and
-            // battery-backed.
-            if ctx.flash.is_read_only() {
-                break;
-            }
-            if ctx.log.needs_cleaning() {
-                ctx.log.seal_all();
-                ctx.stats.trace().emit(crate::trace::TraceKind::LogSeal, 0, 0);
-            }
-            // Progress means committed chunks were merged (log space freed).
-            // Sweeps that only migrate uncommitted chunks back to the active
-            // region free nothing, and repeating them would spin the cleaner
-            // at 100% CPU until the host commits — break and wait for the
-            // next kick instead.
-            let mut progressed = false;
-            for shard in 0..LOG_SHARDS {
-                let step = drain_sealed_shard(
-                    &ctx.cfg,
-                    &ctx.log,
-                    &ctx.flash,
-                    &ctx.txlog,
-                    &ctx.stats,
-                    shard,
-                    CLEANER_PAGES_PER_STEP,
-                    None,
-                    &mut scratch,
-                );
-                if step.chunks > 0 {
-                    progressed = true;
-                    merged_pages += step.merged_pages as u64;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        if merged_pages > 0 {
-            // End of pass: program the merged pages (Algorithm 1). The cost
-            // is discarded — background cleaning is off the critical path.
-            let _ = ctx.flash.flush_all(&ctx.stats, None);
-            ctx.stats.add_log_bg_cleaned_pages(merged_pages);
-            ctx.stats.inc_log_cleanings();
-        }
-        let mut st = ctx.shared.state.lock().expect("cleaner state lock");
-        st.busy = false;
-        ctx.shared.idle.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -1912,7 +1780,6 @@ mod tests {
         for i in 0..1000u64 {
             d.try_byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
-        d.quiesce_cleaning();
         let t = d.traffic();
         assert!(t.log_cleanings > 0, "cleaning should have run");
         assert!(t.flash_write_pages + t.flash_internal_write_pages > 0);
@@ -1921,8 +1788,8 @@ mod tests {
     #[test]
     fn background_cleaner_drains_without_foreground_help() {
         // A log big enough that no append ever fails admission, with writes
-        // that cross the threshold: only the background cleaner can have
-        // drained it.
+        // that cross the threshold: only threshold passes — the model of the
+        // paper's background cleaner — can have drained it.
         let mut cfg = MssdConfig::small_test();
         cfg.dram_region_bytes = 64 << 10;
         cfg.log_clean_threshold = 0.3;
@@ -1930,31 +1797,16 @@ mod tests {
         for i in 0..300u64 {
             d.try_byte_write((i % 256) * 64, &[i as u8; 64], None, Category::Data).unwrap();
         }
-        d.quiesce_cleaning();
         let t = d.traffic();
-        assert!(t.log_cleanings > 0, "background cleaner should have run");
-        assert!(t.log_bg_cleaned_pages > 0, "chunks should be merged in the background");
+        assert!(t.log_cleanings > 0, "a threshold pass should have run");
+        assert_eq!(t.log_fg_stalls, 0, "no append should have failed admission");
+        assert!(t.log_bg_cleaned_pages > 0, "chunks should be merged by threshold passes");
         // Every slot still reads back its last-written value.
         for slot in 0..256u64 {
             let last = slot + ((300 - 1 - slot) / 256) * 256; // last i with i%256==slot
             let got = d.try_byte_read(slot * 64, 64, Category::Data).unwrap();
             assert_eq!(got, vec![last as u8; 64], "slot {slot}");
         }
-    }
-
-    #[test]
-    fn inline_cleaning_when_background_disabled() {
-        let mut cfg = MssdConfig::small_test();
-        cfg.dram_region_bytes = 16 << 10;
-        cfg.background_cleaning = false;
-        let d = Mssd::new(cfg, DramMode::WriteLog);
-        for i in 0..1000u64 {
-            d.try_byte_write((i % 512) * 64, &[i as u8; 64], None, Category::Data).unwrap();
-        }
-        let t = d.traffic();
-        assert!(t.log_cleanings > 0, "inline stop-the-world cleaning should have run");
-        // quiesce is a no-op without a cleaner thread.
-        d.quiesce_cleaning();
     }
 
     #[test]
@@ -2144,7 +1996,6 @@ mod tests {
         // can never shrink.
         let mut cfg = MssdConfig::small_test();
         cfg.dram_region_bytes = 8 << 10;
-        cfg.background_cleaning = false;
         let d = Mssd::new(cfg, DramMode::WriteLog);
         d.try_byte_write(0, &[1u8; 64], Some(TxId(999)), Category::Data).unwrap(); // never commits
         for i in 0..5_000u64 {

@@ -15,13 +15,11 @@
 //! the hot path and no other cost, so production configurations are
 //! unaffected.
 //!
-//! Determinism: with `background_cleaning` off and a single-threaded host,
-//! the step sequence is a pure function of the op stream, so the same seed
-//! and the same cut index always produce the same crash state (pinned by the
-//! crashkit determinism tests). With the background cleaner running, cleaner
-//! steps interleave with host steps nondeterministically; the cut still
-//! lands on *a* valid crash state, but reproduction is only guaranteed for
-//! cleaner-off runs.
+//! Determinism: with a single-threaded host the step sequence is a pure
+//! function of the op stream — cleaning passes run inside the byte write
+//! that crosses the threshold, so their steps sit at fixed places in it —
+//! and the same seed and the same cut index always produce the same crash
+//! state (pinned by the crashkit determinism tests).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -401,10 +399,9 @@ impl ReadFault {
 /// deterministic sequence. The disabled default costs one `Option` check per
 /// flash op.
 ///
-/// Determinism has the same caveat as [`FaultPlan`]: with background
-/// cleaning off and a single-threaded host, per-kind op ordinals are a pure
-/// function of the op stream, so a seed reproduces the exact fault sequence;
-/// with the cleaner on, injection is still seeded but interleaving-dependent.
+/// Determinism holds as for [`FaultPlan`]: with a single-threaded host,
+/// per-kind op ordinals are a pure function of the op stream, so a seed
+/// reproduces the exact fault sequence.
 #[derive(Debug, Clone, Default)]
 pub struct MediaFaultPlan {
     state: Option<Arc<MediaState>>,
@@ -696,8 +693,8 @@ struct HangState {
 /// Mirrors [`MediaFaultPlan`]'s sharing model: cloning the plan shares the
 /// group counter, so every queue of one device draws from the same
 /// deterministic sequence. The disabled default costs one `Option` check per
-/// command group. Determinism has the same caveat as [`FaultPlan`]: it is
-/// exact for single-threaded hosts with background cleaning off.
+/// command group. Determinism holds as for [`FaultPlan`]: it is exact for
+/// single-threaded hosts.
 #[derive(Debug, Clone, Default)]
 pub struct HangFaultPlan {
     state: Option<Arc<HangState>>,

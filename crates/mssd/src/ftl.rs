@@ -657,8 +657,8 @@ impl ShardedFtl {
     /// Queues a full-page write into the owning channel's write-buffer slice
     /// (the channel round-robins for fresh pages, sticks for re-writes of a
     /// still-buffered page) off the clock: a full slice drains, but nobody
-    /// waits and the NAND timeline does not move. This is the background
-    /// cleaner's call (and crash-image restore's); a host command uses
+    /// waits and the NAND timeline does not move. This is the call of the
+    /// capacitor flush and of crash-image restore; a host command uses
     /// [`ShardedFtl::buffer_write_on`]. The page becomes durable after
     /// [`ShardedFtl::flush_all`].
     ///
@@ -799,7 +799,7 @@ impl ShardedFtl {
 
     /// Hands `array_ns` of work to the NAND array at the caller's time: it
     /// starts when everything handed over earlier is done. A caller without
-    /// a time (the background cleaner) keeps its drains off the clock.
+    /// a time (a threshold pass) keeps its drains off the clock.
     fn hand_to_nand(&self, now: Option<u64>, array_ns: u64) {
         let Some(now) = now else { return };
         if array_ns > 0 {

@@ -25,9 +25,10 @@
 //! [`device`] for the full discipline):
 //!
 //! * the write-log index is sharded by the paper's 16 MB partition key and
-//!   **double-buffered**: a background cleaner thread seals each shard's
-//!   active region and drains the sealed region page by page, so cleaning
-//!   stays off the host's critical path ([`log::ShardedWriteLog`]);
+//!   **double-buffered**: the byte write that crosses the cleaning threshold
+//!   seals each shard's active region and drains the sealed region page by
+//!   page, off the virtual clock, so cleaning stays off the host's critical
+//!   path ([`log::ShardedWriteLog`]);
 //! * the flash path is **channel-parallel**: a lock-striped L2P table over
 //!   per-channel flash units — active block, free list, page store, write
 //!   buffer slice, greedy GC — each behind its own lock

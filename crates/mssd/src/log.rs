@@ -35,8 +35,8 @@
 //! The sharded log is **double-buffered** for background cleaning: each shard
 //! holds an *active* region (appends land here) and a *sealed* region.
 //! [`ShardedWriteLog::seal_shard`] flips a shard's active region into the
-//! sealed slot under a brief per-shard lock (an O(1) map move), and the
-//! background cleaner drains sealed regions page by page with
+//! sealed slot under a brief per-shard lock (an O(1) map move), and a
+//! cleaning pass drains sealed regions page by page with
 //! [`ShardedWriteLog::drain_sealed_step`] — so cleaning never holds more than
 //! one shard lock at a time and foreground writers keep appending to fresh
 //! active regions. Reads merge both regions; uncommitted entries drained from

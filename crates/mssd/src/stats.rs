@@ -310,10 +310,10 @@ scalar_counters! {
     tally log_cleanings,
     /// Number of times a foreground writer stalled on log space admission and
     /// had to reclaim (drain sealed regions or full stop-the-world clean)
-    /// itself instead of the background cleaner.
+    /// on the clock instead of leaving it to a threshold pass.
     tally log_fg_stalls,
-    /// Flash pages merged out of sealed log regions by the background
-    /// cleaner (not counting foreground-stall reclaims).
+    /// Pages merged by threshold passes (not counting foreground-stall
+    /// reclaims).
     tally log_bg_cleaned_pages,
     /// Total virtual nanoseconds spent in host-visible device operations.
     tally device_busy_ns,
@@ -621,8 +621,7 @@ impl AtomicTraffic {
         self.log_fg_stalls.add(1);
     }
 
-    /// Counts flash pages merged out of sealed regions by the background
-    /// cleaner.
+    /// Counts pages merged by a threshold pass.
     pub fn add_log_bg_cleaned_pages(&self, pages: u64) {
         self.log_bg_cleaned_pages.add(pages);
     }

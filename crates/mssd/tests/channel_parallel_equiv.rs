@@ -7,10 +7,11 @@
 //!    mapped set matches, and an explicit flush empties both write buffers.
 //!    Physical placement and GC traffic may differ — those are the point of
 //!    the refactor — so only host-observable state is compared.
-//! 2. A device with double-buffered **background** log cleaning must end up
-//!    observationally identical to one using the inline stop-the-world
-//!    reference drain after the same single-threaded op sequence: same byte
-//!    and block contents, same host traffic totals, same recovery outcome.
+//! 2. A device whose small log cleans many times — threshold passes and
+//!    foreground stalls — must stay observationally identical to one whose
+//!    log the same single-threaded op sequence never fills: same byte reads
+//!    mid-stream, same byte and block contents after a forced clean, same
+//!    host traffic totals, same recovery outcome.
 
 use proptest::prelude::*;
 
@@ -113,7 +114,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Background double-buffered cleaning ≡ stop-the-world reference
+// 2. A cleaning log ≡ a log that never fills
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -154,16 +155,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn background_cleaning_matches_stop_the_world(
+    fn a_cleaning_log_matches_one_that_never_fills(
         ops in proptest::collection::vec(dev_op_strategy(), 1..120)
     ) {
         // A log small enough that the op streams cross the cleaning threshold
-        // repeatedly, so the background cleaner and the foreground stall path
-        // actually run.
-        let mut cfg = MssdConfig::small_test();
-        cfg.dram_region_bytes = 16 << 10;
-        let background = Mssd::new(cfg.clone().with_background_cleaning(true), DramMode::WriteLog);
-        let reference = Mssd::new(cfg.with_background_cleaning(false), DramMode::WriteLog);
+        // repeatedly, so threshold passes and the foreground stall path
+        // actually run; the reference's 256 KB log holds the whole stream.
+        let reference = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
+        let cleaning =
+            Mssd::new(MssdConfig::small_test().with_dram_region(16 << 10), DramMode::WriteLog);
 
         // Real hosts allocate TxIDs monotonically and never write under an
         // already-committed id; model that with a pool of open transactions
@@ -179,27 +179,27 @@ proptest! {
                     let data = vec![tag; len];
                     let txid =
                         (tx % 4 != 0).then(|| TxId(open[tx as usize % open.len()]));
-                    background.try_byte_write(addr, &data, txid, Category::Data).unwrap();
+                    cleaning.try_byte_write(addr, &data, txid, Category::Data).unwrap();
                     reference.try_byte_write(addr, &data, txid, Category::Data).unwrap();
                 }
                 DevOp::BlockWrite { lpa_sel, tag } => {
                     let lpa = lpa_sel as u64 % 16;
                     let page = vec![tag; 4096];
-                    background.try_block_write(lpa, &page, Category::Data).unwrap();
+                    cleaning.try_block_write(lpa, &page, Category::Data).unwrap();
                     reference.try_block_write(lpa, &page, Category::Data).unwrap();
                 }
                 DevOp::Commit { tx } => {
                     let txid = TxId(open.remove(tx as usize % open.len()));
                     open.push(next_tx);
                     next_tx += 1;
-                    background.commit(txid);
+                    cleaning.commit(txid);
                     reference.commit(txid);
                 }
                 DevOp::Read { addr_sel, len } => {
                     let addr = addr_of(addr_sel);
                     let len = (len as usize % 256) + 1;
                     prop_assert_eq!(
-                        background.try_byte_read(addr, len, Category::Data).unwrap(),
+                        cleaning.try_byte_read(addr, len, Category::Data).unwrap(),
                         reference.try_byte_read(addr, len, Category::Data).unwrap(),
                         "mid-stream read at {} diverged", addr
                     );
@@ -207,28 +207,28 @@ proptest! {
             }
         }
 
-        // Quiesce the cleaner, then force both devices to a common state.
-        background.quiesce_cleaning();
-        background.force_clean();
+        prop_assert_eq!(reference.traffic().log_cleanings, 0, "the reference log must never clean");
+        // Force both devices to a common state.
+        cleaning.force_clean();
         reference.force_clean();
 
         // Same logical image: the whole byte window and the block range.
         for slot in 0..1024u64 {
             prop_assert_eq!(
-                background.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
+                cleaning.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
                 reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
-                "slot {} diverged after quiesce", slot
+                "slot {} diverged after force_clean", slot
             );
         }
         prop_assert_eq!(
-            background.try_block_read(0, 16, Category::Data).unwrap(),
+            cleaning.try_block_read(0, 16, Category::Data).unwrap(),
             reference.try_block_read(0, 16, Category::Data).unwrap(),
-            "block images diverged after quiesce"
+            "block images diverged after force_clean"
         );
 
-        // Host-visible traffic is interleaving-independent (flash-internal
-        // counters legitimately differ: cleaning runs at different points).
-        let a = background.traffic();
+        // Host-visible traffic is the same (flash-internal counters
+        // legitimately differ: only one device cleaned mid-stream).
+        let a = cleaning.traffic();
         let b = reference.traffic();
         prop_assert_eq!(a.host_write_bytes(), b.host_write_bytes());
         prop_assert_eq!(a.host_read_bytes(), b.host_read_bytes());
@@ -237,14 +237,14 @@ proptest! {
         prop_assert_eq!(a.tx_commits, b.tx_commits);
 
         // Crash + recovery agree on what survives.
-        background.crash();
+        cleaning.crash();
         reference.crash();
-        let ra = background.recover();
+        let ra = cleaning.recover();
         let rb = reference.recover();
         prop_assert_eq!(ra.discarded_entries, rb.discarded_entries, "recovery discards diverged");
         for slot in 0..1024u64 {
             prop_assert_eq!(
-                background.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
+                cleaning.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
                 reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
                 "slot {} diverged after recovery", slot
             );

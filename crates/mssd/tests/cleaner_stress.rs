@@ -1,8 +1,10 @@
-//! Stress tests of the background log cleaner: concurrent writers hammer a
-//! device whose log region is small enough that sealing, background drains
-//! and foreground space-admission stalls all race with the writers. (The
-//! sealed-but-undrained crash-recovery case moved to the `crashkit` crate's
-//! ported suite, which owns all cut-power/remount machinery now.)
+//! Tests of log cleaning. Concurrent writers hammer a device whose log
+//! region is small enough that sealing, the threshold pass one writer runs
+//! and other writers' foreground space-admission stalls all race. A single
+//! writer's stream, which crosses the threshold at fixed points, must clean
+//! identically on two devices. (The sealed-but-undrained crash-recovery case
+//! lives in the `crashkit` crate's ported suite, which owns all
+//! cut-power/remount machinery.)
 
 use std::sync::Arc;
 
@@ -34,11 +36,9 @@ fn cleaner_config() -> MssdConfig {
     // 64 MB volume: four 16 MB partitions, one per thread, so the workers map
     // to distinct write-log shards.
     cfg.capacity_bytes = 64 << 20;
-    // A log region small enough that background cleaning runs continuously
-    // and admission stalls happen.
+    // A log region small enough that cleaning runs continuously and
+    // admission stalls happen.
     cfg.dram_region_bytes = 128 << 10;
-    // Background cleaning on (the default) is the point of this suite.
-    cfg.background_cleaning = true;
     cfg
 }
 
@@ -92,7 +92,7 @@ fn drive(dev: &Mssd, t: usize) -> Vec<Option<u8>> {
 }
 
 #[test]
-fn concurrent_writers_during_background_cleaning() {
+fn concurrent_writers_during_threshold_cleaning() {
     let dev = Mssd::new(cleaner_config(), DramMode::WriteLog);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -102,16 +102,15 @@ fn concurrent_writers_during_background_cleaning() {
         .collect();
     let expected: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
-    dev.quiesce_cleaning();
     let t = dev.traffic();
     assert!(t.log_cleanings > 0, "cleaning must have run during the stress");
     // The run is sized to overflow the region many times over; at least some
-    // of that work must have been background (sealed-region) cleaning unless
-    // every single pass was a foreground stall, which the double-buffered
-    // design exists to prevent.
+    // of that work must have been threshold passes unless every single pass
+    // was a foreground stall, which the double-buffered design exists to
+    // prevent.
     assert!(
         t.log_bg_cleaned_pages > 0 || t.log_fg_stalls > 0,
-        "neither background nor foreground cleaning recorded"
+        "neither threshold nor foreground cleaning recorded"
     );
     // Bounded space accounting (reinstate overshoot is documented and small).
     assert!(dev.snapshot().log_used_bytes <= 2 * dev.config().dram_region_bytes);
@@ -141,7 +140,7 @@ fn concurrent_writers_during_background_cleaning() {
 
 #[test]
 fn cleaner_keeps_block_interface_consistent() {
-    // Block reads/writes race the cleaner's read-modify-write merges: each
+    // Block reads/writes race another writer's read-modify-write merges: each
     // thread alternates byte writes and whole-block overwrites of the same
     // pages and verifies block reads see either the full overwrite or the
     // overwrite plus newer byte writes — never stale merged chunks.
@@ -176,7 +175,56 @@ fn cleaner_keeps_block_interface_consistent() {
     for h in handles {
         h.join().unwrap();
     }
-    dev.quiesce_cleaning();
     dev.force_clean();
     assert_eq!(dev.snapshot().log_entries, 0);
+}
+
+/// One writer's stream on a 16 KB log: byte writes of 1-192 bytes (a quarter
+/// of them transactional, committed four at a time) and whole-block writes.
+/// No byte write may return with the log at or above its cleaning threshold.
+/// Returns the device after the stream.
+fn one_writer(seed: u64) -> Arc<Mssd> {
+    let mut cfg = MssdConfig::small_test();
+    cfg.dram_region_bytes = 16 << 10;
+    let threshold = cfg.dram_region_bytes as f64 * cfg.log_clean_threshold;
+    let dev = Mssd::new(cfg, DramMode::WriteLog);
+    let mut ops = Ops::new(seed);
+    let mut tx = TxId(1);
+    let mut pending = 0;
+    for i in 0..2_000 {
+        if ops.next().is_multiple_of(8) {
+            let tag = ops.next() as u8;
+            dev.try_block_write(16 + ops.next() % 16, &vec![tag; 4096], Category::Data).unwrap();
+            continue;
+        }
+        let addr = (ops.next() % 1024) * 64;
+        let len = 1 + (ops.next() % 192) as usize;
+        let txid = ops.next().is_multiple_of(4).then_some(tx);
+        dev.try_byte_write(addr, &vec![ops.next() as u8; len], txid, Category::Data).unwrap();
+        let used = dev.snapshot().log_used_bytes;
+        assert!((used as f64) < threshold, "byte write {i} returned with {used} log bytes in use");
+        if txid.is_some() {
+            pending += 1;
+            if pending == 4 {
+                dev.commit(tx);
+                tx = TxId(tx.0 + 1);
+                pending = 0;
+            }
+        }
+    }
+    dev
+}
+
+#[test]
+fn threshold_passes_repeat_exactly() {
+    // The pass runs inside the byte write that crosses the threshold, so one
+    // stream gives one durable state, one set of counters and one virtual
+    // time — no settle call, no race with the host scheduler.
+    let (a, b) = (one_writer(0x7E57), one_writer(0x7E57));
+    let t = a.traffic();
+    assert!(t.log_cleanings >= 3, "the stream must cross the threshold often: {t:?}");
+    assert!(t.log_bg_cleaned_pages > 0);
+    assert_eq!(t, b.traffic(), "traffic counters diverged");
+    assert_eq!(a.clock().now_ns(), b.clock().now_ns(), "virtual time diverged");
+    assert_eq!(a.crash_image().digest(), b.crash_image().digest(), "durable state diverged");
 }

@@ -62,8 +62,6 @@ fn device(hang: HangFaultPlan) -> Arc<Mssd> {
     cfg.capacity_bytes = 32 << 20;
     cfg.dram_region_bytes = 16 << 10;
     cfg.log_clean_threshold = 0.999;
-    // The runtime is deterministic only without the racing cleaner thread.
-    cfg.background_cleaning = false;
     cfg.hang = hang;
     Mssd::new(cfg, DramMode::WriteLog)
 }

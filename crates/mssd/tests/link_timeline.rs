@@ -8,9 +8,9 @@
 //! completes before the data it was queued behind.
 //!
 //! `small_test()` in write-log mode unless said otherwise: 4 channels ×
-//! 4-page slices (a 16-page write buffer), a page program of 60 µs. The
-//! background cleaner is off wherever byte writes could start it, so every
-//! run is a function of its op list.
+//! 4-page slices (a 16-page write buffer), a page program of 60 µs. A
+//! cleaning pass runs inside the byte write that starts it, so every run is
+//! a function of its op list.
 
 use std::sync::Arc;
 
@@ -20,10 +20,6 @@ use mssd::{
     Category, DramMode, FaultKind, FaultPlan, InFlight, Mssd, MssdConfig, TraceKind, TxId,
     PAGE_SIZE,
 };
-
-fn config() -> MssdConfig {
-    MssdConfig { background_cleaning: false, ..MssdConfig::small_test() }
-}
 
 fn device(cfg: &MssdConfig) -> Arc<Mssd> {
     Mssd::new(cfg.clone(), DramMode::WriteLog)
@@ -38,7 +34,7 @@ fn submit(dev: &Mssd, lba: u64, pages: usize) -> InFlight {
 
 #[test]
 fn commands_in_flight_together_share_one_overhead() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let transfer = cfg.transfer_ns(PAGE_SIZE, false);
     for n in [1u64, 2, 7, 16] {
         let dev = device(&cfg);
@@ -60,7 +56,7 @@ fn commands_in_flight_together_share_one_overhead() {
 
 #[test]
 fn byte_stores_issued_during_a_transfer_hide_under_it() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let dev = device(&cfg);
     let cmd = submit(&dev, 0, 2);
     let link = cfg.nvme_overhead_ns + cfg.transfer_ns(2 * PAGE_SIZE, false);
@@ -87,7 +83,7 @@ fn byte_stores_issued_during_a_transfer_hide_under_it() {
 
 #[test]
 fn a_synchronous_write_queues_behind_what_is_in_flight() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let dev = device(&cfg);
     let first = submit(&dev, 0, 4);
     dev.try_block_write(8, &vec![3u8; PAGE_SIZE], Category::Data).unwrap();
@@ -134,7 +130,7 @@ fn queued_commands_meet_a_full_buffer_once_not_once_each() {
 
 #[test]
 fn a_power_cut_empties_the_link() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let dev = device(&cfg);
     let lost = (0..4).map(|i| submit(&dev, i * 16, 16)).max().unwrap();
     assert!(lost.done_ns() > dev.clock().now_ns());
@@ -151,7 +147,7 @@ fn a_power_cut_empties_the_link() {
 
 #[test]
 fn a_submission_is_traced_with_its_completion() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let dev = device(&cfg);
     dev.set_tracing(true);
     let cmd = submit(&dev, 0, 3);
@@ -174,7 +170,7 @@ fn store(dev: &Mssd, lpa: u64, tx: u32) {
 
 #[test]
 fn a_commit_in_flight_pipelines_its_overhead_and_cannot_pass_its_data() {
-    let cfg = config();
+    let cfg = MssdConfig::small_test();
     let dev = device(&cfg);
     // Behind nothing: the fixed overhead; the record is in the TxLog at once,
     // the host has paid nothing until it waits.
@@ -210,7 +206,7 @@ fn a_power_cut_at_the_commit_step_keeps_the_data_and_drops_the_transaction() {
     // cut is a step index, so being in flight adds no crash state: the pages
     // the device accepted are in the image, the record is not, and RECOVER
     // discards the transaction's log entries.
-    let mut cfg = config();
+    let mut cfg = MssdConfig::small_test();
     cfg.fault = FaultPlan::cut_at(6);
     let dev = device(&cfg);
     let data = submit(&dev, 8, 3);
@@ -224,7 +220,7 @@ fn a_power_cut_at_the_commit_step_keeps_the_data_and_drops_the_transaction() {
     assert!(image.txlog.is_empty());
     assert_eq!(image.log_entries.len(), 2);
 
-    let back = Mssd::from_crash_image(config(), DramMode::WriteLog, &image);
+    let back = Mssd::from_crash_image(MssdConfig::small_test(), DramMode::WriteLog, &image);
     let report = back.recover();
     assert_eq!((report.scanned_entries, report.discarded_entries), (2, 2));
     assert!(!back.is_committed(TxId(1)));
@@ -242,7 +238,7 @@ fn a_txlog_full_commit_behind_a_long_run_cleans_once_from_the_end_of_that_run() 
     // array has a backlog when the run ends. The clean belongs after that
     // run: evaluated at the submitter's clock it would wait for the backlog
     // on top of the run that produces it (rule 3's lesson).
-    let mut cfg = config();
+    let mut cfg = MssdConfig::small_test();
     cfg.txlog_bytes = 16 * mssd::txn::COMMIT_RECORD_BYTES;
     let run = |in_flight: bool| {
         let dev = device(&cfg);
@@ -327,7 +323,7 @@ proptest! {
     fn submit_then_wait_is_the_synchronous_write(
         ops in proptest::collection::vec(op_strategy(), 1..80)
     ) {
-        let cfg = config();
+        let cfg = MssdConfig::small_test();
         let run = |split: bool| {
             let dev = device(&cfg);
             for (n, op) in ops.iter().enumerate() {
@@ -371,7 +367,7 @@ proptest! {
     fn no_mix_of_submits_stores_and_waits_beats_a_physical_bound(
         ops in proptest::collection::vec(op_strategy(), 1..80)
     ) {
-        let cfg = config();
+        let cfg = MssdConfig::small_test();
         let dev = device(&cfg);
         let mut in_flight = std::collections::VecDeque::new();
         let mut committed = std::collections::BTreeSet::new();

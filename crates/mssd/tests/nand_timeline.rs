@@ -5,7 +5,7 @@
 //! array never idles in front of a full slice.
 //!
 //! Every test drives a fresh device in write-log mode through the block
-//! interface only, so the background cleaner never runs and every drain is on
+//! interface only, so no cleaning pass ever runs and every drain is on
 //! the clock. Unless it says otherwise the device is `small_test()`:
 //! 4 channels × 4-page slices (a 16-page buffer), a page program of 60 µs —
 //! 15 µs of the array's time — and 9.6 µs of link for a one-page command.
@@ -275,7 +275,7 @@ fn a_writer_without_a_time_fills_a_slice_off_the_timeline() {
         }
         (ftl, stats)
     };
-    // The cleaner thread's call fills all four slices: nothing goes to the
+    // A writer without a time fills all four slices: nothing goes to the
     // array, so a FLUSH at 1 ms hands over all 16 pages, four rounds from
     // its own time.
     let (ftl, stats) = filled_off_the_clock();

@@ -72,7 +72,6 @@ fn config() -> MssdConfig {
     let mut cfg = MssdConfig::small_test();
     // QUEUES byte partitions plus one block partition.
     cfg.capacity_bytes = (QUEUES as u64 + 1) * PARTITION_BYTES;
-    cfg.background_cleaning = false; // deterministic timing for the replay
     cfg
 }
 

@@ -92,7 +92,6 @@ fn tracing_does_not_perturb_the_simulation() {
         let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
         dev.set_tracing(traced);
         let now = drive(&dev);
-        dev.quiesce_cleaning();
         let snap = dev.snapshot();
         (now, snap.traffic.flash_write_pages, snap.traffic.host_write_bytes(), snap.log_entries)
     };

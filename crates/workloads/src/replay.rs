@@ -794,7 +794,6 @@ pub fn record_workload(
 
     rec_fs.set_measured(false);
     rec_fs.unmount()?;
-    device.quiesce_cleaning();
     let remount_digest = device.crash_image().digest();
 
     let ops = rec.ops;
@@ -1168,7 +1167,6 @@ pub fn replay_on(
     let epilogue_refs: Vec<&OpRecord> = epilogue.iter().collect();
     drive(&epilogue_refs, fs, &clock, replay_start, rcfg.speed, &mut fds, &mut rec);
 
-    device.quiesce_cleaning();
     let remount_digest = device.crash_image().digest();
 
     let ops = rec.ops;

@@ -78,7 +78,6 @@ fn breakdown(
     setup(&fs)?;
     fs.sync()?;
     device.try_flush().expect("no media fault planned");
-    device.quiesce_cleaning();
 
     device.set_tracing(true);
     let before = device.snapshot();
@@ -89,8 +88,6 @@ fn breakdown(
         fs.fsync(fd)?;
         let returned = device.clock().now_ns();
         fs.close(fd)?;
-        // The cleaner is off the clock; wait for it as `benchmark/` does.
-        device.quiesce_cleaning();
         // The one check that does not follow from how the rows below are
         // derived: the fsync waited once, for the later of its data command
         // and its commit record, and for nothing after either. (A drain
