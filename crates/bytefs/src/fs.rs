@@ -23,8 +23,9 @@
 //!   lock protects the map (lookup/insert/evict); the per-inode `RwLock`
 //!   protects the inode itself. Reads (`read`, `fstat`) take the inode lock
 //!   shared; writes (`write`, `fsync`, `truncate`) take it exclusive.
-//! * **Page cache** ([`ShardedPageCache`]) — lock-striped by inode number,
-//!   so data I/O on different files never contends on cache locks.
+//! * **Page cache** ([`ShardedPageCache`]) — lock-striped by `(inode, page
+//!   index)`, so data I/O on different files, or on different pages of one
+//!   file, rarely meets on a cache lock; its dirty-page count is one atomic.
 //! * **Allocators** ([`SharedBitmap`]) — atomic free-space counters form a
 //!   mutex-free admission fast path; only the concrete bit pick locks.
 //! * **Open files** — lock-striped by fd, fd numbers from an atomic counter.
@@ -47,17 +48,23 @@
 //! 2. The data path never touches the namespace lock: `read`/`write`/`fsync`
 //!    resolve their inode through the fd table only.
 //!
+//! A buffered `write` that leaves more than the dirty limit of the page cache
+//! dirty releases its inode lock before it writes the cold pages back (see
+//! [`ByteFs::dirty_limit`]); the pass then takes one inode lock at a time,
+//! like `sync`.
+//!
 //! An unlinked inode is tombstoned (`nlink == 0`) under its write lock before
 //! its blocks are freed; data-path operations that raced past the fd lookup
 //! re-check the tombstone after acquiring the inode lock, so a writer can
 //! never resurrect freed blocks or persist into a reused inode slot.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use fskit::blockrun::max_run_pages;
 use fskit::journal::BlockJournal;
 use fskit::pagecache::ShardedPageCache;
 use fskit::path as fspath;
@@ -76,6 +83,11 @@ pub(crate) mod data;
 
 /// Number of inode-table, page-cache and fd-table shards (lock stripes).
 pub(crate) const INODE_SHARDS: usize = 16;
+
+/// A buffered write that leaves more than `1 / DIRTY_SHARE` of the page
+/// cache dirty (but never fewer pages than one block command carries) runs a
+/// writeback pass.
+const DIRTY_SHARE: usize = 64;
 
 /// An open file description.
 #[derive(Debug, Clone, Copy)]
@@ -113,6 +125,16 @@ pub struct ByteFs {
     txtable: SharedTxTable,
     pub(crate) dirty_inodes: Mutex<BTreeSet<u64>>,
     pub(crate) journal: Option<Mutex<BlockJournal>>,
+    /// Dirty pages above which a buffered write runs a writeback pass.
+    pub(crate) dirty_limit: usize,
+    /// Dirty pages a writeback pass could not bring under the limit (it
+    /// failed, or held back more EOF pages than that), 0 after one that
+    /// could; lowered when fewer remain. A pass runs only once the limit is
+    /// exceeded on top of it. Like the dirty count, a hint that publishes no
+    /// other data (`Relaxed`).
+    pub(crate) pass_floor: AtomicUsize,
+    /// Writeback passes run so far.
+    pub(crate) passes: AtomicU64,
 }
 
 impl std::fmt::Debug for ByteFs {
@@ -251,6 +273,7 @@ impl ByteFs {
         });
         let page_cache =
             ShardedPageCache::new(INODE_SHARDS, config.page_cache_pages, layout.page_size, true);
+        let dirty_limit = (page_cache.capacity_pages() / DIRTY_SHARE).max(max_run_pages(&device));
         Self {
             device,
             config,
@@ -266,6 +289,9 @@ impl ByteFs {
             txtable: SharedTxTable::new(),
             dirty_inodes: Mutex::new(BTreeSet::new()),
             journal,
+            dirty_limit,
+            pass_floor: AtomicUsize::new(0),
+            passes: AtomicU64::new(0),
         }
     }
 
@@ -317,6 +343,24 @@ impl ByteFs {
     /// Number of allocated inodes (observability; lock-free).
     pub fn allocated_inodes(&self) -> u64 {
         self.inode_bitmap.allocated()
+    }
+
+    /// Dirty pages in the host page cache (observability; lock-free).
+    pub fn dirty_pages(&self) -> usize {
+        self.page_cache.dirty_count()
+    }
+
+    /// The dirty limit: `max(capacity / 64, one block command's pages)`. A
+    /// buffered `write` that returns with more pages dirty (on top of what
+    /// the last pass left) first writes every dirty inode back — Linux's
+    /// `balance_dirty_pages` — so dirty pages cannot pin the cache.
+    pub fn dirty_limit(&self) -> usize {
+        self.dirty_limit
+    }
+
+    /// Writeback passes the dirty limit has run (observability).
+    pub fn writeback_passes(&self) -> u64 {
+        self.passes.load(Ordering::Relaxed)
     }
 
     fn open_count(&self) -> usize {
@@ -824,12 +868,18 @@ impl FileSystem for ByteFs {
             return Err(FsError::PermissionDenied("file not open for writing".into()));
         }
         let handle = self.inode_handle(of.ino)?;
-        let mut inode = handle.write();
-        self.check_live(&inode)?;
-        // O_APPEND resolves its offset under the inode lock, making concurrent
-        // appends atomic.
-        let offset = if of.flags.append { inode.size } else { offset };
-        self.do_write(&mut inode, of, offset, data)
+        let written = {
+            let mut inode = handle.write();
+            self.check_live(&inode)?;
+            // O_APPEND resolves its offset under the inode lock, making
+            // concurrent appends atomic.
+            let offset = if of.flags.append { inode.size } else { offset };
+            self.do_write(&mut inode, of, offset, data)?
+        };
+        if !of.flags.direct {
+            self.balance_dirty_pages();
+        }
+        Ok(written)
     }
 
     fn fsync(&self, fd: Fd) -> FsResult<()> {
@@ -969,7 +1019,7 @@ impl FileSystem for ByteFs {
     }
 
     fn sync(&self) -> FsResult<()> {
-        self.do_sync()
+        self.do_sync(false)
     }
 
     fn drop_caches(&self) {
@@ -997,7 +1047,7 @@ impl FileSystem for ByteFs {
     }
 
     fn unmount(&self) -> FsResult<()> {
-        self.do_sync()?;
+        self.do_sync(false)?;
         {
             let mut sb = self.sb.lock();
             sb.clean = true;

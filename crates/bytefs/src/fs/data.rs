@@ -57,6 +57,8 @@
 //! [`Mssd::try_block_read_pages`]: mssd::Mssd::try_block_read_pages
 //! [`Mssd::try_block_write_pages`]: mssd::Mssd::try_block_write_pages
 
+use std::sync::atomic::Ordering;
+
 use fskit::blockrun::{read_run_len, BlockWriteBatch};
 use fskit::journal::JournaledBlock;
 use fskit::pagecache::{DirtyPage, PageRef};
@@ -317,6 +319,7 @@ impl ByteFs {
         self.persist_inode(&mut txn, inode)?;
         self.persist_bitmaps(&mut txn)?;
         self.commit_txn(txn);
+        inode.disk_size = inode.size;
         self.dirty_inodes.lock().remove(&ino);
         Ok(data.len())
     }
@@ -344,8 +347,15 @@ impl ByteFs {
     }
 
     /// Writes back one inode's dirty pages and metadata in a transaction
-    /// (shared by `fsync` and `sync`). The caller holds the inode lock
-    /// (exclusive) and has taken `dirty_pages` out of the page cache.
+    /// (shared by `fsync`, `sync` and the dirty limit's pass). The caller
+    /// holds the inode lock (exclusive).
+    ///
+    /// With `hold_back_eof` (the pass) a partial EOF page that has no block
+    /// yet stays dirty in the cache, and the inode is committed with `size`
+    /// cut back to that page's start — never below the size the device
+    /// already holds — and stays metadata-dirty. A crash after the pass thus
+    /// recovers a page-aligned prefix of the written bytes, never a
+    /// zero-filled tail, and an append stream writes each page once.
     ///
     /// On failure — block allocation is delayed to here, so a full device
     /// shows up as `NoSpace` now, not at `write` — the pages are dirty again,
@@ -353,29 +363,51 @@ impl ByteFs {
     /// fails too or persists every byte. Pages the device had already
     /// accepted are among them; writing them twice is harmless, while a page
     /// left clean in the cache would never be written at all.
-    fn writeback_inode(&self, inode: &mut Inode, dirty_pages: Vec<DirtyPage>) -> FsResult<()> {
+    fn writeback_inode(&self, inode: &mut Inode, hold_back_eof: bool) -> FsResult<()> {
         let ino = inode.ino;
+        let mut dirty_pages = self.page_cache.take_dirty(ino);
+        let mut disk_size = inode.size;
+        let held_back = if hold_back_eof { self.unallocated_eof_page(inode) } else { None };
+        if let Some(eof) = held_back {
+            if dirty_pages.last().is_some_and(|dp| dp.index == eof) {
+                self.page_cache.restore_dirty(dirty_pages.pop());
+            }
+            disk_size = inode.disk_size.max(eof * self.layout.page_size as u64);
+        }
         let meta_dirty = self.dirty_inodes.lock().remove(&ino);
         if dirty_pages.is_empty() && !meta_dirty {
             return Ok(());
         }
-        let written = self.write_pages_and_metadata(inode, &dirty_pages);
-        if written.is_err() {
-            self.page_cache.restore_dirty(dirty_pages);
+        let written = self.write_pages_and_metadata(inode, &dirty_pages, disk_size);
+        match written {
+            Ok(()) => inode.disk_size = disk_size,
+            Err(_) => self.page_cache.restore_dirty(dirty_pages),
+        }
+        if written.is_err() || disk_size < inode.size {
             self.mark_dirty(ino);
         }
         written
     }
 
-    /// The transaction of [`ByteFs::writeback_inode`]. The data runs are
-    /// *submitted*: they cross the link while the byte-choice pages and the
-    /// metadata stores are issued, and the commit record is queued behind
-    /// them in the device — the fsync ordering contract is data complete →
-    /// `COMMIT`, nothing more.
+    /// The page at EOF when it is partial and has no block yet: the page a
+    /// writeback pass holds back.
+    fn unallocated_eof_page(&self, inode: &Inode) -> Option<u64> {
+        let page_size = self.layout.page_size as u64;
+        let eof = inode.size / page_size;
+        (!inode.size.is_multiple_of(page_size) && inode.extents.lookup(eof).is_none())
+            .then_some(eof)
+    }
+
+    /// The transaction of [`ByteFs::writeback_inode`], committing the inode
+    /// with `disk_size` as its size. The data runs are *submitted*: they
+    /// cross the link while the byte-choice pages and the metadata stores are
+    /// issued, and the commit record is queued behind them in the device —
+    /// the fsync ordering contract is data complete → `COMMIT`, nothing more.
     fn write_pages_and_metadata(
         &self,
         inode: &mut Inode,
         dirty_pages: &[DirtyPage],
+        disk_size: u64,
     ) -> FsResult<()> {
         let ino = inode.ino;
         let page_size = self.layout.page_size as u64;
@@ -422,7 +454,11 @@ impl ByteFs {
         self.dirty_inodes.lock().remove(&ino);
 
         self.persist_extents(&mut txn, inode)?;
-        self.persist_inode(&mut txn, inode)?;
+        if disk_size == inode.size {
+            self.persist_inode(&mut txn, inode)?;
+        } else {
+            self.persist_inode(&mut txn, &Inode { size: disk_size, ..inode.clone() })?;
+        }
         self.persist_bitmaps(&mut txn)?;
         self.commit_txn(txn);
         Ok(())
@@ -431,8 +467,7 @@ impl ByteFs {
     /// `fsync`: write back this inode's dirty pages and metadata. The caller
     /// holds the inode lock (exclusive).
     pub(crate) fn do_fsync(&self, inode: &mut Inode) -> FsResult<()> {
-        let dirty = self.page_cache.take_dirty(inode.ino);
-        self.writeback_inode(inode, dirty)
+        self.writeback_inode(inode, false)
     }
 
     /// Truncates (or extends) a file, freeing blocks beyond the new size. The
@@ -477,15 +512,17 @@ impl ByteFs {
         self.persist_inode(&mut txn, inode)?;
         self.persist_bitmaps(&mut txn)?;
         self.commit_txn(txn);
+        inode.disk_size = size;
         self.discard_staged_blocks(&freed);
         self.dirty_inodes.lock().remove(&ino);
         Ok(())
     }
 
-    /// Whole-file-system sync: write back every dirty page and inode, taking
-    /// each inode's lock in turn (ascending inode order — no two inode locks
-    /// are ever held together).
-    pub(crate) fn do_sync(&self) -> FsResult<()> {
+    /// Whole-file-system writeback: every dirty page and inode, taking each
+    /// inode's lock in turn (ascending inode order — no two inode locks are
+    /// ever held together). `sync` and `unmount` write everything; the dirty
+    /// limit's pass sets `hold_back_eof` (see [`ByteFs::writeback_inode`]).
+    pub(crate) fn do_sync(&self, hold_back_eof: bool) -> FsResult<()> {
         let mut inos = self.page_cache.dirty_inodes();
         inos.extend(self.dirty_inodes.lock().iter().copied());
         for ino in inos {
@@ -506,10 +543,38 @@ impl ByteFs {
             if inode.is_unlinked() {
                 continue;
             }
-            let dirty = self.page_cache.take_dirty(ino);
-            self.writeback_inode(&mut inode, dirty)?;
+            self.writeback_inode(&mut inode, hold_back_eof)?;
         }
         Ok(())
+    }
+
+    /// The dirty limit, Linux's `balance_dirty_pages`: a buffered `write`
+    /// calls this once it has released its inode lock. When more than
+    /// [`ByteFs::dirty_limit`] pages are dirty on top of `pass_floor`, it
+    /// runs a writeback pass — [`ByteFs::do_sync`] holding back unallocated
+    /// EOF pages — on the writer's clock, waited for like an `fsync`. The
+    /// written pages turn clean and evictable.
+    ///
+    /// A pass that cannot bring the count under the limit (it failed, say
+    /// with `NoSpace` at delayed allocation, or held back more EOF pages than
+    /// the limit) sets `pass_floor` to what it left, so the next one waits
+    /// for another limit's worth of pages. The write itself never fails for
+    /// the pass: the pages are dirty again, and each file's `fsync` retries
+    /// them and reports the error.
+    pub(crate) fn balance_dirty_pages(&self) {
+        let dirty = self.page_cache.dirty_count();
+        let floor = self.pass_floor.load(Ordering::Relaxed);
+        if dirty < floor {
+            self.pass_floor.store(dirty, Ordering::Relaxed);
+        }
+        if dirty <= floor + self.dirty_limit {
+            return;
+        }
+        self.passes.fetch_add(1, Ordering::Relaxed);
+        // A failure stays with the pages, dirty again for their fsync.
+        let _ = self.do_sync(true);
+        let left = self.page_cache.dirty_count();
+        self.pass_floor.store(if left > self.dirty_limit { left } else { 0 }, Ordering::Relaxed);
     }
 }
 #[cfg(test)]

@@ -40,6 +40,10 @@ pub struct Inode {
     pub nlink: u32,
     /// File size in bytes (directories: number of entries × slot size).
     pub size: u64,
+    /// The size the inode table on the device holds (ext4's `i_disksize`;
+    /// in memory only): `size` except after a writeback pass that held back
+    /// an unallocated partial EOF page and committed less.
+    pub disk_size: u64,
     /// Modification time in virtual nanoseconds.
     pub mtime_ns: u64,
     /// Number of data blocks allocated to this inode (including the overflow
@@ -59,6 +63,7 @@ impl Inode {
             file_type,
             nlink: 1,
             size: 0,
+            disk_size: 0,
             mtime_ns: now_ns,
             blocks: 0,
             extents: ExtentTree::new(),
@@ -153,6 +158,7 @@ impl Inode {
             file_type,
             nlink,
             size,
+            disk_size: size,
             mtime_ns,
             blocks,
             extents: ExtentTree::from_extents(extents),
@@ -210,6 +216,7 @@ mod tests {
     fn file_inode() -> Inode {
         let mut inode = Inode::new(7, FileType::File, 1_000);
         inode.size = 8192;
+        inode.disk_size = 8192;
         inode.blocks = 2;
         inode.nlink = 1;
         inode.extents.insert(0, 500);

@@ -31,8 +31,9 @@
 //!   `readdir` share it for read;
 //! * the **inode table is lock-striped** and each inode carries its own
 //!   `RwLock`, so reads/writes/fsyncs of different files run in parallel;
-//! * the **page cache is lock-striped** by inode
-//!   ([`fskit::pagecache::ShardedPageCache`]);
+//! * the **page cache is lock-striped** by `(inode, page index)`
+//!   ([`fskit::pagecache::ShardedPageCache`]), with a lock-free dirty-page
+//!   count;
 //! * the **allocators** ([`alloc::SharedBitmap`]) admit or reject
 //!   allocations on an atomic free-space counter without a lock;
 //! * **TxIDs** come from an atomic counter ([`txn::SharedTxTable`]).
@@ -76,9 +77,15 @@
 //!   writeback, so `fsync` can fail with `NoSpace`; every page it took is
 //!   then dirty again, with its CoW original, and so is the inode — the next
 //!   `fsync` fails too or persists every byte (`tests/failed_fsync.rs`).
-//! * **Unsynced writes may vanish but never corrupt.** Buffered data that
-//!   was never fsynced lives only in the host page cache; a crash loses it
-//!   without affecting any committed state — after recovery the volume
+//! * **Unsynced writes may vanish, or reach the device early, as a
+//!   page-aligned prefix, but never corrupt.** Buffered data that was never
+//!   fsynced lives in the host page cache until a write pushes the dirty
+//!   pages past [`ByteFs::dirty_limit`]; the writeback pass that follows
+//!   commits whole pages and holds back each file's unallocated partial EOF
+//!   page, so a crash recovers a page-aligned prefix of the written bytes
+//!   (never shorter than the last fsync, never a zero-filled tail;
+//!   `tests/dirty_limit.rs`). A crash loses the rest without affecting any
+//!   committed state — after recovery the volume
 //!   passes [`ByteFs::fsck`] (the [`fskit::check::CrashConsistent`]
 //!   implementation in [`check`]) at every enumerated crash point, which the
 //!   `crashkit` crate verifies exhaustively.

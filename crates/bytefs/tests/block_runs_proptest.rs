@@ -14,6 +14,14 @@
 //! * bounds from the model alone: a read moves at most one page of `Data` per
 //!   page it spans, an fsync writes at most one block-interface page per page
 //!   written since the last one, always whole pages.
+//!
+//! The 8-page request holds 16 pages (one per shard), so the dirty limit is
+//! one block command, 16 pages, and three files of up to 22 pages cross it
+//! often. The model therefore runs the writeback pass too: it tracks the
+//! exact dirty set and which pages have a block, predicts every pass (the
+//! file system's dirty count and pass count must match it after each op),
+//! holds back each unallocated partial EOF page as the pass does, and bounds
+//! a write's block bytes by the pages its pass writes — zero without one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -104,12 +112,19 @@ struct Model {
     /// File contents.
     bytes: BTreeMap<usize, Vec<u8>>,
     /// Pages written (or zero-tailed by a truncate) since the file's last
-    /// writeback.
+    /// writeback: the page cache's dirty pages.
     dirty: BTreeMap<usize, BTreeSet<u64>>,
+    /// Pages that have a block: every page some writeback wrote, until a
+    /// truncate frees it.
+    backed: BTreeMap<usize, BTreeSet<u64>>,
+    /// Writeback passes the dirty limit ran.
+    passes: u64,
 }
 
 impl Model {
-    fn write(&mut self, file: usize, offset: u64, data: &[u8]) {
+    /// Applies a buffered write; returns the pages the writeback pass it
+    /// triggers writes (0 without a pass).
+    fn write(&mut self, file: usize, offset: u64, data: &[u8], limit: usize) -> u64 {
         let bytes = self.bytes.entry(file).or_default();
         let end = offset as usize + data.len();
         if bytes.len() < end {
@@ -117,15 +132,58 @@ impl Model {
         }
         bytes[offset as usize..end].copy_from_slice(data);
         self.dirty.entry(file).or_default().extend(offset / PAGE..=(end as u64 - 1) / PAGE);
+        if self.dirty_pages() <= limit {
+            return 0;
+        }
+        // The pass: every dirty page but a partial EOF page without a block.
+        self.passes += 1;
+        let mut written = 0;
+        for file in 0..FILES {
+            let len = self.bytes.get(&file).map_or(0, Vec::len) as u64;
+            let backed = self.backed.entry(file).or_default();
+            let held = (!len.is_multiple_of(PAGE) && !backed.contains(&(len / PAGE)))
+                .then_some(len / PAGE);
+            let dirty = self.dirty.entry(file).or_default();
+            for page in std::mem::take(dirty) {
+                if Some(page) == held {
+                    dirty.insert(page);
+                } else {
+                    backed.insert(page);
+                    written += 1;
+                }
+            }
+        }
+        written
+    }
+
+    /// Writes a file's dirty pages back (fsync); returns how many.
+    fn writeback(&mut self, file: usize) -> usize {
+        let dirty = self.dirty.remove(&file).unwrap_or_default();
+        self.backed.entry(file).or_default().extend(&dirty);
+        dirty.len()
     }
 
     fn truncate(&mut self, file: usize, size: u64) {
-        self.bytes.entry(file).or_default().resize(size as usize, 0);
+        let bytes = self.bytes.entry(file).or_default();
+        let shrinking = size < bytes.len() as u64;
+        bytes.resize(size as usize, 0);
+        let keep = |page: &u64| *page < size.div_ceil(PAGE);
+        let backed = self.backed.entry(file).or_default();
+        backed.retain(keep);
         let dirty = self.dirty.entry(file).or_default();
-        dirty.retain(|page| *page < size.div_ceil(PAGE));
-        if !size.is_multiple_of(PAGE) {
-            dirty.insert(size / PAGE);
+        dirty.retain(keep);
+        // A shrink zeroes the new EOF page's tail, if it has content.
+        let tail = size / PAGE;
+        if shrinking
+            && !size.is_multiple_of(PAGE)
+            && (backed.contains(&tail) || dirty.contains(&tail))
+        {
+            dirty.insert(tail);
         }
+    }
+
+    fn dirty_pages(&self) -> usize {
+        self.dirty.values().map(BTreeSet::len).sum()
     }
 
     fn read(&self, file: usize, offset: u64, len: usize) -> &[u8] {
@@ -148,6 +206,8 @@ proptest! {
     ) {
         let merged = Stack::new();
         let per_page = Stack::new();
+        let limit = merged.fs.dirty_limit();
+        prop_assert_eq!(limit, 16, "16 one-page shards: the limit is one block command");
         let mut model = Model::default();
         for (step, op) in ops.iter().enumerate() {
             let before = merged.dev.traffic();
@@ -157,7 +217,13 @@ proptest! {
                     for s in [&merged, &per_page] {
                         prop_assert_eq!(s.fs.write(s.fds[file], offset, &data).unwrap(), len);
                     }
-                    model.write(file, offset, &data);
+                    let passed = model.write(file, offset, &data, limit);
+                    let written = block_written(&merged.dev.traffic(), &before);
+                    prop_assert!(
+                        written.is_multiple_of(PAGE) && written <= passed * PAGE,
+                        "step {} {:?}: {} block bytes, the pass writes {} pages",
+                        step, op, written, passed
+                    );
                 }
                 Op::Read { file, offset, len } => {
                     let want = model.read(file, offset, len);
@@ -185,12 +251,12 @@ proptest! {
                     for s in [&merged, &per_page] {
                         s.fs.fsync(s.fds[file]).unwrap();
                     }
-                    let dirty = model.dirty.remove(&file).unwrap_or_default();
+                    let dirty = model.writeback(file);
                     let written = block_written(&merged.dev.traffic(), &before);
                     prop_assert!(
-                        written.is_multiple_of(PAGE) && written <= dirty.len() as u64 * PAGE,
+                        written.is_multiple_of(PAGE) && written <= dirty as u64 * PAGE,
                         "step {} {:?}: {} block bytes for {} dirty pages",
-                        step, op, written, dirty.len()
+                        step, op, written, dirty
                     );
                 }
                 Op::Truncate { file, size } => {
@@ -203,7 +269,7 @@ proptest! {
                     for s in [&merged, &per_page] {
                         s.fs.sync().unwrap();
                     }
-                    let dirty: usize = std::mem::take(&mut model.dirty).values().map(BTreeSet::len).sum();
+                    let dirty: usize = (0..FILES).map(|file| model.writeback(file)).sum();
                     let written = block_written(&merged.dev.traffic(), &before);
                     prop_assert!(written.is_multiple_of(PAGE) && written <= dirty as u64 * PAGE);
                 }
@@ -218,6 +284,10 @@ proptest! {
                 per_page.host_bytes(),
                 "step {} {:?}: [read byte, read block, write byte, write block]", step, op
             );
+            for s in [&merged, &per_page] {
+                prop_assert_eq!(s.fs.dirty_pages(), model.dirty_pages(), "step {} {:?}", step, op);
+                prop_assert_eq!(s.fs.writeback_passes(), model.passes, "step {} {:?}", step, op);
+            }
         }
         // Everything written is durable and cold-readable, and the volume is
         // structurally sound.

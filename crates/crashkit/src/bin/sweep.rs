@@ -5,7 +5,7 @@
 //! workflow can upload the report as the failure-seed artifact.
 //!
 //! ```text
-//! sweep <device|device-mq|device-async|bytefs|kv|ext4like|novalike|device-media|media+power|device-hang|hang+power|device-replay> \
+//! sweep <device|device-mq|device-async|bytefs|append|kv|ext4like|novalike|device-media|media+power|device-hang|hang+power|device-replay> \
 //!       [seeds=4] [cuts-per-seed=24] [out.json]
 //! ```
 //!
@@ -18,13 +18,14 @@
 //! with cuts landing inside recovery windows. `device-replay` re-drives the
 //! recorded CI-churn corpus op trace against ByteFS with power cut at each
 //! enumerated step — crash consistency over a captured production-shaped
-//! trace rather than a synthetic seeded mix.
+//! trace rather than a synthetic seeded mix. `append` cuts unsynced appends
+//! on a small page cache, inside the dirty limit's writeback passes.
 
 use std::io::Write as _;
 
 use crashkit::{
-    BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress, Enumerator,
-    FsStress, HangStress, KvStress, MediaStress, ReplayStress, Scenario, SweepReport,
+    AppendStress, BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress,
+    Enumerator, FsStress, HangStress, KvStress, MediaStress, ReplayStress, Scenario, SweepReport,
 };
 
 fn seed_stream(seeds: u64) -> Vec<u64> {
@@ -60,6 +61,7 @@ fn main() {
         "device-mq" => run(DeviceMqStress::quick(), seeds, cuts),
         "device-async" => run(DeviceAsyncStress::quick(), seeds, cuts),
         "bytefs" => run(FsStress::quick(), seeds, cuts),
+        "append" => run(AppendStress::quick(), seeds, cuts),
         "kv" => run(KvStress::quick(), seeds, cuts),
         "ext4like" => run(BaselineStress::quick(BaselineKind::Ext4), seeds, cuts),
         "novalike" => run(BaselineStress::quick(BaselineKind::Nova), seeds, cuts),
@@ -71,7 +73,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown scenario {other:?} \
-                 (device|device-mq|device-async|bytefs|kv|ext4like|novalike|device-media|\
+                 (device|device-mq|device-async|bytefs|append|kv|ext4like|novalike|device-media|\
                  media+power|device-hang|hang+power|device-replay)"
             );
             std::process::exit(2);

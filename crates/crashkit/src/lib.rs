@@ -46,8 +46,8 @@ pub mod scenarios;
 
 pub use driver::{CutOutcome, Enumerator, SweepReport};
 pub use scenarios::{
-    BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress, FsStress,
-    HangStress, KvStress, MediaStress, Oracle, ReplayStress, Scenario,
+    AppendStress, BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress,
+    FsStress, HangStress, KvStress, MediaStress, Oracle, ReplayStress, Scenario,
 };
 
 use std::sync::Arc;

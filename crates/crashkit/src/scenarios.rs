@@ -13,6 +13,7 @@
 //! exactly.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use baselines::{Ext4Like, NovaLike};
@@ -21,8 +22,8 @@ use fskit::check::{CrashConsistent, Violation};
 use fskit::{Fd, FileSystem, FileSystemExt, OpenFlags};
 use kvstore::{Db, DbOptions, WalSync};
 use mssd::{
-    Category, DramMode, HangFaultConfig, HangFaultPlan, MediaFaultConfig, MediaFaultPlan, Mssd,
-    MssdConfig, TxId,
+    Category, DramMode, FaultPlan, HangFaultConfig, HangFaultPlan, MediaFaultConfig,
+    MediaFaultPlan, Mssd, MssdConfig, TxId,
 };
 
 use workloads::{record_corpus, CorpusKind, FsKind, OpTrace, Scale};
@@ -1129,6 +1130,182 @@ fn nth_key(map: &BTreeMap<String, Vec<u8>>, r: u64) -> Option<String> {
         return None;
     }
     map.keys().nth((r as usize) % map.len()).cloned()
+}
+
+// ---------------------------------------------------------------------------
+// Unsynced appends under the dirty limit
+// ---------------------------------------------------------------------------
+
+/// Append crash scenario on ByteFS with a 32-page host page cache: a seeded
+/// stream of unsynced appends to a few files, with an occasional `fsync`.
+/// The dirty limit of that cache is 16 pages (one block command), so a
+/// writeback pass runs every few appends and cuts land inside passes as well
+/// as inside fsyncs. Oracle: each file recovers a prefix of the bytes
+/// appended to it, no shorter than its last completed fsync, whose length is
+/// page-aligned or one the file had — never a zero-filled tail — and the
+/// volume passes `fsck`.
+#[derive(Debug, Clone)]
+pub struct AppendStress {
+    /// Files the appends spread over.
+    pub files: usize,
+    /// Appends and fsyncs in the stream.
+    pub ops: usize,
+}
+
+impl AppendStress {
+    /// Default stream for sweeps.
+    pub fn quick() -> Self {
+        Self { files: 3, ops: 200 }
+    }
+
+    fn config() -> ByteFsConfig {
+        ByteFsConfig::full().with_page_cache_pages(32)
+    }
+
+    /// The durability steps of every append that ran a writeback pass in
+    /// `seed`'s stream, counted as [`crate::Enumerator::count_steps`] counts
+    /// them: a cut at one of them lands inside a pass.
+    pub fn pass_steps(&self, seed: u64) -> Vec<RangeInclusive<u64>> {
+        let cfg = MssdConfig { fault: FaultPlan::count_only(), ..self.device_config() };
+        self.drive(&Mssd::new(cfg, self.dram_mode()), seed).1
+    }
+
+    /// The byte appended at `offset` of file `file`: never zero, so a
+    /// zero-filled tail cannot pass for appended data.
+    fn byte_at(file: usize, offset: usize) -> u8 {
+        ((offset * 31 + file * 7) % 255 + 1) as u8
+    }
+
+    /// Runs `seed`'s stream; returns the oracle and the appends' pass steps.
+    fn drive(&self, dev: &Arc<Mssd>, seed: u64) -> (AppendOracle, Vec<RangeInclusive<u64>>) {
+        let mut o = AppendOracle { formatted: false, files: Vec::new() };
+        let mut pass_steps = Vec::new();
+        let Ok(fs) = ByteFs::format(Arc::clone(dev), Self::config()) else {
+            return (o, pass_steps);
+        };
+        if dev.fault_tripped() {
+            return (o, pass_steps);
+        }
+        o.formatted = true;
+        let mut fds = Vec::new();
+        for file in 0..self.files {
+            let path = format!("/append{file}");
+            let fd = fs.create(&path).ok();
+            if dev.fault_tripped() {
+                return (o, pass_steps);
+            }
+            fds.push(fd.expect("create on a live device"));
+            o.files.push(AppendedFile { path, bytes: Vec::new(), lengths: vec![0], synced: 0 });
+        }
+        let steps = || dev.fault_plan().total_steps();
+        let mut rng = Rng::new(seed);
+        for _ in 0..self.ops {
+            let file = rng.below(self.files as u64) as usize;
+            let f = &mut o.files[file];
+            if rng.below(100) < 5 {
+                fs.fsync(fds[file]).ok();
+                if !dev.fault_tripped() {
+                    f.synced = f.bytes.len();
+                }
+            } else {
+                let start = f.bytes.len();
+                let data: Vec<u8> = (start..start + 100 + rng.below(3000) as usize)
+                    .map(|offset| Self::byte_at(file, offset))
+                    .collect();
+                let (first_step, passes) = (steps() + 1, fs.writeback_passes());
+                fs.write(fds[file], start as u64, &data).ok();
+                if fs.writeback_passes() > passes {
+                    pass_steps.push(first_step..=steps());
+                }
+                // The bytes count even when the cut landed in this append:
+                // the oracle admits any prefix, never more.
+                f.bytes.extend_from_slice(&data);
+                f.lengths.push(f.bytes.len());
+            }
+            if dev.fault_tripped() {
+                break;
+            }
+        }
+        (o, pass_steps)
+    }
+}
+
+impl Scenario for AppendStress {
+    fn device_config(&self) -> MssdConfig {
+        MssdConfig::small_test()
+    }
+
+    fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
+        Box::new(self.drive(dev, seed).0)
+    }
+}
+
+/// One file of an [`AppendStress`] run.
+struct AppendedFile {
+    path: String,
+    /// Every byte appended, the in-doubt append's included.
+    bytes: Vec<u8>,
+    /// Every length the file had.
+    lengths: Vec<usize>,
+    /// Length at the last completed fsync.
+    synced: usize,
+}
+
+/// Expected durable state of an [`AppendStress`] run.
+struct AppendOracle {
+    /// `format` completed (files whose `create` completed are listed).
+    formatted: bool,
+    files: Vec<AppendedFile>,
+}
+
+impl Oracle for AppendOracle {
+    fn verify(&self, dev: &Arc<Mssd>) -> Vec<Violation> {
+        let mut v = Vec::new();
+        dev.recover();
+        if !self.formatted {
+            for problem in dev.check_consistency() {
+                v.push(Violation::new("mssd-ftl", problem));
+            }
+            return v;
+        }
+        let fs = match ByteFs::mount(Arc::clone(dev), AppendStress::config()) {
+            Ok(fs) => fs,
+            Err(e) => {
+                v.push(Violation::new("fs-mount", format!("remount failed: {e}")));
+                return v;
+            }
+        };
+        let page = dev.page_size();
+        for f in &self.files {
+            let got = match fs.read_file(&f.path) {
+                Ok(got) => got,
+                Err(e) => {
+                    v.push(Violation::new("fs-data", format!("{}: file lost ({e})", f.path)));
+                    continue;
+                }
+            };
+            let len = got.len();
+            if len < f.synced || len > f.bytes.len() || got[..] != f.bytes[..len] {
+                v.push(Violation::new(
+                    "fs-data",
+                    format!(
+                        "{}: {len} bytes are not a prefix of the {} appended, at least the {} \
+                         fsynced",
+                        f.path,
+                        f.bytes.len(),
+                        f.synced
+                    ),
+                ));
+            } else if !len.is_multiple_of(page) && !f.lengths.contains(&len) {
+                v.push(Violation::new(
+                    "fs-data",
+                    format!("{}: {len} bytes: neither page-aligned nor a length it had", f.path),
+                ));
+            }
+        }
+        v.extend(fs.fsck());
+        v
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 use std::collections::BTreeSet;
 
 use crashkit::{
-    BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress, Enumerator,
-    FsStress, KvStress,
+    AppendStress, BaselineKind, BaselineStress, DeviceAsyncStress, DeviceMqStress, DeviceStress,
+    Enumerator, FsStress, KvStress,
 };
 use mssd::FaultKind;
 
@@ -92,6 +92,25 @@ fn bytefs_stress_survives_an_exhaustive_sweep() {
     assert!(report.total_steps > 120, "fs workload too small: {}", report.total_steps);
     report.assert_clean();
     e.sweep(&[0xF6, 0xF7], 15).assert_clean();
+}
+
+#[test]
+fn unsynced_appends_recover_a_prefix_at_every_crash_point_inside_a_pass_too() {
+    // A 32-page cache: the dirty limit's writeback pass runs every few
+    // appends, so the space holds cuts inside passes, not only in fsyncs.
+    let scenario = AppendStress::quick();
+    let seed = 0xA99E;
+    let passes = scenario.pass_steps(seed);
+    assert!(passes.len() >= 3, "only {} passes ran", passes.len());
+    let e = Enumerator::new(scenario);
+    let report = e.exhaustive(seed, 240);
+    assert!(report.distinct_points() >= 200, "only {} points explored", report.distinct_points());
+    report.assert_clean();
+    let in_pass =
+        report.outcomes.iter().filter(|o| passes.iter().any(|p| p.contains(&o.cut))).count();
+    assert!(in_pass >= 1, "no cut landed inside a pass (passes at steps {passes:?})");
+
+    e.sweep(&[0xA1, 0xA2], 12).assert_clean();
 }
 
 #[test]

@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -143,21 +144,38 @@ struct CachedPage {
 pub struct PageCache {
     page_size: usize,
     capacity_pages: usize,
-    track_cow: bool,
+    /// The CoW original of every page a write appends, shared by all of
+    /// them; `Some` exactly when CoW tracking is enabled.
+    zero_original: Option<Arc<Vec<u8>>>,
     pages: HashMap<PageKey, CachedPage>,
+    /// Resident dirty pages, kept at every dirty/clean transition.
+    dirty: usize,
     tick: u64,
 }
 
 impl PageCache {
-    /// Creates a page cache holding at most `capacity_pages` pages of
-    /// `page_size` bytes. `track_cow` enables the ByteFS duplicate-page
-    /// mechanism.
+    /// Creates a page cache holding at most `capacity_pages` pages (at least
+    /// one) of `page_size` bytes. `track_cow` enables the ByteFS
+    /// duplicate-page mechanism.
     pub fn new(capacity_pages: usize, page_size: usize, track_cow: bool) -> Self {
+        Self::with_zero_original(
+            capacity_pages,
+            page_size,
+            track_cow.then(|| Arc::new(vec![0u8; page_size])),
+        )
+    }
+
+    fn with_zero_original(
+        capacity_pages: usize,
+        page_size: usize,
+        zero_original: Option<Arc<Vec<u8>>>,
+    ) -> Self {
         Self {
             page_size,
             capacity_pages: capacity_pages.max(1),
-            track_cow,
+            zero_original,
             pages: HashMap::new(),
+            dirty: 0,
             tick: 0,
         }
     }
@@ -177,15 +195,30 @@ impl PageCache {
         self.pages.is_empty()
     }
 
-    /// Number of resident dirty pages.
+    /// Number of resident dirty pages (a counter, not a scan).
     pub fn dirty_count(&self) -> usize {
-        self.pages.values().filter(|p| p.dirty).count()
+        self.dirty
     }
 
     /// Bytes used by duplicate (CoW) pages, for the §4.6 memory-overhead
-    /// accounting.
+    /// accounting. The zero original that appended pages share counts once.
     pub fn cow_bytes(&self) -> usize {
-        self.pages.values().filter(|p| p.original.is_some()).count() * self.page_size
+        let (private, shares_zero) = self.cow_pages();
+        (private + usize::from(shares_zero)) * self.page_size
+    }
+
+    /// CoW originals held: own buffers, and whether any page holds the
+    /// shared zero original.
+    fn cow_pages(&self) -> (usize, bool) {
+        let mut private = 0;
+        let mut shares_zero = false;
+        for original in self.pages.values().filter_map(|p| p.original.as_ref()) {
+            match &self.zero_original {
+                Some(zero) if Arc::ptr_eq(zero, original) => shares_zero = true,
+                _ => private += 1,
+            }
+        }
+        (private, shares_zero)
     }
 
     /// Whether a page is resident.
@@ -214,7 +247,10 @@ impl PageCache {
     }
 
     /// Inserts a page read from the device (clean). Evicts clean LRU pages if
-    /// the cache is over capacity; dirty pages are never evicted implicitly.
+    /// the cache is over capacity; dirty pages are never evicted implicitly —
+    /// a file system that keeps their number bounded (ByteFS writes the cold
+    /// ones back once more than 1/64 of its cache is dirty) keeps the cache
+    /// for reads.
     pub fn insert_clean(&mut self, inode: u64, index: u64, data: impl Into<PageRef>) {
         let data = data.into().into_arc();
         debug_assert_eq!(data.len(), self.page_size);
@@ -242,7 +278,7 @@ impl PageCache {
     pub fn write(&mut self, inode: u64, index: u64, offset: usize, bytes: &[u8]) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let track_cow = self.track_cow;
+        let track_cow = self.zero_original.is_some();
         match self.pages.get_mut(&(inode, index)) {
             Some(p) => {
                 debug_assert!(offset + bytes.len() <= self.page_size);
@@ -253,7 +289,10 @@ impl PageCache {
                 }
                 let buf = Arc::make_mut(&mut p.data);
                 buf[offset..offset + bytes.len()].copy_from_slice(bytes);
-                p.dirty = true;
+                if !p.dirty {
+                    p.dirty = true;
+                    self.dirty += 1;
+                }
                 p.last_use = tick;
                 true
             }
@@ -303,17 +342,17 @@ impl PageCache {
     }
 
     /// Inserts a brand-new page that has no backing content on the device yet
-    /// (file extension); it starts dirty with a zero original.
+    /// (file extension); it starts dirty, with the cache's one shared zero
+    /// page as its original.
     pub fn insert_new_dirty(&mut self, inode: u64, index: u64, data: impl Into<PageRef>) {
         let data = data.into().into_arc();
         debug_assert_eq!(data.len(), self.page_size);
         self.tick += 1;
-        let original =
-            if self.track_cow { Some(Arc::new(vec![0u8; self.page_size])) } else { None };
-        self.pages.insert(
-            (inode, index),
-            CachedPage { data, dirty: true, original, last_use: self.tick },
-        );
+        let original = self.zero_original.clone();
+        let entry = CachedPage { data, dirty: true, original, last_use: self.tick };
+        if !self.pages.insert((inode, index), entry).is_some_and(|old| old.dirty) {
+            self.dirty += 1;
+        }
         self.evict_clean();
     }
 
@@ -334,6 +373,7 @@ impl PageCache {
                 }
             })
             .collect();
+        self.dirty -= out.len();
         out.sort_unstable_by_key(|dp| dp.index);
         out
     }
@@ -357,6 +397,7 @@ impl PageCache {
                 last_use: self.tick,
             };
             self.pages.insert(key, entry);
+            self.dirty += 1;
         }
     }
 
@@ -369,17 +410,29 @@ impl PageCache {
     /// Drops every page (dirty or clean) belonging to an inode (unlink,
     /// truncate).
     pub fn invalidate_inode(&mut self, inode: u64) {
-        self.pages.retain(|(ino, _), _| *ino != inode);
+        self.retain(|(ino, _)| *ino != inode);
     }
 
     /// Drops pages of `inode` with index >= `from_index` (truncate).
     pub fn invalidate_from(&mut self, inode: u64, from_index: u64) {
-        self.pages.retain(|(ino, idx), _| *ino != inode || *idx < from_index);
+        self.retain(|(ino, idx)| *ino != inode || *idx < from_index);
+    }
+
+    /// Drops every page whose key `keep` rejects, dirty or clean.
+    fn retain(&mut self, keep: impl Fn(&PageKey) -> bool) {
+        let mut dropped_dirty = 0;
+        self.pages.retain(|key, p| {
+            let kept = keep(key);
+            dropped_dirty += usize::from(!kept && p.dirty);
+            kept
+        });
+        self.dirty -= dropped_dirty;
     }
 
     /// Drops everything (unmount / simulated host crash).
     pub fn clear(&mut self) {
         self.pages.clear();
+        self.dirty = 0;
     }
 
     /// Drops every clean page and keeps every dirty one (`drop_caches`
@@ -429,24 +482,69 @@ impl PageCache {
 #[derive(Debug)]
 pub struct ShardedPageCache {
     shards: Vec<Mutex<PageCache>>,
+    capacity_pages: usize,
+    /// Dirty pages across all shards: each mutator adds its shard's change
+    /// before it releases the shard lock, so reading it takes no lock. A
+    /// count that publishes no other data, hence `Relaxed`.
+    dirty: AtomicUsize,
 }
 
 impl ShardedPageCache {
     /// Creates a cache with `shards` independent locks and a *total* capacity
-    /// of `capacity_pages`, split evenly across the shards.
+    /// of `capacity_pages`, split across the shards with the remainder on the
+    /// first ones, so the total is exactly `capacity_pages` whenever it is at
+    /// least `shards`. Below that every shard still holds one page: the cache
+    /// holds `shards` pages. All shards share one zero page as the CoW
+    /// original of appended pages.
     pub fn new(shards: usize, capacity_pages: usize, page_size: usize, track_cow: bool) -> Self {
         let shards = shards.max(1);
-        let per_shard = (capacity_pages / shards).max(1);
-        Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(PageCache::new(per_shard, page_size, track_cow)))
-                .collect(),
-        }
+        let zero_original = track_cow.then(|| Arc::new(vec![0u8; page_size]));
+        let shards: Vec<Mutex<PageCache>> = (0..shards)
+            .map(|i| {
+                let pages = capacity_pages / shards + usize::from(i < capacity_pages % shards);
+                Mutex::new(PageCache::with_zero_original(pages, page_size, zero_original.clone()))
+            })
+            .collect();
+        let capacity_pages = shards.iter().map(|s| s.lock().capacity_pages).sum();
+        Self { shards, capacity_pages, dirty: AtomicUsize::new(0) }
+    }
+
+    /// The pages the cache holds before it evicts: the requested capacity,
+    /// or one page per shard when that is more.
+    pub fn capacity_pages(&self) -> usize {
+        self.capacity_pages
     }
 
     fn shard(&self, inode: u64, index: u64) -> &Mutex<PageCache> {
         let h = (inode ^ index.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         &self.shards[(h as usize) % self.shards.len()]
+    }
+
+    /// Runs `op` on one shard under its lock and adds the shard's change in
+    /// dirty pages to the shared counter before the lock is released.
+    fn on<R>(&self, shard: &Mutex<PageCache>, op: impl FnOnce(&mut PageCache) -> R) -> R {
+        let mut cache = shard.lock();
+        let before = cache.dirty_count();
+        let out = op(&mut cache);
+        let after = cache.dirty_count();
+        if after > before {
+            self.dirty.fetch_add(after - before, Ordering::Relaxed);
+        } else if after < before {
+            self.dirty.fetch_sub(before - after, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// [`ShardedPageCache::on`] the shard that holds `(inode, index)`.
+    fn on_page<R>(&self, inode: u64, index: u64, op: impl FnOnce(&mut PageCache) -> R) -> R {
+        self.on(self.shard(inode, index), op)
+    }
+
+    /// [`ShardedPageCache::on`] every shard in turn.
+    fn on_every_shard(&self, mut op: impl FnMut(&mut PageCache)) {
+        for shard in &self.shards {
+            self.on(shard, &mut op);
+        }
     }
 
     /// Zero-copy handle to a resident page.
@@ -462,17 +560,18 @@ impl ShardedPageCache {
 
     /// See [`PageCache::write`].
     pub fn write(&self, inode: u64, index: u64, offset: usize, bytes: &[u8]) -> bool {
-        self.shard(inode, index).lock().write(inode, index, offset, bytes)
+        self.on_page(inode, index, |s| s.write(inode, index, offset, bytes))
     }
 
     /// Full-page dirty write in one lock hold: overwrites the resident page,
     /// or installs the data as a brand-new dirty page when it is absent
     /// (whether never loaded or just evicted by a concurrent insertion).
     pub fn write_full_page(&self, inode: u64, index: u64, data: Vec<u8>) {
-        let mut shard = self.shard(inode, index).lock();
-        if !shard.write(inode, index, 0, &data) {
-            shard.insert_new_dirty(inode, index, data);
-        }
+        self.on_page(inode, index, |s| {
+            if !s.write(inode, index, 0, &data) {
+                s.insert_new_dirty(inode, index, data);
+            }
+        });
     }
 
     /// Partial write in one lock hold: applies `bytes` at `offset` to the
@@ -487,24 +586,24 @@ impl ShardedPageCache {
         bytes: &[u8],
         base: PageRef,
     ) {
-        self.shard(inode, index).lock().write_with_fallback(inode, index, offset, bytes, base);
+        self.on_page(inode, index, |s| s.write_with_fallback(inode, index, offset, bytes, base));
     }
 
     /// See [`PageCache::insert_clean`].
     pub fn insert_clean(&self, inode: u64, index: u64, data: impl Into<PageRef>) {
-        self.shard(inode, index).lock().insert_clean(inode, index, data);
+        self.on_page(inode, index, |s| s.insert_clean(inode, index, data));
     }
 
     /// See [`PageCache::insert_new_dirty`].
     pub fn insert_new_dirty(&self, inode: u64, index: u64, data: impl Into<PageRef>) {
-        self.shard(inode, index).lock().insert_new_dirty(inode, index, data);
+        self.on_page(inode, index, |s| s.insert_new_dirty(inode, index, data));
     }
 
     /// See [`PageCache::take_dirty`]; scans every shard and returns the pages
     /// in ascending page order (deterministic writeback order).
     pub fn take_dirty(&self, inode: u64) -> Vec<DirtyPage> {
-        let mut out: Vec<DirtyPage> =
-            self.shards.iter().flat_map(|s| s.lock().take_dirty(inode)).collect();
+        let mut out = Vec::new();
+        self.on_every_shard(|s| out.extend(s.take_dirty(inode)));
         out.sort_unstable_by_key(|dp| dp.index);
         out
     }
@@ -512,7 +611,7 @@ impl ShardedPageCache {
     /// See [`PageCache::restore_dirty`].
     pub fn restore_dirty(&self, pages: impl IntoIterator<Item = DirtyPage>) {
         for dp in pages {
-            self.shard(dp.inode, dp.index).lock().restore_dirty([dp]);
+            self.on_page(dp.inode, dp.index, |s| s.restore_dirty([dp]));
         }
     }
 
@@ -525,9 +624,10 @@ impl ShardedPageCache {
         out
     }
 
-    /// Total resident dirty pages across all shards.
+    /// Total resident dirty pages across all shards: one atomic load, no
+    /// lock and no scan.
     pub fn dirty_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().dirty_count()).sum()
+        self.dirty.load(Ordering::Relaxed)
     }
 
     /// Total resident pages across all shards.
@@ -540,30 +640,32 @@ impl ShardedPageCache {
         self.len() == 0
     }
 
-    /// Total bytes used by duplicate (CoW) pages.
+    /// Total bytes used by duplicate (CoW) pages; the zero original the
+    /// shards share counts once.
     pub fn cow_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().cow_bytes()).sum()
+        let (mut pages, mut shares_zero) = (0, false);
+        for shard in &self.shards {
+            let (private, zero) = shard.lock().cow_pages();
+            pages += private;
+            shares_zero |= zero;
+        }
+        let page_size = self.shards[0].lock().page_size();
+        (pages + usize::from(shares_zero)) * page_size
     }
 
     /// See [`PageCache::invalidate_inode`]; scans every shard.
     pub fn invalidate_inode(&self, inode: u64) {
-        for shard in &self.shards {
-            shard.lock().invalidate_inode(inode);
-        }
+        self.on_every_shard(|s| s.invalidate_inode(inode));
     }
 
     /// See [`PageCache::invalidate_from`]; scans every shard.
     pub fn invalidate_from(&self, inode: u64, from_index: u64) {
-        for shard in &self.shards {
-            shard.lock().invalidate_from(inode, from_index);
-        }
+        self.on_every_shard(|s| s.invalidate_from(inode, from_index));
     }
 
     /// Drops every page in every shard.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.on_every_shard(PageCache::clear);
     }
 
     /// See [`PageCache::clear_clean`]: page by page, so one dirty page does
@@ -964,5 +1066,146 @@ mod tests {
             h.join().unwrap();
         }
         assert!(c.dirty_count() > 0);
+        assert_eq!(c.dirty_count(), scanned_dirty(&c), "concurrent updates add up");
+    }
+
+    /// Dirty pages a scan of every shard finds, after checking each shard's
+    /// own counter against its scan.
+    fn scanned_dirty(c: &ShardedPageCache) -> usize {
+        c.shards
+            .iter()
+            .map(|s| {
+                let s = s.lock();
+                let scanned = s.pages.values().filter(|p| p.dirty).count();
+                assert_eq!(s.dirty_count(), scanned, "a shard's counter drifted from its pages");
+                scanned
+            })
+            .sum()
+    }
+
+    #[test]
+    fn appended_pages_share_one_zero_original() {
+        let mut c = cache(true);
+        c.insert_new_dirty(1, 0, vec![5u8; PS]);
+        c.insert_new_dirty(1, 1, vec![6u8; PS]);
+        assert_eq!(c.cow_bytes(), PS, "the shared zero page counts once");
+        c.insert_clean(1, 2, vec![7u8; PS]);
+        c.write(1, 2, 0, &[1u8; 64]);
+        assert_eq!(c.cow_bytes(), 2 * PS, "an overwritten page keeps its own original");
+        let dirty = c.take_dirty(1);
+        let (a, b) = (dirty[0].original.as_ref().unwrap(), dirty[1].original.as_ref().unwrap());
+        assert!(PageRef::ptr_eq(a, b), "two appended pages share one buffer");
+        assert_eq!(a.to_vec(), vec![0u8; PS]);
+        let mut half = vec![0u8; PS];
+        half[..PS / 2].fill(5);
+        c.insert_new_dirty(1, 3, half.clone());
+        let page = c.take_dirty(1).pop().unwrap();
+        assert_eq!(page.dirty_ranges(64), dirty_chunks(&[0u8; PS], &half, 64));
+        assert_eq!(page.dirty_ranges(64), vec![(0, PS / 2)]);
+
+        // The shards of a sharded cache share one zero page, too.
+        let c = ShardedPageCache::new(4, 64, PS, true);
+        for idx in 0..8 {
+            c.insert_new_dirty(2, idx, vec![1u8; PS]);
+        }
+        assert_eq!(c.cow_bytes(), PS);
+        let dirty = c.take_dirty(2);
+        let first = dirty[0].original.as_ref().unwrap();
+        assert!(dirty.iter().all(|dp| PageRef::ptr_eq(dp.original.as_ref().unwrap(), first)));
+        assert_eq!(ShardedPageCache::new(4, 64, PS, false).cow_bytes(), 0);
+    }
+
+    #[test]
+    fn sharded_capacity_is_the_request_down_to_one_page_a_shard() {
+        for (shards, requested, held) in [(16, 4_100, 4_100), (16, 4_096, 4_096), (3, 10, 10)] {
+            let c = ShardedPageCache::new(shards, requested, PS, false);
+            assert_eq!(c.capacity_pages(), held);
+            let per_shard: Vec<usize> = c.shards.iter().map(|s| s.lock().capacity_pages).collect();
+            assert!(per_shard.iter().max().unwrap() - per_shard.iter().min().unwrap() <= 1);
+        }
+        // Below one page a shard, the floor decides.
+        assert_eq!(ShardedPageCache::new(16, 8, PS, false).capacity_pages(), 16);
+        assert_eq!(ShardedPageCache::new(4, 0, PS, false).capacity_pages(), 4);
+    }
+
+    mod dirty_counter {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Write { ino: u64, idx: u64, off: usize },
+            WriteFullPage { ino: u64, idx: u64 },
+            WriteWithFallback { ino: u64, idx: u64, off: usize },
+            InsertClean { ino: u64, idx: u64 },
+            InsertNewDirty { ino: u64, idx: u64 },
+            TakeDirty { ino: u64 },
+            RestoreDirty { stashed: usize },
+            InvalidateInode { ino: u64 },
+            InvalidateFrom { ino: u64, idx: u64 },
+            Clear,
+            ClearClean,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let page = || (0..3u64, 0..6u64);
+            prop_oneof![
+                (page(), 0..PS - 8).prop_map(|((ino, idx), off)| Op::Write { ino, idx, off }),
+                page().prop_map(|(ino, idx)| Op::WriteFullPage { ino, idx }),
+                (page(), 0..PS - 8).prop_map(|((ino, idx), off)| Op::WriteWithFallback {
+                    ino,
+                    idx,
+                    off
+                }),
+                page().prop_map(|(ino, idx)| Op::InsertClean { ino, idx }),
+                page().prop_map(|(ino, idx)| Op::InsertNewDirty { ino, idx }),
+                (0..3u64).prop_map(|ino| Op::TakeDirty { ino }),
+                (0..4usize).prop_map(|stashed| Op::RestoreDirty { stashed }),
+                (0..3u64).prop_map(|ino| Op::InvalidateInode { ino }),
+                page().prop_map(|(ino, idx)| Op::InvalidateFrom { ino, idx }),
+                Just(Op::Clear),
+                Just(Op::ClearClean),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// Whatever the mutators do — evictions in a cache smaller than
+            /// the key space included — the lock-free counter equals a scan.
+            #[test]
+            fn the_dirty_counter_equals_a_full_scan(
+                ops in proptest::collection::vec(op(), 1..80),
+                track_cow in any::<bool>(),
+            ) {
+                let c = ShardedPageCache::new(4, 6, PS, track_cow);
+                let mut stash: Vec<Vec<DirtyPage>> = Vec::new();
+                for op in ops {
+                    match op {
+                        Op::Write { ino, idx, off } => {
+                            c.write(ino, idx, off, &[9u8; 8]);
+                        }
+                        Op::WriteFullPage { ino, idx } => c.write_full_page(ino, idx, vec![3u8; PS]),
+                        Op::WriteWithFallback { ino, idx, off } => {
+                            c.write_with_fallback(ino, idx, off, &[4u8; 8], PageRef::zeroed(PS));
+                        }
+                        Op::InsertClean { ino, idx } => c.insert_clean(ino, idx, vec![1u8; PS]),
+                        Op::InsertNewDirty { ino, idx } => c.insert_new_dirty(ino, idx, vec![2u8; PS]),
+                        Op::TakeDirty { ino } => stash.push(c.take_dirty(ino)),
+                        Op::RestoreDirty { stashed } => {
+                            if !stash.is_empty() {
+                                let pages = stash.remove(stashed % stash.len());
+                                c.restore_dirty(pages);
+                            }
+                        }
+                        Op::InvalidateInode { ino } => c.invalidate_inode(ino),
+                        Op::InvalidateFrom { ino, idx } => c.invalidate_from(ino, idx),
+                        Op::Clear => c.clear(),
+                        Op::ClearClean => c.clear_clean(),
+                    }
+                    prop_assert_eq!(c.dirty_count(), scanned_dirty(&c));
+                }
+            }
+        }
     }
 }
