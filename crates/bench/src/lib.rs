@@ -26,11 +26,9 @@ pub mod registry;
 pub mod report;
 mod suite {
     pub(crate) mod c10k;
-    pub(crate) mod fs_scale;
     pub(crate) mod gc_pause;
     pub(crate) mod hang_recovery;
     pub(crate) mod media_fault;
-    pub(crate) mod mt_scale;
     pub(crate) mod paper;
     pub(crate) mod qd_sweep;
     pub(crate) mod recovery_time;
@@ -102,11 +100,11 @@ mod tests {
         for line in [
             "",
             "fig6 0.5",
-            "mt_scale --help",
+            "qd_sweep --help",
             "run",
             "run fig99",
             "run fig6 0,5",
-            "run mt_scale --help",
+            "run qd_sweep --help",
             "run fig6 nan",
             "run fig6 inf",
             "run fig6 0",

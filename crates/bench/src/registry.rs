@@ -8,8 +8,7 @@ use workloads::Scale;
 use crate::gate::GATES;
 use crate::report::BenchReport;
 use crate::suite::{
-    c10k, fs_scale, gc_pause, hang_recovery, media_fault, mt_scale, paper, qd_sweep, recovery_time,
-    replay, trace_smoke,
+    c10k, gc_pause, hang_recovery, media_fault, paper, qd_sweep, recovery_time, replay, trace_smoke,
 };
 
 /// Which clock a bench's headline numbers are on.
@@ -76,8 +75,6 @@ use Clock::{Virtual, Wall};
 /// Every bench, in the order `bench run all` runs them.
 #[rustfmt::skip]
 pub const BENCHES: &[Bench] = &[
-    bench("mt_scale", Wall, "BENCH_mt_scale.json", 0.1,
-          "wall-clock device throughput, 1/2/4/8 threads on one shared Mssd", mt_scale::run),
     bench("qd_sweep", Wall, "BENCH_qd_sweep.json", 0.1,
           "batched queue submission (qd 4/16/64) vs synchronous qd 1", qd_sweep::run),
     // Full scale: the per-batch runtime overhead amortizes over real op
@@ -92,8 +89,6 @@ pub const BENCHES: &[Bench] = &[
           "recovery-layer tail latency under a 1e-3 fail-slow rate", hang_recovery::run),
     bench("recovery_time", Virtual, "BENCH_recovery.json", 0.2,
           "remount + RECOVER() latency vs dirty-log depth (16 MB log region)", recovery_time::run),
-    bench("fs_scale", Wall, "BENCH_fs_scale.json", 0.1,
-          "wall-clock file-system throughput, 1/2/4/8 threads via run_concurrent", fs_scale::run),
     bench("trace_smoke", Virtual, "BENCH_trace_smoke.json", 1.0,
           "traced workload -> Chrome trace export, validated in-process", trace_smoke::run),
     bench("replay", Virtual, "BENCH_replay.json", 0.1,
@@ -207,14 +202,14 @@ mod tests {
             }
             assert!(b.smoke_scale > 0.0 && !b.about.is_empty());
         }
-        assert_eq!(BENCHES.len(), 23);
+        assert_eq!(BENCHES.len(), 21);
     }
 
     #[test]
     fn select_takes_all_a_name_or_an_artifact_stem() {
         let names = |target| select(target).iter().map(|b| b.name).collect::<Vec<_>>();
         assert_eq!(names("all").len(), BENCHES.len());
-        assert_eq!(names("mt_scale"), ["mt_scale"]);
+        assert_eq!(names("qd_sweep"), ["qd_sweep"]);
         assert_eq!(names("paper").len(), 13);
         assert_eq!(names("paper")[..2], ["fig1", "fig6"]);
         assert_eq!(names("recovery"), ["recovery"], "the §5.5 bench, not BENCH_recovery.json");

@@ -28,9 +28,9 @@ const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 const WINDOW_BYTES: u64 = 4 << 20;
 
 /// Timed repetitions per configuration; the best run is reported. Five
-/// (rather than mt_scale's three) because the qd=1-vs-qd=16 ratio is the
-/// gated number and single-CPU containers time-slice multi-thread runs,
-/// which widens run-to-run variance.
+/// because the qd=1-vs-qd=16 ratio is the gated number and single-CPU
+/// containers time-slice multi-thread runs, which widens run-to-run
+/// variance.
 const REPEATS: usize = 5;
 
 /// Thread `thread`'s command stream: its own partition, RNG seed and 2^20

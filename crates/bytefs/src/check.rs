@@ -32,7 +32,7 @@ impl ByteFs {
     /// on a concrete `ByteFs` without a trait import.
     pub fn fsck(&self) -> Vec<Violation> {
         let mut v: Vec<Violation> = Vec::new();
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
 
         // Breadth-first namespace walk from the root.
         let mut queue = vec![ROOT_INO];
@@ -84,7 +84,7 @@ impl ByteFs {
                     continue;
                 }
             };
-            let inode = handle.read();
+            let inode = self.read_parked(&handle);
             if inode.is_unlinked() {
                 v.push(Violation::new(
                     CHECKER,

@@ -48,6 +48,12 @@
 //! 2. The data path never touches the namespace lock: `read`/`write`/`fsync`
 //!    resolve their inode through the fd table only.
 //!
+//! Every lock a thread may hold across a device command — the namespace
+//! lock, an inode-table shard, an inode, the data journal — is taken through
+//! `ByteFs::parked`: a client on its own clock (`mssd`'s ambient queue)
+//! that blocks on one leaves the device's turn order while it waits, so the
+//! holder's next command never waits for it (`mssd`'s `DESIGN-time.md`).
+//!
 //! A buffered `write` that leaves more than the dirty limit of the page cache
 //! dirty releases its inode lock before it writes the cold pages back (see
 //! [`ByteFs::dirty_limit`]); the pass then takes one inode lock at a time,
@@ -62,7 +68,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fskit::blockrun::max_run_pages;
 use fskit::journal::BlockJournal;
@@ -368,6 +374,39 @@ impl ByteFs {
     }
 
     // ------------------------------------------------------------------
+    // Host locks held across device commands
+    // ------------------------------------------------------------------
+
+    /// Takes a host lock that some thread may hold across a device command —
+    /// the namespace lock, an inode-table shard, an inode, the data journal.
+    /// An uncontended lock is one `try`. A contended one is waited for
+    /// *parked* ([`mssd::Clock::park`]): the calling client leaves the
+    /// device's turn order while it blocks, so a holder waiting for its turn
+    /// on the device never waits for it. Host locks are host code, which the
+    /// model charges nothing, so the wait costs no virtual time.
+    pub(crate) fn parked<G>(
+        &self,
+        try_lock: impl FnOnce() -> Option<G>,
+        lock: impl FnOnce() -> G,
+    ) -> G {
+        try_lock().unwrap_or_else(|| {
+            let clock = self.device.clock();
+            let _parked = clock.park();
+            lock()
+        })
+    }
+
+    /// [`ByteFs::parked`] for shared access to an `RwLock`.
+    pub(crate) fn read_parked<'l, T>(&self, lock: &'l RwLock<T>) -> RwLockReadGuard<'l, T> {
+        self.parked(|| lock.try_read(), || lock.read())
+    }
+
+    /// [`ByteFs::parked`] for exclusive access to an `RwLock`.
+    pub(crate) fn write_parked<'l, T>(&self, lock: &'l RwLock<T>) -> RwLockWriteGuard<'l, T> {
+        self.parked(|| lock.try_write(), || lock.write())
+    }
+
+    // ------------------------------------------------------------------
     // Inode table (lock-striped)
     // ------------------------------------------------------------------
 
@@ -378,10 +417,10 @@ impl ByteFs {
     /// Handle to an inode, loading it from the device on a miss
     /// (block-interface read of its inode page).
     pub(crate) fn inode_handle(&self, ino: u64) -> FsResult<InodeHandle> {
-        if let Some(handle) = self.inode_shard(ino).read().get(&ino) {
+        if let Some(handle) = self.read_parked(self.inode_shard(ino)).get(&ino) {
             return Ok(Arc::clone(handle));
         }
-        let mut shard = self.inode_shard(ino).write();
+        let mut shard = self.write_parked(self.inode_shard(ino));
         if let Some(handle) = shard.get(&ino) {
             return Ok(Arc::clone(handle));
         }
@@ -405,13 +444,13 @@ impl ByteFs {
     fn insert_inode(&self, inode: Inode) -> InodeHandle {
         let ino = inode.ino;
         let handle = Arc::new(RwLock::new(inode));
-        self.inode_shard(ino).write().insert(ino, Arc::clone(&handle));
+        self.write_parked(self.inode_shard(ino)).insert(ino, Arc::clone(&handle));
         handle
     }
 
     /// Drops an inode from its shard (unlink/rmdir).
     fn evict_inode(&self, ino: u64) {
-        self.inode_shard(ino).write().remove(&ino);
+        self.write_parked(self.inode_shard(ino)).remove(&ino);
     }
 
     /// Rejects data-path operations on an inode that was unlinked after the
@@ -530,7 +569,7 @@ impl ByteFs {
         }
         let handle = self.inode_handle(ino)?;
         let blocks = {
-            let inode = handle.read();
+            let inode = self.read_parked(&handle);
             if !inode.is_dir() {
                 return Err(FsError::NotADirectory(format!("inode {ino}")));
             }
@@ -583,12 +622,12 @@ impl ByteFs {
     /// falling back to the write lock only when directories must be loaded.
     fn resolve_path(&self, path: &str) -> FsResult<u64> {
         {
-            let ns = self.namespace.read();
+            let ns = self.read_parked(&self.namespace);
             if let Some(result) = self.resolve_cached(&ns, path) {
                 return result;
             }
         }
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         self.resolve(&mut ns, path)
     }
 
@@ -627,7 +666,7 @@ impl ByteFs {
         let now = self.now_ns();
         let handle = self.inode_handle(dir_ino)?;
         {
-            let mut inode = handle.write();
+            let mut inode = self.write_parked(&handle);
             let block_pos = inode.extents.mapped_blocks();
             inode.extents.insert(block_pos, lba);
             inode.blocks += 1;
@@ -677,7 +716,7 @@ impl ByteFs {
         let parent_size = (ns.dirs[&parent].len() * DENTRY_SIZE) as u64;
         let parent_handle = self.inode_handle(parent)?;
         let parent_inode = {
-            let mut p = parent_handle.write();
+            let mut p = self.write_parked(&parent_handle);
             p.mtime_ns = now;
             p.size = parent_size;
             if file_type.is_dir() {
@@ -716,7 +755,7 @@ impl ByteFs {
         let target = entry.ino;
         let target_handle = self.inode_handle(target)?;
         {
-            let t = target_handle.read();
+            let t = self.read_parked(&target_handle);
             if dir {
                 if !t.is_dir() {
                     return Err(FsError::NotADirectory(name.to_string()));
@@ -738,7 +777,7 @@ impl ByteFs {
         // Clear the dentry slot.
         let parent_handle = self.inode_handle(parent)?;
         let parent_inode = {
-            let mut p = parent_handle.write();
+            let mut p = self.write_parked(&parent_handle);
             p.mtime_ns = now;
             if dir {
                 p.nlink = p.nlink.saturating_sub(1);
@@ -755,7 +794,7 @@ impl ByteFs {
         // Any data-path racer that acquires the inode lock afterwards sees
         // `nlink == 0` and bails instead of resurrecting freed blocks.
         let (mut freed, overflow) = {
-            let mut t = target_handle.write();
+            let mut t = self.write_parked(&target_handle);
             t.nlink = 0;
             let freed: Vec<u64> = t.extents.iter_blocks().map(|(_, lba)| lba).collect();
             (freed, t.overflow_lba)
@@ -805,7 +844,7 @@ impl FileSystem for ByteFs {
 
     fn create(&self, path: &str) -> FsResult<Fd> {
         let ino = {
-            let mut ns = self.namespace.write();
+            let mut ns = self.write_parked(&self.namespace);
             let (parent, name) = self.resolve_parent(&mut ns, path)?;
             self.create_object(&mut ns, parent, name, FileType::File)?
         };
@@ -816,19 +855,19 @@ impl FileSystem for ByteFs {
         let ino = match self.resolve_path(path) {
             Ok(ino) => {
                 let handle = self.inode_handle(ino)?;
-                if handle.read().is_dir() {
+                if self.read_parked(&handle).is_dir() {
                     return Err(FsError::IsADirectory(path.to_string()));
                 }
                 ino
             }
             Err(FsError::NotFound(_)) if flags.create => {
-                let mut ns = self.namespace.write();
+                let mut ns = self.write_parked(&self.namespace);
                 // Re-resolve under the write lock: the file may have been
                 // created since the read-locked attempt.
                 match self.resolve(&mut ns, path) {
                     Ok(ino) => {
                         let handle = self.inode_handle(ino)?;
-                        if handle.read().is_dir() {
+                        if self.read_parked(&handle).is_dir() {
                             return Err(FsError::IsADirectory(path.to_string()));
                         }
                         ino
@@ -857,7 +896,7 @@ impl FileSystem for ByteFs {
     fn read(&self, fd: Fd, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let of = self.open_file(fd)?;
         let handle = self.inode_handle(of.ino)?;
-        let inode = handle.read();
+        let inode = self.read_parked(&handle);
         self.check_live(&inode)?;
         self.do_read(&inode, of, offset, len)
     }
@@ -869,7 +908,7 @@ impl FileSystem for ByteFs {
         }
         let handle = self.inode_handle(of.ino)?;
         let written = {
-            let mut inode = handle.write();
+            let mut inode = self.write_parked(&handle);
             self.check_live(&inode)?;
             // O_APPEND resolves its offset under the inode lock, making
             // concurrent appends atomic.
@@ -885,7 +924,7 @@ impl FileSystem for ByteFs {
     fn fsync(&self, fd: Fd) -> FsResult<()> {
         let of = self.open_file(fd)?;
         let handle = self.inode_handle(of.ino)?;
-        let mut inode = handle.write();
+        let mut inode = self.write_parked(&handle);
         self.check_live(&inode)?;
         self.do_fsync(&mut inode)
     }
@@ -893,7 +932,7 @@ impl FileSystem for ByteFs {
     fn truncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         let of = self.open_file(fd)?;
         let handle = self.inode_handle(of.ino)?;
-        let mut inode = handle.write();
+        let mut inode = self.write_parked(&handle);
         self.check_live(&inode)?;
         self.do_truncate(&mut inode, size)
     }
@@ -901,38 +940,38 @@ impl FileSystem for ByteFs {
     fn fstat(&self, fd: Fd) -> FsResult<Metadata> {
         let of = self.open_file(fd)?;
         let handle = self.inode_handle(of.ino)?;
-        let inode = handle.read();
+        let inode = self.read_parked(&handle);
         Ok(self.metadata_of(&inode))
     }
 
     fn stat(&self, path: &str) -> FsResult<Metadata> {
         let ino = self.resolve_path(path)?;
         let handle = self.inode_handle(ino)?;
-        let inode = handle.read();
+        let inode = self.read_parked(&handle);
         Ok(self.metadata_of(&inode))
     }
 
     fn mkdir(&self, path: &str) -> FsResult<()> {
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         let (parent, name) = self.resolve_parent(&mut ns, path)?;
         self.create_object(&mut ns, parent, name, FileType::Directory)?;
         Ok(())
     }
 
     fn rmdir(&self, path: &str) -> FsResult<()> {
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         let (parent, name) = self.resolve_parent(&mut ns, path)?;
         self.remove_object(&mut ns, parent, name, true)
     }
 
     fn unlink(&self, path: &str) -> FsResult<()> {
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         let (parent, name) = self.resolve_parent(&mut ns, path)?;
         self.remove_object(&mut ns, parent, name, false)
     }
 
     fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         let (from_parent, from_name) = self.resolve_parent(&mut ns, from)?;
         let (to_parent, to_name) = self.resolve_parent(&mut ns, to)?;
         self.load_dir(&mut ns, from_parent)?;
@@ -953,7 +992,7 @@ impl FileSystem for ByteFs {
         // Remove from the source directory.
         let from_handle = self.inode_handle(from_parent)?;
         let from_inode = {
-            let mut p = from_handle.write();
+            let mut p = self.write_parked(&from_handle);
             p.mtime_ns = now;
             p.clone()
         };
@@ -979,7 +1018,7 @@ impl FileSystem for ByteFs {
         let to_size = (ns.dirs[&to_parent].len() * DENTRY_SIZE) as u64;
         let to_handle = self.inode_handle(to_parent)?;
         let to_inode = {
-            let mut p = to_handle.write();
+            let mut p = self.write_parked(&to_handle);
             p.mtime_ns = now;
             p.size = to_size;
             p.clone()
@@ -1008,12 +1047,12 @@ impl FileSystem for ByteFs {
                 .collect()
         };
         {
-            let ns = self.namespace.read();
+            let ns = self.read_parked(&self.namespace);
             if let Some(dir) = ns.dirs.get(&ino) {
                 return Ok(collect(dir));
             }
         }
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         self.load_dir(&mut ns, ino)?;
         Ok(collect(&ns.dirs[&ino]))
     }
@@ -1023,7 +1062,7 @@ impl FileSystem for ByteFs {
     }
 
     fn drop_caches(&self) {
-        let mut ns = self.namespace.write();
+        let mut ns = self.write_parked(&self.namespace);
         self.page_cache.clear_clean();
         ns.dirs.clear();
         // Keep every inode that is open, metadata-dirty, or still owns dirty
@@ -1042,7 +1081,7 @@ impl FileSystem for ByteFs {
             )
             .collect();
         for shard in &self.inode_shards {
-            shard.write().retain(|ino, _| keep.contains(ino));
+            self.write_parked(shard).retain(|ino, _| keep.contains(ino));
         }
     }
 

@@ -443,7 +443,7 @@ impl ByteFs {
         if let Some(journal) = &self.journal {
             // One transaction per fsync, split only where the journal area
             // cannot hold it (descriptor + data + commit must fit).
-            let mut journal = journal.lock();
+            let mut journal = self.parked(|| journal.try_lock(), || journal.lock());
             let per_txn = journal.capacity_blocks() as usize - 2;
             for blocks in journaled.chunks(per_txn) {
                 journal.commit(blocks, true)?;
@@ -539,7 +539,7 @@ impl ByteFs {
                 }
                 Err(e) => return Err(e),
             };
-            let mut inode = handle.write();
+            let mut inode = self.write_parked(&handle);
             if inode.is_unlinked() {
                 continue;
             }

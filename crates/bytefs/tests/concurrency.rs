@@ -12,7 +12,8 @@
 //! concurrency moved to the `crashkit` crate's ported suite.)
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use bytefs::{ByteFs, ByteFsConfig};
 use fskit::{FileSystem, FileSystemExt, OpenFlags};
@@ -20,6 +21,15 @@ use mssd::{DramMode, Mssd, MssdConfig};
 
 const THREADS: usize = 8;
 const OPS: usize = 400;
+
+/// Held by every test: the client-clock stress counts how often a turn gave
+/// up on a client the host OS kept off its core, and another test's eight
+/// threads would make that common.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deterministic per-thread op stream (xorshift64).
 struct Ops {
@@ -138,6 +148,7 @@ fn verify(fs: &dyn FileSystem, expected: &[BTreeMap<String, Vec<u8>>]) {
 
 #[test]
 fn concurrent_mixed_ops_stress() {
+    let _serial = serial();
     let (_dev, fs) = new_fs();
     for t in 0..THREADS {
         fs.mkdir(&format!("/t{t}")).unwrap();
@@ -180,6 +191,7 @@ fn concurrent_mixed_ops_stress() {
 
 #[test]
 fn concurrent_run_survives_unmount_and_remount() {
+    let _serial = serial();
     let (dev, fs) = new_fs();
     for t in 0..THREADS {
         fs.mkdir(&format!("/t{t}")).unwrap();
@@ -207,6 +219,7 @@ fn concurrent_run_survives_unmount_and_remount() {
 /// placement but never logical content).
 #[test]
 fn concurrent_run_agrees_with_single_threaded_replay() {
+    let _serial = serial();
     let (_dev_a, shared) = new_fs();
     for t in 0..THREADS {
         shared.mkdir(&format!("/t{t}")).unwrap();
@@ -236,6 +249,55 @@ fn concurrent_run_agrees_with_single_threaded_replay() {
     assert_eq!(shared.allocated_inodes(), replay.allocated_inodes());
 }
 
+/// The mixed stress from two threads, each a client on the device with its
+/// own ambient queue and clock. Every ByteFS lock held across a device
+/// command is taken parked, so no turn waits on a client blocked on one of
+/// them; a turn skips a client only when the host OS keeps it off its core,
+/// fewer than once per 1 000 operations. A lock taken without parking shows
+/// as skips: its holder, waiting for its turn on a client blocked on the
+/// lock, gives up only after `mssd::clock::STALLED_CLIENT_WALL`.
+#[test]
+fn clients_on_their_own_clocks_wait_on_no_host_lock() {
+    let _serial = serial();
+    const CLIENTS: usize = 2;
+    const OPS_EACH: usize = 10_000;
+    let (done, finished) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        // A log that 20 000 operations clean about once: a threshold pass is
+        // off the clock, so a turn can give up on a client that runs one.
+        let cfg = MssdConfig::small_test().with_dram_region(4 << 20);
+        let dev = Mssd::new(cfg, DramMode::WriteLog);
+        let fs = ByteFs::format(Arc::clone(&dev), ByteFsConfig::full()).unwrap();
+        for t in 0..CLIENTS {
+            fs.mkdir(&format!("/t{t}")).unwrap();
+        }
+        let expected: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|t| {
+                    let (dev, fs) = (&dev, Arc::clone(&fs));
+                    s.spawn(move || {
+                        let queue = dev.open_queue(16);
+                        let _ambient = queue.make_ambient();
+                        drive(fs.as_ref(), t, OPS_EACH)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        fs.sync().unwrap();
+        verify(fs.as_ref(), &expected);
+        done.send(()).unwrap();
+        (fs.fsck().len(), dev.traffic().client_clock_skips)
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+        panic!("two clients did not finish within 60 s");
+    }
+    let (violations, skips) = run.join().expect("the clients' run panicked");
+    assert_eq!(violations, 0, "fsck-clean");
+    let ops = (CLIENTS * OPS_EACH) as u64;
+    assert!(skips * 1_000 < ops, "{skips} skipped clients in {ops} operations");
+}
+
 // NOTE: the concurrent crash-recovery case that used to live here moved to
 // `crates/crashkit/tests/ported_crash_suites.rs`, on top of crashkit's
 // power-cycle machinery (plus a post-recovery fsck).
@@ -245,6 +307,7 @@ fn concurrent_run_agrees_with_single_threaded_replay() {
 /// and a reader must only ever observe a prefix-consistent tagged payload.
 #[test]
 fn shared_file_readers_and_writers_stay_consistent() {
+    let _serial = serial();
     let (_dev, fs) = new_fs();
     fs.mkdir("/shared").unwrap();
     const FILES: usize = 4;

@@ -59,7 +59,10 @@
 //! transactions (`txid` + `COMMIT`).
 //!
 //! Every operation advances the shared virtual [`Clock`] by the modelled
-//! latency and records traffic in the device's [`AtomicTraffic`]. Two parts of
+//! latency — the calling client's own time on a thread that made a queue
+//! ambient — and records traffic in the device's [`AtomicTraffic`]. A
+//! command that books the link or the NAND array first takes the client's
+//! turn, so bookings are made in virtual-time order. Two parts of
 //! the device work beside the host on that clock (`DESIGN-time.md`): the NAND
 //! array programs the FTL write buffer in the background, and a command waits
 //! for it only through a full buffer or a FLUSH; and a block write can be in
@@ -386,6 +389,16 @@ impl Mssd {
         }
     }
 
+    /// Takes the calling client's turn on the link and NAND timelines
+    /// ([`Clock::take_turn`]), before a command books either and before it
+    /// takes any device lock.
+    fn take_turn(&self) {
+        let skips = self.clock.take_turn();
+        if skips > 0 {
+            self.stats.add_client_clock_skips(skips);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Byte interface (PCIe/CXL MMIO)
     // ------------------------------------------------------------------
@@ -659,6 +672,7 @@ impl Mssd {
         if count == 0 {
             return (Ok(out), 0);
         }
+        self.take_turn();
         self.stats.record_host(Direction::Read, cat, Interface::Block, (count * page_size) as u64);
         let start = self.clock.now_ns();
         let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(count * page_size, true);
@@ -837,6 +851,7 @@ impl Mssd {
         if self.flash.is_read_only() {
             return (Err(FlashError::ReadOnly), InFlight::default());
         }
+        self.take_turn();
         self.stats.record_host(Direction::Write, cat, Interface::Block, bytes as u64);
         let arrives = self.clock.now_ns() + self.cfg.nvme_overhead_ns;
         let transfer = self.cfg.transfer_ns(bytes, false);
@@ -947,6 +962,7 @@ impl Mssd {
         if self.cfg.fault.is_cut() {
             return (Ok(()), 0); // power off: the FLUSH command never executes
         }
+        self.take_turn();
         let start = self.clock.now_ns();
         let mut cost = 0;
         let mut status = Ok(());
@@ -1017,6 +1033,7 @@ impl Mssd {
     /// from that point, not at the submitter's clock.
     pub(crate) fn exec_commit(&self, txid: TxId, after: InFlight) -> InFlight {
         assert_eq!(self.mode, DramMode::WriteLog, "COMMIT requires the write-log firmware");
+        self.take_turn();
         // One counted fault step: a cut exactly here loses the commit record
         // — the transaction's log entries survive in battery-backed DRAM but
         // recovery discards them (the §4.7 contract).

@@ -54,6 +54,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
+use crate::clock::ClientClock;
 use crate::device::{flatten_pages, InFlight, Mssd};
 use crate::fault::{HangFault, HangFaultPlan};
 use crate::flash::FlashError;
@@ -272,11 +273,12 @@ pub fn ambient_queue() -> u16 {
     AMBIENT_QUEUE.with(|c| c.get())
 }
 
-/// Restores the previous ambient queue slot on drop (see
-/// [`HostQueue::make_ambient`]).
+/// Ends the queue's client clock and restores the previous ambient queue slot
+/// on drop (see [`HostQueue::make_ambient`]).
 #[derive(Debug)]
 pub struct AmbientQueueGuard {
     prev: u16,
+    _client: ClientClock,
 }
 
 impl Drop for AmbientQueueGuard {
@@ -820,13 +822,16 @@ impl HostQueue {
 
     /// Makes this queue the calling thread's *ambient* queue: until the
     /// guard drops, synchronous device calls (the depth-1 shim) on this
-    /// thread are attributed to this queue's accounting slot. This is how
-    /// `workloads::run_concurrent` attributes each shard's file-system
-    /// traffic to the shard's queue without threading a handle through
-    /// every layer.
+    /// thread are attributed to this queue's accounting slot, and the thread
+    /// is a client with its own causal time: a client clock
+    /// ([`crate::Clock::start_client`]) starts at the frontier, carries
+    /// every charge the thread makes, and leaves its time in the plain sum
+    /// when the guard drops. This is how `workloads::run_concurrent` gives
+    /// each shard its own queue and its own clock without threading a
+    /// handle through every layer.
     pub fn make_ambient(&self) -> AmbientQueueGuard {
         let prev = AMBIENT_QUEUE.with(|c| c.replace(self.id));
-        AmbientQueueGuard { prev }
+        AmbientQueueGuard { prev, _client: self.dev.clock().start_client() }
     }
 }
 

@@ -356,6 +356,11 @@ scalar_counters! {
     /// RAS: reactor lanes currently quarantined after a wedge (quarantine is
     /// permanent for the reactor's lifetime).
     gauge quarantined_lanes,
+    /// Client clocks a turn skipped because their virtual time stood still
+    /// for `clock::STALLED_CLIENT_WALL` of wall time (see
+    /// `Clock::take_turn`): clients blocked outside the model, or
+    /// descheduled.
+    tally client_clock_skips,
 }
 
 impl TrafficCounter {
@@ -639,6 +644,11 @@ impl AtomicTraffic {
     /// Accumulates the time the host waited for a submitted block write.
     pub fn add_inflight_wait_ns(&self, ns: u64) {
         self.inflight_wait_ns.add(ns);
+    }
+
+    /// Counts stalled client clocks a turn skipped.
+    pub fn add_client_clock_skips(&self, skips: u64) {
+        self.client_clock_skips.add(skips);
     }
 
     /// Counts one ECC-corrected flash read.

@@ -288,9 +288,10 @@ pub fn flush_barrier(
 /// Each shard drives **one device queue**: the thread opens a
 /// submission/completion queue pair on the shared device, makes it the
 /// thread's ambient queue (so the shard's file-system device calls are
-/// attributed to that queue's accounting slot), and closes the measured
-/// phase by issuing the shard's FLUSH barrier through it as a batched
-/// doorbell.
+/// attributed to that queue's accounting slot and charged to the shard's own
+/// client clock), and closes the measured phase by issuing the shard's FLUSH
+/// barrier through it as a batched doorbell, still on that clock. The run's
+/// `elapsed_ns` is the frontier: the end of the latest shard.
 ///
 /// Device traffic is snapshotted exactly **once** around the measured phase
 /// and attached to the aggregate result; merging per-thread snapshots would
@@ -334,15 +335,18 @@ pub fn run_concurrent(
                     // Attribute this shard's trace events to tenant `t` for
                     // the thread's lifetime (no-op while tracing is off).
                     let _tenant = mssd::CtxScope::enter(mssd::trace::ctx().with_tenant(t as u16));
-                    // One queue per shard; ambient while the shard runs.
+                    // One queue per shard, ambient — and with it the shard's
+                    // client clock — until its FLUSH barrier completed: a
+                    // barrier issued off the clock would add every shard's
+                    // flush to the plain sum.
                     let mut queue = device.open_queue(16);
                     let ambient = queue.make_ambient();
                     workload.run_shard(fs.as_ref(), t, threads, &mut rng, &mut rec)?;
-                    drop(ambient);
                     // One retry schedule for the whole run, seeded by the
                     // run seed.
                     let policy = RetryPolicy::default().with_seed(seed);
                     flush_barrier(&mut queue, &mut rec, &device.clock(), &policy);
+                    drop(ambient);
                     Ok(rec)
                 })
             })
@@ -588,6 +592,63 @@ mod tests {
         assert_eq!(c.aggregate.ops, 1, "unpartitioned workloads fall back to shard 0");
         assert_eq!(c.per_thread[0].ops, 1);
         assert!(c.per_thread[1..].iter().all(|t| t.ops == 0));
+    }
+
+    #[test]
+    fn each_shard_flushes_on_its_own_client_clock() {
+        // Two shards append fsynced files until the NAND array is the
+        // bottleneck, so each FLUSH barrier waits for a backlog. On the
+        // shards' client clocks the run ends when the later shard's barrier
+        // does; a barrier issued off the clock would be added to the plain
+        // sum after the other shard's.
+        struct Appender {
+            ends: std::sync::Mutex<Vec<u64>>,
+        }
+        impl crate::Workload for Appender {
+            fn name(&self) -> String {
+                "appender".into()
+            }
+            fn setup(&self, _fs: &dyn FileSystem, _rng: &mut SmallRng) -> FsResult<()> {
+                Ok(())
+            }
+            fn run(
+                &self,
+                fs: &dyn FileSystem,
+                rng: &mut SmallRng,
+                rec: &mut Recorder,
+            ) -> FsResult<()> {
+                self.run_shard(fs, 0, 1, rng, rec)
+            }
+            fn run_shard(
+                &self,
+                fs: &dyn FileSystem,
+                shard: usize,
+                _shards: usize,
+                _rng: &mut SmallRng,
+                rec: &mut Recorder,
+            ) -> FsResult<()> {
+                use fskit::FileSystemExt;
+                let clock = fs.clock();
+                for i in 0..40 {
+                    let sw = rec.start(&clock);
+                    fs.write_file(&format!("/s{shard}-{i}"), &[shard as u8 + 1; 16 << 10])?;
+                    rec.finish(&clock, sw, crate::OpClass::Write, 16 << 10);
+                }
+                self.ends.lock().unwrap().push(clock.now_ns());
+                Ok(())
+            }
+        }
+        let w = Appender { ends: std::sync::Mutex::new(Vec::new()) };
+        let (dev, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
+        let c = run_concurrent(&dev, &fs, &w, 2, 3).unwrap();
+        let later_end = *w.ends.lock().unwrap().iter().max().unwrap();
+        let flush = c.per_thread.iter().map(|t| t.queue.max_ns).max().unwrap();
+        assert!(flush > dev.config().nvme_overhead_ns, "the barrier waits for the array");
+        assert!(
+            dev.clock().now_ns() <= later_end + flush,
+            "run ends at {} ns, after the later shard's end {later_end} ns + one flush {flush} ns",
+            dev.clock().now_ns()
+        );
     }
 
     #[test]

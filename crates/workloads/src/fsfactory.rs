@@ -37,12 +37,6 @@ impl FsKind {
     pub const ABLATION: [FsKind; 4] =
         [FsKind::Ext4, FsKind::ByteFsDual, FsKind::ByteFsLog, FsKind::ByteFs];
 
-    /// The lineup of the multi-threaded `fs_scale` bench: the sharded ByteFS
-    /// against one journaling and one log-structured baseline (both of which
-    /// serialize every operation behind a single engine lock — the contrast
-    /// case for host-side lock scaling).
-    pub const SCALING: [FsKind; 3] = [FsKind::Ext4, FsKind::Nova, FsKind::ByteFs];
-
     /// Short label used in reports (matches the paper's single letters where
     /// applicable).
     pub fn label(self) -> &'static str {
