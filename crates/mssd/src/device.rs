@@ -1803,10 +1803,10 @@ mod tests {
     }
 
     #[test]
-    fn background_cleaner_drains_without_foreground_help() {
+    fn threshold_passes_drain_without_foreground_stalls() {
         // A log big enough that no append ever fails admission, with writes
-        // that cross the threshold: only threshold passes — the model of the
-        // paper's background cleaner — can have drained it.
+        // that cross the threshold: only threshold passes — the byte writes
+        // that cross it clean inline — can have drained it.
         let mut cfg = MssdConfig::small_test();
         cfg.dram_region_bytes = 64 << 10;
         cfg.log_clean_threshold = 0.3;

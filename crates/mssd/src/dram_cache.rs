@@ -5,7 +5,7 @@
 //! data caching (256 MB) in SSD DRAM" (§5.1). This module is that conventional
 //! write-back, LRU, page-granular cache. ByteFS does not use it — it
 //! repurposes the same DRAM budget as the log-structured write log
-//! ([`crate::log::WriteLog`]).
+//! ([`crate::log::ShardedWriteLog`]).
 //!
 //! Two layers live here:
 //!

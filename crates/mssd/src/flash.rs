@@ -1,15 +1,16 @@
 //! NAND flash array model.
 //!
-//! The flash array stores page-granular data addressed by *physical page
-//! address* (PPA). It enforces the two invariants that make flash management
+//! The array stores page-granular data addressed by *physical page address*
+//! (PPA). It enforces the two invariants that make flash management
 //! interesting for the rest of the stack:
 //!
 //! * pages within an erase block must be programmed sequentially, and
 //! * a page cannot be re-programmed until its block has been erased.
 //!
 //! Geometry follows the configuration: pages are grouped into erase blocks and
-//! blocks are striped round-robin across channels, so `ppa % channels` is the
-//! channel a page lives on (used for the channel-parallel latency model).
+//! blocks are striped round-robin across channels, so `block % channels` is
+//! the channel a page lives on. Each channel's slice is one [`ChannelFlash`],
+//! behind its own lock in [`crate::ftl::ShardedFtl`].
 
 use std::collections::HashMap;
 
@@ -103,7 +104,7 @@ impl std::error::Error for FlashError {}
 
 /// Per-block bookkeeping.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockState {
+struct BlockState {
     /// Next page offset (within the block) that may be programmed.
     write_ptr: usize,
     /// Number of times the block has been erased (wear).
@@ -116,154 +117,13 @@ impl BlockState {
     }
 }
 
-/// The NAND flash array: raw page storage plus per-block program/erase state.
-#[derive(Debug)]
-pub struct FlashArray {
-    page_size: usize,
-    pages_per_block: usize,
-    channels: usize,
-    total_pages: u64,
-    /// Programmed page contents. Sparse: unprogrammed pages read as all-zero
-    /// (freshly erased flash reads as all-ones in reality; zero is simpler and
-    /// equivalent for the simulation).
-    pages: HashMap<Ppa, Box<[u8]>>,
-    blocks: Vec<BlockState>,
-}
-
-impl FlashArray {
-    /// Builds an array with the geometry described by `cfg`.
-    pub fn new(cfg: &MssdConfig) -> Self {
-        let total_pages = cfg.physical_pages();
-        let total_blocks = cfg.physical_blocks() as usize;
-        Self {
-            page_size: cfg.page_size,
-            pages_per_block: cfg.pages_per_block,
-            channels: cfg.channels,
-            total_pages,
-            pages: HashMap::new(),
-            blocks: vec![BlockState::new(); total_blocks],
-        }
-    }
-
-    /// Flash page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Number of pages per erase block.
-    pub fn pages_per_block(&self) -> usize {
-        self.pages_per_block
-    }
-
-    /// Total number of physical pages.
-    pub fn total_pages(&self) -> u64 {
-        self.total_pages
-    }
-
-    /// Total number of erase blocks.
-    pub fn total_blocks(&self) -> u64 {
-        self.blocks.len() as u64
-    }
-
-    /// The erase block a physical page belongs to.
-    pub fn block_of(&self, ppa: Ppa) -> BlockId {
-        ppa / self.pages_per_block as u64
-    }
-
-    /// The channel a physical page maps to (blocks are striped over channels).
-    pub fn channel_of(&self, ppa: Ppa) -> usize {
-        (self.block_of(ppa) % self.channels as u64) as usize
-    }
-
-    /// First physical page of a block.
-    pub fn first_page_of(&self, block: BlockId) -> Ppa {
-        block * self.pages_per_block as u64
-    }
-
-    /// Reads a page. Unprogrammed pages read as zeros.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::OutOfRange`] if `ppa` is beyond the geometry.
-    pub fn read_page(&self, ppa: Ppa) -> Result<Vec<u8>, FlashError> {
-        if ppa >= self.total_pages {
-            return Err(FlashError::OutOfRange(ppa));
-        }
-        Ok(self.pages.get(&ppa).map(|b| b.to_vec()).unwrap_or_else(|| vec![0u8; self.page_size]))
-    }
-
-    /// Programs a page.
-    ///
-    /// `data` shorter than a page is zero-padded; longer data is truncated.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the page is out of range, already programmed, or programmed
-    /// out of order within its block.
-    pub fn program_page(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
-        if ppa >= self.total_pages {
-            return Err(FlashError::OutOfRange(ppa));
-        }
-        let block = self.block_of(ppa) as usize;
-        let offset = (ppa % self.pages_per_block as u64) as usize;
-        let write_ptr = self.blocks[block].write_ptr;
-        if offset < write_ptr {
-            return Err(FlashError::AlreadyProgrammed(ppa));
-        }
-        if offset > write_ptr {
-            let expected = self.first_page_of(block as BlockId) + write_ptr as u64;
-            return Err(FlashError::OutOfOrderProgram { ppa, expected });
-        }
-        let mut page = vec![0u8; self.page_size];
-        let n = data.len().min(self.page_size);
-        page[..n].copy_from_slice(&data[..n]);
-        self.pages.insert(ppa, page.into_boxed_slice());
-        self.blocks[block].write_ptr += 1;
-        Ok(())
-    }
-
-    /// Erases a block, discarding all of its pages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::OutOfRange`] if the block index is invalid.
-    pub fn erase_block(&mut self, block: BlockId) -> Result<(), FlashError> {
-        if block >= self.total_blocks() {
-            return Err(FlashError::OutOfRange(block * self.pages_per_block as u64));
-        }
-        let first = self.first_page_of(block);
-        for off in 0..self.pages_per_block as u64 {
-            self.pages.remove(&(first + off));
-        }
-        let state = &mut self.blocks[block as usize];
-        state.write_ptr = 0;
-        state.erase_count += 1;
-        Ok(())
-    }
-
-    /// Number of pages programmed in a block since its last erase.
-    pub fn block_fill(&self, block: BlockId) -> usize {
-        self.blocks[block as usize].write_ptr
-    }
-
-    /// Erase count (wear) of a block.
-    pub fn erase_count(&self, block: BlockId) -> u64 {
-        self.blocks[block as usize].erase_count
-    }
-
-    /// Maximum erase count across all blocks (simple wear indicator).
-    pub fn max_wear(&self) -> u64 {
-        self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0)
-    }
-}
-
 /// The slice of the NAND array owned by **one** flash channel.
 ///
 /// Blocks are striped round-robin over channels (`block % channels` is the
 /// owning channel), so a `ChannelFlash` holds every block of one residue
-/// class. It enforces the same NAND invariants as [`FlashArray`] — sequential
-/// programs within a block, no re-program before erase — but is sized to sit
-/// behind a *per-channel* lock: programs/reads/erases on different channels
+/// class. It enforces the NAND invariants — sequential programs within a
+/// block, no re-program before erase — and is sized to sit behind a
+/// *per-channel* lock: programs/reads/erases on different channels
 /// never touch shared state, which is what lets [`crate::ftl::ShardedFtl`]
 /// execute them concurrently in real time instead of only modelling the
 /// parallelism in the latency formula.
@@ -374,8 +234,8 @@ impl ChannelFlash {
         Ok(self.pages.get(&ppa).map(|b| b.to_vec()).unwrap_or_else(|| vec![0u8; self.page_size]))
     }
 
-    /// Programs a page of this channel (same rules as
-    /// [`FlashArray::program_page`]).
+    /// Programs a page of this channel. `data` shorter than a page is
+    /// zero-padded; longer data is truncated.
     ///
     /// # Errors
     ///
@@ -456,31 +316,38 @@ impl ChannelFlash {
 mod tests {
     use super::*;
 
-    fn array() -> FlashArray {
-        FlashArray::new(&MssdConfig::small_test())
+    /// Channel 0's slice: it owns block 0, so pages `0..pages_per_block`.
+    fn array() -> ChannelFlash {
+        ChannelFlash::new(&MssdConfig::small_test(), 0)
+    }
+
+    fn zero_page() -> Vec<u8> {
+        vec![0u8; MssdConfig::small_test().page_size]
     }
 
     #[test]
     fn geometry_is_consistent() {
         let cfg = MssdConfig::small_test();
-        let a = FlashArray::new(&cfg);
-        assert_eq!(a.total_pages(), cfg.physical_pages());
-        assert_eq!(a.total_blocks(), cfg.physical_blocks());
-        assert_eq!(a.total_pages() % a.pages_per_block() as u64, 0);
+        let a = array();
+        assert_eq!(a.block_count() as u64 * cfg.channels as u64, cfg.physical_blocks());
+        assert_eq!(a.block_ids().count(), a.block_count());
+        assert_eq!(cfg.physical_blocks() * a.pages_per_block() as u64, cfg.physical_pages());
     }
 
     #[test]
     fn unprogrammed_reads_zero() {
         let a = array();
-        assert_eq!(a.read_page(0).unwrap(), vec![0u8; a.page_size()]);
+        assert_eq!(a.read_page(0).unwrap(), zero_page());
+        assert!(!a.is_programmed(0));
     }
 
     #[test]
     fn program_and_read_back() {
         let mut a = array();
-        let mut data = vec![0u8; a.page_size()];
+        let mut data = zero_page();
         data[..4].copy_from_slice(b"abcd");
         a.program_page(0, &data).unwrap();
+        assert!(a.is_programmed(0));
         assert_eq!(a.read_page(0).unwrap(), data);
     }
 
@@ -491,7 +358,7 @@ mod tests {
         let page = a.read_page(0).unwrap();
         assert_eq!(&page[..2], b"hi");
         assert!(page[2..].iter().all(|b| *b == 0));
-        assert_eq!(page.len(), a.page_size());
+        assert_eq!(page.len(), zero_page().len());
     }
 
     #[test]
@@ -525,28 +392,31 @@ mod tests {
         a.erase_block(0).unwrap();
         assert_eq!(a.block_fill(0), 0);
         assert_eq!(a.erase_count(0), 1);
-        assert_eq!(a.read_page(0).unwrap(), vec![0u8; a.page_size()]);
+        assert_eq!(a.read_page(0).unwrap(), zero_page());
         // Can program again after erase.
         a.program_page(0, b"z").unwrap();
     }
 
     #[test]
     fn out_of_range_is_rejected() {
+        let cfg = MssdConfig::small_test();
         let mut a = array();
-        let bad = a.total_pages();
+        // physical_blocks() is a multiple of the channel count, so the first
+        // block past the end would belong to channel 0.
+        let bad = cfg.physical_pages();
         assert!(matches!(a.read_page(bad), Err(FlashError::OutOfRange(_))));
         assert!(matches!(a.program_page(bad, b"x"), Err(FlashError::OutOfRange(_))));
-        assert!(matches!(a.erase_block(a.total_blocks()), Err(FlashError::OutOfRange(_))));
+        assert!(matches!(a.erase_block(cfg.physical_blocks()), Err(FlashError::OutOfRange(_))));
     }
 
     #[test]
     fn channels_stripe_blocks() {
         let cfg = MssdConfig::small_test();
-        let a = FlashArray::new(&cfg);
-        let ppb = a.pages_per_block() as u64;
-        assert_eq!(a.channel_of(0), 0);
-        assert_eq!(a.channel_of(ppb), 1 % cfg.channels);
-        assert_eq!(a.channel_of(ppb * cfg.channels as u64), 0);
+        let ch = cfg.channels as u64;
+        for c in 0..cfg.channels {
+            let ids: Vec<BlockId> = ChannelFlash::new(&cfg, c).block_ids().take(2).collect();
+            assert_eq!(ids, vec![c as u64, c as u64 + ch], "channel {c}");
+        }
     }
 
     #[test]
@@ -566,29 +436,24 @@ mod tests {
 
     #[test]
     fn channel_flash_enforces_nand_rules() {
+        // The rules hold on every channel, and a slice rejects the pages and
+        // blocks of the others.
         let cfg = MssdConfig::small_test();
         let mut s = ChannelFlash::new(&cfg, 1);
         let block = s.block_ids().next().unwrap();
         let first = s.first_page_of(block);
-        assert_eq!(s.read_page(first).unwrap(), vec![0u8; cfg.page_size]);
         s.program_page(first, b"hi").unwrap();
         assert_eq!(&s.read_page(first).unwrap()[..2], b"hi");
-        // Re-program and out-of-order program fail.
         assert!(matches!(s.program_page(first, b"x"), Err(FlashError::AlreadyProgrammed(_))));
         assert!(matches!(
             s.program_page(first + 2, b"x"),
             Err(FlashError::OutOfOrderProgram { .. })
         ));
-        // Foreign pages and blocks are rejected.
-        let foreign = ChannelFlash::new(&cfg, 0).block_ids().next().unwrap();
-        assert!(matches!(s.program_page(foreign * 16, b"x"), Err(FlashError::OutOfRange(_))));
+        let foreign = array().block_ids().next().unwrap();
+        let foreign_page = array().first_page_of(foreign);
+        assert!(matches!(s.read_page(foreign_page), Err(FlashError::OutOfRange(_))));
+        assert!(matches!(s.program_page(foreign_page, b"x"), Err(FlashError::OutOfRange(_))));
         assert!(matches!(s.erase_block(foreign), Err(FlashError::OutOfRange(_))));
-        // Erase resets.
-        s.erase_block(block).unwrap();
-        assert_eq!(s.block_fill(block), 0);
-        assert_eq!(s.erase_count(block), 1);
-        assert_eq!(s.max_wear(), 1);
-        s.program_page(first, b"z").unwrap();
     }
 
     #[test]
@@ -619,10 +484,11 @@ mod tests {
     #[test]
     fn wear_tracking() {
         let mut a = array();
+        let block = a.block_ids().nth(1).unwrap();
         assert_eq!(a.max_wear(), 0);
-        a.erase_block(3).unwrap();
-        a.erase_block(3).unwrap();
-        assert_eq!(a.erase_count(3), 2);
+        a.erase_block(block).unwrap();
+        a.erase_block(block).unwrap();
+        assert_eq!(a.erase_count(block), 2);
         assert_eq!(a.max_wear(), 2);
     }
 }

@@ -17,16 +17,11 @@
 //! caller in nanoseconds; all flash page movements are recorded lock-free in
 //! the device's [`AtomicTraffic`] counters.
 //!
-//! Two implementations live here:
-//!
-//! * [`Ftl`] — the original single-threaded FTL over one [`FlashArray`]. Kept
-//!   as the sequential reference model; the `channel_parallel_equiv` property
-//!   tests pin the concurrent implementation to it.
-//! * [`ShardedFtl`] — the concurrent FTL used by the device: a lock-striped
-//!   L2P mapping table plus one independently locked [`ChannelFlash`] unit per
-//!   flash channel (active block, free list, page store and write-buffer
-//!   slice), so programs and reads on distinct channels proceed concurrently
-//!   in real time, not just in the virtual-latency formula.
+//! [`ShardedFtl`] is a lock-striped L2P mapping table plus one independently
+//! locked [`ChannelFlash`] unit per flash channel (active block, free list,
+//! page store and write-buffer slice), so programs and reads on distinct
+//! channels proceed concurrently in real time, not just in the
+//! virtual-latency formula.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +31,7 @@ use parking_lot::Mutex;
 use crate::config::MssdConfig;
 use crate::ecc::{self, EccOutcome};
 use crate::fault::FaultKind;
-use crate::flash::{BlockId, ChannelFlash, FlashArray, FlashError, Ppa};
+use crate::flash::{BlockId, ChannelFlash, FlashError, Ppa};
 use crate::stats::AtomicTraffic;
 
 /// Logical page address (host-visible page number).
@@ -44,306 +39,6 @@ pub type Lpa = u64;
 
 /// One logical page's contents keyed by its LPA (crash-image currency).
 pub type LogicalPage = (Lpa, Vec<u8>);
-
-/// The flash translation layer plus the flash array it manages.
-#[derive(Debug)]
-pub struct Ftl {
-    cfg: MssdConfig,
-    flash: FlashArray,
-    l2p: HashMap<Lpa, Ppa>,
-    p2l: HashMap<Ppa, Lpa>,
-    valid_count: Vec<usize>,
-    /// Free (erased, unallocated) blocks per channel.
-    free_blocks: Vec<VecDeque<BlockId>>,
-    /// Active (currently being filled) block per channel and its next offset.
-    active: Vec<Option<(BlockId, usize)>>,
-    active_set: HashSet<BlockId>,
-    next_channel: usize,
-    /// Buffered (lpa, page data) waiting to be programmed.
-    write_buffer: Vec<(Lpa, Vec<u8>)>,
-    write_buffer_capacity: usize,
-}
-
-impl Ftl {
-    /// Creates an FTL over a fresh flash array with the given configuration.
-    pub fn new(cfg: MssdConfig) -> Self {
-        let flash = FlashArray::new(&cfg);
-        let channels = cfg.channels;
-        let mut free_blocks: Vec<VecDeque<BlockId>> = vec![VecDeque::new(); channels];
-        for block in 0..flash.total_blocks() {
-            free_blocks[(block % channels as u64) as usize].push_back(block);
-        }
-        let total_blocks = flash.total_blocks() as usize;
-        let write_buffer_capacity = (cfg.write_buffer_bytes / cfg.page_size).max(1);
-        Self {
-            cfg,
-            flash,
-            l2p: HashMap::new(),
-            p2l: HashMap::new(),
-            valid_count: vec![0; total_blocks],
-            free_blocks,
-            active: vec![None; channels],
-            active_set: HashSet::new(),
-            next_channel: 0,
-            write_buffer: Vec::new(),
-            write_buffer_capacity,
-        }
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.cfg.page_size
-    }
-
-    /// Number of logical pages exposed to the host.
-    pub fn logical_pages(&self) -> u64 {
-        self.cfg.logical_pages()
-    }
-
-    /// Number of logical pages currently mapped to flash.
-    pub fn mapped_pages(&self) -> usize {
-        self.l2p.len()
-    }
-
-    /// Number of page writes currently sitting in the write buffer.
-    pub fn buffered_pages(&self) -> usize {
-        self.write_buffer.len()
-    }
-
-    /// Whether a logical page has ever been written (mapped or buffered).
-    pub fn is_mapped(&self, lpa: Lpa) -> bool {
-        self.l2p.contains_key(&lpa) || self.write_buffer.iter().any(|(l, _)| *l == lpa)
-    }
-
-    /// Reads a logical page.
-    ///
-    /// Returns the page contents (zeros if never written) and the latency in
-    /// nanoseconds. Pages still sitting in the write buffer are served from
-    /// the buffer without a flash access. `internal` marks reads issued by
-    /// firmware-internal work (log cleaning read-modify-write) so they are
-    /// accounted separately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlashError`] from the flash array. The sequential
-    /// reference model does not inject media faults (that machinery lives in
-    /// [`ShardedFtl`]), so errors only indicate structural violations.
-    pub fn read_page(
-        &self,
-        lpa: Lpa,
-        stats: &AtomicTraffic,
-        internal: bool,
-    ) -> Result<(Vec<u8>, u64), FlashError> {
-        // Newest buffered copy wins.
-        if let Some((_, data)) = self.write_buffer.iter().rev().find(|(l, _)| *l == lpa) {
-            return Ok((data.clone(), 0));
-        }
-        match self.l2p.get(&lpa) {
-            Some(&ppa) => {
-                if internal {
-                    stats.inc_flash_read(true);
-                } else {
-                    stats.inc_flash_read(false);
-                }
-                let data = self.flash.read_page(ppa)?;
-                Ok((data, self.cfg.flash_read_ns))
-            }
-            None => Ok((vec![0u8; self.cfg.page_size], 0)),
-        }
-    }
-
-    /// Queues a full-page write into the FTL write buffer.
-    ///
-    /// Returns the latency charged now (only a buffer drain if the buffer was
-    /// full). The page becomes durable only after [`Ftl::flush_buffer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlashError`] from a buffer drain forced by a full buffer.
-    pub fn buffer_write(
-        &mut self,
-        lpa: Lpa,
-        data: Vec<u8>,
-        stats: &AtomicTraffic,
-    ) -> Result<u64, FlashError> {
-        debug_assert!(lpa < self.logical_pages(), "lpa {lpa} out of range");
-        let mut cost = 0;
-        if self.write_buffer.len() >= self.write_buffer_capacity {
-            cost += self.flush_buffer(stats)?;
-        }
-        // Coalesce a pending write to the same page.
-        if let Some(slot) = self.write_buffer.iter_mut().find(|(l, _)| *l == lpa) {
-            slot.1 = data;
-        } else {
-            self.write_buffer.push((lpa, data));
-        }
-        Ok(cost)
-    }
-
-    /// Programs all buffered pages to flash, running garbage collection as
-    /// needed. Returns the latency in nanoseconds (channel-parallel).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlashError`] from the flash array (structurally
-    /// impossible under the allocator's invariants, but no longer unwrapped).
-    pub fn flush_buffer(&mut self, stats: &AtomicTraffic) -> Result<u64, FlashError> {
-        if self.write_buffer.is_empty() {
-            return Ok(0);
-        }
-        let pending = std::mem::take(&mut self.write_buffer);
-        let n = pending.len();
-        let mut cost = 0;
-        for (lpa, data) in pending {
-            cost += self.ensure_free_space(stats)?;
-            let ppa = self.allocate_ppa(stats)?;
-            self.flash.program_page(ppa, &data)?;
-            stats.inc_flash_write(false);
-            self.map(lpa, ppa);
-        }
-        // Program latency: pages on distinct channels proceed in parallel.
-        let rounds = n.div_ceil(self.cfg.channels) as u64;
-        Ok(cost + rounds * self.cfg.flash_write_ns)
-    }
-
-    /// Marks a logical page as no longer containing live data (e.g. the file
-    /// system freed the block). The physical page becomes garbage.
-    pub fn trim(&mut self, lpa: Lpa) {
-        self.write_buffer.retain(|(l, _)| *l != lpa);
-        if let Some(ppa) = self.l2p.remove(&lpa) {
-            self.p2l.remove(&ppa);
-            let block = self.flash.block_of(ppa) as usize;
-            self.valid_count[block] = self.valid_count[block].saturating_sub(1);
-        }
-    }
-
-    /// Fraction of physical pages holding live data.
-    pub fn utilization(&self) -> f64 {
-        self.l2p.len() as f64 / self.flash.total_pages() as f64
-    }
-
-    /// Maximum block erase count (wear indicator), exposed for tests and
-    /// reports.
-    pub fn max_wear(&self) -> u64 {
-        self.flash.max_wear()
-    }
-
-    fn map(&mut self, lpa: Lpa, ppa: Ppa) {
-        if let Some(old) = self.l2p.insert(lpa, ppa) {
-            self.p2l.remove(&old);
-            let block = self.flash.block_of(old) as usize;
-            self.valid_count[block] = self.valid_count[block].saturating_sub(1);
-        }
-        self.p2l.insert(ppa, lpa);
-        let block = self.flash.block_of(ppa) as usize;
-        self.valid_count[block] += 1;
-    }
-
-    fn total_free_blocks(&self) -> usize {
-        self.free_blocks.iter().map(|q| q.len()).sum()
-    }
-
-    /// Allocates the next physical page, filling per-channel active blocks
-    /// round-robin.
-    fn allocate_ppa(&mut self, stats: &AtomicTraffic) -> Result<Ppa, FlashError> {
-        let channels = self.cfg.channels;
-        for _ in 0..channels {
-            let ch = self.next_channel;
-            self.next_channel = (self.next_channel + 1) % channels;
-            // Refill the active block for this channel if needed.
-            if self.active[ch].is_none() {
-                if let Some(block) = self.free_blocks[ch].pop_front() {
-                    self.active[ch] = Some((block, 0));
-                    self.active_set.insert(block);
-                }
-            }
-            if let Some((block, off)) = self.active[ch] {
-                let ppa = self.flash.first_page_of(block) + off as u64;
-                let next = off + 1;
-                if next >= self.flash.pages_per_block() {
-                    self.active[ch] = None;
-                    self.active_set.remove(&block);
-                } else {
-                    self.active[ch] = Some((block, next));
-                }
-                return Ok(ppa);
-            }
-        }
-        // All channels exhausted: force GC and retry (GC is guaranteed to free
-        // a block because logical capacity < physical capacity).
-        let freed = self.collect_garbage(stats)?;
-        debug_assert!(freed > 0, "garbage collection made no progress");
-        self.allocate_ppa(stats)
-    }
-
-    /// Runs garbage collection if the free-block pool is low. Returns the
-    /// latency spent.
-    fn ensure_free_space(&mut self, stats: &AtomicTraffic) -> Result<u64, FlashError> {
-        let low_water = self.cfg.channels + 1;
-        let mut cost = 0;
-        let mut guard = 0;
-        while self.total_free_blocks() < low_water {
-            let c = self.collect_garbage_cost(stats)?;
-            if c == 0 {
-                break;
-            }
-            cost += c;
-            guard += 1;
-            if guard > self.flash.total_blocks() {
-                break;
-            }
-        }
-        Ok(cost)
-    }
-
-    /// Greedy GC: relocate valid pages out of the block with the fewest valid
-    /// pages, then erase it. Returns number of blocks freed.
-    fn collect_garbage(&mut self, stats: &AtomicTraffic) -> Result<usize, FlashError> {
-        Ok(if self.collect_garbage_cost(stats)? > 0 { 1 } else { 0 })
-    }
-
-    fn collect_garbage_cost(&mut self, stats: &AtomicTraffic) -> Result<u64, FlashError> {
-        // Victim: fully-written, non-active block with minimum valid pages.
-        let ppb = self.flash.pages_per_block();
-        let victim = (0..self.flash.total_blocks())
-            .filter(|b| !self.active_set.contains(b))
-            .filter(|b| self.flash.block_fill(*b) == ppb)
-            .min_by_key(|b| self.valid_count[*b as usize]);
-        let Some(victim) = victim else { return Ok(0) };
-        stats.trace().emit(
-            crate::trace::TraceKind::GcVictim,
-            victim,
-            self.valid_count[victim as usize] as u64,
-        );
-
-        let mut cost = 0;
-        let first = self.flash.first_page_of(victim);
-        // Relocate valid pages.
-        let live: Vec<(Ppa, Lpa)> = (0..ppb as u64)
-            .filter_map(|off| {
-                let ppa = first + off;
-                self.p2l.get(&ppa).map(|lpa| (ppa, *lpa))
-            })
-            .collect();
-        for (ppa, lpa) in live {
-            let data = self.flash.read_page(ppa)?;
-            stats.inc_flash_read(true);
-            cost += self.cfg.flash_read_ns;
-            let dst = self.allocate_ppa(stats)?;
-            debug_assert_ne!(self.flash.block_of(dst), victim, "GC wrote into its own victim");
-            self.flash.program_page(dst, &data)?;
-            stats.inc_flash_write(true);
-            cost += self.cfg.flash_write_ns;
-            self.map(lpa, dst);
-        }
-        self.flash.erase_block(victim)?;
-        stats.inc_flash_erase();
-        cost += self.cfg.flash_erase_ns;
-        self.valid_count[victim as usize] = 0;
-        self.free_blocks[(victim % self.cfg.channels as u64) as usize].push_back(victim);
-        Ok(cost)
-    }
-}
 
 /// Number of independently locked stripes of the [`ShardedFtl`] L2P mapping
 /// table. Sequential LPAs land on different stripes, so block-interface
@@ -433,9 +128,9 @@ struct DrainResult {
 /// `ShardedFtl::migrate_buffered`, which acquires them in ascending index
 /// order.
 ///
-/// Observationally equivalent to [`Ftl`] under single-threaded use — the
-/// property tests in `tests/channel_parallel_equiv.rs` pin this — though the
-/// physical placement (and therefore GC traffic) differs.
+/// Under single-threaded use it behaves as a map from LPA to the last page
+/// written (TRIM removes, an unmapped page reads as zeros); the property
+/// test in `tests/channel_parallel_equiv.rs` holds it to that spec.
 #[derive(Debug)]
 pub struct ShardedFtl {
     cfg: MssdConfig,
@@ -1555,8 +1250,8 @@ impl ShardedFtl {
 mod tests {
     use super::*;
 
-    fn ftl() -> (Ftl, AtomicTraffic) {
-        (Ftl::new(MssdConfig::small_test()), AtomicTraffic::new())
+    fn ftl() -> (ShardedFtl, AtomicTraffic) {
+        (ShardedFtl::new(MssdConfig::small_test()), AtomicTraffic::new())
     }
 
     fn page(tag: u8, size: usize) -> Vec<u8> {
@@ -1569,16 +1264,18 @@ mod tests {
         let (data, ns) = f.read_page(7, &st, false).unwrap();
         assert_eq!(data, vec![0u8; f.page_size()]);
         assert_eq!(ns, 0);
+        assert!(!f.is_mapped(7));
         assert_eq!(st.snapshot().flash_read_pages, 0);
     }
 
     #[test]
     fn write_then_read_from_buffer() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(3, page(0xAB, ps), &st).unwrap();
         // Still in buffer: no flash write yet, read served from buffer.
         assert_eq!(st.snapshot().flash_write_pages, 0);
+        assert_eq!((f.buffered_pages(), f.mapped_pages()), (1, 0));
         let (data, ns) = f.read_page(3, &st, false).unwrap();
         assert_eq!(data, page(0xAB, ps));
         assert_eq!(ns, 0);
@@ -1586,14 +1283,14 @@ mod tests {
 
     #[test]
     fn flush_programs_pages() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(1, page(1, ps), &st).unwrap();
         f.buffer_write(2, page(2, ps), &st).unwrap();
-        let cost = f.flush_buffer(&st).unwrap();
+        let cost = f.flush_all(&st, Some(0)).unwrap();
         assert!(cost > 0);
         assert_eq!(st.snapshot().flash_write_pages, 2);
-        assert_eq!(f.mapped_pages(), 2);
+        assert_eq!((f.buffered_pages(), f.mapped_pages()), (0, 2));
         let (d, ns) = f.read_page(2, &st, false).unwrap();
         assert_eq!(d, page(2, ps));
         assert!(ns > 0);
@@ -1602,25 +1299,27 @@ mod tests {
 
     #[test]
     fn overwrite_invalidates_old_mapping() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(5, page(1, ps), &st).unwrap();
-        f.flush_buffer(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         f.buffer_write(5, page(2, ps), &st).unwrap();
-        f.flush_buffer(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         assert_eq!(f.mapped_pages(), 1);
         let (d, _) = f.read_page(5, &st, false).unwrap();
         assert_eq!(d, page(2, ps));
+        // The first copy's block lost its valid page: the counts still add up.
+        assert_eq!(f.check_consistency(), Vec::<String>::new());
     }
 
     #[test]
     fn buffer_coalesces_same_lpa() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(9, page(1, ps), &st).unwrap();
         f.buffer_write(9, page(2, ps), &st).unwrap();
         assert_eq!(f.buffered_pages(), 1);
-        f.flush_buffer(&st).unwrap();
+        f.flush_all(&st, None).unwrap();
         assert_eq!(st.snapshot().flash_write_pages, 1);
         let (d, _) = f.read_page(9, &st, false).unwrap();
         assert_eq!(d, page(2, ps));
@@ -1628,94 +1327,82 @@ mod tests {
 
     #[test]
     fn channel_parallelism_reduces_latency() {
+        // 2 × channels + 1 pages placed round-robin: three program rounds,
+        // not one program per page.
         let cfg = MssdConfig::small_test();
         let per_write = cfg.flash_write_ns;
-        let channels = cfg.channels;
-        let (mut f, st) = ftl();
+        let pages = 2 * cfg.channels as u64 + 1;
+        let (f, st) = ftl();
         let ps = f.page_size();
-        for i in 0..channels as u64 {
+        for i in 0..pages {
             f.buffer_write(i, page(i as u8, ps), &st).unwrap();
         }
-        let cost = f.flush_buffer(&st).unwrap();
-        // All pages fit in one parallel round (plus possible GC cost of 0).
-        assert_eq!(cost, per_write);
+        assert_eq!(f.flush_all(&st, Some(0)).unwrap(), 3 * per_write);
     }
 
     #[test]
     fn trim_unmaps() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(4, page(7, ps), &st).unwrap();
-        f.flush_buffer(&st).unwrap();
-        assert!(f.is_mapped(4));
-        f.trim(4);
-        assert!(!f.is_mapped(4));
-        let (d, ns) = f.read_page(4, &st, false).unwrap();
-        assert_eq!(d, vec![0u8; ps]);
-        assert_eq!(ns, 0);
+        f.flush_all(&st, None).unwrap();
+        f.buffer_write(6, page(8, ps), &st).unwrap();
+        // One trimmed page is on flash, the other still buffered.
+        for lpa in [4, 6] {
+            assert!(f.is_mapped(lpa));
+            f.trim(lpa);
+            assert!(!f.is_mapped(lpa));
+            assert_eq!(f.read_page(lpa, &st, false).unwrap(), (vec![0u8; ps], 0));
+        }
+        assert_eq!((f.buffered_pages(), f.mapped_pages()), (0, 0));
     }
 
     #[test]
     fn sustained_overwrites_trigger_gc_and_stay_correct() {
-        // Write far more page-versions than physical capacity to force GC.
+        // Write far more page-versions than physical capacity to force GC,
+        // flushing on the clock (the NAND timeline advances with each flush).
         let cfg = MssdConfig::small_test();
         let logical = cfg.logical_pages();
-        let mut f = Ftl::new(cfg);
+        let f = ShardedFtl::new(cfg);
         let st = AtomicTraffic::new();
         let ps = f.page_size();
         let working_set = (logical / 2).max(8);
         let mut version = 0u8;
-        for round in 0..6u64 {
+        let mut now = 0;
+        for _ in 0..6u64 {
             version = version.wrapping_add(1);
             for lpa in 0..working_set {
-                f.buffer_write(lpa, page(version ^ lpa as u8, ps), &st).unwrap();
+                now +=
+                    f.buffer_write_on(lpa, page(version ^ lpa as u8, ps), &st, Some(now)).unwrap();
             }
-            f.flush_buffer(&st).unwrap();
-            // Spot-check correctness each round.
-            let probe = round % working_set;
-            let (d, _) = f.read_page(probe, &st, false).unwrap();
-            assert_eq!(d, page(version ^ probe as u8, ps), "round {round}");
+            now += f.flush_all(&st, Some(now)).unwrap();
         }
         assert!(st.snapshot().flash_erase_blocks > 0, "GC should have run");
-        // Everything still readable with the final version.
         for lpa in 0..working_set {
             let (d, _) = f.read_page(lpa, &st, false).unwrap();
             assert_eq!(d, page(version ^ lpa as u8, ps), "lpa {lpa}");
         }
-    }
-
-    fn sharded() -> (ShardedFtl, AtomicTraffic) {
-        (ShardedFtl::new(MssdConfig::small_test()), AtomicTraffic::new())
+        assert_eq!(f.check_consistency(), Vec::<String>::new());
     }
 
     #[test]
     fn sharded_write_read_trim_roundtrip() {
-        let (f, st) = sharded();
+        // One page through every state: unwritten, buffered, on flash, trimmed.
+        let (f, st) = ftl();
         let ps = f.page_size();
-        assert_eq!(f.read_page(7, &st, false).unwrap(), (vec![0u8; ps], 0));
+        let unwritten = (vec![0u8; ps], 0);
+        assert_eq!(f.read_page(3, &st, false).unwrap(), unwritten);
         f.buffer_write(3, page(0xAB, ps), &st).unwrap();
-        assert_eq!(f.buffered_pages(), 1);
-        assert!(f.is_mapped(3));
-        // Buffered read: no flash access, no latency.
-        let (data, ns) = f.read_page(3, &st, false).unwrap();
-        assert_eq!(data, page(0xAB, ps));
-        assert_eq!(ns, 0);
-        assert_eq!(st.snapshot().flash_write_pages, 0);
-        let cost = f.flush_all(&st, Some(0)).unwrap();
-        assert!(cost > 0);
-        assert_eq!(f.buffered_pages(), 0);
-        assert_eq!(f.mapped_pages(), 1);
-        let (data, ns) = f.read_page(3, &st, false).unwrap();
-        assert_eq!(data, page(0xAB, ps));
-        assert!(ns > 0);
+        assert_eq!(f.read_page(3, &st, false).unwrap(), (page(0xAB, ps), 0));
+        f.flush_all(&st, None).unwrap();
+        assert_eq!(f.read_page(3, &st, false).unwrap().0, page(0xAB, ps));
         f.trim(3);
-        assert!(!f.is_mapped(3));
-        assert_eq!(f.read_page(3, &st, false).unwrap(), (vec![0u8; ps], 0));
+        assert_eq!(f.read_page(3, &st, false).unwrap(), unwritten);
     }
 
     #[test]
     fn sharded_coalesces_and_overwrites() {
-        let (f, st) = sharded();
+        let (f, st) = ftl();
         let ps = f.page_size();
         f.buffer_write(9, page(1, ps), &st).unwrap();
         f.buffer_write(9, page(2, ps), &st).unwrap();
@@ -1736,7 +1423,7 @@ mod tests {
         let cfg = MssdConfig::small_test();
         let per_write = cfg.flash_write_ns;
         let channels = cfg.channels;
-        let (f, st) = sharded();
+        let (f, st) = ftl();
         let ps = f.page_size();
         for i in 0..channels as u64 {
             f.buffer_write(i, page(i as u8, ps), &st).unwrap();
@@ -1813,15 +1500,14 @@ mod tests {
 
     #[test]
     fn utilization_tracks_mapped_fraction() {
-        let (mut f, st) = ftl();
+        let (f, st) = ftl();
         assert_eq!(f.utilization(), 0.0);
         let ps = f.page_size();
         for lpa in 0..16 {
             f.buffer_write(lpa, page(1, ps), &st).unwrap();
         }
-        f.flush_buffer(&st).unwrap();
-        assert!(f.utilization() > 0.0);
-        assert!(f.utilization() < 1.0);
+        f.flush_all(&st, None).unwrap();
+        assert_eq!(f.utilization(), 16.0 / f.cfg.physical_pages() as f64);
     }
 
     // ------------------------------------------------------------------

@@ -16,8 +16,9 @@
 //! managed either as a conventional page-granular cache (used by the baseline
 //! file systems) or as a **log-structured write log** behind a three-layer
 //! index (partition table → ordered page map → chunk list; see [`log`]), with
-//! background log cleaning, per-transaction commit records (TxLog), and a
-//! `RECOVER()` path that replays committed entries after a crash.
+//! log cleaning inside the byte write that crosses the threshold,
+//! per-transaction commit records (TxLog), and a `RECOVER()` path that
+//! replays committed entries after a crash.
 //!
 //! The device executes concurrently along the hardware's own seams, with the
 //! lock order **log shard → txlog → flash channel → L2P stripe** (and
@@ -36,9 +37,10 @@
 //! * the baseline device cache is lock-striped by LPA
 //!   ([`dram_cache::ShardedDramCache`]).
 //!
-//! The single-threaded [`ftl::Ftl`], [`log::WriteLog`] and stop-the-world
-//! drain remain as sequential reference models, pinned to the concurrent
-//! implementations by the property tests in `tests/`.
+//! The property tests in `tests/channel_parallel_equiv.rs` and
+//! `tests/sharded_log_equiv.rs` hold the FTL and the write log to small
+//! executable specs: a map from page to bytes, and per-page chunk lists with
+//! a flash page map.
 //!
 //! # Durability contract
 //!
@@ -114,7 +116,7 @@ pub use fault::{
     MediaFaultPlan, MediaOpKind,
 };
 pub use flash::{ChannelFlash, FlashError};
-pub use ftl::{Ftl, ShardedFtl, L2P_STRIPES};
+pub use ftl::{ShardedFtl, L2P_STRIPES};
 pub use log::{ShardedWriteLog, LOG_SHARDS};
 pub use queue::{
     AbortOutcome, Command, CommandId, Completion, HostQueue, QueueFull, ResetMode, ResetReport,

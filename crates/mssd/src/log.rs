@@ -21,26 +21,22 @@
 //! merges the newest *committed* version of each chunk into its flash page and
 //! migrates uncommitted entries into the fresh log region.
 //!
-//! Two index implementations live here:
+//! The index is sharded: the paper's own first-layer partition key (LPA /
+//! 16 MB) hashes each page to one of [`LOG_SHARDS`] independently locked
+//! shards, while space accounting (`used_bytes`, `entries`, the append
+//! sequence) lives in shared atomics. Writers to different partitions never
+//! contend.
 //!
-//! * [`WriteLog`] — the original single-threaded index (one map of partitions
-//!   behind whatever lock the caller provides). Kept as the sequential
-//!   reference model; the equivalence property tests compare against it.
-//! * [`ShardedWriteLog`] — the concurrent index used by the device: the
-//!   paper's own first-layer partition key (LPA / 16 MB) hashes each page to
-//!   one of [`LOG_SHARDS`] independently locked shards, while space
-//!   accounting (`used_bytes`, `entries`, the append sequence) lives in
-//!   shared atomics. Writers to different partitions never contend.
-//!
-//! The sharded log is **double-buffered** for background cleaning: each shard
+//! Each shard is **double-buffered** so that cleaning runs beside appends: it
 //! holds an *active* region (appends land here) and a *sealed* region.
 //! [`ShardedWriteLog::seal_shard`] flips a shard's active region into the
-//! sealed slot under a brief per-shard lock (an O(1) map move), and a
-//! cleaning pass drains sealed regions page by page with
-//! [`ShardedWriteLog::drain_sealed_step`] — so cleaning never holds more than
-//! one shard lock at a time and foreground writers keep appending to fresh
-//! active regions. Reads merge both regions; uncommitted entries drained from
-//! a sealed region migrate back into the shard's active region with their
+//! sealed slot under a brief per-shard lock (an O(1) map move), and the
+//! threshold pass — run by the byte write that crosses the cleaning
+//! threshold — drains sealed regions page by page with
+//! [`ShardedWriteLog::drain_sealed_step`], so cleaning never holds more than
+//! one shard lock at a time and other writers keep appending to fresh active
+//! regions. Reads merge both regions; uncommitted entries drained from a
+//! sealed region migrate back into the shard's active region with their
 //! original sequence numbers. The stop-the-world drain
 //! ([`ShardedWriteLog::lock_all`]) remains for recovery, forced cleaning and
 //! the space-admission fallback.
@@ -111,20 +107,6 @@ pub struct CleanBatch {
 /// map keyed by LPA → chunk list.
 type Region = BTreeMap<u64, BTreeMap<Lpa, Vec<ChunkEntry>>>;
 
-/// The write log: circular data region accounting plus the three-layer index.
-#[derive(Debug)]
-pub struct WriteLog {
-    capacity_bytes: usize,
-    used_bytes: usize,
-    clean_threshold: f64,
-    page_size: usize,
-    pages_per_partition: u64,
-    partitions: Region,
-    entries: usize,
-    seq: u64,
-    write_cursor: usize,
-}
-
 /// Error returned when an append does not fit in the log region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogFull {
@@ -142,197 +124,7 @@ impl std::fmt::Display for LogFull {
 
 impl std::error::Error for LogFull {}
 
-impl WriteLog {
-    /// Creates a write log sized by `cfg.dram_region_bytes`.
-    pub fn new(cfg: &MssdConfig) -> Self {
-        Self {
-            capacity_bytes: cfg.dram_region_bytes,
-            used_bytes: 0,
-            clean_threshold: cfg.log_clean_threshold,
-            page_size: cfg.page_size,
-            pages_per_partition: (PARTITION_BYTES / cfg.page_size as u64).max(1),
-            partitions: BTreeMap::new(),
-            entries: 0,
-            seq: 0,
-            write_cursor: 0,
-        }
-    }
-
-    /// Total log-region capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Bytes currently occupied (data entries + index overhead).
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Number of live chunk entries.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Log-region utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        self.used_bytes as f64 / self.capacity_bytes as f64
-    }
-
-    /// `true` once utilization exceeds the cleaning threshold (85 % by
-    /// default) and background cleaning should start.
-    pub fn needs_cleaning(&self) -> bool {
-        self.utilization() >= self.clean_threshold
-    }
-
-    fn partition_of(&self, lpa: Lpa) -> u64 {
-        lpa / self.pages_per_partition
-    }
-
-    /// Appends a byte-granular write to the log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogFull`] when the entry does not fit; the caller must run
-    /// log cleaning first.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the chunk crosses a page boundary — the
-    /// device splits host writes per page before appending.
-    pub fn append(
-        &mut self,
-        lpa: Lpa,
-        offset: usize,
-        data: &[u8],
-        txid: Option<TxId>,
-    ) -> Result<(), LogFull> {
-        debug_assert!(!data.is_empty(), "empty log append");
-        debug_assert!(
-            offset + data.len() <= self.page_size,
-            "log entries must not cross page boundaries"
-        );
-        let entry = ChunkEntry {
-            offset,
-            data: data.to_vec(),
-            txid,
-            seq: self.seq,
-            log_off: self.write_cursor,
-        };
-        let footprint = entry.footprint();
-        if self.used_bytes + footprint > self.capacity_bytes {
-            return Err(LogFull { needed: footprint, free: self.capacity_bytes - self.used_bytes });
-        }
-        self.seq += 1;
-        self.used_bytes += footprint;
-        self.write_cursor = (self.write_cursor + footprint) % self.capacity_bytes.max(1);
-        self.entries += 1;
-        let partition = self.partition_of(lpa);
-        push_chunk(&mut self.partitions, partition, lpa, entry);
-        Ok(())
-    }
-
-    /// Whether any log entries exist for the page.
-    pub fn has_page(&self, lpa: Lpa) -> bool {
-        self.partitions.get(&self.partition_of(lpa)).is_some_and(|pages| pages.contains_key(&lpa))
-    }
-
-    /// Returns `true` if the byte range `[offset, offset + len)` of the page is
-    /// fully covered by log entries, i.e. a byte-interface read can be served
-    /// from device DRAM without touching flash.
-    pub fn covers(&self, lpa: Lpa, offset: usize, len: usize) -> bool {
-        let Some(chunks) = self.chunks(lpa) else { return false };
-        chunks_cover(chunks, offset, len)
-    }
-
-    fn chunks(&self, lpa: Lpa) -> Option<&Vec<ChunkEntry>> {
-        self.partitions.get(&self.partition_of(lpa))?.get(&lpa)
-    }
-
-    /// Applies all log entries for `lpa` onto `page` in sequence order (oldest
-    /// first), so the newest write wins for overlapping ranges.
-    pub fn merge_into(&self, lpa: Lpa, page: &mut [u8]) {
-        if let Some(chunks) = self.chunks(lpa) {
-            merge_chunks_into(chunks, page);
-        }
-    }
-
-    /// Invalidates all log entries of a page (the host overwrote the whole
-    /// page through the block interface, §4.4). Returns the number of entries
-    /// dropped.
-    pub fn invalidate_page(&mut self, lpa: Lpa) -> usize {
-        let partition = self.partition_of(lpa);
-        let Some(pages) = self.partitions.get_mut(&partition) else { return 0 };
-        let Some(chunks) = pages.remove(&lpa) else { return 0 };
-        let freed: usize = chunks.iter().map(ChunkEntry::footprint).sum();
-        self.used_bytes -= freed;
-        self.entries -= chunks.len();
-        if pages.is_empty() {
-            self.partitions.remove(&partition);
-        }
-        chunks.len()
-    }
-
-    /// All page addresses that currently have log entries, in ascending order.
-    pub fn dirty_pages(&self) -> Vec<Lpa> {
-        self.partitions.values().flat_map(|pages| pages.keys().copied()).collect()
-    }
-
-    /// Drains the entire log for cleaning.
-    ///
-    /// `is_committed` decides whether an entry's transaction has a TxLog commit
-    /// record. Committed entries are grouped per page (Algorithm 1 lines 2-11);
-    /// uncommitted ones are returned separately so the device can migrate them
-    /// into the fresh log (line 8). After this call the log is empty.
-    pub fn drain_for_cleaning<F>(&mut self, is_committed: F) -> CleanBatch
-    where
-        F: Fn(TxId) -> bool,
-    {
-        let mut batch = CleanBatch::default();
-        let partitions = std::mem::take(&mut self.partitions);
-        drain_partitions_into(partitions, &is_committed, true, &mut batch);
-        batch.pages.sort_by_key(|(lpa, _)| *lpa);
-        self.used_bytes = 0;
-        self.entries = 0;
-        self.write_cursor = 0;
-        batch
-    }
-
-    /// Re-inserts migrated (uncommitted) entries after cleaning, preserving
-    /// each entry's original sequence number so a migrated chunk can never
-    /// outrank a write that happened after it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the migrated entries do not fit — they came out of the same
-    /// log region, so they always fit in an empty one.
-    pub fn reinstate(&mut self, migrated: Vec<(Lpa, ChunkEntry)>) {
-        for (lpa, mut entry) in migrated {
-            let footprint = entry.footprint();
-            assert!(
-                self.used_bytes + footprint <= self.capacity_bytes,
-                "migrated entries fit in an empty log"
-            );
-            entry.log_off = self.write_cursor;
-            self.used_bytes += footprint;
-            self.write_cursor = (self.write_cursor + footprint) % self.capacity_bytes.max(1);
-            self.entries += 1;
-            let partition = self.partition_of(lpa);
-            push_chunk(&mut self.partitions, partition, lpa, entry);
-        }
-    }
-
-    /// Clears the log without flushing anything (mkfs / tests only).
-    pub fn reset(&mut self) {
-        self.partitions.clear();
-        self.used_bytes = 0;
-        self.entries = 0;
-        self.write_cursor = 0;
-    }
-}
-
-/// Pushes one chunk entry onto its page's chunk list in a three-layer index
-/// (shared by [`WriteLog`] and [`ShardedWriteLog`] so the reference model and
-/// the concurrent implementation cannot drift).
+/// Pushes one chunk entry onto its page's chunk list in a three-layer index.
 fn push_chunk(partitions: &mut Region, partition: u64, lpa: Lpa, entry: ChunkEntry) {
     partitions.entry(partition).or_default().entry(lpa).or_default().push(entry);
 }
@@ -366,19 +158,8 @@ fn split_page_chunks<F>(
 where
     F: Fn(TxId) -> bool,
 {
-    let mut committed: Vec<ChunkEntry> = Vec::new();
-    let mut survivors: Vec<ChunkEntry> = Vec::new();
-    for c in chunks {
-        let ok = match c.txid {
-            None => true,
-            Some(txid) => is_committed(txid),
-        };
-        if ok {
-            committed.push(c);
-        } else {
-            survivors.push(c);
-        }
-    }
+    let (mut committed, mut survivors): (Vec<ChunkEntry>, Vec<ChunkEntry>) =
+        chunks.into_iter().partition(|c| c.txid.is_none_or(is_committed));
     committed.sort_by_key(|c| c.seq);
     if clip_survivors && !committed.is_empty() {
         survivors = survivors
@@ -433,80 +214,19 @@ fn clip_chunk(u: ChunkEntry, mut shadows: Vec<(usize, usize)>) -> Vec<ChunkEntry
     out
 }
 
-/// Splits drained partitions into a [`CleanBatch`], consuming the entries —
-/// no chunk data is copied (beyond clipped survivors), which matters for
-/// the sharded log where this runs inside the stop-the-world section with
-/// every shard locked. See [`split_page_chunks`] for the
-/// cleaning-vs-recovery semantics of `clip_survivors`.
-fn drain_partitions_into<F>(
-    partitions: Region,
-    is_committed: &F,
-    clip_survivors: bool,
-    batch: &mut CleanBatch,
-) where
-    F: Fn(TxId) -> bool,
-{
-    for (lpa, chunks) in partitions.into_values().flatten() {
-        let (committed, survivors) = split_page_chunks(chunks, is_committed, clip_survivors);
-        for c in survivors {
-            batch.migrated.push((lpa, c));
-        }
-        if !committed.is_empty() {
-            batch.pages.push((lpa, committed));
-        }
-    }
-}
-
-/// `true` when `[offset, offset + len)` is fully covered by the chunks.
-fn chunks_cover(chunks: &[ChunkEntry], offset: usize, len: usize) -> bool {
-    ranges_cover(chunks.iter().map(|c| (c.offset, c.end())), offset, len)
-}
-
-/// `true` when `[offset, offset + len)` is fully covered by the chunks.
-fn refs_cover(chunks: &[&ChunkEntry], offset: usize, len: usize) -> bool {
-    ranges_cover(chunks.iter().map(|c| (c.offset, c.end())), offset, len)
-}
-
 /// Coverage check over `(start, end)` ranges.
 fn ranges_cover(ranges: impl Iterator<Item = (usize, usize)>, offset: usize, len: usize) -> bool {
-    if len == 0 {
-        return true;
-    }
-    // Merge the chunk ranges and check coverage.
+    // Sweep the ranges by start: coverage stops at the first gap.
     let mut ranges: Vec<(usize, usize)> = ranges.collect();
     ranges.sort_unstable();
     let mut covered_to = offset;
     for (start, end) in ranges {
         if start > covered_to {
-            if covered_to >= offset + len {
-                break;
-            }
-            if start >= offset + len {
-                break;
-            }
-            return false;
+            break;
         }
         covered_to = covered_to.max(end);
     }
     covered_to >= offset + len
-}
-
-/// Applies `chunks` onto `page` oldest-first so the newest write wins.
-fn merge_chunks_into(chunks: &[ChunkEntry], page: &mut [u8]) {
-    let mut ordered: Vec<&ChunkEntry> = chunks.iter().collect();
-    merge_refs_into(&mut ordered, page);
-}
-
-/// Applies `chunks` onto `page` oldest-first so the newest write wins.
-/// Sorts the ref slice by sequence number in place.
-fn merge_refs_into(chunks: &mut [&ChunkEntry], page: &mut [u8]) {
-    chunks.sort_by_key(|c| c.seq);
-    for c in chunks {
-        let end = c.end().min(page.len());
-        if c.offset < end {
-            page[c.offset..end].copy_from_slice(&c.data[..end - c.offset]);
-        }
-    }
 }
 
 /// Number of independently locked shards of the [`ShardedWriteLog`] index.
@@ -524,17 +244,14 @@ pub const LOG_SHARDS: usize = 16;
 struct LogShard {
     /// The region appends land in.
     active: Region,
-    /// The region currently being drained by the cleaner (empty when none
-    /// is sealed). Reads merge both regions; appends never touch this.
+    /// The region a threshold pass is draining page by page (empty when
+    /// none is sealed). Reads merge both regions; appends never touch this.
     sealed: Region,
 }
 
 impl LogShard {
-    /// The page's chunk lists in the sealed and active regions. Returned as
-    /// two borrows so the overwhelmingly common cases — no entries at all, or
-    /// entries in only one region — cost no allocation on the read hot path;
-    /// only a page split across both regions (i.e. written again while the
-    /// cleaner drains its older chunks) pays for a combined ref vector.
+    /// The page's chunk lists in the sealed and active regions (a page
+    /// written again after its older chunks were sealed has both).
     fn region_chunks(
         &self,
         partition: u64,
@@ -554,28 +271,23 @@ fn both_cover(
     offset: usize,
     len: usize,
 ) -> bool {
-    match (sealed, active) {
-        (None, None) => len == 0,
-        (Some(c), None) | (None, Some(c)) => chunks_cover(c, offset, len),
-        (Some(s), Some(a)) => {
-            let refs: Vec<&ChunkEntry> = s.iter().chain(a.iter()).collect();
-            refs_cover(&refs, offset, len)
-        }
-    }
+    let chunks = sealed.into_iter().chain(active).flatten();
+    ranges_cover(chunks.map(|c| (c.offset, c.end())), offset, len)
 }
 
-/// Merges chunks from both regions onto `page`, newest (by seq) winning.
+/// Merges chunks from both regions onto `page` oldest-first, so the newest
+/// write (by seq) wins.
 fn merge_both_into(
     sealed: Option<&Vec<ChunkEntry>>,
     active: Option<&Vec<ChunkEntry>>,
     page: &mut [u8],
 ) {
-    match (sealed, active) {
-        (None, None) => {}
-        (Some(c), None) | (None, Some(c)) => merge_chunks_into(c, page),
-        (Some(s), Some(a)) => {
-            let mut refs: Vec<&ChunkEntry> = s.iter().chain(a.iter()).collect();
-            merge_refs_into(&mut refs, page);
+    let mut chunks: Vec<&ChunkEntry> = sealed.into_iter().chain(active).flatten().collect();
+    chunks.sort_by_key(|c| c.seq);
+    for c in chunks {
+        let end = c.end().min(page.len());
+        if c.offset < end {
+            page[c.offset..end].copy_from_slice(&c.data[..end - c.offset]);
         }
     }
 }
@@ -583,11 +295,11 @@ fn merge_both_into(
 /// The concurrent write log used by the device: per-partition-shard locking
 /// for the index, lock-free atomics for space accounting.
 ///
-/// Observationally equivalent to [`WriteLog`] under single-threaded use (the
-/// property tests in `tests/sharded_log_equiv.rs` check this); under
-/// concurrent use, appends to different partitions proceed in parallel and
-/// only [`ShardedWriteLog::drain_for_cleaning`] stops the world (it locks all
-/// shards, which is exactly the paper's stop-and-clean semantics).
+/// Appends to different partitions proceed in parallel; only
+/// [`ShardedWriteLog::lock_all`] stops the world (it locks all shards, which
+/// is exactly the paper's stop-and-clean semantics). The property test in
+/// `tests/sharded_log_equiv.rs` holds the single-threaded behaviour to an
+/// executable spec.
 ///
 /// Lock order: callers holding device-level locks (FTL, TxLog) may take shard
 /// locks, never the reverse. Within this type, shards are only ever locked
@@ -684,9 +396,9 @@ impl ShardedWriteLog {
             offset + data.len() <= self.page_size,
             "log entries must not cross page boundaries"
         );
-        // Lock the shard *before* reserving space: drain_for_cleaning holds
-        // every shard lock while it zeroes the space accounting, so holding
-        // ours here means no reservation can race with a drain.
+        // Lock the shard *before* reserving space: a stop-the-world drain
+        // holds every shard lock while it zeroes the space accounting, so
+        // holding ours here means no reservation can race with a drain.
         let mut shard = self.shards[self.shard_of(lpa)].lock();
         let footprint = data.len().div_ceil(CACHELINE) * CACHELINE + ENTRY_OVERHEAD;
         self.try_reserve(footprint)?;
@@ -755,25 +467,11 @@ impl ShardedWriteLog {
         (sealed.is_some() || active.is_some()) && both_cover(sealed, active, offset, len)
     }
 
-    /// Serves a byte read entirely from the log if the range is covered:
-    /// returns the merged bytes of `[offset, offset + len)` under a single
-    /// shard-lock acquisition, or `None` when flash must be consulted.
-    pub fn read_covered(&self, lpa: Lpa, offset: usize, len: usize) -> Option<Vec<u8>> {
-        let shard = self.shards[self.shard_of(lpa)].lock();
-        let (sealed, active) = shard.region_chunks(self.partition_of(lpa), lpa);
-        if (sealed.is_none() && active.is_none()) || !both_cover(sealed, active, offset, len) {
-            return None;
-        }
-        let mut page = vec![0u8; self.page_size];
-        merge_both_into(sealed, active, &mut page);
-        Some(page[offset..offset + len].to_vec())
-    }
-
     /// Reads `[offset, offset + len)` of a page through the log: ranges fully
     /// covered by log entries are served without calling `fetch`; otherwise
     /// `fetch` supplies the backing flash page (and its latency) and the log
     /// entries are overlaid. The whole read happens under the page's shard
-    /// lock, so a concurrent cleaner (which takes the same shard lock per
+    /// lock, so a cleaning step (which takes the same shard lock per
     /// page) can never drain entries between the fetch and the overlay.
     ///
     /// # Errors
@@ -819,7 +517,7 @@ impl ShardedWriteLog {
     /// Invalidates all log entries of a page, then runs `f` — still under the
     /// page's shard lock. The device uses this for block-interface
     /// overwrites: the invalidation and the FTL buffer write must be atomic
-    /// against the cleaner, or a drained stale chunk could be merged on top
+    /// against a cleaning step, or a drained stale chunk could be merged on top
     /// of the fresh block data.
     pub fn invalidate_page_and<R>(&self, lpa: Lpa, f: impl FnOnce() -> R) -> (usize, R) {
         let partition = self.partition_of(lpa);
@@ -883,11 +581,6 @@ impl ShardedWriteLog {
         for i in 0..self.shards.len() {
             self.seal_shard(i);
         }
-    }
-
-    /// Whether any shard currently holds a sealed, not-yet-drained region.
-    pub fn has_sealed_work(&self) -> bool {
-        self.shards.iter().any(|s| !s.lock().sealed.is_empty())
     }
 
     /// Drains up to `max_pages` pages from a shard's sealed region, holding
@@ -980,59 +673,10 @@ impl ShardedWriteLog {
 
     /// Locks every shard (ascending index order) for a stop-the-world
     /// operation: recovery, forced cleaning, and the space-admission
-    /// fallback. While the returned guard lives, no append, read or cleaner
+    /// fallback. While the returned guard lives, no append, read or cleaning
     /// step can interleave.
     pub fn lock_all(&self) -> AllShards<'_> {
         AllShards { log: self, guards: self.shards.iter().map(|s| s.lock()).collect() }
-    }
-
-    /// Drains the entire log (sealed and active regions of every shard) for
-    /// cleaning. Holds every shard lock for the duration.
-    ///
-    /// Note for callers that subsequently merge the batch into flash: prefer
-    /// [`ShardedWriteLog::lock_all`] + [`AllShards::drain`] and do the merge
-    /// while the guard is held, otherwise a concurrent reader can observe the
-    /// window where entries have left the log but not yet reached flash.
-    pub fn drain_for_cleaning<F>(&self, is_committed: F) -> CleanBatch
-    where
-        F: Fn(TxId) -> bool,
-    {
-        self.lock_all().drain(is_committed)
-    }
-
-    /// Re-inserts migrated (uncommitted) entries after cleaning, preserving
-    /// each entry's original sequence number: a writer may append a newer
-    /// version of the same range between the drain and this call, and the
-    /// migrated (older) chunk must not outrank it in merge order.
-    ///
-    /// Unlike [`ShardedWriteLog::append`] this never fails: the entries came
-    /// out of the same log region, so semantically they still own their
-    /// space. If other writers raced in after the drain, the accounting may
-    /// transiently overshoot capacity, which simply triggers the next
-    /// cleaning pass sooner.
-    pub fn reinstate(&self, migrated: Vec<(Lpa, ChunkEntry)>) {
-        for (lpa, mut entry) in migrated {
-            let mut shard = self.shards[self.shard_of(lpa)].lock();
-            let footprint = entry.footprint();
-            self.used_bytes.0.fetch_add(footprint, Ordering::Relaxed);
-            entry.log_off = self.write_cursor.0.fetch_add(footprint, Ordering::Relaxed)
-                % self.capacity_bytes.max(1);
-            self.entries.0.fetch_add(1, Ordering::Relaxed);
-            let partition = self.partition_of(lpa);
-            push_chunk(&mut shard.active, partition, lpa, entry);
-        }
-    }
-
-    /// Clears the log without flushing anything (mkfs / tests only).
-    pub fn reset(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        for guard in &mut guards {
-            guard.active.clear();
-            guard.sealed.clear();
-        }
-        self.used_bytes.0.store(0, Ordering::Relaxed);
-        self.entries.0.store(0, Ordering::Relaxed);
-        self.write_cursor.0.store(0, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -1177,7 +821,16 @@ impl AllShards<'_> {
                     }
                 }
             }
-            drain_partitions_into(combined, &is_committed, preserve_uncommitted, &mut batch);
+            // Consume the entries: no chunk data is copied (beyond clipped
+            // survivors) while every shard is locked.
+            for (lpa, chunks) in combined.into_values().flatten() {
+                let (committed, survivors) =
+                    split_page_chunks(chunks, &is_committed, preserve_uncommitted);
+                batch.migrated.extend(survivors.into_iter().map(|c| (lpa, c)));
+                if !committed.is_empty() {
+                    batch.pages.push((lpa, committed));
+                }
+            }
         }
         batch.pages.sort_by_key(|(lpa, _)| *lpa);
         batch.migrated.sort_by_key(|(lpa, c)| (*lpa, c.seq));
@@ -1188,8 +841,10 @@ impl AllShards<'_> {
     }
 
     /// Re-inserts migrated (uncommitted) entries into the active regions
-    /// while all shards are still locked, preserving original sequence
-    /// numbers (see [`ShardedWriteLog::reinstate`]).
+    /// while all shards are still locked, preserving each entry's original
+    /// sequence number, so a migrated chunk never outranks a write that
+    /// happened after it. The entries came out of the same log region, so
+    /// this never fails.
     pub fn reinstate(&mut self, migrated: Vec<(Lpa, ChunkEntry)>) {
         for (lpa, mut entry) in migrated {
             let footprint = entry.footprint();
@@ -1208,13 +863,13 @@ impl AllShards<'_> {
 mod tests {
     use super::*;
 
-    fn small_log() -> WriteLog {
-        WriteLog::new(&MssdConfig::small_test())
+    fn small_log() -> ShardedWriteLog {
+        ShardedWriteLog::new(&MssdConfig::small_test())
     }
 
     #[test]
     fn append_and_merge() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(3, 128, &[1u8; 64], None).unwrap();
         log.append(3, 192, &[2u8; 64], None).unwrap();
         assert_eq!(log.entries(), 2);
@@ -1228,7 +883,7 @@ mod tests {
 
     #[test]
     fn newer_write_wins_on_overlap() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(1, 0, &[1u8; 128], None).unwrap();
         log.append(1, 64, &[2u8; 64], None).unwrap();
         let mut page = vec![0u8; 4096];
@@ -1239,7 +894,7 @@ mod tests {
 
     #[test]
     fn coverage_detection() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(9, 0, &[5u8; 64], None).unwrap();
         log.append(9, 64, &[6u8; 64], None).unwrap();
         assert!(log.covers(9, 0, 128));
@@ -1264,7 +919,7 @@ mod tests {
     fn log_full_is_reported() {
         let mut cfg = MssdConfig::small_test();
         cfg.dram_region_bytes = 4096;
-        let mut log = WriteLog::new(&cfg);
+        let log = ShardedWriteLog::new(&cfg);
         let mut appended = 0;
         loop {
             match log.append(appended, 0, &[1u8; 64], None) {
@@ -1284,7 +939,7 @@ mod tests {
         let mut cfg = MssdConfig::small_test();
         cfg.dram_region_bytes = 8192;
         cfg.log_clean_threshold = 0.5;
-        let mut log = WriteLog::new(&cfg);
+        let log = ShardedWriteLog::new(&cfg);
         assert!(!log.needs_cleaning());
         for i in 0..52 {
             log.append(i, 0, &[0u8; 64], None).unwrap();
@@ -1294,7 +949,7 @@ mod tests {
 
     #[test]
     fn invalidate_frees_space() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(4, 0, &[1u8; 64], None).unwrap();
         log.append(4, 64, &[1u8; 64], None).unwrap();
         log.append(5, 0, &[1u8; 64], None).unwrap();
@@ -1308,11 +963,11 @@ mod tests {
 
     #[test]
     fn cleaning_separates_committed_and_uncommitted() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(1, 0, &[1u8; 64], Some(TxId(1))).unwrap();
         log.append(1, 64, &[2u8; 64], Some(TxId(2))).unwrap();
         log.append(2, 0, &[3u8; 64], None).unwrap();
-        let batch = log.drain_for_cleaning(|tx| tx == TxId(1));
+        let batch = log.lock_all().drain(|tx| tx == TxId(1));
         assert_eq!(log.entries(), 0);
         assert_eq!(log.used_bytes(), 0);
         // Page 1 has one committed chunk, page 2 one non-transactional chunk.
@@ -1328,11 +983,13 @@ mod tests {
 
     #[test]
     fn reinstate_restores_migrated_entries() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(7, 0, &[9u8; 64], Some(TxId(3))).unwrap();
-        let batch = log.drain_for_cleaning(|_| false);
+        let mut all = log.lock_all();
+        let batch = all.drain(|_| false);
         assert!(batch.pages.is_empty());
-        log.reinstate(batch.migrated);
+        all.reinstate(batch.migrated);
+        drop(all);
         assert_eq!(log.entries(), 1);
         assert!(log.covers(7, 0, 64));
         let mut page = vec![0u8; 4096];
@@ -1342,7 +999,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_are_sorted_unique() {
-        let mut log = small_log();
+        let log = small_log();
         log.append(9, 0, &[1u8; 64], None).unwrap();
         log.append(2, 0, &[1u8; 64], None).unwrap();
         log.append(9, 64, &[1u8; 64], None).unwrap();
@@ -1352,11 +1009,12 @@ mod tests {
     #[test]
     fn partitions_split_address_space() {
         let cfg = MssdConfig::small_test();
-        let mut log = WriteLog::new(&cfg);
+        let log = ShardedWriteLog::new(&cfg);
         let pages_per_partition = PARTITION_BYTES / cfg.page_size as u64;
         log.append(0, 0, &[1u8; 64], None).unwrap();
         log.append(pages_per_partition + 1, 0, &[1u8; 64], None).unwrap();
-        assert_eq!(log.partitions.len(), 2);
+        let partitions: usize = log.shards.iter().map(|s| s.lock().active.len()).sum();
+        assert_eq!(partitions, 2);
         assert_eq!(log.dirty_pages().len(), 2);
     }
 
@@ -1374,10 +1032,14 @@ mod tests {
         assert_eq!(&page[128..192], &[1u8; 64][..]);
         assert_eq!(&page[192..256], &[2u8; 64][..]);
 
-        let served = sharded.read_covered(3, 150, 80).expect("covered range");
-        assert_eq!(served, page[150..230].to_vec());
-        assert!(sharded.read_covered(3, 0, 64).is_none());
-        assert!(sharded.read_covered(99, 0, 1).is_none());
+        // A covered range never fetches; an uncovered one overlays the log
+        // on the fetched page and passes its cost through.
+        let served = sharded.read_range(3, 150, 80, || unreachable!("covered range")).unwrap();
+        assert_eq!(served, (page[150..230].to_vec(), 0));
+        let fetched = sharded.read_range(3, 96, 64, || Ok((vec![9u8; 4096], 7))).unwrap();
+        assert_eq!(fetched.0[..32], [9u8; 32]);
+        assert_eq!(fetched.0[32..], [1u8; 32]);
+        assert_eq!(fetched.1, 7);
 
         let used_before = sharded.used_bytes();
         assert_eq!(sharded.invalidate_page(3), 2);
@@ -1397,33 +1059,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_drain_matches_reference_model() {
+    fn drain_groups_pages_across_shards_in_lpa_order() {
         let cfg = MssdConfig::small_test();
-        let mut reference = WriteLog::new(&cfg);
         let sharded = ShardedWriteLog::new(&cfg);
         let ppp = PARTITION_BYTES / cfg.page_size as u64;
         let writes: Vec<(Lpa, usize, u8, Option<TxId>)> = vec![
-            (0, 0, 1, None),
             (ppp, 64, 2, Some(TxId(1))),
             (2 * ppp + 3, 128, 3, Some(TxId(2))),
+            (0, 0, 1, None),
             (0, 0, 4, None),
             (ppp, 4032, 5, Some(TxId(1))),
         ];
         for (lpa, off, tag, tx) in &writes {
-            reference.append(*lpa, *off, &[*tag; 64], *tx).unwrap();
             sharded.append(*lpa, *off, &[*tag; 64], *tx).unwrap();
         }
-        assert_eq!(sharded.entries(), reference.entries());
-        assert_eq!(sharded.used_bytes(), reference.used_bytes());
-
-        let committed = |tx: TxId| tx == TxId(1);
-        let mut ref_batch = reference.drain_for_cleaning(committed);
-        let sharded_batch = sharded.drain_for_cleaning(committed);
-        ref_batch.migrated.sort_by_key(|(lpa, c)| (*lpa, c.seq));
-        assert_eq!(sharded_batch.pages, ref_batch.pages);
-        assert_eq!(sharded_batch.migrated, ref_batch.migrated);
-        assert_eq!(sharded.entries(), 0);
-        assert_eq!(sharded.used_bytes(), 0);
+        let batch = sharded.lock_all().drain(|tx: TxId| tx == TxId(1));
+        // Committed pages in ascending LPA order, each page's chunks by seq.
+        let pages: Vec<(Lpa, Vec<u8>)> = batch
+            .pages
+            .iter()
+            .map(|(lpa, chunks)| (*lpa, chunks.iter().map(|c| c.data[0]).collect()))
+            .collect();
+        assert_eq!(pages, vec![(0, vec![1, 4]), (ppp, vec![2, 5])]);
+        let migrated: Vec<(Lpa, u64)> = batch.migrated.iter().map(|(l, c)| (*l, c.seq)).collect();
+        assert_eq!(migrated, vec![(2 * ppp + 3, 1)]);
+        assert_eq!((sharded.entries(), sharded.used_bytes()), (0, 0));
     }
 
     #[test]
@@ -1464,33 +1124,19 @@ mod tests {
 
     #[test]
     fn reinstated_entries_never_outrank_newer_writes() {
-        // A migrated (uncommitted) chunk is drained, a *newer* write to the
-        // same range lands before the reinstate, and the reinstated chunk
-        // must keep its original (older) sequence so the newer write wins.
-        let cfg = MssdConfig::small_test();
-        for preserve in [true, false] {
-            let sharded = ShardedWriteLog::new(&cfg);
-            sharded.append(1, 0, &[1u8; 64], Some(TxId(7))).unwrap();
-            let batch = sharded.drain_for_cleaning(|_| false);
-            assert_eq!(batch.migrated.len(), 1);
-            // The racing newer write to the same range.
-            sharded.append(1, 0, &[2u8; 64], None).unwrap();
-            if preserve {
-                sharded.reinstate(batch.migrated);
-            }
-            let mut page = vec![0u8; 4096];
-            sharded.merge_into(1, &mut page);
-            assert_eq!(&page[..64], &[2u8; 64][..], "newer write must win (preserve={preserve})");
-        }
-
-        // The sequential reference model behaves identically.
-        let mut reference = WriteLog::new(&cfg);
-        reference.append(1, 0, &[1u8; 64], Some(TxId(7))).unwrap();
-        let batch = reference.drain_for_cleaning(|_| false);
-        reference.append(1, 0, &[2u8; 64], None).unwrap();
-        reference.reinstate(batch.migrated);
+        // An uncommitted chunk is sealed, a *newer* write to the same range
+        // lands in the active region, and the drain migrates the older chunk
+        // back beside it: it keeps its original (older) sequence, so the
+        // newer write still wins.
+        let sharded = small_log();
+        sharded.append(1, 0, &[1u8; 64], Some(TxId(7))).unwrap();
+        assert!(sharded.seal_shard(0));
+        sharded.append(1, 0, &[2u8; 64], None).unwrap();
+        let step = sharded.drain_sealed_step(0, 8, || |_: TxId| false, |_, _| 0);
+        assert_eq!((step.pages, step.chunks), (1, 0));
+        assert_eq!(sharded.entries(), 2);
         let mut page = vec![0u8; 4096];
-        reference.merge_into(1, &mut page);
+        sharded.merge_into(1, &mut page);
         assert_eq!(&page[..64], &[2u8; 64][..]);
     }
 
@@ -1501,11 +1147,11 @@ mod tests {
         assert!(sharded.seal_shard(sharded.shard_of(1)));
         // Sealed again without new appends: nothing to seal.
         assert!(!sharded.seal_shard(sharded.shard_of(1)));
-        assert!(sharded.has_sealed_work());
+        assert!(!sharded.shards[0].lock().sealed.is_empty());
         // Entries in the sealed region stay visible.
         assert!(sharded.has_page(1));
         assert!(sharded.covers(1, 0, 64));
-        assert_eq!(sharded.read_covered(1, 0, 64).unwrap(), vec![1u8; 64]);
+        assert_eq!(sharded.read_range(1, 0, 64, || unreachable!()).unwrap(), (vec![1u8; 64], 0));
         // A newer overlapping append lands in the fresh active region and
         // wins the merge.
         sharded.append(1, 32, &[2u8; 64], None).unwrap();
@@ -1553,7 +1199,7 @@ mod tests {
         }
         assert_eq!(steps, 3);
         assert_eq!(applied, vec![1, 2]);
-        assert!(!sharded.has_sealed_work());
+        assert!(sharded.shards[0].lock().sealed.is_empty());
         // The uncommitted entry survived into the active region.
         assert_eq!(sharded.entries(), 1);
         assert!(sharded.covers(3, 0, 64));
@@ -1590,9 +1236,11 @@ mod tests {
         cfg.dram_region_bytes = 4096;
         let sharded = ShardedWriteLog::new(&cfg);
         sharded.append(1, 0, &[7u8; 64], Some(TxId(9))).unwrap();
-        let batch = sharded.drain_for_cleaning(|_| false);
+        let mut all = sharded.lock_all();
+        let batch = all.drain(|_| false);
         assert_eq!(batch.migrated.len(), 1);
-        sharded.reinstate(batch.migrated);
+        all.reinstate(batch.migrated);
+        drop(all);
         assert_eq!(sharded.entries(), 1);
         assert!(sharded.covers(1, 0, 64));
         assert_eq!(sharded.used_bytes(), 64 + ENTRY_OVERHEAD);

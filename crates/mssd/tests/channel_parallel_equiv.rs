@@ -1,24 +1,26 @@
-//! Property tests pinning the concurrent device hot path to its sequential
-//! reference models:
+//! Property tests pinning the concurrent device hot path to executable specs:
 //!
-//! 1. [`ShardedFtl`] (lock-striped L2P + per-channel flash units) must be
-//!    observationally equivalent to the single-threaded [`Ftl`] under any
-//!    single-threaded op sequence: every read returns the same bytes, the
-//!    mapped set matches, and an explicit flush empties both write buffers.
-//!    Physical placement and GC traffic may differ — those are the point of
-//!    the refactor — so only host-observable state is compared.
+//! 1. [`ShardedFtl`] (lock-striped L2P + per-channel flash units) under any
+//!    single-threaded op sequence behaves as a map from page to the last
+//!    bytes written: a write inserts, TRIM removes, an unmapped page reads as
+//!    zeros. Every read, the mapped-or-buffered predicate at every step, and
+//!    the mapped count at a flush (which empties the write buffer) must agree
+//!    with the map. Physical placement and GC traffic are not host-visible,
+//!    so the spec says nothing about them.
 //! 2. A device whose small log cleans many times — threshold passes and
 //!    foreground stalls — must stay observationally identical to one whose
 //!    log the same single-threaded op sequence never fills: same byte reads
 //!    mid-stream, same byte and block contents after a forced clean, same
 //!    host traffic totals, same recovery outcome.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use mssd::{AtomicTraffic, Category, DramMode, Ftl, Mssd, MssdConfig, ShardedFtl, TxId};
+use mssd::{AtomicTraffic, Category, DramMode, Mssd, MssdConfig, ShardedFtl, TxId};
 
 // ---------------------------------------------------------------------------
-// 1. ShardedFtl ≡ Ftl
+// 1. ShardedFtl against a map from page to bytes
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -29,7 +31,7 @@ enum FtlOp {
     Read { lpa_sel: u16 },
     /// Trim the selected page.
     Trim { lpa_sel: u16 },
-    /// Flush all buffered pages on both sides.
+    /// Flush all buffered pages.
     Flush,
 }
 
@@ -56,59 +58,48 @@ proptest! {
     ) {
         let cfg = MssdConfig::small_test();
         let universe = 48u64; // aliased working set: overwrites + GC pressure
-        let mut reference = Ftl::new(cfg.clone());
-        let sharded = ShardedFtl::new(cfg.clone());
-        let ref_stats = AtomicTraffic::new();
-        let sh_stats = AtomicTraffic::new();
+        let ftl = ShardedFtl::new(cfg.clone());
+        let stats = AtomicTraffic::new();
         let ps = cfg.page_size;
+        let mut spec: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let read = |spec: &BTreeMap<u64, Vec<u8>>, lpa| {
+            spec.get(&lpa).cloned().unwrap_or_else(|| vec![0u8; ps])
+        };
 
         for op in ops {
             match op {
                 FtlOp::Write { lpa_sel, tag } => {
                     let lpa = lpa_sel as u64 % universe;
-                    reference.buffer_write(lpa, vec![tag; ps], &ref_stats).unwrap();
-                    sharded.buffer_write(lpa, vec![tag; ps], &sh_stats).unwrap();
+                    ftl.buffer_write(lpa, vec![tag; ps], &stats).unwrap();
+                    spec.insert(lpa, vec![tag; ps]);
                 }
                 FtlOp::Read { lpa_sel } => {
                     let lpa = lpa_sel as u64 % universe;
-                    let (a, _) = reference.read_page(lpa, &ref_stats, false).unwrap();
-                    let (b, _) = sharded.read_page(lpa, &sh_stats, false).unwrap();
-                    prop_assert_eq!(a, b, "read of page {} diverged", lpa);
+                    let (got, _) = ftl.read_page(lpa, &stats, false).unwrap();
+                    prop_assert_eq!(got, read(&spec, lpa), "read of page {}", lpa);
                 }
                 FtlOp::Trim { lpa_sel } => {
                     let lpa = lpa_sel as u64 % universe;
-                    reference.trim(lpa);
-                    sharded.trim(lpa);
+                    ftl.trim(lpa);
+                    spec.remove(&lpa);
                 }
                 FtlOp::Flush => {
-                    reference.flush_buffer(&ref_stats).unwrap();
-                    sharded.flush_all(&sh_stats, None).unwrap();
-                    prop_assert_eq!(reference.buffered_pages(), 0);
-                    prop_assert_eq!(sharded.buffered_pages(), 0);
-                    // At a flush point every surviving page is on flash on
-                    // both sides, so the mapped counts must agree.
-                    prop_assert_eq!(
-                        sharded.mapped_pages(),
-                        reference.mapped_pages(),
-                        "mapped sets diverged at flush"
-                    );
+                    ftl.flush_all(&stats, None).unwrap();
+                    prop_assert_eq!(ftl.buffered_pages(), 0);
+                    // At a flush point every surviving page is on flash.
+                    prop_assert_eq!(ftl.mapped_pages(), spec.len(), "mapped count at flush");
                 }
             }
             // The mapped-or-buffered predicate is observable at every step.
             for lpa in 0..universe {
-                prop_assert_eq!(
-                    sharded.is_mapped(lpa),
-                    reference.is_mapped(lpa),
-                    "is_mapped({}) diverged", lpa
-                );
+                prop_assert_eq!(ftl.is_mapped(lpa), spec.contains_key(&lpa), "is_mapped({})", lpa);
             }
         }
 
-        // Final image: every page of the universe reads identically.
+        // Final image: every page of the universe reads as the spec says.
         for lpa in 0..universe {
-            let (a, _) = reference.read_page(lpa, &ref_stats, false).unwrap();
-            let (b, _) = sharded.read_page(lpa, &sh_stats, false).unwrap();
-            prop_assert_eq!(a, b, "final image of page {} diverged", lpa);
+            let (got, _) = ftl.read_page(lpa, &stats, false).unwrap();
+            prop_assert_eq!(got, read(&spec, lpa), "final image of page {}", lpa);
         }
     }
 }
@@ -146,9 +137,17 @@ fn dev_op_strategy() -> impl Strategy<Value = DevOp> {
     ]
 }
 
-/// 64-byte-slot address inside a small aliased window (64 KB).
+/// Address of a 64-byte slot. One selector in four lands anywhere in a 64 KB
+/// window; the rest land in a 1 KB hot window across the boundary of pages 0
+/// and 1, so an open transaction's bytes are often overwritten by a later
+/// write before it commits — the case cleaning has to clip.
 fn addr_of(sel: u16) -> u64 {
-    (sel as u64 % 1024) * 64
+    let slot = sel as u64 / 4;
+    if sel.is_multiple_of(4) {
+        (slot % 1024) * 64
+    } else {
+        4096 - 512 + (slot % 16) * 64
+    }
 }
 
 proptest! {
@@ -158,12 +157,17 @@ proptest! {
     fn a_cleaning_log_matches_one_that_never_fills(
         ops in proptest::collection::vec(dev_op_strategy(), 1..120)
     ) {
-        // A log small enough that the op streams cross the cleaning threshold
-        // repeatedly, so threshold passes and the foreground stall path
-        // actually run; the reference's 256 KB log holds the whole stream.
+        // Two 4 KB logs that the op streams fill many times over: one
+        // cleans in threshold passes (at half full), the other almost only
+        // when an append fails admission (foreground stalls). The
+        // reference's 256 KB log holds the whole stream.
         let reference = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        let cleaning =
-            Mssd::new(MssdConfig::small_test().with_dram_region(16 << 10), DramMode::WriteLog);
+        let cleaning = [0.5, 0.99].map(|threshold| {
+            let mut cfg = MssdConfig::small_test().with_dram_region(4 << 10);
+            cfg.log_clean_threshold = threshold;
+            Mssd::new(cfg, DramMode::WriteLog)
+        });
+        let devices = || cleaning.iter().chain([&reference]);
 
         // Real hosts allocate TxIDs monotonically and never write under an
         // already-committed id; model that with a pool of open transactions
@@ -179,75 +183,84 @@ proptest! {
                     let data = vec![tag; len];
                     let txid =
                         (tx % 4 != 0).then(|| TxId(open[tx as usize % open.len()]));
-                    cleaning.try_byte_write(addr, &data, txid, Category::Data).unwrap();
-                    reference.try_byte_write(addr, &data, txid, Category::Data).unwrap();
+                    for d in devices() {
+                        d.try_byte_write(addr, &data, txid, Category::Data).unwrap();
+                    }
                 }
                 DevOp::BlockWrite { lpa_sel, tag } => {
                     let lpa = lpa_sel as u64 % 16;
                     let page = vec![tag; 4096];
-                    cleaning.try_block_write(lpa, &page, Category::Data).unwrap();
-                    reference.try_block_write(lpa, &page, Category::Data).unwrap();
+                    for d in devices() {
+                        d.try_block_write(lpa, &page, Category::Data).unwrap();
+                    }
                 }
                 DevOp::Commit { tx } => {
                     let txid = TxId(open.remove(tx as usize % open.len()));
                     open.push(next_tx);
                     next_tx += 1;
-                    cleaning.commit(txid);
-                    reference.commit(txid);
+                    for d in devices() {
+                        d.commit(txid);
+                    }
                 }
                 DevOp::Read { addr_sel, len } => {
                     let addr = addr_of(addr_sel);
                     let len = (len as usize % 256) + 1;
-                    prop_assert_eq!(
-                        cleaning.try_byte_read(addr, len, Category::Data).unwrap(),
-                        reference.try_byte_read(addr, len, Category::Data).unwrap(),
-                        "mid-stream read at {} diverged", addr
-                    );
+                    let want = reference.try_byte_read(addr, len, Category::Data).unwrap();
+                    for d in &cleaning {
+                        prop_assert_eq!(
+                            &d.try_byte_read(addr, len, Category::Data).unwrap(),
+                            &want,
+                            "mid-stream read at {} diverged", addr
+                        );
+                    }
                 }
             }
         }
 
         prop_assert_eq!(reference.traffic().log_cleanings, 0, "the reference log must never clean");
-        // Force both devices to a common state.
-        cleaning.force_clean();
-        reference.force_clean();
+        // Force every device to a common state.
+        for d in devices() {
+            d.force_clean();
+        }
 
         // Same logical image: the whole byte window and the block range.
-        for slot in 0..1024u64 {
-            prop_assert_eq!(
-                cleaning.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
-                reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
-                "slot {} diverged after force_clean", slot
-            );
-        }
-        prop_assert_eq!(
-            cleaning.try_block_read(0, 16, Category::Data).unwrap(),
-            reference.try_block_read(0, 16, Category::Data).unwrap(),
-            "block images diverged after force_clean"
-        );
-
-        // Host-visible traffic is the same (flash-internal counters
-        // legitimately differ: only one device cleaned mid-stream).
-        let a = cleaning.traffic();
+        let image = |d: &Mssd| -> Vec<Vec<u8>> {
+            (0..1024u64).map(|slot| d.try_byte_read(slot * 64, 64, Category::Data).unwrap()).collect()
+        };
+        let want = image(&reference);
+        let want_blocks = reference.try_block_read(0, 16, Category::Data).unwrap();
         let b = reference.traffic();
-        prop_assert_eq!(a.host_write_bytes(), b.host_write_bytes());
-        prop_assert_eq!(a.host_read_bytes(), b.host_read_bytes());
-        prop_assert_eq!(a.byte_requests, b.byte_requests);
-        prop_assert_eq!(a.block_requests, b.block_requests);
-        prop_assert_eq!(a.tx_commits, b.tx_commits);
+        for d in &cleaning {
+            for (slot, (got, want)) in image(d).iter().zip(&want).enumerate() {
+                prop_assert_eq!(got, want, "slot {} diverged after force_clean", slot);
+            }
+            prop_assert_eq!(
+                &d.try_block_read(0, 16, Category::Data).unwrap(),
+                &want_blocks,
+                "block images diverged after force_clean"
+            );
+
+            // Host-visible traffic is the same (flash-internal counters
+            // legitimately differ: only the small logs cleaned mid-stream).
+            let a = d.traffic();
+            prop_assert_eq!(a.host_write_bytes(), b.host_write_bytes());
+            prop_assert_eq!(a.host_read_bytes(), b.host_read_bytes());
+            prop_assert_eq!(a.byte_requests, b.byte_requests);
+            prop_assert_eq!(a.block_requests, b.block_requests);
+            prop_assert_eq!(a.tx_commits, b.tx_commits);
+        }
 
         // Crash + recovery agree on what survives.
-        cleaning.crash();
-        reference.crash();
-        let ra = cleaning.recover();
-        let rb = reference.recover();
-        prop_assert_eq!(ra.discarded_entries, rb.discarded_entries, "recovery discards diverged");
-        for slot in 0..1024u64 {
-            prop_assert_eq!(
-                cleaning.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
-                reference.try_byte_read(slot * 64, 64, Category::Data).unwrap(),
-                "slot {} diverged after recovery", slot
-            );
+        for d in devices() {
+            d.crash();
+        }
+        let discarded = reference.recover().discarded_entries;
+        let want = image(&reference);
+        for d in &cleaning {
+            prop_assert_eq!(d.recover().discarded_entries, discarded, "recovery discards diverged");
+            for (slot, (got, want)) in image(d).iter().zip(&want).enumerate() {
+                prop_assert_eq!(got, want, "slot {} diverged after recovery", slot);
+            }
         }
     }
 }

@@ -1,19 +1,26 @@
-//! Property test: the sharded write-log index is observationally equivalent
-//! to the original single-map [`WriteLog`] under any single-threaded op
-//! sequence.
+//! Property test: the sharded write-log index against an executable spec —
+//! a list of `(seq, offset, bytes, txid)` chunks per page, read
+//! newest-seq-wins over a flash page map that the test applies every drained
+//! batch to. A drain merges committed chunks into flash; the uncommitted ones
+//! survive, minus every byte a newer committed chunk overwrote (those bytes
+//! must not reappear when their transaction commits later).
 //!
-//! Both logs receive the same randomized stream of appends, invalidations,
-//! drains and reinstates; after every step the observable state — entry and
-//! byte accounting, coverage queries, merged page contents, dirty-page sets
-//! and cleaning batches — must match exactly. This pins the refactor: the
-//! sharding is a locking change, not a semantic one.
+//! After every step of a random stream of appends, invalidations, seals,
+//! sealed-region drain steps and stop-the-world drains, the test checks
+//! (i) entry count and footprint sum, `needs_cleaning`, append admission and
+//! invalidation counts; (ii) `merge_into`, `covers` and `read_range`;
+//! (iii) `dirty_pages`; (iv) that a cleaning drain leaves the read view
+//! flash ⊕ log as it was, every survivor uncommitted and none of its bytes
+//! under a newer committed chunk. At the end, (v) a recovery drain leaves
+//! flash ⊕ committed chunks only.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use mssd::log::{ShardedWriteLog, WriteLog, PARTITION_BYTES};
-use mssd::{MssdConfig, TxId, LOG_SHARDS};
+use mssd::log::{ChunkEntry, ShardedWriteLog, ENTRY_OVERHEAD, PARTITION_BYTES};
+use mssd::{MssdConfig, TxId, CACHELINE, LOG_SHARDS, PAGE_SIZE};
 
-/// One operation applied to both logs.
 #[derive(Debug, Clone)]
 enum LogOp {
     /// Append `len` bytes of `tag` at `offset` in page `lpa`, optionally
@@ -21,50 +28,164 @@ enum LogOp {
     Append { lpa_sel: u16, offset: u16, len: u8, tag: u8, tx: u8 },
     /// Invalidate every entry of a page.
     Invalidate { lpa_sel: u16 },
-    /// Drain for cleaning (txids `< committed_below` count as committed) and
-    /// reinstate the migrated entries, as the device's cleaning pass does.
+    /// Stop-the-world drain (txids `< committed_below` count as committed)
+    /// and reinstate of the survivors, as a forced clean does.
     CleanAndReinstate { committed_below: u8 },
-    /// Compare a coverage query on both logs.
+    /// Compare a coverage query and a ranged read.
     Covers { lpa_sel: u16, offset: u16, len: u8 },
+    /// Seal a shard's active region.
+    Seal { shard_sel: u8 },
+    /// Drain up to `pages` pages of a shard's sealed region.
+    DrainStep { shard_sel: u8, pages: u8, committed_below: u8 },
 }
 
-/// Maps the selector onto a small set of pages spread over several partitions
-/// (so different shards are exercised) with some aliasing (so chunk lists
-/// grow).
-fn lpa_of(cfg: &MssdConfig, sel: u16) -> u64 {
-    let ppp = PARTITION_BYTES / cfg.page_size as u64;
-    let partition = (sel as u64) % 5;
-    let page = (sel as u64 / 5) % 4;
-    partition * ppp + page
+/// Partitions the stream touches; partition `p` is served by shard `p`.
+const PARTITIONS: u64 = 5;
+
+/// Maps the selector onto four pages of each partition.
+fn lpa_of(sel: u16) -> u64 {
+    let ppp = PARTITION_BYTES / PAGE_SIZE as u64;
+    (sel as u64 % PARTITIONS) * ppp + (sel as u64 / PARTITIONS) % 4
+}
+
+/// Three offsets in four fall in the first 512 bytes of the page, so that
+/// chunks of different transactions often overlap.
+fn offset_of(sel: u16, len: usize) -> usize {
+    let window = if sel.is_multiple_of(4) { PAGE_SIZE - len } else { 512 };
+    (sel as usize / 4) % window
 }
 
 fn op_strategy() -> impl Strategy<Value = LogOp> {
+    let append = || {
+        (any::<u16>(), any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
+            |(lpa_sel, offset, len, tag, tx)| LogOp::Append { lpa_sel, offset, len, tag, tx },
+        )
+    };
     prop_oneof![
-        (any::<u16>(), any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
-            |(lpa_sel, offset, len, tag, tx)| LogOp::Append { lpa_sel, offset, len, tag, tx }
-        ),
-        (any::<u16>(), any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
-            |(lpa_sel, offset, len, tag, tx)| LogOp::Append { lpa_sel, offset, len, tag, tx }
-        ),
+        append(),
+        append(),
+        append(),
         any::<u16>().prop_map(|lpa_sel| LogOp::Invalidate { lpa_sel }),
         any::<u8>().prop_map(|committed_below| LogOp::CleanAndReinstate { committed_below }),
         (any::<u16>(), any::<u16>(), any::<u8>())
             .prop_map(|(lpa_sel, offset, len)| LogOp::Covers { lpa_sel, offset, len }),
+        any::<u8>().prop_map(|shard_sel| LogOp::Seal { shard_sel }),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(shard_sel, pages, committed_below)| {
+            LogOp::DrainStep { shard_sel, pages, committed_below }
+        }),
     ]
 }
 
-/// Asserts every observable of the two logs matches for the touched pages.
-fn assert_equivalent(cfg: &MssdConfig, reference: &WriteLog, sharded: &ShardedWriteLog) {
-    assert_eq!(sharded.entries(), reference.entries(), "entry counts");
-    assert_eq!(sharded.used_bytes(), reference.used_bytes(), "space accounting");
-    assert_eq!(sharded.needs_cleaning(), reference.needs_cleaning());
-    assert_eq!(sharded.dirty_pages(), reference.dirty_pages(), "dirty page sets");
-    for lpa in reference.dirty_pages() {
-        let mut a = vec![0u8; cfg.page_size];
-        let mut b = vec![0u8; cfg.page_size];
-        reference.merge_into(lpa, &mut a);
-        sharded.merge_into(lpa, &mut b);
-        assert_eq!(a, b, "merged contents of page {lpa}");
+#[derive(Debug, Clone)]
+struct Chunk {
+    seq: u64,
+    offset: usize,
+    data: Vec<u8>,
+    txid: Option<TxId>,
+    /// In its shard's sealed region (appends and survivors land unsealed).
+    sealed: bool,
+}
+
+impl Chunk {
+    fn end(&self) -> usize {
+        self.offset + self.data.len()
+    }
+}
+
+fn footprint(len: usize) -> usize {
+    len.div_ceil(CACHELINE) * CACHELINE + ENTRY_OVERHEAD
+}
+
+/// Writes `chunks` onto `page` in seq order: the newest write wins.
+fn overlay<'a>(mut page: Vec<u8>, chunks: impl IntoIterator<Item = &'a Chunk>) -> Vec<u8> {
+    let mut chunks: Vec<&Chunk> = chunks.into_iter().collect();
+    chunks.sort_by_key(|c| c.seq);
+    for c in chunks {
+        page[c.offset..c.end()].copy_from_slice(&c.data);
+    }
+    page
+}
+
+/// The spec: chunk lists by page, and the flash page map.
+#[derive(Default)]
+struct Spec {
+    log: BTreeMap<u64, Vec<Chunk>>,
+    flash: BTreeMap<u64, Vec<u8>>,
+}
+
+impl Spec {
+    fn used(&self) -> usize {
+        self.log.values().flatten().map(|c| footprint(c.data.len())).sum()
+    }
+
+    fn flash_page(&self, lpa: u64) -> Vec<u8> {
+        self.flash.get(&lpa).cloned().unwrap_or_else(|| vec![0u8; PAGE_SIZE])
+    }
+
+    /// What a read of the page returns: flash ⊕ log.
+    fn view(&self, lpa: u64) -> Vec<u8> {
+        overlay(self.flash_page(lpa), self.log.get(&lpa).into_iter().flatten())
+    }
+
+    /// Merges what the log drained into the flash page map.
+    fn apply(&mut self, drained: &[(u64, Vec<ChunkEntry>)]) {
+        for (lpa, chunks) in drained {
+            let mut page = self.flash_page(*lpa);
+            for c in chunks {
+                page[c.offset..c.end()].copy_from_slice(&c.data);
+            }
+            self.flash.insert(*lpa, page);
+        }
+    }
+
+    /// Drains the chunks `pick` selects from the page: the uncommitted ones
+    /// go back unsealed, without the bytes of any newer committed chunk
+    /// drained with them, split into maximal runs.
+    fn drain_page(
+        &mut self,
+        lpa: u64,
+        pick: impl Fn(&Chunk) -> bool,
+        committed: impl Fn(TxId) -> bool,
+    ) {
+        let Some(chunks) = self.log.remove(&lpa) else { return };
+        let (taken, mut kept): (Vec<Chunk>, Vec<Chunk>) = chunks.into_iter().partition(pick);
+        let is_committed = |c: &Chunk| c.txid.is_none_or(&committed);
+        for u in taken.iter().filter(|c| !is_committed(c)) {
+            let shadowed = |b: usize| {
+                taken
+                    .iter()
+                    .any(|c| is_committed(c) && c.seq > u.seq && (c.offset..c.end()).contains(&b))
+            };
+            let mut b = u.offset;
+            while b < u.end() {
+                let run_end = (b..u.end()).find(|&e| shadowed(e)).unwrap_or(u.end());
+                if run_end > b {
+                    let data = u.data[b - u.offset..run_end - u.offset].to_vec();
+                    kept.push(Chunk { offset: b, data, sealed: false, ..u.clone() });
+                }
+                b = run_end + 1;
+            }
+        }
+        if !kept.is_empty() {
+            self.log.insert(lpa, kept);
+        }
+    }
+}
+
+/// Checks every observable of the log against the spec.
+fn assert_matches(cfg: &MssdConfig, spec: &Spec, log: &ShardedWriteLog, universe: &[u64]) {
+    assert_eq!(log.entries(), spec.log.values().map(Vec::len).sum::<usize>(), "entry count");
+    assert_eq!(log.used_bytes(), spec.used(), "space accounting");
+    let full = spec.used() as f64 / cfg.dram_region_bytes as f64;
+    assert_eq!(log.needs_cleaning(), full >= cfg.log_clean_threshold, "needs_cleaning");
+    assert_eq!(log.dirty_pages(), spec.log.keys().copied().collect::<Vec<_>>(), "dirty pages");
+    for &lpa in universe {
+        let mut merged = vec![0u8; PAGE_SIZE];
+        log.merge_into(lpa, &mut merged);
+        let want = overlay(vec![0u8; PAGE_SIZE], spec.log.get(&lpa).into_iter().flatten());
+        assert_eq!(merged, want, "merge_into of page {lpa}");
+        let read = log.read_range(lpa, 0, PAGE_SIZE, || Ok((spec.flash_page(lpa), 1))).unwrap();
+        assert_eq!(read.0, spec.view(lpa), "read view of page {lpa}");
     }
 }
 
@@ -78,64 +199,122 @@ proptest! {
         let mut cfg = MssdConfig::small_test();
         cfg.capacity_bytes = 256 << 20; // several partitions
         cfg.dram_region_bytes = 64 << 10; // small enough that appends can fill it
-        let mut reference = WriteLog::new(&cfg);
-        let sharded = ShardedWriteLog::new(&cfg);
+        let log = ShardedWriteLog::new(&cfg);
+        let mut spec = Spec::default();
+        let mut seq = 0;
+        let mut universe: Vec<u64> = (0..PARTITIONS as u16 * 4).map(lpa_of).collect();
+        universe.sort_unstable();
+        let views = |spec: &Spec| universe.iter().map(|&l| spec.view(l)).collect::<Vec<_>>();
 
         for op in ops {
             match op {
                 LogOp::Append { lpa_sel, offset, len, tag, tx } => {
-                    let lpa = lpa_of(&cfg, lpa_sel);
+                    let lpa = lpa_of(lpa_sel);
                     let len = (len as usize % 192) + 1;
-                    let offset = (offset as usize) % (cfg.page_size - len);
+                    let offset = offset_of(offset, len);
                     let data = vec![tag; len];
                     let txid = (tx % 4 != 0).then_some(TxId(tx as u32 % 8));
-                    let a = reference.append(lpa, offset, &data, txid);
-                    let b = sharded.append(lpa, offset, &data, txid);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "append outcome diverged");
-                }
-                LogOp::Invalidate { lpa_sel } => {
-                    let lpa = lpa_of(&cfg, lpa_sel);
-                    let a = reference.invalidate_page(lpa);
-                    let b = sharded.invalidate_page(lpa);
-                    prop_assert_eq!(a, b, "invalidate count diverged");
-                }
-                LogOp::CleanAndReinstate { committed_below } => {
-                    let bound = committed_below as u32 % 8;
-                    let committed = move |t: TxId| t.0 < bound;
-                    let mut a = reference.drain_for_cleaning(committed);
-                    let b = sharded.drain_for_cleaning(committed);
-                    // The reference drains partitions in partition order, the
-                    // sharded log in shard order; both sort `pages`, so only
-                    // `migrated` needs normalizing before comparison.
-                    a.migrated.sort_by_key(|(lpa, c)| (*lpa, c.seq));
-                    prop_assert_eq!(&a.pages, &b.pages, "cleaning batches diverged");
-                    prop_assert_eq!(&a.migrated, &b.migrated, "migrated sets diverged");
-                    reference.reinstate(a.migrated);
-                    sharded.reinstate(b.migrated);
-                }
-                LogOp::Covers { lpa_sel, offset, len } => {
-                    let lpa = lpa_of(&cfg, lpa_sel);
-                    let len = len as usize % 256;
-                    let offset = (offset as usize) % (cfg.page_size - len.max(1));
-                    prop_assert_eq!(
-                        reference.covers(lpa, offset, len),
-                        sharded.covers(lpa, offset, len),
-                        "coverage diverged"
-                    );
-                    let served = sharded.read_covered(lpa, offset, len);
-                    if let Some(bytes) = served {
-                        let mut page = vec![0u8; cfg.page_size];
-                        reference.merge_into(lpa, &mut page);
-                        prop_assert_eq!(
-                            bytes,
-                            page[offset..offset + len].to_vec(),
-                            "read_covered content diverged"
-                        );
+                    let free = cfg.dram_region_bytes - spec.used();
+                    let fits = footprint(len) <= free;
+                    prop_assert_eq!(log.append(lpa, offset, &data, txid).is_ok(), fits, "admission");
+                    if fits {
+                        let chunk = Chunk { seq, offset, data, txid, sealed: false };
+                        spec.log.entry(lpa).or_default().push(chunk);
+                        seq += 1;
                     }
                 }
+                LogOp::Invalidate { lpa_sel } => {
+                    let lpa = lpa_of(lpa_sel);
+                    let want = spec.log.remove(&lpa).map_or(0, |c| c.len());
+                    prop_assert_eq!(log.invalidate_page(lpa), want, "invalidate count");
+                }
+                LogOp::CleanAndReinstate { committed_below } => {
+                    let committed = move |t: TxId| t.0 < committed_below as u32 % 8;
+                    let before = views(&spec);
+                    let mut all = log.lock_all();
+                    let batch = all.drain(committed);
+                    for (lpa, u) in &batch.migrated {
+                        prop_assert!(u.txid.is_some_and(|t| !committed(t)), "committed survivor");
+                        let merged = batch.pages.iter().filter(|(l, _)| l == lpa).flat_map(|p| &p.1);
+                        for c in merged.filter(|c| c.seq > u.seq) {
+                            prop_assert!(c.end() <= u.offset || u.end() <= c.offset,
+                                "page {}: survivor under newer committed bytes", lpa);
+                        }
+                    }
+                    spec.apply(&batch.pages);
+                    all.reinstate(batch.migrated);
+                    drop(all);
+                    for lpa in spec.log.keys().copied().collect::<Vec<_>>() {
+                        spec.drain_page(lpa, |_| true, committed);
+                    }
+                    prop_assert_eq!(views(&spec), before, "a cleaning drain changed the read view");
+                }
+                LogOp::Covers { lpa_sel, offset, len } => {
+                    let lpa = lpa_of(lpa_sel);
+                    let len = len as usize % 256;
+                    let offset = (offset as usize) % (PAGE_SIZE - len.max(1));
+                    let chunks = spec.log.get(&lpa).map_or(&[][..], |c| &c[..]);
+                    let covered = !chunks.is_empty()
+                        && (offset..offset + len)
+                            .all(|b| chunks.iter().any(|c| (c.offset..c.end()).contains(&b)));
+                    prop_assert_eq!(log.covers(lpa, offset, len), covered, "coverage");
+                    let read = log.read_range(lpa, offset, len, || Ok((spec.flash_page(lpa), 1)));
+                    let want = spec.view(lpa)[offset..offset + len].to_vec();
+                    prop_assert_eq!(read.unwrap(), (want, u64::from(!covered)), "ranged read");
+                }
+                LogOp::Seal { shard_sel } => {
+                    let shard = shard_sel as usize % PARTITIONS as usize;
+                    let mut chunks: Vec<&mut Chunk> = spec
+                        .log
+                        .iter_mut()
+                        .filter(|(&lpa, _)| log.shard_of(lpa) == shard)
+                        .flat_map(|(_, c)| c)
+                        .collect();
+                    let seals = !chunks.is_empty() && chunks.iter().all(|c| !c.sealed);
+                    prop_assert_eq!(log.seal_shard(shard), seals, "seal of shard {}", shard);
+                    chunks.iter_mut().for_each(|c| c.sealed |= seals);
+                }
+                LogOp::DrainStep { shard_sel, pages, committed_below } => {
+                    let shard = shard_sel as usize % PARTITIONS as usize;
+                    let max_pages = pages as usize % 4 + 1;
+                    let committed = move |t: TxId| t.0 < committed_below as u32 % 8;
+                    let before = views(&spec);
+                    let mut drained = Vec::new();
+                    let step = log.drain_sealed_step(shard, max_pages, || committed, |lpa, chunks| {
+                        drained.push((lpa, chunks.to_vec()));
+                        0
+                    });
+                    spec.apply(&drained);
+                    let sealed_pages: Vec<u64> = spec
+                        .log
+                        .iter()
+                        .filter(|(&lpa, c)| log.shard_of(lpa) == shard && c.iter().any(|c| c.sealed))
+                        .map(|(&lpa, _)| lpa)
+                        .take(max_pages)
+                        .collect();
+                    prop_assert_eq!(step.pages, sealed_pages.len(), "pages drained");
+                    for lpa in sealed_pages {
+                        spec.drain_page(lpa, |c| c.sealed, committed);
+                    }
+                    prop_assert_eq!(views(&spec), before, "a drain step changed the read view");
+                }
             }
-            assert_equivalent(&cfg, &reference, &sharded);
+            assert_matches(&cfg, &spec, &log, &universe);
         }
+
+        // A recovery drain leaves flash ⊕ committed chunks only.
+        let committed = |t: TxId| t.0 < 4;
+        let want: Vec<Vec<u8>> = universe
+            .iter()
+            .map(|&lpa| {
+                let chunks = spec.log.get(&lpa).into_iter().flatten();
+                overlay(spec.flash_page(lpa), chunks.filter(|c| c.txid.is_none_or(committed)))
+            })
+            .collect();
+        spec.apply(&log.lock_all().drain_discarding(committed).pages);
+        prop_assert_eq!((log.entries(), log.used_bytes()), (0, 0));
+        let got: Vec<Vec<u8>> = universe.iter().map(|&lpa| spec.flash_page(lpa)).collect();
+        prop_assert_eq!(got, want, "recovery image");
     }
 }
 
