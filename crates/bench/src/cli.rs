@@ -140,19 +140,23 @@ mod tests {
     use super::*;
     use crate::report::BenchEntry;
 
-    /// The paper group is a pure function of the scale: what `bench compare`
-    /// pins in `BENCH_paper.json` repeats to the byte.
+    /// Every bench is a pure function of the scale: two `run all smoke`
+    /// runs write every artifact `bench compare` pins byte for byte, and the
+    /// paper group's has the committed `BENCH_paper.json`'s shape.
     #[test]
     fn two_paper_runs_write_a_byte_identical_file() {
-        let dir = crate::tests::temp_dir("paper");
-        let paths = [format!("{dir}/a.json"), format!("{dir}/b.json")];
-        for path in &paths {
-            assert_eq!(main(&["run".into(), "paper".into(), "0.1".into(), path.clone()]), 0);
+        let dir = crate::tests::temp_dir("determinism");
+        let runs = [format!("{dir}/a"), format!("{dir}/b")];
+        for out in &runs {
+            assert_eq!(main(&["run".into(), "all".into(), "smoke".into(), out.clone()]), 0);
         }
-        let [a, b] = paths.map(|p| std::fs::read(p).expect("report written"));
-        assert!(a == b, "two runs of the paper group differ");
-        let report =
-            BenchReport::from_json(std::str::from_utf8(&a).expect("utf-8")).expect("parses");
+        for artifact in registry::artifacts(&registry::select("all")) {
+            let [a, b] = runs
+                .each_ref()
+                .map(|run| std::fs::read(format!("{run}/{artifact}")).expect("report written"));
+            assert!(a == b, "two runs of {artifact} differ");
+        }
+        let report = BenchReport::load(&format!("{}/BENCH_paper.json", runs[0])).expect("parses");
         assert_eq!((report.bench.as_str(), report.scale), ("paper", 0.1));
         for fig in registry::select("paper") {
             let prefix = format!("{}/", fig.name);
@@ -170,7 +174,6 @@ mod tests {
     fn gate_exits_one_on_a_violated_gate() {
         let dir = crate::tests::temp_dir("gate");
         let mut report = BenchReport::new("gc_pause", 0.2);
-        report.host_cpus = 2;
         report.summary.insert("p99_ratio_on_vs_off".into(), 1.4);
         let path = format!("{dir}/gc_pause.json");
         let gate = |report: &BenchReport| {
@@ -181,11 +184,11 @@ mod tests {
         report.summary.insert("p99_ratio_on_vs_off".into(), 2.4);
         assert_eq!(gate(&report), 1);
         report.host_cpus = 1;
-        assert_eq!(gate(&report), 0, "below the gate's host_cpus: skipped");
+        assert_eq!(gate(&report), 1, "a gate bites on every host");
         report.summary.clear();
         assert_eq!(gate(&report), 1, "a renamed key fails the gate");
         report.entries.push(BenchEntry::new("x", &[]));
-        report.bench = "recovery_time".into();
+        report.bench = "paper".into();
         assert_eq!(gate(&report), 0, "a bench without gates");
         assert_eq!(main(&["gate".into(), format!("{dir}/missing.json")]), 2);
         std::fs::remove_dir_all(dir).expect("cleanup");

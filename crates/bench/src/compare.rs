@@ -1,18 +1,17 @@
 //! `bench compare`: diffs fresh bench runs against the committed
 //! `BENCH_*.json` artifacts and fails on real regressions (`DESIGN.md` has
-//! the rules in full). Entries are matched by key. A committed zero means
+//! the rules in full). Entries are matched by key. Every bench is on the
+//! virtual clock, so one rule covers every metric: a rate below
+//! [`VIRTUAL_FLOOR`] or a latency above [`VIRTUAL_CEILING`] of committed is
+//! a regression, enforced when the two reports are at the same scale (at
+//! another scale they are diffed and recorded only). A committed zero means
 //! "not applicable" and is never gated; a committed value the fresh run no
 //! longer produces — the metric reads zero, or its entry or key is gone — is
-//! a regression like any other. Wall-clock numbers are only comparable
-//! between identical hosts, so they are **enforced** only when `host_cpus`
-//! matches between the two reports; mismatched pairs are still diffed and
-//! recorded. A scale difference does not disable wall enforcement:
-//! throughput is time-normalized and the 2x p99 headroom absorbs smoke-scale
-//! effects.
+//! a regression like any other.
 
 use std::fmt::Write as _;
 
-use crate::gate::{P99_CEILING, THROUGHPUT_FLOOR, VIRTUAL_CEILING, VIRTUAL_FLOOR};
+use crate::gate::{VIRTUAL_CEILING, VIRTUAL_FLOOR};
 use crate::report::{fmt_num, BenchEntry, BenchReport, SCHEMA_VERSION};
 
 /// One compared metric.
@@ -37,13 +36,13 @@ impl Delta {
     }
 }
 
-/// The bound a fresh/committed ratio is held to.
-#[derive(Clone, Copy)]
-enum Rule {
-    /// Lower is worse: a ratio below the floor is a regression.
-    Floor(f64),
-    /// Higher is worse: a ratio above the ceiling is a regression.
-    Ceiling(f64),
+/// Direction by name: tails, costs and `_ms`/`_ns` keys are latencies
+/// (higher is worse), everything else — rates, counts — is lower-is-worse.
+fn higher_is_worse(metric: &str) -> bool {
+    metric.contains("p99")
+        || metric.contains("cost")
+        || metric.ends_with("_ms")
+        || metric.ends_with("_ns")
 }
 
 /// Compares one fresh report with its committed baseline, appending to
@@ -63,26 +62,17 @@ pub(crate) fn compare_pair(
             fresh.bench, committed.bench
         ));
     }
-    let enforced = fresh.host_cpus == committed.host_cpus;
-    // Virtual-clock extras (`*virtual*` keys) are simulation results, not
-    // wall measurements: identical op streams charge identical modelled
-    // costs regardless of host speed, so these are enforced across differing
-    // host_cpus too — this is what lets the comparison bite on CI runners
-    // whose shape differs from the committed artifacts' producer. Only a
-    // matching scale makes the values comparable.
-    let virtual_enforced = fresh.scale == committed.scale;
+    let enforced = fresh.scale == committed.scale;
     // Records one metric. A committed zero is "not applicable" and skipped;
     // a fresh zero against a committed value has vanished, which is a
-    // regression under the metric's own enforcement rule.
-    let mut check = |key: &str, metric: &str, c: f64, f: f64, enforced: bool, rule: Rule| {
+    // regression.
+    let mut check = |key: &str, metric: &str, c: f64, f: f64| {
         if c <= 0.0 {
             return;
         }
         let ratio = f.max(0.0) / c;
-        let worse = match rule {
-            Rule::Floor(floor) => ratio < floor,
-            Rule::Ceiling(ceiling) => ratio > ceiling,
-        };
+        let worse =
+            if higher_is_worse(metric) { ratio > VIRTUAL_CEILING } else { ratio < VIRTUAL_FLOOR };
         deltas.push(Delta {
             bench: committed.bench.clone(),
             key: key.to_string(),
@@ -97,41 +87,22 @@ pub(crate) fn compare_pair(
     let gone = BenchEntry::default();
     for c in &committed.entries {
         // A configuration that vanished reads as all zeros: every metric it
-        // carried is checked, and fails, under that metric's own rule.
+        // carried is checked, and fails.
         let f = fresh.entry(&c.key).unwrap_or_else(|| {
             println!("  {} {}: entry missing from the fresh run", committed.bench, c.key);
             &gone
         });
-        let (floor, ceiling) = (Rule::Floor(THROUGHPUT_FLOOR), Rule::Ceiling(P99_CEILING));
-        check(&c.key, "throughput_ops_s", c.throughput_ops_s, f.throughput_ops_s, enforced, floor);
-        check(&c.key, "p99_ns", c.p99_ns as f64, f.p99_ns as f64, enforced, ceiling);
-        check(&c.key, "p999_ns", c.p999_ns as f64, f.p999_ns as f64, enforced, ceiling);
+        check(&c.key, "throughput_ops_s", c.throughput_ops_s, f.throughput_ops_s);
+        check(&c.key, "p99_ns", c.p99_ns as f64, f.p99_ns as f64);
+        check(&c.key, "p999_ns", c.p999_ns as f64, f.p999_ns as f64);
+        // The modelled times and rates carry `virtual` in their key; byte
+        // counts, shares and normalised ratios are not compared.
         for (k, cv) in c.extra.iter().filter(|(k, _)| k.contains("virtual")) {
-            // `_ms`/`_ns` keys are latencies (higher = worse); the rest are
-            // rates (lower = worse).
-            let rule = if k.ends_with("_ms") || k.ends_with("_ns") {
-                Rule::Ceiling(VIRTUAL_CEILING)
-            } else {
-                Rule::Floor(VIRTUAL_FLOOR)
-            };
-            let fv = f.extra.get(k).copied().unwrap_or(0.0);
-            check(&c.key, k, *cv, fv, virtual_enforced, rule);
+            check(&c.key, k, *cv, f.extra.get(k).copied().unwrap_or(0.0));
         }
     }
-    // Report-level summary scalars — the only place gc_pause's
-    // p99_ratio_on_vs_off and qd_sweep's qd16_vs_qd1_t* live. They are
-    // derived from wall measurements on one host, so they are enforced
-    // like wall metrics (matched host_cpus). Direction by name: keys
-    // containing "p99" or ending in "_ms"/"_ns" are higher-is-worse,
-    // everything else (speedup ratios, op counts) lower-is-worse.
     for (k, cv) in &committed.summary {
-        let rule = if k.contains("p99") || k.ends_with("_ms") || k.ends_with("_ns") {
-            Rule::Ceiling(P99_CEILING)
-        } else {
-            Rule::Floor(THROUGHPUT_FLOOR)
-        };
-        let fv = fresh.summary.get(k).copied().unwrap_or(0.0);
-        check("summary", k, *cv, fv, enforced, rule);
+        check("summary", k, *cv, fresh.summary.get(k).copied().unwrap_or(0.0));
     }
     Ok(())
 }
@@ -140,8 +111,8 @@ fn delta_json(deltas: &[Delta], enforced_any: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"throughput_floor\": {THROUGHPUT_FLOOR},");
-    let _ = writeln!(s, "  \"p99_ceiling\": {P99_CEILING},");
+    let _ = writeln!(s, "  \"floor\": {VIRTUAL_FLOOR},");
+    let _ = writeln!(s, "  \"ceiling\": {VIRTUAL_CEILING},");
     let _ = writeln!(s, "  \"enforced\": {enforced_any},");
     let _ = writeln!(s, "  \"regressions\": {},", deltas.iter().filter(|d| d.regression).count());
     s.push_str("  \"deltas\": [\n");
@@ -166,8 +137,8 @@ fn delta_markdown(deltas: &[Delta]) -> String {
     let regressions = deltas.iter().filter(|d| d.regression).count();
     let _ = writeln!(
         s,
-        "Gates: throughput ≥ {THROUGHPUT_FLOOR}x committed, p99/p99.9 ≤ {P99_CEILING}x \
-         committed, virtual rates ≥ {VIRTUAL_FLOOR}x / latencies ≤ {VIRTUAL_CEILING}x."
+        "Gates, at the committed scale: rates ≥ {VIRTUAL_FLOOR}x committed, latencies \
+         ≤ {VIRTUAL_CEILING}x."
     );
     let _ = writeln!(s, "\n**{} deltas, {} regressions.**\n", deltas.len(), regressions);
     s.push_str("| bench | entry | metric | baseline | fresh | ratio | verdict |\n");
@@ -199,20 +170,14 @@ pub(crate) fn compare(pairs: &[(BenchReport, BenchReport)], out_dir: &str) -> Re
     let mut deltas = Vec::new();
     let mut enforced_any = false;
     for (fresh, committed) in pairs {
-        let enforced = fresh.host_cpus == committed.host_cpus;
+        let enforced = fresh.scale == committed.scale;
         enforced_any |= enforced;
         println!(
-            "compare: {} — fresh host_cpus={} scale={} vs committed host_cpus={} scale={} ({})",
+            "compare: {} — fresh scale={} vs committed scale={} ({})",
             committed.bench,
-            fresh.host_cpus,
             fresh.scale,
-            committed.host_cpus,
             committed.scale,
-            if enforced {
-                "wall metrics ENFORCED"
-            } else {
-                "wall metrics informational: host_cpus differ; virtual metrics still enforced"
-            }
+            if enforced { "ENFORCED" } else { "informational: scales differ" }
         );
         compare_pair(fresh, committed, &mut deltas)?;
     }
@@ -245,7 +210,6 @@ mod tests {
 
     fn committed() -> BenchReport {
         let mut r = BenchReport::new("gc_pause", 1.0);
-        r.host_cpus = 2;
         for key in ["cleaning_on", "cleaning_off"] {
             r.entries.push(BenchEntry {
                 throughput_ops_s: 1000.0,
@@ -269,17 +233,17 @@ mod tests {
         let base = committed();
         assert!(regressions(&base, &base).is_empty());
         let mut moved = base.clone();
-        moved.entries[0].throughput_ops_s = 800.0;
+        moved.entries[0].throughput_ops_s = 650.0;
         moved.entries[0].p99_ns = 950;
         assert!(regressions(&moved, &base).is_empty());
-        moved.entries[0].throughput_ops_s = 700.0;
+        moved.entries[0].throughput_ops_s = 550.0;
         moved.entries[1].p999_ns = 1900;
         assert_eq!(
             regressions(&moved, &base),
             ["cleaning_on/throughput_ops_s", "cleaning_off/p999_ns"]
         );
         let mut other = base.clone();
-        other.bench = "qd_sweep".into();
+        other.bench = "media_fault".into();
         assert!(compare_pair(&other, &base, &mut Vec::new()).is_err());
     }
 
@@ -304,11 +268,11 @@ mod tests {
                 "summary/p99_ratio_on_vs_off",
             ]
         );
-        // Each under its metric's own rule: another host's wall numbers are
-        // not comparable, its virtual ones at the same scale are…
-        fresh.host_cpus = 8;
-        assert_eq!(regressions(&fresh, &base), ["cleaning_off/virtual_elapsed_ns"]);
-        // …and at another scale nothing is.
+        // The host does not matter: the numbers are modelled…
+        let on_another_host = regressions(&fresh, &base);
+        fresh.host_cpus = base.host_cpus + 8;
+        assert_eq!(regressions(&fresh, &base), on_another_host);
+        // …but at another scale nothing is comparable.
         fresh.scale = 0.5;
         assert!(regressions(&fresh, &base).is_empty());
     }

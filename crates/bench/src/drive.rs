@@ -1,13 +1,5 @@
-//! What the host-clock benches share: the deterministic generators behind
-//! their op streams, the repeat and thread-start helpers, and the batched
-//! drive loop with sampled latencies.
-
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
-
-use mssd::queue::Command;
-use mssd::{Category, Mssd, TxId};
-use workloads::Histogram;
+//! What the benches share: the deterministic generator behind their op
+//! streams and the rounding of the committed artifacts.
 
 /// xorshift64: every bench's op stream is a pure function of its seed.
 pub(crate) struct XorShift(pub(crate) u64);
@@ -30,153 +22,4 @@ impl XorShift {
 /// Rounds to the three decimals the committed artifacts carry.
 pub(crate) fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
-}
-
-/// Runs `run` `repeats` times and keeps the outcome `cost` ranks lowest
-/// (the first on a tie): the fastest run filters scheduler and
-/// frequency-scaling noise on busy hosts.
-pub(crate) fn best_of<T>(
-    repeats: usize,
-    mut run: impl FnMut() -> T,
-    cost: impl Fn(&T) -> f64,
-) -> T {
-    let mut best = run();
-    for _ in 1..repeats {
-        let next = run();
-        if cost(&next) < cost(&best) {
-            best = next;
-        }
-    }
-    best
-}
-
-/// Releases `threads` workers from one barrier and returns the wall seconds
-/// from the release to the last join, with every worker's result.
-pub(crate) fn timed_threads<T: Send>(
-    threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> (f64, Vec<T>) {
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (barrier, work) = (&barrier, &work);
-                s.spawn(move || {
-                    barrier.wait();
-                    work(t)
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let results =
-            handles.into_iter().map(|h| h.join().expect("bench thread panicked")).collect();
-        (start.elapsed().as_secs_f64(), results)
-    })
-}
-
-/// Deterministic command stream of a log-structured metadata workload: runs
-/// of 8–23 adjacent cacheline writes (the shape doorbell coalescing
-/// accelerates), every 8th run start a 128-byte read instead, every 4th run
-/// transactional with a COMMIT per 32 transactional writes.
-pub(crate) struct CmdGen {
-    rng: XorShift,
-    base: u64,
-    slots: u64,
-    cursor: u64,
-    run_left: u64,
-    tag: u8,
-    tx: TxId,
-    tx_writes: u32,
-}
-
-impl CmdGen {
-    /// `seed` starts the RNG, the window is `window_bytes` at byte `base`,
-    /// and `tx` is the first id of the stream's private transaction range.
-    pub(crate) fn new(seed: u64, base: u64, window_bytes: u64, tx: TxId) -> Self {
-        Self {
-            rng: XorShift(seed),
-            base,
-            slots: window_bytes / 64,
-            cursor: 0,
-            run_left: 0,
-            tag: 1,
-            tx,
-            tx_writes: 0,
-        }
-    }
-
-    pub(crate) fn next_command(&mut self) -> Command {
-        if self.tx_writes >= 32 {
-            self.tx_writes = 0;
-            let cmd = Command::Commit { txid: self.tx };
-            self.tx = TxId(self.tx.0 + 1);
-            return cmd;
-        }
-        if self.run_left == 0 {
-            if self.rng.below(8) == 0 {
-                let addr = self.base + self.rng.below(self.slots) * 64;
-                return Command::ByteRead { addr, len: 128, cat: Category::Inode };
-            }
-            self.cursor = self.rng.below(self.slots - 32);
-            self.run_left = 8 + self.rng.below(16);
-            self.tag = self.tag.wrapping_add(1);
-        }
-        self.run_left -= 1;
-        let addr = self.base + self.cursor * 64;
-        self.cursor += 1;
-        let transactional = self.tag.is_multiple_of(4);
-        if transactional {
-            self.tx_writes += 1;
-        }
-        Command::ByteWrite {
-            addr,
-            data: vec![self.tag; 64],
-            txid: transactional.then_some(self.tx),
-            cat: Category::Inode,
-        }
-    }
-}
-
-/// Every `LAT_SAMPLE`-th command (or batch) is wall-timed. Sampling keeps
-/// the clock reads off the throughput fast path — timing every command
-/// would add two `Instant::now()` calls per op and drown the effect under
-/// measurement overhead.
-pub(crate) const LAT_SAMPLE: usize = 8;
-
-/// Drives `ops` commands of `gen` through one host queue in batches of
-/// `qd`: fill the SQ, ring once, drain the CQ. Returns the sampled
-/// submit-to-completion wall latencies in ns.
-pub(crate) fn drive_batched(dev: &Arc<Mssd>, gen: &mut CmdGen, qd: usize, ops: usize) -> Histogram {
-    let mut lat = Histogram::new();
-    let mut q = dev.open_queue(qd);
-    // Sampled commands' (index within batch, submit time); completions of a
-    // batch arrive in submission order.
-    let mut sampled: Vec<(usize, Instant)> = Vec::with_capacity(qd / LAT_SAMPLE + 1);
-    let mut issued = 0usize;
-    while issued < ops {
-        let batch = qd.min(ops - issued);
-        sampled.clear();
-        for i in 0..batch {
-            let cmd = gen.next_command();
-            if issued.is_multiple_of(LAT_SAMPLE) {
-                sampled.push((i, Instant::now()));
-            }
-            q.submit(cmd).expect("queue drained before each batch");
-            issued += 1;
-        }
-        q.ring_doorbell();
-        let mut next_sample = sampled.iter().peekable();
-        let mut idx = 0usize;
-        while q.poll().is_some() {
-            if let Some((i, t0)) = next_sample.peek() {
-                if *i == idx {
-                    lat.record(t0.elapsed().as_nanos() as u64);
-                    next_sample.next();
-                }
-            }
-            idx += 1;
-        }
-    }
-    lat
 }

@@ -1,6 +1,6 @@
-//! The bench suite: every figure and table of the paper plus the
-//! simulator's own scaling, latency and fault benches, behind one `bench`
-//! binary.
+//! The bench suite: every figure and table of the paper plus the model's
+//! cleaning, fault and replay benches, behind one `bench` binary. Every
+//! number is modelled time on `mssd::Clock` or a byte count, measured once.
 //!
 //! [`BENCHES`] is the registry — one row per bench with its artifact, the
 //! scale CI smoke-runs it at and its run function, all of one shape
@@ -25,15 +25,11 @@ pub mod gate;
 pub mod registry;
 pub mod report;
 mod suite {
-    pub(crate) mod c10k;
     pub(crate) mod gc_pause;
     pub(crate) mod hang_recovery;
     pub(crate) mod media_fault;
     pub(crate) mod paper;
-    pub(crate) mod qd_sweep;
-    pub(crate) mod recovery_time;
     pub(crate) mod replay;
-    pub(crate) mod trace_smoke;
 }
 
 pub use gate::{Gate, GATES};
@@ -100,11 +96,11 @@ mod tests {
         for line in [
             "",
             "fig6 0.5",
-            "qd_sweep --help",
+            "gc_pause --help",
             "run",
             "run fig99",
             "run fig6 0,5",
-            "run qd_sweep --help",
+            "run gc_pause --help",
             "run fig6 nan",
             "run fig6 inf",
             "run fig6 0",

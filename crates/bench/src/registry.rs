@@ -7,27 +7,13 @@ use workloads::Scale;
 
 use crate::gate::GATES;
 use crate::report::BenchReport;
-use crate::suite::{
-    c10k, gc_pause, hang_recovery, media_fault, paper, qd_sweep, recovery_time, replay, trace_smoke,
-};
+use crate::suite::{gc_pause, hang_recovery, media_fault, paper, replay};
 
-/// Which clock a bench's headline numbers are on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
-    /// Modelled nanoseconds on `mssd::Clock` (or byte counts): a pure
-    /// function of the scale, comparable to the paper and across hosts.
-    Virtual,
-    /// Host wall-clock: how fast the simulator runs, comparable only
-    /// between equal `host_cpus`.
-    Wall,
-}
-
-/// One registered bench.
+/// One registered bench. Every bench reports modelled time on `mssd::Clock`
+/// (or byte counts): a pure function of the scale, measured once.
 pub struct Bench {
     /// The name `bench run` takes.
     pub name: &'static str,
-    /// The clock its headline numbers are on.
-    pub clock: Clock,
     /// The `BENCH_*.json` it writes; rows sharing one are merged into a
     /// report named after the artifact, entry keys prefixed by row name.
     pub artifact: &'static str,
@@ -43,55 +29,34 @@ pub struct Bench {
 
 const fn bench(
     name: &'static str,
-    clock: Clock,
     artifact: &'static str,
     smoke_scale: f64,
     about: &'static str,
     run: fn(Scale) -> BenchReport,
 ) -> Bench {
-    Bench { name, clock, artifact, smoke_scale, about, paper_ref: "", run }
+    Bench { name, artifact, smoke_scale, about, paper_ref: "", run }
 }
 
-/// A row of the paper group: virtual clock, `BENCH_paper.json`, smoke 0.1.
+/// A row of the paper group: `BENCH_paper.json`, smoke 0.1.
 const fn figure(
     name: &'static str,
     about: &'static str,
     paper_ref: &'static str,
     run: fn(Scale) -> BenchReport,
 ) -> Bench {
-    Bench {
-        name,
-        clock: Clock::Virtual,
-        artifact: "BENCH_paper.json",
-        smoke_scale: 0.1,
-        about,
-        paper_ref,
-        run,
-    }
+    Bench { name, artifact: "BENCH_paper.json", smoke_scale: 0.1, about, paper_ref, run }
 }
-
-use Clock::{Virtual, Wall};
 
 /// Every bench, in the order `bench run all` runs them.
 #[rustfmt::skip]
 pub const BENCHES: &[Bench] = &[
-    bench("qd_sweep", Wall, "BENCH_qd_sweep.json", 0.1,
-          "batched queue submission (qd 4/16/64) vs synchronous qd 1", qd_sweep::run),
-    // Full scale: the per-batch runtime overhead amortizes over real op
-    // counts, and the whole sweep still finishes in well under a minute.
-    bench("c10k", Wall, "BENCH_c10k.json", 1.0,
-          "1k/4k/10k async clients on one thread vs one sync thread at qd=64", c10k::run),
-    bench("gc_pause", Wall, "BENCH_gc_pause.json", 0.2,
+    bench("gc_pause", "BENCH_gc_pause.json", 0.2,
           "foreground byte-write latency with log cleaning active vs idle", gc_pause::run),
-    bench("media_fault", Wall, "BENCH_media_fault.json", 0.3,
+    bench("media_fault", "BENCH_media_fault.json", 0.3,
           "RAS-layer cost under a 1e-4 transient read-error rate", media_fault::run),
-    bench("hang_recovery", Virtual, "BENCH_hang_recovery.json", 0.3,
+    bench("hang_recovery", "BENCH_hang_recovery.json", 0.3,
           "recovery-layer tail latency under a 1e-3 fail-slow rate", hang_recovery::run),
-    bench("recovery_time", Virtual, "BENCH_recovery.json", 0.2,
-          "remount + RECOVER() latency vs dirty-log depth (16 MB log region)", recovery_time::run),
-    bench("trace_smoke", Virtual, "BENCH_trace_smoke.json", 1.0,
-          "traced workload -> Chrome trace export, validated in-process", trace_smoke::run),
-    bench("replay", Virtual, "BENCH_replay.json", 0.1,
+    bench("replay", "BENCH_replay.json", 0.1,
           "trace corpus recorded on ByteFS, replayed on ByteFS + ext4-like", replay::run),
     figure("fig1", "Figure 1 — host-SSD traffic of Ext4/F2FS by file-system data structure",
            "", paper::fig1),
@@ -126,20 +91,19 @@ pub const BENCHES: &[Bench] = &[
             flash read 40 us, program 60 us.", paper::table1),
     figure("table2", "Table 2 — I/O amplification (host traffic / application traffic)",
            "Ext4 write amplification 1.4-6.2x, read 1.1-1.7x; F2FS lower.", paper::table2),
-    figure("recovery", "§5.5 — RECOVER() + remount after a crash under YCSB-A",
+    figure("recovery", "§5.5 — RECOVER() + remount after a crash under YCSB-A and vs dirty-log \
+                       depth (16 MB log region)",
            "4.2 s on a 1 GB device DRAM image; the harness region is 16 MB, so the absolute \
             recovery time scales down proportionally.", paper::recovery),
 ];
 
 /// The rows `target` selects: `all`, one row by name, or every row of an
-/// artifact by its stem (`paper` for `BENCH_paper.json`). A row name wins
-/// over a stem (`recovery` is the §5.5 bench, not `BENCH_recovery.json`).
+/// artifact by its stem (`paper` for `BENCH_paper.json`).
 pub fn select(target: &str) -> Vec<&'static Bench> {
-    let named: Vec<_> = BENCHES.iter().filter(|b| target == "all" || b.name == target).collect();
-    if !named.is_empty() {
-        return named;
-    }
-    BENCHES.iter().filter(|b| stem(b.artifact) == target).collect()
+    BENCHES
+        .iter()
+        .filter(|b| target == "all" || b.name == target || stem(b.artifact) == target)
+        .collect()
 }
 
 /// The distinct artifacts `rows` write, in registry order.
@@ -161,16 +125,14 @@ pub fn stem(artifact: &str) -> &str {
 /// The registry as the markdown table `bench list` prints and `DESIGN.md`
 /// carries.
 pub fn table() -> String {
-    let mut s =
-        String::from("| bench | clock | artifact | smoke scale | gates |\n|---|---|---|---|---|\n");
+    let mut s = String::from("| bench | artifact | smoke scale | gates |\n|---|---|---|---|\n");
     for b in BENCHES {
         let gates: Vec<String> =
             GATES.iter().filter(|g| g.bench == b.name).map(|g| format!("`{g}`")).collect();
         let _ = writeln!(
             s,
-            "| `{}` | {} | `{}` | {} | {} |",
+            "| `{}` | `{}` | {} | {} |",
             b.name,
-            if b.clock == Clock::Virtual { "virtual" } else { "host wall" },
             b.artifact,
             b.smoke_scale,
             if gates.is_empty() { "–".to_string() } else { gates.join("; ") },
@@ -193,27 +155,25 @@ mod tests {
             // BENCH_paper.json together, keys prefixed by the row's name.
             if b.artifact == "BENCH_paper.json" {
                 assert_eq!(sharing.len(), 13, "{sharing:?}");
-                assert_eq!((b.clock, b.smoke_scale), (Clock::Virtual, 0.1), "{}", b.name);
+                assert_eq!(b.smoke_scale, 0.1, "{}", b.name);
             } else {
                 assert_eq!(sharing, [b.name], "{} has two writers", b.artifact);
                 assert!(b.paper_ref.is_empty());
-                let named_after = if b.name == "recovery_time" { "recovery" } else { b.name };
-                assert_eq!(b.artifact, format!("BENCH_{named_after}.json"));
+                assert_eq!(b.artifact, format!("BENCH_{}.json", b.name));
             }
             assert!(b.smoke_scale > 0.0 && !b.about.is_empty());
         }
-        assert_eq!(BENCHES.len(), 21);
+        assert_eq!(BENCHES.len(), 17);
     }
 
     #[test]
     fn select_takes_all_a_name_or_an_artifact_stem() {
         let names = |target| select(target).iter().map(|b| b.name).collect::<Vec<_>>();
         assert_eq!(names("all").len(), BENCHES.len());
-        assert_eq!(names("qd_sweep"), ["qd_sweep"]);
+        assert_eq!(names("gc_pause"), ["gc_pause"]);
         assert_eq!(names("paper").len(), 13);
         assert_eq!(names("paper")[..2], ["fig1", "fig6"]);
-        assert_eq!(names("recovery"), ["recovery"], "the §5.5 bench, not BENCH_recovery.json");
-        assert_eq!(names("recovery_time"), ["recovery_time"]);
+        assert_eq!(names("recovery"), ["recovery"]);
         assert!(names("fig99").is_empty() && names("").is_empty());
     }
 

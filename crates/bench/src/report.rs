@@ -3,8 +3,8 @@
 //!
 //! Every bench produces a [`BenchReport`]: a `schema_version` tag, the bench name, the scale
 //! factor and host parallelism the run was produced under, a flat list of
-//! [`BenchEntry`] rows keyed by a stable string (e.g. `"bytefs/t4"` or
-//! `"qd16/t4"`), and a `summary` map of report-level scalars (e.g.
+//! [`BenchEntry`] rows keyed by a stable string (e.g. `"mail/bytefs"` or
+//! `"cleaning_on"`), and a `summary` map of report-level scalars (e.g.
 //! `p99_ratio_on_vs_off`). The two first-class metrics every comparator
 //! understands are `throughput_ops_s` and `p99_ns`; a value of zero means
 //! "not applicable to this bench" and is never gated on. Everything else
@@ -24,9 +24,9 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// One measured configuration of a bench.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchEntry {
-    /// Stable key, unique within a report (e.g. `"bytefs/t4"`).
+    /// Stable key, unique within a report (e.g. `"mail/bytefs"`).
     pub key: String,
-    /// Wall-clock throughput in operations per second; 0 when the bench has
+    /// Throughput in operations per modelled second; 0 when the bench has
     /// no throughput notion for this row.
     pub throughput_ops_s: f64,
     /// 99th-percentile per-operation latency in nanoseconds; 0 when not
@@ -62,8 +62,8 @@ pub struct BenchReport {
     pub bench: String,
     /// Scale factor the run used.
     pub scale: f64,
-    /// `std::thread::available_parallelism()` of the producing host —
-    /// wall-clock numbers are only comparable between equal values.
+    /// `std::thread::available_parallelism()` of the producing host: a
+    /// record of where the run was made, which no check reads.
     pub host_cpus: usize,
     /// Measured rows.
     pub entries: Vec<BenchEntry>,
@@ -221,14 +221,13 @@ impl BenchReport {
     }
 }
 
-/// Parallelism available to this process; wall-clock throughput is bounded
-/// by it, so reports carry it for comparability.
+/// Parallelism available to this process, which reports record.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Formats a table cell: integers plainly, everything else to the three
-/// decimals the wall-clock benches round to.
+/// decimals the committed artifacts round to.
 pub fn fmt_num(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -539,27 +538,27 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let mut r = BenchReport::new("qd_sweep", 0.5);
+        let mut r = BenchReport::new("gc_pause", 0.5);
         r.entries.push(BenchEntry {
-            key: "qd16/t4".into(),
+            key: "cleaning_on".into(),
             throughput_ops_s: 123456.75,
             p99_ns: 9800,
             p999_ns: 12000,
-            extra: BTreeMap::from([("threads".to_string(), 4.0), ("qd".to_string(), 16.0)]),
+            extra: BTreeMap::from([("ops".to_string(), 4.0), ("log_cleanings".to_string(), 16.0)]),
         });
         r.entries.push(BenchEntry {
-            key: "qd1/t4".into(),
+            key: "cleaning_off".into(),
             throughput_ops_s: 60000.0,
             p99_ns: 15000,
             p999_ns: 0,
             extra: BTreeMap::new(),
         });
-        r.summary.insert("qd16_vs_qd1_4t".into(), 2.057);
+        r.summary.insert("p99_ratio_on_vs_off".into(), 2.057);
         let back = BenchReport::from_json(&r.to_json()).expect("parse");
         assert_eq!(back, r);
         assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert_eq!(back.entry("qd16/t4").unwrap().p99_ns, 9800);
-        assert_eq!(back.entry("qd16/t4").unwrap().p999_ns, 12000);
+        assert_eq!(back.entry("cleaning_on").unwrap().p99_ns, 9800);
+        assert_eq!(back.entry("cleaning_on").unwrap().p999_ns, 12000);
         let v2 = r.to_json().replace("\"schema_version\": 3", "\"schema_version\": 2");
         assert!(BenchReport::from_json(&v2).is_err(), "only the current schema is read");
     }
@@ -583,6 +582,42 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    /// The Chrome trace export reads back with this parser: a `traceEvents`
+    /// array with one complete (`"X"`) span per completed command.
+    #[test]
+    fn chrome_trace_export_round_trips() {
+        use mssd::{chrome_trace_json, Category, Command, DramMode, Mssd, MssdConfig, TraceKind};
+        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
+        dev.set_tracing(true);
+        let mut q = dev.open_queue(8);
+        for lba in 0..4 {
+            let data = vec![lba as u8; dev.page_size()];
+            q.submit(Command::BlockWrite { lba, data, cat: Category::Data }).expect("submit");
+        }
+        for addr in [0, 64] {
+            let data = vec![7; 64];
+            q.submit(Command::ByteWrite { addr, data, txid: None, cat: Category::Inode })
+                .expect("submit");
+        }
+        q.ring_doorbell();
+        while q.poll().is_some() {}
+        let dump = dev.trace_sink().drain();
+        let doc = Json::parse(&chrome_trace_json(&dump)).expect("the export parses");
+        let Some(Json::Array(events)) = doc.as_object().and_then(|o| o.get("traceEvents")) else {
+            panic!("the export has no traceEvents array")
+        };
+        let is_span =
+            |e: &&Json| e.as_object().and_then(|o| o.get("ph")).and_then(Json::as_str) == Some("X");
+        let spans = events.iter().filter(is_span).count();
+        let completions = dump
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::CqComplete | TraceKind::Abort))
+            .count();
+        assert!(completions > 0, "the run completed no command");
+        assert_eq!(spans, completions);
     }
 
     /// A committed artifact: the seed the hostile-input tests corrupt.

@@ -6,7 +6,6 @@
 //! Why it exists and how to read it: `DESIGN.md`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mssd::{
     Category, Command, DramMode, HangFaultConfig, HangFaultPlan, Mssd, MssdConfig, RetryPolicy,
@@ -14,7 +13,7 @@ use mssd::{
 };
 use workloads::{Histogram, Scale};
 
-use crate::drive::{best_of, round3, XorShift};
+use crate::drive::{round3, XorShift};
 use crate::{BenchEntry, BenchReport};
 
 /// Commands per client at scale 1.0.
@@ -35,10 +34,6 @@ const SLOTS: u64 = 64;
 /// Block pages per client (disjoint, partition 1).
 const PAGES: u64 = 8;
 
-/// Timed repetitions per configuration; the best wall time is reported
-/// (virtual metrics are deterministic and identical across repeats).
-const REPEATS: usize = 3;
-
 /// The 1e-3 combined fail-slow regime: half stalls (a third of them
 /// unbounded), the rest lost completions and the occasional lane wedge.
 fn hang_plan() -> HangFaultPlan {
@@ -57,7 +52,7 @@ fn hang_plan() -> HangFaultPlan {
 /// Drives the seeded stream once through the async runtime (the calling
 /// thread pumps the executor, so the run — and with it every
 /// virtual-clock number — is deterministic) and returns its report entry.
-fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
+fn measure(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     let mut cfg = MssdConfig::small_test();
     // Partition 0 holds the clients' byte slots, partition 1 their pages.
     cfg.capacity_bytes = 32 << 20;
@@ -68,7 +63,6 @@ fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     let page_size = dev.page_size() as u64;
     let block_base = (16u64 << 20) / page_size;
 
-    let start = Instant::now();
     let rt = Runtime::new(&dev, LANES, DEPTH);
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -144,11 +138,9 @@ fn timed_run(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
             recovered += rec;
         }
     });
-    let wall_s = start.elapsed().as_secs_f64();
     let cmds = cmds_per_client * CLIENTS;
     let traffic = dev.snapshot().traffic;
     BenchEntry {
-        throughput_ops_s: round3(cmds as f64 / wall_s),
         p99_ns: lat.value_at(0.99),
         p999_ns: lat.value_at(0.999),
         ..BenchEntry::new(
@@ -174,15 +166,7 @@ pub(crate) fn run(scale: Scale) -> BenchReport {
     // The floor keeps smoke-scale runs long enough that the 1e-3 regime
     // actually injects hangs for the gated ratio to measure.
     let cmds = ((CMDS_PER_CLIENT as f64 * scale.factor()) as usize).max(2_000);
-
-    // Bring the CPU out of idle so the first configuration is not penalized.
-    let _ = timed_run("warmup", false, cmds / 10);
-
-    // The fastest of the repeats: the same command count, so the highest
-    // throughput.
-    let best =
-        |key, faulted| best_of(REPEATS, || timed_run(key, faulted, cmds), |e| -e.throughput_ops_s);
-    let (clean, fault) = (best("clean", false), best("hang_1e-3", true));
+    let (clean, fault) = (measure("clean", false, cmds), measure("hang_1e-3", true, cmds));
     assert_eq!(clean.extra["injected_hangs"], 0.0, "fault-free run must not inject hangs");
     assert_eq!(clean.extra["recovered_cmds"], 0.0, "fault-free run must not take retries");
     assert!(

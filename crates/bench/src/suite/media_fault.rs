@@ -1,22 +1,17 @@
-//! `media_fault`: wall-clock cost of one single-threaded, read-heavy stream
+//! `media_fault`: modelled cost of one single-threaded, read-heavy stream
 //! on a fault-free device versus one whose [`mssd::MediaFaultPlan`] injects
 //! transient read errors at 1e-4 per read, so the RAS ladder (ECC decode,
 //! bounded re-reads, the occasional UECC verdict) actually runs. Why it
 //! exists and how to read it: `DESIGN.md`.
 
-use std::time::Instant;
-
 use mssd::{Category, DramMode, MediaFaultPlan, Mssd, MssdConfig};
 use workloads::Scale;
 
-use crate::drive::{best_of, round3, XorShift};
+use crate::drive::{round3, XorShift};
 use crate::{BenchEntry, BenchReport};
 
 /// Ops in the measured stream at scale 1.0.
 const OPS: usize = 120_000;
-
-/// Timed repetitions per configuration; the best run is reported.
-const REPEATS: usize = 5;
 
 /// Whole pages of block traffic the stream cycles through.
 const PAGES: u64 = 512;
@@ -24,18 +19,26 @@ const PAGES: u64 = 512;
 /// 64-byte byte-interface slots (distinct pages from the block region).
 const SLOTS: u64 = 2048;
 
+/// Ops between two FLUSHes: a FLUSH programs the buffered block writes, so
+/// the block reads after it are flash reads again. Without it the 512 pages
+/// settle in the FTL write buffer within a few thousand ops and the reads
+/// never reach the RAS ladder.
+const FLUSH_EVERY: usize = 256;
+
 /// First logical page of the block region (per the byte slots above:
 /// 2048 * 64 B = 128 KB = 32 pages, rounded up generously).
 const BLOCK_BASE: u64 = 64;
 
-/// Drives the read-heavy stream once; returns (wall seconds, uecc count).
+/// Drives the read-heavy stream once; returns the UECC count.
 /// Reads dominate (70%) because the 1e-4 regime is a *read*-error regime:
 /// program and erase failures at end of life are orders of magnitude rarer.
-fn drive(dev: &Mssd, ops: usize) -> (f64, u64) {
+fn drive(dev: &Mssd, ops: usize) -> u64 {
     let mut rng = XorShift(0xEC0_5EED | 1);
     let mut uecc = 0u64;
-    let start = Instant::now();
-    for _ in 0..ops {
+    for op in 1..=ops {
+        if op % FLUSH_EVERY == 0 {
+            let _ = dev.try_flush();
+        }
         match rng.below(100) {
             // Block read of 1-2 pages: the flash read path, ECC decode and
             // (under injection) the retry ladder.
@@ -67,12 +70,13 @@ fn drive(dev: &Mssd, ops: usize) -> (f64, u64) {
             }
         }
     }
-    (start.elapsed().as_secs_f64(), uecc)
+    uecc
 }
 
 /// Builds the device, pre-populates every page/slot the stream touches (so
-/// reads hit programmed flash, not the zero fast path), and runs the stream.
-fn timed_run(read_error_rate: f64, ops: usize) -> (f64, u64) {
+/// reads hit programmed flash, not the zero fast path), runs the stream and
+/// returns its entry: the virtual time the stream took and the RAS counters.
+fn measure(key: &str, read_error_rate: f64, ops: usize) -> BenchEntry {
     let mut cfg = MssdConfig::default().with_capacity(64 << 20);
     if read_error_rate > 0.0 {
         cfg.media = MediaFaultPlan::rates(0xEC0_FA17, read_error_rate, 0.0, 0.0);
@@ -90,33 +94,39 @@ fn timed_run(read_error_rate: f64, ops: usize) -> (f64, u64) {
     dev.seal_log_regions();
     dev.try_flush().unwrap();
     dev.reset_stats();
-    drive(&dev, ops)
+    let start = dev.clock().now_ns();
+    let uecc = drive(&dev, ops);
+    let elapsed_ns = dev.clock().now_ns() - start;
+    let t = dev.traffic();
+    BenchEntry::new(
+        key,
+        &[
+            ("ops", ops as f64),
+            ("virtual_elapsed_ms", round3(elapsed_ns as f64 / 1e6)),
+            ("ueccs", uecc as f64),
+            ("corrected_reads", t.ras_corrected_reads as f64),
+            ("read_retries", t.ras_read_retries as f64),
+            ("flash_read_pages", t.flash_read_pages as f64),
+        ],
+    )
 }
 
 pub(crate) fn run(scale: Scale) -> BenchReport {
-    // The floor keeps smoke-scale runs long enough that the gated ratio
-    // measures work, not timer noise.
+    // The floor keeps smoke-scale runs long enough for the 1e-4 regime to
+    // inject errors at all.
     let ops = ((OPS as f64 * scale.factor()) as usize).max(40_000);
-    // Bring the CPU out of idle so the first configuration is not penalized.
-    let _ = timed_run(0.0, ops / 10);
-
-    let best = |rate| best_of(REPEATS, || timed_run(rate, ops), |run| run.0);
-    let (clean_wall, clean_uecc) = best(0.0);
-    let (fault_wall, fault_uecc) = best(1e-4);
-    assert_eq!(clean_uecc, 0, "fault-free run must not report UECCs");
-
+    let clean = measure("clean", 0.0, ops);
+    let fault = measure("rber_1e-4", 1e-4, ops);
+    assert_eq!(clean.extra["ueccs"], 0.0, "fault-free run must not report UECCs");
+    assert!(
+        fault.extra["corrected_reads"] + fault.extra["read_retries"] > 0.0,
+        "the armed 1e-4 plan never reached the RAS ladder — grow the stream"
+    );
+    let elapsed = |e: &BenchEntry| e.extra["virtual_elapsed_ms"];
     let mut report = BenchReport::new("media_fault", scale.factor());
-    for (key, wall, uecc) in
-        [("clean", clean_wall, clean_uecc), ("rber_1e-4", fault_wall, fault_uecc)]
-    {
-        report.entries.push(BenchEntry {
-            throughput_ops_s: round3(ops as f64 / wall),
-            ..BenchEntry::new(
-                key,
-                &[("ops", ops as f64), ("wall_ms", round3(wall * 1e3)), ("ueccs", uecc as f64)],
-            )
-        });
-    }
-    report.summary.insert("cost_ratio_fault_vs_clean".to_string(), round3(fault_wall / clean_wall));
+    report
+        .summary
+        .insert("cost_ratio_fault_vs_clean".to_string(), round3(elapsed(&fault) / elapsed(&clean)));
+    report.entries = vec![clean, fault];
     report
 }

@@ -1,5 +1,6 @@
 //! The thirteen benches that reproduce the paper's evaluation: Figures 1 and
-//! 6–14, Tables 1 and 2 and the §5.5 recovery measurement.
+//! 6–14, Tables 1 and 2 and the §5.5 recovery measurement (with its sweep
+//! over the depth of the write log at the cut).
 //!
 //! All of them report **virtual time** or byte counts: every modelled device
 //! and host cost is charged to the shared `mssd::Clock`, so the numbers are a
@@ -8,9 +9,12 @@
 //! configurations, each cell normalised to one column of its row — and go
 //! through [`sweep`].
 
+use std::sync::Arc;
+
 use bytefs::{ByteFs, ByteFsConfig};
+use fskit::FileSystemExt;
 use mssd::stats::Direction;
-use mssd::{Category, DramMode, Mssd, MssdConfig, TimingProfile};
+use mssd::{Category, DramMode, Mssd, MssdConfig, TimingProfile, TxId};
 use workloads::amplification::TrafficBreakdown;
 use workloads::filebench::{Filebench, Personality};
 use workloads::micro::{Micro, MicroOp};
@@ -337,33 +341,81 @@ pub(crate) fn table2(scale: Scale) -> BenchReport {
     report
 }
 
-/// §5.5: a write-heavy YCSB-A phase on ByteFS, a power cut without unmount,
-/// then the firmware `RECOVER()` pass plus remount on the virtual clock.
-pub(crate) fn recovery(scale: Scale) -> BenchReport {
-    let (dev, fs) = FsKind::ByteFs.build(bench_config());
-    let result = run_ycsb(&dev, fs, &YcsbSpec::new(YcsbWorkload::A, scale), 37).expect("ycsb runs");
+/// Dirty-log depths (entries at the cut) the `recovery` sweep fills at scale
+/// 1.0. The unscaled depth is the entry key, so reports at different scales
+/// diff entry by entry.
+const DEPTHS: [usize; 5] = [1_000, 8_000, 32_000, 96_000, 160_000];
 
+/// Cuts power on `dev`, remounts ByteFS and runs the firmware `RECOVER()`:
+/// returns the remounted file system and what the cut left in the log and
+/// the remount cost on the virtual clock.
+fn crash_and_recover(dev: &Arc<Mssd>) -> (Arc<ByteFs>, Metrics) {
     // Power failure: host state is gone, battery-backed device DRAM survives.
     dev.crash();
     let before_ns = dev.clock().now_ns();
     let snapshot = dev.snapshot();
-    let remounted = ByteFs::mount(dev.clone(), ByteFsConfig::full()).expect("remount succeeds");
-    let recovered = remounted.recover_after_crash();
+    let fs = ByteFs::mount(dev.clone(), ByteFsConfig::full()).expect("remount succeeds");
+    let recovered = fs.recover_after_crash();
     let total_ns = dev.clock().now_ns() - before_ns;
+    let metrics = vec![
+        ("log_entries_at_crash", snapshot.log_entries as f64),
+        ("log_bytes_at_crash", snapshot.log_used_bytes as f64),
+        ("scanned_entries", recovered.scanned_entries as f64),
+        ("discarded_entries", recovered.discarded_entries as f64),
+        ("flushed_pages", recovered.flushed_pages as f64),
+        ("recovery_virtual_ns", recovered.duration_ns as f64),
+        ("remount_virtual_ns", total_ns as f64),
+    ];
+    (fs, metrics)
+}
 
+/// Fills the log of a freshly formatted ByteFS device with `entries`
+/// cacheline byte writes to the data region, committed 32 to a transaction,
+/// every 64th left uncommitted so that recovery discards work at every depth;
+/// then the cut and the remount. A file written before the fill must survive.
+fn recover_at_depth(depth: usize, entries: usize) -> BenchEntry {
+    const LINE: usize = 64;
+    let cfg = bench_config();
+    let dev = Mssd::new(cfg.clone(), DramMode::WriteLog);
+    let anchor = b"survives every depth";
+    let fs = ByteFs::format(dev.clone(), ByteFsConfig::full()).expect("format");
+    fs.write_file("/anchor", anchor).expect("anchor file");
+    drop(fs);
+    // Far above the metadata tables, one cacheline per entry, spread over
+    // many pages so recovery's read-modify-write path runs.
+    let data_base = cfg.capacity_bytes / 2;
+    let lines_per_page = (cfg.page_size / LINE) as u64;
+    let mut tx = TxId(1);
+    for i in 0..entries as u64 {
+        let addr = data_base
+            + (i / lines_per_page) * cfg.page_size as u64
+            + (i % lines_per_page) * LINE as u64;
+        let txid = if i % 64 == 63 { TxId(u32::MAX) } else { tx };
+        dev.try_byte_write(addr, &[i as u8; LINE], Some(txid), Category::Data).unwrap();
+        if i % 32 == 31 || i + 1 == entries as u64 {
+            dev.commit(tx);
+            tx = TxId(tx.0 + 1);
+        }
+    }
+    let (fs, mut metrics) = crash_and_recover(&dev);
+    assert_eq!(fs.read_file("/anchor").expect("anchor readable"), anchor, "recovery lost data");
+    metrics.push(("entries_target", entries as f64));
+    BenchEntry::new(format!("entries{depth}"), &metrics)
+}
+
+/// §5.5: a write-heavy YCSB-A phase on ByteFS, a power cut without unmount,
+/// then the firmware `RECOVER()` pass plus remount on the virtual clock; and
+/// the same cut after filling the 16 MB log region to each of [`DEPTHS`].
+pub(crate) fn recovery(scale: Scale) -> BenchReport {
+    let (dev, fs) = FsKind::ByteFs.build(bench_config());
+    let result = run_ycsb(&dev, fs, &YcsbSpec::new(YcsbWorkload::A, scale), 37).expect("ycsb runs");
+    let (_, mut metrics) = crash_and_recover(&dev);
+    metrics.push(("ops_before_crash", result.ops as f64));
     let mut report = BenchReport::new("recovery", scale.factor());
-    report.entries.push(BenchEntry::new(
-        "ycsb-a_crash",
-        &[
-            ("ops_before_crash", result.ops as f64),
-            ("log_entries_at_crash", snapshot.log_entries as f64),
-            ("log_bytes_at_crash", snapshot.log_used_bytes as f64),
-            ("scanned_entries", recovered.scanned_entries as f64),
-            ("discarded_entries", recovered.discarded_entries as f64),
-            ("flushed_pages", recovered.flushed_pages as f64),
-            ("recovery_virtual_ns", recovered.duration_ns as f64),
-            ("remount_virtual_ns", total_ns as f64),
-        ],
-    ));
+    report.entries.push(BenchEntry::new("ycsb-a_crash", &metrics));
+    for depth in DEPTHS {
+        let entries = ((depth as f64 * scale.factor()) as usize).max(64);
+        report.entries.push(recover_at_depth(depth, entries));
+    }
     report
 }
