@@ -10,9 +10,7 @@
 use std::fmt::Write as _;
 
 use workloads::replay::ReplayOutcome;
-use workloads::{
-    record_corpus, replay, CorpusKind, FsKind, Recorded, ReplayConfig, ReplaySpeed, Scale,
-};
+use workloads::{record_corpus, replay, CorpusKind, FsKind, Recorded, Scale};
 
 use crate::drive::round3;
 use crate::{bench_config, BenchEntry, BenchReport};
@@ -28,14 +26,13 @@ struct Row {
     ext4: ReplayOutcome,
 }
 
-/// Replays `recorded` twice on `fs_kind` at exact speed, checks that the two
+/// Replays `recorded` twice on `fs_kind`, checks that the two
 /// runs agree bit for bit (and, for the recording fs, that they reproduce
 /// the recorded digest with zero divergences), and returns the first.
 fn replay_twice(recorded: &Recorded, fs_kind: FsKind, same_fs: bool) -> ReplayOutcome {
-    let cfg = ReplayConfig { speed: ReplaySpeed::Exact, threads: 1 };
     let what = format!("{} on {fs_kind}", recorded.trace.meta.name);
     let once = || {
-        replay(&recorded.trace, fs_kind, bench_config(), &cfg)
+        replay(&recorded.trace, fs_kind, bench_config())
             .unwrap_or_else(|e| panic!("{what}: replay failed: {e}"))
     };
     let (a, b) = (once(), once());
@@ -83,8 +80,8 @@ fn markdown(rows: &[Row]) -> String {
     let mut md = String::new();
     md.push_str("# Replay corpus: ByteFS vs ext4-like baseline\n\n");
     md.push_str(
-        "Each recorded trace is re-driven at exact speed against both file \
-         systems; ops and divergences come from the replayed op stream, \
+        "Each recorded trace is re-driven on its recorded timeline against both \
+         file systems; ops and divergences come from the replayed op stream, \
          latencies and throughput from the device's virtual clock.\n\n",
     );
     md.push_str(

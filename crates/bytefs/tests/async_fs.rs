@@ -3,8 +3,7 @@
 //! between calls; the results must be exactly what a sequential client would
 //! have produced. What it checks is per-call interleaving at the yield points
 //! — FIFO, so the same schedule every run. Thread parallelism is the subject
-//! of `tests/{concurrency,lock_interleave}.rs` here and
-//! `tests/concurrent_differential.rs` at the workspace root.
+//! of `tests/{concurrency,lock_interleave}.rs` here.
 
 use std::sync::Arc;
 

@@ -1,13 +1,13 @@
 //! Multi-threaded stress tests of the sharded ByteFS host path.
 //!
-//! N threads issue mixed create/write/rename/unlink/fsync/readdir traffic
-//! against one shared [`ByteFs`] — each thread inside its own directory, so
-//! every thread's expected state is deterministic while all the shared
-//! structures (namespace lock, inode shards, page-cache shards, allocators,
-//! TxTable, device) race. Afterwards the tests assert post-hoc invariants:
-//! every thread's files read back exactly, the namespace agrees with the
-//! expectations, unlinking everything returns the allocators to their
-//! baseline, and a concurrent run is observationally equivalent to a
+//! N threads issue mixed create/write/append/rename/unlink/fsync/readdir
+//! traffic against one shared [`ByteFs`] — each thread inside its own
+//! directory, so every thread's expected state is deterministic while all
+//! the shared structures (namespace lock, inode shards, page-cache shards,
+//! allocators, TxTable, device) race. Afterwards the tests assert post-hoc
+//! invariants: every thread's files read back exactly, the namespace agrees
+//! with the expectations, unlinking everything returns the allocators to
+//! their baseline, and a concurrent run is observationally equivalent to a
 //! sequential replay of the same per-thread streams. (Crash recovery under
 //! concurrency moved to the `crashkit` crate's ported suite.)
 
@@ -57,11 +57,11 @@ fn new_fs() -> (Arc<Mssd>, Arc<ByteFs>) {
     (dev, fs)
 }
 
-/// Executes thread `t`'s operation stream: create / overwrite / fsync /
-/// rename / unlink on files inside `/t{t}`, returning the expected final
-/// content of every surviving file. At most ~32 files are live at once so
-/// the thread's directory never outgrows one dentry block (keeps the
-/// allocator-baseline check exact).
+/// Executes thread `t`'s operation stream: create / overwrite / `O_APPEND`
+/// append / fsync / rename / unlink on files inside `/t{t}`, returning the
+/// expected final content of every surviving file. At most ~32 files are
+/// live at once so the thread's directory never outgrows one dentry block
+/// (keeps the allocator-baseline check exact).
 fn drive(fs: &dyn FileSystem, t: usize, ops: usize) -> BTreeMap<String, Vec<u8>> {
     let dir = format!("/t{t}");
     let mut rng = Ops::new(0xC0FFEE ^ (t as u64) << 24);
@@ -83,7 +83,7 @@ fn drive(fs: &dyn FileSystem, t: usize, ops: usize) -> BTreeMap<String, Vec<u8>>
                 expected.insert(path, payload);
             }
             // Overwrite a range in an existing file, fsync.
-            4 | 5 => {
+            4 => {
                 let Some(path) = nth_key(&expected, rng.next()) else { continue };
                 let tag = (rng.next() % 251) as u8;
                 let content = expected.get_mut(&path).unwrap();
@@ -94,6 +94,17 @@ fn drive(fs: &dyn FileSystem, t: usize, ops: usize) -> BTreeMap<String, Vec<u8>>
                 fs.fsync(fd).unwrap();
                 fs.close(fd).unwrap();
                 content[off..off + len].fill(tag);
+            }
+            // Append through `O_APPEND`, fsync.
+            5 => {
+                let Some(path) = nth_key(&expected, rng.next()) else { continue };
+                let tag = (rng.next() % 251) as u8;
+                let len = 1 + (rng.next() % 512) as usize;
+                let fd = fs.open(&path, OpenFlags::read_write().with_append()).unwrap();
+                fs.append(fd, &vec![tag; len]).unwrap();
+                fs.fsync(fd).unwrap();
+                fs.close(fd).unwrap();
+                expected.get_mut(&path).unwrap().extend(std::iter::repeat_n(tag, len));
             }
             // Read back a file mid-run and check it against the expectation.
             6 => {

@@ -677,6 +677,9 @@ impl Mssd {
         let start = self.clock.now_ns();
         let mut cost = self.cfg.nvme_overhead_ns + self.cfg.transfer_ns(count * page_size, true);
         let mut flash_reads = 0usize;
+        // The longest read-retry ladder among the command's flash reads: its
+        // rungs run after the first sensing, on that page's channel.
+        let mut retry_ns = 0u64;
         for i in 0..count as u64 {
             let lpa = lba + i;
             let now = start + cost;
@@ -687,6 +690,7 @@ impl Mssd {
                         Ok((page, ns)) => {
                             if ns > 0 {
                                 flash_reads += 1;
+                                retry_ns = retry_ns.max(ns.saturating_sub(self.cfg.flash_read_ns));
                             }
                             out.push(page);
                         }
@@ -701,7 +705,7 @@ impl Mssd {
                     match shard.get(lpa) {
                         Some(p) => out.push(p.to_vec()),
                         None => {
-                            let (page, _) = match self.read_flash(lpa, now) {
+                            let (page, ns) = match self.read_flash(lpa, now) {
                                 Ok(fetched) => fetched,
                                 Err(e) => {
                                     self.charge(cost);
@@ -709,6 +713,7 @@ impl Mssd {
                                 }
                             };
                             flash_reads += 1;
+                            retry_ns = retry_ns.max(ns.saturating_sub(self.cfg.flash_read_ns));
                             out.push(page.clone());
                             if !self.cfg.fault.is_cut() {
                                 match self.cache_fill(&mut shard, lpa, page, false, now) {
@@ -726,7 +731,8 @@ impl Mssd {
         }
         // Flash reads proceed channel-parallel.
         if flash_reads > 0 {
-            cost += flash_reads.div_ceil(self.cfg.channels) as u64 * self.cfg.flash_read_ns;
+            cost +=
+                flash_reads.div_ceil(self.cfg.channels) as u64 * self.cfg.flash_read_ns + retry_ns;
         }
         self.charge(cost);
         (Ok(out), cost)
@@ -1708,6 +1714,42 @@ mod tests {
         d.try_block_write(3, &page, Category::Data).unwrap();
         let back = d.try_block_read(3, 1, Category::Data).unwrap();
         assert_eq!(back, page);
+    }
+
+    #[test]
+    fn block_reads_charge_the_read_retry_ladder() {
+        use crate::fault::{MediaFaultConfig, MediaFaultPlan};
+        let flash_read_ns = MssdConfig::small_test().flash_read_ns;
+        for mode in [DramMode::WriteLog, DramMode::PageCache] {
+            // One page on NAND, restored onto a clean device and onto one
+            // whose every flash read draws a soft (correctable) fault.
+            let d = dev(mode);
+            d.try_block_write(3, &[0x3C; 4096], Category::Data).unwrap();
+            d.try_flush().unwrap();
+            let image = d.crash_image();
+            let read = |cfg: MssdConfig| {
+                let d = Mssd::from_crash_image(cfg, mode, &image);
+                let start = d.clock().now_ns();
+                assert_eq!(d.try_block_read(3, 1, Category::Data).unwrap(), vec![0x3C; 4096]);
+                (d.clock().now_ns() - start, d.traffic().ras_read_retries)
+            };
+            let media = MediaFaultConfig {
+                seed: 3,
+                read_error_rate: 1.0,
+                hard_read_rate: 0.0,
+                ..Default::default()
+            };
+            let (clean, _) = read(MssdConfig::small_test());
+            let faulty_cfg =
+                MssdConfig::small_test().with_media_fault_plan(MediaFaultPlan::new(media));
+            let (faulty, rungs) = read(faulty_cfg);
+            assert!(rungs > 0, "{mode:?}: the read must climb the retry ladder");
+            assert_eq!(
+                faulty - clean,
+                rungs * flash_read_ns,
+                "{mode:?}: each rung is one flash read"
+            );
+        }
     }
 
     #[test]

@@ -826,8 +826,8 @@ impl HostQueue {
     /// is a client with its own causal time: a client clock
     /// ([`crate::Clock::start_client`]) starts at the frontier, carries
     /// every charge the thread makes, and leaves its time in the plain sum
-    /// when the guard drops. This is how `workloads::run_concurrent` gives
-    /// each shard its own queue and its own clock without threading a
+    /// when the guard drops. This is how a multi-client run gives each
+    /// client thread its own queue and its own clock without threading a
     /// handle through every layer.
     pub fn make_ambient(&self) -> AmbientQueueGuard {
         let prev = AMBIENT_QUEUE.with(|c| c.replace(self.id));

@@ -79,9 +79,9 @@ pub const DEFAULT_COMMAND_TIMEOUT_NS: u64 = 10_000_000;
 const MAX_WEDGE_RESETS: u32 = 8;
 
 /// Capped exponential backoff with seeded, deterministic jitter — the one
-/// retry schedule shared by every host-side retry loop (the reactor's
-/// [`Reactor::submit_with_retry`] and `workloads`' concurrent driver), so a
-/// single seed fixes the complete retry timeline of a run.
+/// retry schedule of every host-side retry loop (the reactor's
+/// [`Reactor::submit_with_retry`]), so a single seed fixes the complete
+/// retry timeline of a run.
 ///
 /// Delays are **virtual-clock** nanoseconds: a backoff charges
 /// [`crate::Clock::advance`], never a wall-clock sleep.

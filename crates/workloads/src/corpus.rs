@@ -1,14 +1,14 @@
 //! The replay scenario corpus: small, fully deterministic workloads shaped
 //! after traffic patterns the Table-5 benchmarks do not cover, each meant to
 //! be **recorded once** ([`record_corpus`]) and then re-driven by
-//! [`mod@crate::replay`] — against other file systems, at other speeds, or
-//! through the crash enumerator.
+//! [`mod@crate::replay`] — against other file systems or through the crash
+//! enumerator.
 //!
-//! Every generator derives its op stream purely from its parameters and the
-//! shard index (no RNG state escapes a shard), so the same seed records the
-//! same trace byte for byte. Two of the generators attribute their clients
-//! to distinct trace tenants (via [`mssd::CtxScope`]), giving the replayer's
-//! concurrency modes real multi-tenant streams to spread over threads:
+//! Every generator derives its op stream purely from its parameters (no
+//! RNG state is drawn), so the same seed records the same trace byte for
+//! byte. Three of the generators run their clients one after another and
+//! attribute each client's ops to its own trace tenant (via
+//! [`mssd::CtxScope`]), so a trace tells which client issued every op:
 //!
 //! * [`CorpusKind::DiurnalBurst`] — bursty diurnal traffic: clients
 //!   alternate busy windows (many appends and reads) with quiet windows
@@ -160,52 +160,46 @@ impl Workload for DiurnalBurst {
         fs.sync()
     }
 
-    fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
+    fn run(&self, fs: &dyn FileSystem, _rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
         for c in 0..self.clients {
-            self.run_shard(fs, c, self.clients, rng, rec)?;
+            self.run_client(fs, c, rec)?;
         }
         Ok(())
     }
+}
 
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
+impl DiurnalBurst {
+    /// Runs client `c`'s busy/quiet windows over its own append log, as
+    /// tenant `c`.
+    fn run_client(&self, fs: &dyn FileSystem, c: usize, rec: &mut Recorder) -> FsResult<()> {
         let clock = fs.clock();
-        // Shards own whole clients: client c belongs to shard c % shards.
-        for c in (shard..self.clients).step_by(shards.max(1)) {
-            let _tenant = tenant_scope(c);
-            let fd = fs.open(&Self::log_path(c), OpenFlags::read_write().with_append())?;
-            for w in 0..self.windows {
-                // Busy window: a tight burst of appends, one fsync at the end.
-                for i in 0..self.busy_ops {
-                    let sw = rec.start(&clock);
-                    let payload = vec![(c * 31 + w * 7 + i) as u8; self.record_bytes];
-                    fs.append(fd, &payload)?;
-                    rec.finish(&clock, sw, OpClass::Write, self.record_bytes);
-                }
+        let _tenant = tenant_scope(c);
+        let fd = fs.open(&Self::log_path(c), OpenFlags::read_write().with_append())?;
+        for w in 0..self.windows {
+            // Busy window: a tight burst of appends, one fsync at the end.
+            for i in 0..self.busy_ops {
                 let sw = rec.start(&clock);
-                fs.fsync(fd)?;
-                rec.finish(&clock, sw, OpClass::Write, 0);
-                // Quiet window: sparse appends with idle gaps between them.
-                for i in 0..self.quiet_ops {
-                    clock.advance(self.idle_gap_ns);
-                    let sw = rec.start(&clock);
-                    let payload = vec![(c * 13 + w * 5 + i) as u8; self.record_bytes];
-                    fs.append(fd, &payload)?;
-                    fs.fdatasync(fd)?;
-                    rec.finish(&clock, sw, OpClass::Write, self.record_bytes);
-                }
+                let payload = vec![(c * 31 + w * 7 + i) as u8; self.record_bytes];
+                fs.append(fd, &payload)?;
+                rec.finish(&clock, sw, OpClass::Write, self.record_bytes);
             }
             let sw = rec.start(&clock);
             fs.fsync(fd)?;
-            fs.close(fd)?;
             rec.finish(&clock, sw, OpClass::Write, 0);
+            // Quiet window: sparse appends with idle gaps between them.
+            for i in 0..self.quiet_ops {
+                clock.advance(self.idle_gap_ns);
+                let sw = rec.start(&clock);
+                let payload = vec![(c * 13 + w * 5 + i) as u8; self.record_bytes];
+                fs.append(fd, &payload)?;
+                fs.fdatasync(fd)?;
+                rec.finish(&clock, sw, OpClass::Write, self.record_bytes);
+            }
         }
+        let sw = rec.start(&clock);
+        fs.fsync(fd)?;
+        fs.close(fd)?;
+        rec.finish(&clock, sw, OpClass::Write, 0);
         Ok(())
     }
 }
@@ -252,55 +246,49 @@ impl Workload for MailStorm {
         fs.sync()
     }
 
-    fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
+    fn run(&self, fs: &dyn FileSystem, _rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
         for m in 0..self.mailboxes {
-            self.run_shard(fs, m, self.mailboxes, rng, rec)?;
+            self.run_mailbox(fs, m, rec)?;
         }
         Ok(())
     }
+}
 
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
+impl MailStorm {
+    /// Runs mailbox `m`: its deliveries and its compaction, as tenant `m`.
+    fn run_mailbox(&self, fs: &dyn FileSystem, m: usize, rec: &mut Recorder) -> FsResult<()> {
         let clock = fs.clock();
-        for m in (shard..self.mailboxes).step_by(shards.max(1)) {
-            let _tenant = tenant_scope(m);
-            let spool = Self::spool(m);
-            let fd = fs.open(&spool, OpenFlags::read_write().with_append())?;
-            for i in 0..self.messages {
-                // Delivery: append + fsync — the storm's signature pattern.
-                let sw = rec.start(&clock);
-                let payload = vec![(m * 17 + i) as u8; self.message_bytes];
-                fs.append(fd, &payload)?;
-                fs.fsync(fd)?;
-                rec.finish(&clock, sw, OpClass::Write, self.message_bytes);
-                // An IMAP client polls the mailbox every few deliveries.
-                if i % 4 == 3 {
-                    let sw = rec.start(&clock);
-                    let size = fs.fstat(fd)?.size;
-                    let off = size.saturating_sub(self.message_bytes as u64);
-                    fs.read(fd, off, self.message_bytes)?;
-                    rec.finish(&clock, sw, OpClass::Read, self.message_bytes);
-                }
-            }
-            fs.close(fd)?;
-            // Compaction: rewrite the spool at half size, rename over it.
+        let _tenant = tenant_scope(m);
+        let spool = Self::spool(m);
+        let fd = fs.open(&spool, OpenFlags::read_write().with_append())?;
+        for i in 0..self.messages {
+            // Delivery: append + fsync — the storm's signature pattern.
             let sw = rec.start(&clock);
-            let compacted = format!("{spool}.new");
-            let cfd = fs.create(&compacted)?;
-            let keep = (self.messages / 2).max(1) * self.message_bytes;
-            fs.write(cfd, 0, &vec![(m * 29) as u8; keep])?;
-            fs.fsync(cfd)?;
-            fs.close(cfd)?;
-            fs.unlink(&spool)?;
-            fs.rename(&compacted, &spool)?;
-            rec.finish(&clock, sw, OpClass::Write, keep);
+            let payload = vec![(m * 17 + i) as u8; self.message_bytes];
+            fs.append(fd, &payload)?;
+            fs.fsync(fd)?;
+            rec.finish(&clock, sw, OpClass::Write, self.message_bytes);
+            // An IMAP client polls the mailbox every few deliveries.
+            if i % 4 == 3 {
+                let sw = rec.start(&clock);
+                let size = fs.fstat(fd)?.size;
+                let off = size.saturating_sub(self.message_bytes as u64);
+                fs.read(fd, off, self.message_bytes)?;
+                rec.finish(&clock, sw, OpClass::Read, self.message_bytes);
+            }
         }
+        fs.close(fd)?;
+        // Compaction: rewrite the spool at half size, rename over it.
+        let sw = rec.start(&clock);
+        let compacted = format!("{spool}.new");
+        let cfd = fs.create(&compacted)?;
+        let keep = (self.messages / 2).max(1) * self.message_bytes;
+        fs.write(cfd, 0, &vec![(m * 29) as u8; keep])?;
+        fs.fsync(cfd)?;
+        fs.close(cfd)?;
+        fs.unlink(&spool)?;
+        fs.rename(&compacted, &spool)?;
+        rec.finish(&clock, sw, OpClass::Write, keep);
         Ok(())
     }
 }
@@ -348,57 +336,51 @@ impl Workload for CiChurn {
         fs.sync()
     }
 
-    fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
+    fn run(&self, fs: &dyn FileSystem, _rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
         for r in 0..self.runners {
-            self.run_shard(fs, r, self.runners, rng, rec)?;
+            self.run_runner(fs, r, rec)?;
         }
         Ok(())
     }
+}
 
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
+impl CiChurn {
+    /// Runs runner `r`: its checkout/build/clean rounds, as tenant `r`.
+    fn run_runner(&self, fs: &dyn FileSystem, r: usize, rec: &mut Recorder) -> FsResult<()> {
         let clock = fs.clock();
-        for r in (shard..self.runners).step_by(shards.max(1)) {
-            let _tenant = tenant_scope(r);
-            for round in 0..self.rounds {
-                // Checkout: create the small-file tree.
-                for i in 0..self.files {
-                    let sw = rec.start(&clock);
-                    let fd = fs.create(&Self::src(r, i))?;
-                    fs.write(fd, 0, &vec![(r * 7 + round * 3 + i) as u8; self.file_bytes])?;
-                    fs.close(fd)?;
-                    rec.finish(&clock, sw, OpClass::Write, self.file_bytes);
-                }
+        let _tenant = tenant_scope(r);
+        for round in 0..self.rounds {
+            // Checkout: create the small-file tree.
+            for i in 0..self.files {
                 let sw = rec.start(&clock);
-                fs.sync()?;
-                rec.finish(&clock, sw, OpClass::Write, 0);
-                // Build: read every source, emit one artifact.
-                for i in 0..self.files {
-                    let sw = rec.start(&clock);
-                    let fd = fs.open(&Self::src(r, i), OpenFlags::read_only())?;
-                    fs.read(fd, 0, self.file_bytes)?;
-                    fs.close(fd)?;
-                    rec.finish(&clock, sw, OpClass::Read, self.file_bytes);
-                }
-                let sw = rec.start(&clock);
-                let art = format!("/ci/r{r}/artifact{round}");
-                let fd = fs.create(&art)?;
-                fs.write(fd, 0, &vec![0xA0 | (round as u8); self.file_bytes * 4])?;
-                fs.fsync(fd)?;
+                let fd = fs.create(&Self::src(r, i))?;
+                fs.write(fd, 0, &vec![(r * 7 + round * 3 + i) as u8; self.file_bytes])?;
                 fs.close(fd)?;
-                rec.finish(&clock, sw, OpClass::Write, self.file_bytes * 4);
-                // Clean: unlink the checkout (artifacts are kept).
-                for i in 0..self.files {
-                    let sw = rec.start(&clock);
-                    fs.unlink(&Self::src(r, i))?;
-                    rec.finish(&clock, sw, OpClass::Meta, 0);
-                }
+                rec.finish(&clock, sw, OpClass::Write, self.file_bytes);
+            }
+            let sw = rec.start(&clock);
+            fs.sync()?;
+            rec.finish(&clock, sw, OpClass::Write, 0);
+            // Build: read every source, emit one artifact.
+            for i in 0..self.files {
+                let sw = rec.start(&clock);
+                let fd = fs.open(&Self::src(r, i), OpenFlags::read_only())?;
+                fs.read(fd, 0, self.file_bytes)?;
+                fs.close(fd)?;
+                rec.finish(&clock, sw, OpClass::Read, self.file_bytes);
+            }
+            let sw = rec.start(&clock);
+            let art = format!("/ci/r{r}/artifact{round}");
+            let fd = fs.create(&art)?;
+            fs.write(fd, 0, &vec![0xA0 | (round as u8); self.file_bytes * 4])?;
+            fs.fsync(fd)?;
+            fs.close(fd)?;
+            rec.finish(&clock, sw, OpClass::Write, self.file_bytes * 4);
+            // Clean: unlink the checkout (artifacts are kept).
+            for i in 0..self.files {
+                let sw = rec.start(&clock);
+                fs.unlink(&Self::src(r, i))?;
+                rec.finish(&clock, sw, OpClass::Meta, 0);
             }
         }
         Ok(())
@@ -450,42 +432,37 @@ impl Workload for BackupScan {
         fs.sync()
     }
 
-    fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
+    fn run(&self, fs: &dyn FileSystem, _rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
         for d in 0..self.dirs {
-            self.run_shard(fs, d, self.dirs, rng, rec)?;
+            self.scan_dir(fs, d, rec)?;
         }
         Ok(())
     }
+}
 
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
+impl BackupScan {
+    /// Scans directory `d`: a readdir, then a stat and a chunked read of
+    /// every file.
+    fn scan_dir(&self, fs: &dyn FileSystem, d: usize, rec: &mut Recorder) -> FsResult<()> {
         let clock = fs.clock();
-        for d in (shard..self.dirs).step_by(shards.max(1)) {
+        let sw = rec.start(&clock);
+        fs.readdir(&format!("/data/d{d}"))?;
+        rec.finish(&clock, sw, OpClass::Meta, 0);
+        for i in 0..self.files_per_dir {
+            let path = Self::file(d, i);
             let sw = rec.start(&clock);
-            fs.readdir(&format!("/data/d{d}"))?;
+            let size = fs.stat(&path)?.size as usize;
             rec.finish(&clock, sw, OpClass::Meta, 0);
-            for i in 0..self.files_per_dir {
-                let path = Self::file(d, i);
+            let fd = fs.open(&path, OpenFlags::read_only())?;
+            let mut off = 0usize;
+            while off < size {
+                let n = self.chunk.min(size - off);
                 let sw = rec.start(&clock);
-                let size = fs.stat(&path)?.size as usize;
-                rec.finish(&clock, sw, OpClass::Meta, 0);
-                let fd = fs.open(&path, OpenFlags::read_only())?;
-                let mut off = 0usize;
-                while off < size {
-                    let n = self.chunk.min(size - off);
-                    let sw = rec.start(&clock);
-                    fs.read(fd, off as u64, n)?;
-                    rec.finish(&clock, sw, OpClass::Read, n);
-                    off += n;
-                }
-                fs.close(fd)?;
+                fs.read(fd, off as u64, n)?;
+                rec.finish(&clock, sw, OpClass::Read, n);
+                off += n;
             }
+            fs.close(fd)?;
         }
         Ok(())
     }
@@ -494,7 +471,7 @@ impl Workload for BackupScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay, ReplayConfig, ReplaySpeed};
+    use crate::replay::replay;
 
     fn small() -> MssdConfig {
         MssdConfig::small_test()
@@ -516,7 +493,7 @@ mod tests {
     fn corpus_traces_replay_exactly_on_the_recording_fs() {
         for kind in CorpusKind::ALL {
             let rec = record_corpus(kind, FsKind::ByteFs, small(), Scale::tiny(), 5).unwrap();
-            let out = replay(&rec.trace, FsKind::ByteFs, small(), &ReplayConfig::default())
+            let out = replay(&rec.trace, FsKind::ByteFs, small())
                 .unwrap_or_else(|e| panic!("{kind}: {e:?}"));
             assert_eq!(out.divergences, 0, "{kind}");
             assert_eq!(out.remount_digest, rec.remount_digest, "{kind}");
@@ -528,8 +505,8 @@ mod tests {
         let rec =
             record_corpus(CorpusKind::CiChurn, FsKind::ByteFs, small(), Scale::tiny(), 7).unwrap();
         for fs_kind in FsKind::MAIN {
-            let out = replay(&rec.trace, fs_kind, small(), &ReplayConfig::default())
-                .unwrap_or_else(|e| panic!("{fs_kind}: {e:?}"));
+            let out =
+                replay(&rec.trace, fs_kind, small()).unwrap_or_else(|e| panic!("{fs_kind}: {e:?}"));
             assert_eq!(out.divergences, 0, "{fs_kind}: the op stream is fs-neutral");
             assert!(out.result.ops > 0, "{fs_kind}");
         }
@@ -542,15 +519,13 @@ mod tests {
                 .unwrap();
         let tenants = rec.trace.tenants();
         assert!(tenants.len() >= 8, "one tenant per client, got {tenants:?}");
-        // A concurrent replay of the multi-tenant body stays divergence-free
-        // (tenants touch disjoint files).
-        let out = replay(
-            &rec.trace,
-            FsKind::ByteFs,
-            small(),
-            &ReplayConfig { speed: ReplaySpeed::Unthrottled, threads: 4 },
-        )
-        .unwrap();
+        // The clients run one after another: each tenant's measured ops form
+        // one contiguous stretch of the trace.
+        let measured: Vec<u16> =
+            rec.trace.records.iter().filter(|r| r.measured).map(|r| r.tenant).collect();
+        let switches = measured.windows(2).filter(|p| p[0] != p[1]).count();
+        assert_eq!(switches, DiurnalBurst::new(Scale::tiny()).clients - 1);
+        let out = replay(&rec.trace, FsKind::ByteFs, small()).unwrap();
         assert_eq!(out.divergences, 0);
         assert_eq!(out.replayed, rec.trace.records.len() as u64);
     }
@@ -560,24 +535,25 @@ mod tests {
         let rec =
             record_corpus(CorpusKind::DiurnalBurst, FsKind::ByteFs, small(), Scale::tiny(), 2)
                 .unwrap();
-        let exact = replay(&rec.trace, FsKind::ByteFs, small(), &ReplayConfig::default()).unwrap();
-        let fast = replay(
-            &rec.trace,
-            FsKind::ByteFs,
-            small(),
-            &ReplayConfig { speed: ReplaySpeed::Unthrottled, threads: 1 },
-        )
-        .unwrap();
-        // The recorded idle windows reappear at exact speed and vanish
-        // unthrottled.
         let w = DiurnalBurst::new(Scale::tiny());
-        let idle_total = (w.clients * w.windows * w.quiet_ops) as u64 * w.idle_gap_ns;
-        assert!(
-            exact.result.elapsed_ns >= fast.result.elapsed_ns + idle_total,
-            "exact {} vs unthrottled {} (idle {})",
-            exact.result.elapsed_ns,
-            fast.result.elapsed_ns,
-            idle_total
+        let quiet_ops = w.clients * w.windows * w.quiet_ops;
+        // The recording issues every quiet-window op at least one idle gap
+        // after the record before it.
+        let gaps = rec
+            .trace
+            .records
+            .windows(2)
+            .filter(|p| p[1].measured && p[1].vts_ns - p[0].vts_ns >= w.idle_gap_ns)
+            .count();
+        assert_eq!(gaps, quiet_ops);
+        // The replay rebuilds the recorded measured phase, idle gaps
+        // included, down to the host-CPU charge the recording bills after
+        // its last op.
+        let exact = replay(&rec.trace, FsKind::ByteFs, small()).unwrap();
+        assert!(exact.result.elapsed_ns >= quiet_ops as u64 * w.idle_gap_ns);
+        assert_eq!(
+            exact.result.elapsed_ns + crate::metrics::HOST_CPU_NS_PER_OP,
+            rec.result.elapsed_ns
         );
     }
 }

@@ -85,20 +85,9 @@ impl Filebench {
         format!("/set/dir{}/file{}", i % 16, i)
     }
 
-    /// Number of file indices `i < files` with `i % shards == shard` — the
-    /// file subset one shard owns.
-    fn shard_file_count(&self, shard: usize, shards: usize) -> usize {
-        if shard >= self.files {
-            0
-        } else {
-            (self.files - shard).div_ceil(shards)
-        }
-    }
-
-    /// Draws a file index from this shard's own subset. With one shard this
-    /// is exactly `gen_range(0..files)`, so the sequential run is unchanged.
-    fn shard_pick(&self, rng: &mut SmallRng, shard: usize, shards: usize) -> usize {
-        shard + rng.gen_range(0..self.shard_file_count(shard, shards)) * shards
+    /// The path of a file drawn uniformly from the whole set.
+    fn random_path(&self, rng: &mut SmallRng) -> String {
+        self.path(rng.gen_range(0..self.files))
     }
 
     fn read_whole(&self, fs: &dyn FileSystem, path: &str) -> FsResult<usize> {
@@ -131,32 +120,13 @@ impl Workload for Filebench {
     }
 
     fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
-        self.run_shard(fs, 0, 1, rng, rec)
-    }
-
-    /// Shard `shard` runs iterations `shard, shard+shards, ...` over its own
-    /// file subset (`i % shards == shard`), so concurrent shards never race
-    /// on the same data files. The web-server log is deliberately shared:
-    /// concurrent appends through `O_APPEND` must still interleave safely.
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
-        if self.shard_file_count(shard, shards) == 0 {
-            return Ok(());
-        }
         let clock = fs.clock();
         let append = vec![0xCD; self.append_size];
-        for iter in (shard..self.iterations).step_by(shards.max(1)) {
-            let pick = |rng: &mut SmallRng| self.shard_pick(rng, shard, shards);
+        for iter in 0..self.iterations {
             match self.personality {
                 Personality::Varmail => {
                     // delete one mail file
-                    let victim = self.path(pick(rng));
+                    let victim = self.random_path(rng);
                     let sw = rec.start(&clock);
                     if fs.exists(&victim) {
                         fs.unlink(&victim)?;
@@ -170,7 +140,7 @@ impl Workload for Filebench {
                     fs.close(fd)?;
                     rec.finish(&clock, sw, OpClass::Write, self.append_size);
                     // read + append + fsync another mailbox
-                    let other = self.path(pick(rng));
+                    let other = self.random_path(rng);
                     if fs.exists(&other) {
                         let sw = rec.start(&clock);
                         let n = self.read_whole(fs, &other)?;
@@ -183,7 +153,7 @@ impl Workload for Filebench {
                         rec.finish(&clock, sw, OpClass::Write, self.append_size);
                     }
                     // read a third mailbox
-                    let third = self.path(pick(rng));
+                    let third = self.random_path(rng);
                     let sw = rec.start(&clock);
                     let n = self.read_whole(fs, &third)?;
                     rec.finish(&clock, sw, OpClass::Read, n);
@@ -197,7 +167,7 @@ impl Workload for Filebench {
                     fs.close(fd)?;
                     rec.finish(&clock, sw, OpClass::Write, self.file_size);
                     // append to an existing file
-                    let target = self.path(pick(rng));
+                    let target = self.random_path(rng);
                     if fs.exists(&target) {
                         let sw = rec.start(&clock);
                         let fd = fs.open(&target, OpenFlags::read_write().with_append())?;
@@ -206,19 +176,19 @@ impl Workload for Filebench {
                         rec.finish(&clock, sw, OpClass::Write, self.append_size);
                     }
                     // read a whole file
-                    let target = self.path(pick(rng));
+                    let target = self.random_path(rng);
                     let sw = rec.start(&clock);
                     let n = self.read_whole(fs, &target)?;
                     rec.finish(&clock, sw, OpClass::Read, n);
                     // delete the freshly written file and stat another
                     let sw = rec.start(&clock);
                     fs.unlink(&fresh)?;
-                    let _ = fs.stat(&self.path(pick(rng)));
+                    let _ = fs.stat(&self.random_path(rng));
                     rec.finish(&clock, sw, OpClass::Meta, 0);
                 }
                 Personality::Webserver => {
                     for _ in 0..10 {
-                        let target = self.path(pick(rng));
+                        let target = self.random_path(rng);
                         let sw = rec.start(&clock);
                         let n = self.read_whole(fs, &target)?;
                         rec.finish(&clock, sw, OpClass::Read, n);
@@ -230,7 +200,7 @@ impl Workload for Filebench {
                     rec.finish(&clock, sw, OpClass::Write, self.append_size);
                 }
                 Personality::Webproxy => {
-                    let victim = self.path(pick(rng));
+                    let victim = self.random_path(rng);
                     let sw = rec.start(&clock);
                     if fs.exists(&victim) {
                         fs.unlink(&victim)?;
@@ -242,7 +212,7 @@ impl Workload for Filebench {
                     fs.close(fd)?;
                     rec.finish(&clock, sw, OpClass::Write, self.append_size);
                     for _ in 0..5 {
-                        let target = self.path(pick(rng));
+                        let target = self.random_path(rng);
                         let sw = rec.start(&clock);
                         let n = self.read_whole(fs, &target)?;
                         rec.finish(&clock, sw, OpClass::Read, n);

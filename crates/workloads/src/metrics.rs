@@ -245,8 +245,8 @@ pub struct Recorder {
     /// End-of-phase FLUSH durability barriers that failed — the device
     /// refused, lost or errored the barrier command (power cut, persistent
     /// media error). Non-zero means the run's tail writes carry no
-    /// durability guarantee; the driver surfaces this in its result instead
-    /// of dropping the barrier silently.
+    /// durability guarantee; a harness that issues barriers counts them
+    /// here instead of dropping them silently.
     pub flush_errors: u64,
     /// Command retries this thread took after transient completions (hang
     /// timeouts, lane resets, read retries), each preceded by an
@@ -269,25 +269,31 @@ impl Recorder {
     /// application I/O. Charges [`HOST_CPU_NS_PER_OP`] of host CPU time.
     pub fn finish(&mut self, clock: &Clock, sw: Stopwatch, class: OpClass, bytes: usize) {
         clock.advance(HOST_CPU_NS_PER_OP);
-        let elapsed = sw.elapsed_ns(clock);
+        self.record(class, sw.elapsed_ns(clock), bytes);
+    }
+
+    /// Records one operation of the given class that took `lat_ns`,
+    /// crediting `bytes` of application I/O; charges no host CPU time
+    /// (replay reconstructs the recorded timeline instead).
+    pub(crate) fn record(&mut self, class: OpClass, lat_ns: u64, bytes: usize) {
         match class {
             OpClass::Read => {
-                self.reads.record(elapsed);
+                self.reads.record(lat_ns);
                 self.app_read_bytes += bytes as u64;
             }
             OpClass::Write => {
-                self.writes.record(elapsed);
+                self.writes.record(lat_ns);
                 self.app_write_bytes += bytes as u64;
             }
-            OpClass::Meta => self.metas.record(elapsed),
+            OpClass::Meta => self.metas.record(lat_ns),
         }
         self.ops += 1;
     }
 
     /// Records one drained device-queue completion's virtual latency. Each
     /// worker thread drains only its own queue, so these samples partition
-    /// cleanly across threads and [`Recorder::merge`] aggregates them — the
-    /// driver must never re-read the device's per-queue counters per thread
+    /// cleanly across threads and [`Recorder::merge`] aggregates them — a
+    /// harness must never re-read the device's per-queue counters per thread
     /// (the shared device's counters are snapshotted once per run, exactly
     /// like traffic).
     pub fn record_queue_completion(&mut self, lat_ns: u64) {
@@ -296,7 +302,7 @@ impl Recorder {
 
     /// Absorbs another recorder's histograms and byte counts (merging the
     /// per-thread recorders of a concurrent run into one aggregate). Device
-    /// traffic is *not* tracked here — the driver snapshots the shared
+    /// traffic is *not* tracked here — the harness snapshots the shared
     /// [`mssd::stats::TrafficCounter`] once around the whole measured phase,
     /// so merging recorders can never double-count it. Per-queue completion
     /// latencies *are* tracked here (each thread drains only its own

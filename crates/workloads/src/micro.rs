@@ -96,24 +96,10 @@ impl Workload for Micro {
         fs.sync()
     }
 
-    fn run(&self, fs: &dyn FileSystem, rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
-        self.run_shard(fs, 0, 1, rng, rec)
-    }
-
-    /// Object `i` belongs to shard `i % shards`: every thread creates/deletes
-    /// its own disjoint file subset, so a concurrent run performs exactly the
-    /// same logical work as a sequential one.
-    fn run_shard(
-        &self,
-        fs: &dyn FileSystem,
-        shard: usize,
-        shards: usize,
-        _rng: &mut SmallRng,
-        rec: &mut Recorder,
-    ) -> FsResult<()> {
+    fn run(&self, fs: &dyn FileSystem, _rng: &mut SmallRng, rec: &mut Recorder) -> FsResult<()> {
         let clock = fs.clock();
         let payload = vec![0x5A; self.file_size];
-        for i in (shard..self.objects).step_by(shards.max(1)) {
+        for i in 0..self.objects {
             let sw = rec.start(&clock);
             match self.op {
                 MicroOp::Create => {

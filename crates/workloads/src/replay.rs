@@ -17,29 +17,23 @@
 //!   ordered records, serializable as grep-able text
 //!   ([`OpTrace::to_text`] / [`OpTrace::from_text`]);
 //! * [`replay`] re-drives a parsed trace against any [`FileSystem`] impl
-//!   (bytefs, ext4like, novalike, f2fslike, pmfslike) preserving per-tenant
-//!   order, with configurable concurrency and timing ([`ReplaySpeed`]).
+//!   (bytefs, ext4like, novalike, f2fslike, pmfslike) in recorded order,
+//!   on the recorded virtual timeline.
 //!
 //! # Timing model and determinism contract
 //!
-//! All timing is the shared **virtual clock** — wall time never enters. At
-//! [`ReplaySpeed::Exact`], the replayer tops the clock up to each record's
-//! captured issue timestamp before applying it, reconstructing the recorded
-//! timeline exactly: inter-op gaps (a bursty workload's idle windows, the
-//! measurement harness's per-op host-CPU charge) reappear as recorded.
-//! Because every file system derives its state — including inode
-//! timestamps — from the same clock, an exact-speed single-threaded replay
-//! of a trace against a fresh device of the same kind and geometry
-//! reproduces the original run **bit for bit**: the remounted device digest
-//! ([`mssd::CrashImage::digest`]) equals the recording run's.
-//! [`ReplaySpeed::Scaled`] compresses (or stretches) the recorded gaps N×;
-//! [`ReplaySpeed::Unthrottled`] drops them entirely and issues ops
-//! back-to-back. In every mode, two replays of the same trace with the same
-//! config are identical — the contract the CI `replay` job gates. With
-//! `threads > 1` the per-tenant streams interleave on real OS threads, so
-//! physical log placement (and hence the raw image digest) is
-//! schedule-dependent; logical file content still converges because tenants
-//! touch disjoint files (the [`crate::Workload::run_shard`] contract).
+//! All timing is the shared **virtual clock** — wall time never enters.
+//! The replayer tops the clock up to each record's captured issue timestamp
+//! before applying it, reconstructing the recorded timeline exactly:
+//! inter-op gaps (a bursty workload's idle windows, the measurement
+//! harness's per-op host-CPU charge) reappear as recorded. Ops run one at a
+//! time, in recorded order, each under its recorded tenant. Because every
+//! file system derives its state — including inode timestamps — from the
+//! same clock, every replay is **bit-reproducible**: two replays of a trace
+//! against fresh devices of the same kind and geometry agree bit for bit,
+//! and a replay on the recording file system reproduces the original run's
+//! remounted device digest ([`mssd::CrashImage::digest`]) — the contract
+//! the `replay` bench gates.
 //!
 //! See `DESIGN-replay.md` next to this crate for the format grammar, the
 //! corpus index ([`crate::corpus`]) and the full determinism argument.
@@ -54,9 +48,9 @@ use mssd::{Mssd, MssdConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::driver::RunResult;
+use crate::driver::{measure, RunResult};
 use crate::fsfactory::FsKind;
-use crate::metrics::{Histogram, LatencyStats, OpClass, Recorder};
+use crate::metrics::{OpClass, Recorder};
 use crate::Workload;
 
 /// Schema version of the fs-level op-trace text format.
@@ -194,7 +188,7 @@ pub fn open_flags(bits: u8) -> OpenFlags {
 pub struct OpRecord {
     /// Global sequence number (total order as recorded).
     pub seq: u64,
-    /// Tenant / shard that issued the op (ambient [`mssd::trace::ctx`]).
+    /// Tenant (client) that issued the op (ambient [`mssd::trace::ctx`]).
     pub tenant: u16,
     /// Virtual nanoseconds since trace start, captured at op *issue*.
     pub vts_ns: u64,
@@ -537,9 +531,9 @@ struct RecState {
 
 /// A [`FileSystem`] wrapper that records every call into an op trace while
 /// delegating to the wrapped implementation. Tenant attribution comes from
-/// the ambient [`mssd::trace::ctx`] (set per shard by the concurrent
-/// driver and by multi-client corpus workloads), timestamps from the
-/// device's virtual clock at call entry.
+/// the ambient [`mssd::trace::ctx`] (set per client by the multi-client
+/// corpus workloads), timestamps from the device's virtual clock at call
+/// entry.
 pub struct RecordingFs {
     inner: Arc<dyn FileSystem>,
     start_ns: u64,
@@ -783,37 +777,11 @@ pub fn record_workload(
     workload.setup(&rec_fs, &mut rng)?;
     rec_fs.drop_caches();
     rec_fs.set_measured(true);
-
-    let clock = device.clock();
-    let before_traffic = device.traffic();
-    let start_ns = clock.now_ns();
-    let mut rec = Recorder::new();
-    workload.run(&rec_fs, &mut rng, &mut rec)?;
-    let elapsed_ns = clock.now_ns().saturating_sub(start_ns).max(1);
-    let traffic = device.traffic().delta_since(&before_traffic);
-
+    let result = measure(&rec_fs, workload.name(), |rec| workload.run(&rec_fs, &mut rng, rec))?;
     rec_fs.set_measured(false);
     rec_fs.unmount()?;
     let remount_digest = device.crash_image().digest();
 
-    let ops = rec.ops;
-    let result = RunResult {
-        fs: rec_fs.name().to_string(),
-        workload: workload.name(),
-        ops,
-        elapsed_ns,
-        kops_per_sec: ops as f64 / (elapsed_ns as f64 / 1e9) / 1e3,
-        read: rec.read_stats(),
-        write: rec.write_stats(),
-        meta: rec.meta_stats(),
-        queue: rec.queue_stats(),
-        traffic,
-        app_read_bytes: rec.app_read_bytes,
-        app_write_bytes: rec.app_write_bytes,
-        page_size: device.page_size(),
-        flush_errors: rec.flush_errors,
-        retries: rec.retries,
-    };
     let trace = rec_fs.into_trace(TraceMeta {
         schema: FS_TRACE_SCHEMA,
         name: workload.name(),
@@ -827,39 +795,6 @@ pub fn record_workload(
 // ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
-
-/// How the replayer treats the recorded inter-op timing (see the module
-/// docs' timing model).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplaySpeed {
-    /// Issue ops back-to-back; recorded gaps are dropped.
-    Unthrottled,
-    /// Reconstruct the recorded virtual timeline exactly (1×): before each
-    /// op the clock is advanced up to the record's issue timestamp. The
-    /// mode under which a same-fs replay is bit-identical to the original.
-    Exact,
-    /// Replay the recorded timeline `N`× faster (gaps divided by the
-    /// factor; `Scaled(1.0)` ≡ [`ReplaySpeed::Exact`], `Scaled(2.0)` is
-    /// twice as fast, `Scaled(0.5)` half speed).
-    Scaled(f64),
-}
-
-/// Replay configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayConfig {
-    /// Timing mode.
-    pub speed: ReplaySpeed,
-    /// Worker threads the measured phase's tenant streams are spread over
-    /// (1 = fully sequential; capped at the trace's tenant count). Per-
-    /// tenant op order is always preserved.
-    pub threads: usize,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self { speed: ReplaySpeed::Exact, threads: 1 }
-    }
-}
 
 /// The outcome of replaying one trace.
 #[derive(Debug, Clone)]
@@ -880,35 +815,6 @@ pub struct ReplayOutcome {
     pub divergences: u64,
     /// Digest of the durable device image after the replayed unmount.
     pub remount_digest: u64,
-}
-
-/// Per-thread replay measurement state (the replayer's analogue of
-/// [`Recorder`], minus the host-CPU charge: replay reconstructs the
-/// recorded timeline from the trace instead of re-charging per-op costs,
-/// which is exactly what makes an exact-speed replay bit-identical).
-#[derive(Default)]
-struct ReplayRec {
-    reads: Histogram,
-    writes: Histogram,
-    metas: Histogram,
-    app_read_bytes: u64,
-    app_write_bytes: u64,
-    ops: u64,
-    replayed: u64,
-    divergences: u64,
-}
-
-impl ReplayRec {
-    fn merge(&mut self, other: ReplayRec) {
-        self.reads.merge(&other.reads);
-        self.writes.merge(&other.writes);
-        self.metas.merge(&other.metas);
-        self.app_read_bytes += other.app_read_bytes;
-        self.app_write_bytes += other.app_write_bytes;
-        self.ops += other.ops;
-        self.replayed += other.replayed;
-        self.divergences += other.divergences;
-    }
 }
 
 /// Map from a recorded handle (tenant, recorded fd) to the live handle this
@@ -995,66 +901,39 @@ fn apply_op(rec: &OpRecord, fs: &dyn FileSystem, fds: &mut FdMap) -> (bool, OpCl
     }
 }
 
-/// Advances the clock up to the record's pacing target (monotonic top-up;
-/// the clock is never set backwards, so a replay running behind schedule
-/// simply proceeds).
-fn pace(clock: &mssd::Clock, replay_start: u64, vts_ns: u64, speed: ReplaySpeed) {
-    let target = match speed {
-        ReplaySpeed::Unthrottled => return,
-        ReplaySpeed::Exact => replay_start + vts_ns,
-        ReplaySpeed::Scaled(factor) => {
-            if factor <= 0.0 {
-                return;
-            }
-            replay_start + (vts_ns as f64 / factor) as u64
-        }
-    };
-    let now = clock.now_ns();
-    if now < target {
-        clock.advance(target - now);
-    }
-}
-
-/// Applies one stretch of records sequentially, measuring the measured ones.
+/// Applies `records` in order, each paced to its recorded issue time
+/// (`replay_start + vts_ns`; the clock only moves forward, so a replay
+/// running behind schedule simply proceeds) and run under its recorded
+/// tenant. Measured records are timed into `rec` without a host-CPU
+/// charge: the pacing already reconstructs it. Returns the number of
+/// records whose live outcome differed from the recorded one.
 fn drive(
-    records: &[&OpRecord],
+    records: &[OpRecord],
     fs: &dyn FileSystem,
-    clock: &mssd::Clock,
     replay_start: u64,
-    speed: ReplaySpeed,
     fds: &mut FdMap,
-    out: &mut ReplayRec,
-) {
-    for rec in records {
-        pace(clock, replay_start, rec.vts_ns, speed);
+    rec: &mut Recorder,
+) -> u64 {
+    let clock = fs.clock();
+    let mut divergences = 0;
+    for r in records {
+        let target = replay_start + r.vts_ns;
+        let now = clock.now_ns();
+        if now < target {
+            clock.advance(target - now);
+        }
         // Re-enter the recorded tenant so device-level traces (and any
         // wrapping RecordingFs) attribute the replayed op to the client
         // that issued it in the recording run.
-        let _scope = mssd::CtxScope::enter(mssd::trace::ctx().with_tenant(rec.tenant));
-        if rec.measured {
-            let sw = Stopwatch::start(clock);
-            let (ok, class, bytes) = apply_op(rec, fs, fds);
-            let lat = sw.elapsed_ns(clock);
-            match class {
-                OpClass::Read => {
-                    out.reads.record(lat);
-                    out.app_read_bytes += bytes as u64;
-                }
-                OpClass::Write => {
-                    out.writes.record(lat);
-                    out.app_write_bytes += bytes as u64;
-                }
-                OpClass::Meta => out.metas.record(lat),
-            }
-            out.ops += 1;
-            out.replayed += 1;
-            out.divergences += u64::from(ok != rec.ok);
-        } else {
-            let (ok, _, _) = apply_op(rec, fs, fds);
-            out.replayed += 1;
-            out.divergences += u64::from(ok != rec.ok);
+        let _scope = mssd::CtxScope::enter(mssd::trace::ctx().with_tenant(r.tenant));
+        let sw = Stopwatch::start(&clock);
+        let (ok, class, bytes) = apply_op(r, fs, fds);
+        if r.measured {
+            rec.record(class, sw.elapsed_ns(&clock), bytes);
         }
+        divergences += u64::from(ok != r.ok);
     }
+    divergences
 }
 
 /// Builds a fresh file system of `kind` and replays `trace` against it,
@@ -1067,12 +946,7 @@ fn drive(
 /// the recording run too) — they surface as
 /// [`ReplayOutcome::divergences`] when the live outcome differs from the
 /// recorded one.
-pub fn replay(
-    trace: &OpTrace,
-    kind: FsKind,
-    cfg: MssdConfig,
-    rcfg: &ReplayConfig,
-) -> FsResult<ReplayOutcome> {
+pub fn replay(trace: &OpTrace, kind: FsKind, cfg: MssdConfig) -> FsResult<ReplayOutcome> {
     if trace.meta.capacity_bytes != 0 && trace.meta.capacity_bytes != cfg.capacity_bytes {
         return Err(FsError::InvalidArgument(format!(
             "trace was recorded against a {}-byte device, replay device has {}",
@@ -1086,108 +960,32 @@ pub fn replay(
         )));
     }
     let (device, fs) = kind.build(cfg);
-    Ok(replay_on(&device, fs.as_ref(), trace, rcfg))
+    Ok(replay_on(&device, fs.as_ref(), trace))
 }
 
 /// Replays `trace` against an already-constructed file system.
 ///
 /// Phases: the leading unmeasured records (setup + cache drop) and the
-/// trailing unmeasured ones (unmount) are applied sequentially and
-/// unmeasured; the measured body runs over `threads` workers, each owning a
-/// subset of tenants and applying its records in recorded order.
-pub fn replay_on(
-    device: &Arc<Mssd>,
-    fs: &dyn FileSystem,
-    trace: &OpTrace,
-    rcfg: &ReplayConfig,
-) -> ReplayOutcome {
-    let clock = device.clock();
-    let replay_start = clock.now_ns();
+/// trailing unmeasured ones (unmount) are applied unmeasured; the
+/// measured body between them is timed like a live run's measured phase.
+pub fn replay_on(device: &Arc<Mssd>, fs: &dyn FileSystem, trace: &OpTrace) -> ReplayOutcome {
+    let replay_start = device.clock().now_ns();
     let records = &trace.records;
     let first_m = records.iter().position(|r| r.measured).unwrap_or(records.len());
     let last_m = records.iter().rposition(|r| r.measured).map(|i| i + 1).unwrap_or(first_m);
     let (prologue, rest) = records.split_at(first_m);
     let (body, epilogue) = rest.split_at(last_m - first_m);
 
-    let mut rec = ReplayRec::default();
     let mut fds: FdMap = HashMap::new();
-    let prologue_refs: Vec<&OpRecord> = prologue.iter().collect();
-    drive(&prologue_refs, fs, &clock, replay_start, rcfg.speed, &mut fds, &mut rec);
-
-    // Measured phase: traffic and elapsed time are snapshotted around it,
-    // exactly like the live driver's measured phase.
-    let before_traffic = device.traffic();
-    let start_ns = clock.now_ns();
-
-    let mut tenants: Vec<u16> = body.iter().map(|r| r.tenant).collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    let threads = rcfg.threads.max(1).min(tenants.len().max(1));
-    if threads <= 1 {
-        let body_refs: Vec<&OpRecord> = body.iter().collect();
-        drive(&body_refs, fs, &clock, replay_start, rcfg.speed, &mut fds, &mut rec);
-    } else {
-        // Tenant t runs on worker `index(t) % threads`; per-tenant order is
-        // the recorded order because each worker walks its records by seq.
-        let worker_of = |tenant: u16| {
-            tenants.iter().position(|&t| t == tenant).expect("tenant indexed") % threads
-        };
-        let mut work: Vec<Vec<&OpRecord>> = vec![Vec::new(); threads];
-        for r in body {
-            work[worker_of(r.tenant)].push(r);
-        }
-        let mut maps: Vec<FdMap> = vec![FdMap::new(); threads];
-        for ((tenant, fd), live) in fds.drain() {
-            maps[worker_of(tenant)].insert((tenant, fd), live);
-        }
-        let outcomes: Vec<(ReplayRec, FdMap)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .iter()
-                .zip(maps)
-                .map(|(records, mut map)| {
-                    let clock = Arc::clone(&clock);
-                    scope.spawn(move || {
-                        let mut out = ReplayRec::default();
-                        drive(records, fs, &clock, replay_start, rcfg.speed, &mut map, &mut out);
-                        (out, map)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("replay worker panicked")).collect()
-        });
-        for (out, map) in outcomes {
-            rec.merge(out);
-            fds.extend(map);
-        }
-    }
-
-    let elapsed_ns = clock.now_ns().saturating_sub(start_ns).max(1);
-    let traffic = device.traffic().delta_since(&before_traffic);
-
-    let epilogue_refs: Vec<&OpRecord> = epilogue.iter().collect();
-    drive(&epilogue_refs, fs, &clock, replay_start, rcfg.speed, &mut fds, &mut rec);
-
+    let mut divergences = drive(prologue, fs, replay_start, &mut fds, &mut Recorder::new());
+    let result = measure(fs, trace.meta.name.clone(), |rec| {
+        divergences += drive(body, fs, replay_start, &mut fds, rec);
+        Ok(())
+    })
+    .expect("a replay body reports failures as divergences");
+    divergences += drive(epilogue, fs, replay_start, &mut fds, &mut Recorder::new());
     let remount_digest = device.crash_image().digest();
-
-    let ops = rec.ops;
-    let result = RunResult {
-        fs: fs.name().to_string(),
-        workload: trace.meta.name.clone(),
-        ops,
-        elapsed_ns,
-        kops_per_sec: ops as f64 / (elapsed_ns as f64 / 1e9) / 1e3,
-        read: LatencyStats::from_histogram(&rec.reads),
-        write: LatencyStats::from_histogram(&rec.writes),
-        meta: LatencyStats::from_histogram(&rec.metas),
-        queue: LatencyStats::from_histogram(&Histogram::new()),
-        traffic,
-        app_read_bytes: rec.app_read_bytes,
-        app_write_bytes: rec.app_write_bytes,
-        page_size: device.page_size(),
-        flush_errors: 0,
-        retries: 0,
-    };
-    ReplayOutcome { result, replayed: rec.replayed, divergences: rec.divergences, remount_digest }
+    ReplayOutcome { result, replayed: records.len() as u64, divergences, remount_digest }
 }
 
 #[cfg(test)]
@@ -1323,65 +1121,34 @@ mod tests {
     #[test]
     fn exact_replay_reproduces_the_recorded_run_bit_for_bit() {
         let recorded = tiny_trace();
-        let out = replay(&recorded.trace, FsKind::ByteFs, small(), &ReplayConfig::default())
-            .expect("replay");
+        let out = replay(&recorded.trace, FsKind::ByteFs, small()).expect("replay");
         assert_eq!(out.divergences, 0);
         assert_eq!(
             out.remount_digest, recorded.remount_digest,
-            "an exact-speed same-fs replay must reproduce the recorded image"
+            "a same-fs replay must reproduce the recorded image"
         );
         assert_eq!(out.replayed, recorded.trace.records.len() as u64);
         assert!(out.result.ops > 0);
-    }
-
-    #[test]
-    fn two_replays_agree_in_every_speed_mode() {
-        let recorded = tiny_trace();
-        for speed in [ReplaySpeed::Unthrottled, ReplaySpeed::Exact, ReplaySpeed::Scaled(4.0)] {
-            let cfg = ReplayConfig { speed, threads: 1 };
-            let a = replay(&recorded.trace, FsKind::ByteFs, small(), &cfg).unwrap();
-            let b = replay(&recorded.trace, FsKind::ByteFs, small(), &cfg).unwrap();
-            assert_eq!(a.remount_digest, b.remount_digest, "{speed:?}");
-            assert_eq!(a.result.elapsed_ns, b.result.elapsed_ns, "{speed:?}");
-        }
-    }
-
-    #[test]
-    fn speed_modes_order_elapsed_time() {
-        let recorded = tiny_trace();
-        let run = |speed| {
-            replay(&recorded.trace, FsKind::ByteFs, small(), &ReplayConfig { speed, threads: 1 })
-                .unwrap()
-                .result
-                .elapsed_ns
-        };
-        let unthrottled = run(ReplaySpeed::Unthrottled);
-        let exact = run(ReplaySpeed::Exact);
-        let double = run(ReplaySpeed::Scaled(2.0));
-        let half = run(ReplaySpeed::Scaled(0.5));
-        assert!(
-            unthrottled <= double && double <= exact && exact <= half,
-            "unthrottled {unthrottled} <= 2x {double} <= exact {exact} <= 0.5x {half}"
-        );
-        // Exact replay reconstructs the recorded measured phase down to the
+        // The replay reconstructs the recorded measured phase down to the
         // one charge it cannot see: the recording harness bills
         // HOST_CPU_NS_PER_OP *after* the last op, before the next record's
         // timestamp — and there is no next measured record.
-        assert_eq!(exact + crate::metrics::HOST_CPU_NS_PER_OP, recorded.result.elapsed_ns);
+        assert_eq!(
+            out.result.elapsed_ns + crate::metrics::HOST_CPU_NS_PER_OP,
+            recorded.result.elapsed_ns
+        );
     }
 
     #[test]
     fn replay_runs_against_a_different_filesystem() {
         let recorded = tiny_trace();
-        let out = replay(&recorded.trace, FsKind::Ext4, small(), &ReplayConfig::default())
-            .expect("cross-fs replay");
+        let out = replay(&recorded.trace, FsKind::Ext4, small()).expect("cross-fs replay");
         assert_eq!(out.divergences, 0, "the op stream is implementation-neutral");
         assert_eq!(out.replayed, recorded.trace.records.len() as u64);
         assert_eq!(out.result.fs, "ext4");
         // Same op stream, different fs: the replay metrics are comparable
         // replay-to-replay — both sides count measured records.
-        let same = replay(&recorded.trace, FsKind::ByteFs, small(), &ReplayConfig::default())
-            .expect("same-fs replay");
+        let same = replay(&recorded.trace, FsKind::ByteFs, small()).expect("same-fs replay");
         assert_eq!(out.result.ops, same.result.ops);
         assert_eq!(
             out.result.ops,
@@ -1394,7 +1161,7 @@ mod tests {
         let recorded = tiny_trace();
         let mut cfg = small();
         cfg.capacity_bytes *= 2;
-        let err = replay(&recorded.trace, FsKind::ByteFs, cfg, &ReplayConfig::default());
+        let err = replay(&recorded.trace, FsKind::ByteFs, cfg);
         assert!(matches!(err, Err(FsError::InvalidArgument(_))), "{err:?}");
     }
 
@@ -1421,7 +1188,7 @@ mod tests {
             ],
         };
         let (device, fs) = FsKind::ByteFs.build(small());
-        let out = replay_on(&device, fs.as_ref(), &trace, &ReplayConfig::default());
+        let out = replay_on(&device, fs.as_ref(), &trace);
         assert_eq!(out.divergences, 0);
         assert_eq!(fs.read_file("/d/f").unwrap(), vec![1, 2, 3, 4]);
     }
@@ -1459,7 +1226,7 @@ mod tests {
             ],
         };
         let (device, fs) = FsKind::ByteFs.build(small());
-        let out = replay_on(&device, fs.as_ref(), &trace, &ReplayConfig::default());
+        let out = replay_on(&device, fs.as_ref(), &trace);
         assert_eq!(out.divergences, 0);
     }
 }

@@ -152,128 +152,6 @@ impl Zipfian {
     }
 }
 
-/// How the insert-heavy workloads (D/E) sequence their insert keys and pick
-/// "latest" read targets. The sequential runner appends to one global key
-/// sequence; the concurrent runner gives every thread a disjoint arithmetic
-/// sequence so inserts never collide.
-trait InsertKeys {
-    /// The next key to insert (advances the sequence).
-    fn next_insert(&mut self, spec: &YcsbSpec) -> Vec<u8>;
-
-    /// A latest-skewed read target; `draw` is a zipfian sample (small values
-    /// = most recent).
-    fn latest_read(&mut self, spec: &YcsbSpec, draw: u64) -> Vec<u8>;
-}
-
-/// One global contiguous sequence, `records, records+1, ...` (sequential).
-struct GlobalKeys {
-    inserted: usize,
-}
-
-impl InsertKeys for GlobalKeys {
-    fn next_insert(&mut self, spec: &YcsbSpec) -> Vec<u8> {
-        let key = spec.key(self.inserted);
-        self.inserted += 1;
-        key
-    }
-
-    fn latest_read(&mut self, spec: &YcsbSpec, draw: u64) -> Vec<u8> {
-        spec.key(self.inserted - 1 - (draw as usize).min(self.inserted - 1))
-    }
-}
-
-/// Thread `thread`'s disjoint sequence `records + thread + k*threads`
-/// (concurrent). Latest reads prefer this thread's own inserts and fall back
-/// to the preloaded set before any insert happened.
-struct ShardKeys {
-    thread: usize,
-    threads: usize,
-    own: usize,
-}
-
-impl InsertKeys for ShardKeys {
-    fn next_insert(&mut self, spec: &YcsbSpec) -> Vec<u8> {
-        let key = spec.key(spec.records + self.thread + self.own * self.threads);
-        self.own += 1;
-        key
-    }
-
-    fn latest_read(&mut self, spec: &YcsbSpec, draw: u64) -> Vec<u8> {
-        if self.own == 0 {
-            return spec.key(draw as usize);
-        }
-        let back = (draw as usize).min(self.own - 1);
-        spec.key(spec.records + self.thread + (self.own - 1 - back) * self.threads)
-    }
-}
-
-/// Executes one YCSB request — the op mix shared verbatim by [`run_ycsb`]
-/// and [`run_ycsb_concurrent`]; only the key sequencing (`keys`) differs.
-#[allow(clippy::too_many_arguments)]
-fn ycsb_op(
-    db: &Db,
-    spec: &YcsbSpec,
-    zipf: &Zipfian,
-    clock: &mssd::Clock,
-    value: &[u8],
-    rng: &mut SmallRng,
-    rec: &mut Recorder,
-    keys: &mut dyn InsertKeys,
-) -> FsResult<()> {
-    let draw: f64 = rng.gen();
-    match spec.workload {
-        YcsbWorkload::A | YcsbWorkload::F if draw < 0.5 => {
-            // Update (A) / read-modify-write (F).
-            let key = spec.key(zipf.next(rng) as usize);
-            let sw = rec.start(clock);
-            if spec.workload == YcsbWorkload::F {
-                let _ = db.get(&key)?;
-            }
-            db.put(&key, value)?;
-            rec.finish(clock, sw, OpClass::Write, spec.value_size);
-        }
-        YcsbWorkload::B if draw < 0.05 => {
-            let key = spec.key(zipf.next(rng) as usize);
-            let sw = rec.start(clock);
-            db.put(&key, value)?;
-            rec.finish(clock, sw, OpClass::Write, spec.value_size);
-        }
-        YcsbWorkload::D if draw < 0.05 => {
-            let key = keys.next_insert(spec);
-            let sw = rec.start(clock);
-            db.put(&key, value)?;
-            rec.finish(clock, sw, OpClass::Write, spec.value_size);
-        }
-        YcsbWorkload::E => {
-            if draw < 0.05 {
-                let key = keys.next_insert(spec);
-                let sw = rec.start(clock);
-                db.put(&key, value)?;
-                rec.finish(clock, sw, OpClass::Write, spec.value_size);
-            } else {
-                let start = rng.gen_range(0..spec.records);
-                let len = rng.gen_range(1..=spec.max_scan);
-                let sw = rec.start(clock);
-                let rows = db.scan(&spec.key(start), len)?;
-                rec.finish(clock, sw, OpClass::Read, rows.len() * spec.value_size);
-            }
-        }
-        _ => {
-            // Reads: zipfian for A/B/C/F, latest-skewed for D.
-            let key = if spec.workload == YcsbWorkload::D {
-                let draw = zipf.next(rng);
-                keys.latest_read(spec, draw)
-            } else {
-                spec.key(zipf.next(rng) as usize)
-            };
-            let sw = rec.start(clock);
-            let got = db.get(&key)?;
-            rec.finish(clock, sw, OpClass::Read, got.map(|v| v.len()).unwrap_or(0));
-        }
-    }
-    Ok(())
-}
-
 /// The result of one YCSB run.
 #[derive(Debug, Clone)]
 pub struct YcsbResult {
@@ -323,96 +201,57 @@ pub fn run_ycsb(
     let start_ns = clock.now_ns();
     let mut rec = Recorder::new();
     let zipf = Zipfian::new(spec.records as u64);
-    let mut keys = GlobalKeys { inserted: spec.records };
-
+    // Inserts (D/E) append to one key sequence after the loaded records.
+    let mut inserted = spec.records;
     for _ in 0..spec.operations {
-        ycsb_op(&db, spec, &zipf, &clock, &value, &mut rng, &mut rec, &mut keys)?;
+        let draw: f64 = rng.gen();
+        match spec.workload {
+            YcsbWorkload::A | YcsbWorkload::F if draw < 0.5 => {
+                // Update (A) / read-modify-write (F).
+                let key = spec.key(zipf.next(&mut rng) as usize);
+                let sw = rec.start(&clock);
+                if spec.workload == YcsbWorkload::F {
+                    let _ = db.get(&key)?;
+                }
+                db.put(&key, &value)?;
+                rec.finish(&clock, sw, OpClass::Write, spec.value_size);
+            }
+            YcsbWorkload::B if draw < 0.05 => {
+                let key = spec.key(zipf.next(&mut rng) as usize);
+                let sw = rec.start(&clock);
+                db.put(&key, &value)?;
+                rec.finish(&clock, sw, OpClass::Write, spec.value_size);
+            }
+            YcsbWorkload::D | YcsbWorkload::E if draw < 0.05 => {
+                let key = spec.key(inserted);
+                inserted += 1;
+                let sw = rec.start(&clock);
+                db.put(&key, &value)?;
+                rec.finish(&clock, sw, OpClass::Write, spec.value_size);
+            }
+            YcsbWorkload::E => {
+                let start = rng.gen_range(0..spec.records);
+                let len = rng.gen_range(1..=spec.max_scan);
+                let sw = rec.start(&clock);
+                let rows = db.scan(&spec.key(start), len)?;
+                rec.finish(&clock, sw, OpClass::Read, rows.len() * spec.value_size);
+            }
+            _ => {
+                // Reads: zipfian for A/B/C/F, latest-skewed for D.
+                let draw = zipf.next(&mut rng) as usize;
+                let key = if spec.workload == YcsbWorkload::D {
+                    spec.key(inserted - 1 - draw.min(inserted - 1))
+                } else {
+                    spec.key(draw)
+                };
+                let sw = rec.start(&clock);
+                let got = db.get(&key)?;
+                rec.finish(&clock, sw, OpClass::Read, got.map(|v| v.len()).unwrap_or(0));
+            }
+        }
     }
     db.close()?;
 
-    let elapsed_ns = clock.now_ns().saturating_sub(start_ns).max(1);
-    let traffic = device.traffic().delta_since(&before);
-    Ok(YcsbResult {
-        workload: spec.workload.label().to_string(),
-        fs: fs_name,
-        ops: rec.ops,
-        elapsed_ns,
-        kops_per_sec: rec.ops as f64 / (elapsed_ns as f64 / 1e9) / 1e3,
-        read: rec.read_stats(),
-        write: rec.write_stats(),
-        traffic,
-    })
-}
-
-/// Runs one YCSB workload from `threads` client threads over one shared
-/// [`Db`] (and therefore one shared file system).
-///
-/// The op stream is partitioned: each thread runs `operations / threads`
-/// (remainder to the low threads) requests with its own RNG, and the
-/// insert-heavy workloads (D/E) give each thread a disjoint arithmetic key
-/// sequence (`records + thread + k*threads`) so inserts never collide.
-/// Reads may target any preloaded key — concurrent readers on one key are
-/// part of the workload. Device traffic is snapshotted once around the
-/// measured phase, never per thread.
-///
-/// # Errors
-///
-/// Propagates the first file-system error any thread hit.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a client thread panics.
-pub fn run_ycsb_concurrent(
-    device: &Arc<Mssd>,
-    fs: Arc<dyn FileSystem>,
-    spec: &YcsbSpec,
-    threads: usize,
-    seed: u64,
-) -> FsResult<YcsbResult> {
-    assert!(threads > 0, "need at least one client thread");
-    let fs_name = fs.name().to_string();
-    let db = Db::open(fs, "/ycsb", DbOptions::default())?;
-    let value = vec![0xEEu8; spec.value_size];
-
-    // Load phase (not measured, single-threaded).
-    for i in 0..spec.records {
-        db.put(&spec.key(i), &value)?;
-    }
-    db.flush()?;
-
-    // Measured phase: one traffic/clock snapshot around all threads.
-    let clock = device.clock();
-    let before = device.traffic();
-    let start_ns = clock.now_ns();
-    let zipf = Zipfian::new(spec.records as u64);
-    let outcomes: Vec<FsResult<Recorder>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let db = &db;
-                let zipf = &zipf;
-                let value = &value;
-                let clock = Arc::clone(&clock);
-                scope.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(seed ^ ((t as u64 + 1) << 32));
-                    let mut rec = Recorder::new();
-                    let ops =
-                        spec.operations / threads + usize::from(t < spec.operations % threads);
-                    let mut keys = ShardKeys { thread: t, threads, own: 0 };
-                    for _ in 0..ops {
-                        ycsb_op(db, spec, zipf, &clock, value, &mut rng, &mut rec, &mut keys)?;
-                    }
-                    Ok(rec)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ycsb thread panicked")).collect()
-    });
-    db.close()?;
-
-    let mut rec = Recorder::new();
-    for outcome in outcomes {
-        rec.merge(outcome?);
-    }
     let elapsed_ns = clock.now_ns().saturating_sub(start_ns).max(1);
     let traffic = device.traffic().delta_since(&before);
     Ok(YcsbResult {
@@ -469,22 +308,6 @@ mod tests {
                 }
                 _ => {}
             }
-        }
-    }
-
-    #[test]
-    fn concurrent_ycsb_partitions_ops_and_snapshots_traffic_once() {
-        for w in [YcsbWorkload::A, YcsbWorkload::D] {
-            let (dev, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
-            let before = dev.traffic();
-            let result = run_ycsb_concurrent(&dev, fs, &tiny_spec(w), 4, 13).unwrap();
-            assert_eq!(result.ops, 200, "{w:?}: partitioned ops add back up");
-            let growth = dev.traffic().delta_since(&before);
-            assert!(
-                result.traffic.host_write_bytes() <= growth.host_write_bytes(),
-                "{w:?}: traffic snapshot covers the measured phase only, once"
-            );
-            assert!(result.kops_per_sec > 0.0);
         }
     }
 

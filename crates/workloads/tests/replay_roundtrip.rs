@@ -1,6 +1,6 @@
 //! Property tests for the record→export→parse→replay pipeline: a random op
 //! stream recorded on ByteFS must survive the text serialization
-//! unchanged, and an exact-speed replay of the parsed trace must reproduce
+//! unchanged, and a replay of the parsed trace must reproduce
 //! the recorded run — same op sequence (checked by re-recording the replay)
 //! and bit-identical remounted device image. The parser itself must answer
 //! arbitrary and corrupted input with `Ok` or `Err`, never a panic.
@@ -8,7 +8,7 @@
 use mssd::MssdConfig;
 use proptest::prelude::*;
 use workloads::replay::{record_workload, replay_on, RecordingFs, TraceMeta, FS_TRACE_SCHEMA};
-use workloads::{FsKind, OpTrace, Recorder, ReplayConfig, ReplaySpeed, Workload};
+use workloads::{FsKind, OpTrace, Recorder, Workload};
 
 /// One step of the random workload, phrased over a small universe of file
 /// slots so streams alias (overwrites, re-creates, unlinks of live files).
@@ -159,7 +159,7 @@ impl Workload for SimWorkload {
                 }
                 SimOp::Tenant { t } => {
                     // Handles belong to the tenant stream that opened them
-                    // (the threaded replayer partitions fd maps by tenant),
+                    // (the replayer keys its fd map by tenant),
                     // so close everything before switching clients.
                     for fd in fds.iter_mut().filter_map(Option::take) {
                         fs.close(fd).ok();
@@ -185,7 +185,7 @@ impl Workload for SimWorkload {
     }
 }
 
-/// Strips the fields an exact replay legitimately changes (issue timestamps
+/// Strips the fields a replay legitimately changes (issue timestamps
 /// shift because replay does not re-charge host CPU between ops) so op
 /// streams can be compared structurally.
 fn shape(trace: &OpTrace) -> Vec<(u64, u16, bool, workloads::OpKind)> {
@@ -210,14 +210,13 @@ proptest! {
         prop_assert_eq!(&parsed, &recorded.trace);
         prop_assert_eq!(parsed.meta.schema, FS_TRACE_SCHEMA);
 
-        // Exact replay of the *parsed* trace through a second recorder: the
+        // Replay of the *parsed* trace through a second recorder: the
         // re-recorded op stream matches the original record for record
         // (same ops, same fds, same outcomes, same tenants) and the
         // remounted image digest is bit-identical.
         let (device, fs) = FsKind::ByteFs.build(MssdConfig::small_test());
         let rec_fs = RecordingFs::new(fs);
-        let rcfg = ReplayConfig { speed: ReplaySpeed::Exact, threads: 1 };
-        let out = replay_on(&device, &rec_fs, &parsed, &rcfg);
+        let out = replay_on(&device, &rec_fs, &parsed);
         prop_assert_eq!(out.divergences, 0, "same-fs replay must not diverge");
         prop_assert_eq!(out.remount_digest, recorded.remount_digest);
         let rerecorded = rec_fs.into_trace(TraceMeta {
