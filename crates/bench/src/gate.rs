@@ -1,20 +1,15 @@
 //! The one place a bench threshold lives: the gates `bench gate` evaluates
-//! on a report, and the floor and ceiling `bench compare` holds a fresh run
-//! to against the committed artifact.
+//! on a report.
 //!
 //! A gate is a row of [`GATES`], next to the report key it reads. Every
-//! bench is on the virtual clock, so every gate bites on every host.
+//! bench is on the virtual clock, so every gate bites on every host. What a
+//! gate does not hold — that a number did not move — the committed
+//! `BENCH_*.json` holds: a fresh run at scale 1.0 must rewrite it byte for
+//! byte (`DESIGN.md`, "The committed artifacts are exact").
 
 use std::fmt;
 
 use crate::report::{fmt_num, BenchReport};
-
-/// `bench compare`: a rate below this fraction of committed is a
-/// regression…
-pub const VIRTUAL_FLOOR: f64 = 0.6;
-
-/// …and so is a latency above this multiple of committed.
-pub const VIRTUAL_CEILING: f64 = 2.0;
 
 /// Where in a report a gate reads its value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +18,6 @@ pub enum Source {
     Summary(&'static str),
     /// The `extra` field (second) of the entry with the given key (first).
     Extra(&'static str, &'static str),
-    /// The named `extra` field of every entry (cross-run gates).
-    EveryEntry(&'static str),
 }
 
 /// How a gate holds its value to its bound.
@@ -34,10 +27,6 @@ pub enum Cmp {
     AtMost,
     /// value > bound.
     Above,
-    /// The value is bit-equal in every report of the bench passed to one
-    /// `bench gate` call (nothing to judge when there is only one); the
-    /// bound is unused.
-    SameAcrossRuns,
 }
 
 /// One gate: a bench, the key it reads, the comparison and bound, and what
@@ -66,8 +55,8 @@ const fn gate(
     Gate { bench, source, cmp, bound, message }
 }
 
-use Cmp::{Above, AtMost, SameAcrossRuns};
-use Source::{EveryEntry, Extra, Summary};
+use Cmp::{Above, AtMost};
+use Source::{Extra, Summary};
 
 /// Every gate of every bench.
 #[rustfmt::skip]
@@ -80,14 +69,6 @@ pub const GATES: &[Gate] = &[
          "the armed 1e-3 hang plan injected nothing"),
     gate("hang_recovery", Summary("p99_ratio_fault_vs_clean"), AtMost, 3.0,
          "hang recovery wrecks the tail"),
-    // Recording itself is deterministic, not just replay: two independent
-    // processes must pin identical remount digests.
-    gate("replay", EveryEntry("digest_hi"), SameAcrossRuns, 0.0,
-         "remount digests diverged across independent runs"),
-    gate("replay", EveryEntry("digest_lo"), SameAcrossRuns, 0.0,
-         "remount digests diverged across independent runs"),
-    gate("replay", EveryEntry("divergences"), SameAcrossRuns, 0.0,
-         "divergence counts differ across independent runs"),
 ];
 
 impl fmt::Display for Gate {
@@ -96,12 +77,10 @@ impl fmt::Display for Gate {
         match self.source {
             Summary(key) => write!(f, "{key}")?,
             Extra(entry, field) => write!(f, "{entry} {field}")?,
-            EveryEntry(field) => write!(f, "every {field}")?,
         }
         match self.cmp {
             AtMost => write!(f, " <= {}", self.bound),
             Above => write!(f, " > {}", self.bound),
-            SameAcrossRuns => write!(f, " equal across runs"),
         }
     }
 }
@@ -114,13 +93,9 @@ impl Gate {
     /// Judges one report of this gate's bench: `Ok` says how the gate held,
     /// `Err` is the failure message.
     pub fn check(&self, report: &BenchReport) -> Result<String, String> {
-        if self.cmp == SameAcrossRuns {
-            return self.check_runs(&[report]);
-        }
         let value = match self.source {
             Summary(key) => report.summary.get(key).copied(),
             Extra(entry, field) => report.entry(entry).and_then(|e| e.extra.get(field).copied()),
-            EveryEntry(_) => None,
         };
         let Some(value) = value else {
             return self.fail(format!("the report has no value for `{self}`"));
@@ -128,7 +103,6 @@ impl Gate {
         let (holds, violated) = match self.cmp {
             AtMost => (value <= self.bound, ">"),
             Above => (value > self.bound, "<="),
-            SameAcrossRuns => unreachable!("judged by check_runs above"),
         };
         if holds {
             Ok(format!("{}: ok", fmt_num(value)))
@@ -136,63 +110,19 @@ impl Gate {
             self.fail(format!("{} {violated} {}", fmt_num(value), self.bound))
         }
     }
-
-    /// Judges a cross-run gate on every report of its bench given to one
-    /// `bench gate` call: each entry's field must be the same in all.
-    pub fn check_runs(&self, runs: &[&BenchReport]) -> Result<String, String> {
-        let (EveryEntry(field), [first, rest @ ..]) = (self.source, runs) else {
-            return self.fail("a cross-run gate reads every entry of at least one report".into());
-        };
-        if rest.is_empty() {
-            return Ok("one report: nothing to compare it with".into());
-        }
-        let cells = |r: &BenchReport| -> Vec<(String, Option<f64>)> {
-            r.entries.iter().map(|e| (e.key.clone(), e.extra.get(field).copied())).collect()
-        };
-        for other in rest {
-            for (a, b) in cells(first).iter().zip(cells(other)) {
-                if *a != b || a.1.is_none() {
-                    let show = |v: Option<f64>| v.map_or("missing".into(), fmt_num);
-                    return self.fail(format!(
-                        "{} {field} {} vs {} {}",
-                        a.0,
-                        show(a.1),
-                        b.0,
-                        show(b.1)
-                    ));
-                }
-            }
-            if first.entries.len() != other.entries.len() {
-                return self.fail(format!(
-                    "{} entries vs {}",
-                    first.entries.len(),
-                    other.entries.len()
-                ));
-            }
-        }
-        Ok(format!("{} entries identical in {} runs: ok", first.entries.len(), runs.len()))
-    }
 }
 
 /// Evaluates every gate of the benches `reports` are of, printing one line
 /// per gate and report (failures to stderr). Returns the number of failures.
 pub fn evaluate(reports: &[BenchReport]) -> usize {
     let mut failed = 0;
-    for (i, report) in reports.iter().enumerate() {
-        let same_bench = |r: &&BenchReport| r.bench == report.bench;
+    for report in reports {
         let mut gates = GATES.iter().filter(|g| g.bench == report.bench).peekable();
         if gates.peek().is_none() {
             println!("gate: {}: no gates", report.bench);
         }
         for gate in gates {
-            let verdict = if gate.cmp != SameAcrossRuns {
-                gate.check(report)
-            } else if reports[..i].iter().any(|r| same_bench(&r)) {
-                continue; // judged once, at the bench's first report
-            } else {
-                gate.check_runs(&reports.iter().filter(same_bench).collect::<Vec<_>>())
-            };
-            match verdict {
+            match gate.check(report) {
                 Ok(how) => println!("gate: {}: {gate}: {how}", report.bench),
                 Err(message) => {
                     eprintln!("GATE FAILED: {message}");
@@ -227,10 +157,6 @@ mod tests {
                 Extra(entry, field) => {
                     report.entry(entry).is_some_and(|e| e.extra.contains_key(field))
                 }
-                EveryEntry(field) => {
-                    !report.entries.is_empty()
-                        && report.entries.iter().all(|e| e.extra.contains_key(field))
-                }
             };
             assert!(
                 found,
@@ -247,9 +173,6 @@ mod tests {
         match gate.source {
             Summary(key) => drop(report.summary.insert(key.into(), value)),
             Extra(entry, field) => report.entries.push(BenchEntry::new(entry, &[(field, value)])),
-            EveryEntry(field) => {
-                report.entries.push(BenchEntry::new("mail/bytefs", &[(field, value)]))
-            }
         }
         report
     }
@@ -266,20 +189,10 @@ mod tests {
          "hang_recovery: the armed 1e-3 hang plan injected nothing: 0 <= 0"),
         ("hang_recovery", "p99_ratio_fault_vs_clean <= 3", 3.5,
          "hang_recovery: hang recovery wrecks the tail: 3.500 > 3"),
-        ("replay", "every digest_hi equal across runs", 7.0,
-         "replay: remount digests diverged across independent runs: \
-          mail/bytefs digest_hi 8 vs mail/bytefs 7"),
-        ("replay", "every digest_lo equal across runs", 7.0,
-         "replay: remount digests diverged across independent runs: \
-          mail/bytefs digest_lo 8 vs mail/bytefs 7"),
-        ("replay", "every divergences equal across runs", 7.0,
-         "replay: divergence counts differ across independent runs: \
-          mail/bytefs divergences 8 vs mail/bytefs 7"),
     ];
 
-    /// Per gate: a report that holds it passes and one that violates it
-    /// fails with exactly its message; a cross-run gate given one report
-    /// has nothing to compare.
+    /// Per gate: a report that holds it passes, one that violates it fails
+    /// with exactly its message, and one without its key fails.
     #[test]
     fn every_gate_passes_fails_and_skips() {
         assert_eq!(GATES.len(), VIOLATIONS.len());
@@ -288,15 +201,6 @@ mod tests {
             let held = |verdict: Result<String, String>, how: &str| {
                 assert!(verdict.as_ref().is_ok_and(|v| v.ends_with(how)), "{gate}: {verdict:?}");
             };
-            if gate.cmp == SameAcrossRuns {
-                let (a, b) = (synthetic(gate, 8.0), synthetic(gate, *bad));
-                held(gate.check_runs(&[&a, &a]), ": ok");
-                assert_eq!(gate.check_runs(&[&a, &b]), Err(message.to_string()));
-                held(gate.check(&a), "nothing to compare it with");
-                let fewer = BenchReport::new(gate.bench, 1.0);
-                assert!(gate.check_runs(&[&a, &fewer]).is_err(), "{gate}: an entry vanished");
-                continue;
-            }
             held(gate.check(&synthetic(gate, gate.bound + f64::from(gate.cmp == Above))), ": ok");
             assert_eq!(gate.check(&synthetic(gate, *bad)), Err(message.to_string()));
             assert!(gate.check(&BenchReport::new(gate.bench, 1.0)).is_err(), "{gate}: key gone");

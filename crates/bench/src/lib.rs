@@ -5,21 +5,22 @@
 //! [`BENCHES`] is the registry — one row per bench with its artifact, the
 //! scale CI smoke-runs it at and its run function, all of one shape
 //! (`fn(Scale) -> BenchReport`). [`GATES`] is the one table of thresholds.
-//! See `DESIGN.md` for the index and what each bench is for.
+//! Every other number is held by its committed `BENCH_*.json`, which a run
+//! at scale 1.0 rewrites byte for byte. See `DESIGN.md` for the index and
+//! what each bench is for.
 //!
 //! ```text
 //! cargo run --release -p bench -- list
 //! cargo run --release -p bench -- run fig6 0.5
 //! cargo run --release -p bench -- run all smoke bench_out
 //! cargo run --release -p bench -- gate bench_out/BENCH_*.json
-//! cargo run --release -p bench -- compare bench_out
+//! cargo run --release -p bench -- run all 1.0 .   # then `git status` is clean
 //! ```
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cli;
-mod compare;
 mod drive;
 pub mod gate;
 pub mod registry;
@@ -34,7 +35,7 @@ mod suite {
 
 pub use gate::{Gate, GATES};
 pub use registry::{Bench, BENCHES};
-pub use report::{host_cpus, BenchEntry, BenchReport, SCHEMA_VERSION};
+pub use report::{BenchEntry, BenchReport, SCHEMA_VERSION};
 
 use mssd::MssdConfig;
 
@@ -65,13 +66,13 @@ mod tests {
         assert_eq!(fmt_num(2.0), "2");
         assert_eq!(fmt_num(2.4149), "2.415");
         let mut report = BenchReport::new("t", 1.0);
-        report.entries.push(BenchEntry { p99_ns: 7, ..BenchEntry::new("a", &[("x", 1.5)]) });
+        report.entries.push(BenchEntry::new("a", &[("x", 1.5), ("z", 7.0)]));
         report.entries.push(BenchEntry::new("b", &[("y", 3.0)]));
         report.summary.insert("ratio".into(), 0.5);
         assert_eq!(
             report.table(),
-            "| entry | p99_ns | x | y |\n|---|---|---|---|\n\
-             | a | 7 | 1.500 | - |\n| b | - | - | 3 |\n\nsummary: ratio = 0.500\n"
+            "| entry | x | z | y |\n|---|---|---|---|\n\
+             | a | 1.500 | 7 | - |\n| b | - | - | 3 |\n\nsummary: ratio = 0.500\n"
         );
     }
 

@@ -1,5 +1,5 @@
-//! The one table of benches: what `bench run`, `bench list` and
-//! `bench compare` iterate, and what `DESIGN.md`'s index is checked against.
+//! The one table of benches: what `bench run` and `bench list` iterate, and
+//! what `DESIGN.md`'s index is checked against.
 
 use std::fmt::Write as _;
 

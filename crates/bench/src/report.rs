@@ -1,14 +1,13 @@
 //! The unified bench-report JSON schema every registered bench returns and
-//! `bench gate` / `bench compare` consume.
+//! `bench gate` reads.
 //!
-//! Every bench produces a [`BenchReport`]: a `schema_version` tag, the bench name, the scale
-//! factor and host parallelism the run was produced under, a flat list of
+//! Every bench produces a [`BenchReport`]: a `schema_version` tag, the bench
+//! name, the scale factor the run was produced under, a flat list of
 //! [`BenchEntry`] rows keyed by a stable string (e.g. `"mail/bytefs"` or
-//! `"cleaning_on"`), and a `summary` map of report-level scalars (e.g.
-//! `p99_ratio_on_vs_off`). The two first-class metrics every comparator
-//! understands are `throughput_ops_s` and `p99_ns`; a value of zero means
-//! "not applicable to this bench" and is never gated on. Everything else
-//! rides in the entry's `extra` map.
+//! `"cleaning_on"`), each carrying its numbers in one `extra` map, and a
+//! `summary` map of report-level scalars (e.g. `p99_ratio_on_vs_off`).
+//! Nothing in a report depends on the host, so a fresh run at the committed
+//! scale rewrites the committed `BENCH_*.json` byte for byte.
 //!
 //! The workspace has no JSON dependency (all deps are vendored offline
 //! stand-ins), so this module carries its own writer and a minimal parser —
@@ -19,36 +18,21 @@ use std::fmt::Write as _;
 
 /// Version tag of the unified schema. Bump when a field changes meaning.
 /// [`BenchReport::from_json`] reads this version and refuses anything else.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// One measured configuration of a bench.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Stable key, unique within a report (e.g. `"mail/bytefs"`).
     pub key: String,
-    /// Throughput in operations per modelled second; 0 when the bench has
-    /// no throughput notion for this row.
-    pub throughput_ops_s: f64,
-    /// 99th-percentile per-operation latency in nanoseconds; 0 when not
-    /// applicable. Histogram-derived (bounded to one log-linear bucket
-    /// width), not sampled.
-    pub p99_ns: u64,
-    /// 99.9th-percentile per-operation latency in nanoseconds; 0 when not
-    /// applicable.
-    pub p999_ns: u64,
-    /// Bench-specific scalars (thread counts, speedups, byte counts, ...).
+    /// The entry's named scalars (latencies, rates, byte counts, ...).
     pub extra: BTreeMap<String, f64>,
 }
 
 impl BenchEntry {
-    /// An entry with the given key and `extra` scalars and no first-class
-    /// metric (set those with struct-update syntax).
+    /// An entry with the given key and `extra` scalars.
     pub fn new(key: impl Into<String>, extra: &[(&str, f64)]) -> Self {
-        Self {
-            key: key.into(),
-            extra: extra.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            ..Self::default()
-        }
+        Self { key: key.into(), extra: extra.iter().map(|(k, v)| (k.to_string(), *v)).collect() }
     }
 }
 
@@ -62,9 +46,6 @@ pub struct BenchReport {
     pub bench: String,
     /// Scale factor the run used.
     pub scale: f64,
-    /// `std::thread::available_parallelism()` of the producing host: a
-    /// record of where the run was made, which no check reads.
-    pub host_cpus: usize,
     /// Measured rows.
     pub entries: Vec<BenchEntry>,
     /// Report-level scalars (e.g. `"p99_ratio_on_vs_off"`).
@@ -72,17 +53,9 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Starts a report for `bench` at `scale`, stamping the current host's
-    /// parallelism.
+    /// Starts a report for `bench` at `scale`.
     pub fn new(bench: &str, scale: f64) -> Self {
-        Self {
-            schema_version: SCHEMA_VERSION,
-            bench: bench.to_string(),
-            scale,
-            host_cpus: host_cpus(),
-            entries: Vec::new(),
-            summary: BTreeMap::new(),
-        }
+        Self { schema_version: SCHEMA_VERSION, bench: bench.to_string(), scale, ..Self::default() }
     }
 
     /// Looks up an entry by key.
@@ -91,30 +64,20 @@ impl BenchReport {
     }
 
     /// Renders the entries as a markdown table: one row per entry, one
-    /// column per first-class metric any entry sets and per `extra` key any
-    /// entry carries (in order of first appearance, `-` where an entry has
-    /// none), then the summary scalars on one line.
+    /// column per `extra` key any entry carries (in order of first
+    /// appearance, `-` where an entry has none), then the summary scalars on
+    /// one line.
     pub fn table(&self) -> String {
-        let cells = |e: &BenchEntry| -> Vec<(String, f64)> {
-            let (tput, p99, p999) = (e.throughput_ops_s, e.p99_ns as f64, e.p999_ns as f64);
-            let first_class = [("throughput_ops_s", tput), ("p99_ns", p99), ("p999_ns", p999)];
-            let set = first_class.into_iter().filter(|(_, v)| *v > 0.0);
-            let extra = e.extra.iter().map(|(k, v)| (k.as_str(), *v));
-            set.chain(extra).map(|(k, v)| (k.to_string(), v)).collect()
-        };
-        let rows: Vec<_> = self.entries.iter().map(cells).collect();
         let mut columns: Vec<&str> = Vec::new();
-        for (name, _) in rows.iter().flatten() {
+        for name in self.entries.iter().flat_map(|e| e.extra.keys()) {
             if !columns.contains(&name.as_str()) {
                 columns.push(name);
             }
         }
         let mut s =
             format!("| entry | {} |\n|{}\n", columns.join(" | "), "---|".repeat(columns.len() + 1));
-        for (e, cells) in self.entries.iter().zip(&rows) {
-            let value = |c: &&str| {
-                cells.iter().find(|(k, _)| k == c).map_or("-".into(), |(_, v)| fmt_num(*v))
-            };
+        for e in &self.entries {
+            let value = |c: &&str| e.extra.get(*c).map_or("-".into(), |v| fmt_num(*v));
             let row: Vec<String> = columns.iter().map(value).collect();
             let _ = writeln!(s, "| {} | {} |", e.key, row.join(" | "));
         }
@@ -133,17 +96,9 @@ impl BenchReport {
         let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
         let _ = writeln!(s, "  \"bench\": {},", json_str(&self.bench));
         let _ = writeln!(s, "  \"scale\": {},", json_f64(self.scale));
-        let _ = writeln!(s, "  \"host_cpus\": {},", self.host_cpus);
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"key\": {}, \"throughput_ops_s\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"extra\": {{",
-                json_str(&e.key),
-                json_f64(e.throughput_ops_s),
-                e.p99_ns,
-                e.p999_ns
-            );
+            let _ = write!(s, "    {{\"key\": {}, \"extra\": {{", json_str(&e.key));
             s.push_str(&json_pairs(&e.extra));
             s.push_str("}}");
             s.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
@@ -182,28 +137,15 @@ impl BenchReport {
             schema_version,
             bench: obj.get("bench").and_then(Json::as_str).ok_or("missing \"bench\"")?.to_string(),
             scale: obj.get("scale").and_then(Json::as_f64).unwrap_or(1.0),
-            host_cpus: obj.get("host_cpus").and_then(Json::as_u64).unwrap_or(0) as usize,
             entries: Vec::new(),
             summary: BTreeMap::new(),
         };
         if let Some(Json::Array(entries)) = obj.get("entries") {
             for e in entries {
                 let eo = e.as_object().ok_or("entry is not an object")?;
-                let entry = BenchEntry {
-                    key: eo
-                        .get("key")
-                        .and_then(Json::as_str)
-                        .ok_or("entry missing \"key\"")?
-                        .to_string(),
-                    throughput_ops_s: eo
-                        .get("throughput_ops_s")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
-                    p99_ns: eo.get("p99_ns").and_then(Json::as_u64).unwrap_or(0),
-                    p999_ns: eo.get("p999_ns").and_then(Json::as_u64).unwrap_or(0),
-                    extra: numbers(eo.get("extra")),
-                };
-                report.entries.push(entry);
+                let key = eo.get("key").and_then(Json::as_str).ok_or("entry missing \"key\"")?;
+                let extra = numbers(eo.get("extra"));
+                report.entries.push(BenchEntry { key: key.to_string(), extra });
             }
         }
         report.summary = numbers(obj.get("summary"));
@@ -219,11 +161,6 @@ impl BenchReport {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         Self::from_json(&text).map_err(|e| format!("{path}: {e}"))
     }
-}
-
-/// Parallelism available to this process, which reports record.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Formats a table cell: integers plainly, everything else to the three
@@ -539,28 +476,18 @@ mod tests {
     #[test]
     fn report_roundtrips_through_json() {
         let mut r = BenchReport::new("gc_pause", 0.5);
-        r.entries.push(BenchEntry {
-            key: "cleaning_on".into(),
-            throughput_ops_s: 123456.75,
-            p99_ns: 9800,
-            p999_ns: 12000,
-            extra: BTreeMap::from([("ops".to_string(), 4.0), ("log_cleanings".to_string(), 16.0)]),
-        });
-        r.entries.push(BenchEntry {
-            key: "cleaning_off".into(),
-            throughput_ops_s: 60000.0,
-            p99_ns: 15000,
-            p999_ns: 0,
-            extra: BTreeMap::new(),
-        });
+        r.entries.push(BenchEntry::new(
+            "cleaning_on",
+            &[("ops", 4.0), ("virtual_ops_per_sec", 123456.75), ("virtual_p99_ns", 9800.0)],
+        ));
+        r.entries.push(BenchEntry::new("cleaning_off", &[]));
         r.summary.insert("p99_ratio_on_vs_off".into(), 2.057);
         let back = BenchReport::from_json(&r.to_json()).expect("parse");
         assert_eq!(back, r);
         assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert_eq!(back.entry("cleaning_on").unwrap().p99_ns, 9800);
-        assert_eq!(back.entry("cleaning_on").unwrap().p999_ns, 12000);
-        let v2 = r.to_json().replace("\"schema_version\": 3", "\"schema_version\": 2");
-        assert!(BenchReport::from_json(&v2).is_err(), "only the current schema is read");
+        assert_eq!(back.entry("cleaning_on").unwrap().extra["virtual_ops_per_sec"], 123456.75);
+        let v3 = r.to_json().replace("\"schema_version\": 4", "\"schema_version\": 3");
+        assert!(BenchReport::from_json(&v3).is_err(), "only the current schema is read");
     }
 
     #[test]
@@ -668,9 +595,8 @@ mod tests {
     #[rustfmt::skip]
     const FRAGMENTS: &[&str] = &[
         "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud800", "\\u00", "\\n", " ", "\n",
-        "\"schema_version\"", "\"bench\"", "\"scale\"", "\"host_cpus\"", "\"entries\"", "\"key\"",
-        "\"throughput_ops_s\"", "\"p99_ns\"", "\"p999_ns\"", "\"extra\"", "\"summary\"", "\"x\"",
-        "{\"schema_version\": 3, \"bench\": \"b\", ", "\"entries\": [{\"key\": \"k\", ",
+        "\"schema_version\"", "\"bench\"", "\"scale\"", "\"entries\"", "\"key\"", "\"extra\"",
+        "\"summary\"", "\"x\"", "{\"schema_version\": 4, \"bench\": \"b\", ", "\"entries\": [{\"key\": \"k\", ",
         "true", "false", "null", "nul", "0", "3", "-", "+", ".", "e", "E", "1e999", "-0.0", "1e-999",
         "18446744073709551615", "18446744073709551616", "é", "\u{1F600}", "[[[[[[[[", "{\"a\":{\"a\":",
     ];

@@ -140,26 +140,22 @@ fn measure(key: &str, faulted: bool, cmds_per_client: usize) -> BenchEntry {
     });
     let cmds = cmds_per_client * CLIENTS;
     let traffic = dev.snapshot().traffic;
-    BenchEntry {
-        p99_ns: lat.value_at(0.99),
-        p999_ns: lat.value_at(0.999),
-        ..BenchEntry::new(
-            key,
-            &[
-                ("cmds", cmds as f64),
-                ("virtual_p50_ns", lat.value_at(0.50) as f64),
-                ("virtual_p99_ns", lat.value_at(0.99) as f64),
-                ("virtual_p999_ns", lat.value_at(0.999) as f64),
-                ("virtual_max_ns", lat.max() as f64),
-                ("injected_hangs", dev.config().hang.injected_total() as f64),
-                ("recovered_cmds", recovered as f64),
-                ("hang_timeouts", traffic.hang_timeouts as f64),
-                ("aborts", traffic.aborts as f64),
-                ("lane_resets", traffic.lane_resets as f64),
-                ("retries", traffic.retries as f64),
-            ],
-        )
-    }
+    BenchEntry::new(
+        key,
+        &[
+            ("cmds", cmds as f64),
+            ("virtual_p50_ns", lat.value_at(0.50) as f64),
+            ("virtual_p99_ns", lat.value_at(0.99) as f64),
+            ("virtual_p999_ns", lat.value_at(0.999) as f64),
+            ("virtual_max_ns", lat.max() as f64),
+            ("injected_hangs", dev.config().hang.injected_total() as f64),
+            ("recovered_cmds", recovered as f64),
+            ("hang_timeouts", traffic.hang_timeouts as f64),
+            ("aborts", traffic.aborts as f64),
+            ("lane_resets", traffic.lane_resets as f64),
+            ("retries", traffic.retries as f64),
+        ],
+    )
 }
 
 pub(crate) fn run(scale: Scale) -> BenchReport {
@@ -175,7 +171,8 @@ pub(crate) fn run(scale: Scale) -> BenchReport {
     );
 
     let mut report = BenchReport::new("hang_recovery", scale.factor());
-    let ratio = fault.p99_ns as f64 / clean.p99_ns.max(1) as f64;
+    let p99 = |e: &BenchEntry| e.extra["virtual_p99_ns"];
+    let ratio = p99(&fault) / p99(&clean).max(1.0);
     report.summary.insert("p99_ratio_fault_vs_clean".to_string(), round3(ratio));
     report.entries = vec![clean, fault];
     report

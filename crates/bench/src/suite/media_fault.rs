@@ -5,7 +5,7 @@
 //! exists and how to read it: `DESIGN.md`.
 
 use mssd::{Category, DramMode, MediaFaultPlan, Mssd, MssdConfig};
-use workloads::Scale;
+use workloads::{Histogram, Scale};
 
 use crate::drive::{round3, XorShift};
 use crate::{BenchEntry, BenchReport};
@@ -29,12 +29,14 @@ const FLUSH_EVERY: usize = 256;
 /// 2048 * 64 B = 128 KB = 32 pages, rounded up generously).
 const BLOCK_BASE: u64 = 64;
 
-/// Drives the read-heavy stream once; returns the UECC count.
+/// Drives the read-heavy stream once; returns the UECC count and the
+/// virtual latency of every block read, where the retry ladder shows.
 /// Reads dominate (70%) because the 1e-4 regime is a *read*-error regime:
 /// program and erase failures at end of life are orders of magnitude rarer.
-fn drive(dev: &Mssd, ops: usize) -> u64 {
+fn drive(dev: &Mssd, ops: usize) -> (u64, Histogram) {
     let mut rng = XorShift(0xEC0_5EED | 1);
     let mut uecc = 0u64;
+    let (clock, mut block_reads) = (dev.clock(), Histogram::new());
     for op in 1..=ops {
         if op % FLUSH_EVERY == 0 {
             let _ = dev.try_flush();
@@ -45,9 +47,11 @@ fn drive(dev: &Mssd, ops: usize) -> u64 {
             0..=49 => {
                 let p = rng.below(PAGES - 1);
                 let count = 1 + rng.below(2) as usize;
+                let t0 = clock.now_ns();
                 if dev.try_block_read(BLOCK_BASE + p, count, Category::Data).is_err() {
                     uecc += 1;
                 }
+                block_reads.record(clock.now_ns() - t0);
             }
             // Byte read through the log-then-flash path.
             50..=69 => {
@@ -70,12 +74,13 @@ fn drive(dev: &Mssd, ops: usize) -> u64 {
             }
         }
     }
-    uecc
+    (uecc, block_reads)
 }
 
 /// Builds the device, pre-populates every page/slot the stream touches (so
 /// reads hit programmed flash, not the zero fast path), runs the stream and
-/// returns its entry: the virtual time the stream took and the RAS counters.
+/// returns its entry: the virtual time the stream took, its block-read tail
+/// and the RAS counters.
 fn measure(key: &str, read_error_rate: f64, ops: usize) -> BenchEntry {
     let mut cfg = MssdConfig::default().with_capacity(64 << 20);
     if read_error_rate > 0.0 {
@@ -95,7 +100,7 @@ fn measure(key: &str, read_error_rate: f64, ops: usize) -> BenchEntry {
     dev.try_flush().unwrap();
     dev.reset_stats();
     let start = dev.clock().now_ns();
-    let uecc = drive(&dev, ops);
+    let (uecc, block_reads) = drive(&dev, ops);
     let elapsed_ns = dev.clock().now_ns() - start;
     let t = dev.traffic();
     BenchEntry::new(
@@ -103,6 +108,9 @@ fn measure(key: &str, read_error_rate: f64, ops: usize) -> BenchEntry {
         &[
             ("ops", ops as f64),
             ("virtual_elapsed_ms", round3(elapsed_ns as f64 / 1e6)),
+            ("virtual_read_p99_ns", block_reads.value_at(0.99) as f64),
+            ("virtual_read_p999_ns", block_reads.value_at(0.999) as f64),
+            ("virtual_read_max_ns", block_reads.max() as f64),
             ("ueccs", uecc as f64),
             ("corrected_reads", t.ras_corrected_reads as f64),
             ("read_retries", t.ras_read_retries as f64),

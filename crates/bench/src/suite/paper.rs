@@ -27,8 +27,8 @@ use crate::{bench_config, BenchEntry, BenchReport};
 /// A cell's named metrics.
 type Metrics = Vec<(&'static str, f64)>;
 
-/// The throughput key: `virtual` in the name makes `bench compare` enforce
-/// it across hosts.
+/// The throughput key: `virtual` in the name says it is modelled time, the
+/// same on every host.
 const KOPS: &str = "virtual_kops_per_sec";
 
 fn micros(ops: &[MicroOp], scale: Scale) -> Vec<Box<dyn Workload>> {

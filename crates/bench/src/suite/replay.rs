@@ -55,24 +55,22 @@ fn replay_twice(recorded: &Recorded, fs_kind: FsKind, same_fs: bool) -> ReplayOu
 fn entry(kind: CorpusKind, fs: &str, out: &ReplayOutcome) -> BenchEntry {
     let r = &out.result;
     let digest = out.remount_digest;
-    BenchEntry {
-        throughput_ops_s: round3(r.kops_per_sec * 1e3),
-        p99_ns: r.write.p99_ns,
-        p999_ns: r.write.p999_ns,
-        ..BenchEntry::new(
-            format!("{kind}/{fs}"),
-            &[
-                ("ops", r.ops as f64),
-                ("replayed", out.replayed as f64),
-                ("divergences", out.divergences as f64),
-                ("digest_lo", (digest & 0xFFFF_FFFF) as f64),
-                ("digest_hi", (digest >> 32) as f64),
-                ("virtual_elapsed_ns", r.elapsed_ns as f64),
-                ("virtual_read_p99_ns", r.read.p99_ns as f64),
-                ("virtual_meta_p99_ns", r.meta.p99_ns as f64),
-            ],
-        )
-    }
+    BenchEntry::new(
+        format!("{kind}/{fs}"),
+        &[
+            ("ops", r.ops as f64),
+            ("replayed", out.replayed as f64),
+            ("divergences", out.divergences as f64),
+            ("digest_lo", (digest & 0xFFFF_FFFF) as f64),
+            ("digest_hi", (digest >> 32) as f64),
+            ("virtual_elapsed_ns", r.elapsed_ns as f64),
+            ("virtual_ops_per_sec", round3(r.kops_per_sec * 1e3)),
+            ("virtual_write_p99_ns", r.write.p99_ns as f64),
+            ("virtual_write_p999_ns", r.write.p999_ns as f64),
+            ("virtual_read_p99_ns", r.read.p99_ns as f64),
+            ("virtual_meta_p99_ns", r.meta.p99_ns as f64),
+        ],
+    )
 }
 
 /// Renders the cross-fs markdown delta report CI uploads as an artifact.

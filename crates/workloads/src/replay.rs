@@ -800,8 +800,8 @@ pub fn record_workload(
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// Metrics of the measured phase, same shape as a live run's — per-op
-    /// latencies live in the log-linear histograms, so `bench compare` can
-    /// diff two replays entry-for-entry. One caveat: `ops` counts measured
+    /// latencies live in the log-linear histograms, so two replays diff
+    /// entry-for-entry. One caveat: `ops` counts measured
     /// trace records (individual file-system calls), where the recording
     /// harness counts the workload's *logical* ops (a "create" op is four
     /// calls) — replay metrics compare against other replays of the same
