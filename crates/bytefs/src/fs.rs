@@ -29,14 +29,13 @@
 //! * **Allocators** ([`SharedBitmap`]) — atomic free-space counters form a
 //!   mutex-free admission fast path; only the concrete bit pick locks.
 //! * **Open files** — lock-striped by fd, fd numbers from an atomic counter.
-//! * **TxTable** ([`SharedTxTable`]) — atomic TxID allocation and commit
-//!   counting.
+//! * **TxIDs** ([`TxIds`]) — one atomic counter.
 //!
 //! **Lock order** (a thread acquires locks only left to right):
 //!
 //! ```text
 //! namespace → inode shard → inode → page-cache shard → allocator
-//!           → dirty-set / journal / txtable → device
+//!           → dirty-set → device
 //! ```
 //!
 //! Two rules keep this deadlock-free without a reverse edge:
@@ -49,10 +48,10 @@
 //!    resolve their inode through the fd table only.
 //!
 //! Every lock a thread may hold across a device command — the namespace
-//! lock, an inode-table shard, an inode, the data journal — is taken through
-//! `ByteFs::parked`: a client on its own clock (`mssd`'s ambient queue)
-//! that blocks on one leaves the device's turn order while it waits, so the
-//! holder's next command never waits for it (`mssd`'s `DESIGN-time.md`).
+//! lock, an inode-table shard, an inode — is taken through `ByteFs::parked`:
+//! a client on its own clock (`mssd`'s ambient queue) that blocks on one
+//! leaves the device's turn order while it waits, so the holder's next
+//! command never waits for it (`mssd`'s `DESIGN-time.md`).
 //!
 //! A buffered `write` that leaves more than the dirty limit of the page cache
 //! dirty releases its inode lock before it writes the cold pages back (see
@@ -71,7 +70,6 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fskit::blockrun::max_run_pages;
-use fskit::journal::BlockJournal;
 use fskit::pagecache::ShardedPageCache;
 use fskit::path as fspath;
 use fskit::{DirEntry, Fd, FileSystem, FileType, FsError, FsResult, Metadata, OpenFlags};
@@ -83,7 +81,7 @@ use crate::inode::Inode;
 use crate::layout::{Layout, DENTRY_SIZE, INODE_SIZE, ROOT_INO};
 use crate::policy::ByteFsConfig;
 use crate::superblock::Superblock;
-use crate::txn::{SharedTxTable, Txn};
+use crate::txn::{TxIds, Txn};
 
 pub(crate) mod data;
 
@@ -128,9 +126,8 @@ pub struct ByteFs {
     pub(crate) page_cache: ShardedPageCache,
     open_files: Vec<RwLock<HashMap<u64, OpenFile>>>,
     next_fd: AtomicU64,
-    txtable: SharedTxTable,
+    txids: TxIds,
     pub(crate) dirty_inodes: Mutex<BTreeSet<u64>>,
-    pub(crate) journal: Option<Mutex<BlockJournal>>,
     /// Dirty pages above which a buffered write runs a writeback pass.
     pub(crate) dirty_limit: usize,
     /// Dirty pages a writeback pass could not bring under the limit (it
@@ -270,13 +267,6 @@ impl ByteFs {
         inode_bitmap: BitmapAllocator,
         block_bitmap: BitmapAllocator,
     ) -> Self {
-        let journal = config.data_journaling.then(|| {
-            Mutex::new(BlockJournal::new(
-                Arc::clone(&device),
-                layout.journal_start,
-                layout.journal_pages,
-            ))
-        });
         let page_cache =
             ShardedPageCache::new(INODE_SHARDS, config.page_cache_pages, layout.page_size, true);
         let dirty_limit = (page_cache.capacity_pages() / DIRTY_SHARE).max(max_run_pages(&device));
@@ -292,9 +282,8 @@ impl ByteFs {
             page_cache,
             open_files: (0..INODE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             next_fd: AtomicU64::new(3),
-            txtable: SharedTxTable::new(),
+            txids: TxIds::new(),
             dirty_inodes: Mutex::new(BTreeSet::new()),
-            journal,
             dirty_limit,
             pass_floor: AtomicUsize::new(0),
             passes: AtomicU64::new(0),
@@ -335,8 +324,8 @@ impl ByteFs {
     }
 
     /// Runs crash recovery explicitly (normally done by [`ByteFs::mount`] when
-    /// the volume is dirty): firmware `RECOVER()` plus data-journal scan.
-    /// Returns the firmware recovery report.
+    /// the volume is dirty): firmware `RECOVER()`. Returns the firmware
+    /// recovery report.
     pub fn recover_after_crash(&self) -> mssd::device::RecoveryReport {
         self.device.recover()
     }
@@ -378,7 +367,7 @@ impl ByteFs {
     // ------------------------------------------------------------------
 
     /// Takes a host lock that some thread may hold across a device command —
-    /// the namespace lock, an inode-table shard, an inode, the data journal.
+    /// the namespace lock, an inode-table shard, an inode.
     /// An uncontended lock is one `try`. A contended one is waited for
     /// *parked* ([`mssd::Clock::park`]): the calling client leaves the
     /// device's turn order while it blocks, so a holder waiting for its turn
@@ -496,16 +485,14 @@ impl ByteFs {
     /// Begins a metadata transaction (TxID-tagged when firmware transactions
     /// are enabled).
     pub(crate) fn begin_txn(&self) -> Txn {
-        let txid = self.config.firmware_transactions.then(|| self.txtable.begin());
+        let txid = self.config.firmware_transactions.then(|| self.txids.begin());
         Txn::new(Arc::clone(&self.device), txid)
     }
 
     /// Finishes a transaction: firmware commit (or, without one, the
-    /// persistence barrier), TxTable bookkeeping.
+    /// persistence barrier).
     pub(crate) fn commit_txn(&self, txn: Txn) {
-        if let Some(txid) = txn.commit() {
-            self.txtable.finish(txid);
-        }
+        txn.commit();
     }
 
     /// Persists an inode (both halves) into the inode table.

@@ -60,7 +60,6 @@
 use std::sync::atomic::Ordering;
 
 use fskit::blockrun::{read_run_len, BlockWriteBatch};
-use fskit::journal::JournaledBlock;
 use fskit::pagecache::{DirtyPage, PageRef};
 use fskit::{FsError, FsResult};
 use mssd::Category;
@@ -413,11 +412,8 @@ impl ByteFs {
         let page_size = self.layout.page_size as u64;
         let mut txn = self.begin_txn();
 
-        // Block-choice pages at consecutive LBAs leave as one command; with
-        // data journaling they are collected into the fsync's journal
-        // transaction instead.
+        // Block-choice pages at consecutive LBAs leave as one command.
         let mut batch = BlockWriteBatch::default();
-        let mut journaled = Vec::new();
         for dp in dirty_pages {
             let lba = self.ensure_block(inode, dp.index)?;
             let ratio = dp.modified_ratio(CHUNK);
@@ -434,21 +430,10 @@ impl ByteFs {
                         )?;
                     }
                 }
-                InterfaceChoice::Block if self.journal.is_some() => journaled
-                    .push(JournaledBlock { lba, data: dp.data.to_vec(), category: Category::Data }),
                 InterfaceChoice::Block => batch.push(lba, &dp.data),
             }
         }
         txn.after(batch.submit(&self.device, Category::Data)?);
-        if let Some(journal) = &self.journal {
-            // One transaction per fsync, split only where the journal area
-            // cannot hold it (descriptor + data + commit must fit).
-            let mut journal = self.parked(|| journal.try_lock(), || journal.lock());
-            let per_txn = journal.capacity_blocks() as usize - 2;
-            for blocks in journaled.chunks(per_txn) {
-                journal.commit(blocks, true)?;
-            }
-        }
         // ensure_block may have re-marked the inode dirty after the early
         // removal; drop the flag again so it is not persisted twice.
         self.dirty_inodes.lock().remove(&ino);
@@ -862,20 +847,6 @@ mod tests {
         assert!(ByteFs::format(dev, ByteFsConfig::full()).is_err());
     }
 
-    #[test]
-    fn data_journaling_mode_journals_block_writebacks() {
-        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        let fs =
-            ByteFs::format(Arc::clone(&dev), ByteFsConfig::full().with_data_journaling()).unwrap();
-        let before = dev.traffic();
-        fs.write_file("/j", &vec![9u8; 4_096]).unwrap();
-        let delta = dev.traffic().delta_since(&before);
-        assert!(
-            delta.host_bytes_by_category(Direction::Write, Category::Journal) >= 3 * 4_096,
-            "data journaling writes descriptor + data + commit blocks"
-        );
-    }
-
     /// Test payload with no two equal pages and no all-zero cacheline, so
     /// every page is written whole (R = 1) and a misplaced page shows.
     fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -1039,34 +1010,6 @@ mod tests {
         let mut want = data.clone();
         want[4096 + 2048..4 * 4096 + 2048].copy_from_slice(&patch);
         assert_eq!(fs.read(fd, 0, 6 * 4096).unwrap(), want);
-    }
-
-    #[test]
-    fn data_journaling_commits_an_fsync_as_one_transaction() {
-        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        let fs =
-            ByteFs::format(Arc::clone(&dev), ByteFsConfig::full().with_data_journaling()).unwrap();
-        let cap = fs.journal.as_ref().unwrap().lock().capacity_blocks() as usize - 2;
-        let data = pattern(16 * 4096, 10);
-        let fd = fs.create("/j16").unwrap();
-        fs.write(fd, 0, &data).unwrap();
-        let before = dev.traffic();
-        fs.fsync(fd).unwrap();
-        let delta = dev.traffic().delta_since(&before);
-        let txns = 16usize.div_ceil(cap);
-        assert_eq!(
-            delta.host_bytes_by_category(Direction::Write, Category::Journal),
-            ((16 + 2 * txns) * 4096) as u64,
-            "descriptor + commit once per transaction, not once per page"
-        );
-        assert_eq!(fs.journal.as_ref().unwrap().lock().stats().transactions, txns as u64);
-        // The checkpoint put every page in place: a power cut right after the
-        // fsync returns loses none of them.
-        drop(fs);
-        dev.crash();
-        let fs =
-            ByteFs::mount(Arc::clone(&dev), ByteFsConfig::full().with_data_journaling()).unwrap();
-        assert_eq!(fs.read_file("/j16").unwrap(), data);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! ByteFS keeps an Ext4-like static layout (§4.9 says the implementation
 //! reorganizes the Ext4 on-disk metadata structures): a superblock, inode and
-//! block bitmaps, a fixed inode table, an optional data-journal area, and the
-//! data area. The layout is computed once from the device size at `mkfs` time
+//! block bitmaps, a fixed inode table, a reserved journal area ByteFS does not
+//! write, and the data area. The layout is computed once from the device size at `mkfs` time
 //! and stored in the superblock.
 
 use serde::{Deserialize, Serialize};
@@ -44,10 +44,10 @@ pub struct Layout {
     pub inode_table_start: u64,
     /// Pages in the inode table.
     pub inode_table_pages: u64,
-    /// First page of the data-journal area (JBD2-style, used by data
-    /// journaling mode).
+    /// First page of the reserved journal area (kept so the superblock
+    /// encoding and every LBA stay fixed; ByteFS does not write it).
     pub journal_start: u64,
-    /// Pages reserved for the data journal.
+    /// Pages reserved for the journal area.
     pub journal_pages: u64,
     /// First page of the data area.
     pub data_start: u64,
@@ -63,7 +63,7 @@ impl Layout {
     ///
     /// One inode is provisioned per four data-area pages (one file per 16 KB,
     /// matching the small-file workloads the paper targets), and 1 % of the
-    /// device (at least 64 pages) is reserved for the data journal.
+    /// device (at least 64 pages) is reserved for the journal area.
     ///
     /// # Panics
     ///

@@ -36,10 +36,10 @@
 //!   count;
 //! * the **allocators** ([`alloc::SharedBitmap`]) admit or reject
 //!   allocations on an atomic free-space counter without a lock;
-//! * **TxIDs** come from an atomic counter ([`txn::SharedTxTable`]).
+//! * **TxIDs** come from one atomic counter ([`txn::TxIds`]).
 //!
 //! The lock order is `namespace → inode shard → inode → page-cache shard →
-//! allocator → journal/txtable → device`; see [`fs`] for the full rules and
+//! allocator → dirty-set → device`; see [`fs`] for the full rules and
 //! why they are deadlock-free.
 //!
 //! # Durability contract

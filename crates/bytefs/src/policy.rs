@@ -39,9 +39,6 @@ pub struct ByteFsConfig {
     /// Tag metadata writes with TxIDs and commit through the firmware TxLog.
     /// Requires the device to run in [`mssd::DramMode::WriteLog`].
     pub firmware_transactions: bool,
-    /// Journal file data through the JBD2-style journal in addition to
-    /// metadata (the paper's data-journaling mode; off = ordered mode).
-    pub data_journaling: bool,
     /// Host page cache capacity in pages.
     pub page_cache_pages: usize,
 }
@@ -58,7 +55,6 @@ impl ByteFsConfig {
         Self {
             data_byte_interface: true,
             firmware_transactions: true,
-            data_journaling: false,
             page_cache_pages: 64 << 10, // 256 MB of 4 KB pages
         }
     }
@@ -78,12 +74,6 @@ impl ByteFsConfig {
     /// Sets the host page cache size in pages.
     pub fn with_page_cache_pages(mut self, pages: usize) -> Self {
         self.page_cache_pages = pages;
-        self
-    }
-
-    /// Enables data journaling.
-    pub fn with_data_journaling(mut self) -> Self {
-        self.data_journaling = true;
         self
     }
 
@@ -153,8 +143,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = ByteFsConfig::full().with_page_cache_pages(128).with_data_journaling();
+        let c = ByteFsConfig::full().with_page_cache_pages(128);
         assert_eq!(c.page_cache_pages, 128);
-        assert!(c.data_journaling);
     }
 }

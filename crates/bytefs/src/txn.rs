@@ -4,114 +4,46 @@
 //! (e.g. `create` updates the parent directory, the inode bitmap, the new
 //! inode and the parent inode) is wrapped in a transaction: every byte write
 //! carries the transaction's TxID, and a single `COMMIT(TxID)` command makes
-//! the whole group durable and atomic (§4.3, §4.7). The host keeps a TxTable
-//! of in-flight transactions (mirrored here by [`TxTable`] and its concurrent
-//! counterpart [`SharedTxTable`]) mostly for observability; ordering between
-//! conflicting transactions is provided by the file-system locks (the
-//! namespace lock for metadata operations, per-inode locks for the data
-//! path — see the crate-level "Concurrency model" docs).
+//! the whole group durable and atomic (§4.3, §4.7). The firmware TxLog alone
+//! decides what is durable and what `RECOVER()` keeps, so the host needs only
+//! a fresh TxID per transaction ([`TxIds`]); ordering between conflicting
+//! transactions is provided by the file-system locks (the namespace lock for
+//! metadata operations, per-inode locks for the data path — see the
+//! crate-level "Concurrency model" docs).
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use mssd::txn::TxIdAllocator;
 use mssd::{Category, FlashError, InFlight, Mssd, TxId};
 
-/// The host transaction table: allocates TxIDs and tracks in-flight
-/// transactions.
-#[derive(Debug, Default)]
-pub struct TxTable {
-    alloc: TxIdAllocator,
-    active: HashSet<TxId>,
-    committed: u64,
-}
-
-impl TxTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self { alloc: TxIdAllocator::new(), active: HashSet::new(), committed: 0 }
-    }
-
-    /// Starts a new transaction and returns its TxID.
-    pub fn begin(&mut self) -> TxId {
-        let id = self.alloc.allocate();
-        self.active.insert(id);
-        id
-    }
-
-    /// Marks a transaction committed.
-    pub fn finish(&mut self, txid: TxId) {
-        if self.active.remove(&txid) {
-            self.committed += 1;
-        }
-    }
-
-    /// Number of transactions currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Number of transactions committed so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-}
-
-/// The concurrent host transaction table: the `&self` counterpart of
-/// [`TxTable`] used by the sharded file system.
-///
-/// TxID allocation is a single atomic fetch-add and the committed counter is
-/// an atomic load, so neither the begin fast path nor observability contends
-/// on a lock; only the in-flight set (bounded by the number of concurrent
-/// operations) is mutex-protected.
-#[derive(Debug, Default)]
-pub struct SharedTxTable {
+/// The host's TxID source: a global counter (§4.3) that threads draw from
+/// with one atomic fetch-add. TxID 0 is reserved as "no transaction".
+#[derive(Debug)]
+pub struct TxIds {
     next: AtomicU32,
-    active: Mutex<HashSet<TxId>>,
-    committed: AtomicU64,
 }
 
-impl SharedTxTable {
-    /// Creates an empty table. TxID 0 is reserved as "no transaction".
+impl Default for TxIds {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TxIds {
+    /// Creates a counter whose first TxID is 1.
     pub fn new() -> Self {
-        Self {
-            next: AtomicU32::new(1),
-            active: Mutex::new(HashSet::new()),
-            committed: AtomicU64::new(0),
-        }
+        Self { next: AtomicU32::new(1) }
     }
 
     /// Starts a new transaction and returns its TxID.
     pub fn begin(&self) -> TxId {
-        let id = loop {
+        loop {
             let raw = self.next.fetch_add(1, Ordering::Relaxed);
             if raw != 0 {
-                break TxId(raw);
+                return TxId(raw);
             }
             // u32 wrap-around landed on the reserved id; draw again.
-        };
-        self.active.lock().insert(id);
-        id
-    }
-
-    /// Marks a transaction committed.
-    pub fn finish(&self, txid: TxId) {
-        if self.active.lock().remove(&txid) {
-            self.committed.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Number of transactions currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.active.lock().len()
-    }
-
-    /// Number of transactions committed so far (lock-free).
-    pub fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
     }
 }
 
@@ -216,36 +148,12 @@ mod tests {
     use mssd::{DramMode, MssdConfig, TimingProfile};
 
     #[test]
-    fn txtable_tracks_lifecycle() {
-        let mut t = TxTable::new();
-        let a = t.begin();
-        let b = t.begin();
-        assert_ne!(a, b);
-        assert_eq!(t.in_flight(), 2);
-        t.finish(a);
-        assert_eq!(t.in_flight(), 1);
-        assert_eq!(t.committed(), 1);
-        // Finishing twice is harmless.
-        t.finish(a);
-        assert_eq!(t.committed(), 1);
-    }
-
-    #[test]
     fn shared_txtable_is_concurrent() {
-        let t = std::sync::Arc::new(SharedTxTable::new());
+        let t = Arc::new(TxIds::new());
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let t = std::sync::Arc::clone(&t);
-                std::thread::spawn(move || {
-                    let mut ids = Vec::new();
-                    for _ in 0..200 {
-                        ids.push(t.begin());
-                    }
-                    for id in &ids {
-                        t.finish(*id);
-                    }
-                    ids
-                })
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || (0..200).map(|_| t.begin()).collect::<Vec<_>>())
             })
             .collect();
         let mut all: Vec<u32> =
@@ -254,22 +162,25 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 800, "every thread got unique TxIDs");
         assert!(!all.contains(&0), "TxID 0 stays reserved");
-        assert_eq!(t.committed(), 800);
-        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn txids_skip_the_reserved_zero_on_wrap() {
+        let t = TxIds { next: AtomicU32::new(u32::MAX) };
+        assert_eq!(t.begin(), TxId(u32::MAX));
+        assert_eq!(t.begin(), TxId(1));
     }
 
     #[test]
     fn txn_tags_writes_and_commits() {
         let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        let mut table = TxTable::new();
-        let txid = table.begin();
+        let txid = TxIds::new().begin();
         let mut txn = Txn::new(Arc::clone(&dev), Some(txid));
         txn.write(4096, &[1u8; 64], Category::Inode).unwrap();
         txn.write(8192, &[2u8; 64], Category::Bitmap).unwrap();
         assert_eq!(txn.writes(), 2);
         assert_eq!(txn.bytes(), 128);
-        let committed = txn.commit().unwrap();
-        table.finish(committed);
+        assert_eq!(txn.commit(), Some(txid));
         assert!(dev.is_committed(txid));
         assert_eq!(dev.traffic().tx_commits, 1);
     }

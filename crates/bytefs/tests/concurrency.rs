@@ -4,7 +4,7 @@
 //! traffic against one shared [`ByteFs`] — each thread inside its own
 //! directory, so every thread's expected state is deterministic while all
 //! the shared structures (namespace lock, inode shards, page-cache shards,
-//! allocators, TxTable, device) race. Afterwards the tests assert post-hoc
+//! allocators, TxID counter, device) race. Afterwards the tests assert post-hoc
 //! invariants: every thread's files read back exactly, the namespace agrees
 //! with the expectations, unlinking everything returns the allocators to
 //! their baseline, and a concurrent run is observationally equivalent to a

@@ -19,14 +19,15 @@ use std::sync::Arc;
 use baselines::{Ext4Like, NovaLike};
 use bytefs::{ByteFs, ByteFsConfig};
 use fskit::check::{CrashConsistent, Violation};
-use fskit::{Fd, FileSystem, FileSystemExt, OpenFlags};
+use fskit::{FileSystem, FileSystemExt, OpenFlags};
 use kvstore::{Db, DbOptions, WalSync};
 use mssd::{
     Category, DramMode, FaultPlan, HangFaultConfig, HangFaultPlan, MediaFaultConfig,
     MediaFaultPlan, Mssd, MssdConfig, TxId,
 };
 
-use workloads::{record_corpus, CorpusKind, FsKind, OpTrace, Scale};
+use workloads::replay::{apply_op, open_flags, FdMap, NO_FD};
+use workloads::{record_corpus, CorpusKind, FsKind, OpKind, OpTrace, Scale};
 
 use crate::Rng;
 
@@ -2277,104 +2278,80 @@ impl Scenario for ReplayStress {
         }
         o.formatted = true;
 
-        // Recorded fd -> live handle / path. The trace is applied strictly
-        // in `seq` order (single stream), so recorded fds are unique enough
-        // without the tenant qualifier the timed replayer uses.
-        let mut fds: HashMap<u64, Fd> = HashMap::new();
+        // Recorded fd -> live handle (the replayer's own map) and -> path.
+        // The trace is applied strictly in `seq` order (single stream), so
+        // recorded fds name their paths without the tenant qualifier.
+        let mut fds = FdMap::new();
         let mut fd_paths: HashMap<u64, String> = HashMap::new();
 
         for rec in &self.trace.records {
-            let touched = apply_replay_record(&*fs, rec, &mut fds, &mut fd_paths, dev, &mut o);
+            let (ok, _, _) = apply_op(rec, &*fs, &mut fds);
             if dev.fault_tripped() {
-                o.in_doubt.extend(touched);
+                o.in_doubt.extend(paths_touched(&rec.op, &fd_paths));
                 break;
             }
+            o.fold(&rec.op, ok, &mut fd_paths);
         }
         Box::new(o)
     }
 }
 
-/// Applies one trace record to the live fs; when the call completes without
-/// tripping the fault, folds its durability effect into the oracle's
-/// shadow. Returns the paths whose durable state the op may alter (they
-/// become in-doubt if the cut lands inside the op).
-fn apply_replay_record(
-    fs: &dyn FileSystem,
-    rec: &workloads::OpRecord,
-    fds: &mut HashMap<u64, Fd>,
-    fd_paths: &mut HashMap<u64, String>,
-    dev: &Arc<Mssd>,
-    o: &mut ReplayOracle,
-) -> Vec<String> {
-    use workloads::replay::{open_flags, NO_FD};
-    use workloads::OpKind;
+/// The paths whose durable state `op` may alter: they become in-doubt if
+/// the cut lands inside the op.
+fn paths_touched(op: &OpKind, fd_paths: &HashMap<u64, String>) -> Vec<String> {
+    match op {
+        OpKind::Create { path, .. }
+        | OpKind::Mkdir { path }
+        | OpKind::Rmdir { path }
+        | OpKind::Unlink { path } => vec![path.clone()],
+        OpKind::Open { path, flags, .. } if open_flags(*flags).truncate => vec![path.clone()],
+        OpKind::Rename { from, to } => vec![from.clone(), to.clone()],
+        OpKind::Write { fd, .. }
+        | OpKind::Append { fd, .. }
+        | OpKind::Truncate { fd, .. }
+        | OpKind::Fsync { fd }
+        | OpKind::Fdatasync { fd } => fd_paths.get(fd).cloned().into_iter().collect(),
+        // A whole-fs sync may flush any subset of files, but that only
+        // *adds* durability: clean files are unchanged by it and dirty files
+        // are skipped anyway, so nothing becomes in-doubt.
+        _ => Vec::new(),
+    }
+}
 
-    let path_of = |fd_paths: &HashMap<u64, String>, fd: &u64| fd_paths.get(fd).cloned();
-    match &rec.op {
-        OpKind::Create { path, fd } => {
-            let live = fs.create(path).ok();
-            if let Some(h) = live {
-                if *fd == NO_FD {
-                    fs.close(h).ok();
-                } else {
-                    fds.insert(*fd, h);
+impl ReplayOracle {
+    /// Folds the durability effect of a completed op (`ok`: the live call
+    /// succeeded) into the shadow, and tracks which path each recorded fd
+    /// names.
+    fn fold(&mut self, op: &OpKind, ok: bool, fd_paths: &mut HashMap<u64, String>) {
+        match op {
+            OpKind::Create { path, fd } | OpKind::Open { path, fd, .. } if ok => {
+                if *fd != NO_FD {
                     fd_paths.insert(*fd, path.clone());
                 }
-            }
-            if !dev.fault_tripped() && live.is_some() {
-                // create truncates an existing file, so the old synced
-                // content no longer binds: mark dirty until the next sync.
-                let f = o.files.entry(path.clone()).or_default();
-                f.current.clear();
-                f.dirty = true;
-            }
-            vec![path.clone()]
-        }
-        OpKind::Open { path, flags, fd } => {
-            let fl = open_flags(*flags);
-            let live = fs.open(path, fl).ok();
-            if let Some(h) = live {
-                if *fd == NO_FD {
-                    fs.close(h).ok();
-                } else {
-                    fds.insert(*fd, h);
-                    fd_paths.insert(*fd, path.clone());
+                let (creates, truncates) = match op {
+                    OpKind::Open { flags, .. } => {
+                        let fl = open_flags(*flags);
+                        (fl.create, fl.truncate)
+                    }
+                    _ => (true, true),
+                };
+                if creates || truncates {
+                    let f = self.files.entry(path.clone()).or_default();
+                    // A truncating create or open empties an existing file,
+                    // so the old synced content no longer binds: mark dirty
+                    // until the next sync.
+                    if truncates {
+                        f.current.clear();
+                        f.dirty = true;
+                    }
                 }
             }
-            if !dev.fault_tripped() && live.is_some() && (fl.truncate || fl.create) {
-                let f = o.files.entry(path.clone()).or_default();
-                if fl.truncate {
-                    f.current.clear();
-                    f.dirty = true;
-                }
+            OpKind::Close { fd } => {
+                fd_paths.remove(fd);
             }
-            if fl.truncate {
-                vec![path.clone()]
-            } else {
-                Vec::new()
-            }
-        }
-        OpKind::Close { fd } => {
-            if let Some(h) = fds.remove(fd) {
-                fs.close(h).ok();
-            }
-            fd_paths.remove(fd);
-            Vec::new()
-        }
-        OpKind::Read { fd, offset, len } => {
-            if let Some(h) = fds.get(fd) {
-                fs.read(*h, *offset, *len as usize).ok();
-            }
-            Vec::new()
-        }
-        OpKind::Write { fd, offset, data } => {
-            let buf = data.to_vec();
-            if let Some(h) = fds.get(fd) {
-                fs.write(*h, *offset, &buf).ok();
-            }
-            let path = path_of(fd_paths, fd);
-            if !dev.fault_tripped() {
-                if let Some(f) = path.as_ref().and_then(|p| o.files.get_mut(p)) {
+            OpKind::Write { fd, offset, data } => {
+                if let Some(f) = fd_paths.get(fd).and_then(|p| self.files.get_mut(p)) {
+                    let buf = data.to_vec();
                     let end = *offset as usize + buf.len();
                     if f.current.len() < end {
                         f.current.resize(end, 0);
@@ -2383,116 +2360,46 @@ fn apply_replay_record(
                     f.dirty = true;
                 }
             }
-            path.into_iter().collect()
-        }
-        OpKind::Append { fd, data } => {
-            let buf = data.to_vec();
-            if let Some(h) = fds.get(fd) {
-                fs.append(*h, &buf).ok();
-            }
-            let path = path_of(fd_paths, fd);
-            if !dev.fault_tripped() {
-                if let Some(f) = path.as_ref().and_then(|p| o.files.get_mut(p)) {
-                    f.current.extend_from_slice(&buf);
+            OpKind::Append { fd, data } => {
+                if let Some(f) = fd_paths.get(fd).and_then(|p| self.files.get_mut(p)) {
+                    f.current.extend_from_slice(&data.to_vec());
                     f.dirty = true;
                 }
             }
-            path.into_iter().collect()
-        }
-        OpKind::Truncate { fd, size } => {
-            if let Some(h) = fds.get(fd) {
-                fs.truncate(*h, *size).ok();
-            }
-            let path = path_of(fd_paths, fd);
-            if !dev.fault_tripped() {
-                if let Some(f) = path.as_ref().and_then(|p| o.files.get_mut(p)) {
+            OpKind::Truncate { fd, size } => {
+                if let Some(f) = fd_paths.get(fd).and_then(|p| self.files.get_mut(p)) {
                     f.current.resize(*size as usize, 0);
                     f.dirty = true;
                 }
             }
-            path.into_iter().collect()
-        }
-        OpKind::Fsync { fd } | OpKind::Fdatasync { fd } => {
-            if let Some(h) = fds.get(fd) {
-                match &rec.op {
-                    OpKind::Fdatasync { .. } => fs.fdatasync(*h).ok(),
-                    _ => fs.fsync(*h).ok(),
-                };
-            }
-            let path = path_of(fd_paths, fd);
-            if !dev.fault_tripped() {
-                if let Some(f) = path.as_ref().and_then(|p| o.files.get_mut(p)) {
+            OpKind::Fsync { fd } | OpKind::Fdatasync { fd } => {
+                if let Some(f) = fd_paths.get(fd).and_then(|p| self.files.get_mut(p)) {
                     f.flush();
                 }
             }
-            path.into_iter().collect()
-        }
-        OpKind::Fstat { fd } => {
-            if let Some(h) = fds.get(fd) {
-                fs.fstat(*h).ok();
+            OpKind::Mkdir { path } => {
+                self.dirs.insert(path.clone());
             }
-            Vec::new()
-        }
-        OpKind::Stat { path } => {
-            fs.stat(path).ok();
-            Vec::new()
-        }
-        OpKind::Mkdir { path } => {
-            fs.mkdir(path).ok();
-            if !dev.fault_tripped() {
-                o.dirs.insert(path.clone());
+            OpKind::Rmdir { path } => {
+                self.dirs.remove(path);
             }
-            vec![path.clone()]
-        }
-        OpKind::Rmdir { path } => {
-            fs.rmdir(path).ok();
-            if !dev.fault_tripped() {
-                o.dirs.remove(path);
+            OpKind::Unlink { path } => {
+                self.files.remove(path);
             }
-            vec![path.clone()]
-        }
-        OpKind::Unlink { path } => {
-            fs.unlink(path).ok();
-            if !dev.fault_tripped() {
-                o.files.remove(path);
-            }
-            vec![path.clone()]
-        }
-        OpKind::Rename { from, to } => {
-            fs.rename(from, to).ok();
-            if !dev.fault_tripped() {
-                if let Some(f) = o.files.remove(from) {
-                    o.files.insert(to.clone(), f);
+            OpKind::Rename { from, to } => {
+                if let Some(f) = self.files.remove(from) {
+                    self.files.insert(to.clone(), f);
                 }
-                if o.dirs.remove(from) {
-                    o.dirs.insert(to.clone());
+                if self.dirs.remove(from) {
+                    self.dirs.insert(to.clone());
                 }
             }
-            vec![from.clone(), to.clone()]
-        }
-        OpKind::Readdir { path } => {
-            fs.readdir(path).ok();
-            Vec::new()
-        }
-        // A completed whole-fs sync flushes every file; an in-doubt one may
-        // have flushed any subset, but that only *adds* durability: clean
-        // files are unchanged by it and dirty files are skipped anyway, so
-        // nothing becomes in-doubt.
-        OpKind::Sync | OpKind::Unmount => {
-            match &rec.op {
-                OpKind::Sync => fs.sync().ok(),
-                _ => fs.unmount().ok(),
-            };
-            if !dev.fault_tripped() {
-                for f in o.files.values_mut() {
+            OpKind::Sync | OpKind::Unmount => {
+                for f in self.files.values_mut() {
                     f.flush();
                 }
             }
-            Vec::new()
-        }
-        OpKind::DropCaches => {
-            fs.drop_caches();
-            Vec::new()
+            _ => {}
         }
     }
 }

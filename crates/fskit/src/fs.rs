@@ -38,9 +38,8 @@ pub trait FileSystem: Send + Sync {
 
     /// Opens a queued device handle: an NVMe-style submission/completion
     /// queue pair of the given depth on this file system's device (see
-    /// [`mssd::queue`]). Each queue belongs to one submitting thread; the
-    /// multi-threaded workload driver opens one per shard so device traffic
-    /// and latency are attributed per queue.
+    /// [`mssd::queue`]). Each queue belongs to one submitting client, so
+    /// device traffic and latency are attributed per queue.
     fn open_queue(&self, depth: usize) -> HostQueue {
         self.device().open_queue(depth)
     }

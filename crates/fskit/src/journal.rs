@@ -4,8 +4,7 @@
 //! reserved on-disk journal area (descriptor block + data blocks + commit
 //! block) and once in place when the transaction checkpoints. This "double
 //! write" is exactly the journaling amplification the paper's Figure 1 and
-//! Table 2 attribute to Ext4, so the Ext4-like baseline and the ByteFS data
-//! journaling mode (§4.6) both use this module.
+//! Table 2 attribute to Ext4, so the Ext4-like baseline uses this module.
 //!
 //! The journal area is a contiguous range of device blocks used as a circular
 //! log. Block contents are written through the block interface and tagged

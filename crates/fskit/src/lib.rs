@@ -12,8 +12,8 @@
 //! * [`pagecache`] — the host page cache, including the copy-on-write
 //!   duplicate pages and XOR-based dirty-chunk detection that ByteFS uses to
 //!   choose between the byte and block interface on writeback (§4.6);
-//! * [`journal`] — a JBD2-style block journal used by the Ext4-like baseline
-//!   and by ByteFS data journaling;
+//! * [`journal`] — a JBD2-style block journal used by the Ext4-like
+//!   baseline;
 //! * [`blockrun`] — block writeback by the run: pages bound for consecutive
 //!   LBAs leave as one scatter-gather command.
 //!

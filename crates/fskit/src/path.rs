@@ -63,18 +63,6 @@ pub fn join(parent: &str, name: &str) -> String {
     }
 }
 
-/// A cheap, deterministic hash of a file or directory name, used by directory
-/// caches that index dentries "by their hashed directory names" (§4.5).
-pub fn name_hash(name: &str) -> u64 {
-    // FNV-1a, good enough for cache bucketing and fully deterministic.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +102,5 @@ mod tests {
         assert_eq!(join("/", "x"), "/x");
         assert_eq!(join("/a/b", "x"), "/a/b/x");
         assert_eq!(join("/a/b/", "x"), "/a/b/x");
-    }
-
-    #[test]
-    fn name_hash_is_deterministic_and_spreads() {
-        assert_eq!(name_hash("file1"), name_hash("file1"));
-        assert_ne!(name_hash("file1"), name_hash("file2"));
-        assert_ne!(name_hash(""), name_hash("a"));
     }
 }

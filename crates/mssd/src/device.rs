@@ -301,7 +301,6 @@ impl Mssd {
         let txlog = Mutex::new(TxLog::new(cfg.txlog_bytes));
         let stats = AtomicTraffic::new();
         stats.trace().attach_clock(Arc::clone(&clock));
-        stats.set_ras_spares_remaining(flash.spares_remaining() as u64);
         let cache = ShardedDramCache::new(cfg.dram_region_bytes, cfg.page_size);
         Arc::new(Self {
             cfg,
@@ -1241,8 +1240,6 @@ impl Mssd {
         // Bad blocks first: the restored FTL must never place restored pages
         // (or its active blocks) on a block that failed a program or erase.
         dev.flash.restore_bad_blocks(&image.bad_blocks);
-        // Each restored bad block consumed a spare: publish the new level.
-        dev.stats.set_ras_spares_remaining(dev.flash.spares_remaining() as u64);
         dev.flash.restore_logical(&image.flash_pages, &image.buffered_pages);
         dev.log.restore_entries(&image.log_entries, image.log_seq);
         {

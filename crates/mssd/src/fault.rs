@@ -198,15 +198,6 @@ impl FaultPlan {
         let idx = st.cut_kind.load(Ordering::SeqCst);
         (idx > 0).then(|| FaultKind::ALL[idx - 1])
     }
-
-    /// Per-kind step counts in [`FaultKind::ALL`] order.
-    pub fn histogram(&self) -> [(FaultKind, u64); 8] {
-        let mut out = [(FaultKind::LogAppend, 0); 8];
-        for (slot, kind) in out.iter_mut().zip(FaultKind::ALL) {
-            *slot = (kind, self.steps_of(kind));
-        }
-        out
-    }
 }
 
 /// Two plans are configuration-equal when they are armed the same way; the

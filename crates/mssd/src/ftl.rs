@@ -147,8 +147,8 @@ pub struct ShardedFtl {
     /// Buffered pages whose programs are on the NAND timeline (the sum of
     /// the channels' `on_nand`): the backlog accounts for their slots.
     on_nand: AtomicUsize,
-    /// Spare blocks remaining across all channels. A cached gauge so the
-    /// stats path never has to lock every channel (which would violate the
+    /// Spare blocks remaining across all channels. A cached count so the
+    /// reader never has to lock every channel (which would violate the
     /// one-channel-at-a-time discipline).
     spare_count: AtomicUsize,
     /// Latched when any channel retires a block with an empty spare pool:
@@ -854,16 +854,14 @@ impl ShardedFtl {
             ch.active = None;
         }
         ch.free.retain(|b| *b != block);
-        let ok = if let Some(s) = ch.spare.pop_front() {
+        if let Some(s) = ch.spare.pop_front() {
             ch.free.push_back(s);
             self.spare_count.fetch_sub(1, Ordering::Relaxed);
             true
         } else {
             self.read_only.store(true, Ordering::SeqCst);
             false
-        };
-        stats.set_ras_spares_remaining(self.spare_count.load(Ordering::Relaxed) as u64);
-        ok
+        }
     }
 
     /// Relocates the live pages of a just-retired block by verified
@@ -1027,7 +1025,7 @@ impl ShardedFtl {
         out
     }
 
-    /// Spare blocks remaining across all channels (the RAS gauge).
+    /// Spare blocks remaining across all channels.
     pub fn spares_remaining(&self) -> usize {
         self.spare_count.load(Ordering::Relaxed)
     }
@@ -1046,7 +1044,7 @@ impl ShardedFtl {
     ///
     /// Each bad block is removed from wherever the fresh allocator holds it
     /// and one spare is promoted in its place, mirroring the original
-    /// retirement; the spare gauge ends up where the crashed device left it.
+    /// retirement; the spare count ends up where the crashed device left it.
     pub fn restore_bad_blocks(&self, bad: &[BlockId]) {
         for &b in bad {
             let c = (b % self.cfg.channels as u64) as usize;
@@ -1184,7 +1182,7 @@ impl ShardedFtl {
         let spare_total: usize = self.channels.iter().map(|c| c.lock().spare.len()).sum();
         if spare_total != self.spare_count.load(Ordering::Relaxed) {
             problems.push(format!(
-                "spare gauge reads {} but channels hold {spare_total} spares",
+                "spare count reads {} but channels hold {spare_total} spares",
                 self.spare_count.load(Ordering::Relaxed)
             ));
         }

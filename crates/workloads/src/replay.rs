@@ -819,10 +819,12 @@ pub struct ReplayOutcome {
 
 /// Map from a recorded handle (tenant, recorded fd) to the live handle this
 /// replay's own open returned.
-type FdMap = HashMap<(u16, u64), Fd>;
+pub type FdMap = HashMap<(u16, u64), Fd>;
 
-/// Applies one record against `fs`, returning `(live_ok, class, bytes)`.
-fn apply_op(rec: &OpRecord, fs: &dyn FileSystem, fds: &mut FdMap) -> (bool, OpClass, usize) {
+/// Applies one record against `fs`, returning `(live_ok, class, bytes)`:
+/// whether the live call succeeded, the class it is timed under, and the
+/// application bytes it moved.
+pub fn apply_op(rec: &OpRecord, fs: &dyn FileSystem, fds: &mut FdMap) -> (bool, OpClass, usize) {
     let tenant = rec.tenant;
     let live = |fds: &FdMap, fd: &u64| fds.get(&(tenant, *fd)).copied();
     match &rec.op {
