@@ -1,5 +1,5 @@
-//! The `bench` command line: `list`, `run` and `gate`, the same on a laptop
-//! and in CI.
+//! The `bench` command line: `list` and `run`, the same on a laptop and in
+//! CI. `run` ends by checking every gate of the benches it ran.
 
 use std::path::Path;
 
@@ -13,7 +13,6 @@ use crate::report::BenchReport;
 pub const USAGE: &str = "\
 usage: bench list
        bench run <name|paper|all> [scale|smoke] [out]   (scale default 1.0; out: file, dir for `all`)
-       bench gate <report.json>...
 see crates/bench/DESIGN.md";
 
 fn usage_error<T>(problem: String) -> Result<T, String> {
@@ -35,8 +34,8 @@ pub(crate) fn parse_scale(arg: Option<&str>) -> Result<Option<f64>, String> {
 }
 
 /// Runs the command line (the arguments after the program name) and returns
-/// the process exit status: 0 on success, 1 when a gate failed, 2 on usage,
-/// I/O or schema errors.
+/// the process exit status: 0 on success, 1 when a gate failed, 2 on usage
+/// or I/O errors.
 pub fn main(args: &[String]) -> i32 {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let outcome = match args.as_slice() {
@@ -46,11 +45,6 @@ pub fn main(args: &[String]) -> i32 {
         }
         ["run", target, rest @ ..] if rest.len() <= 2 => parse_scale(rest.first().copied())
             .and_then(|scale| run(target, scale, rest.get(1).copied())),
-        ["gate", paths @ ..] if !paths.is_empty() => paths
-            .iter()
-            .map(|p| BenchReport::load(p))
-            .collect::<Result<Vec<_>, _>>()
-            .map(|reports| (gate::evaluate(&reports) > 0) as i32),
         _ => usage_error(format!("unknown subcommand or wrong arguments: {args:?}")),
     };
     outcome.unwrap_or_else(|e| {
@@ -75,36 +69,49 @@ fn merged_report(artifact: &str, parts: Vec<BenchReport>) -> BenchReport {
     merged
 }
 
+/// Runs the selected benches, writes one report per artifact, then checks
+/// every gate on those reports — also on one a partial selection does not
+/// write — so the files are on disk when a gate fails.
 fn run(target: &str, scale: Option<f64>, out: Option<&str>) -> Result<i32, String> {
     let rows = registry::select(target);
     if rows.is_empty() {
         return usage_error(format!("unknown bench {target:?} (see `bench list`)"));
     }
+    let mut reports = Vec::new();
     for artifact in registry::artifacts(&rows) {
         let mut parts: Vec<BenchReport> =
             rows.iter().filter(|b| b.artifact == artifact).map(|b| run_one(b, scale)).collect();
         let writers = BENCHES.iter().filter(|b| b.artifact == artifact).count();
         let path = match out {
-            Some(dir) if target == "all" => Path::new(dir).join(artifact),
-            Some(file) => file.into(),
+            Some(dir) if target == "all" => Some(Path::new(dir).join(artifact)),
+            Some(file) => Some(file.into()),
             // A selection that covers only part of a shared artifact (one
             // figure of the paper group) must not pass for the whole under
             // its name.
-            None if parts.len() == writers => artifact.into(),
-            None => continue,
+            None if parts.len() == writers => Some(artifact.into()),
+            None => None,
         };
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
         let report = match writers {
             1 => parts.pop().expect("the one row ran"),
             _ => merged_report(artifact, parts),
         };
-        let path = path.to_string_lossy();
-        report.write(&path).map_err(|e| format!("{path}: {e}"))?;
-        println!("results written to {path}");
+        if let Some(path) = path {
+            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+            }
+            let path = path.to_string_lossy();
+            report.write(&path).map_err(|e| format!("{path}: {e}"))?;
+            println!("results written to {path}");
+        }
+        reports.push(report);
     }
-    Ok(0)
+    Ok(gate_status(&reports))
+}
+
+/// The exit status of a run that produced `reports`: 1 when any gate fails
+/// on them, 0 otherwise.
+fn gate_status(reports: &[BenchReport]) -> i32 {
+    i32::from(gate::evaluate(reports) > 0)
 }
 
 fn run_one(bench: &Bench, scale: Option<f64>) -> BenchReport {
@@ -121,11 +128,19 @@ fn run_one(bench: &Bench, scale: Option<f64>) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::BenchEntry;
+
+    /// The entry keys of a report's JSON, quoted as written: `to_json` puts
+    /// each entry on a line of its own, its key first.
+    fn keys(json: &str) -> Vec<&str> {
+        json.lines()
+            .filter_map(|l| l.strip_prefix(r#"    {"key": "#)?.split_once(r#", "extra": "#))
+            .map(|(key, _)| key)
+            .collect()
+    }
 
     /// Every bench is a pure function of the scale: two `run all smoke`
-    /// runs write every artifact byte for byte, and the paper group's has
-    /// the committed `BENCH_paper.json`'s shape.
+    /// runs hold every gate and write every artifact byte for byte, and the
+    /// paper group's has the committed `BENCH_paper.json`'s shape.
     #[test]
     fn two_paper_runs_write_a_byte_identical_file() {
         let dir = crate::tests::temp_dir("determinism");
@@ -139,23 +154,27 @@ mod tests {
                 .map(|run| std::fs::read(format!("{run}/{artifact}")).expect("report written"));
             assert!(a == b, "two runs of {artifact} differ");
         }
-        let report = BenchReport::load(&format!("{}/BENCH_paper.json", runs[0])).expect("parses");
-        assert_eq!((report.bench.as_str(), report.scale), ("paper", 0.1));
+        let fresh = std::fs::read_to_string(format!("{}/BENCH_paper.json", runs[0])).expect("read");
+        assert!(fresh.lines().any(|l| l == r#"  "bench": "paper","#), "{fresh}");
+        assert!(fresh.lines().any(|l| l == r#"  "scale": 0.1,"#), "{fresh}");
+        let fresh_keys = keys(&fresh);
         for fig in registry::select("paper") {
-            let prefix = format!("{}/", fig.name);
-            assert!(report.entries.iter().any(|e| e.key.starts_with(&prefix)), "{prefix}");
+            let prefix = format!("\"{}/", fig.name);
+            assert!(fresh_keys.iter().any(|k| k.starts_with(&prefix)), "{prefix}");
         }
         // The committed pin has the same shape.
-        let pinned =
-            BenchReport::load(&format!("{}/../../BENCH_paper.json", env!("CARGO_MANIFEST_DIR")));
-        let keys = |r: &BenchReport| r.entries.iter().map(|e| e.key.clone()).collect::<Vec<_>>();
-        assert_eq!(keys(&pinned.expect("BENCH_paper.json loads")), keys(&report));
+        let pinned = std::fs::read_to_string(format!(
+            "{}/../../BENCH_paper.json",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .expect("BENCH_paper.json reads");
+        assert_eq!(keys(&pinned), fresh_keys);
         std::fs::remove_dir_all(dir).expect("cleanup");
     }
 
-    /// A fresh run at scale 1.0 rewrites the committed artifact byte for
-    /// byte. These three take seconds in a debug build; CI regenerates every
-    /// artifact, `media_fault` and the paper group included.
+    /// A fresh run at scale 1.0 holds its gates and rewrites the committed
+    /// artifact byte for byte. These three take seconds in a debug build; CI
+    /// regenerates every artifact, `media_fault` and the paper group included.
     #[test]
     fn committed_artifacts_rewrite_byte_for_byte() {
         let dir = crate::tests::temp_dir("committed");
@@ -172,26 +191,20 @@ mod tests {
         std::fs::remove_dir_all(dir).expect("cleanup");
     }
 
+    /// `run` turns the gate failures on its reports into its exit status.
     #[test]
     fn gate_exits_one_on_a_violated_gate() {
-        let dir = crate::tests::temp_dir("gate");
+        let status = |report: &BenchReport| gate_status(std::slice::from_ref(report));
         let mut report = BenchReport::new("gc_pause", 0.2);
         report.summary.insert("p99_ratio_on_vs_off".into(), 1.4);
-        let path = format!("{dir}/gc_pause.json");
-        let gate = |report: &BenchReport| {
-            report.write(&path).expect("write");
-            main(&["gate".into(), path.clone()])
-        };
-        assert_eq!(gate(&report), 0);
+        assert_eq!(status(&report), 0);
         report.summary.insert("p99_ratio_on_vs_off".into(), 2.4);
-        assert_eq!(gate(&report), 1);
+        assert_eq!(status(&report), 1);
         report.summary.clear();
-        assert_eq!(gate(&report), 1, "a renamed key fails the gate");
-        report.entries.push(BenchEntry::new("x", &[]));
-        report.bench = "paper".into();
-        assert_eq!(gate(&report), 0, "a bench without gates");
-        assert_eq!(main(&["gate".into(), format!("{dir}/missing.json")]), 2);
-        std::fs::remove_dir_all(dir).expect("cleanup");
+        assert_eq!(status(&report), 1, "a renamed key fails the gate");
+        let paper = BenchReport::new("paper", 1.0);
+        assert_eq!(status(&paper), 0, "a bench without gates");
+        assert_eq!(gate_status(&[paper, report]), 1, "one failing report fails the run");
     }
 
     #[test]
@@ -199,9 +212,9 @@ mod tests {
         let dir = crate::tests::temp_dir("figure");
         let out = format!("{dir}/sub/table1.json");
         assert_eq!(main(&["run".into(), "table1".into(), "1".into(), out.clone()]), 0);
-        let report = BenchReport::load(&out).expect("written where told");
-        assert_eq!(report.bench, "paper");
-        assert!(report.entry("table1/cacheline_read").is_some());
+        let report = std::fs::read_to_string(&out).expect("written where told");
+        assert!(report.lines().any(|l| l == r#"  "bench": "paper","#), "{report}");
+        assert!(keys(&report).contains(&r#""table1/cacheline_read""#), "{report}");
         std::fs::remove_dir_all(dir).expect("cleanup");
     }
 }

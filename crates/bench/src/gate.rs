@@ -1,5 +1,5 @@
-//! The one place a bench threshold lives: the gates `bench gate` evaluates
-//! on a report.
+//! The one place a bench threshold lives: the gates `bench run` evaluates
+//! on the reports it just made.
 //!
 //! A gate is a row of [`GATES`], next to the report key it reads. Every
 //! bench is on the virtual clock, so every gate bites on every host. What a
@@ -140,28 +140,18 @@ mod tests {
     use crate::registry::BENCHES;
     use crate::report::BenchEntry;
 
-    /// A renamed entry, extra or summary key fails here, not in a CI run:
-    /// every gate reads a key its bench's committed artifact carries.
+    /// Every gate names a registered bench. That its key resolves is held
+    /// where the benches run: `run all smoke` in
+    /// `cli::tests::two_paper_runs_write_a_byte_identical_file` and the
+    /// scale-1.0 runs of `cli::tests::committed_artifacts_rewrite_byte_for_byte`
+    /// exit 0 only when every gate of theirs reads its key and holds.
     #[test]
     fn every_gate_resolves_in_its_committed_artifact() {
         for gate in GATES {
-            let bench = BENCHES
-                .iter()
-                .find(|b| b.name == gate.bench)
-                .unwrap_or_else(|| panic!("gate `{gate}` names unregistered bench {}", gate.bench));
-            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), bench.artifact);
-            let report = BenchReport::load(&path).expect("committed artifact loads");
-            assert_eq!(report.bench, gate.bench);
-            let found = match gate.source {
-                Summary(key) => report.summary.contains_key(key),
-                Extra(entry, field) => {
-                    report.entry(entry).is_some_and(|e| e.extra.contains_key(field))
-                }
-            };
             assert!(
-                found,
-                "{}: `{gate}` reads a key {} does not carry",
-                gate.bench, bench.artifact
+                BENCHES.iter().any(|b| b.name == gate.bench),
+                "gate `{gate}` names unregistered bench {}",
+                gate.bench
             );
             assert!(gate.message.len() > 10);
         }

@@ -4,7 +4,8 @@
 //!
 //! [`BENCHES`] is the registry — one row per bench with its artifact, the
 //! scale CI smoke-runs it at and its run function, all of one shape
-//! (`fn(Scale) -> BenchReport`). [`GATES`] is the one table of thresholds.
+//! (`fn(Scale) -> BenchReport`). [`GATES`] is the one table of thresholds;
+//! `bench run` checks them on the reports it makes and exits 1 if one fails.
 //! Every other number is held by its committed `BENCH_*.json`, which a run
 //! at scale 1.0 rewrites byte for byte. See `DESIGN.md` for the index and
 //! what each bench is for.
@@ -12,8 +13,7 @@
 //! ```text
 //! cargo run --release -p bench -- list
 //! cargo run --release -p bench -- run fig6 0.5
-//! cargo run --release -p bench -- run all smoke bench_out
-//! cargo run --release -p bench -- gate bench_out/BENCH_*.json
+//! cargo run --release -p bench -- run all smoke bench_out   # and every gate
 //! cargo run --release -p bench -- run all 1.0 .   # then `git status` is clean
 //! ```
 
@@ -108,6 +108,7 @@ mod tests {
             "run fig6 -1",
             "run fig6 1.0 out extra",
             "gate",
+            "gate x.json",
             "compare",
             "compare a b c",
             "list all",

@@ -28,17 +28,6 @@ pub struct JournaledBlock {
     pub category: Category,
 }
 
-/// Statistics the journal keeps about its own activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Number of committed transactions.
-    pub transactions: u64,
-    /// Number of data blocks journaled (excludes descriptor/commit blocks).
-    pub journaled_blocks: u64,
-    /// Number of checkpoint (in-place) block writes.
-    pub checkpointed_blocks: u64,
-}
-
 /// A circular block journal over a reserved device region.
 #[derive(Debug)]
 pub struct BlockJournal {
@@ -46,7 +35,6 @@ pub struct BlockJournal {
     start: u64,
     nblocks: u64,
     head: u64,
-    stats: JournalStats,
 }
 
 impl BlockJournal {
@@ -59,17 +47,12 @@ impl BlockJournal {
     pub fn new(device: Arc<Mssd>, start: u64, nblocks: u64) -> Self {
         assert!(nblocks >= 4, "journal area too small");
         assert!(start + nblocks <= device.logical_pages(), "journal area beyond device capacity");
-        Self { device, start, nblocks, head: 0, stats: JournalStats::default() }
+        Self { device, start, nblocks, head: 0 }
     }
 
     /// Number of blocks reserved for the journal.
     pub fn capacity_blocks(&self) -> u64 {
         self.nblocks
-    }
-
-    /// Journal activity counters.
-    pub fn stats(&self) -> JournalStats {
-        self.stats
     }
 
     fn next_journal_lba(&mut self) -> u64 {
@@ -125,7 +108,6 @@ impl BlockJournal {
             batch.push(self.next_journal_lba(), &u.data);
         }
         batch.flush(&self.device, Category::Journal)?;
-        self.stats.journaled_blocks += updates.len() as u64;
 
         // Commit block — only once descriptor and copies are complete — then
         // force everything to flash so the transaction is durable before any
@@ -133,7 +115,6 @@ impl BlockJournal {
         let commit_lba = self.next_journal_lba();
         self.device.try_block_write(commit_lba, &zeros, Category::Journal)?;
         self.device.try_flush()?;
-        self.stats.transactions += 1;
 
         if checkpoint_now {
             self.checkpoint(updates)?;
@@ -150,7 +131,6 @@ impl BlockJournal {
     pub fn checkpoint(&mut self, updates: &[JournaledBlock]) -> FsResult<()> {
         for u in updates {
             self.device.try_block_write(u.lba, &u.data, u.category)?;
-            self.stats.checkpointed_blocks += 1;
         }
         Ok(())
     }
@@ -171,6 +151,11 @@ mod tests {
         vec![tag; dev.page_size()]
     }
 
+    /// Host bytes written to the device in `cat`.
+    fn written(dev: &Mssd, cat: Category) -> u64 {
+        dev.traffic().host_bytes_by_category(mssd::stats::Direction::Write, cat)
+    }
+
     #[test]
     fn commit_writes_journal_and_checkpoint() {
         let (dev, mut journal) = setup();
@@ -181,23 +166,14 @@ mod tests {
         journal.commit(&updates, true).unwrap();
 
         // Journal traffic: descriptor + 2 data + commit = 4 blocks.
-        let t = dev.traffic();
-        let journal_bytes =
-            t.host_bytes_by_category(mssd::stats::Direction::Write, Category::Journal);
-        assert_eq!(journal_bytes, 4 * dev.page_size() as u64);
+        let page = dev.page_size() as u64;
+        assert_eq!(written(&dev, Category::Journal), 4 * page);
         // Checkpoint traffic for the destination categories.
-        assert_eq!(
-            t.host_bytes_by_category(mssd::stats::Direction::Write, Category::Inode),
-            dev.page_size() as u64
-        );
+        assert_eq!(written(&dev, Category::Inode), page);
+        assert_eq!(written(&dev, Category::Bitmap), page);
         // Destination blocks contain the data.
         assert_eq!(dev.try_block_read(100, 1, Category::Inode).unwrap(), block(1, &dev));
         assert_eq!(dev.try_block_read(101, 1, Category::Bitmap).unwrap(), block(2, &dev));
-
-        let s = journal.stats();
-        assert_eq!(s.transactions, 1);
-        assert_eq!(s.journaled_blocks, 2);
-        assert_eq!(s.checkpointed_blocks, 2);
     }
 
     #[test]
@@ -206,7 +182,7 @@ mod tests {
         let updates =
             vec![JournaledBlock { lba: 200, data: block(7, &dev), category: Category::Inode }];
         journal.commit(&updates, false).unwrap();
-        assert_eq!(journal.stats().checkpointed_blocks, 0);
+        assert_eq!(written(&dev, Category::Inode), 0, "no checkpoint write yet");
         // Destination untouched until checkpoint.
         assert_eq!(
             dev.try_block_read(200, 1, Category::Inode).unwrap(),
@@ -229,7 +205,8 @@ mod tests {
             }];
             journal.commit(&updates, true).unwrap();
         }
-        assert_eq!(journal.stats().transactions, cap);
+        assert_eq!(written(&dev, Category::Journal), 3 * cap * dev.page_size() as u64);
+        assert_eq!(dev.try_block_read(300, 1, Category::Data).unwrap(), block(cap as u8 - 1, &dev));
     }
 
     #[test]
@@ -246,13 +223,13 @@ mod tests {
 
         let bad = vec![JournaledBlock { lba: 5, data: vec![0u8; 100], category: Category::Data }];
         assert!(matches!(journal.commit(&bad, true), Err(FsError::InvalidArgument(_))));
+        assert_eq!(written(&dev, Category::Journal), 0, "a rejected commit writes nothing");
     }
 
     #[test]
     fn empty_commit_is_a_noop() {
         let (dev, mut journal) = setup();
         journal.commit(&[], true).unwrap();
-        assert_eq!(journal.stats().transactions, 0);
         assert_eq!(dev.traffic().host_write_bytes(), 0);
     }
 

@@ -652,22 +652,47 @@ mod tests {
         }
     }
 
+    /// Every byte of the export: one command's submit, flash program and
+    /// completion become three instants and one `"X"` span, and a device
+    /// event (no command) an instant of category `device`.
     #[test]
     fn chrome_export_builds_span_per_command() {
-        let (sink, clock) = sink_with_clock();
-        sink.set_enabled(true);
-        let _scope = CtxScope::enter(ctx().with_queue(3).with_cmd(42));
-        sink.emit(TraceKind::SqSubmit, 1, 0);
-        clock.advance(2000);
-        sink.emit(TraceKind::FlashProgram, 0, 0);
-        clock.advance(3000);
-        sink.emit(TraceKind::CqComplete, 5000, 0);
-        let json = chrome_trace_json(&sink.drain());
-        assert!(json.contains(r#""ph":"X""#), "no span in {json}");
-        assert!(json.contains(r#""name":"cmd 42""#));
-        assert!(json.contains(r#""dur":5.000"#));
-        assert!(json.contains(r#""pid":3"#));
-        assert!(json.contains(r#""name":"flash_program""#));
-        assert!(json.ends_with('}'));
+        let ev = |kind, cmd, vclock_ns, a| TraceEvent {
+            kind,
+            queue: if cmd == 0 { 0 } else { 3 },
+            lane: 1,
+            tenant: 2,
+            cmd,
+            vclock_ns,
+            wall_ns: 10 + vclock_ns / 1000,
+            a,
+            b: 0,
+        };
+        let dump = TraceDump {
+            events: vec![
+                ev(TraceKind::SqSubmit, 42, 1500, 1),
+                ev(TraceKind::FlashProgram, 42, 3500, 0),
+                ev(TraceKind::LogSeal, 0, 4000, 7),
+                ev(TraceKind::CqComplete, 42, 6500, 5000),
+            ],
+            dropped: 2,
+        };
+        assert_eq!(
+            chrome_trace_json(&dump),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"sq_submit","cat":"cmd","ph":"i","s":"t","ts":1.500,"#,
+                r#""pid":3,"tid":42,"args":{"lane":1,"tenant":2,"a":1,"b":0,"wall_ns":11}},"#,
+                r#"{"name":"flash_program","cat":"cmd","ph":"i","s":"t","ts":3.500,"#,
+                r#""pid":3,"tid":42,"args":{"lane":1,"tenant":2,"a":0,"b":0,"wall_ns":13}},"#,
+                r#"{"name":"log_seal","cat":"device","ph":"i","s":"t","ts":4.000,"#,
+                r#""pid":0,"tid":0,"args":{"lane":1,"tenant":2,"a":7,"b":0,"wall_ns":14}},"#,
+                r#"{"name":"cmd 42","cat":"cmd","ph":"X","ts":1.500,"dur":5.000,"#,
+                r#""pid":3,"tid":42,"args":{"lane":1,"tenant":2,"a":5000,"b":0,"wall_ns":16}},"#,
+                r#"{"name":"cq_complete","cat":"cmd","ph":"i","s":"t","ts":6.500,"#,
+                r#""pid":3,"tid":42,"args":{"lane":1,"tenant":2,"a":5000,"b":0,"wall_ns":16}}"#,
+                r#"],"displayTimeUnit":"ns","otherData":{"dropped_events":2}}"#,
+            )
+        );
     }
 }

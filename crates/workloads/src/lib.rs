@@ -14,8 +14,8 @@
 //! * a [`driver`] that runs a workload on a file system — one client, one
 //!   thread, on the device's virtual clock — and returns throughput,
 //!   per-class latency and device traffic deltas;
-//! * [`amplification`] reports (read/write amplification and per-structure
-//!   traffic breakdowns, Table 2 / Figures 1, 8–11);
+//! * [`amplification`]'s per-structure traffic breakdowns (Figures 1, 8, 9);
+//!   a run's amplification and flash traffic are on [`driver::RunResult`];
 //! * a [`fsfactory`] that builds every file system under test, including the
 //!   ByteFS ablation variants of Figure 12;
 //! * a deterministic [`mod@replay`] subsystem — record any workload's
