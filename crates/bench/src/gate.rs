@@ -6,6 +6,12 @@
 //! gate does not hold — that a number did not move — the committed
 //! `BENCH_*.json` holds: a fresh run at scale 1.0 must rewrite it byte for
 //! byte (`DESIGN.md`, "The committed artifacts are exact").
+//!
+//! Every bound on a single report value is a row here, the fault-free runs'
+//! "nothing was injected" included. A bench keeps an `assert!` only for what
+//! is not one report value: `media_fault`'s "the armed plan reached the RAS
+//! ladder" (`corrected_reads + read_retries > 0`) and `replay`'s digest and
+//! divergence invariants.
 
 use std::fmt;
 
@@ -65,6 +71,12 @@ pub const GATES: &[Gate] = &[
          "log cleaning leaks onto the foreground path"),
     gate("media_fault", Summary("cost_ratio_fault_vs_clean"), AtMost, 1.25,
          "media-fault handling leaks onto the hot path"),
+    gate("media_fault", Extra("clean", "ueccs"), AtMost, 0.0,
+         "the fault-free run reported UECCs"),
+    gate("hang_recovery", Extra("clean", "injected_hangs"), AtMost, 0.0,
+         "the fault-free run injected hangs"),
+    gate("hang_recovery", Extra("clean", "recovered_cmds"), AtMost, 0.0,
+         "the fault-free run took retries"),
     gate("hang_recovery", Extra("hang_1e-3", "injected_hangs"), Above, 0.0,
          "the armed 1e-3 hang plan injected nothing"),
     gate("hang_recovery", Summary("p99_ratio_fault_vs_clean"), AtMost, 3.0,
@@ -175,6 +187,12 @@ mod tests {
          "gc_pause: log cleaning leaks onto the foreground path: 2.500 > 2"),
         ("media_fault", "cost_ratio_fault_vs_clean <= 1.25", 1.3,
          "media_fault: media-fault handling leaks onto the hot path: 1.300 > 1.25"),
+        ("media_fault", "clean ueccs <= 0", 1.0,
+         "media_fault: the fault-free run reported UECCs: 1 > 0"),
+        ("hang_recovery", "clean injected_hangs <= 0", 2.0,
+         "hang_recovery: the fault-free run injected hangs: 2 > 0"),
+        ("hang_recovery", "clean recovered_cmds <= 0", 1.0,
+         "hang_recovery: the fault-free run took retries: 1 > 0"),
         ("hang_recovery", "hang_1e-3 injected_hangs > 0", 0.0,
          "hang_recovery: the armed 1e-3 hang plan injected nothing: 0 <= 0"),
         ("hang_recovery", "p99_ratio_fault_vs_clean <= 3", 3.5,

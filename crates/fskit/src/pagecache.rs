@@ -11,87 +11,24 @@
 //! The same [`PageCache`] type (with CoW tracking disabled) serves as the
 //! ordinary host page cache of the block-based baseline file systems.
 //!
-//! Page data is stored `Arc`-backed and handed out as [`PageRef`] handles:
-//! [`PageCache::get`] is a reference-count bump, not a 4 KB memcpy, and the
-//! first dirty write to a page that still has outstanding readers (or a CoW
-//! original) copies the buffer exactly once (`Arc::make_mut`). Read-dominated
-//! paths through the file systems are therefore zero-copy end to end.
+//! [`PageCache`] is a clean-pages-only LRU policy over the model's one page
+//! store, [`mssd::pages::PageStore`], with the CoW original as each page's
+//! payload; the device DRAM cache (`mssd::dram_cache`) is an evict-any-page
+//! policy over the same store. Page data is handed out as [`PageRef`]
+//! handles: [`PageCache::get`] is a reference-count bump, not a 4 KB memcpy,
+//! and the first dirty write to a page that still has outstanding readers (or
+//! a CoW original) copies the buffer exactly once. Read-dominated paths
+//! through the file systems are therefore zero-copy end to end.
 
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Deref;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
+pub use mssd::pages::PageRef;
+use mssd::pages::PageStore;
 use parking_lot::Mutex;
 
 /// Key of a cached page: `(inode number, page index within the file)`.
 pub type PageKey = (u64, u64);
-
-/// A cheap, immutable handle to one cached page's bytes.
-///
-/// Cloning a `PageRef` (and fetching one from [`PageCache::get`]) only bumps a
-/// reference count. The underlying buffer is copied lazily, the first time the
-/// cache must mutate a page that is still shared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageRef(Arc<Vec<u8>>);
-
-impl PageRef {
-    /// Wraps an owned buffer.
-    pub fn new(data: Vec<u8>) -> Self {
-        Self(Arc::new(data))
-    }
-
-    /// An all-zero page of `len` bytes.
-    pub fn zeroed(len: usize) -> Self {
-        Self::new(vec![0u8; len])
-    }
-
-    /// Length of the page in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` when the page is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Copies the bytes out into an owned vector (the only copying API —
-    /// everything else borrows).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.as_ref().clone()
-    }
-
-    /// `true` when both handles share the same underlying buffer (used by
-    /// tests to assert zero-copy behaviour).
-    pub fn ptr_eq(a: &PageRef, b: &PageRef) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-
-    fn into_arc(self) -> Arc<Vec<u8>> {
-        self.0
-    }
-}
-
-impl Deref for PageRef {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.0.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for PageRef {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl From<Vec<u8>> for PageRef {
-    fn from(data: Vec<u8>) -> Self {
-        Self::new(data)
-    }
-}
 
 /// A contiguous modified byte range within a page, aligned to chunk
 /// boundaries: `(offset, length)`.
@@ -131,26 +68,20 @@ impl DirtyPage {
     }
 }
 
-#[derive(Debug, Clone)]
-struct CachedPage {
-    data: Arc<Vec<u8>>,
-    dirty: bool,
-    original: Option<Arc<Vec<u8>>>,
-    last_use: u64,
-}
-
-/// An LRU host page cache keyed by `(inode, page index)`.
+/// An LRU host page cache keyed by `(inode, page index)`: a full cache
+/// evicts its least recently used *clean* page; dirty pages stay until
+/// writeback cleans them.
 #[derive(Debug)]
 pub struct PageCache {
     page_size: usize,
     capacity_pages: usize,
     /// The CoW original of every page a write appends, shared by all of
     /// them; `Some` exactly when CoW tracking is enabled.
-    zero_original: Option<Arc<Vec<u8>>>,
-    pages: HashMap<PageKey, CachedPage>,
+    zero_original: Option<PageRef>,
+    /// Each page's payload is its CoW original, captured on the first write.
+    pages: PageStore<PageKey, Option<PageRef>>,
     /// Resident dirty pages, kept at every dirty/clean transition.
     dirty: usize,
-    tick: u64,
 }
 
 impl PageCache {
@@ -161,22 +92,21 @@ impl PageCache {
         Self::with_zero_original(
             capacity_pages,
             page_size,
-            track_cow.then(|| Arc::new(vec![0u8; page_size])),
+            track_cow.then(|| PageRef::zeroed(page_size)),
         )
     }
 
     fn with_zero_original(
         capacity_pages: usize,
         page_size: usize,
-        zero_original: Option<Arc<Vec<u8>>>,
+        zero_original: Option<PageRef>,
     ) -> Self {
         Self {
             page_size,
             capacity_pages: capacity_pages.max(1),
             zero_original,
-            pages: HashMap::new(),
+            pages: PageStore::default(),
             dirty: 0,
-            tick: 0,
         }
     }
 
@@ -212,9 +142,9 @@ impl PageCache {
     fn cow_pages(&self) -> (usize, bool) {
         let mut private = 0;
         let mut shares_zero = false;
-        for original in self.pages.values().filter_map(|p| p.original.as_ref()) {
+        for original in self.pages.iter().filter_map(|(_, p)| p.meta.as_ref()) {
             match &self.zero_original {
-                Some(zero) if Arc::ptr_eq(zero, original) => shares_zero = true,
+                Some(zero) if PageRef::ptr_eq(zero, original) => shares_zero = true,
                 _ => private += 1,
             }
         }
@@ -223,27 +153,13 @@ impl PageCache {
 
     /// Whether a page is resident.
     pub fn contains(&self, inode: u64, index: u64) -> bool {
-        self.pages.contains_key(&(inode, index))
-    }
-
-    fn touch(&mut self, key: PageKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(p) = self.pages.get_mut(&key) {
-            p.last_use = tick;
-        }
+        self.pages.contains((inode, index))
     }
 
     /// Returns a zero-copy handle to a resident page (a reference-count bump,
     /// not a 4 KB copy).
     pub fn get(&mut self, inode: u64, index: u64) -> Option<PageRef> {
-        let key = (inode, index);
-        if self.pages.contains_key(&key) {
-            self.touch(key);
-            Some(PageRef(Arc::clone(&self.pages[&key].data)))
-        } else {
-            None
-        }
+        self.pages.get((inode, index))
     }
 
     /// Inserts a page read from the device (clean). Evicts clean LRU pages if
@@ -252,19 +168,14 @@ impl PageCache {
     /// ones back once more than 1/64 of its cache is dirty) keeps the cache
     /// for reads.
     pub fn insert_clean(&mut self, inode: u64, index: u64, data: impl Into<PageRef>) {
-        let data = data.into().into_arc();
+        let data = data.into();
         debug_assert_eq!(data.len(), self.page_size);
-        self.tick += 1;
-        let entry = CachedPage { data, dirty: false, original: None, last_use: self.tick };
-        match self.pages.get_mut(&(inode, index)) {
-            Some(existing) if existing.dirty => {
-                // Never clobber a dirty page with stale device contents.
-            }
-            Some(existing) => *existing = entry,
-            None => {
-                self.pages.insert((inode, index), entry);
-                self.evict_clean();
-            }
+        // Never clobber a dirty page with stale device contents.
+        if self.pages.slot((inode, index)).is_some_and(|p| p.dirty) {
+            return;
+        }
+        if self.pages.put((inode, index), data, false, None).is_none() {
+            self.evict();
         }
     }
 
@@ -276,30 +187,21 @@ impl PageCache {
     /// outstanding [`PageRef`]s or with the CoW original) — copy-on-write on
     /// the first dirty write, in-place mutation afterwards.
     pub fn write(&mut self, inode: u64, index: u64, offset: usize, bytes: &[u8]) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let track_cow = self.zero_original.is_some();
-        match self.pages.get_mut(&(inode, index)) {
-            Some(p) => {
-                debug_assert!(offset + bytes.len() <= self.page_size);
-                if track_cow && !p.dirty && p.original.is_none() {
-                    // Capturing the original is free: it shares the buffer,
-                    // and the make_mut below unshares the writable copy.
-                    p.original = Some(Arc::clone(&p.data));
-                }
-                let buf = Arc::make_mut(&mut p.data);
-                buf[offset..offset + bytes.len()].copy_from_slice(bytes);
-                if !p.dirty {
-                    p.dirty = true;
-                    self.dirty += 1;
-                }
-                p.last_use = tick;
-                true
-            }
-            None => false,
+        let Some(p) = self.pages.slot_mut((inode, index)) else { return false };
+        debug_assert!(offset + bytes.len() <= self.page_size);
+        if track_cow && !p.dirty && p.meta.is_none() {
+            // Capturing the original is free: it shares the buffer, and the
+            // make_mut below unshares the writable copy.
+            p.meta = Some(p.data.clone());
         }
+        p.data.make_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        if !p.dirty {
+            p.dirty = true;
+            self.dirty += 1;
+        }
+        true
     }
-
     /// Applies a partial write to a page that may not be resident: when it is
     /// absent, `base` (the page's pre-write contents, read by the caller) is
     /// installed first. The write lands before anything is evicted, so a
@@ -332,28 +234,23 @@ impl PageCache {
         base: PageRef,
     ) {
         debug_assert_eq!(base.len(), self.page_size);
-        self.tick += 1;
-        let entry =
-            CachedPage { data: base.into_arc(), dirty: false, original: None, last_use: self.tick };
-        self.pages.insert((inode, index), entry);
+        self.pages.put((inode, index), base, false, None);
         let applied = self.write(inode, index, offset, bytes);
         debug_assert!(applied, "freshly installed page accepts the write");
-        self.evict_clean();
+        self.evict();
     }
 
     /// Inserts a brand-new page that has no backing content on the device yet
     /// (file extension); it starts dirty, with the cache's one shared zero
     /// page as its original.
     pub fn insert_new_dirty(&mut self, inode: u64, index: u64, data: impl Into<PageRef>) {
-        let data = data.into().into_arc();
+        let data = data.into();
         debug_assert_eq!(data.len(), self.page_size);
-        self.tick += 1;
         let original = self.zero_original.clone();
-        let entry = CachedPage { data, dirty: true, original, last_use: self.tick };
-        if !self.pages.insert((inode, index), entry).is_some_and(|old| old.dirty) {
+        if !self.pages.put((inode, index), data, true, original).is_some_and(|old| old.dirty) {
             self.dirty += 1;
         }
-        self.evict_clean();
+        self.evict();
     }
 
     /// Removes the dirty state of one inode's pages and returns them for
@@ -365,12 +262,7 @@ impl PageCache {
             .filter(|((ino, _), p)| *ino == inode && p.dirty)
             .map(|(&(inode, index), p)| {
                 p.dirty = false;
-                DirtyPage {
-                    inode,
-                    index,
-                    data: PageRef(Arc::clone(&p.data)),
-                    original: p.original.take().map(PageRef),
-                }
+                DirtyPage { inode, index, data: p.data.clone(), original: p.meta.take() }
             })
             .collect();
         self.dirty -= out.len();
@@ -386,17 +278,10 @@ impl PageCache {
     pub fn restore_dirty(&mut self, pages: impl IntoIterator<Item = DirtyPage>) {
         for dp in pages {
             let key = (dp.inode, dp.index);
-            if self.pages.get(&key).is_some_and(|p| p.dirty) {
+            if self.pages.slot(key).is_some_and(|p| p.dirty) {
                 continue;
             }
-            self.tick += 1;
-            let entry = CachedPage {
-                data: dp.data.into_arc(),
-                dirty: true,
-                original: dp.original.map(PageRef::into_arc),
-                last_use: self.tick,
-            };
-            self.pages.insert(key, entry);
+            self.pages.put(key, dp.data, true, dp.original);
             self.dirty += 1;
         }
     }
@@ -441,21 +326,11 @@ impl PageCache {
         self.pages.retain(|_, p| p.dirty);
     }
 
-    fn evict_clean(&mut self) {
-        while self.pages.len() > self.capacity_pages {
-            let victim = self
-                .pages
-                .iter()
-                .filter(|(_, p)| !p.dirty)
-                .min_by_key(|(_, p)| p.last_use)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    self.pages.remove(&k);
-                }
-                None => break, // everything is dirty; allow temporary overshoot
-            }
-        }
+    /// The clean-pages-only policy: drops least recently used clean pages
+    /// while over capacity; with every page dirty the cache overshoots
+    /// rather than lose data.
+    fn evict(&mut self) {
+        self.pages.evict_lru(self.capacity_pages, |p| !p.dirty, |_, _| {});
     }
 }
 
@@ -498,7 +373,7 @@ impl ShardedPageCache {
     /// original of appended pages.
     pub fn new(shards: usize, capacity_pages: usize, page_size: usize, track_cow: bool) -> Self {
         let shards = shards.max(1);
-        let zero_original = track_cow.then(|| Arc::new(vec![0u8; page_size]));
+        let zero_original = track_cow.then(|| PageRef::zeroed(page_size));
         let shards: Vec<Mutex<PageCache>> = (0..shards)
             .map(|i| {
                 let pages = capacity_pages / shards + usize::from(i < capacity_pages % shards);
@@ -1076,7 +951,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let s = s.lock();
-                let scanned = s.pages.values().filter(|p| p.dirty).count();
+                let scanned = s.pages.iter().filter(|(_, p)| p.dirty).count();
                 assert_eq!(s.dirty_count(), scanned, "a shard's counter drifted from its pages");
                 scanned
             })

@@ -199,19 +199,6 @@ impl CrashImage {
         }
         h
     }
-
-    /// One-line summary for reports, e.g. counts of each captured component.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} log entries, {} commits, {} flash pages, {} buffered, {} cached-dirty, {} bad blocks",
-            self.log_entries.len(),
-            self.txlog.len(),
-            self.flash_pages.len(),
-            self.buffered_pages.len(),
-            self.cache_pages.len(),
-            self.bad_blocks.len()
-        )
-    }
 }
 
 /// A command the device has accepted and the host has not waited for yet: a

@@ -9,74 +9,30 @@
 //!
 //! Two layers live here:
 //!
-//! * [`DramPageCache`] — the single-threaded cache. Pages are stored
-//!   `Arc`-backed and [`DramPageCache::get`] hands out zero-copy
-//!   [`CachePageRef`]s (a refcount bump, never a 4 KB copy); byte-granular
-//!   [`DramPageCache::modify`] copies-on-write via [`Arc::make_mut`] only
-//!   when a read ref is still outstanding. This mirrors fskit's host-side
-//!   `PageCache`.
+//! * [`DramPageCache`] — the single-threaded cache: an evict-any-page LRU
+//!   policy over the model's one page store ([`crate::pages::PageStore`]),
+//!   which the host page cache (`fskit::pagecache::PageCache`, evicting clean
+//!   pages only) sits on too. [`DramPageCache::get`] hands out zero-copy
+//!   [`PageRef`]s; byte-granular [`DramPageCache::modify`] copies-on-write
+//!   only when a read ref is still outstanding. A full cache evicts its least
+//!   recently used page, clean or dirty, and returns the dirty victims for
+//!   writeback.
 //! * [`ShardedDramCache`] — the concurrent wrapper used by the device:
 //!   [`CACHE_SHARDS`] lock-striped [`DramPageCache`]s keyed by LPA, each with
 //!   a proportional slice of the DRAM budget, so baseline-mode accesses to
 //!   different pages never contend on one cache-wide lock.
 
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::Arc;
-
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::ftl::Lpa;
-
-/// A zero-copy, read-only reference to a cached page.
-///
-/// Obtained from [`DramPageCache::get`]; cloning (or fetching) one only bumps
-/// an `Arc` refcount. A later [`DramPageCache::modify`] of the same page
-/// copies-on-write, so outstanding refs keep the contents they observed.
-#[derive(Debug, Clone)]
-pub struct CachePageRef(Arc<Vec<u8>>);
-
-impl Deref for CachePageRef {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for CachePageRef {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl PartialEq<Vec<u8>> for CachePageRef {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        *self.0 == *other
-    }
-}
-
-/// One cached flash page.
-#[derive(Debug, Clone)]
-struct CachedPage {
-    data: Arc<Vec<u8>>,
-    dirty: bool,
-    last_use: u64,
-}
+use crate::pages::{PageRef, PageStore};
 
 /// An LRU write-back cache of flash pages held in device DRAM.
 #[derive(Debug)]
 pub struct DramPageCache {
     capacity_pages: usize,
     page_size: usize,
-    pages: HashMap<Lpa, CachedPage>,
-    tick: u64,
-}
-
-/// Unwraps an `Arc`-backed page for writeback, copying only if a
-/// [`CachePageRef`] is still outstanding.
-fn unwrap_page(data: Arc<Vec<u8>>) -> Vec<u8> {
-    Arc::try_unwrap(data).unwrap_or_else(|arc| (*arc).clone())
+    pages: PageStore<Lpa, ()>,
 }
 
 impl DramPageCache {
@@ -86,8 +42,7 @@ impl DramPageCache {
         Self {
             capacity_pages: (capacity_bytes / page_size).max(1),
             page_size,
-            pages: HashMap::new(),
-            tick: 0,
+            pages: PageStore::default(),
         }
     }
 
@@ -103,7 +58,7 @@ impl DramPageCache {
 
     /// Number of resident dirty pages.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.values().filter(|p| p.dirty).count()
+        self.pages.iter().filter(|(_, p)| p.dirty).count()
     }
 
     /// Maximum number of resident pages.
@@ -113,65 +68,58 @@ impl DramPageCache {
 
     /// Whether a page is resident.
     pub fn contains(&self, lpa: Lpa) -> bool {
-        self.pages.contains_key(&lpa)
+        self.pages.contains(lpa)
     }
 
     /// Returns a zero-copy reference to a cached page and refreshes its LRU
     /// position. No page data is copied — only an `Arc` refcount is bumped.
-    pub fn get(&mut self, lpa: Lpa) -> Option<CachePageRef> {
-        self.tick += 1;
-        let tick = self.tick;
-        let p = self.pages.get_mut(&lpa)?;
-        p.last_use = tick;
-        Some(CachePageRef(Arc::clone(&p.data)))
+    pub fn get(&mut self, lpa: Lpa) -> Option<PageRef> {
+        self.pages.get(lpa)
     }
 
     /// Inserts (or replaces) a page. Returns the pages that had to be evicted
-    /// to make room, as `(lpa, data)` pairs — only dirty victims are returned,
-    /// clean victims are silently dropped.
+    /// to make room, as `(lpa, data)` pairs: the least recently used pages,
+    /// clean or dirty, of which only the dirty ones are returned — clean
+    /// victims are silently dropped.
     pub fn insert(&mut self, lpa: Lpa, data: Vec<u8>, dirty: bool) -> Vec<(Lpa, Vec<u8>)> {
         debug_assert_eq!(data.len(), self.page_size, "cache stores whole pages");
-        self.tick += 1;
-        let entry = CachedPage { data: Arc::new(data), dirty, last_use: self.tick };
-        match self.pages.get_mut(&lpa) {
-            Some(existing) => {
-                // Keep the dirty bit sticky: overwriting a dirty page with a
-                // clean copy must not lose the pending writeback.
-                let was_dirty = existing.dirty;
-                *existing = entry;
-                existing.dirty = dirty || was_dirty;
-                Vec::new()
+        let mut writebacks = Vec::new();
+        match self.pages.put(lpa, PageRef::new(data), dirty, ()) {
+            // Keep the dirty bit sticky: overwriting a dirty page with a
+            // clean copy must not lose the pending writeback.
+            Some(old) if old.dirty && !dirty => {
+                self.pages.slot_mut(lpa).expect("just put").dirty = true;
             }
-            None => {
-                self.pages.insert(lpa, entry);
-                self.evict_to_capacity()
-            }
+            Some(_) => {}
+            None => self.pages.evict_lru(
+                self.capacity_pages,
+                |_| true,
+                |lpa, page| {
+                    if page.dirty {
+                        writebacks.push((lpa, page.data.into_vec()));
+                    }
+                },
+            ),
         }
+        writebacks
     }
 
     /// Applies a byte-granular modification to a cached page, marking it
-    /// dirty. Copies-on-write only if a [`CachePageRef`] is outstanding.
+    /// dirty. Copies-on-write only if a [`PageRef`] is outstanding.
     /// Returns `false` if the page is not resident.
     pub fn modify(&mut self, lpa: Lpa, offset: usize, bytes: &[u8]) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.pages.get_mut(&lpa) {
-            Some(p) => {
-                let end = offset + bytes.len();
-                debug_assert!(end <= self.page_size);
-                Arc::make_mut(&mut p.data)[offset..end].copy_from_slice(bytes);
-                p.dirty = true;
-                p.last_use = tick;
-                true
-            }
-            None => false,
-        }
+        let Some(p) = self.pages.slot_mut(lpa) else { return false };
+        let end = offset + bytes.len();
+        debug_assert!(end <= self.page_size);
+        p.data.make_mut()[offset..end].copy_from_slice(bytes);
+        p.dirty = true;
+        true
     }
 
     /// Drops a page from the cache regardless of its dirty state (used when the
     /// host overwrites the whole page through the block interface).
     pub fn discard(&mut self, lpa: Lpa) {
-        self.pages.remove(&lpa);
+        self.pages.remove(lpa);
     }
 
     /// Copies out the dirty pages without clearing their dirty bits (used
@@ -182,7 +130,7 @@ impl DramPageCache {
             .pages
             .iter()
             .filter(|(_, p)| p.dirty)
-            .map(|(k, p)| (*k, (*p.data).clone()))
+            .map(|(k, p)| (*k, p.data.to_vec()))
             .collect();
         out.sort_by_key(|(k, _)| *k);
         out
@@ -191,40 +139,17 @@ impl DramPageCache {
     /// Removes the dirty bit from all pages and returns their contents (for
     /// FLUSH / power-loss handling). Pages stay resident.
     pub fn drain_dirty(&mut self) -> Vec<(Lpa, Vec<u8>)> {
-        let dirty_keys: Vec<Lpa> =
-            self.pages.iter().filter(|(_, p)| p.dirty).map(|(k, _)| *k).collect();
-        let mut out = Vec::with_capacity(dirty_keys.len());
-        for k in dirty_keys {
-            if let Some(p) = self.pages.get_mut(&k) {
+        let mut out: Vec<(Lpa, Vec<u8>)> = self
+            .pages
+            .iter_mut()
+            .filter(|(_, p)| p.dirty)
+            .map(|(k, p)| {
                 p.dirty = false;
-                out.push((k, (*p.data).clone()));
-            }
-        }
+                (*k, p.data.to_vec())
+            })
+            .collect();
         out.sort_by_key(|(k, _)| *k);
         out
-    }
-
-    /// Drops every cached page (clean and dirty) without writing anything
-    /// back. Only used to model losing a *volatile* cache.
-    pub fn clear(&mut self) {
-        self.pages.clear();
-    }
-
-    fn evict_to_capacity(&mut self) -> Vec<(Lpa, Vec<u8>)> {
-        let mut writebacks = Vec::new();
-        while self.pages.len() > self.capacity_pages {
-            let victim = self
-                .pages
-                .iter()
-                .min_by_key(|(_, p)| p.last_use)
-                .map(|(k, _)| *k)
-                .expect("cache is non-empty");
-            let page = self.pages.remove(&victim).expect("victim present");
-            if page.dirty {
-                writebacks.push((victim, unwrap_page(page.data)));
-            }
-        }
-        writebacks
     }
 }
 
@@ -291,10 +216,7 @@ impl ShardedDramCache {
     /// dirty contents in ascending LPA order (shards are visited one at a
     /// time, so this is a consistent set only at quiescent points).
     pub fn drain_dirty(&self) -> Vec<(Lpa, Vec<u8>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().drain_dirty());
-        }
+        let mut out: Vec<_> = self.shards.iter().flat_map(|s| s.lock().drain_dirty()).collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
@@ -308,10 +230,7 @@ impl ShardedDramCache {
     /// ascending LPA order (crash imaging; see
     /// [`DramPageCache::export_dirty`]).
     pub fn export_dirty(&self) -> Vec<(Lpa, Vec<u8>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().export_dirty());
-        }
+        let mut out: Vec<_> = self.shards.iter().flat_map(|s| s.lock().export_dirty()).collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
@@ -345,7 +264,7 @@ mod tests {
     fn insert_and_get() {
         let mut c = cache(4);
         assert!(c.insert(1, page(1), false).is_empty());
-        assert_eq!(c.get(1).unwrap(), page(1));
+        assert_eq!(c.get(1).unwrap().to_vec(), page(1));
         assert!(c.get(2).is_none());
         assert_eq!(c.len(), 1);
     }
@@ -357,7 +276,7 @@ mod tests {
         let r1 = c.get(7).unwrap();
         let r2 = c.get(7).unwrap();
         // Both refs share the same allocation — no copy on read.
-        assert!(Arc::ptr_eq(&r1.0, &r2.0));
+        assert!(PageRef::ptr_eq(&r1, &r2));
         // A modify with refs outstanding copies-on-write: old refs keep the
         // contents they observed.
         assert!(c.modify(7, 0, &[9, 9]));
@@ -367,10 +286,10 @@ mod tests {
         drop(r1);
         drop(r2);
         let before = c.get(7).unwrap();
-        let ptr_before = Arc::as_ptr(&before.0);
+        let ptr_before = before.as_ptr();
         drop(before);
         assert!(c.modify(7, 2, &[8]));
-        assert_eq!(Arc::as_ptr(&c.get(7).unwrap().0), ptr_before);
+        assert_eq!(c.get(7).unwrap().as_ptr(), ptr_before);
     }
 
     #[test]
@@ -406,7 +325,7 @@ mod tests {
         c.insert(1, page(1), true);
         c.insert(1, page(2), false);
         assert_eq!(c.dirty_pages(), 1);
-        assert_eq!(c.get(1).unwrap(), page(2));
+        assert_eq!(c.get(1).unwrap().to_vec(), page(2));
     }
 
     #[test]
@@ -423,15 +342,15 @@ mod tests {
     }
 
     #[test]
-    fn discard_and_clear() {
+    fn discard_drops_dirty_pages_without_writeback() {
         let mut c = cache(4);
         c.insert(1, page(1), true);
         c.insert(2, page(2), true);
         c.discard(1);
         assert!(!c.contains(1));
-        c.clear();
+        assert_eq!(c.drain_dirty(), vec![(2, page(2))]);
+        c.discard(2);
         assert!(c.is_empty());
-        assert_eq!(c.dirty_pages(), 0);
     }
 
     #[test]
@@ -457,7 +376,7 @@ mod tests {
         assert_eq!(c.dirty_pages(), 0);
         c.discard(0);
         assert_eq!(c.len(), 31);
-        assert_eq!(c.lock_shard(4).get(4).unwrap(), page(4));
+        assert_eq!(c.lock_shard(4).get(4).unwrap().to_vec(), page(4));
     }
 
     #[test]

@@ -226,31 +226,9 @@ pub enum MediaOpKind {
 }
 
 impl MediaOpKind {
-    /// All kinds, in a stable order (indexable by [`MediaOpKind::index`]).
-    pub const ALL: [MediaOpKind; 3] = [MediaOpKind::Read, MediaOpKind::Program, MediaOpKind::Erase];
-
     /// Stable index of this kind into per-kind counter arrays.
     pub fn index(self) -> usize {
-        match self {
-            MediaOpKind::Read => 0,
-            MediaOpKind::Program => 1,
-            MediaOpKind::Erase => 2,
-        }
-    }
-
-    /// Short label used in reports, e.g. `"read"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            MediaOpKind::Read => "read",
-            MediaOpKind::Program => "program",
-            MediaOpKind::Erase => "erase",
-        }
-    }
-}
-
-impl std::fmt::Display for MediaOpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        self as usize
     }
 }
 
@@ -303,19 +281,125 @@ impl Default for MediaFaultConfig {
     }
 }
 
-/// Shared mutable state of a media plan (see [`FaultState`] for the sharing
-/// rationale: config clones share one counter sequence per device).
+/// Shared mutable state of a seeded plan (see [`FaultState`] for the
+/// sharing rationale: config clones share one counter sequence per device).
 #[derive(Debug)]
-struct MediaState {
-    cfg: MediaFaultConfig,
-    /// Per-kind op ordinals, indexed by [`MediaOpKind::index`].
+struct PlanState<C> {
+    cfg: C,
+    /// Op ordinals: the media plan keeps one per [`MediaOpKind`], the hang
+    /// plan one for all command groups (slot 0).
     ops: [AtomicU64; 3],
-    /// Per-kind injected fault counts, indexed by [`MediaOpKind::index`].
+    /// Per-kind injected fault counts, indexed by the kind's `index()`.
     injected: [AtomicU64; 3],
     /// Suspension depth: while non-zero every draw returns clean *without*
-    /// advancing an ordinal, so crash-image restores (which replay flash ops
-    /// that already happened) neither fault nor perturb the sequence.
+    /// advancing an ordinal, so crash-image restores and recovery replays
+    /// (which redo ops that already happened) neither fault nor perturb the
+    /// sequence.
     suspended: AtomicU64,
+}
+
+/// The shell both seeded fault plans share: a config `C`, ordinals, injected
+/// counts and a suspension depth behind one `Arc`, so cloning the plan (which
+/// happens whenever a device config is cloned into a component) shares them
+/// and every component of one device draws from the same deterministic
+/// sequence. The disabled default costs one `Option` check per draw.
+///
+/// Determinism holds as for [`FaultPlan`]: with a single-threaded host the
+/// ordinals are a pure function of the op stream, so a seed reproduces the
+/// exact fault sequence. The two draw rules live with their configs:
+/// [`MediaFaultPlan`] draws per NAND op with an ordinal per op kind,
+/// [`HangFaultPlan`] per command group with one ordinal.
+#[derive(Debug, Clone, Default)]
+pub struct SeededPlan<C> {
+    state: Option<Arc<PlanState<C>>>,
+}
+
+impl<C> SeededPlan<C> {
+    /// A plan that injects nothing (zero-cost default).
+    pub fn disabled() -> Self {
+        Self { state: None }
+    }
+
+    /// A plan armed with the given fault model.
+    pub fn new(cfg: C) -> Self {
+        Self {
+            state: Some(Arc::new(PlanState {
+                cfg,
+                ops: Default::default(),
+                injected: Default::default(),
+                suspended: AtomicU64::new(0),
+            })),
+        }
+    }
+
+    /// Whether any injection is armed. When `false`, the device skips the
+    /// draw and any work that exists only for faults (ECC encode/decode).
+    pub fn is_enabled(&self) -> bool {
+        self.state.is_some()
+    }
+
+    /// The config and the next 1-based ordinal of counter `slot`, or `None`
+    /// when the plan is disabled or suspended (which advances nothing).
+    fn draw(&self, slot: usize) -> Option<(&C, u64)> {
+        let st = self.state.as_deref()?;
+        if st.suspended.load(Ordering::SeqCst) > 0 {
+            return None;
+        }
+        Some((&st.cfg, st.ops[slot].fetch_add(1, Ordering::SeqCst) + 1))
+    }
+
+    /// Counts one injected fault of the kind with index `kind`.
+    fn injected(&self, kind: usize) {
+        if let Some(st) = &self.state {
+            st.injected[kind].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Suspends injection: until the matching [`SeededPlan::resume`], every
+    /// draw returns clean and advances no ordinal. Used while a crash image
+    /// is restored or recovery replays — those ops already happened before
+    /// the cut and must neither fault again nor shift the deterministic
+    /// sequence. Nestable (depth-counted).
+    pub fn suspend(&self) {
+        if let Some(st) = &self.state {
+            st.suspended.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Re-arms injection after a [`SeededPlan::suspend`].
+    pub fn resume(&self) {
+        if let Some(st) = &self.state {
+            let prev = st.suspended.fetch_sub(1, Ordering::SeqCst);
+            debug_assert!(prev > 0, "resume() without matching suspend()");
+        }
+    }
+
+    fn ops_at(&self, slot: usize) -> u64 {
+        self.state.as_ref().map(|st| st.ops[slot].load(Ordering::SeqCst)).unwrap_or(0)
+    }
+
+    fn injected_at(&self, kind: usize) -> u64 {
+        self.state.as_ref().map(|st| st.injected[kind].load(Ordering::Relaxed)).unwrap_or(0)
+    }
+
+    /// Total faults injected across all kinds.
+    pub fn injected_total(&self) -> u64 {
+        let count = |st: &PlanState<C>| st.injected.iter().map(|n| n.load(Ordering::Relaxed)).sum();
+        self.state.as_deref().map_or(0, count)
+    }
+}
+
+/// Two plans are configuration-equal when armed with the same fault model;
+/// runtime counters are ignored (same rationale as [`FaultPlan`]'s
+/// `PartialEq`).
+impl<C: PartialEq> PartialEq for SeededPlan<C> {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.state, &other.state) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.cfg == b.cfg,
+            _ => false,
+        }
+    }
 }
 
 /// SplitMix64: full-avalanche mix used for all injection decisions (and,
@@ -382,40 +466,11 @@ impl ReadFault {
 }
 
 /// Seeded, deterministic NAND media-fault injection, carried inside
-/// [`crate::MssdConfig::media`].
-///
-/// Mirrors [`FaultPlan`]'s sharing model: cloning the plan (which happens
-/// whenever a device config is cloned into a component) shares the per-kind
-/// op counters, so every channel of one device draws from the same
-/// deterministic sequence. The disabled default costs one `Option` check per
-/// flash op.
-///
-/// Determinism holds as for [`FaultPlan`]: with a single-threaded host,
-/// per-kind op ordinals are a pure function of the op stream, so a seed
-/// reproduces the exact fault sequence.
-#[derive(Debug, Clone, Default)]
-pub struct MediaFaultPlan {
-    state: Option<Arc<MediaState>>,
-}
+/// [`crate::MssdConfig::media`]: one ordinal per [`MediaOpKind`], so a read
+/// fault depends only on how many reads came before it.
+pub type MediaFaultPlan = SeededPlan<MediaFaultConfig>;
 
 impl MediaFaultPlan {
-    /// A plan that injects nothing (zero-cost default).
-    pub fn disabled() -> Self {
-        Self { state: None }
-    }
-
-    /// A plan armed with the given fault model.
-    pub fn new(cfg: MediaFaultConfig) -> Self {
-        Self {
-            state: Some(Arc::new(MediaState {
-                cfg,
-                ops: Default::default(),
-                injected: Default::default(),
-                suspended: AtomicU64::new(0),
-            })),
-        }
-    }
-
     /// Convenience: rate-based plan with the given per-op fault rates and
     /// default wear/hard parameters.
     pub fn rates(seed: u64, read: f64, program: f64, erase: f64) -> Self {
@@ -428,30 +483,20 @@ impl MediaFaultPlan {
         })
     }
 
-    /// Whether any injection is armed. When `false`, the device skips ECC
-    /// encode/decode entirely (fault-free configurations pay nothing).
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Draws the transient-fault outcome for one physical page read of a
     /// block with the given `wear` (erase count). Advances the read ordinal;
     /// retries of the same read must reuse the returned [`ReadFault`] rather
     /// than drawing again. Returns `None` when the read is clean.
     pub fn read_fault(&self, wear: u64) -> Option<ReadFault> {
-        let st = self.state.as_ref()?;
-        if st.suspended.load(Ordering::SeqCst) > 0 {
-            return None;
-        }
-        let ordinal = st.ops[MediaOpKind::Read.index()].fetch_add(1, Ordering::SeqCst) + 1;
-        let forced = st.cfg.fail_read_at != 0 && ordinal == st.cfg.fail_read_at;
-        let base = mix64(st.cfg.seed ^ ordinal.wrapping_mul(0xa076_1d64_78bd_642f));
-        let rate = st.cfg.read_error_rate * (1.0 + st.cfg.wear_factor * wear as f64);
+        let (cfg, ordinal) = self.draw(MediaOpKind::Read.index())?;
+        let forced = cfg.fail_read_at != 0 && ordinal == cfg.fail_read_at;
+        let base = mix64(cfg.seed ^ ordinal.wrapping_mul(0xa076_1d64_78bd_642f));
+        let rate = cfg.read_error_rate * (1.0 + cfg.wear_factor * wear as f64);
         if !forced && unit(base) >= rate {
             return None;
         }
-        st.injected[MediaOpKind::Read.index()].fetch_add(1, Ordering::Relaxed);
-        let hard = forced || unit(mix64(base ^ 0x5bf0_3635)) < st.cfg.hard_read_rate;
+        self.injected(MediaOpKind::Read.index());
+        let hard = forced || unit(mix64(base ^ 0x5bf0_3635)) < cfg.hard_read_rate;
         // Flip counts stay within the SECDED guarantee (≤ ECC_DETECT = 2):
         // three or more simultaneous flips could alias to a valid single-bit
         // syndrome and miscorrect, which would model silent corruption the
@@ -464,7 +509,7 @@ impl MediaFaultPlan {
         } else {
             1 + (mix64(base ^ 0x93c4_67e3) % u64::from(crate::ecc::ECC_DETECT)) as u32
         };
-        Some(ReadFault { flips, hard, ordinal, seed: st.cfg.seed })
+        Some(ReadFault { flips, hard, ordinal, seed: cfg.seed })
     }
 
     /// Draws the outcome for one page program. Returns `true` when the
@@ -481,72 +526,29 @@ impl MediaFaultPlan {
     }
 
     fn permanent_fails(&self, kind: MediaOpKind) -> bool {
-        let Some(st) = &self.state else { return false };
-        if st.suspended.load(Ordering::SeqCst) > 0 {
-            return false;
-        }
-        let ordinal = st.ops[kind.index()].fetch_add(1, Ordering::SeqCst) + 1;
+        let Some((cfg, ordinal)) = self.draw(kind.index()) else { return false };
         let (rate, forced_at, salt) = match kind {
-            MediaOpKind::Program => {
-                (st.cfg.program_fail_rate, st.cfg.fail_program_at, 0x1d8e_4e27u64)
-            }
-            MediaOpKind::Erase => (st.cfg.erase_fail_rate, st.cfg.fail_erase_at, 0xeb44_accau64),
+            MediaOpKind::Program => (cfg.program_fail_rate, cfg.fail_program_at, 0x1d8e_4e27u64),
+            MediaOpKind::Erase => (cfg.erase_fail_rate, cfg.fail_erase_at, 0xeb44_accau64),
             MediaOpKind::Read => unreachable!("reads use read_fault()"),
         };
         let forced = forced_at != 0 && ordinal == forced_at;
-        let draw = unit(mix64(st.cfg.seed ^ salt ^ ordinal.wrapping_mul(0xe703_7ed1_a0b4_28db)));
+        let draw = unit(mix64(cfg.seed ^ salt ^ ordinal.wrapping_mul(0xe703_7ed1_a0b4_28db)));
         let fails = forced || draw < rate;
         if fails {
-            st.injected[kind.index()].fetch_add(1, Ordering::Relaxed);
+            self.injected(kind.index());
         }
         fails
     }
 
-    /// Suspends injection: until the matching [`MediaFaultPlan::resume`],
-    /// every draw returns clean and advances no ordinal. Used while a crash
-    /// image is restored — those flash ops already happened before the cut
-    /// and must neither fault again nor shift the deterministic sequence.
-    /// Nestable (depth-counted).
-    pub fn suspend(&self) {
-        if let Some(st) = &self.state {
-            st.suspended.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Re-arms injection after a [`MediaFaultPlan::suspend`].
-    pub fn resume(&self) {
-        if let Some(st) = &self.state {
-            let prev = st.suspended.fetch_sub(1, Ordering::SeqCst);
-            debug_assert!(prev > 0, "resume() without matching suspend()");
-        }
-    }
-
     /// Ops observed of one kind so far.
     pub fn ops_of(&self, kind: MediaOpKind) -> u64 {
-        self.state.as_ref().map(|st| st.ops[kind.index()].load(Ordering::SeqCst)).unwrap_or(0)
+        self.ops_at(kind.index())
     }
 
     /// Faults injected of one kind so far.
     pub fn injected_of(&self, kind: MediaOpKind) -> u64 {
-        self.state.as_ref().map(|st| st.injected[kind.index()].load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Total faults injected across all kinds.
-    pub fn injected_total(&self) -> u64 {
-        MediaOpKind::ALL.iter().map(|&k| self.injected_of(k)).sum()
-    }
-}
-
-/// Two plans are configuration-equal when armed with the same fault model;
-/// runtime counters are ignored (same rationale as [`FaultPlan`]'s
-/// `PartialEq`).
-impl PartialEq for MediaFaultPlan {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.state, &other.state) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.cfg == b.cfg,
-            _ => false,
-        }
+        self.injected_at(kind.index())
     }
 }
 
@@ -565,31 +567,9 @@ pub enum HangOpKind {
 }
 
 impl HangOpKind {
-    /// All kinds, in a stable order (indexable by [`HangOpKind::index`]).
-    pub const ALL: [HangOpKind; 3] = [HangOpKind::Stall, HangOpKind::Loss, HangOpKind::Wedge];
-
     /// Stable index of this kind into per-kind counter arrays.
     pub fn index(self) -> usize {
-        match self {
-            HangOpKind::Stall => 0,
-            HangOpKind::Loss => 1,
-            HangOpKind::Wedge => 2,
-        }
-    }
-
-    /// Short label used in reports, e.g. `"stall"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            HangOpKind::Stall => "stall",
-            HangOpKind::Loss => "loss",
-            HangOpKind::Wedge => "wedge",
-        }
-    }
-}
-
-impl std::fmt::Display for HangOpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        self as usize
     }
 }
 
@@ -662,53 +642,13 @@ pub enum HangFault {
     Wedge,
 }
 
-/// Shared mutable state of a hang plan (see [`FaultState`] for the sharing
-/// rationale: config clones share one counter sequence per device).
-#[derive(Debug)]
-struct HangState {
-    cfg: HangFaultConfig,
-    /// Command-group ordinal: one draw per group execution attempt.
-    ops: AtomicU64,
-    /// Per-kind injected hang counts, indexed by [`HangOpKind::index`].
-    injected: [AtomicU64; 3],
-    /// Suspension depth: while non-zero every draw returns clean *without*
-    /// advancing the ordinal, so recovery replay neither hangs nor perturbs
-    /// the deterministic sequence.
-    suspended: AtomicU64,
-}
-
 /// Seeded, deterministic fail-slow injection, carried inside
 /// [`crate::MssdConfig::hang`]: command stalls (bounded or unbounded under
-/// the virtual clock), lost completions, and whole-lane wedges.
-///
-/// Mirrors [`MediaFaultPlan`]'s sharing model: cloning the plan shares the
-/// group counter, so every queue of one device draws from the same
-/// deterministic sequence. The disabled default costs one `Option` check per
-/// command group. Determinism holds as for [`FaultPlan`]: it is exact for
-/// single-threaded hosts.
-#[derive(Debug, Clone, Default)]
-pub struct HangFaultPlan {
-    state: Option<Arc<HangState>>,
-}
+/// the virtual clock), lost completions, and whole-lane wedges. One ordinal
+/// counts command groups, whatever fault each drew.
+pub type HangFaultPlan = SeededPlan<HangFaultConfig>;
 
 impl HangFaultPlan {
-    /// A plan that injects nothing (zero-cost default).
-    pub fn disabled() -> Self {
-        Self { state: None }
-    }
-
-    /// A plan armed with the given hang model.
-    pub fn new(cfg: HangFaultConfig) -> Self {
-        Self {
-            state: Some(Arc::new(HangState {
-                cfg,
-                ops: AtomicU64::new(0),
-                injected: Default::default(),
-                suspended: AtomicU64::new(0),
-            })),
-        }
-    }
-
     /// Convenience: rate-based plan with default stall bounds and no forced
     /// ordinals.
     pub fn rates(seed: u64, stall: f64, loss: f64, wedge: f64) -> Self {
@@ -721,12 +661,6 @@ impl HangFaultPlan {
         })
     }
 
-    /// Whether any injection is armed. When `false`, queues skip the draw
-    /// entirely (fault-free configurations pay nothing).
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Draws the fail-slow outcome for one command group about to execute.
     /// Advances the group ordinal; retries of the same group draw again (a
     /// resubmitted command is a new submission as far as the host can tell).
@@ -735,34 +669,30 @@ impl HangFaultPlan {
     /// Wedge dominates loss dominates stall: a wedge stops the lane outright,
     /// so drawing the weaker faults for the same group would be unobservable.
     pub fn command_fault(&self) -> Option<HangFault> {
-        let st = self.state.as_ref()?;
-        if st.suspended.load(Ordering::SeqCst) > 0 {
-            return None;
-        }
-        let ordinal = st.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        let base = mix64(st.cfg.seed ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let forced_wedge = st.cfg.hang_wedge_at != 0 && ordinal == st.cfg.hang_wedge_at;
-        if forced_wedge || unit(mix64(base ^ 0x7a3d_90e4)) < st.cfg.wedge_rate {
-            st.injected[HangOpKind::Wedge.index()].fetch_add(1, Ordering::Relaxed);
+        let (cfg, ordinal) = self.draw(0)?;
+        let base = mix64(cfg.seed ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let forced_wedge = cfg.hang_wedge_at != 0 && ordinal == cfg.hang_wedge_at;
+        if forced_wedge || unit(mix64(base ^ 0x7a3d_90e4)) < cfg.wedge_rate {
+            self.injected(HangOpKind::Wedge.index());
             return Some(HangFault::Wedge);
         }
-        let forced_loss = st.cfg.hang_loss_at != 0 && ordinal == st.cfg.hang_loss_at;
-        if forced_loss || unit(mix64(base ^ 0x41c6_4e6d)) < st.cfg.loss_rate {
-            st.injected[HangOpKind::Loss.index()].fetch_add(1, Ordering::Relaxed);
+        let forced_loss = cfg.hang_loss_at != 0 && ordinal == cfg.hang_loss_at;
+        if forced_loss || unit(mix64(base ^ 0x41c6_4e6d)) < cfg.loss_rate {
+            self.injected(HangOpKind::Loss.index());
             return Some(HangFault::Loss);
         }
-        let forced_stall = st.cfg.hang_stall_at != 0 && ordinal == st.cfg.hang_stall_at;
-        if forced_stall || unit(mix64(base ^ 0x9e91_26bf)) < st.cfg.stall_rate {
-            st.injected[HangOpKind::Stall.index()].fetch_add(1, Ordering::Relaxed);
+        let forced_stall = cfg.hang_stall_at != 0 && ordinal == cfg.hang_stall_at;
+        if forced_stall || unit(mix64(base ^ 0x9e91_26bf)) < cfg.stall_rate {
+            self.injected(HangOpKind::Stall.index());
             // Forced stalls are bounded: the repro hook exists to pin a
             // specific late completion, not an abort path.
             let unbounded =
-                !forced_stall && unit(mix64(base ^ 0x2f61_3b27)) < st.cfg.unbounded_stall_rate;
+                !forced_stall && unit(mix64(base ^ 0x2f61_3b27)) < cfg.unbounded_stall_rate;
             if unbounded {
                 return Some(HangFault::Stall { extra_ns: None });
             }
-            let span = st.cfg.stall_max_ns.saturating_sub(st.cfg.stall_min_ns);
-            let extra = st.cfg.stall_min_ns.saturating_add(if span > 0 {
+            let span = cfg.stall_max_ns.saturating_sub(cfg.stall_min_ns);
+            let extra = cfg.stall_min_ns.saturating_add(if span > 0 {
                 mix64(base ^ 0x5851_f42d) % (span + 1)
             } else {
                 0
@@ -772,50 +702,14 @@ impl HangFaultPlan {
         None
     }
 
-    /// Suspends injection: until the matching [`HangFaultPlan::resume`],
-    /// every draw returns clean and advances no ordinal. Used while a crash
-    /// image is restored / recovery replays, which must neither hang nor
-    /// shift the deterministic sequence. Nestable (depth-counted).
-    pub fn suspend(&self) {
-        if let Some(st) = &self.state {
-            st.suspended.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Re-arms injection after a [`HangFaultPlan::suspend`].
-    pub fn resume(&self) {
-        if let Some(st) = &self.state {
-            let prev = st.suspended.fetch_sub(1, Ordering::SeqCst);
-            debug_assert!(prev > 0, "resume() without matching suspend()");
-        }
-    }
-
     /// Command groups observed so far.
     pub fn ops_total(&self) -> u64 {
-        self.state.as_ref().map(|st| st.ops.load(Ordering::SeqCst)).unwrap_or(0)
+        self.ops_at(0)
     }
 
     /// Hangs injected of one kind so far.
     pub fn injected_of(&self, kind: HangOpKind) -> u64 {
-        self.state.as_ref().map(|st| st.injected[kind.index()].load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Total hangs injected across all kinds.
-    pub fn injected_total(&self) -> u64 {
-        HangOpKind::ALL.iter().map(|&k| self.injected_of(k)).sum()
-    }
-}
-
-/// Two plans are configuration-equal when armed with the same hang model;
-/// runtime counters are ignored (same rationale as [`FaultPlan`]'s
-/// `PartialEq`).
-impl PartialEq for HangFaultPlan {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.state, &other.state) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.cfg == b.cfg,
-            _ => false,
-        }
+        self.injected_at(kind.index())
     }
 }
 

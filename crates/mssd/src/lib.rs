@@ -35,7 +35,9 @@
 //!   buffer slice, greedy GC — each behind its own lock
 //!   ([`ftl::ShardedFtl`] over [`flash::ChannelFlash`]);
 //! * the baseline device cache is lock-striped by LPA
-//!   ([`dram_cache::ShardedDramCache`]).
+//!   ([`dram_cache::ShardedDramCache`]), each shard an evict-any-page LRU
+//!   policy over [`pages::PageStore`], the one page store that fskit's host
+//!   page cache (evicting clean pages only) sits on too.
 //!
 //! The property tests in `tests/channel_parallel_equiv.rs` and
 //! `tests/sharded_log_equiv.rs` hold the FTL and the write log to small
@@ -100,6 +102,7 @@ pub mod fault;
 pub mod flash;
 pub mod ftl;
 pub mod log;
+pub mod pages;
 pub mod queue;
 pub mod reactor;
 pub mod stats;
@@ -109,7 +112,7 @@ pub mod txn;
 pub use clock::Clock;
 pub use config::{MssdConfig, TimingProfile};
 pub use device::{CrashImage, DramMode, InFlight, Mssd};
-pub use dram_cache::{CachePageRef, DramPageCache, ShardedDramCache, CACHE_SHARDS};
+pub use dram_cache::{DramPageCache, ShardedDramCache, CACHE_SHARDS};
 pub use ecc::{EccOutcome, PageParity, ECC_DETECT, ECC_T};
 pub use fault::{
     FaultKind, FaultPlan, HangFault, HangFaultConfig, HangFaultPlan, HangOpKind, MediaFaultConfig,
@@ -118,6 +121,7 @@ pub use fault::{
 pub use flash::{ChannelFlash, FlashError};
 pub use ftl::{ShardedFtl, L2P_STRIPES};
 pub use log::{ShardedWriteLog, LOG_SHARDS};
+pub use pages::PageRef;
 pub use queue::{
     AbortOutcome, Command, CommandId, Completion, HostQueue, QueueFull, ResetMode, ResetReport,
     WaitError,

@@ -461,16 +461,6 @@ impl TrafficCounter {
     pub fn queue_lat(&self, id: u16) -> QueueLat {
         self.queues.get(&id).cloned().unwrap_or_default()
     }
-
-    /// Per-category breakdown of host traffic for one direction, as
-    /// `(category, bytes)` pairs in display order, omitting zero rows.
-    pub fn breakdown(&self, dir: Direction) -> Vec<(Category, u64)> {
-        Category::ALL
-            .iter()
-            .map(|c| (*c, self.host_bytes_by_category(dir, *c)))
-            .filter(|(_, v)| *v > 0)
-            .collect()
-    }
 }
 
 /// A value on its own cache line, shared by every hot counter in the crate.
@@ -775,15 +765,6 @@ mod tests {
         assert_eq!(t.host_data_bytes(Direction::Write), 4096);
         assert_eq!(t.byte_requests, 1);
         assert_eq!(t.block_requests, 2);
-    }
-
-    #[test]
-    fn breakdown_skips_zero_rows() {
-        let mut t = TrafficCounter::new();
-        t.record_host(Direction::Write, Category::Dentry, Interface::Byte, 128);
-        let rows = t.breakdown(Direction::Write);
-        assert_eq!(rows, vec![(Category::Dentry, 128)]);
-        assert!(t.breakdown(Direction::Read).is_empty());
     }
 
     #[test]
