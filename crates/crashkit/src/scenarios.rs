@@ -10,7 +10,8 @@
 //! fired; the op during which the cut landed is recorded as *in doubt* — its
 //! effects may be wholly, partially or not at all durable, and the oracle
 //! accepts any of those outcomes while every completed op is checked
-//! exactly.
+//! exactly. The device scenarios record their commands in
+//! [`DurabilitySpec`], which is their oracle.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::RangeInclusive;
@@ -21,9 +22,10 @@ use bytefs::{ByteFs, ByteFsConfig};
 use fskit::check::{CrashConsistent, Violation};
 use fskit::{FileSystem, FileSystemExt, OpenFlags};
 use kvstore::{Db, DbOptions, WalSync};
+use mssd::spec::{DurabilitySpec, Outcome, Unit};
 use mssd::{
-    Category, DramMode, FaultPlan, HangFaultConfig, HangFaultPlan, MediaFaultConfig,
-    MediaFaultPlan, Mssd, MssdConfig, TxId,
+    Category, Command, DramMode, FaultPlan, FlashError, HangFaultConfig, HangFaultPlan,
+    MediaFaultConfig, MediaFaultPlan, Mssd, MssdConfig, TxId,
 };
 
 use workloads::replay::{apply_op, open_flags, FdMap, NO_FD};
@@ -56,22 +58,46 @@ pub trait Oracle {
     fn verify(&self, dev: &Arc<Mssd>) -> Vec<Violation>;
 }
 
-/// What a completed (or in-doubt) write lets the oracle demand afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    /// The exact tag must be durable.
-    Exactly(u8),
-    /// The cut landed inside the producing op: either the old or the new
-    /// tag is acceptable.
-    Either(u8, u8),
+/// Runs `cmd` through the synchronous device API.
+fn exec(dev: &Mssd, cmd: &Command) -> Result<(), FlashError> {
+    match cmd {
+        Command::ByteWrite { addr, data, txid, cat } => {
+            return dev.try_byte_write(*addr, data, *txid, *cat)
+        }
+        Command::BlockWrite { lba, data, cat } => return dev.try_block_write(*lba, data, *cat),
+        Command::Trim { lba, count } => dev.trim(*lba, *count),
+        Command::Commit { txid } => dev.commit(*txid),
+        Command::Flush => return dev.try_flush(),
+        Command::ByteRead { .. } | Command::BlockRead { .. } => {
+            unreachable!("scenarios only write")
+        }
+    }
+    Ok(())
 }
 
-impl Expect {
-    fn admits(self, got: u8) -> bool {
-        match self {
-            Expect::Exactly(t) => got == t,
-            Expect::Either(a, b) => got == a || got == b,
+/// A 64-byte-aligned byte write of `len` bytes, every byte `tag`.
+fn byte_write(addr: u64, len: usize, tag: u8, txid: Option<TxId>, cat: Category) -> Command {
+    Command::ByteWrite { addr, data: vec![tag; len], txid, cat }
+}
+
+/// The device scenarios' oracle: the contract itself, checked after
+/// `RECOVER()`, which must also empty the log and leave the FTL consistent.
+impl Oracle for DurabilitySpec {
+    fn verify(&self, dev: &Arc<Mssd>) -> Vec<Violation> {
+        let mut v = Vec::new();
+        dev.recover();
+        let left = dev.snapshot().log_entries;
+        if left != 0 {
+            v.push(Violation::new(
+                "device-recover",
+                format!("{left} log entries survived recovery"),
+            ));
         }
+        v.extend(
+            DurabilitySpec::verify(self, dev).into_iter().map(|p| Violation::new("device-data", p)),
+        );
+        v.extend(dev.check_consistency().into_iter().map(|p| Violation::new("mssd-ftl", p)));
+        v
     }
 }
 
@@ -84,8 +110,7 @@ impl Expect {
 /// commits, page-boundary-crossing byte writes, multi-page block writes,
 /// TRIMs, explicit region seals and NVMe flushes — the workload the
 /// acceptance sweep enumerates. Byte traffic lives in cacheline slots of
-/// partition 0; block traffic in whole pages of partition 1, so the two
-/// oracles never alias.
+/// partition 0; block traffic in whole pages of partition 1.
 #[derive(Debug, Clone)]
 pub struct DeviceStress {
     /// Number of ops in the stream.
@@ -125,236 +150,71 @@ impl Scenario for DeviceStress {
 
     fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
         let mut rng = Rng::new(seed);
-        let mut o = DeviceOracle::default();
-        // Transactional batch in flight: (slot, tag) pairs awaiting commit.
-        let mut pending: Vec<(u64, u8)> = Vec::new();
+        let mut spec = DurabilitySpec::new(dev.page_size());
+        // Slots of the open transaction's writes that no later plain write
+        // overwrote: the workload commits once there are four.
+        let mut batch: Vec<u64> = Vec::new();
         let mut tx = TxId(1);
         for _ in 0..self.ops {
-            let roll = rng.below(100);
-            // Units touched by this op, with their new tags — used to mark
-            // the op in-doubt if the cut lands inside it.
-            let mut touched_lines: Vec<(u64, u8)> = Vec::new();
-            let mut touched_pages: Vec<(u64, u8)> = Vec::new();
-            let mut committing = false;
-            match roll {
+            let cmds = match rng.below(100) {
                 // Non-transactional single-cacheline write.
                 0..=39 => {
                     let slot = rng.below(SLOTS);
-                    let tag = 1 + (rng.below(250)) as u8;
-                    dev.try_byte_write(slot * 64, &[tag; 64], None, Category::Data)
-                        .expect("no media fault planned");
-                    touched_lines.push((slot, tag));
+                    vec![byte_write(slot * 64, 64, 1 + rng.below(250) as u8, None, Category::Data)]
                 }
-                // Transactional write; every 4th op of this kind commits.
+                // Transactional write, committing the batch at its fourth.
                 40..=59 => {
                     let slot = rng.below(SLOTS);
-                    let tag = 1 + (rng.below(250)) as u8;
-                    dev.try_byte_write(slot * 64, &[tag; 64], Some(tx), Category::Inode)
-                        .expect("no media fault planned");
-                    pending.push((slot, tag));
-                    if pending.len() >= 4 {
-                        committing = true;
-                        dev.commit(tx);
+                    let tag = 1 + rng.below(250) as u8;
+                    batch.push(slot);
+                    let mut cmds = vec![byte_write(slot * 64, 64, tag, Some(tx), Category::Inode)];
+                    if batch.len() >= 4 {
+                        cmds.push(Command::Commit { txid: tx });
+                        batch.clear();
+                        tx = TxId(tx.0 + 1);
                     }
+                    cmds
                 }
                 // Byte write crossing a page boundary: two chunks, torn
-                // independently.
+                // independently (line 63 of a page and line 0 of the next).
                 60..=69 => {
-                    // Slots come in pairs (2k, 2k+1) at a page boundary:
-                    // slot addresses are page-relative lines, so pick a pair
-                    // whose first line ends a page (line 63 of some page).
                     let page = 1 + rng.below(SLOTS / 64);
-                    let tag = 1 + (rng.below(250)) as u8;
-                    let addr = page * 4096 - 64;
-                    dev.try_byte_write(addr, &[tag; 128], None, Category::Data)
-                        .expect("no media fault planned");
-                    touched_lines.push((page * 64 - 1, tag));
-                    touched_lines.push((page * 64, tag));
+                    let tag = 1 + rng.below(250) as u8;
+                    vec![byte_write(page * 4096 - 64, 128, tag, None, Category::Data)]
                 }
                 // Multi-page block write (1-3 pages), torn per page.
                 70..=84 => {
                     let start = rng.below(BLOCK_PAGES - 2);
                     let count = 1 + rng.below(3);
                     let tag = 1 + (rng.below(250)) as u8;
-                    dev.try_block_write(
-                        BLOCK_BASE + start,
-                        &vec![tag; (count * 4096) as usize],
-                        Category::Data,
-                    )
-                    .expect("no media fault planned");
-                    for p in start..start + count {
-                        touched_pages.push((p, tag));
-                    }
+                    let data = vec![tag; (count * 4096) as usize];
+                    vec![Command::BlockWrite { lba: BLOCK_BASE + start, data, cat: Category::Data }]
                 }
                 // TRIM one block page (atomic: counts no step).
                 85..=89 => {
-                    let p = rng.below(BLOCK_PAGES);
-                    dev.trim(BLOCK_BASE + p, 1);
-                    touched_pages.push((p, 0));
+                    vec![Command::Trim { lba: BLOCK_BASE + rng.below(BLOCK_PAGES), count: 1 }]
                 }
                 // Seal every shard's active log region.
-                90..=94 => dev.seal_log_regions(),
-                // NVMe FLUSH.
-                _ => dev.try_flush().expect("no media fault planned"),
-            }
-            if dev.fault_tripped() {
-                // The cut landed inside this op: everything it touched is in
-                // doubt, and any uncommitted transactional writes die with
-                // the TxLog record they never got.
-                for (slot, tag) in touched_lines {
-                    let old = o.line_tag(slot);
-                    o.lines.insert(slot, Expect::Either(old, tag));
+                90..=94 => {
+                    dev.seal_log_regions();
+                    Vec::new()
                 }
-                for (page, tag) in touched_pages {
-                    let old = o.page_tag(page);
-                    o.pages.insert(page, Expect::Either(old, tag));
+                _ => vec![Command::Flush],
+            };
+            for cmd in &cmds {
+                exec(dev, cmd).expect("no media fault planned");
+                if dev.fault_tripped() {
+                    spec.record(cmd, Outcome::CutInside);
+                    return Box::new(spec);
                 }
-                if committing {
-                    // Whether the commit record made it decides the whole
-                    // batch at once; per slot only the newest pending tag
-                    // can win the merge, and "old" is the pre-batch value —
-                    // snapshot it before any insert so a batch that wrote
-                    // one slot twice cannot corrupt its own baseline.
-                    let mut newest: BTreeMap<u64, u8> = BTreeMap::new();
-                    for (slot, tag) in pending.drain(..) {
-                        newest.insert(slot, tag);
-                    }
-                    for (slot, tag) in newest {
-                        let old = o.line_tag(slot);
-                        o.lines.insert(slot, Expect::Either(old, tag));
-                    }
-                } else {
-                    pending.clear(); // uncommitted ⇒ recovery discards ⇒ old value stands
+                spec.record(cmd, Outcome::Done);
+                if let Command::ByteWrite { addr, data, txid: None, .. } = cmd {
+                    let lines = addr / 64..(addr + data.len() as u64) / 64;
+                    batch.retain(|slot| !lines.contains(slot));
                 }
-                return Box::new(o);
-            }
-            // Op completed: its effects are exactly durable. A
-            // non-transactional write also overshadows any older pending
-            // transactional write to the same slot — the pending chunk may
-            // still commit later, but its older sequence number loses the
-            // merge, so the oracle must forget it.
-            for (slot, tag) in touched_lines {
-                pending.retain(|(s, _)| *s != slot);
-                o.lines.insert(slot, Expect::Exactly(tag));
-            }
-            for (page, tag) in touched_pages {
-                o.pages.insert(page, Expect::Exactly(tag));
-            }
-            if committing {
-                for (slot, tag) in pending.drain(..) {
-                    o.lines.insert(slot, Expect::Exactly(tag));
-                }
-                tx = TxId(tx.0 + 1);
             }
         }
-        // Stream ended without a cut (count phase): uncommitted
-        // transactional writes are still discarded by recovery, so the old
-        // values already recorded in `lines` stand.
-        Box::new(o)
-    }
-}
-
-/// Expected durable device state of a [`DeviceStress`] or
-/// [`DeviceMqStress`] run.
-#[derive(Debug, Default)]
-struct DeviceOracle {
-    /// Cacheline slot (address / 64) → expected 64-byte tag.
-    lines: BTreeMap<u64, Expect>,
-    /// Block-region page (relative to [`BLOCK_BASE`]) → expected page tag
-    /// (used by [`DeviceStress`]).
-    pages: BTreeMap<u64, Expect>,
-    /// Absolute logical page → expected page tag (used by
-    /// [`DeviceMqStress`], whose block traffic is sliced per queue).
-    pages_abs: BTreeMap<u64, Expect>,
-}
-
-impl DeviceOracle {
-    fn line_tag(&self, slot: u64) -> u8 {
-        match self.lines.get(&slot) {
-            Some(Expect::Exactly(t)) => *t,
-            // An in-doubt slot rewritten later: use 0 as the conservative
-            // base; the new Exactly/Either overwrites the entry anyway.
-            Some(Expect::Either(..)) | None => 0,
-        }
-    }
-
-    fn page_tag(&self, page: u64) -> u8 {
-        match self.pages.get(&page) {
-            Some(Expect::Exactly(t)) => *t,
-            Some(Expect::Either(..)) | None => 0,
-        }
-    }
-
-    fn page_abs_tag(&self, lba: u64) -> u8 {
-        match self.pages_abs.get(&lba) {
-            Some(Expect::Exactly(t)) => *t,
-            Some(Expect::Either(..)) | None => 0,
-        }
-    }
-}
-
-impl Oracle for DeviceOracle {
-    fn verify(&self, dev: &Arc<Mssd>) -> Vec<Violation> {
-        let mut v = Vec::new();
-        dev.recover();
-        if dev.snapshot().log_entries != 0 {
-            v.push(Violation::new(
-                "device-recover",
-                format!("{} log entries survived recovery", dev.snapshot().log_entries),
-            ));
-        }
-        for (&slot, &expect) in &self.lines {
-            let got =
-                dev.try_byte_read(slot * 64, 64, Category::Data).expect("no media fault planned");
-            let tag = got[0];
-            if !got.iter().all(|b| *b == tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("slot {slot}: torn cacheline (mixes byte values)"),
-                ));
-            } else if !expect.admits(tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("slot {slot}: read tag {tag}, expected {expect:?}"),
-                ));
-            }
-        }
-        for (&page, &expect) in &self.pages {
-            let got = dev
-                .try_block_read(BLOCK_BASE + page, 1, Category::Data)
-                .expect("no media fault planned");
-            let tag = got[0];
-            if !got.iter().all(|b| *b == tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("block page {page}: torn page (mixes byte values)"),
-                ));
-            } else if !expect.admits(tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("block page {page}: read tag {tag}, expected {expect:?}"),
-                ));
-            }
-        }
-        for (&lba, &expect) in &self.pages_abs {
-            let got = dev.try_block_read(lba, 1, Category::Data).expect("no media fault planned");
-            let tag = got[0];
-            if !got.iter().all(|b| *b == tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("lba {lba}: torn page (mixes byte values)"),
-                ));
-            } else if !expect.admits(tag) {
-                v.push(Violation::new(
-                    "device-data",
-                    format!("lba {lba}: read tag {tag}, expected {expect:?}"),
-                ));
-            }
-        }
-        for problem in dev.check_consistency() {
-            v.push(Violation::new("mssd-ftl", problem));
-        }
-        v
+        Box::new(spec)
     }
 }
 
@@ -367,16 +227,10 @@ impl Oracle for DeviceOracle {
 /// be deterministic) with batched doorbells, coalescible adjacent byte
 /// writes, transactional batches with in-batch `COMMIT`s, block writes,
 /// TRIMs and FLUSHes. The power cut lands with commands in flight in three
-/// distinct states, and the oracle holds the queue contract:
-///
-/// * commands whose **completion was produced** — even if the host never
-///   polled it — are durable under the normal rules (non-transactional
-///   writes immediately, transactional writes at their commit);
-/// * the one command group the cut landed **inside** is in-doubt (old or
-///   new value, never torn);
-/// * commands still sitting in a submission queue (**unsubmitted** to the
-///   firmware: the doorbell never consumed them) must have *no* durable
-///   effect — the old value must survive recovery.
+/// states, which the doorbell's delivered count and the queue's `pending()`
+/// tell apart: a produced completion is `Done` even if never polled, the
+/// group the cut landed inside is `CutInside`, and a command still in a
+/// submission queue is `Never`.
 #[derive(Debug, Clone)]
 pub struct DeviceMqStress {
     /// Number of submission rounds (each round feeds every queue a small
@@ -400,25 +254,6 @@ impl DeviceMqStress {
     }
 }
 
-/// What one submitted multi-queue command will do, for the oracle's
-/// bookkeeping (absolute line index = device address / 64).
-#[derive(Debug, Clone)]
-enum MqCmd {
-    /// Byte write of one cacheline, tagged with its transaction id if any.
-    Line { line: u64, tag: u8, txid: Option<u32> },
-    /// `COMMIT` of one specific transaction. Carries the id because a
-    /// doorbell-skipped round can leave this commit in the SQ while the
-    /// next round already writes under the successor transaction — the
-    /// commit must only cover its own transaction's writes.
-    Commit { txid: u32 },
-    /// Block write of one page.
-    Page { lba: u64, tag: u8 },
-    /// TRIM of one page.
-    TrimPage { lba: u64 },
-    /// FLUSH (no oracle effect).
-    Flush,
-}
-
 impl Scenario for DeviceMqStress {
     fn device_config(&self) -> MssdConfig {
         let mut cfg = MssdConfig::small_test();
@@ -437,14 +272,12 @@ impl Scenario for DeviceMqStress {
         let partition_pages = (16u64 << 20) / page_size;
         let block_base = MQ_QUEUES as u64 * partition_pages;
         let mut rng = Rng::new(seed);
-        let mut o = DeviceOracle::default();
+        let mut spec = DurabilitySpec::new(dev.page_size());
         let mut queues: Vec<mssd::HostQueue> = (0..MQ_QUEUES).map(|_| dev.open_queue(32)).collect();
-        // Per queue: descriptors of commands sitting in the SQ (front =
-        // oldest), the running TxId, and (slot, tag, txid) writes awaiting
-        // their commit.
-        let mut in_flight: Vec<Vec<MqCmd>> = vec![Vec::new(); MQ_QUEUES];
+        // Per queue: the commands sitting in the SQ (front = oldest) and the
+        // running TxId.
+        let mut in_flight: Vec<Vec<Command>> = vec![Vec::new(); MQ_QUEUES];
         let mut tx: Vec<TxId> = (0..MQ_QUEUES).map(|q| TxId((q as u32 + 1) << 16)).collect();
-        let mut pending_tx: Vec<Vec<(u64, u8, u32)>> = vec![Vec::new(); MQ_QUEUES];
 
         'rounds: for _ in 0..self.rounds {
             for q in 0..MQ_QUEUES {
@@ -454,64 +287,42 @@ impl Scenario for DeviceMqStress {
                 let run_len = 1 + rng.below(4);
                 let tag = 1 + rng.below(250) as u8;
                 let transactional = rng.below(3) == 0;
+                let mut batch = Vec::new();
                 for i in 0..run_len {
-                    let slot = (base_slot + i) % MQ_SLOTS;
-                    let line = q as u64 * (16 << 20) / 64 + slot;
-                    let cmd = mssd::Command::ByteWrite {
-                        addr: line * 64,
-                        data: vec![tag.wrapping_add(i as u8); 64],
-                        txid: transactional.then_some(tx[q]),
-                        cat: Category::Data,
-                    };
-                    if queues[q].submit(cmd).is_ok() {
-                        in_flight[q].push(MqCmd::Line {
-                            line,
-                            tag: tag.wrapping_add(i as u8),
-                            txid: transactional.then_some(tx[q].0),
-                        });
-                    }
+                    let line = q as u64 * (16 << 20) / 64 + (base_slot + i) % MQ_SLOTS;
+                    let t = tag.wrapping_add(i as u8);
+                    batch.push(byte_write(
+                        line * 64,
+                        64,
+                        t,
+                        transactional.then_some(tx[q]),
+                        Category::Data,
+                    ));
                 }
+                let page = block_base + q as u64 * MQ_BLOCK_PAGES;
                 match rng.below(10) {
-                    0 | 1 if transactional => {
-                        let cmd = mssd::Command::Commit { txid: tx[q] };
-                        if queues[q].submit(cmd).is_ok() {
-                            in_flight[q].push(MqCmd::Commit { txid: tx[q].0 });
-                            // Advance at *submit*, not at consumption: a
-                            // skipped doorbell must not let the next round
-                            // reuse a TxId whose commit record is already
-                            // queued — the record would retroactively
-                            // commit the later writes on the device while
-                            // the oracle still expects their old values.
+                    0 | 1 if transactional => batch.push(Command::Commit { txid: tx[q] }),
+                    2 | 3 => {
+                        let lba = page + rng.below(MQ_BLOCK_PAGES);
+                        let data = vec![1 + rng.below(250) as u8; page_size as usize];
+                        batch.push(Command::BlockWrite { lba, data, cat: Category::Data });
+                    }
+                    4 => batch
+                        .push(Command::Trim { lba: page + rng.below(MQ_BLOCK_PAGES), count: 1 }),
+                    5 => batch.push(Command::Flush),
+                    _ => {}
+                }
+                for cmd in batch {
+                    if queues[q].submit(cmd.clone()).is_ok() {
+                        // Advance at *submit*, not at consumption: a skipped
+                        // doorbell must not let the next round reuse a TxId
+                        // whose commit record is already queued — the record
+                        // would retroactively commit the later writes.
+                        if matches!(cmd, Command::Commit { .. }) {
                             tx[q] = TxId(tx[q].0 + 1);
                         }
+                        in_flight[q].push(cmd);
                     }
-                    2 | 3 => {
-                        let lba =
-                            block_base + q as u64 * MQ_BLOCK_PAGES + rng.below(MQ_BLOCK_PAGES);
-                        let ptag = 1 + rng.below(250) as u8;
-                        let cmd = mssd::Command::BlockWrite {
-                            lba,
-                            data: vec![ptag; page_size as usize],
-                            cat: Category::Data,
-                        };
-                        if queues[q].submit(cmd).is_ok() {
-                            in_flight[q].push(MqCmd::Page { lba, tag: ptag });
-                        }
-                    }
-                    4 => {
-                        let lba =
-                            block_base + q as u64 * MQ_BLOCK_PAGES + rng.below(MQ_BLOCK_PAGES);
-                        if queues[q].submit(mssd::Command::Trim { lba, count: 1 }).is_ok() {
-                            in_flight[q].push(MqCmd::TrimPage { lba });
-                        }
-                    }
-                    5 => {
-                        let cmd = mssd::Command::Flush;
-                        if queues[q].submit(cmd).is_ok() {
-                            in_flight[q].push(MqCmd::Flush);
-                        }
-                    }
-                    _ => {}
                 }
             }
             // Ring every doorbell round-robin; some rounds leave one queue
@@ -525,10 +336,11 @@ impl Scenario for DeviceMqStress {
                 let before = in_flight[q].len();
                 let delivered = queues[q].ring_doorbell();
                 let consumed = before - queues[q].pending();
-                let cmds: Vec<MqCmd> = in_flight[q].drain(..consumed).collect();
-                for (i, cmd) in cmds.into_iter().enumerate() {
-                    let completed = i < delivered;
-                    apply_mq_cmd(&mut o, &mut pending_tx[q], cmd, completed);
+                for (i, cmd) in in_flight[q].drain(..consumed).enumerate() {
+                    spec.record(
+                        &cmd,
+                        if i < delivered { Outcome::Done } else { Outcome::CutInside },
+                    );
                 }
                 if dev.fault_tripped() {
                     break 'rounds;
@@ -536,87 +348,9 @@ impl Scenario for DeviceMqStress {
             }
         }
         // Commands still in a submission queue at the cut (or at stream
-        // end): never executed, no durable effect — the oracle's recorded
-        // old values stand, and uncommitted transactional writes die with
-        // the commit record they never got.
+        // end) never executed: nothing to record.
         drop(queues);
-        Box::new(o)
-    }
-}
-
-/// Applies one consumed multi-queue command to the oracle. `completed`
-/// means its completion was produced (durable under the normal rules);
-/// otherwise the cut landed inside its group and it is in-doubt.
-fn apply_mq_cmd(
-    o: &mut DeviceOracle,
-    pending: &mut Vec<(u64, u8, u32)>,
-    cmd: MqCmd,
-    completed: bool,
-) {
-    match cmd {
-        MqCmd::Line { line, tag, txid } => {
-            if let Some(t) = txid {
-                if completed {
-                    pending.push((line, tag, t));
-                }
-                // In-doubt transactional write: its commit never executed,
-                // so recovery discards the chunk either way — the old value
-                // stands and the oracle entry is untouched.
-            } else if completed {
-                // A completed non-transactional write overshadows any older
-                // pending transactional write to the same slot (newer seq
-                // wins the merge).
-                pending.retain(|(l, _, _)| *l != line);
-                o.lines.insert(line, Expect::Exactly(tag));
-            } else {
-                let old = o.line_tag(line);
-                o.lines.insert(line, Expect::Either(old, tag));
-            }
-        }
-        MqCmd::Commit { txid } => {
-            // Only this transaction's writes become durable; pending
-            // entries of a successor transaction (written after this
-            // commit entered the SQ) keep waiting for their own commit.
-            // Push order = consumption order = device seq order, so later
-            // inserts correctly overwrite earlier ones per slot.
-            let (mine, keep): (Vec<_>, Vec<_>) =
-                pending.drain(..).partition(|(_, _, t)| *t == txid);
-            *pending = keep;
-            if completed {
-                for (line, tag, _) in mine {
-                    o.lines.insert(line, Expect::Exactly(tag));
-                }
-            } else {
-                // Whether the commit record made it decides the whole batch
-                // at once; per slot only the newest pending tag can win,
-                // and "old" is the pre-batch value (snapshot before any
-                // insert, as in DeviceStress).
-                let mut newest: BTreeMap<u64, u8> = BTreeMap::new();
-                for (line, tag, _) in mine {
-                    newest.insert(line, tag);
-                }
-                for (line, tag) in newest {
-                    let old = o.line_tag(line);
-                    o.lines.insert(line, Expect::Either(old, tag));
-                }
-            }
-        }
-        MqCmd::Page { lba, tag } => {
-            if completed {
-                o.pages_abs.insert(lba, Expect::Exactly(tag));
-            } else {
-                let old = o.page_abs_tag(lba);
-                o.pages_abs.insert(lba, Expect::Either(old, tag));
-            }
-        }
-        MqCmd::TrimPage { lba } => {
-            // TRIM is atomic (no internal fault step); only a completed one
-            // has an effect.
-            if completed {
-                o.pages_abs.insert(lba, Expect::Exactly(0));
-            }
-        }
-        MqCmd::Flush => {}
+        Box::new(spec)
     }
 }
 
@@ -643,22 +377,15 @@ const ASYNC_PAGES: u64 = 6;
 /// same interleaving exactly. The
 /// clients share `ASYNC_LANES` reactor lanes of depth `ASYNC_DEPTH`,
 /// which keeps submitters parking for capacity; the power cut therefore
-/// lands with futures in every terminal state the runtime distinguishes,
-/// and the oracle holds the typed contract:
-///
-/// * a future resolving `Ok(completion)` — even if nothing ever read the
-///   result — is durable under the normal rules (non-transactional writes
-///   immediately, transactional writes at their commit);
-/// * [`mssd::SubmitError::CutConsumed`] means the cut landed inside the
-///   command's (possibly coalesced) group: in doubt, old or new value but
-///   never torn;
-/// * [`mssd::SubmitError::CutUnsubmitted`] (parked at the cut, stranded in
-///   the SQ, or submitted after power failed) must have **no** durable
-///   effect.
+/// lands with futures in every terminal state the runtime distinguishes:
+/// `Ok(completion)` is `Done` even if nothing read the result,
+/// [`mssd::SubmitError::CutConsumed`] is `CutInside`, and
+/// [`mssd::SubmitError::CutUnsubmitted`] (parked at the cut, stranded in
+/// the SQ, or submitted after power failed) is `Never`.
 ///
 /// Clients write disjoint cacheline and block-page ranges, so per-location
-/// device write order is each client's own submission order and the oracle
-/// composes client by client via `apply_mq_cmd`.
+/// device write order is each client's own submission order and the spec
+/// records the clients one after another.
 #[derive(Debug, Clone)]
 pub struct DeviceAsyncStress {
     /// Number of batches each client submits.
@@ -702,7 +429,7 @@ impl Scenario for DeviceAsyncStress {
                     let lane = reactor.lane_for(c);
                     let line_base = c as u64 * ASYNC_SLOTS;
                     let page_base = block_base + c as u64 * ASYNC_PAGES;
-                    let mut log: Vec<(MqCmd, Result<(), mssd::SubmitError>)> = Vec::new();
+                    let mut log = Vec::new();
                     for _ in 0..rounds {
                         // A coalescible run of adjacent byte writes, with a
                         // tail op appended to some batches.
@@ -710,56 +437,40 @@ impl Scenario for DeviceAsyncStress {
                         let base_slot = rng.below(ASYNC_SLOTS - run_len);
                         let tag = 1 + rng.below(250) as u8;
                         let transactional = rng.below(3) == 0;
-                        let mut cmds = Vec::new();
-                        let mut descs = Vec::new();
-                        for i in 0..run_len {
-                            let line = line_base + base_slot + i;
-                            let t = tag.wrapping_add(i as u8);
-                            cmds.push(mssd::Command::ByteWrite {
-                                addr: line * 64,
-                                data: vec![t; 64],
-                                txid: transactional.then_some(tx),
-                                cat: Category::Data,
-                            });
-                            descs.push(MqCmd::Line {
-                                line,
-                                tag: t,
-                                txid: transactional.then_some(tx.0),
-                            });
-                        }
+                        let mut cmds: Vec<Command> = (0..run_len)
+                            .map(|i| {
+                                let addr = (line_base + base_slot + i) * 64;
+                                let t = tag.wrapping_add(i as u8);
+                                byte_write(addr, 64, t, transactional.then_some(tx), Category::Data)
+                            })
+                            .collect();
                         match rng.below(8) {
                             0 if transactional => {
-                                cmds.push(mssd::Command::Commit { txid: tx });
-                                descs.push(MqCmd::Commit { txid: tx.0 });
+                                cmds.push(Command::Commit { txid: tx });
                                 // Advance at submission, exactly as the
                                 // multi-queue stress does.
                                 tx = TxId(tx.0 + 1);
                             }
                             1 | 2 => {
                                 let lba = page_base + rng.below(ASYNC_PAGES);
-                                let ptag = 1 + rng.below(250) as u8;
-                                cmds.push(mssd::Command::BlockWrite {
-                                    lba,
-                                    data: vec![ptag; page_size as usize],
-                                    cat: Category::Data,
-                                });
-                                descs.push(MqCmd::Page { lba, tag: ptag });
+                                let data = vec![1 + rng.below(250) as u8; page_size as usize];
+                                cmds.push(Command::BlockWrite { lba, data, cat: Category::Data });
                             }
-                            3 => {
-                                let lba = page_base + rng.below(ASYNC_PAGES);
-                                cmds.push(mssd::Command::Trim { lba, count: 1 });
-                                descs.push(MqCmd::TrimPage { lba });
-                            }
-                            4 => {
-                                cmds.push(mssd::Command::Flush);
-                                descs.push(MqCmd::Flush);
-                            }
+                            3 => cmds.push(Command::Trim {
+                                lba: page_base + rng.below(ASYNC_PAGES),
+                                count: 1,
+                            }),
+                            4 => cmds.push(Command::Flush),
                             _ => {}
                         }
-                        let outcomes = reactor.submit_batch(lane, cmds).await;
-                        for (desc, out) in descs.into_iter().zip(outcomes) {
-                            log.push((desc, out.map(|_| ())));
-                        }
+                        let outcomes = reactor.submit_batch(lane, cmds.clone()).await;
+                        log.extend(cmds.into_iter().zip(outcomes.into_iter().map(
+                            |out| match out {
+                                Ok(_) => Outcome::Done,
+                                Err(mssd::SubmitError::CutConsumed) => Outcome::CutInside,
+                                Err(mssd::SubmitError::CutUnsubmitted) => Outcome::Never,
+                            },
+                        )));
                         if dev.fault_tripped() {
                             break; // remaining submits would all be dead
                         }
@@ -775,25 +486,11 @@ impl Scenario for DeviceAsyncStress {
             }
             v
         });
-
-        // Locations are disjoint per client, so replaying each client's log
-        // in its own submission order reconstructs per-location device
-        // order.
-        let mut o = DeviceOracle::default();
-        for log in logs {
-            let mut pending: Vec<(u64, u8, u32)> = Vec::new();
-            for (cmd, outcome) in log {
-                match outcome {
-                    Ok(()) => apply_mq_cmd(&mut o, &mut pending, cmd, true),
-                    Err(mssd::SubmitError::CutConsumed) => {
-                        apply_mq_cmd(&mut o, &mut pending, cmd, false)
-                    }
-                    // Never executed: the recorded old value stands.
-                    Err(mssd::SubmitError::CutUnsubmitted) => {}
-                }
-            }
+        let mut spec = DurabilitySpec::new(dev.page_size());
+        for (cmd, outcome) in logs.iter().flatten() {
+            spec.record(cmd, *outcome);
         }
-        Box::new(o)
+        Box::new(spec)
     }
 }
 
@@ -1638,11 +1335,10 @@ impl Oracle for BaselineOracle {
 /// power-cut sweep it proves the durability contract and the persistent
 /// bad-block table survive the overlap of both failure modes.
 ///
-/// Because acknowledged data can legitimately be lost to a UECC, the oracle
-/// tracks *allowed tag sets* per unit instead of exact expectations: an `Ok`
-/// read must return an untorn unit carrying some tag that was actually
-/// written there (or the initial zero), and an `Err` read must be the typed
-/// transient kind.
+/// Because acknowledged data can legitimately be lost to a UECC, the run is
+/// held to [`DurabilitySpec::lossy`]: an `Ok` read must return an untorn
+/// unit carrying some tag written there (or the initial zero), and an `Err`
+/// read must be the typed transient kind.
 #[derive(Debug, Clone)]
 pub struct MediaStress {
     /// Number of ops in the stream.
@@ -1696,147 +1392,79 @@ impl Scenario for MediaStress {
 
     fn run(&self, dev: &Arc<Mssd>, seed: u64) -> Box<dyn Oracle> {
         let mut rng = Rng::new(seed);
-        let mut o = MediaOracle::default();
+        let mut spec = DurabilitySpec::lossy(dev.page_size());
         let mut live = Vec::new();
+        let mut check = |spec: &DurabilitySpec, unit| {
+            live.extend(spec.check(dev, unit).map(|p| Violation::new("media-live", p)));
+        };
         for _ in 0..self.ops {
-            match rng.below(100) {
+            let write = match rng.below(100) {
                 // Byte write. A failed write may still have had partial
-                // durable effect (read-only tripping mid-op), so the tag is
-                // allowed whether the op succeeded or not; the old tags stay
-                // allowed because the set never shrinks.
+                // durable effect (read-only tripping mid-op), so it is
+                // recorded whether it succeeded or not.
                 0..=29 => {
                     let slot = rng.below(SLOTS);
-                    let tag = 1 + rng.below(250) as u8;
-                    let _ = dev.try_byte_write(slot * 64, &[tag; 64], None, Category::Data);
-                    o.allow_line(slot, tag);
+                    Some(byte_write(slot * 64, 64, 1 + rng.below(250) as u8, None, Category::Data))
                 }
                 // Block write of 1-2 pages, torn per page.
                 30..=54 => {
                     let start = rng.below(BLOCK_PAGES - 1);
                     let count = 1 + rng.below(2);
-                    let tag = 1 + rng.below(250) as u8;
-                    let _ = dev.try_block_write(
-                        MEDIA_BLOCK_BASE + start,
-                        &vec![tag; (count * 4096) as usize],
-                        Category::Data,
-                    );
-                    for p in start..start + count {
-                        o.allow_page(p, tag);
-                    }
+                    let data = vec![1 + rng.below(250) as u8; (count * 4096) as usize];
+                    Some(Command::BlockWrite {
+                        lba: MEDIA_BLOCK_BASE + start,
+                        data,
+                        cat: Category::Data,
+                    })
                 }
-                // Byte read-back check against the allowed set.
+                // Read-back checks against the spec.
                 55..=69 => {
-                    let slot = rng.below(SLOTS);
-                    o.check_line(dev, slot, "media-live", &mut live);
+                    check(&spec, Unit::Line(rng.below(SLOTS)));
+                    None
                 }
-                // Block read-back check.
                 70..=79 => {
-                    let p = rng.below(BLOCK_PAGES);
-                    o.check_page(dev, p, "media-live", &mut live);
+                    check(&spec, Unit::Page(MEDIA_BLOCK_BASE + rng.below(BLOCK_PAGES)));
+                    None
                 }
-                // TRIM one block page (it reads as zero afterwards; zero is
-                // always allowed, so no oracle update is needed).
-                80..=84 => dev.trim(MEDIA_BLOCK_BASE + rng.below(BLOCK_PAGES), 1),
+                // TRIM one block page: it reads as zero afterwards, which
+                // the lossy spec always admits.
+                80..=84 => {
+                    dev.trim(MEDIA_BLOCK_BASE + rng.below(BLOCK_PAGES), 1);
+                    None
+                }
                 // NVMe FLUSH (fallible: read-only degradation surfaces here).
                 85..=94 => {
                     let _ = dev.try_flush();
+                    None
                 }
                 // Seal every shard's active log region.
-                _ => dev.seal_log_regions(),
+                _ => {
+                    dev.seal_log_regions();
+                    None
+                }
+            };
+            if let Some(cmd) = write {
+                let _ = exec(dev, &cmd);
+                spec.record(&cmd, Outcome::Done);
             }
             if dev.fault_tripped() {
                 break;
             }
         }
-        o.live = live;
-        o.bad_blocks_at_cut = dev.bad_blocks();
-        Box::new(o)
+        Box::new(MediaOracle { spec, live, bad_blocks_at_cut: dev.bad_blocks() })
     }
 }
 
-/// Expected durable state of a [`MediaStress`] run: per-unit allowed tag
-/// sets plus the bad-block table captured when the run ended.
-#[derive(Debug, Default)]
+/// Expected durable state of a [`MediaStress`] run: the lossy contract, the
+/// violations its live reads saw, and the bad-block table when the run
+/// ended.
 struct MediaOracle {
-    /// Cacheline slot → every tag ever written there. Zero (erased /
-    /// never-written / trimmed) is always allowed.
-    lines: BTreeMap<u64, BTreeSet<u8>>,
-    /// Block-region page (relative to [`MEDIA_BLOCK_BASE`]) → tags ever written.
-    pages: BTreeMap<u64, BTreeSet<u8>>,
-    /// Violations observed while the workload was still running: a read
-    /// that returned a never-written tag, a torn unit, or a non-transient
-    /// error escaping the typed degradation contract.
+    spec: DurabilitySpec,
+    /// Violations observed while the workload was still running.
     live: Vec<Violation>,
     /// Bad blocks known when the run ended; the table is persistent, so the
     /// restored device must still know every one of them.
     bad_blocks_at_cut: Vec<u64>,
-}
-
-impl MediaOracle {
-    fn allow_line(&mut self, slot: u64, tag: u8) {
-        self.lines.entry(slot).or_default().insert(tag);
-    }
-
-    fn allow_page(&mut self, page: u64, tag: u8) {
-        self.pages.entry(page).or_default().insert(tag);
-    }
-
-    fn admits(set: Option<&BTreeSet<u8>>, tag: u8) -> bool {
-        tag == 0 || set.is_some_and(|s| s.contains(&tag))
-    }
-
-    /// One byte-unit read check: an `Ok` read must be untorn and carry an
-    /// allowed tag; an `Err` read must be the typed transient kind (UECC is
-    /// acknowledged data loss reported through the error path — exactly the
-    /// degradation contract under test).
-    fn check_line(&self, dev: &Arc<Mssd>, slot: u64, domain: &str, v: &mut Vec<Violation>) {
-        match dev.try_byte_read(slot * 64, 64, Category::Data) {
-            Ok(got) => {
-                let tag = got[0];
-                if !got.iter().all(|b| *b == tag) {
-                    v.push(Violation::new(
-                        domain,
-                        format!("slot {slot}: torn cacheline (mixes byte values)"),
-                    ));
-                } else if !Self::admits(self.lines.get(&slot), tag) {
-                    v.push(Violation::new(
-                        domain,
-                        format!("slot {slot}: read tag {tag} was never written there"),
-                    ));
-                }
-            }
-            Err(e) if e.is_transient() => {}
-            Err(e) => v.push(Violation::new(
-                domain,
-                format!("slot {slot}: non-transient read error: {e}"),
-            )),
-        }
-    }
-
-    /// One block-page read check; same classification as [`Self::check_line`].
-    fn check_page(&self, dev: &Arc<Mssd>, page: u64, domain: &str, v: &mut Vec<Violation>) {
-        match dev.try_block_read(MEDIA_BLOCK_BASE + page, 1, Category::Data) {
-            Ok(got) => {
-                let tag = got[0];
-                if !got.iter().all(|b| *b == tag) {
-                    v.push(Violation::new(
-                        domain,
-                        format!("block page {page}: torn page (mixes byte values)"),
-                    ));
-                } else if !Self::admits(self.pages.get(&page), tag) {
-                    v.push(Violation::new(
-                        domain,
-                        format!("block page {page}: read tag {tag} was never written there"),
-                    ));
-                }
-            }
-            Err(e) if e.is_transient() => {}
-            Err(e) => v.push(Violation::new(
-                domain,
-                format!("block page {page}: non-transient read error: {e}"),
-            )),
-        }
-    }
 }
 
 impl Oracle for MediaOracle {
@@ -1855,12 +1483,7 @@ impl Oracle for MediaOracle {
                 ));
             }
         }
-        for &slot in self.lines.keys() {
-            self.check_line(dev, slot, "media-data", &mut v);
-        }
-        for &page in self.pages.keys() {
-            self.check_page(dev, page, "media-data", &mut v);
-        }
+        v.extend(self.spec.verify(dev).into_iter().map(|p| Violation::new("media-data", p)));
         for problem in dev.check_consistency() {
             v.push(Violation::new("mssd-ftl", problem));
         }
@@ -1902,19 +1525,14 @@ const HANG_PAGES: u64 = 6;
 /// again), every command eventually resolves `Ok` with its final value
 /// durable exactly as submitted — never duplicated into a torn or stale
 /// state, never silently dropped. Under the power-cut sweep the cut lands
-/// inside timeout/abort/retry windows too, and the oracle classifies each
-/// command by what the host could know:
+/// inside timeout/abort/retry windows too, and each command is recorded
+/// with what the host could know of it:
 ///
-/// * resolved `Ok` with an `Ok` status — the last attempt executed:
-///   durable under the normal rules;
-/// * resolved `Ok` with a transient error status (retry budget exhausted) —
-///   some attempt may or may not have executed: in doubt, old or new value
-///   but never torn;
-/// * [`mssd::SubmitError::CutConsumed`], or `CutUnsubmitted` *after* at
-///   least one retry (an earlier attempt may have executed before being
-///   aborted): in doubt;
-/// * [`mssd::SubmitError::CutUnsubmitted`] with no prior attempt executed:
-///   no durable effect.
+/// * resolved `Ok` with an `Ok` status — the last attempt executed: `Done`;
+/// * resolved `Ok` with a transient error status (retry budget exhausted),
+///   [`mssd::SubmitError::CutConsumed`], or `CutUnsubmitted` *after* at
+///   least one retry — some attempt may or may not have executed: `InDoubt`;
+/// * [`mssd::SubmitError::CutUnsubmitted`] with no prior attempt: `Never`.
 ///
 /// Clients write disjoint cacheline and block-page ranges, so per-location
 /// device order is each client's own submission order.
@@ -1948,56 +1566,22 @@ impl HangStress {
     }
 }
 
-/// What the host learned about one command after retries; drives the
-/// oracle's expectation (see [`HangStress`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HangOutcome {
-    /// The final attempt completed `Ok`: effects exactly durable.
-    Done,
-    /// Some attempt may have executed, no attempt is known to have: old or
-    /// new value, never torn.
-    InDoubt,
-    /// No attempt was ever consumed: no durable effect.
-    Never,
-}
-
-/// Classifies one [`mssd::Reactor::submit_with_retry`] result.
-fn classify_hang(out: &Result<mssd::Completion, mssd::SubmitError>, retries: u32) -> HangOutcome {
+/// What the host learned of one [`mssd::Reactor::submit_with_retry`] result
+/// (see [`HangStress`]).
+fn classify_hang(out: &Result<mssd::Completion, mssd::SubmitError>, retries: u32) -> Outcome {
     match out {
-        Ok(c) if c.status.is_ok() => HangOutcome::Done,
+        Ok(c) if c.status.is_ok() => Outcome::Done,
         // Retry budget exhausted on transient errors (or a non-transient
         // status): the aborted attempts were each executed-or-not.
-        Ok(_) => HangOutcome::InDoubt,
-        Err(mssd::SubmitError::CutConsumed) => HangOutcome::InDoubt,
+        Ok(_) => Outcome::InDoubt,
+        // Unlike a cut-consumed command in the other scenarios, an earlier
+        // aborted attempt may have executed: a TRIM among them included.
+        Err(mssd::SubmitError::CutConsumed) => Outcome::InDoubt,
         // The final attempt never reached the firmware, but an *earlier*
         // attempt that timed out and was aborted may have executed (a lost
         // completion's command did).
-        Err(mssd::SubmitError::CutUnsubmitted) if retries > 0 => HangOutcome::InDoubt,
-        Err(mssd::SubmitError::CutUnsubmitted) => HangOutcome::Never,
-    }
-}
-
-/// Applies one classified command to the oracle. `Done` and `Never` reuse
-/// the multi-queue bookkeeping; `InDoubt` differs from a plain power-cut
-/// in-doubt only for TRIM, whose earlier aborted attempt may have executed
-/// (a cut-consumed TRIM in [`apply_mq_cmd`] is known *not* to have run —
-/// TRIM takes no durability step, so the cut preceded it).
-fn apply_hang_cmd(
-    o: &mut DeviceOracle,
-    pending: &mut Vec<(u64, u8, u32)>,
-    cmd: MqCmd,
-    outcome: HangOutcome,
-) {
-    match outcome {
-        HangOutcome::Done => apply_mq_cmd(o, pending, cmd, true),
-        HangOutcome::Never => {}
-        HangOutcome::InDoubt => match cmd {
-            MqCmd::TrimPage { lba } => {
-                let old = o.page_abs_tag(lba);
-                o.pages_abs.insert(lba, Expect::Either(old, 0));
-            }
-            cmd => apply_mq_cmd(o, pending, cmd, false),
-        },
+        Err(mssd::SubmitError::CutUnsubmitted) if retries > 0 => Outcome::InDoubt,
+        Err(mssd::SubmitError::CutUnsubmitted) => Outcome::Never,
     }
 }
 
@@ -2030,8 +1614,7 @@ impl Scenario for HangStress {
                     // under it (or any non-transactional overwrite of a slot
                     // it has pending) resolves in doubt: the client abandons
                     // it instead of committing, so the maybe-executed chunks
-                    // stay uncommitted and recovery discards them — the only
-                    // outcome the oracle can still bound.
+                    // stay uncommitted and recovery discards them.
                     let mut poisoned = false;
                     // Slots with a pending (uncommitted) write of `tx`.
                     let mut tx_slots: BTreeSet<u64> = BTreeSet::new();
@@ -2039,117 +1622,77 @@ impl Scenario for HangStress {
                         .with_seed(seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     let line_base = c as u64 * HANG_SLOTS;
                     let page_base = block_base + c as u64 * HANG_PAGES;
-                    let mut log: Vec<(MqCmd, HangOutcome)> = Vec::new();
+                    let mut log = Vec::new();
                     'rounds: for _ in 0..rounds {
                         let run_len = 1 + rng.below(3);
                         let base_slot = rng.below(HANG_SLOTS - run_len);
                         let tag = 1 + rng.below(250) as u8;
                         let transactional = rng.below(3) == 0;
-                        let mut batch: Vec<(mssd::Command, MqCmd)> = Vec::new();
-                        for i in 0..run_len {
-                            let line = line_base + base_slot + i;
-                            let t = tag.wrapping_add(i as u8);
-                            batch.push((
-                                mssd::Command::ByteWrite {
-                                    addr: line * 64,
-                                    data: vec![t; 64],
-                                    txid: transactional.then_some(tx),
-                                    cat: Category::Data,
-                                },
-                                MqCmd::Line { line, tag: t, txid: transactional.then_some(tx.0) },
-                            ));
-                        }
+                        let mut batch: Vec<Command> = (0..run_len)
+                            .map(|i| {
+                                let addr = (line_base + base_slot + i) * 64;
+                                let t = tag.wrapping_add(i as u8);
+                                byte_write(addr, 64, t, transactional.then_some(tx), Category::Data)
+                            })
+                            .collect();
                         let mut commit_after = false;
                         match rng.below(8) {
                             0 if transactional => commit_after = true,
                             1 | 2 => {
                                 let lba = page_base + rng.below(HANG_PAGES);
-                                let ptag = 1 + rng.below(250) as u8;
-                                batch.push((
-                                    mssd::Command::BlockWrite {
-                                        lba,
-                                        data: vec![ptag; page_size as usize],
-                                        cat: Category::Data,
-                                    },
-                                    MqCmd::Page { lba, tag: ptag },
-                                ));
+                                let data = vec![1 + rng.below(250) as u8; page_size as usize];
+                                batch.push(Command::BlockWrite { lba, data, cat: Category::Data });
                             }
-                            3 => {
-                                let lba = page_base + rng.below(HANG_PAGES);
-                                batch.push((
-                                    mssd::Command::Trim { lba, count: 1 },
-                                    MqCmd::TrimPage { lba },
-                                ));
-                            }
-                            4 => {
-                                batch.push((mssd::Command::Flush, MqCmd::Flush));
-                            }
+                            3 => batch.push(Command::Trim {
+                                lba: page_base + rng.below(HANG_PAGES),
+                                count: 1,
+                            }),
+                            4 => batch.push(Command::Flush),
                             _ => {}
                         }
-                        for (cmd, desc) in batch {
-                            let (out, retries) = reactor.submit_with_retry(c, cmd, policy).await;
+                        for cmd in batch {
+                            let (out, retries) =
+                                reactor.submit_with_retry(c, cmd.clone(), policy).await;
                             let outcome = classify_hang(&out, retries);
-                            match &desc {
-                                MqCmd::Line { line, txid: Some(_), .. } => match outcome {
-                                    HangOutcome::Done => {
-                                        tx_slots.insert(*line);
-                                        log.push((desc, outcome));
+                            if let Command::ByteWrite { addr, txid, .. } = &cmd {
+                                let line = addr / 64;
+                                match (txid, outcome) {
+                                    (Some(_), Outcome::Done) => {
+                                        tx_slots.insert(line);
                                     }
-                                    // A maybe-executed transactional chunk:
-                                    // abandon the transaction (below) so it
-                                    // is never committed — then it has no
-                                    // durable effect either way.
-                                    HangOutcome::InDoubt => {
-                                        poisoned = true;
-                                        log.push((desc, HangOutcome::Never));
-                                    }
-                                    HangOutcome::Never => log.push((desc, outcome)),
-                                },
-                                MqCmd::Line { line, txid: None, .. } => {
+                                    // A maybe-executed chunk: abandon the
+                                    // transaction (below) so it is never
+                                    // committed.
+                                    (Some(_), Outcome::InDoubt) => poisoned = true,
                                     // An in-doubt overwrite of a slot with a
-                                    // pending chunk makes the slot's fate
-                                    // three-valued (old / chunk / new) if the
-                                    // transaction still commits; abandoning
-                                    // it keeps the outcome two-valued.
-                                    if outcome == HangOutcome::InDoubt && tx_slots.contains(line) {
-                                        poisoned = true;
+                                    // pending chunk: abandoning the
+                                    // transaction keeps the slot two-valued.
+                                    (None, Outcome::InDoubt) if tx_slots.contains(&line) => {
+                                        poisoned = true
                                     }
-                                    if outcome == HangOutcome::Done {
-                                        tx_slots.remove(line);
+                                    (None, Outcome::Done) => {
+                                        tx_slots.remove(&line);
                                     }
-                                    log.push((desc, outcome));
+                                    _ => {}
                                 }
-                                _ => log.push((desc, outcome)),
                             }
+                            log.push((cmd, outcome));
                             if dev.fault_tripped() {
                                 break 'rounds;
                             }
                         }
                         if commit_after {
-                            if poisoned {
-                                // Abandoned: the maybe-executed writes stay
-                                // uncommitted forever; no commit is logged,
-                                // so the replay drops their pending entries.
-                                tx = TxId(tx.0 + 1);
-                                poisoned = false;
-                                tx_slots.clear();
-                            } else {
-                                let (out, retries) = reactor
-                                    .submit_with_retry(
-                                        c,
-                                        mssd::Command::Commit { txid: tx },
-                                        policy,
-                                    )
-                                    .await;
-                                log.push((
-                                    MqCmd::Commit { txid: tx.0 },
-                                    classify_hang(&out, retries),
-                                ));
-                                tx = TxId(tx.0 + 1);
-                                tx_slots.clear();
-                                if dev.fault_tripped() {
-                                    break 'rounds;
-                                }
+                            if !poisoned {
+                                let cmd = Command::Commit { txid: tx };
+                                let (out, retries) =
+                                    reactor.submit_with_retry(c, cmd.clone(), policy).await;
+                                log.push((cmd, classify_hang(&out, retries)));
+                            }
+                            tx = TxId(tx.0 + 1);
+                            poisoned = false;
+                            tx_slots.clear();
+                            if dev.fault_tripped() {
+                                break 'rounds;
                             }
                         }
                     }
@@ -2164,19 +1707,14 @@ impl Scenario for HangStress {
             }
             v
         });
-
-        // Locations are disjoint per client, so replaying each client's log
-        // in its own submission order reconstructs per-location device
-        // order (at-least-once duplicates re-append the same bytes, which
-        // per-slot merge collapses to the same value).
-        let mut o = DeviceOracle::default();
-        for log in logs {
-            let mut pending: Vec<(u64, u8, u32)> = Vec::new();
-            for (cmd, outcome) in log {
-                apply_hang_cmd(&mut o, &mut pending, cmd, outcome);
-            }
+        // Locations are disjoint per client, so recording each client's log
+        // in its own submission order follows per-location device order
+        // (at-least-once duplicates re-append the same bytes).
+        let mut spec = DurabilitySpec::new(dev.page_size());
+        for (cmd, outcome) in logs.iter().flatten() {
+            spec.record(cmd, *outcome);
         }
-        Box::new(o)
+        Box::new(spec)
     }
 }
 

@@ -130,27 +130,6 @@ impl PageCache {
         self.dirty
     }
 
-    /// Bytes used by duplicate (CoW) pages, for the §4.6 memory-overhead
-    /// accounting. The zero original that appended pages share counts once.
-    pub fn cow_bytes(&self) -> usize {
-        let (private, shares_zero) = self.cow_pages();
-        (private + usize::from(shares_zero)) * self.page_size
-    }
-
-    /// CoW originals held: own buffers, and whether any page holds the
-    /// shared zero original.
-    fn cow_pages(&self) -> (usize, bool) {
-        let mut private = 0;
-        let mut shares_zero = false;
-        for original in self.pages.iter().filter_map(|(_, p)| p.meta.as_ref()) {
-            match &self.zero_original {
-                Some(zero) if PageRef::ptr_eq(zero, original) => shares_zero = true,
-                _ => private += 1,
-            }
-        }
-        (private, shares_zero)
-    }
-
     /// Whether a page is resident.
     pub fn contains(&self, inode: u64, index: u64) -> bool {
         self.pages.contains((inode, index))
@@ -312,12 +291,6 @@ impl PageCache {
             kept
         });
         self.dirty -= dropped_dirty;
-    }
-
-    /// Drops everything (unmount / simulated host crash).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.dirty = 0;
     }
 
     /// Drops every clean page and keeps every dirty one (`drop_caches`
@@ -515,19 +488,6 @@ impl ShardedPageCache {
         self.len() == 0
     }
 
-    /// Total bytes used by duplicate (CoW) pages; the zero original the
-    /// shards share counts once.
-    pub fn cow_bytes(&self) -> usize {
-        let (mut pages, mut shares_zero) = (0, false);
-        for shard in &self.shards {
-            let (private, zero) = shard.lock().cow_pages();
-            pages += private;
-            shares_zero |= zero;
-        }
-        let page_size = self.shards[0].lock().page_size();
-        (pages + usize::from(shares_zero)) * page_size
-    }
-
     /// See [`PageCache::invalidate_inode`]; scans every shard.
     pub fn invalidate_inode(&self, inode: u64) {
         self.on_every_shard(|s| s.invalidate_inode(inode));
@@ -536,11 +496,6 @@ impl ShardedPageCache {
     /// See [`PageCache::invalidate_from`]; scans every shard.
     pub fn invalidate_from(&self, inode: u64, from_index: u64) {
         self.on_every_shard(|s| s.invalidate_from(inode, from_index));
-    }
-
-    /// Drops every page in every shard.
-    pub fn clear(&self) {
-        self.on_every_shard(PageCache::clear);
     }
 
     /// See [`PageCache::clear_clean`]: page by page, so one dirty page does
@@ -654,7 +609,6 @@ mod tests {
         c.insert_clean(1, 0, vec![7u8; PS]);
         c.write(1, 0, 0, &[1u8; 64]);
         c.write(1, 0, 64, &[2u8; 64]);
-        assert_eq!(c.cow_bytes(), PS);
         let dirty = c.take_dirty(1);
         assert_eq!(dirty.len(), 1);
         let orig = dirty[0].original.as_ref().unwrap();
@@ -734,7 +688,7 @@ mod tests {
         c.invalidate_inode(1);
         assert!(!c.contains(1, 0));
         assert!(c.contains(2, 0));
-        c.clear();
+        c.invalidate_inode(2);
         assert!(c.is_empty());
     }
 
@@ -863,7 +817,7 @@ mod tests {
         c.insert_new_dirty(9, 0, vec![1u8; PS]);
         c.clear_clean();
         assert_eq!((c.len(), c.dirty_count()), (1, 1));
-        c.clear();
+        c.invalidate_inode(9);
         assert_eq!(c.dirty_count(), 0);
         assert!(c.dirty_inodes().is_empty());
     }
@@ -963,10 +917,8 @@ mod tests {
         let mut c = cache(true);
         c.insert_new_dirty(1, 0, vec![5u8; PS]);
         c.insert_new_dirty(1, 1, vec![6u8; PS]);
-        assert_eq!(c.cow_bytes(), PS, "the shared zero page counts once");
         c.insert_clean(1, 2, vec![7u8; PS]);
         c.write(1, 2, 0, &[1u8; 64]);
-        assert_eq!(c.cow_bytes(), 2 * PS, "an overwritten page keeps its own original");
         let dirty = c.take_dirty(1);
         let (a, b) = (dirty[0].original.as_ref().unwrap(), dirty[1].original.as_ref().unwrap());
         assert!(PageRef::ptr_eq(a, b), "two appended pages share one buffer");
@@ -983,11 +935,9 @@ mod tests {
         for idx in 0..8 {
             c.insert_new_dirty(2, idx, vec![1u8; PS]);
         }
-        assert_eq!(c.cow_bytes(), PS);
         let dirty = c.take_dirty(2);
         let first = dirty[0].original.as_ref().unwrap();
         assert!(dirty.iter().all(|dp| PageRef::ptr_eq(dp.original.as_ref().unwrap(), first)));
-        assert_eq!(ShardedPageCache::new(4, 64, PS, false).cow_bytes(), 0);
     }
 
     #[test]
@@ -1018,7 +968,6 @@ mod tests {
             RestoreDirty { stashed: usize },
             InvalidateInode { ino: u64 },
             InvalidateFrom { ino: u64, idx: u64 },
-            Clear,
             ClearClean,
         }
 
@@ -1038,7 +987,6 @@ mod tests {
                 (0..4usize).prop_map(|stashed| Op::RestoreDirty { stashed }),
                 (0..3u64).prop_map(|ino| Op::InvalidateInode { ino }),
                 page().prop_map(|(ino, idx)| Op::InvalidateFrom { ino, idx }),
-                Just(Op::Clear),
                 Just(Op::ClearClean),
             ]
         }
@@ -1075,7 +1023,6 @@ mod tests {
                         }
                         Op::InvalidateInode { ino } => c.invalidate_inode(ino),
                         Op::InvalidateFrom { ino, idx } => c.invalidate_from(ino, idx),
-                        Op::Clear => c.clear(),
                         Op::ClearClean => c.clear_clean(),
                     }
                     prop_assert_eq!(c.dirty_count(), scanned_dirty(&c));

@@ -46,28 +46,13 @@
 //!
 //! # Durability contract
 //!
-//! The device promises exactly this across a power failure (and the
-//! `crashkit` crate enumerates crash points to hold it to the promise):
-//!
-//! 1. **Battery-backed DRAM survives.** The write log, the TxLog, the FTL
-//!    write buffer and (in baseline mode) the device page cache are part of
-//!    the durable state; [`device::CrashImage`] captures precisely this set
-//!    plus NAND contents.
-//! 2. **Committed means durable.** A byte write tagged with a TxID becomes
-//!    durable the instant its `COMMIT(TxID)` record enters the TxLog; an
-//!    untagged byte write is durable the instant its chunk enters the log.
-//!    `RECOVER()` replays every such write and discards every chunk whose
-//!    TxID has no commit record — regardless of where the cut fell relative
-//!    to cleaning, sealing or flash programs.
-//! 3. **Block writes are durable at page granularity on acceptance.** Each
-//!    4 KB page of a block write is durable once accepted into device DRAM
-//!    (the command may tear *between* pages, never inside one). NVMe FLUSH
-//!    adds nothing to durability here — it only moves pages from buffer to
-//!    NAND — because the buffer is battery-backed.
-//! 4. **Cleaning never weakens 1–3.** Sealing, sealed-region drains, GC
-//!    relocation and erasure move data between durable homes; a cut at any
-//!    such step leaves every committed byte reachable from exactly one of
-//!    them.
+//! [`spec::DurabilitySpec`] states what the device promises across a power
+//! failure, and `crashkit` enumerates crash points to hold it to the promise.
+//! The write log, the TxLog, the FTL write buffer and (in baseline mode) the
+//! device page cache are battery-backed: [`device::CrashImage`] captures
+//! precisely this set plus NAND contents. NVMe FLUSH therefore adds nothing
+//! to durability, and sealing, drains, GC and erasure move data between
+//! durable homes without weakening the contract at any step.
 //!
 //! Every durability-relevant step passes through the [`fault::FaultPlan`]
 //! installed in [`MssdConfig::fault`], which can count the steps and cut
@@ -105,6 +90,7 @@ pub mod log;
 pub mod pages;
 pub mod queue;
 pub mod reactor;
+pub mod spec;
 pub mod stats;
 pub mod trace;
 pub mod txn;

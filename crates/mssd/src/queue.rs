@@ -39,11 +39,10 @@
 //!
 //! A doorbell checks for a tripped [`crate::FaultPlan`] before every
 //! command group: once power is cut, nothing further executes and the
-//! remaining submission-queue entries are left in place — crashkit's
-//! `device-mq` scenario asserts they have **no** durable effect, while
-//! commands whose completion was produced (even if the host never polled
-//! it) are durable under the normal contract, and the one group the cut
-//! landed inside is in-doubt.
+//! remaining submission-queue entries are left in place. A produced
+//! completion, the group the cut landed inside and an entry left in the SQ
+//! are [`crate::spec::Outcome`]'s `Done`, `CutInside` and `Never`; the spec
+//! says what each leaves durable.
 //!
 //! The synchronous [`crate::Mssd`] API (`try_byte_write`, `try_block_read`,
 //! …) is a depth-1 shim over this machinery: each call executes the same
