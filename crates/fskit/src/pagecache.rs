@@ -14,7 +14,10 @@
 //! [`PageCache`] is a clean-pages-only LRU policy over the model's one page
 //! store, [`mssd::pages::PageStore`], with the CoW original as each page's
 //! payload; the device DRAM cache (`mssd::dram_cache`) is an evict-any-page
-//! policy over the same store. Page data is handed out as [`PageRef`]
+//! policy over the same store. The store keeps the dirty bits and an index
+//! of the dirty keys ordered by `(inode, page index)`, so
+//! [`PageCache::take_dirty`] walks one inode's dirty pages in page order and
+//! never the clean ones. Page data is handed out as [`PageRef`]
 //! handles: [`PageCache::get`] is a reference-count bump, not a 4 KB memcpy,
 //! and the first dirty write to a page that still has outstanding readers (or
 //! a CoW original) copies the buffer exactly once. Read-dominated paths
@@ -80,8 +83,6 @@ pub struct PageCache {
     zero_original: Option<PageRef>,
     /// Each page's payload is its CoW original, captured on the first write.
     pages: PageStore<PageKey, Option<PageRef>>,
-    /// Resident dirty pages, kept at every dirty/clean transition.
-    dirty: usize,
 }
 
 impl PageCache {
@@ -106,7 +107,6 @@ impl PageCache {
             capacity_pages: capacity_pages.max(1),
             zero_original,
             pages: PageStore::default(),
-            dirty: 0,
         }
     }
 
@@ -125,9 +125,9 @@ impl PageCache {
         self.pages.is_empty()
     }
 
-    /// Number of resident dirty pages (a counter, not a scan).
+    /// Number of resident dirty pages (the store's dirty index, not a scan).
     pub fn dirty_count(&self) -> usize {
-        self.dirty
+        self.pages.dirty_len()
     }
 
     /// Whether a page is resident.
@@ -150,7 +150,7 @@ impl PageCache {
         let data = data.into();
         debug_assert_eq!(data.len(), self.page_size);
         // Never clobber a dirty page with stale device contents.
-        if self.pages.slot((inode, index)).is_some_and(|p| p.dirty) {
+        if self.pages.slot((inode, index)).is_some_and(|p| p.dirty()) {
             return;
         }
         if self.pages.put((inode, index), data, false, None).is_none() {
@@ -169,15 +169,15 @@ impl PageCache {
         let track_cow = self.zero_original.is_some();
         let Some(p) = self.pages.slot_mut((inode, index)) else { return false };
         debug_assert!(offset + bytes.len() <= self.page_size);
-        if track_cow && !p.dirty && p.meta.is_none() {
+        let was_dirty = p.dirty();
+        if track_cow && !was_dirty && p.meta.is_none() {
             // Capturing the original is free: it shares the buffer, and the
             // make_mut below unshares the writable copy.
             p.meta = Some(p.data.clone());
         }
         p.data.make_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
-        if !p.dirty {
-            p.dirty = true;
-            self.dirty += 1;
+        if !was_dirty {
+            self.pages.mark_dirty((inode, index));
         }
         true
     }
@@ -226,26 +226,18 @@ impl PageCache {
         let data = data.into();
         debug_assert_eq!(data.len(), self.page_size);
         let original = self.zero_original.clone();
-        if !self.pages.put((inode, index), data, true, original).is_some_and(|old| old.dirty) {
-            self.dirty += 1;
-        }
+        self.pages.put((inode, index), data, true, original);
         self.evict();
     }
 
     /// Removes the dirty state of one inode's pages and returns them for
     /// writeback, in ascending page order. The pages stay resident (clean).
+    /// Walks the store's dirty index over the inode's key range only.
     pub fn take_dirty(&mut self, inode: u64) -> Vec<DirtyPage> {
-        let mut out: Vec<DirtyPage> = self
-            .pages
-            .iter_mut()
-            .filter(|((ino, _), p)| *ino == inode && p.dirty)
-            .map(|(&(inode, index), p)| {
-                p.dirty = false;
-                DirtyPage { inode, index, data: p.data.clone(), original: p.meta.take() }
-            })
-            .collect();
-        self.dirty -= out.len();
-        out.sort_unstable_by_key(|dp| dp.index);
+        let mut out = Vec::new();
+        self.pages.clean((inode, 0)..=(inode, u64::MAX), |(inode, index), p| {
+            out.push(DirtyPage { inode, index, data: p.data.clone(), original: p.meta.take() });
+        });
         out
     }
 
@@ -257,53 +249,42 @@ impl PageCache {
     pub fn restore_dirty(&mut self, pages: impl IntoIterator<Item = DirtyPage>) {
         for dp in pages {
             let key = (dp.inode, dp.index);
-            if self.pages.slot(key).is_some_and(|p| p.dirty) {
+            if self.pages.slot(key).is_some_and(|p| p.dirty()) {
                 continue;
             }
             self.pages.put(key, dp.data, true, dp.original);
-            self.dirty += 1;
         }
     }
 
     /// Inodes that currently own at least one dirty page (used by `sync` to
-    /// decide which inodes need writeback).
+    /// decide which inodes need writeback), read from the dirty index.
     pub fn dirty_inodes(&self) -> BTreeSet<u64> {
-        self.pages.iter().filter(|(_, p)| p.dirty).map(|((ino, _), _)| *ino).collect()
+        self.pages.dirty_keys(..).map(|(ino, _)| ino).collect()
     }
 
     /// Drops every page (dirty or clean) belonging to an inode (unlink,
-    /// truncate).
+    /// truncate): a scan of every resident page.
     pub fn invalidate_inode(&mut self, inode: u64) {
-        self.retain(|(ino, _)| *ino != inode);
+        self.pages.retain(|(ino, _), _| *ino != inode);
     }
 
-    /// Drops pages of `inode` with index >= `from_index` (truncate).
+    /// Drops pages of `inode` with index >= `from_index`, dirty or clean
+    /// (truncate): a scan of every resident page.
     pub fn invalidate_from(&mut self, inode: u64, from_index: u64) {
-        self.retain(|(ino, idx)| *ino != inode || *idx < from_index);
-    }
-
-    /// Drops every page whose key `keep` rejects, dirty or clean.
-    fn retain(&mut self, keep: impl Fn(&PageKey) -> bool) {
-        let mut dropped_dirty = 0;
-        self.pages.retain(|key, p| {
-            let kept = keep(key);
-            dropped_dirty += usize::from(!kept && p.dirty);
-            kept
-        });
-        self.dirty -= dropped_dirty;
+        self.pages.retain(|(ino, idx), _| *ino != inode || *idx < from_index);
     }
 
     /// Drops every clean page and keeps every dirty one (`drop_caches`
     /// semantics: clean state may be discarded, dirty state must survive).
     pub fn clear_clean(&mut self) {
-        self.pages.retain(|_, p| p.dirty);
+        self.pages.retain(|_, p| p.dirty());
     }
 
     /// The clean-pages-only policy: drops least recently used clean pages
     /// while over capacity; with every page dirty the cache overshoots
     /// rather than lose data.
     fn evict(&mut self) {
-        self.pages.evict_lru(self.capacity_pages, |p| !p.dirty, |_, _| {});
+        self.pages.evict_lru(self.capacity_pages, |p| !p.dirty(), |_, _| {});
     }
 }
 
@@ -318,8 +299,10 @@ impl PageCache {
 ///
 /// Hashing by page (not by inode) also means a single hot file can use the
 /// whole configured capacity rather than `1/shards` of it; the LRU becomes
-/// per-shard (approximate global LRU), and per-inode operations
-/// ([`ShardedPageCache::take_dirty`], the invalidations) scan every shard.
+/// per-shard (approximate global LRU), and per-inode operations visit every
+/// shard: [`ShardedPageCache::take_dirty`] asks each shard's dirty index for
+/// the inode's key range, while the invalidations still scan every resident
+/// page of every shard.
 ///
 /// Because a check-then-act pair of calls spans two lock acquisitions (a
 /// concurrent insertion into the same shard may evict a clean page in
@@ -447,8 +430,9 @@ impl ShardedPageCache {
         self.on_page(inode, index, |s| s.insert_new_dirty(inode, index, data));
     }
 
-    /// See [`PageCache::take_dirty`]; scans every shard and returns the pages
-    /// in ascending page order (deterministic writeback order).
+    /// See [`PageCache::take_dirty`]; asks every shard's dirty index and
+    /// returns the pages in ascending page order (deterministic writeback
+    /// order).
     pub fn take_dirty(&self, inode: u64) -> Vec<DirtyPage> {
         let mut out = Vec::new();
         self.on_every_shard(|s| out.extend(s.take_dirty(inode)));
@@ -905,11 +889,51 @@ mod tests {
             .iter()
             .map(|s| {
                 let s = s.lock();
-                let scanned = s.pages.iter().filter(|(_, p)| p.dirty).count();
+                let scanned = s.pages.iter().filter(|(_, p)| p.dirty()).count();
                 assert_eq!(s.dirty_count(), scanned, "a shard's counter drifted from its pages");
                 scanned
             })
             .sum()
+    }
+
+    /// What `take_dirty(inode)` must hand out, found by a scan of every
+    /// resident page of every shard: the inode's dirty pages in ascending
+    /// page order, with their bytes and CoW originals.
+    fn scanned_dirty_pages(c: &ShardedPageCache, inode: u64) -> Vec<DirtyPage> {
+        let mut out: Vec<DirtyPage> = c
+            .shards
+            .iter()
+            .flat_map(|s| {
+                s.lock()
+                    .pages
+                    .iter()
+                    .filter(|((ino, _), p)| *ino == inode && p.dirty())
+                    .map(|(&(inode, index), p)| DirtyPage {
+                        inode,
+                        index,
+                        data: p.data.clone(),
+                        original: p.meta.clone(),
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        out.sort_unstable_by_key(|dp| dp.index);
+        out
+    }
+
+    /// The inodes owning a dirty page, found by a scan of every shard.
+    fn scanned_dirty_inodes(c: &ShardedPageCache) -> BTreeSet<u64> {
+        c.shards
+            .iter()
+            .flat_map(|s| {
+                s.lock()
+                    .pages
+                    .iter()
+                    .filter(|(_, p)| p.dirty())
+                    .map(|((ino, _), _)| *ino)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     #[test]
@@ -995,7 +1019,10 @@ mod tests {
             #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
             /// Whatever the mutators do — evictions in a cache smaller than
-            /// the key space included — the lock-free counter equals a scan.
+            /// the key space included — the lock-free counter equals a scan,
+            /// `take_dirty` hands out exactly the pages a scan found just
+            /// before it (keys ascending, bytes, CoW originals), and
+            /// `dirty_inodes` names the inodes a scan finds.
             #[test]
             fn the_dirty_counter_equals_a_full_scan(
                 ops in proptest::collection::vec(op(), 1..80),
@@ -1014,7 +1041,12 @@ mod tests {
                         }
                         Op::InsertClean { ino, idx } => c.insert_clean(ino, idx, vec![1u8; PS]),
                         Op::InsertNewDirty { ino, idx } => c.insert_new_dirty(ino, idx, vec![2u8; PS]),
-                        Op::TakeDirty { ino } => stash.push(c.take_dirty(ino)),
+                        Op::TakeDirty { ino } => {
+                            let want = scanned_dirty_pages(&c, ino);
+                            let taken = c.take_dirty(ino);
+                            prop_assert_eq!(&taken, &want);
+                            stash.push(taken);
+                        }
                         Op::RestoreDirty { stashed } => {
                             if !stash.is_empty() {
                                 let pages = stash.remove(stashed % stash.len());
@@ -1026,6 +1058,7 @@ mod tests {
                         Op::ClearClean => c.clear_clean(),
                     }
                     prop_assert_eq!(c.dirty_count(), scanned_dirty(&c));
+                    prop_assert_eq!(c.dirty_inodes(), scanned_dirty_inodes(&c));
                 }
             }
         }

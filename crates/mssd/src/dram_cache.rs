@@ -16,7 +16,9 @@
 //!   [`PageRef`]s; byte-granular [`DramPageCache::modify`] copies-on-write
 //!   only when a read ref is still outstanding. A full cache evicts its least
 //!   recently used page, clean or dirty, and returns the dirty victims for
-//!   writeback.
+//!   writeback. The store's dirty index answers FLUSH and crash imaging
+//!   ([`DramPageCache::drain_dirty`], [`DramPageCache::export_dirty`]) in
+//!   ascending LPA order without a scan of the resident pages.
 //! * [`ShardedDramCache`] — the concurrent wrapper used by the device:
 //!   [`CACHE_SHARDS`] lock-striped [`DramPageCache`]s keyed by LPA, each with
 //!   a proportional slice of the DRAM budget, so baseline-mode accesses to
@@ -58,7 +60,7 @@ impl DramPageCache {
 
     /// Number of resident dirty pages.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.iter().filter(|(_, p)| p.dirty).count()
+        self.pages.dirty_len()
     }
 
     /// Maximum number of resident pages.
@@ -87,15 +89,15 @@ impl DramPageCache {
         match self.pages.put(lpa, PageRef::new(data), dirty, ()) {
             // Keep the dirty bit sticky: overwriting a dirty page with a
             // clean copy must not lose the pending writeback.
-            Some(old) if old.dirty && !dirty => {
-                self.pages.slot_mut(lpa).expect("just put").dirty = true;
+            Some(old) if old.dirty() && !dirty => {
+                self.pages.mark_dirty(lpa);
             }
             Some(_) => {}
             None => self.pages.evict_lru(
                 self.capacity_pages,
                 |_| true,
                 |lpa, page| {
-                    if page.dirty {
+                    if page.dirty() {
                         writebacks.push((lpa, page.data.into_vec()));
                     }
                 },
@@ -112,7 +114,9 @@ impl DramPageCache {
         let end = offset + bytes.len();
         debug_assert!(end <= self.page_size);
         p.data.make_mut()[offset..end].copy_from_slice(bytes);
-        p.dirty = true;
+        if !p.dirty() {
+            self.pages.mark_dirty(lpa);
+        }
         true
     }
 
@@ -122,33 +126,25 @@ impl DramPageCache {
         self.pages.remove(lpa);
     }
 
-    /// Copies out the dirty pages without clearing their dirty bits (used
-    /// for crash imaging: the cache is battery-backed device DRAM, so its
-    /// unwritten dirty pages are part of the durable state).
+    /// Copies out the dirty pages, in ascending LPA order, without clearing
+    /// their dirty bits (used for crash imaging: the cache is battery-backed
+    /// device DRAM, so its unwritten dirty pages are part of the durable
+    /// state).
     pub fn export_dirty(&self) -> Vec<(Lpa, Vec<u8>)> {
-        let mut out: Vec<(Lpa, Vec<u8>)> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(k, p)| (*k, p.data.to_vec()))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.pages
+            .dirty_keys(..)
+            .map(|lpa| {
+                (lpa, self.pages.slot(lpa).expect("indexed pages are resident").data.to_vec())
+            })
+            .collect()
     }
 
-    /// Removes the dirty bit from all pages and returns their contents (for
-    /// FLUSH / power-loss handling). Pages stay resident.
+    /// Removes the dirty bit from all pages and returns their contents in
+    /// ascending LPA order (for FLUSH / power-loss handling). Pages stay
+    /// resident.
     pub fn drain_dirty(&mut self) -> Vec<(Lpa, Vec<u8>)> {
-        let mut out: Vec<(Lpa, Vec<u8>)> = self
-            .pages
-            .iter_mut()
-            .filter(|(_, p)| p.dirty)
-            .map(|(k, p)| {
-                p.dirty = false;
-                (*k, p.data.to_vec())
-            })
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
+        let mut out = Vec::new();
+        self.pages.clean(.., |lpa, p| out.push((lpa, p.data.to_vec())));
         out
     }
 }
@@ -377,6 +373,36 @@ mod tests {
         c.discard(0);
         assert_eq!(c.len(), 31);
         assert_eq!(c.lock_shard(4).get(4).unwrap().to_vec(), page(4));
+    }
+
+    #[test]
+    fn dirty_pages_come_out_in_lpa_order_whatever_order_dirtied_them() {
+        // Three pages a shard. Shard 5 is dirtied 53, 5, 37, out of order;
+        // the others by insert (20, 16) or by a modify of a clean page (1).
+        let c = ShardedDramCache::new(48 * PS, PS);
+        for lpa in [53u64, 20, 5, 16, 37] {
+            assert!(c.lock_shard(lpa).insert(lpa, page(lpa as u8), true).is_empty());
+        }
+        c.lock_shard(1).insert(1, page(1), false);
+        assert!(c.lock_shard(1).modify(1, 0, &[9]));
+        // A clean insert into the full shard 5 evicts its LRU page, dirty 53.
+        assert_eq!(c.lock_shard(21).insert(21, page(21), false), vec![(53, page(53))]);
+        // Re-inserting a dirty page as clean keeps its pending writeback.
+        c.lock_shard(20).insert(20, page(99), false);
+
+        let mut first = page(1);
+        first[0] = 9;
+        let want = vec![(1, first), (5, page(5)), (16, page(16)), (20, page(99)), (37, page(37))];
+        let shard5 = vec![(5, page(5)), (37, page(37))];
+        assert_eq!(c.lock_shard(5).export_dirty(), shard5, "one shard's LPAs ascend");
+        assert_eq!(c.export_dirty(), want, "export keeps the dirty bits");
+        assert_eq!(c.dirty_pages(), want.len());
+        let resident = c.len();
+        assert_eq!(c.drain_dirty(), want);
+        assert_eq!(c.dirty_pages(), 0, "drain clears every dirty bit");
+        assert!(c.export_dirty().is_empty());
+        assert_eq!(c.len(), resident, "drained pages stay resident");
+        assert!(want.iter().all(|(lpa, _)| c.lock_shard(*lpa).contains(*lpa)));
     }
 
     #[test]

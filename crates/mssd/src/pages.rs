@@ -10,10 +10,17 @@
 //! the next tick, so stamps are unique and the one victim search,
 //! [`PageStore::pop_lru_where`], picks the same page whatever order the map
 //! iterates in.
+//!
+//! The store owns the dirty bits: besides the map it keeps a key-ordered
+//! index of its dirty keys, as Linux tags a mapping's dirty pages in its
+//! xarray (`PAGECACHE_TAG_DIRTY`). Every call that sets, clears or drops a
+//! dirty page keeps the index exact, so writeback asks it
+//! ([`PageStore::dirty_keys`], [`PageStore::clean`]) and costs what it
+//! finds, not what is resident.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::ops::Deref;
+use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheap, immutable handle to one cached page's bytes.
@@ -80,38 +87,53 @@ impl From<Vec<u8>> for PageRef {
 }
 
 /// One resident page: its bytes, its dirty bit, the cache's own per-page
-/// payload `meta`, and its LRU stamp, which only the store moves.
+/// payload `meta`, and its LRU stamp. Only the store moves the stamp and the
+/// dirty bit, so its dirty index cannot drift from the bits.
 #[derive(Debug, Clone)]
 pub struct Slot<M> {
     /// Current contents.
     pub data: PageRef,
-    /// The page holds changes its backing store has not seen.
-    pub dirty: bool,
     /// What the cache keeps per page besides the bytes.
     pub meta: M,
+    dirty: bool,
     last_use: u64,
 }
 
-/// An LRU map of pages keyed by `K`. [`PageStore::get`],
-/// [`PageStore::slot_mut`] and [`PageStore::put`] make a page the most
-/// recently used; nothing else moves recency. The cache over the store
-/// picks the capacity and the pages [`PageStore::evict_lru`] may evict.
+impl<M> Slot<M> {
+    /// The page holds changes its backing store has not seen.
+    pub fn dirty(&self) -> bool {
+        self.dirty
+    }
+}
+
+/// An LRU map of pages keyed by `K`, with an ordered index of its dirty
+/// keys. [`PageStore::get`], [`PageStore::slot_mut`] and [`PageStore::put`]
+/// make a page the most recently used; nothing else moves recency. The cache
+/// over the store picks the capacity and the pages [`PageStore::evict_lru`]
+/// may evict.
 #[derive(Debug)]
 pub struct PageStore<K, M> {
     pages: HashMap<K, Slot<M>>,
+    /// Exactly the keys of the resident pages whose dirty bit is set.
+    dirty: BTreeSet<K>,
     tick: u64,
 }
 
 impl<K, M> Default for PageStore<K, M> {
     fn default() -> Self {
-        Self { pages: HashMap::new(), tick: 0 }
+        Self { pages: HashMap::new(), dirty: BTreeSet::new(), tick: 0 }
     }
 }
 
-impl<K: Hash + Eq + Copy, M> PageStore<K, M> {
+impl<K: Hash + Ord + Copy, M> PageStore<K, M> {
     /// Number of resident pages.
     pub fn len(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Number of resident dirty pages: the index's size, not a scan.
+    pub fn dirty_len(&self) -> usize {
+        self.dirty.len()
     }
 
     /// `true` when no page is resident.
@@ -147,17 +169,44 @@ impl<K: Hash + Eq + Copy, M> PageStore<K, M> {
     /// replaced.
     pub fn put(&mut self, key: K, data: PageRef, dirty: bool, meta: M) -> Option<Slot<M>> {
         self.tick += 1;
-        self.pages.insert(key, Slot { data, dirty, meta, last_use: self.tick })
+        if dirty {
+            self.dirty.insert(key);
+        } else {
+            self.dirty.remove(&key);
+        }
+        self.pages.insert(key, Slot { data, meta, dirty, last_use: self.tick })
+    }
+
+    /// Sets a resident page's dirty bit, its recency untouched; `false` when
+    /// the page is not resident.
+    pub fn mark_dirty(&mut self, key: K) -> bool {
+        let Some(slot) = self.pages.get_mut(&key) else { return false };
+        if !slot.dirty {
+            slot.dirty = true;
+            self.dirty.insert(key);
+        }
+        true
     }
 
     /// Drops a page, dirty or clean, and returns it.
     pub fn remove(&mut self, key: K) -> Option<Slot<M>> {
-        self.pages.remove(&key)
+        let slot = self.pages.remove(&key)?;
+        if slot.dirty {
+            self.dirty.remove(&key);
+        }
+        Some(slot)
     }
 
-    /// Keeps only the pages `keep` accepts; it may change the ones it keeps.
-    pub fn retain(&mut self, keep: impl FnMut(&K, &mut Slot<M>) -> bool) {
-        self.pages.retain(keep);
+    /// Keeps only the pages `keep` accepts: one scan of the whole map.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &Slot<M>) -> bool) {
+        let dirty = &mut self.dirty;
+        self.pages.retain(|key, slot| {
+            let kept = keep(key, slot);
+            if !kept && slot.dirty {
+                dirty.remove(key);
+            }
+            kept
+        });
     }
 
     /// Every resident page, in no particular order.
@@ -165,15 +214,23 @@ impl<K: Hash + Eq + Copy, M> PageStore<K, M> {
         self.pages.iter()
     }
 
-    /// Every resident page, changeable, in no particular order; recency is
-    /// left alone.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut Slot<M>)> {
-        self.pages.iter_mut()
+    /// The dirty keys within `range`, ascending, read from the index.
+    pub fn dirty_keys(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = K> + '_ {
+        self.dirty.range(range).copied()
     }
 
-    /// Drops every page.
-    pub fn clear(&mut self) {
-        self.pages.clear();
+    /// Clears the dirty bit of every dirty page within `range` and hands
+    /// each to `cleaned`, in ascending key order; the pages stay resident and
+    /// their recency is left alone. Costs the dirty pages it finds, not the
+    /// resident ones: writeback's walk.
+    pub fn clean(&mut self, range: impl RangeBounds<K>, mut cleaned: impl FnMut(K, &mut Slot<M>)) {
+        let range = (range.start_bound().cloned(), range.end_bound().cloned());
+        while let Some(&key) = self.dirty.range(range).next() {
+            self.dirty.remove(&key);
+            let slot = self.pages.get_mut(&key).expect("the dirty index holds resident keys only");
+            slot.dirty = false;
+            cleaned(key, slot);
+        }
     }
 
     /// Removes and returns the least recently used page among those
@@ -186,7 +243,7 @@ impl<K: Hash + Eq + Copy, M> PageStore<K, M> {
             .filter(|(_, slot)| evictable(slot))
             .min_by_key(|(_, slot)| slot.last_use)
             .map(|(key, _)| *key)?;
-        self.pages.remove(&victim).map(|slot| (victim, slot))
+        self.remove(victim).map(|slot| (victim, slot))
     }
 
     /// Evicts the least recently used pages `evictable` accepts, handing each
@@ -216,13 +273,15 @@ mod tests {
         Get(u8),
         /// `put`, then evict down to the capacity, as both caches insert.
         Insert(u8, bool),
-        /// `slot_mut` and dirty the page, as a cache write does.
+        /// `slot_mut`, change the bytes, then `mark_dirty`, as a cache write
+        /// does.
         Write(u8),
         Remove(u8),
         /// Keep the keys whose bit is set.
         Retain(u16),
-        /// Clear every dirty bit in place, as writeback does.
-        Clean,
+        /// `clean(lo..hi)` on a sub-range of the keys, as writeback cleans
+        /// one file's pages.
+        Clean(u8, u8),
         /// One `pop_lru_where`.
         Evict,
     }
@@ -234,7 +293,7 @@ mod tests {
             (0..10u8).prop_map(Op::Write),
             (0..10u8).prop_map(Op::Remove),
             any::<u16>().prop_map(Op::Retain),
-            Just(Op::Clean),
+            (0..11u8, 0..11u8).prop_map(|(a, b)| Op::Clean(a.min(b), a.max(b))),
             Just(Op::Evict),
         ]
     }
@@ -263,15 +322,17 @@ mod tests {
         /// device DRAM cache) or clean pages only (the host page cache) — the
         /// store evicts the same victims in the same order as a list of
         /// `(key, dirty)` kept in order of last touch, least recent first,
-        /// and holds the same pages with the same dirty bits, so the same
-        /// dirty count.
+        /// and holds the same pages with the same dirty bits. Its dirty index
+        /// lists exactly the model's dirty keys, ascending, after every step,
+        /// and `clean` hands out the dirty keys of its range in ascending
+        /// order without moving recency.
         #[test]
         fn the_store_evicts_in_order_of_last_touch(
             ops in proptest::collection::vec(op(), 1..120),
             capacity in 4..9usize,
             clean_only in any::<bool>(),
         ) {
-            let evictable = |slot: &Slot<()>| !(clean_only && slot.dirty);
+            let evictable = |slot: &Slot<()>| !(clean_only && slot.dirty());
             let mut store: PageStore<u8, ()> = PageStore::default();
             let mut model: Vec<(u8, bool)> = Vec::new();
             for op in ops {
@@ -290,23 +351,32 @@ mod tests {
                     }
                     Op::Write(k) => {
                         if let Some(slot) = store.slot_mut(k) {
-                            slot.dirty = true;
                             slot.data.make_mut()[0] ^= 0x80;
                         }
-                        if take(&mut model, k).is_some() {
-                            model.push((k, true));
-                        }
+                        let marked = store.mark_dirty(k);
+                        let hit = take(&mut model, k).map(|_| model.push((k, true)));
+                        prop_assert_eq!(marked, hit.is_some());
                     }
                     Op::Remove(k) => {
-                        prop_assert_eq!(store.remove(k).map(|s| s.dirty), take(&mut model, k));
+                        prop_assert_eq!(store.remove(k).map(|s| s.dirty()), take(&mut model, k));
                     }
                     Op::Retain(mask) => {
                         store.retain(|k, _| mask & (1 << k) != 0);
                         model.retain(|(k, _)| mask & (1 << k) != 0);
                     }
-                    Op::Clean => {
-                        store.iter_mut().for_each(|(_, slot)| slot.dirty = false);
-                        model.iter_mut().for_each(|(_, dirty)| *dirty = false);
+                    Op::Clean(lo, hi) => {
+                        let mut got = Vec::new();
+                        store.clean(lo..hi, |k, slot| got.push((k, slot.dirty())));
+                        let mut want: Vec<(u8, bool)> = model
+                            .iter_mut()
+                            .filter(|(k, dirty)| *dirty && (lo..hi).contains(k))
+                            .map(|(k, dirty)| {
+                                *dirty = false;
+                                (*k, false)
+                            })
+                            .collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(got, want);
                     }
                     Op::Evict => {
                         let got: Vec<u8> =
@@ -315,11 +385,15 @@ mod tests {
                         prop_assert_eq!(got, model_evict(&mut model, clean_only, keep));
                     }
                 }
-                let mut resident: Vec<_> = store.iter().map(|(k, s)| (*k, s.dirty)).collect();
+                let mut resident: Vec<_> = store.iter().map(|(k, s)| (*k, s.dirty())).collect();
                 resident.sort_unstable();
                 let mut want = model.clone();
                 want.sort_unstable();
+                let want_dirty: Vec<u8> =
+                    want.iter().filter(|(_, dirty)| *dirty).map(|(k, _)| *k).collect();
                 prop_assert_eq!(resident, want);
+                prop_assert_eq!(store.dirty_len(), want_dirty.len());
+                prop_assert_eq!(store.dirty_keys(..).collect::<Vec<_>>(), want_dirty);
             }
         }
     }
