@@ -298,11 +298,14 @@ impl PageCache {
 /// mutex is held only for the duration of one call.
 ///
 /// Hashing by page (not by inode) also means a single hot file can use the
-/// whole configured capacity rather than `1/shards` of it; the LRU becomes
-/// per-shard (approximate global LRU), and per-inode operations visit every
-/// shard: [`ShardedPageCache::take_dirty`] asks each shard's dirty index for
-/// the inode's key range, while the invalidations still scan every resident
-/// page of every shard.
+/// whole configured capacity rather than `1/shards` of it. Each shard keeps
+/// its own LRU list (approximate global LRU): an insertion into a full shard
+/// evicts the clean page nearest the head of that shard's list, skipping
+/// only the dirty pages before it, never scanning the shard. Per-inode
+/// operations visit every shard: [`ShardedPageCache::take_dirty`] asks each
+/// shard's dirty index for the inode's key range, while the invalidations
+/// (and [`ShardedPageCache::clear_clean`]) still scan every resident page of
+/// every shard.
 ///
 /// Because a check-then-act pair of calls spans two lock acquisitions (a
 /// concurrent insertion into the same shard may evict a clean page in
